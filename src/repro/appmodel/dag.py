@@ -7,7 +7,9 @@ copies at workload-creation time.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import networkx as nx
 
@@ -38,9 +40,13 @@ class PlatformBinding:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskNode:
-    """One node of the application DAG (Listing 1's ``DAG`` entries)."""
+    """One node of the application DAG (Listing 1's ``DAG`` entries).
+
+    Immutable, like the graph that holds it: built-in archetypes are parsed
+    once per process and shared by every emulation.
+    """
 
     name: str
     arguments: tuple[str, ...] = ()
@@ -93,14 +99,22 @@ class TaskNode:
 
 
 class TaskGraph:
-    """An application archetype: variables + DAG + default shared object."""
+    """An application archetype: variables + DAG + default shared object.
+
+    ``nodes`` and ``variables`` are read-only views and every node is
+    frozen, so one archetype can back any number of emulations.  What each
+    session would otherwise re-derive by walking all nodes is computed here,
+    once: the topological order, the kernel symbol behind every binding
+    (:attr:`binding_refs`, and the distinct ones in :attr:`kernel_refs`)
+    and the distinct platform-name tuples (:attr:`platform_sets`).
+    """
 
     def __init__(
         self,
         app_name: str,
         shared_object: str,
-        variables: dict[str, VariableSpec],
-        nodes: dict[str, TaskNode],
+        variables: Mapping[str, VariableSpec],
+        nodes: Mapping[str, TaskNode],
         setup: str | None = None,
     ) -> None:
         if not app_name:
@@ -111,13 +125,36 @@ class TaskGraph:
             raise ApplicationSpecError(f"app {app_name!r}: DAG has no nodes")
         self.app_name = app_name
         self.shared_object = shared_object
-        self.variables = dict(variables)
-        self.nodes = dict(nodes)
+        self.variables: Mapping[str, VariableSpec] = MappingProxyType(
+            dict(variables)
+        )
+        self.nodes: Mapping[str, TaskNode] = MappingProxyType(dict(nodes))
         #: optional symbol run once per instance at initialization to
         #: populate input buffers (framework extension; see apps/).
         self.setup = setup
         self._validate_structure()
         self._topo_order = self._compute_topo_order()
+        refs = {
+            (name, p.name): (p.shared_object or shared_object, p.runfunc)
+            for name, node in self.nodes.items()
+            for p in node.platforms
+        }
+        #: (node, platform) -> the (shared_object, runfunc) it runs
+        self.binding_refs: Mapping[tuple[str, str], tuple[str, str]] = (
+            MappingProxyType(refs)
+        )
+        #: the distinct (shared_object, runfunc) references, first use first
+        self.kernel_refs: tuple[tuple[str, str], ...] = tuple(
+            dict.fromkeys(refs.values())
+        )
+        first_node: dict[tuple[str, ...], str] = {}
+        for name, node in self.nodes.items():
+            first_node.setdefault(node.platform_names(), name)
+        #: the distinct ``platform_names()`` tuples, each with the first node
+        #: (in node order) that carries it
+        self.platform_sets: tuple[tuple[tuple[str, ...], str], ...] = tuple(
+            first_node.items()
+        )
 
     # -- structural checks ----------------------------------------------------
 
@@ -164,14 +201,24 @@ class TaskGraph:
                     )
 
     def _compute_topo_order(self) -> tuple[str, ...]:
-        graph = self.to_networkx()
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible:
-            cycle = nx.find_cycle(graph)
+        """Kahn's algorithm with a FIFO frontier: the order
+        ``nx.topological_sort(self.to_networkx())`` yields.  Task ids are
+        allocated in this order, so it is part of the bit-identity contract.
+        Repeated entries in a successor list are one edge, as in networkx."""
+        indegree = {
+            name: len(set(node.predecessors)) for name, node in self.nodes.items()
+        }
+        order = [name for name, degree in indegree.items() if degree == 0]
+        for name in order:  # grows while iterated: the FIFO frontier
+            for succ in dict.fromkeys(self.nodes[name].successors):
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    order.append(succ)
+        if len(order) != len(self.nodes):
+            cycle = nx.find_cycle(self.to_networkx())
             raise ApplicationSpecError(
                 f"app {self.app_name!r}: DAG contains a cycle: {cycle}"
-            ) from None
+            )
         return tuple(order)
 
     # -- queries ---------------------------------------------------------------

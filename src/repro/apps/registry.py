@@ -9,6 +9,7 @@ directory.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
 
 from repro.appmodel.dag import TaskGraph
@@ -53,21 +54,33 @@ def default_kernel_library() -> KernelLibrary:
     return lib
 
 
+#: archetypes parsed so far in this process; a TaskGraph is read-only, so
+#: every emulation shares the one object
+_archetypes: dict[str, TaskGraph] = {}
+_archetypes_lock = threading.Lock()
+
+
 def build_application(app_name: str) -> TaskGraph:
-    """Build one archetype by name; error message lists what exists, like
-    the framework reporting an unknown ``AppName`` after parsing."""
-    try:
-        builder = APPLICATION_BUILDERS[app_name]
-    except KeyError:
-        raise ApplicationSpecError(
-            f"application {app_name!r} was not detected "
-            f"(available: {sorted(APPLICATION_BUILDERS)})"
-        ) from None
-    return builder()
+    """One archetype by name, built on first request and shared after; error
+    message lists what exists, like the framework reporting an unknown
+    ``AppName`` after parsing."""
+    with _archetypes_lock:  # two threads asking at once build it once
+        graph = _archetypes.get(app_name)
+        if graph is None:
+            try:
+                builder = APPLICATION_BUILDERS[app_name]
+            except KeyError:
+                raise ApplicationSpecError(
+                    f"application {app_name!r} was not detected "
+                    f"(available: {sorted(APPLICATION_BUILDERS)})"
+                ) from None
+            graph = _archetypes[app_name] = builder()
+    return graph
 
 
 def default_applications() -> dict[str, TaskGraph]:
-    """All archetypes, parsed and validated."""
+    """All archetypes, parsed and validated: a fresh dict over the shared,
+    read-only graphs (the paper's once-only initialization phase)."""
     return {name: build_application(name) for name in APPLICATION_BUILDERS}
 
 

@@ -53,14 +53,10 @@ class ApplicationHandler:
     # -- parsing ------------------------------------------------------------------
 
     def register(self, graph: TaskGraph) -> ResolvedApplication:
-        """Parse one archetype: resolve every runfunc it references."""
-        kernels: dict[tuple[str, str], Kernel] = {}
-        for node_name, node in graph.nodes.items():
-            for binding in node.platforms:
-                shared_object = binding.shared_object or graph.shared_object
-                kernels[(node_name, binding.name)] = self.library.resolve(
-                    shared_object, binding.runfunc
-                )
+        """Parse one archetype: resolve every runfunc it references (each
+        distinct symbol once, in first-use order)."""
+        symbols = {ref: self.library.resolve(*ref) for ref in graph.kernel_refs}
+        kernels = {key: symbols[ref] for key, ref in graph.binding_refs.items()}
         setup_kernel = None
         if graph.setup:
             setup_kernel = self.library.resolve(graph.shared_object, graph.setup)
@@ -94,11 +90,11 @@ class ApplicationHandler:
         """Every node must have at least one binding the configuration can
         execute — otherwise the emulation would deadlock on that task."""
         for app_name, resolved in self._resolved.items():
-            for node_name, node in resolved.graph.nodes.items():
-                if not set(node.platform_names()) & available_platforms:
+            for platform_names, node_name in resolved.graph.platform_sets:
+                if available_platforms.isdisjoint(platform_names):
                     raise ApplicationSpecError(
                         f"app {app_name!r}, node {node_name!r} supports "
-                        f"{node.platform_names()}, none of which are in the "
+                        f"{platform_names}, none of which are in the "
                         f"configuration ({sorted(available_platforms)})"
                     )
 

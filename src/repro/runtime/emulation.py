@@ -9,10 +9,16 @@ repository, a scheduling policy, and an execution backend::
     result = emu.run(validation_workload({"range_detection": 3}))
     print(result.stats.summary())
 
-Each :meth:`Emulation.run` performs the paper's initialization phase —
-parse applications (resolving every runfunc), instantiate the workload
-(allocating/initializing instance memory), build the DSSoC configuration
-from the platform's resource pool — then hands the session to the backend.
+The paper's initialization phase is split by how often its work is due.
+Parsing the application repository happens once per process: the built-in
+archetypes are built on first use and shared, read-only, by every
+``Emulation`` (see :mod:`repro.apps.registry`); graphs passed in through
+``applications=`` are used as given.  Each :meth:`Emulation.run` then does
+what depends on the run — resolve each archetype's kernel symbols against
+this emulation's library, check the configuration can execute every node,
+instantiate the workload (allocating/initializing instance memory), build
+the DSSoC configuration from the platform's resource pool — and hands the
+session to the backend.
 """
 
 from __future__ import annotations

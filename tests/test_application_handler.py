@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.appmodel.builder import GraphBuilder
+from repro.appmodel.dag import PlatformBinding
 from repro.appmodel.library import KernelLibrary
 from repro.apps import default_applications, default_kernel_library
 from repro.common.errors import ApplicationSpecError, SymbolResolutionError
@@ -56,6 +58,122 @@ class TestParsing:
         handler.check_platform_coverage({"cpu"})  # every node has a cpu binding
         with pytest.raises(ApplicationSpecError, match="none of which"):
             handler.check_platform_coverage({"fft"})
+
+
+def make_fanout_graph(setup: str | None = None):
+    """Eight nodes over three distinct symbols and three platform tuples."""
+    b = GraphBuilder("fanout", "fanout.so")
+    b.node("SRC", cpu="k_src")
+    for i in range(3):
+        b.node(f"F{i}", after=["SRC"], platforms=[
+            PlatformBinding(name="cpu", runfunc="k_fft"),
+            PlatformBinding(name="fft", runfunc="k_fft_accel",
+                            shared_object="fft_accel.so"),
+        ])
+    for i in range(2):
+        b.node(f"G{i}", after=["F0"], platforms=[
+            PlatformBinding(name="gpu", runfunc="k_fft"),
+            PlatformBinding(name="fft", runfunc="k_fft_accel",
+                            shared_object="fft_accel.so"),
+        ])
+    b.node("SINK", cpu="k_src", after=["G0", "G1"])
+    b.node("LATE", after=["SINK"],
+           platforms=[PlatformBinding(name="dsp", runfunc="k_dsp")])
+    if setup:
+        b.setup(setup)
+    return b.build()
+
+
+def make_fanout_library(**overrides) -> KernelLibrary:
+    objects = {
+        "fanout.so": {"k_src": lambda c: None, "k_fft": lambda c: None,
+                      "k_dsp": lambda c: None},
+        "fft_accel.so": {"k_fft_accel": lambda c: None},
+    }
+    objects.update(overrides)
+    lib = KernelLibrary()
+    for name, symbols in objects.items():
+        lib.register_shared_object(name, symbols)
+    return lib
+
+
+class TestParseOncePerDistinctReference:
+    """register / check_platform_coverage work from the graph's distinct
+    symbols and platform tuples; results and errors are those of a walk
+    over every node."""
+
+    def test_kernels_cover_every_binding_of_every_app(self):
+        library = default_kernel_library()
+        handler = ApplicationHandler(library)
+        for graph in default_applications().values():
+            resolved = handler.register(graph)
+            expected = {
+                (name, p.name): library.resolve(
+                    p.shared_object or graph.shared_object, p.runfunc
+                )
+                for name, node in graph.nodes.items()
+                for p in node.platforms
+            }
+            assert resolved.kernels == expected
+
+    def test_each_distinct_symbol_resolved_once(self):
+        calls = []
+        library = make_fanout_library()
+        real = library.resolve
+        library.resolve = lambda so, fn: calls.append((so, fn)) or real(so, fn)
+        ApplicationHandler(library).register(make_fanout_graph(setup="k_src"))
+        assert calls == [
+            ("fanout.so", "k_src"),
+            ("fanout.so", "k_fft"),
+            ("fft_accel.so", "k_fft_accel"),
+            ("fanout.so", "k_dsp"),
+            ("fanout.so", "k_src"),  # the setup symbol
+        ]
+
+    def test_unknown_shared_object_named_first(self):
+        # Both the accel object and k_dsp are missing; a node walk meets
+        # the accel binding (node F0) first.
+        library = KernelLibrary()
+        library.register_shared_object(
+            "fanout.so", {"k_src": lambda c: None, "k_fft": lambda c: None}
+        )
+        with pytest.raises(SymbolResolutionError) as err:
+            ApplicationHandler(library).register(make_fanout_graph())
+        assert str(err.value) == (
+            "shared object 'fft_accel.so' not found "
+            "(registered: ['fanout.so'])"
+        )
+
+    def test_unknown_symbol(self):
+        library = make_fanout_library(**{"fft_accel.so": {}})
+        with pytest.raises(SymbolResolutionError) as err:
+            ApplicationHandler(library).register(make_fanout_graph())
+        assert str(err.value) == (
+            "symbol 'k_fft_accel' not found in shared object 'fft_accel.so'"
+        )
+
+    def test_bad_setup_symbol_fails_after_the_bindings(self):
+        handler = ApplicationHandler(make_fanout_library())
+        with pytest.raises(SymbolResolutionError) as err:
+            handler.register(make_fanout_graph(setup="no_such_setup"))
+        assert str(err.value) == (
+            "symbol 'no_such_setup' not found in shared object 'fanout.so'"
+        )
+        assert handler.app_names() == []
+
+    def test_coverage_error_names_first_offending_node(self):
+        handler = ApplicationHandler(make_fanout_library())
+        handler.register(make_fanout_graph())
+        handler.check_platform_coverage({"cpu", "gpu", "dsp"})
+        # G0 and G1 (gpu/fft) and LATE (dsp) are all uncovered: G0 is first.
+        with pytest.raises(ApplicationSpecError) as err:
+            handler.check_platform_coverage({"cpu"})
+        assert str(err.value) == (
+            "app 'fanout', node 'G0' supports ('gpu', 'fft'), none of which "
+            "are in the configuration (['cpu'])"
+        )
+        with pytest.raises(ApplicationSpecError, match="node 'LATE' supports"):
+            handler.check_platform_coverage({"cpu", "fft"})
 
 
 class TestInstantiation:

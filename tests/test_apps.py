@@ -3,9 +3,15 @@ functional execution on the threaded backend (incl. accelerators)."""
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.appmodel.dag import TaskGraph
 from repro.appmodel.jsonspec import graph_from_json, graph_to_json
 from repro.apps import (
     build_application,
@@ -16,9 +22,12 @@ from repro.apps import (
     wifi_rx,
     wifi_tx,
 )
+from repro.apps import registry
 from repro.apps import wifi_common as wc
 from repro.apps.registry import verify_instance
 from repro.common.errors import ApplicationSpecError
+from repro.dse.grid import SweepCell, validation_sweep
+from repro.dse.runner import execute_cell
 from repro.runtime.backends import ThreadedBackend
 from repro.runtime.emulation import Emulation
 from repro.runtime.workload import validation_workload
@@ -100,6 +109,84 @@ class TestGraphStructure:
     def test_range_detection_cpu_only_variant(self):
         g = range_detection.build_graph(accelerator_platform="")
         assert g.platform_types() == {"cpu"}
+
+
+@pytest.fixture
+def cold_registry(monkeypatch):
+    """An unparsed application repository, with every TaskGraph
+    construction counted by app name."""
+    built: Counter[str] = Counter()
+    real_init = TaskGraph.__init__
+
+    def counting_init(self, app_name, *args, **kwargs):
+        built[app_name] += 1
+        real_init(self, app_name, *args, **kwargs)
+
+    monkeypatch.setattr(registry, "_archetypes", {})
+    monkeypatch.setattr(TaskGraph, "__init__", counting_init)
+    return built
+
+
+class TestSharedArchetypes:
+    """Built-in archetypes are parsed once per process and are read-only."""
+
+    def test_emulations_and_cells_parse_each_archetype_once(self, cold_registry):
+        cell = SweepCell(
+            config="2C+1F", policy="frfs",
+            workload=validation_sweep({"range_detection": 1, "wifi_tx": 1}),
+        ).to_dict()
+        for _ in range(3):
+            Emulation(config="2C+1F")
+            execute_cell(cell)
+        assert cold_registry == dict.fromkeys(registry.APPLICATION_BUILDERS, 1)
+
+    def test_concurrent_first_requests_build_once(self, cold_registry):
+        start = threading.Barrier(8)
+        seen = []
+
+        def ask():
+            start.wait(timeout=30)
+            seen.append(build_application("pulse_doppler"))
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 and all(g is seen[0] for g in seen)
+        assert cold_registry == {"pulse_doppler": 1}
+
+    def test_shared_graphs_reject_mutation(self):
+        graph = default_applications()["range_detection"]
+        node = graph.nodes["MUL"]
+        with pytest.raises(TypeError):
+            graph.nodes["MUL"] = node
+        with pytest.raises(AttributeError):
+            graph.variables.pop("index")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.platforms = ()
+        with pytest.raises(TypeError):
+            graph.binding_refs[("MUL", "cpu")] = ("x.so", "f")
+
+    def test_returned_dict_is_the_callers_own(self):
+        apps = default_applications()
+        del apps["wifi_rx"]
+        apps["range_detection"] = None
+        again = default_applications()
+        assert sorted(again) == sorted(registry.APPLICATION_BUILDERS)
+        assert again["range_detection"] is build_application("range_detection")
+
+    def test_kernel_library_stays_fresh_and_mutable(self):
+        lib = default_kernel_library()
+        lib.register_shared_object("mine.so", {"f": lambda ctx: None})
+        assert lib.resolve("mine.so", "f") is not None
+        assert "mine.so" not in default_kernel_library().shared_objects()
 
 
 def run_threaded(app_name, graph=None, config="2C+1F", count=1):

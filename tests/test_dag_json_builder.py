@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.appmodel.builder import GraphBuilder
 from repro.appmodel.dag import PlatformBinding, TaskGraph, TaskNode
@@ -14,8 +17,12 @@ from repro.appmodel.jsonspec import (
     graph_to_json,
     load_graph,
 )
+from repro.apps import default_applications
 from repro.common.errors import ApplicationSpecError
-from tests.conftest import make_diamond_graph
+from repro.runtime.backends import ThreadedBackend
+from repro.runtime.emulation import Emulation
+from repro.runtime.workload import validation_workload
+from tests.conftest import make_diamond_graph, make_diamond_library
 
 
 class TestPlatformBinding:
@@ -89,6 +96,69 @@ def _two_node_graph(pred_ok=True, succ_ok=True) -> TaskGraph:
         ),
     }
     return TaskGraph("app", "app.so", {}, nodes)
+
+
+_CPU = (PlatformBinding(name="cpu", runfunc="f"),)
+
+
+@st.composite
+def random_dag_nodes(draw) -> dict[str, TaskNode]:
+    """Nodes of a random DAG: arbitrary insertion order, arbitrary
+    successor order, and repeated successor entries (one edge)."""
+    names = [f"N{i}" for i in range(draw(st.integers(1, 10)))]
+    rank = draw(st.permutations(names))  # edges only point forward in it
+    forward = [(a, b) for i, a in enumerate(rank) for b in rank[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(forward), max_size=30)) if forward else []
+    preds: dict[str, list[str]] = {name: [] for name in names}
+    succs: dict[str, list[str]] = {name: [] for name in names}
+    for src, dst in edges:
+        succs[src].append(dst)
+        preds[dst].append(src)
+    return {
+        name: TaskNode(name=name, predecessors=tuple(preds[name]),
+                       successors=tuple(succs[name]), platforms=_CPU)
+        for name in draw(st.permutations(names))
+    }
+
+
+class TestTopologicalOrder:
+    """Task ids are allocated in topological order, so the in-module sort
+    must yield exactly what ``nx.topological_sort`` does."""
+
+    def test_sdr_apps_match_networkx(self):
+        for graph in default_applications().values():
+            assert graph.topological_order() == tuple(
+                nx.topological_sort(graph.to_networkx())
+            )
+
+    @given(random_dag_nodes())
+    @settings(max_examples=200, deadline=None)
+    def test_random_dags_match_networkx(self, nodes):
+        graph = TaskGraph("app", "app.so", {}, nodes)
+        assert graph.topological_order() == tuple(
+            nx.topological_sort(graph.to_networkx())
+        )
+
+    def test_cycle_error_names_the_cycle(self):
+        def node(name, preds, succs):
+            return TaskNode(name=name, predecessors=preds, successors=succs,
+                            platforms=_CPU)
+
+        nodes = {
+            "H": node("H", (), ("A",)),
+            "A": node("A", ("H", "C"), ("B",)),
+            "B": node("B", ("A",), ("C",)),
+            "C": node("C", ("B",), ("A",)),
+        }
+        with pytest.raises(ApplicationSpecError) as err:
+            TaskGraph("app", "app.so", {}, nodes)
+        assert str(err.value) == (
+            "app 'app': DAG contains a cycle: "
+            "[('A', 'B'), ('B', 'C'), ('C', 'A')]"
+        )
+        loop = {"S": node("S", ("S",), ("S",))}
+        with pytest.raises(ApplicationSpecError, match=r"cycle: \[\('S', 'S'\)\]"):
+            TaskGraph("app", "app.so", {}, loop)
 
 
 class TestTaskGraph:
@@ -243,6 +313,27 @@ class TestJsonSchema:
         dump_graph(g, path)
         g2 = load_graph(path)
         assert graph_to_json(g2) == graph_to_json(g)
+
+    def test_loaded_graph_runs_as_a_custom_application(self, tmp_path):
+        # The user-supplied path (a JSON file plus its own library) next to
+        # the shared built-in archetypes: same outcome as the built graph.
+        path = tmp_path / "diamond.json"
+        dump_graph(make_diamond_graph(), path)
+        outcomes = []
+        for graph in (make_diamond_graph(), load_graph(path)):
+            emu = Emulation(
+                config="2C+0F", policy="frfs",
+                applications={"diamond": graph}, library=make_diamond_library(),
+            )
+            result = emu.run(validation_workload({"diamond": 2}), ThreadedBackend())
+            outcomes.append((
+                result.stats.task_count,
+                [inst.variables["data"].as_array("complex64")[:4].tolist()
+                 for inst in result.instances],
+            ))
+            assert emu.applications == {"diamond": graph}
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 8
 
     def test_invalid_json_file_reported(self, tmp_path):
         path = tmp_path / "bad.json"
