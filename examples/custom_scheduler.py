@@ -26,22 +26,22 @@ class LongestAppFirstScheduler(Scheduler):
     """Prefer tasks from applications with the most remaining work.
 
     Checks PE availability via the handlers' status fields (the paper's
-    prescribed first step), then greedily assigns the highest-backlog
-    ready tasks to supporting idle PEs.
+    prescribed first step) — keeping only idle PEs some ready task can
+    run on, so a pass never sorts or walks the queue for nothing — then
+    greedily assigns the highest-backlog ready tasks to them.
     """
 
     name = "longest_app_first"
 
     def schedule(self, ready, handlers, now):
-        idle = self.idle_handlers(handlers)
-        if not idle:
+        available = [h for _i, h in self.usable_idle(ready, handlers)]
+        if not available:
             return []
         prioritized = sorted(
             ready,
             key=lambda t: -(t.app.task_count - t.app.completed_count),
         )
         assignments: list[Assignment] = []
-        available = list(idle)
         for task in prioritized:
             if not available:
                 break

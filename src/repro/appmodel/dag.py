@@ -8,7 +8,7 @@ copies at workload-creation time.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import networkx as nx
@@ -53,6 +53,10 @@ class TaskNode:
     predecessors: tuple[str, ...] = ()
     successors: tuple[str, ...] = ()
     platforms: tuple[PlatformBinding, ...] = ()
+    #: the platform names in binding order, built once: what
+    #: :meth:`platform_names` returns and what the workload manager's
+    #: ready list keys its capability index on
+    platform_key: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -68,9 +72,12 @@ class TaskNode:
                     f"node {self.name!r}: duplicate platform {p.name!r}"
                 )
             seen.add(p.name)
+        object.__setattr__(
+            self, "platform_key", tuple(p.name for p in self.platforms)
+        )
 
     def platform_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.platforms)
+        return self.platform_key
 
     def binding_for(self, platform: str) -> PlatformBinding:
         for p in self.platforms:

@@ -51,8 +51,12 @@ class FrameTooLarge(FrameError):
 
 
 def encode_frame(obj: Any) -> bytes:
-    """One wire-ready frame for ``obj`` (length prefix included)."""
-    payload = json.dumps(obj, sort_keys=True).encode("utf-8")
+    """One wire-ready frame for ``obj`` (length prefix included).
+
+    Object keys travel in insertion order: cells cross the wire as dicts,
+    and the order of a validation workload's ``apps`` is part of the cell.
+    """
+    payload = json.dumps(obj).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameTooLarge(f"frame of {len(payload)} bytes exceeds cap")
     return _LEN.pack(len(payload)) + payload

@@ -53,9 +53,13 @@ def default_worker_id() -> str:
 
 
 def _atomic_write_json(path: Path, doc: Any) -> None:
+    # Keys are written in insertion order, never sorted: the order of a
+    # validation workload's ``apps`` is execution-significant and part of
+    # ``SweepCell.cell_id``, so a manifest that sorted it would hand workers
+    # different cells than the coordinator expanded.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1)
     os.replace(tmp, path)
 
 

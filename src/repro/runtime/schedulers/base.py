@@ -6,6 +6,13 @@ task's platform list.  The workload manager validates every assignment
 (:func:`validate_assignments`), so a buggy custom policy fails loudly with
 a :class:`~repro.common.errors.SchedulingError` rather than corrupting the
 emulation.
+
+The ready list a policy is handed is iterable in FIFO order, sized, and
+supports membership by identity.  The workload manager's own
+:class:`~repro.runtime.workload_manager.ReadyList` also carries a capability
+index, which :meth:`Scheduler.usable_idle` turns into "the idle PEs worth
+scanning the queue for"; a plain list works everywhere, without that
+shortcut.
 """
 
 from __future__ import annotations
@@ -40,7 +47,13 @@ class ExecutionTimeOracle(Protocol):
 
 
 class Scheduler:
-    """Base class for scheduling policies."""
+    """Base class for scheduling policies.
+
+    Subclasses implement :meth:`schedule`.  The helpers below are what the
+    built-in policies share: :meth:`usable_idle` (where a queue scan
+    starts and when it may stop), the per-node :meth:`estimate_row` /
+    :meth:`support_row` caches, and :meth:`failed_mask`.
+    """
 
     #: registry name; used for overhead modeling and reporting
     name = "base"
@@ -116,6 +129,10 @@ class Scheduler:
         objects and estimates depend only on the node, so the row is
         computed once per node and thereafter is a single dict lookup —
         this removes the oracle call from the O(ready × PEs) inner loops.
+
+        The built-in placement loops go one step further: they sync the
+        cache once per pass, read ``_est_rows`` inline per task and call
+        this method only on a miss (which fills the same dict).
         """
         self._sync_row_cache(handlers)
         node = task.node
@@ -169,6 +186,34 @@ class Scheduler:
         ``PEStatus.FAILED`` is terminal and distinct from IDLE, so failed
         PEs are excluded here automatically."""
         return [h for h in handlers if h.status is PEStatus.IDLE]
+
+    @staticmethod
+    def usable_idle(
+        ready, handlers: list[ResourceHandler]
+    ) -> list[tuple[int, ResourceHandler]]:
+        """``(position, handler)`` of every idle PE some ready task can run on.
+
+        A policy that scans the queue should start here and stop once these
+        PEs are dispatched: an idle PE that no ready task supports can
+        never be booked or dispatched, so waiting for it only walks the
+        whole queue for nothing.  The answer comes from the ready list's
+        capability index (``ReadyList.platform_counts``), not from a scan.
+        A ``ready`` without one — a plain list, the compiled ``ReadyList``
+        — or one holding items of unknown capability yields every idle PE,
+        which is always correct, only slower.
+        """
+        counts = getattr(ready, "platform_counts", None)
+        if counts is None or counts.get(None):
+            return [
+                (i, h) for i, h in enumerate(handlers)
+                if h.status is PEStatus.IDLE
+            ]
+        wanted = {name for key, n in counts.items() if n for name in key}
+        return [
+            (i, h) for i, h in enumerate(handlers)
+            if h.status is PEStatus.IDLE
+            and not wanted.isdisjoint(h.accepted_platforms)
+        ]
 
     @staticmethod
     def failed_mask(handlers: list[ResourceHandler]) -> list[bool] | None:

@@ -10,7 +10,7 @@ of ready-queue length — the property that makes FRFS win Fig. 10.
 from __future__ import annotations
 
 from repro.appmodel.instance import TaskInstance
-from repro.runtime.handler import PEStatus, ResourceHandler
+from repro.runtime.handler import ResourceHandler
 from repro.runtime.schedulers.base import Assignment, Scheduler
 
 
@@ -23,34 +23,33 @@ class FRFSScheduler(Scheduler):
         handlers: list[ResourceHandler],
         now: float,
     ) -> list[Assignment]:
-        kern = self._kernels
-        if kern is not None:
-            # Idle-pool scan and placement both in C; reads handler.status
-            # exactly as the pure pool construction below does.
-            self._sync_row_cache(handlers)
-            pairs = kern.frfs_pass(
-                ready, self._support_rows, self._support_fallback(handlers),
-                handlers,
-            )
-            return [Assignment(task, handlers[i]) for task, i in pairs]
         # (position-in-handlers, handler) pairs; removing a dispatched PE
         # keeps the remaining idle PEs in original order, so "first idle
         # supporting PE" is unchanged.  FAILED is terminal and never IDLE,
         # so failed PEs are excluded by construction.
-        idle = [
-            (i, h) for i, h in enumerate(handlers) if h.status is PEStatus.IDLE
-        ]
+        idle = self.usable_idle(ready, handlers)
         if not idle:
             return []
+        self._sync_row_cache(handlers)
+        rows = self._support_rows
+        kern = self._kernels
+        if kern is not None:
+            # Idle-pool scan and placement both in C; the kernel reads
+            # handler.status exactly as usable_idle does.
+            pairs = kern.frfs_pass(
+                ready, rows, self._support_fallback(handlers), handlers,
+            )
+            return [Assignment(task, handlers[i]) for task, i in pairs]
         assignments: list[Assignment] = []
         support_row = self.support_row
         for task in ready:
-            if not idle:
-                break
-            row = support_row(task, handlers)
+            hit = rows.get(id(task.node))
+            row = hit[1] if hit is not None else support_row(task, handlers)
             for pos, (i, handler) in enumerate(idle):
                 if row[i]:
                     assignments.append(Assignment(task, handler))
                     del idle[pos]
                     break
+            if not idle:
+                break
         return assignments

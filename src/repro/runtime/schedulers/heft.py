@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from repro.appmodel.dag import TaskGraph
 from repro.appmodel.instance import TaskInstance
-from repro.runtime.handler import PEStatus, ResourceHandler
+from repro.runtime.handler import ResourceHandler
 from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Scheduler
+from repro.runtime.schedulers.eft import eft_pass
 
 
 class HEFTScheduler(Scheduler):
@@ -65,63 +66,10 @@ class HEFTScheduler(Scheduler):
         handlers: list[ResourceHandler],
         now: float,
     ) -> list[Assignment]:
-        prioritized = sorted(
-            ready,
+        return eft_pass(
+            self, ready, handlers, now,
             key=lambda t: -self._ranks(t.app.graph, handlers)[t.name],
         )
-        kern = self._kernels
-        if kern is not None:
-            # Priority sort above, prologue + placement loop in C (EFT's).
-            self._sync_row_cache(handlers)
-            pairs = kern.eft_pass(
-                prioritized, self._est_rows, self._est_fallback(handlers),
-                handlers, now,
-            )
-            return [Assignment(task, handlers[i]) for task, i in pairs]
-        avail: list[float] = []
-        idle_now: list[bool] = []
-        idle_remaining = 0
-        for h in handlers:
-            if h.failed:
-                # As in EFT: inf availability keeps failed PEs from ever
-                # winning without touching the inner loop.
-                idle_now.append(False)
-                avail.append(float("inf"))
-            elif h.status is PEStatus.IDLE:
-                idle_now.append(True)
-                avail.append(now)
-                idle_remaining += 1
-            else:
-                idle_now.append(False)
-                free = h.estimated_free_time
-                avail.append(free if free > now else now)
-        dispatched = [False] * len(handlers)
-        assignments: list[Assignment] = []
-        estimate_row = self.estimate_row
-        inf = float("inf")
-        for task in prioritized:
-            # As in EFT: bookings after the last idle PE is taken have no
-            # observable effect on this pass.
-            if idle_remaining == 0:
-                break
-            row = estimate_row(task, handlers)
-            best_i = -1
-            best_finish = inf
-            for i, est in enumerate(row):
-                if est is None:
-                    continue
-                finish = avail[i] + est
-                if finish < best_finish:
-                    best_finish = finish
-                    best_i = i
-            if best_i < 0:
-                continue
-            avail[best_i] = best_finish
-            if idle_now[best_i] and not dispatched[best_i]:
-                dispatched[best_i] = True
-                idle_remaining -= 1
-                assignments.append(Assignment(task, handlers[best_i]))
-        return assignments
 
 
 class _ProbeTask:

@@ -15,7 +15,7 @@ advantage.
 from __future__ import annotations
 
 from repro.appmodel.instance import TaskInstance
-from repro.runtime.handler import PEStatus, ResourceHandler
+from repro.runtime.handler import ResourceHandler
 from repro.runtime.schedulers.base import Assignment, Scheduler
 
 
@@ -39,16 +39,15 @@ class METScheduler(Scheduler):
         # (position-in-handlers, handler) pairs so cached estimate rows can
         # be indexed positionally as the idle pool shrinks.  FAILED PEs are
         # never IDLE, so the pool excludes them by construction.
-        available = [
-            (i, h) for i, h in enumerate(handlers) if h.status is PEStatus.IDLE
-        ]
+        available = self.usable_idle(ready, handlers)
         if not available:
             return []
+        self._sync_row_cache(handlers)
+        rows = self._est_rows
         kern = self._kernels
         if kern is not None:
-            self._sync_row_cache(handlers)
             pairs = kern.met_pass(
-                ready, self._est_rows, self._est_fallback(handlers),
+                ready, rows, self._est_fallback(handlers),
                 [i for i, _h in available],
                 [h.pe_id for _i, h in available],
                 self._cost_multipliers(available),
@@ -58,9 +57,8 @@ class METScheduler(Scheduler):
         cost = self._cost
         assignments: list[Assignment] = []
         for task in ready:
-            if not available:
-                break
-            row = estimate_row(task, handlers)
+            hit = rows.get(id(task.node))
+            row = hit[1] if hit is not None else estimate_row(task, handlers)
             best: tuple[float, int] | None = None
             best_pos = -1
             for pos, (i, handler) in enumerate(available):
@@ -74,6 +72,8 @@ class METScheduler(Scheduler):
             if best_pos >= 0:
                 _i, handler = available.pop(best_pos)
                 assignments.append(Assignment(task, handler))
+                if not available:
+                    break
         return assignments
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.appmodel.instance import TaskInstance
 from repro.common.rng import default_rng
-from repro.runtime.handler import PEStatus, ResourceHandler
+from repro.runtime.handler import ResourceHandler
 from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Scheduler
 
 
@@ -27,10 +27,14 @@ class RandomScheduler(Scheduler):
         handlers: list[ResourceHandler],
         now: float,
     ) -> list[Assignment]:
-        # FAILED PEs are never IDLE, so they cannot be drawn.
-        available = [
-            (i, h) for i, h in enumerate(handlers) if h.status is PEStatus.IDLE
-        ]
+        # FAILED PEs are never IDLE, so they cannot be drawn.  A PE no ready
+        # task supports is never a candidate, so leaving it out of the pool
+        # changes neither the draws nor what they select.
+        available = self.usable_idle(ready, handlers)
+        if not available:
+            return []
+        self._sync_row_cache(handlers)
+        rows = self._support_rows
         assignments: list[Assignment] = []
         support_row = self.support_row
         kern = self._kernels
@@ -39,22 +43,22 @@ class RandomScheduler(Scheduler):
             # draw sequence is identical on both cores.
             indices = [i for i, _h in available]
             for task in ready:
-                if not available:
-                    break
-                row = support_row(task, handlers)
+                hit = rows.get(id(task.node))
+                row = hit[1] if hit is not None else support_row(task, handlers)
                 candidates = kern.supported_positions(row, indices)
                 if not candidates:
                     continue
                 pick = candidates[int(self.rng.integers(len(candidates)))]
                 indices.pop(pick)
                 assignments.append(Assignment(task, available.pop(pick)[1]))
+                if not available:
+                    break
             return assignments
         for task in ready:
-            if not available:
-                break
-            row = support_row(task, handlers)
-            # Candidate positions within ``available`` match the unoptimized
-            # enumeration exactly, so the RNG draw sequence is unchanged.
+            hit = rows.get(id(task.node))
+            row = hit[1] if hit is not None else support_row(task, handlers)
+            # Candidate positions within ``available`` follow handler order,
+            # so the k-th candidate is the same PE whatever else is idle.
             candidates = [
                 pos for pos, (i, _h) in enumerate(available) if row[i]
             ]
@@ -62,4 +66,6 @@ class RandomScheduler(Scheduler):
                 continue
             pick = candidates[int(self.rng.integers(len(candidates)))]
             assignments.append(Assignment(task, available.pop(pick)[1]))
+            if not available:
+                break
         return assignments

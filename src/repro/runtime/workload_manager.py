@@ -34,15 +34,26 @@ class ReadyList:
     tombstones outnumber live entries.  Iteration is therefore a plain
     slice walk — no per-item id() filtering — while each pass stays
     O(live + dispatched) amortized instead of O(queue length).
+
+    :attr:`platform_counts` is the **capability index**: how many live
+    tasks carry each distinct ``TaskNode.platform_key`` (two or three keys
+    in practice).  It follows the live set — updated by :meth:`extend` and
+    :meth:`remove_ids`, untouched by compaction, which moves no task in or
+    out — so it always equals a recount over ``iter(self)``.
+    :meth:`Scheduler.usable_idle` reads it to tell which idle PEs any ready
+    task can run on.  Items without a ``node`` (tests and probes store
+    opaque objects) count under ``None``, which readers take as "unknown".
     """
 
-    __slots__ = ("_items", "_start", "_dead", "_ids")
+    __slots__ = ("_items", "_start", "_dead", "_live", "platform_counts")
 
     def __init__(self) -> None:
         self._items: list[TaskInstance] = []
         self._start = 0
         self._dead: set[int] = set()
-        self._ids: set[int] = set()
+        #: id(task) -> its platform key, for every live task
+        self._live: dict[int, tuple[str, ...] | None] = {}
+        self.platform_counts: dict[tuple[str, ...] | None, int] = {}
 
     def extend(self, tasks: list[TaskInstance]) -> None:
         dead = self._dead
@@ -56,11 +67,21 @@ class ReadyList:
             # before the id goes live again.
             self._compact()
         self._items.extend(tasks)
-        self._ids.update(map(id, tasks))
+        live, counts = self._live, self.platform_counts
+        for t in tasks:
+            try:
+                key = t.node.platform_key
+            except AttributeError:
+                key = None
+            live[id(t)] = key
+            counts[key] = counts.get(key, 0) + 1
 
     def remove_ids(self, ids: set[int]) -> None:
         self._dead |= ids
-        self._ids -= ids
+        live, counts = self._live, self.platform_counts
+        for i in ids:
+            if i in live:
+                counts[live.pop(i)] -= 1
         items, dead = self._items, self._dead
         start, n = self._start, len(items)
         while start < n and id(items[start]) in dead:
@@ -70,7 +91,7 @@ class ReadyList:
         if start > 64 and start * 2 > n:
             del items[:start]
             self._start = 0
-        if len(dead) > max(64, len(self._ids)):
+        if len(dead) > max(64, len(live)):
             self._compact()
 
     def _compact(self) -> None:
@@ -96,13 +117,13 @@ class ReadyList:
         )
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._live)
 
     def __bool__(self) -> bool:
-        return bool(self._ids)
+        return bool(self._live)
 
     def __contains__(self, task: object) -> bool:
-        return id(task) in self._ids
+        return id(task) in self._live
 
     def snapshot(self) -> list[TaskInstance]:
         return list(iter(self))

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import faulthandler
-import os
-
 import numpy as np
 import pytest
 
-from repro import core as core_select
 from repro.appmodel.builder import GraphBuilder
 from repro.appmodel.dag import PlatformBinding, TaskGraph
 from repro.appmodel.instance import ApplicationInstance
@@ -16,63 +12,6 @@ from repro.appmodel.library import KernelLibrary
 from repro.hardware.config import AffinityPlan
 from repro.hardware.platform import odroid_xu3, zcu102
 from repro.runtime.handler import ResourceHandler
-
-# -- the gate itself: which core ran, and a hang guard that is never inert ------
-
-_hang_guard_key = pytest.StashKey[tuple]()
-
-
-def _core_line() -> str:
-    return f"repro core: {core_select.core_info()}"
-
-
-def pytest_report_header(config):
-    return _core_line()
-
-
-def pytest_terminal_summary(terminalreporter):
-    if not terminalreporter.showheader:  # -q hides the header; tier-1 runs -q
-        terminalreporter.write_line(_core_line())
-
-
-def pytest_addoption(parser, pluginmanager):
-    if not pluginmanager.hasplugin("timeout"):
-        parser.addini(
-            "timeout",
-            "per-test wall-clock ceiling in seconds (stdlib faulthandler "
-            "fallback for pytest-timeout; 0 disables)",
-            default="0",
-        )
-
-
-def pytest_configure(config):
-    if config.pluginmanager.hasplugin("timeout"):
-        return  # pytest-timeout owns the key and the guard
-    seconds = float(config.getini("timeout") or 0)
-    if seconds > 0:
-        # Output capture is suspended while plugins configure, so fd 2 is
-        # still the terminal: keep a copy for the dump to reach it later.
-        config.stash[_hang_guard_key] = (seconds, os.dup(2))
-
-
-def pytest_unconfigure(config):
-    guard = config.stash.get(_hang_guard_key, None)
-    if guard is not None:
-        os.close(guard[1])
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_protocol(item):
-    guard = item.config.stash.get(_hang_guard_key, None)
-    if guard is None:
-        yield
-        return
-    seconds, stderr_fd = guard
-    faulthandler.dump_traceback_later(seconds, exit=True, file=stderr_fd)
-    try:
-        yield
-    finally:
-        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -1,0 +1,370 @@
+"""Tests for the ready list's capability index and ``Scheduler.usable_idle``.
+
+The index lets a policy pass stop once every idle PE that *some ready task
+can run on* is dispatched, instead of walking the whole queue waiting for
+idle PEs nothing ready supports.  That must be unobservable: the
+differential below runs whole emulations where every pass is answered
+twice — once over the indexed :class:`ReadyList`, once over the same queue
+as a plain ``list`` (no index, the full scan) — and the answers must match
+assignment for assignment, RNG draw for RNG draw.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro import core as core_select
+from repro.appmodel.library import KernelLibrary
+from repro.common.rng import default_rng
+from repro.runtime.backends import VirtualBackend
+from repro.runtime.emulation import Emulation
+from repro.runtime.handler import PEStatus
+from repro.runtime.schedulers import Scheduler, make_scheduler
+from repro.runtime.workload import validation_workload
+from repro.runtime.workload_manager import ReadyList
+from tests.test_fuzz_runtime import fuzz_perf_model, layered_graphs
+from tests.test_schedulers import FixedOracle, build_app, make_handlers
+
+#: the policies whose queue scan starts from ``usable_idle``
+INDEXED_POLICIES = ("frfs", "met", "met_power", "eft", "heft", "random", "cprank")
+
+
+def recount(ready) -> Counter:
+    return Counter(t.node.platform_key for t in ready)
+
+
+def live_counts(ready: ReadyList) -> Counter:
+    return Counter({k: n for k, n in ready.platform_counts.items() if n})
+
+
+# -- (a) every pass of a run, indexed vs full scan ---------------------------------------
+
+
+class BothWays:
+    """One policy instance driven by the WM's indexed ready list, and a twin
+    that sees each pass's queue as a plain list; the twin's answer is the
+    reference.  Forwards the oracle and WM events to both, like ``+edf``."""
+
+    def __init__(self, name: str) -> None:
+        self.indexed = make_scheduler(name)
+        self.scan = make_scheduler(name)
+        if name == "random":
+            self.indexed.rng = default_rng(7)
+            self.scan.rng = default_rng(7)
+        self.name = self.indexed.name
+        self.uses_reservation = self.indexed.uses_reservation
+        self.wants_events = self.indexed.wants_events
+        self.passes = 0
+
+    @property
+    def oracle(self):
+        return self.indexed.oracle
+
+    @oracle.setter
+    def oracle(self, oracle) -> None:
+        self.indexed.oracle = oracle
+        self.scan.oracle = oracle
+
+    def notify_dispatch(self, assignments, now) -> None:
+        self.indexed.notify_dispatch(assignments, now)
+        self.scan.notify_dispatch(assignments, now)
+
+    def notify_completion(self, task, now) -> None:
+        self.indexed.notify_completion(task, now)
+        self.scan.notify_completion(task, now)
+
+    def notify_pe_failure(self, handler, now) -> None:
+        self.indexed.notify_pe_failure(handler, now)
+        self.scan.notify_pe_failure(handler, now)
+
+    def schedule(self, ready, handlers, now):
+        assert type(ready) is ReadyList
+        assert live_counts(ready) == recount(ready)
+        expected = self.scan.schedule(list(ready), handlers, now)
+        got = self.indexed.schedule(ready, handlers, now)
+        assert [(id(a.task), a.handler.name) for a in got] == [
+            (id(a.task), a.handler.name) for a in expected
+        ]
+        if hasattr(self.indexed, "rng"):
+            assert (
+                self.indexed.rng.bit_generator.state
+                == self.scan.rng.bit_generator.state
+            )
+        self.passes += 1
+        return got
+
+
+FAULT_PLANS = st.one_of(
+    st.none(),
+    st.builds(
+        lambda pe, at: {"pe_failures": [{"pe": pe, "at_us": at}]},
+        st.sampled_from(["fft", "fft0", "cpu0", "cpu1"]),
+        st.floats(min_value=0.0, max_value=120.0),
+    ),
+    st.builds(
+        # no in-place retries: every transient fault is a WM-level requeue
+        lambda prob: {
+            "transient": {"prob": prob},
+            "retry": {"max_retries": 0, "backoff_us": 1.0, "max_requeues": 50},
+        },
+        st.sampled_from([0.1, 0.3]),
+    ),
+)
+
+
+@given(
+    mixed=layered_graphs("mixed_app"),
+    cpu_heavy=layered_graphs("cpu_app"),
+    counts=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+    config=st.sampled_from(["1C+0F", "2C+1F", "3C+2F", "1C+2F"]),
+    policy=st.sampled_from(INDEXED_POLICIES),
+    faults=FAULT_PLANS,
+)
+@settings(max_examples=120, deadline=None)
+def test_every_pass_matches_the_full_scan(
+    mixed, cpu_heavy, counts, config, policy, faults
+):
+    lib = KernelLibrary()
+    lib.register_shared_object(
+        "fuzz.so", {"k_generic": lambda ctx: None, "k_accel": lambda ctx: None}
+    )
+    apps = {
+        name: n for name, n in zip(("mixed_app", "cpu_app"), counts) if n
+    }
+    # The compiled ReadyList has no index; this is a test of the pure one.
+    with core_select.forced(core_select.CORE_PURE):
+        both = BothWays(policy)
+        emu = Emulation(
+            config=config,
+            policy=both,
+            applications={"mixed_app": mixed, "cpu_app": cpu_heavy},
+            library=lib,
+            perf_model=fuzz_perf_model(),
+            materialize_memory=False,
+            jitter=False,
+            seed=3,
+            faults=faults,
+        )
+        result = emu.run(validation_workload(apps), VirtualBackend())
+    stats = result.stats
+    assert both.passes > 0
+    assert (
+        stats.apps_completed + stats.apps_degraded + stats.apps_dropped
+        == stats.apps_injected
+    )
+
+
+# -- (b) the index equals a recount, whatever the list has been through ------------------
+
+KEYS = (("cpu",), ("cpu", "fft"), ("fft",))
+
+
+def fake_task(key) -> SimpleNamespace:
+    return SimpleNamespace(node=SimpleNamespace(platform_key=key))
+
+
+class ReadyListIndexMachine(RuleBasedStateMachine):
+    """extend / remove from the front / tombstone mid-list / re-enter a
+    tombstoned task / compact: after every step the index is a recount of
+    ``iter(ready)`` and iteration matches a plain-list model (the PR 9
+    stale-tombstone bug class)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ready = ReadyList()
+        self.model: list = []
+        self.removed: list = []
+
+    @rule(keys=st.lists(st.sampled_from(KEYS), max_size=100))
+    def extend_new(self, keys):
+        tasks = [fake_task(k) for k in keys]
+        self.ready.extend(tasks)
+        self.model.extend(tasks)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def dispatch_from_front(self, data):
+        k = data.draw(st.integers(1, len(self.model)))
+        self._remove(self.model[:k])
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def tombstone_mid_list(self, data):
+        victims = data.draw(
+            st.lists(st.sampled_from(self.model), max_size=80, unique_by=id)
+        )
+        self._remove(victims)
+
+    @precondition(lambda self: self.removed)
+    @rule(data=st.data())
+    def reenter_removed(self, data):
+        back = data.draw(
+            st.lists(st.sampled_from(self.removed), max_size=5, unique_by=id)
+        )
+        ids = {id(t) for t in back}
+        self.removed = [t for t in self.removed if id(t) not in ids]
+        self.ready.extend(back)
+        self.model.extend(back)
+
+    @rule()
+    def compact(self):
+        self.ready._compact()
+
+    def _remove(self, victims) -> None:
+        ids = {id(t) for t in victims}
+        self.ready.remove_ids(ids)
+        self.model = [t for t in self.model if id(t) not in ids]
+        self.removed.extend(victims)
+
+    @invariant()
+    def index_is_a_recount(self):
+        assert live_counts(self.ready) == recount(self.ready)
+        assert all(n >= 0 for n in self.ready.platform_counts.values())
+
+    @invariant()
+    def iteration_matches_the_model(self):
+        assert [id(t) for t in self.ready] == [id(t) for t in self.model]
+        assert len(self.ready) == len(self.model)
+
+
+TestReadyListIndex = ReadyListIndexMachine.TestCase
+TestReadyListIndex.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None
+)
+
+
+# -- (c) counts, not times: a pass that can place nothing visits nothing -----------------
+
+
+class CountingReadyList(ReadyList):
+    """Counts the tasks a policy pulls out of the queue."""
+
+    __slots__ = ("visited",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.visited = 0
+
+    def __iter__(self):
+        for task in super().__iter__():
+            self.visited += 1
+            yield task
+
+
+class CountingRows(dict):
+    """A row cache that counts lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def spied(name: str, handlers):
+    policy = make_scheduler(name, FixedOracle({}))
+    policy._sync_row_cache(handlers)
+    policy._est_rows = CountingRows()
+    policy._support_rows = CountingRows()
+    return policy
+
+
+def row_lookups(policy) -> int:
+    return policy._est_rows.lookups + policy._support_rows.lookups
+
+
+@pytest.fixture
+def pure_core():
+    with core_select.forced(core_select.CORE_PURE):
+        yield
+
+
+def busy_cpus_idle_fft():
+    """3 CPUs running, one FFT idle."""
+    handlers = make_handlers(["cpu", "cpu", "cpu", "fft"])
+    for h, task in zip(handlers[:3], build_app(3)):
+        h.assign(task)
+        h.estimated_free_time = 500.0
+    assert [h.status for h in handlers] == [PEStatus.RUN] * 3 + [PEStatus.IDLE]
+    return handlers
+
+
+@pytest.mark.parametrize("name", ["eft", "heft", "frfs", "met", "cprank"])
+def test_nothing_ready_runs_on_the_idle_pe(pure_core, name):
+    handlers = busy_cpus_idle_fft()
+    ready = CountingReadyList()
+    ready.extend(build_app(1000))  # CPU-only
+    policy = spied(name, handlers)
+    assert policy.schedule(ready, handlers, 10.0) == []
+    assert ready.visited == 0
+    assert row_lookups(policy) == 0
+    # the same queue without an index is scanned to the end, for nothing
+    reference = make_scheduler(name, FixedOracle({}))
+    assert reference.schedule(list(ready), handlers, 10.0) == []
+
+
+@pytest.mark.parametrize("name", ["eft", "heft", "frfs", "met", "cprank"])
+def test_one_capable_task_deep_in_the_queue_is_found(pure_core, name):
+    handlers = busy_cpus_idle_fft()
+    tasks = build_app(1000, fft_capable={700})
+    ready = CountingReadyList()
+    ready.extend(tasks)
+    policy = spied(name, handlers)
+    got = policy.schedule(ready, handlers, 10.0)
+    visited = ready.visited
+    assert [(a.task, a.handler) for a in got] == [(tasks[700], handlers[3])]
+    reference = make_scheduler(name, FixedOracle({}))
+    expected = reference.schedule(list(ready), handlers, 10.0)
+    assert [(a.task, a.handler) for a in expected] == [(tasks[700], handlers[3])]
+    if name in ("eft", "frfs", "met"):  # FIFO visitors stop right there
+        assert visited == 701
+
+
+def test_usable_idle_follows_the_index(pure_core):
+    handlers = make_handlers(["cpu", "cpu", "fft"])
+    tasks = build_app(3, fft_capable={2})
+    ready = ReadyList()
+    ready.extend(tasks[:2])
+    assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0, 1]
+    ready.extend(tasks[2:])
+    assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0, 1, 2]
+    ready.remove_ids({id(tasks[2])})
+    assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0, 1]
+    handlers[0].assign(tasks[0])
+    assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [1]
+
+
+# -- (d) no index, no problem ---------------------------------------------------------------
+
+
+def test_bare_ready_list_of_opaque_items_reports_unknown_capability():
+    ready = ReadyList()
+    items = [object() for _ in range(4)]
+    ready.extend(items)
+    ready.remove_ids({id(items[1])})
+    assert list(ready) == [items[0], items[2], items[3]]
+    assert ready.platform_counts == {None: 3}
+    handlers = make_handlers(["cpu", "fft"])
+    # unknown capability: every idle PE counts as usable
+    assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0, 1]
+
+
+@pytest.mark.parametrize("name", INDEXED_POLICIES)
+def test_policies_accept_a_plain_list(name):
+    handlers = make_handlers(["cpu", "cpu", "fft"])
+    tasks = build_app(4, fft_capable={3})
+    policy = make_scheduler(name, FixedOracle({}))
+    got = policy.schedule(tasks, handlers, 0.0)
+    assert len(got) == 3
+    assert Scheduler.usable_idle(tasks, handlers) == list(enumerate(handlers))

@@ -39,10 +39,13 @@ from tests.chaos_net import ChaosProxy, sigkill_server, spawn_server, wait_for
 from repro.common.retry import RetryPolicy
 from repro.dse import SweepGrid, run_campaign, validation_sweep
 from repro.dse import journal as journal_mod
+from repro.dse.cache import ResultCache
 from repro.dse.distrib import (
     TransportError,
     WorkQueue,
     campaign_snapshot,
+    load_manifest,
+    manifest_cells,
     render_status,
     run_networked_campaign,
     run_worker,
@@ -62,6 +65,7 @@ from repro.dse.distrib.net.framing import (
 )
 from repro.dse.distrib.net.server import PROTOCOL_VERSION
 from repro.dse.distrib.queue import _atomic_write_json
+from repro.dse.runner import CellResult
 from repro.dse.distrib.transport import (
     CLAIM_BUSY,
     CLAIM_CACHED,
@@ -991,3 +995,62 @@ def test_spawned_server_announces_json_endpoint(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+# -- app order through the manifest and the wire ---------------------------------------
+
+
+class TestAppOrderSurvivesTransports:
+    """The order of a validation workload's ``apps`` is execution-
+    significant and part of the cell id.  ``manifest.json`` and the wire
+    frames used to be written with sorted keys, so a grid whose apps are
+    not in alphabetical order came back as different cells and the fs/net
+    workers resolved other cells than ``run_campaign``."""
+
+    GRID = SweepGrid(
+        configs=("2C+1F",), policies=("frfs", "eft"),
+        workloads=(validation_sweep({"wifi_tx": 1, "range_detection": 1}),),
+    )
+
+    @staticmethod
+    def rows(cells, metrics):
+        return norm([
+            CellResult(c, "ok" if metrics.get(c.cell_id) else "error",
+                       metrics.get(c.cell_id)).row()
+            for c in cells
+        ])
+
+    def test_fs_and_net_workers_resolve_run_campaigns_cells(self, tmp_path):
+        cells = self.GRID.expand()
+        ids = [c.cell_id for c in cells]
+        single = run_campaign(self.GRID, out_dir=tmp_path / "single")
+        assert single.ok and [r["cell_id"] for r in single.rows()] == ids
+        expected = norm(single.rows())
+
+        write_manifest(tmp_path / "fs", cells, grid_id="t", max_attempts=1,
+                       timeout_s=None, lease_ttl_s=10.0)
+        manifest = load_manifest(tmp_path / "fs")
+        assert [c.cell_id for c in manifest_cells(manifest)] == ids
+        summary = run_worker(tmp_path / "fs", worker_id="w1", poll_s=0.05)
+        assert summary.stop_reason == "done" and summary.executed == len(ids)
+        cache = ResultCache(tmp_path / "fs" / "cache")
+        assert self.rows(cells, {cid: cache.get(cid) for cid in ids}) == expected
+
+        server, host, port, stop, thread = live_server(tmp_path / "srv")
+        try:
+            coord = NetTransport((host, port), worker_id="coordinator",
+                                 spool_dir=tmp_path / "cs")
+            coord.publish([c.to_dict() for c in cells], grid_id="t",
+                          max_attempts=1, timeout_s=None, lease_ttl_s=10.0,
+                          resume=False)
+            transport = NetTransport((host, port), worker_id="w1",
+                                     spool_dir=tmp_path / "spool")
+            summary = run_worker(transport=transport, poll_s=0.05)
+            assert summary.stop_reason == "done"
+            assert summary.executed == len(ids)
+            assert self.rows(cells, coord.fetch(ids)) == expected
+            coord.close()
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+

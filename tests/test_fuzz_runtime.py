@@ -21,12 +21,12 @@ from repro.runtime.workload import validation_workload
 
 
 @st.composite
-def layered_graphs(draw) -> TaskGraph:
+def layered_graphs(draw, app_name: str = "fuzz_app") -> TaskGraph:
     """A random DAG of 2-5 layers, 1-4 nodes each, edges between layers."""
     n_layers = draw(st.integers(min_value=2, max_value=5))
     widths = [draw(st.integers(min_value=1, max_value=4))
               for _ in range(n_layers)]
-    b = GraphBuilder("fuzz_app", "fuzz.so")
+    b = GraphBuilder(app_name, "fuzz.so")
     b.scalar("n", 1)
     names: list[list[str]] = []
     counter = 0
