@@ -321,6 +321,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a DSE campaign: expand the grid, execute cells in parallel."""
     from repro.analysis.figures import pareto_chart
     from repro.dse import run_campaign
+    from repro.dse.distrib.status import status_line
     from repro.dse.frontier import render_frontier
 
     # --status / --gc operate on an existing campaign directory and run
@@ -365,72 +366,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"[{done:>4}/{total}] {result.cell.label:<40} {status}{extra}",
               file=sys.stderr)
 
+    def status_fn(snap) -> None:
+        print(status_line(snap), file=sys.stderr)
+
     # SIGTERM behaves like Ctrl-C: the campaign journals in-flight cells as
     # interrupted (so --resume re-runs only those) before the interrupt
     # propagates to main(), which exits 130.
-    if args.server:
-        from repro.dse.distrib import (
-            DEFAULT_LEASE_TTL_S,
-            run_networked_campaign,
-            status_line,
-        )
-
-        def net_status_fn(snap) -> None:
-            print(status_line(snap), file=sys.stderr)
-
-        with _sigterm_as_interrupt():
-            campaign = run_networked_campaign(
-                grid,
-                out_dir=out_dir,
-                server=args.server,
-                workers=args.workers if args.workers is not None else 1,
-                resume=args.resume,
-                force=args.force,
-                retries=args.retries,
-                timeout_s=args.timeout,
-                lease_ttl_s=(args.lease_ttl if args.lease_ttl is not None
-                             else DEFAULT_LEASE_TTL_S),
-                poll_s=args.poll,
-                progress=progress,
-                status_fn=None if quiet else net_status_fn,
-            )
-    elif args.workers is not None:
-        from repro.dse.distrib import (
-            DEFAULT_LEASE_TTL_S,
-            run_distributed_campaign,
-            status_line,
-        )
-
-        def status_fn(snap) -> None:
-            print(status_line(snap), file=sys.stderr)
-
-        with _sigterm_as_interrupt():
-            campaign = run_distributed_campaign(
-                grid,
-                out_dir=out_dir,
-                workers=args.workers,
-                resume=args.resume,
-                force=args.force,
-                retries=args.retries,
-                timeout_s=args.timeout,
-                lease_ttl_s=(args.lease_ttl if args.lease_ttl is not None
-                             else DEFAULT_LEASE_TTL_S),
-                poll_s=args.poll,
-                progress=progress,
-                status_fn=None if quiet else status_fn,
-            )
-    else:
+    try:
         with _sigterm_as_interrupt():
             campaign = run_campaign(
                 grid,
                 out_dir=out_dir,
                 jobs=args.jobs,
+                workers=args.workers,
+                server=args.server or None,
                 timeout_s=args.timeout,
                 retries=args.retries,
                 resume=args.resume,
                 force=args.force,
+                lease_ttl_s=args.lease_ttl,
+                poll_s=args.poll,
                 progress=progress,
+                status_fn=None if quiet else status_fn,
             )
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.json:
         print(json.dumps(
@@ -802,7 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--backend", default="virtual",
                          choices=["virtual", "threaded"])
     sweep_p.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (1 = inline execution)")
+                         help="local pool processes (1 = inline execution); "
+                              "not combinable with --workers / --server")
     sweep_p.add_argument("--timeout", type=float, default=None,
                          help="per-cell wall-clock timeout in seconds")
     sweep_p.add_argument("--retries", type=int, default=1,
@@ -814,7 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append to the existing journal and re-queue "
                               "only incomplete cells")
     sweep_p.add_argument("--force", action="store_true",
-                         help="ignore cached results and recompute")
+                         help="start the campaign over: overrides --resume, "
+                              "drops cached results and recomputes every cell")
     sweep_p.add_argument("--sort-by", default=None,
                          help="sort the results table by this column "
                               "(e.g. makespan_ms, total_energy_j)")

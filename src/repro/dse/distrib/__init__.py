@@ -1,8 +1,17 @@
 """Distributed sweep service: sharded multi-worker DSE campaigns.
 
-The PR 1 campaign engine runs every campaign on one host's process
-pool; this package turns it into a coordination/transport layer that
-shards cells across any number of independent worker processes — same
+There is one campaign entry point, :func:`repro.dse.runner.run_campaign`;
+who executes the cells is chosen by three of its arguments:
+
+=============  ==============================================================
+``jobs=N``     this process, inline or on a local process pool (the default)
+``workers=N``  a fleet coordinated through the campaign directory: N spawned
+               workers plus any attached with ``sweep-worker --out DIR``
+``server=EP``  the same fleet attached to a ``sweep-server`` over TCP
+=============  ==============================================================
+
+This package is the coordination/transport layer behind the last two:
+it shards cells across any number of independent worker processes — same
 host, many hosts over a shared filesystem, or fleets with *no* shared
 mount speaking TCP to a queue server:
 
@@ -17,17 +26,18 @@ mount speaking TCP to a queue server:
   campaigns);
 * :mod:`repro.dse.distrib.transport` — the
   :class:`~repro.dse.distrib.transport.WorkerTransport` interface both
-  protocols implement, with the directory protocol refactored behind it
+  protocols implement, with the directory protocol behind it
   (:class:`~repro.dse.distrib.transport.FsTransport`, bit-identical on
-  disk);
+  disk) — the worker's side and the coordinator's, shard merge included;
 * :mod:`repro.dse.distrib.net` — the network transport: a
   dependency-free TCP queue server (``dssoc-emulate sweep-server``),
   framed-JSON client with retry/backoff and idempotency tokens, and a
   worker-local result spool for partitions;
 * :mod:`repro.dse.distrib.worker` — the transport-agnostic worker loop
   (``dssoc-emulate sweep-worker``);
-* :mod:`repro.dse.distrib.coordinator` — campaign orchestration, shard
-  merge, liveness (``dssoc-emulate sweep --workers N`` and
+* :mod:`repro.dse.distrib.coordinator` — the one fleet loop
+  ``run_campaign`` runs for ``workers=``/``server=``: spawn, poll, fold,
+  liveness, shutdown (``dssoc-emulate sweep --workers N`` and
   ``sweep --server HOST:PORT``);
 * :mod:`repro.dse.distrib.status` — live campaign status
   (``dssoc-emulate sweep --status``).
@@ -36,12 +46,7 @@ See ``docs/distributed.md`` for the architecture, the lease protocol,
 the wire protocol, and the failure matrix.
 """
 
-from repro.dse.distrib.coordinator import (
-    ShardMerger,
-    merge_once,
-    run_distributed_campaign,
-    run_networked_campaign,
-)
+from repro.dse.distrib.coordinator import merge_once, run_fleet
 from repro.dse.distrib.leases import LeaseDir, LeaseInfo
 from repro.dse.distrib.queue import (
     DEFAULT_LEASE_TTL_S,
@@ -57,6 +62,7 @@ from repro.dse.distrib.status import campaign_snapshot, render_status, status_li
 from repro.dse.distrib.transport import (
     ClaimReply,
     FsTransport,
+    ShardMerger,
     TransportError,
     WorkerTransport,
 )
@@ -81,8 +87,7 @@ __all__ = [
     "manifest_cells",
     "merge_once",
     "render_status",
-    "run_distributed_campaign",
-    "run_networked_campaign",
+    "run_fleet",
     "run_worker",
     "status_line",
     "write_manifest",

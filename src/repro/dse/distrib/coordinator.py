@@ -1,23 +1,28 @@
-"""Distributed sweep coordinator: partition, monitor, merge, conclude.
+"""The fleet loop of a distributed campaign: spawn, poll, fold, shut down.
 
-The coordinator owns the *campaign* while workers own *cells*:
+:func:`repro.dse.runner.run_campaign` owns the *campaign* in every mode
+— expansion, cache pass, the journal's start and end markers,
+``results.json``.  When ``workers``/``server`` select a fleet it hands
+the cells the cache pass left unresolved to :func:`run_fleet`, which
+owns the *fleet* while workers own *cells*:
 
-1. expands the grid and publishes the durable manifest (the work queue);
-2. runs the same cache pass a single-process campaign runs, journaling
-   ``cell_cached`` for every cell already resolved on disk;
-3. optionally spawns N local worker processes (any number of additional
-   workers may attach from other hosts via ``sweep-worker --out DIR``);
-4. periodically merges per-worker journal shards into the canonical
-   ``journal.jsonl`` — exactly-once per resolution, with byte offsets of
-   the merged prefix persisted so a killed coordinator never re-merges
-   or loses events on ``--resume``;
-5. watches worker heartbeats and processes, streaming a live status
-   line (cells/sec, ETA, worker health, cache hit rate);
-6. on completion writes ``results.json``/frontier inputs identical in
-   shape to a single-process campaign (modulo worker attribution).
+1. spawns N local worker processes (more may attach from other hosts
+   with ``sweep-worker --out DIR`` / ``--server HOST:PORT``), or with
+   ``workers=0`` works the queue on an embedded worker thread;
+2. polls the transport's resolved set and reports each newly resolved
+   cell.  For the directory protocol the poll merges per-worker journal
+   shards into the canonical ``journal.jsonl`` — exactly once per
+   resolution, with the merged prefix's byte offsets persisted so a
+   killed coordinator never re-merges or loses events on ``--resume``;
+   for the server it is one request;
+3. watches processes and heartbeats, streams a live status line
+   (cells/sec, ETA, worker health, cache hit rate), and gives up only
+   when nobody is left who could finish the work;
+4. asks the fleet to stop and reaps what it spawned, however it ends.
 
-Killing the coordinator mid-flight loses nothing: workers keep draining
-the queue (results land in shards + shared cache), and a resumed
+The loop uses the coordinator-side transport calls alone, so the
+directory and the server share it.  Killing the coordinator mid-flight
+loses nothing: workers keep draining the queue, and a resumed
 coordinator folds it all back together.
 """
 
@@ -29,98 +34,31 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable
 
 from repro.dse import journal as journal_mod
-from repro.dse.cache import ResultCache
-from repro.dse.distrib.queue import (
-    DEFAULT_LEASE_TTL_S,
-    DistribError,
-    WorkQueue,
-    _atomic_write_json,
-    _read_json,
-    write_manifest,
-)
-from repro.dse.grid import SweepCell, SweepGrid
-from repro.dse.journal import Journal, JournalState
-from repro.dse.runner import CampaignResult, CellResult, ProgressFn
+from repro.dse.distrib.queue import DistribError, WorkQueue
+from repro.dse.distrib.transport import ShardMerger
+from repro.dse.distrib.worker import run_worker
+from repro.dse.grid import SweepCell
+from repro.dse.journal import Journal
+from repro.dse.runner import CellResult
 
-#: Shard fields copied verbatim into the canonical journal on merge.
-_MERGE_DROP = ("event", "seq", "ts")
+#: Seconds between ``status_fn`` snapshots while the fleet works.
+STATUS_INTERVAL_S = 5.0
 
-
-class ShardMerger:
-    """Exactly-once folding of worker journal shards into the canonical log.
-
-    Byte offsets of each shard's merged prefix live in
-    ``distrib/merge_state.json`` (written atomically after every merge),
-    so a coordinator killed between merges re-reads only unmerged
-    suffixes.  Events that would double-resolve a cell — two finishes
-    after a lease was re-issued to a second worker just as the first
-    woke back up — are dropped here, which is what makes "no
-    double-counted results" hold end to end.
-    """
-
-    def __init__(
-        self, queue: WorkQueue, journal: Journal, state: JournalState
-    ) -> None:
-        self.queue = queue
-        self.journal = journal
-        self.state = state
-        self.path = queue.root / "merge_state.json"
-        doc = _read_json(self.path)
-        self.offsets: dict[str, int] = (
-            {str(k): int(v) for k, v in doc.items()}
-            if isinstance(doc, dict)
-            else {}
-        )
-
-    def merge(self) -> int:
-        """Fold all new shard events into the canonical journal."""
-        fresh: list[tuple[float, int, str, dict[str, Any]]] = []
-        advanced = False
-        for shard in self.queue.shard_paths():
-            name = shard.stem
-            offset = self.offsets.get(name, 0)
-            events, consumed = journal_mod.read_events_from(shard, offset)
-            if consumed != offset:
-                self.offsets[name] = consumed
-                advanced = True
-            for event in events:
-                fresh.append(
-                    (float(event.get("ts", 0.0)), int(event.get("seq", 0)),
-                     name, event)
-                )
-        merged = 0
-        for _ts, _seq, name, event in sorted(fresh, key=lambda t: t[:3]):
-            kind = event["event"]
-            cell_id = event.get("cell_id")
-            if cell_id and kind in (
-                journal_mod.EVENT_CELL_FINISH,
-                journal_mod.EVENT_CELL_CACHED,
-            ):
-                if cell_id in self.state.completed:
-                    continue  # duplicate resolution (lease re-issue race)
-            fields = {
-                k: v for k, v in event.items() if k not in _MERGE_DROP
-            }
-            fields.setdefault("worker", name)
-            self.journal.append(kind, **fields)
-            self.state.fold({"event": kind, **fields})
-            merged += 1
-        if advanced:
-            _atomic_write_json(self.path, self.offsets)
-        return merged
+#: How long a fleet asked to stop gets to exit on its own, and how long
+#: an unreachable store gets to come back once nobody is left working.
+WORKER_GRACE_S = 15.0
 
 
 def _spawn_worker(
-    out_dir: Path | None,
+    out_dir: Path,
     worker_id: str,
     *,
     lease_ttl_s: float,
     poll_s: float,
-    server: str | None = None,
-    spool_dir: Path | None = None,
+    server: str | None,
 ) -> subprocess.Popen:
     """Start one local worker process (directory- or server-attached)."""
     import repro
@@ -139,160 +77,97 @@ def _spawn_worker(
         "--poll", str(poll_s),
     ]
     if server is not None:
-        cmd += ["--server", server]
-        if spool_dir is not None:
-            cmd += ["--spool", str(spool_dir)]
+        cmd += ["--server", server,
+                "--spool", str(out_dir / f"spool-{worker_id}")]
     else:
-        assert out_dir is not None
         cmd += ["--out", str(out_dir)]
     # Workers narrate to stderr; their stdout JSON summary would
     # otherwise interleave with the coordinator's own --json document.
     return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
 
 
-def _clear_distrib_state(queue: WorkQueue) -> None:
-    """Reset queue state for a fresh (non-resume) campaign; keeps the cache."""
-    queue.clear_stop()
-    for directory in (
-        queue.leases.root, queue.journals_dir, queue.workers_dir,
-        queue.failed_dir,
-    ):
-        for path in directory.iterdir():
-            try:
-                path.unlink()
-            except OSError:
-                pass
-    try:
-        (queue.root / "merge_state.json").unlink()
-    except OSError:
-        pass
-
-
-def run_distributed_campaign(
-    grid: SweepGrid | Iterable[SweepCell],
-    out_dir: str | Path,
+def run_fleet(
+    transport: Any,
+    pending: dict[str, SweepCell],
+    report: Callable[[CellResult], None],
     *,
-    workers: int = 1,
-    resume: bool = False,
-    force: bool = False,
-    retries: int = 1,
-    timeout_s: float | None = None,
-    lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    poll_s: float = 0.5,
-    status_interval_s: float = 5.0,
-    progress: ProgressFn | None = None,
-    status_fn=None,
-    worker_grace_s: float = 15.0,
-) -> CampaignResult:
-    """Run a campaign through the distributed service; see module docstring.
+    workers: int,
+    out_dir: Path,
+    server: str | None,
+    lease_ttl_s: float,
+    poll_s: float,
+    status_fn: Callable[[dict[str, Any]], None] | None = None,
+    spawn: Callable[..., Any] = _spawn_worker,
+    clock: Callable[[], float] = time.monotonic,
+    sleep: Callable[[float], None] = time.sleep,
+) -> None:
+    """Drive the published campaign until every ``pending`` cell resolves.
 
-    ``workers=0`` coordinates without spawning: external workers attached
-    via ``sweep-worker`` (possibly on other hosts) drain the queue.  The
-    returned :class:`CampaignResult` matches ``run_campaign``'s — same
-    row schema, same frontier inputs — so analysis code cannot tell the
-    difference.
+    ``pending`` (cell id -> cell) is consumed: each cell goes to
+    ``report`` as a :class:`CellResult` once the transport shows it
+    completed or finally failed.  ``spawn``, ``clock`` and ``sleep``
+    exist so the loop can be tested without processes or time.
+
+    Raises :class:`DistribError` when the campaign is stranded: no
+    spawned process alive, no embedded worker alive, no worker the
+    transport's status calls live — judged *before* the resolved set is
+    read, so whatever the fleet finished before going away is counted.
+    An unreachable store is waited out while anyone is working (workers
+    spool and reconnect on their own); with nobody left it still gets
+    ``WORKER_GRACE_S`` to come back, because workers exit "done" only
+    once the store confirmed every cell — a restart in progress is far
+    more likely than a lost campaign.
     """
-    if isinstance(grid, SweepGrid):
-        cells = grid.expand()
-        grid_id = grid.grid_id
-    else:
-        cells = list(grid)
-        grid_id = f"adhoc-{len(cells)}"
-    by_id: dict[str, SweepCell] = {}
-    for cell in cells:
-        by_id.setdefault(cell.cell_id, cell)
-
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    t_start = time.monotonic()
-    max_attempts = 1 + max(0, int(retries))
-
-    queue = WorkQueue(out_path, owner="coordinator", lease_ttl_s=lease_ttl_s)
-    if not resume:
-        _clear_distrib_state(queue)
-    queue.clear_stop()
-    write_manifest(
-        out_path, list(by_id.values()), grid_id=grid_id,
-        max_attempts=max_attempts, timeout_s=timeout_s,
-        lease_ttl_s=lease_ttl_s,
-    )
-
-    cache = ResultCache(out_path / "cache")
-    journal_path = out_path / "journal.jsonl"
-    state = (
-        journal_mod.replay_indexed(journal_path)
-        if resume
-        else JournalState()
-    )
-    journal = Journal(journal_path, resume=resume)
-    journal.append(
-        journal_mod.EVENT_CAMPAIGN_START,
-        cells=len(cells),
-        resume=resume,
-        distributed=True,
-        workers=workers,
-        prior_completed=len(state.completed),
-        prior_incomplete=len(state.incomplete),
-    )
-    merger = ShardMerger(queue, journal, state)
-
-    done_count = 0
-    total = len(by_id)
-
-    def report(result: CellResult) -> None:
-        nonlocal done_count
-        done_count += 1
-        if progress is not None:
-            progress(done_count, total, result)
-
-    # Cache pass — identical semantics to the single-process runner: cells
-    # already on disk (including ones a prior interrupted run completed)
-    # are journaled as cache hits, never queued.
-    resolution: dict[str, str] = {}  # cell_id -> "cached" | "finish" | "error"
-    for cell_id, cell in by_id.items():
-        if cell_id in resolution:
-            continue
-        if force:
-            cache.discard(cell_id)
-            continue
-        hit = cache.get(cell_id)
-        if hit is not None:
-            journal.append(
-                journal_mod.EVENT_CELL_CACHED,
-                cell_id=cell_id,
-                label=cell.label,
-                worker="coordinator",
-                attempts=0,
-            )
-            state.fold({"event": journal_mod.EVENT_CELL_CACHED,
-                        "cell_id": cell_id})
-            resolution[cell_id] = "cached"
-            report(CellResult(cell, "ok", hit, cached=True))
-
-    procs: dict[str, subprocess.Popen] = {}
+    procs: dict[str, Any] = {}
     embedded: threading.Thread | None = None
     embedded_error: list[BaseException] = []
-    interrupted = False
+
+    def fleet_alive() -> bool:
+        nonlocal embedded
+        for worker_id, proc in list(procs.items()):
+            if proc.poll() is not None:
+                del procs[worker_id]
+        if embedded is not None and not embedded.is_alive():
+            if embedded_error:
+                raise DistribError(
+                    f"embedded worker died: {embedded_error[0]}"
+                ) from embedded_error[0]
+            embedded = None
+        if procs or embedded is not None:
+            return True
+        try:
+            snapshot = transport.status_snapshot()
+        except DistribError:
+            return False
+        return any(w["health"] == "live" for w in snapshot["workers"])
+
     try:
-        for i in range(max(0, workers)):
+        for i in range(workers):
             worker_id = f"w{i + 1}"
-            procs[worker_id] = _spawn_worker(
-                out_path, worker_id,
-                lease_ttl_s=lease_ttl_s, poll_s=poll_s,
+            procs[worker_id] = spawn(
+                out_dir, worker_id,
+                lease_ttl_s=lease_ttl_s, poll_s=poll_s, server=server,
             )
-        if workers == 0 and len(resolution) < total:
+        if workers == 0 and pending:
             # Coordinate-only mode with no one attached yet: work the
             # queue ourselves so the campaign always makes progress.
             # External workers can still join and share the load.
-            from repro.dse.distrib.worker import run_worker
+            mine = None
+            if server is not None:
+                from repro.dse.distrib.net.client import NetTransport
+
+                mine = NetTransport(
+                    server, worker_id="w0-embedded",
+                    spool_dir=out_dir / "spool-embedded",
+                )
 
             def _embedded_worker() -> None:
                 try:
                     run_worker(
-                        out_path, worker_id="w0-embedded",
+                        out_dir, worker_id="w0-embedded", transport=mine,
                         lease_ttl_s=lease_ttl_s, poll_s=poll_s,
                     )
-                except BaseException as exc:  # noqa: BLE001 — surfaced below
+                except BaseException as exc:  # noqa: BLE001 — surfaced above
                     embedded_error.append(exc)
 
             embedded = threading.Thread(
@@ -300,403 +175,71 @@ def run_distributed_campaign(
             )
             embedded.start()
 
-        last_status = 0.0
-        while True:
-            merger.merge()
-            # Surface newly-resolved cells to the progress callback.
-            for cell_id in state.completed:
-                if cell_id in by_id and cell_id not in resolution:
-                    resolution[cell_id] = "finish"
-                    metrics = cache.get(cell_id)
-                    report(CellResult(by_id[cell_id], "ok", metrics))
-            failed_final = queue.failed_final()
-            for cell_id in failed_final:
-                if cell_id in by_id and cell_id not in resolution:
-                    resolution[cell_id] = "error"
-                    record = failed_final[cell_id]
-                    report(CellResult(
-                        by_id[cell_id], "error",
-                        error=(record.get("errors") or ["?"])[-1],
-                        attempts=int(record.get("attempts", 1)),
-                    ))
-            if len(resolution) >= total:
-                break
-
-            now = time.monotonic()
-            if status_fn is not None and now - last_status >= status_interval_s:
-                last_status = now
-                from repro.dse.distrib.status import campaign_snapshot
-
-                status_fn(campaign_snapshot(out_path))
-
-            # Liveness: reap exited spawned workers; a fleet that is
-            # entirely dead with work outstanding cannot finish.
-            for worker_id, proc in list(procs.items()):
-                if proc.poll() is not None:
-                    del procs[worker_id]
-            if embedded is not None and not embedded.is_alive():
-                if embedded_error:
-                    raise DistribError(
-                        f"embedded worker died: {embedded_error[0]}"
-                    ) from embedded_error[0]
-                embedded = None
-            fleet_dead = not procs and embedded is None
-            if fleet_dead:
-                statuses = queue.worker_statuses()
-                fresh = [
-                    s for s in statuses.values()
-                    if time.time() - float(s.get("ts", 0)) < 3 * lease_ttl_s
-                    and s.get("state") not in ("done", "stop_requested")
-                ]
-                if workers > 0 and not fresh:
-                    merger.merge()
-                    raise DistribError(
-                        f"all workers exited with "
-                        f"{total - len(resolution)} cells unresolved — "
-                        "check worker logs, then re-run with --resume"
-                    )
-            time.sleep(poll_s)
-    except (KeyboardInterrupt, Exception):
-        interrupted = True
-        raise
-    finally:
-        queue.request_stop()
-        deadline = time.monotonic() + worker_grace_s
-        if embedded is not None:
-            embedded.join(timeout=max(0.1, deadline - time.monotonic()))
-        for proc in procs.values():
-            remaining = max(0.1, deadline - time.monotonic())
+        last_status = clock() - STATUS_INTERVAL_S
+        lost_since: float | None = None
+        while pending:
+            alive = fleet_alive()
             try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-        try:
-            merger.merge()
-        except OSError:
-            pass
-        end_fields: dict[str, Any] = {
-            "cells": len(cells),
-            "completed": len(state.completed & set(by_id)),
-            "failed": sum(1 for r in resolution.values() if r == "error"),
-        }
-        if interrupted:
-            end_fields["interrupted"] = True
-        journal.append(journal_mod.EVENT_CAMPAIGN_END, **end_fields)
-        journal.close()
-        try:
-            journal_mod.write_index(journal_path, journal_mod.replay(journal_path))
-        except OSError:
-            pass
-
-    # -- conclude: same result shape as the single-process runner ------------------
-    failed_final = queue.failed_final()
-    collected: dict[str, CellResult] = {}
-    for cell_id, cell in by_id.items():
-        kind = resolution.get(cell_id)
-        if kind in ("cached", "finish"):
-            collected[cell_id] = CellResult(
-                cell, "ok", cache.get(cell_id), cached=(kind == "cached")
-            )
-        else:
-            record = failed_final.get(cell_id) or {}
-            collected[cell_id] = CellResult(
-                cell, "error",
-                error=(record.get("errors") or ["unresolved"])[-1],
-                attempts=int(record.get("attempts", 1)),
-            )
-    results = [collected[cell.cell_id] for cell in cells]
-    campaign = CampaignResult(
-        results=results,
-        out_dir=out_path,
-        elapsed_s=time.monotonic() - t_start,
-    )
-    campaign.save(out_path / "results.json")
-    return campaign
-
-
-def run_networked_campaign(
-    grid: SweepGrid | Iterable[SweepCell],
-    out_dir: str | Path,
-    *,
-    server: str,
-    workers: int = 1,
-    resume: bool = False,
-    force: bool = False,
-    retries: int = 1,
-    timeout_s: float | None = None,
-    lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    poll_s: float = 0.5,
-    status_interval_s: float = 5.0,
-    progress: ProgressFn | None = None,
-    status_fn=None,
-    worker_grace_s: float = 15.0,
-) -> CampaignResult:
-    """Run a campaign against a ``sweep-server`` (no shared mount needed).
-
-    The coordinator publishes the grid to the server, optionally spawns N
-    local workers attached by ``--server`` (any number more may attach
-    from other hosts), polls the server's resolved set, and concludes
-    with the same :class:`CampaignResult` shape as every other runner —
-    ``results.json`` lands in the *local* ``out_dir``, while the durable
-    campaign state (journal, cache, failure records) lives in the
-    server's directory.
-
-    The coordinator deliberately outlasts a dead server: a poll that
-    cannot reach it just waits and retries — workers spool and reconnect
-    on their own — and the loop only aborts once every worker it spawned
-    has exited with work still unresolved.
-    """
-    from repro.dse.distrib.net.client import NetTransport
-
-    if isinstance(grid, SweepGrid):
-        cells = grid.expand()
-        grid_id = grid.grid_id
-    else:
-        cells = list(grid)
-        grid_id = f"adhoc-{len(cells)}"
-    by_id: dict[str, SweepCell] = {}
-    for cell in cells:
-        by_id.setdefault(cell.cell_id, cell)
-    total = len(by_id)
-
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    t_start = time.monotonic()
-    max_attempts = 1 + max(0, int(retries))
-
-    transport = NetTransport(
-        server,
-        worker_id="coordinator",
-        spool_dir=out_path / "coordinator-spool",
-    )
-    transport.publish(
-        [cell.to_dict() for cell in by_id.values()],
-        grid_id=grid_id,
-        max_attempts=max_attempts,
-        timeout_s=timeout_s,
-        lease_ttl_s=lease_ttl_s,
-        resume=resume,
-    )
-    transport.event(
-        journal_mod.EVENT_CAMPAIGN_START,
-        cells=len(cells),
-        resume=resume,
-        distributed=True,
-        transport="net",
-        workers=workers,
-    )
-
-    done_count = 0
-
-    def report(result: CellResult) -> None:
-        nonlocal done_count
-        done_count += 1
-        if progress is not None:
-            progress(done_count, total, result)
-
-    # Cache pass — server-side, same semantics as every other runner.
-    resolution: dict[str, str] = {}  # cell_id -> "cached" | "finish" | "error"
-    failed_records: dict[str, dict[str, Any]] = {}
-    cached_ids = transport.cache_pass(force=force)
-    if cached_ids:
-        cached_metrics = transport.fetch(cached_ids)
-        for cell_id in cached_ids:
-            if cell_id in by_id and cell_id not in resolution:
-                resolution[cell_id] = "cached"
+                completed, failed = transport.resolved_snapshot()
+                fresh = sorted(pending.keys() & completed)
+                metrics = transport.fetch(fresh) if fresh else {}
+            except DistribError as exc:
+                if not alive:
+                    if lost_since is None:
+                        lost_since = clock()
+                    if clock() - lost_since >= WORKER_GRACE_S:
+                        raise DistribError(
+                            f"all workers exited and the campaign store is "
+                            f"unreachable with {len(pending)} cells "
+                            "unresolved — restart the server and re-run "
+                            "with --resume"
+                        ) from exc
+                sleep(poll_s)
+                continue
+            lost_since = None
+            for cell_id in fresh:
                 report(CellResult(
-                    by_id[cell_id], "ok", cached_metrics.get(cell_id),
-                    cached=True,
+                    pending.pop(cell_id), "ok", metrics.get(cell_id)
                 ))
-
-    procs: dict[str, subprocess.Popen] = {}
-    embedded: threading.Thread | None = None
-    embedded_error: list[BaseException] = []
-    interrupted = False
-    try:
-        for i in range(max(0, workers)):
-            worker_id = f"w{i + 1}"
-            procs[worker_id] = _spawn_worker(
-                None, worker_id,
-                lease_ttl_s=lease_ttl_s, poll_s=poll_s,
-                server=server,
-                spool_dir=out_path / f"spool-{worker_id}",
-            )
-        if workers == 0 and len(resolution) < total:
-            from repro.dse.distrib.worker import run_worker
-
-            def _embedded_worker() -> None:
-                try:
-                    run_worker(
-                        transport=NetTransport(
-                            server,
-                            worker_id="w0-embedded",
-                            spool_dir=out_path / "spool-embedded",
-                        ),
-                        worker_id="w0-embedded",
-                        lease_ttl_s=lease_ttl_s, poll_s=poll_s,
-                    )
-                except BaseException as exc:  # noqa: BLE001 — surfaced below
-                    embedded_error.append(exc)
-
-            embedded = threading.Thread(
-                target=_embedded_worker, name="embedded-worker", daemon=True
-            )
-            embedded.start()
-
-        last_status = 0.0
-        fleet_dead_since: float | None = None
-        while True:
-            try:
-                completed, failed_records = transport.resolved_snapshot()
-            except DistribError:
-                # Server unreachable: workers are spooling and
-                # reconnecting on their own; keep waiting it out.
-                completed, failed_records = set(), {}
-            fresh = [
-                cell_id for cell_id in sorted(completed)
-                if cell_id in by_id and cell_id not in resolution
-            ]
-            if fresh:
-                metrics = transport.fetch(fresh)
-                for cell_id in fresh:
-                    resolution[cell_id] = "finish"
-                    report(CellResult(
-                        by_id[cell_id], "ok", metrics.get(cell_id)
-                    ))
-            for cell_id, record in failed_records.items():
-                if cell_id in by_id and cell_id not in resolution:
-                    resolution[cell_id] = "error"
-                    report(CellResult(
-                        by_id[cell_id], "error",
-                        error=str(record.get("error", "?")),
-                        attempts=int(record.get("attempts", 1)),
-                    ))
-            if len(resolution) >= total:
+            for cell_id in sorted(pending.keys() & failed.keys()):
+                record = failed[cell_id]
+                report(CellResult(
+                    pending.pop(cell_id), "error",
+                    error=str(record.get("error", "?")),
+                    attempts=int(record.get("attempts", 1)),
+                ))
+            if not pending:
                 break
-
-            now = time.monotonic()
-            if status_fn is not None and now - last_status >= status_interval_s:
-                last_status = now
+            if not alive:
+                raise DistribError(
+                    f"all workers exited with {len(pending)} cells "
+                    "unresolved — check worker logs (and the server), "
+                    "then re-run with --resume"
+                )
+            if status_fn is not None and clock() - last_status >= STATUS_INTERVAL_S:
+                last_status = clock()
                 try:
                     status_fn(transport.status_snapshot())
                 except DistribError:
                     pass
-
-            for worker_id, proc in list(procs.items()):
-                if proc.poll() is not None:
-                    del procs[worker_id]
-            if embedded is not None and not embedded.is_alive():
-                if embedded_error:
-                    raise DistribError(
-                        f"embedded worker died: {embedded_error[0]}"
-                    ) from embedded_error[0]
-                embedded = None
-            if workers > 0 and not procs and embedded is None:
-                # All workers are gone — but "done" workers exit as soon
-                # as the *server* says everything is resolved, and our
-                # own view may lag it (especially across a server
-                # restart).  Take a fresh authoritative look before
-                # declaring the campaign stranded, and give a restarting
-                # server a bounded grace window: workers only exit "done"
-                # once the server confirmed every cell, so a snapshot
-                # failure here is far more likely a restart-in-progress
-                # than a lost campaign.
-                if fleet_dead_since is None:
-                    fleet_dead_since = time.monotonic()
-                try:
-                    completed, failed_records = transport.resolved_snapshot()
-                except DistribError as exc:
-                    if time.monotonic() - fleet_dead_since < worker_grace_s:
-                        time.sleep(poll_s)
-                        continue
-                    raise DistribError(
-                        f"all workers exited and the server is "
-                        f"unreachable with {total - len(resolution)} "
-                        "cells unresolved — restart the server and "
-                        "re-run with --resume"
-                    ) from exc
-                unresolved = [
-                    cell_id for cell_id in by_id
-                    if cell_id not in resolution
-                    and cell_id not in completed
-                    and cell_id not in failed_records
-                ]
-                if unresolved:
-                    raise DistribError(
-                        f"all workers exited with {len(unresolved)} "
-                        "cells unresolved — check worker logs and the "
-                        "server, then re-run with --resume"
-                    )
-                continue  # resolved server-side; fold it next pass
-            time.sleep(poll_s)
-    except (KeyboardInterrupt, Exception):
-        interrupted = True
-        raise
+            sleep(poll_s)
     finally:
         try:
             transport.request_stop()
         except DistribError:
             pass
-        deadline = time.monotonic() + worker_grace_s
+        deadline = clock() + WORKER_GRACE_S
         if embedded is not None:
-            embedded.join(timeout=max(0.1, deadline - time.monotonic()))
+            embedded.join(timeout=max(0.1, deadline - clock()))
         for proc in procs.values():
-            remaining = max(0.1, deadline - time.monotonic())
             try:
-                proc.wait(timeout=remaining)
+                proc.wait(timeout=max(0.1, deadline - clock()))
             except subprocess.TimeoutExpired:
                 proc.terminate()
                 try:
                     proc.wait(timeout=5)
                 except subprocess.TimeoutExpired:
                     proc.kill()
-        end_fields: dict[str, Any] = {
-            "cells": len(cells),
-            "completed": sum(
-                1 for r in resolution.values() if r in ("cached", "finish")
-            ),
-            "failed": sum(1 for r in resolution.values() if r == "error"),
-        }
-        if interrupted:
-            end_fields["interrupted"] = True
-        try:
-            transport.event(journal_mod.EVENT_CAMPAIGN_END, **end_fields)
-        except DistribError:
-            pass
-
-    # -- conclude: same result shape as the single-process runner ------------------
-    resolved_ids = [
-        cell_id for cell_id, kind in resolution.items()
-        if kind in ("cached", "finish")
-    ]
-    metrics = transport.fetch(resolved_ids) if resolved_ids else {}
-    transport.close()
-    collected: dict[str, CellResult] = {}
-    for cell_id, cell in by_id.items():
-        kind = resolution.get(cell_id)
-        if kind in ("cached", "finish"):
-            collected[cell_id] = CellResult(
-                cell, "ok", metrics.get(cell_id), cached=(kind == "cached")
-            )
-        else:
-            record = failed_records.get(cell_id) or {}
-            collected[cell_id] = CellResult(
-                cell, "error",
-                error=str(record.get("error", "unresolved")),
-                attempts=int(record.get("attempts", 1)),
-            )
-    results = [collected[cell.cell_id] for cell in cells]
-    campaign = CampaignResult(
-        results=results,
-        out_dir=out_path,
-        elapsed_s=time.monotonic() - t_start,
-    )
-    campaign.save(out_path / "results.json")
-    return campaign
 
 
 def merge_once(out_dir: str | Path) -> dict[str, Any]:

@@ -210,8 +210,9 @@ class NetTransport(WorkerTransport):
         )
         return int(reply["total"])
 
-    def cache_pass(self, *, force: bool) -> list[str]:
-        return list(self._call("cache_pass", force=force)["cached"])
+    def cache_pass(self, *, force: bool) -> dict[str, Any]:
+        """Server-side cache pass; returns the hits' metrics by cell id."""
+        return self.fetch(list(self._call("cache_pass", force=force)["cached"]))
 
     def resolved_snapshot(self) -> tuple[set[str], dict[str, dict[str, Any]]]:
         reply = self._call("resolved")

@@ -53,6 +53,7 @@ from repro.dse.distrib.queue import (
     distrib_dir,
     write_manifest,
 )
+from repro.dse.distrib.status import throughput, worker_health
 from repro.dse.distrib.transport import (
     CLAIM_BUSY,
     CLAIM_CACHED,
@@ -66,12 +67,6 @@ from repro.dse.distrib.net.framing import FrameAssembler, FrameError, encode_fra
 
 #: Protocol version spoken by this build; bumped on incompatible change.
 PROTOCOL_VERSION = 1
-
-#: Window for the "recent" throughput estimate feeding the status ETA.
-_RECENT_WINDOW_S = 60.0
-
-#: A worker whose heartbeat is older than this many lease ttls is dead.
-_STALE_FACTOR = 3.0
 
 
 def endpoint_path(out_dir: str | Path) -> Path:
@@ -249,20 +244,11 @@ class SweepServer:
         self.queue.clear_stop()
         self.stop_flag = False
         if not resume:
-            # Fresh campaign: reset queue state exactly as the filesystem
+            # Fresh campaign: reset queue state exactly as the directory's
             # coordinator does (keep the cache — the cache pass mines it).
             self.leases.clear()
             self._fail_tokens.clear()
-            for path in self.queue.failed_dir.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            for path in self.queue.workers_dir.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            self.queue.reset()
             self.workers.clear()
             self.completed = set()
             self.journal.close()
@@ -300,15 +286,10 @@ class SweepServer:
         return {"cached": sorted(cached)}
 
     def _op_resolved(self, msg: dict[str, Any]) -> dict[str, Any]:
-        failed = {
-            cell_id: {
-                "attempts": int(rec.get("attempts", 1)),
-                "final": True,
-                "error": (rec.get("errors") or ["?"])[-1],
-            }
-            for cell_id, rec in self.queue.failed_final().items()
+        return {
+            "completed": sorted(self.completed),
+            "failed": self.queue.failed_summary(),
         }
-        return {"completed": sorted(self.completed), "failed": failed}
 
     def _op_claim(self, msg: dict[str, Any]) -> dict[str, Any]:
         cell_id = msg["cell_id"]
@@ -501,11 +482,6 @@ class SweepServer:
         self.queue.request_stop(str(msg.get("reason", "coordinator")))
         return {}
 
-    def _op_clear_stop(self, msg: dict[str, Any]) -> dict[str, Any]:
-        self.stop_flag = False
-        self.queue.clear_stop()
-        return {}
-
     def _op_event(self, msg: dict[str, Any]) -> dict[str, Any]:
         """Append one campaign-scope journal event (coordinator use)."""
         kind = str(msg["kind"])
@@ -529,7 +505,6 @@ class SweepServer:
     def snapshot(self) -> dict[str, Any]:
         """A status snapshot shaped like ``status.campaign_snapshot``'s."""
         now_mono = self.monotonic()
-        now_wall = time.time()
         ttl = self.lease_ttl_s
         failed = self.queue.failed_final()
         completed = self.completed & set(self.labels) if self.labels else set(self.completed)
@@ -539,21 +514,9 @@ class SweepServer:
         workers: list[dict[str, Any]] = []
         for worker_id, info in sorted(self.workers.items()):
             age = max(0.0, now_mono - info.last_beat_mono)
-            terminal = info.state in (
-                "done", "stop_requested", "interrupted", "oneshot_drained",
-                "max_cells", "server_lost",
-            )
-            if terminal:
-                health = "exited"
-            elif age <= ttl:
-                health = "live"
-            elif age <= _STALE_FACTOR * ttl:
-                health = "stale"
-            else:
-                health = "dead"
             workers.append({
                 "worker": worker_id,
-                "health": health,
+                "health": worker_health(info.state, age, ttl),
                 "state": info.state,
                 "heartbeat_age_s": round(age, 1),
                 "clock_skew": False,  # server-side receive stamps: no skew
@@ -573,16 +536,6 @@ class SweepServer:
                 "stale": remaining <= 0,
             })
 
-        ts = sorted(self._resolution_wall_ts)
-        rate = recent_rate = 0.0
-        if len(ts) >= 2 and ts[-1] > ts[0]:
-            rate = (len(ts) - 1) / (ts[-1] - ts[0])
-        recent = [t for t in ts if t >= now_wall - _RECENT_WINDOW_S]
-        if recent:
-            recent_rate = len(recent) / _RECENT_WINDOW_S
-        best = recent_rate or rate
-        remaining_cells = total - resolved
-        eta = remaining_cells / best if best > 0 and remaining_cells > 0 else None
         hit_rate = self.cached_resolutions / resolved if resolved else 0.0
 
         return {
@@ -598,9 +551,9 @@ class SweepServer:
             "in_flight": len(leases),
             "stop_requested": self.stop_flag,
             "clock_skew": False,
-            "cells_per_s": round(rate, 4),
-            "recent_cells_per_s": round(recent_rate, 4),
-            "eta_s": round(eta, 1) if eta is not None else None,
+            **throughput(
+                self._resolution_wall_ts, time.time(), total - resolved
+            ),
             "cache_hit_rate": round(hit_rate, 4),
             "leases_expired": self.leases_expired,
             "workers": workers,

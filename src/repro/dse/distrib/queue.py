@@ -145,6 +145,22 @@ class WorkQueue:
         for sub in (self.journals_dir, self.workers_dir, self.failed_dir):
             sub.mkdir(parents=True, exist_ok=True)
 
+    def reset(self) -> None:
+        """Forget a previous campaign's queue state — leases, shards,
+        heartbeats, failure records, merge offsets.  The cache stays: the
+        next cache pass mines it."""
+        stale = [self.root / "merge_state.json"]
+        for directory in (
+            self.leases.root, self.journals_dir, self.workers_dir,
+            self.failed_dir,
+        ):
+            stale.extend(directory.iterdir())
+        for path in stale:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+
     # -- stop flag -------------------------------------------------------------------
 
     @property
@@ -176,9 +192,6 @@ class WorkQueue:
 
     def release_claim(self, cell_id: str) -> bool:
         return self.leases.release(cell_id)
-
-    def holds_claim(self, cell_id: str) -> bool:
-        return self.leases.holds(cell_id)
 
     def claimed_elsewhere(self, cell_id: str) -> bool:
         """Held by a live peer? (A stale lease reads as claimable.)"""
@@ -230,6 +243,18 @@ class WorkQueue:
             if isinstance(record, dict) and record.get("final"):
                 out[path.stem] = record
         return out
+
+    def failed_summary(self) -> dict[str, dict[str, Any]]:
+        """:meth:`failed_final` in the shape coordinators fold:
+        ``{attempts, final, error}`` with the last recorded error."""
+        return {
+            cell_id: {
+                "attempts": int(record.get("attempts", 1)),
+                "final": True,
+                "error": (record.get("errors") or ["?"])[-1],
+            }
+            for cell_id, record in self.failed_final().items()
+        }
 
     # -- worker heartbeats -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.dse import journal as journal_mod
 from repro.dse.distrib.leases import lease_now
@@ -26,6 +26,46 @@ _RECENT_WINDOW_S = 60.0
 #: Heartbeats this far in the future (vs this host's clock) are flagged
 #: as cross-host clock skew rather than treated as rounding noise.
 _SKEW_TOLERANCE_S = 0.5
+
+
+#: Worker states written on the way out; such a worker is not coming back.
+_TERMINAL_STATES = (
+    "done", "stop_requested", "interrupted", "oneshot_drained",
+    "max_cells", "server_lost",
+)
+
+
+def worker_health(state: str | None, age_s: float, lease_ttl_s: float) -> str:
+    """``exited`` / ``live`` / ``stale`` / ``dead`` from a worker's last
+    reported state and the age of its last heartbeat."""
+    if state in _TERMINAL_STATES:
+        return "exited"
+    if age_s <= lease_ttl_s:
+        return "live"
+    if age_s <= _STALE_FACTOR * lease_ttl_s:
+        return "stale"
+    return "dead"
+
+
+def throughput(
+    resolution_ts: Iterable[float], now: float, remaining: int
+) -> dict[str, float | None]:
+    """Overall and recent cells/s from resolution timestamps, and the ETA
+    for ``remaining`` cells at the recent rate (overall when idle)."""
+    ts = sorted(resolution_ts)
+    rate = recent_rate = 0.0
+    if len(ts) >= 2 and ts[-1] > ts[0]:
+        rate = (len(ts) - 1) / (ts[-1] - ts[0])
+    recent = [t for t in ts if t >= now - _RECENT_WINDOW_S]
+    if recent:
+        recent_rate = len(recent) / _RECENT_WINDOW_S
+    best = recent_rate or rate
+    eta_s = remaining / best if best > 0 and remaining > 0 else None
+    return {
+        "cells_per_s": round(rate, 4),
+        "recent_cells_per_s": round(recent_rate, 4),
+        "eta_s": round(eta_s, 1) if eta_s is not None else None,
+    }
 
 
 def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
@@ -97,22 +137,10 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
         skewed = raw_age < -_SKEW_TOLERANCE_S
         any_skew = any_skew or skewed
         age = max(0.0, raw_age)
-        terminal = status.get("state") in (
-            "done", "stop_requested", "interrupted", "oneshot_drained",
-            "max_cells", "server_lost",
-        )
-        if terminal:
-            health = "exited"
-        elif age <= lease_ttl:
-            health = "live"
-        elif age <= _STALE_FACTOR * lease_ttl:
-            health = "stale"
-        else:
-            health = "dead"
         shard = per_worker.get(worker_id, {})
         workers.append({
             "worker": worker_id,
-            "health": health,
+            "health": worker_health(status.get("state"), age, lease_ttl),
             "state": status.get("state"),
             "heartbeat_age_s": round(age, 1),
             "clock_skew": skewed,
@@ -132,20 +160,6 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
             "age_s": round(info.age_s(fs_now), 1),
             "stale": queue.leases.is_stale(info, fs_now),
         })
-
-    # Throughput + ETA from resolution timestamps.
-    resolution_ts.sort()
-    rate = recent_rate = 0.0
-    if len(resolution_ts) >= 2:
-        span = resolution_ts[-1] - resolution_ts[0]
-        if span > 0:
-            rate = (len(resolution_ts) - 1) / span
-    recent = [ts for ts in resolution_ts if ts >= now - _RECENT_WINDOW_S]
-    if recent:
-        recent_rate = len(recent) / _RECENT_WINDOW_S
-    best_rate = recent_rate or rate
-    remaining = total - resolved
-    eta_s = remaining / best_rate if best_rate > 0 and remaining > 0 else None
 
     cached_total = sum(w.get("cached", 0) for w in per_worker.values())
     # cell_cached events the coordinator journaled directly (cache pass)
@@ -168,9 +182,7 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
         "in_flight": len(leases),
         "stop_requested": queue.stop_requested(),
         "clock_skew": any_skew,
-        "cells_per_s": round(rate, 4),
-        "recent_cells_per_s": round(recent_rate, 4),
-        "eta_s": round(eta_s, 1) if eta_s is not None else None,
+        **throughput(resolution_ts, now, total - resolved),
         "cache_hit_rate": round(hit_rate, 4),
         "workers": workers,
         "leases": leases,

@@ -20,6 +20,13 @@ The worker loop (:func:`repro.dse.distrib.worker.run_worker`) is written
 purely against this interface and cannot tell the difference; the chaos
 equivalence gate in ``tests/test_chaos_net.py`` pins that both
 implementations fold to identical campaign results.
+
+Both implementations also carry the *coordinator's* side of the campaign
+— ``publish``, ``cache_pass``, ``resolved_snapshot``, ``fetch``,
+``event``, ``request_stop``, ``status_snapshot`` — which is everything
+:func:`repro.dse.runner.run_campaign` and its fleet loop
+(:func:`repro.dse.distrib.coordinator.run_fleet`) ask of a campaign's
+state, so one driver serves the directory and the server.
 """
 
 from __future__ import annotations
@@ -32,14 +39,20 @@ from pathlib import Path
 from typing import Any
 
 from repro.dse import journal as journal_mod
+from repro.dse.cache import ResultCache
 from repro.dse.distrib.queue import (
     DEFAULT_LEASE_TTL_S,
     DistribError,
     WorkQueue,
+    _atomic_write_json,
+    _read_json,
     load_manifest,
+    write_manifest,
 )
 from repro.dse.distrib.shared_cache import SharedResultCache
-from repro.dse.journal import Journal
+from repro.dse.distrib.status import campaign_snapshot
+from repro.dse.grid import SweepCell
+from repro.dse.journal import Journal, JournalState
 
 #: Claim outcomes (the strings cross the wire in net mode).
 CLAIM_GRANTED = "granted"        #: lease taken; caller must run the cell
@@ -175,13 +188,86 @@ class WorkerTransport(ABC):
         """Release transport resources (never raises)."""
 
 
+#: Shard fields replaced by the canonical journal's own on merge.
+_MERGE_DROP = ("event", "seq", "ts")
+
+
+class ShardMerger:
+    """Exactly-once folding of worker journal shards into the canonical log.
+
+    Byte offsets of each shard's merged prefix live in
+    ``distrib/merge_state.json`` (written atomically after every merge),
+    so a coordinator killed between merges re-reads only unmerged
+    suffixes.  Events that would double-resolve a cell — two finishes
+    after a lease was re-issued to a second worker just as the first
+    woke back up — are dropped here, which is what makes "no
+    double-counted results" hold end to end.
+    """
+
+    def __init__(
+        self, queue: WorkQueue, journal: Journal, state: JournalState
+    ) -> None:
+        self.queue = queue
+        self.journal = journal
+        self.state = state
+        self.path = queue.root / "merge_state.json"
+        doc = _read_json(self.path)
+        self.offsets: dict[str, int] = (
+            {str(k): int(v) for k, v in doc.items()}
+            if isinstance(doc, dict)
+            else {}
+        )
+
+    def merge(self) -> int:
+        """Fold all new shard events into the canonical journal."""
+        fresh: list[tuple[float, int, str, dict[str, Any]]] = []
+        advanced = False
+        for shard in self.queue.shard_paths():
+            name = shard.stem
+            offset = self.offsets.get(name, 0)
+            events, consumed = journal_mod.read_events_from(shard, offset)
+            if consumed != offset:
+                self.offsets[name] = consumed
+                advanced = True
+            for event in events:
+                fresh.append(
+                    (float(event.get("ts", 0.0)), int(event.get("seq", 0)),
+                     name, event)
+                )
+        merged = 0
+        for _ts, _seq, name, event in sorted(fresh, key=lambda t: t[:3]):
+            kind = event["event"]
+            cell_id = event.get("cell_id")
+            if cell_id and kind in (
+                journal_mod.EVENT_CELL_FINISH,
+                journal_mod.EVENT_CELL_CACHED,
+            ):
+                if cell_id in self.state.completed:
+                    continue  # duplicate resolution (lease re-issue race)
+            fields = {
+                k: v for k, v in event.items() if k not in _MERGE_DROP
+            }
+            fields.setdefault("worker", name)
+            self.journal.append(kind, **fields)
+            self.state.fold({"event": kind, **fields})
+            merged += 1
+        if advanced:
+            _atomic_write_json(self.path, self.offsets)
+        return merged
+
+
 class FsTransport(WorkerTransport):
     """The shared-filesystem directory protocol behind the interface.
 
-    This is a *rehousing*, not a redesign: the bodies below are the
-    exact call sequences the PR 5 worker loop made inline, so the
-    on-disk protocol (lease files, journal shards, failure records,
+    This is a *rehousing*, not a redesign: the worker-side bodies below
+    are the exact call sequences the PR 5 worker loop made inline, so
+    the on-disk protocol (lease files, journal shards, failure records,
     heartbeat files, cache entries) is unchanged byte for byte.
+
+    One instance plays one role.  A worker calls ``wait_ready`` and then
+    the :class:`WorkerTransport` methods; a campaign's coordinator calls
+    ``open_journal`` (and, for a fleet, ``publish``) and then the
+    coordinator-side methods at the bottom of the class.
     """
 
     def __init__(
@@ -195,9 +281,17 @@ class FsTransport(WorkerTransport):
         self.out_dir = Path(out_dir)
         self._ttl_override = lease_ttl_s
         self.queue: WorkQueue | None = None
+        # worker role: this worker's journal shard and the locking cache
         self.cache: SharedResultCache | None = None
         self.journal: Journal | None = None
         self.manifest: dict[str, Any] | None = None
+        # coordinator role: the canonical journal, its folded state, the
+        # plain result cache, the campaign's cells and the shard merger
+        self.canonical: Journal | None = None
+        self.state = JournalState()
+        self.results: ResultCache | None = None
+        self.cells: dict[str, SweepCell] = {}
+        self.merger: ShardMerger | None = None
 
     # -- attach --------------------------------------------------------------------
 
@@ -356,6 +450,113 @@ class FsTransport(WorkerTransport):
             worker=self.worker_id,
         )
 
+    # -- coordinator side ----------------------------------------------------------
+    #
+    # The directory's answers to the calls NetTransport sends the server.
+    # ``open_journal`` has no wire twin: the server opens its own journal,
+    # while a directory's coordinator is the process that owns it.
+
+    def open_journal(
+        self, cells: dict[str, SweepCell], *, resume: bool
+    ) -> JournalState:
+        """Become the coordinator of ``cells`` (by cell id) in this directory.
+
+        Opens the canonical journal — appending when resuming, else
+        starting it over — and the result cache, and returns the replayed
+        prior state (empty unless resuming).
+        """
+        path = self.out_dir / "journal.jsonl"
+        if resume:
+            # Indexed fast path: fold only the journal tail past the
+            # snapshot in journal.jsonl.idx instead of re-reading the
+            # whole log on every resume of a large campaign.
+            self.state = journal_mod.replay_indexed(path)
+        else:
+            # The sidecar describes the journal about to be truncated; a
+            # new one of the same head and length would pass its checks.
+            journal_mod.index_path(path).unlink(missing_ok=True)
+        self.canonical = Journal(path, resume=resume)
+        self.results = ResultCache(self.out_dir / "cache")
+        self.cells = cells
+        return self.state
+
+    def publish(
+        self,
+        cells: list[dict[str, Any]],
+        *,
+        grid_id: str,
+        max_attempts: int,
+        timeout_s: float | None,
+        lease_ttl_s: float,
+        resume: bool,
+    ) -> int:
+        """Publish the work queue for a fleet (after :meth:`open_journal`);
+        a fresh campaign also resets the queue state."""
+        queue = WorkQueue(
+            self.out_dir, owner=self.worker_id, lease_ttl_s=lease_ttl_s
+        )
+        queue.clear_stop()
+        if not resume:
+            queue.reset()
+        write_manifest(
+            self.out_dir, [SweepCell.from_dict(d) for d in cells],
+            grid_id=grid_id, max_attempts=max_attempts, timeout_s=timeout_s,
+            lease_ttl_s=lease_ttl_s,
+        )
+        self.queue = queue
+        self.merger = ShardMerger(queue, self.canonical, self.state)
+        return len(cells)
+
+    def event(self, kind: str, **fields: Any) -> None:
+        """Append one campaign-scope event to the canonical journal."""
+        assert self.canonical is not None
+        self.canonical.append(kind, **fields)
+
+    def cache_pass(self, *, force: bool) -> dict[str, dict[str, Any]]:
+        """Resolve every cell already in the cache, journaling each as a
+        cache hit; under ``force`` drop the entries instead so every cell
+        is recomputed.  Returns the hits' metrics by cell id."""
+        assert self.canonical is not None and self.results is not None
+        hits: dict[str, dict[str, Any]] = {}
+        for cell_id, cell in self.cells.items():
+            if force:
+                self.results.discard(cell_id)
+                continue
+            hit = self.results.get(cell_id)
+            if hit is None:
+                continue
+            self.canonical.append(
+                journal_mod.EVENT_CELL_CACHED,
+                cell_id=cell_id,
+                label=cell.label,
+                makespan_ms=hit.get("makespan_ms"),
+                attempts=0,
+                worker="coordinator",
+                wall_time_s=hit.get("wall_time_s"),
+            )
+            self.state.fold(
+                {"event": journal_mod.EVENT_CELL_CACHED, "cell_id": cell_id}
+            )
+            hits[cell_id] = hit
+        return hits
+
+    def resolved_snapshot(self) -> tuple[set[str], dict[str, dict[str, Any]]]:
+        """Merge the workers' shards, then report ``(completed, failed)``."""
+        assert self.queue is not None and self.merger is not None
+        self.merger.merge()
+        return self.state.completed, self.queue.failed_summary()
+
+    def fetch(self, cell_ids: list[str]) -> dict[str, Any]:
+        assert self.results is not None
+        return {cell_id: self.results.get(cell_id) for cell_id in cell_ids}
+
+    def status_snapshot(self) -> dict[str, Any]:
+        return campaign_snapshot(self.out_dir)
+
+    def request_stop(self, reason: str = "coordinator") -> None:
+        assert self.queue is not None
+        self.queue.request_stop(reason)
+
     # -- teardown ------------------------------------------------------------------
 
     def close(self) -> None:
@@ -365,3 +566,14 @@ class FsTransport(WorkerTransport):
             except OSError:
                 pass
             self.journal = None
+        if self.canonical is not None:
+            try:
+                if self.merger is not None:
+                    self.merger.merge()  # what the fleet wrote while draining
+                self.canonical.close()
+                # Refresh the index sidecar so the next --resume (or
+                # --status) starts from this campaign's end.
+                journal_mod.replay_indexed(self.canonical.path)
+            except OSError:
+                pass
+            self.canonical = None

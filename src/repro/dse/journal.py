@@ -36,7 +36,6 @@ EVENT_CELL_FINISH = "cell_finish"
 EVENT_CELL_ERROR = "cell_error"
 EVENT_CELL_CACHED = "cell_cached"
 EVENT_CELL_INTERRUPTED = "cell_interrupted"
-EVENT_LEASE_EXPIRED = "lease_expired"
 
 #: Events that resolve a cell as completed.
 _COMPLETING = (EVENT_CELL_FINISH, EVENT_CELL_CACHED)

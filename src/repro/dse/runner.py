@@ -286,13 +286,13 @@ class CampaignResult:
 
 @dataclass
 class _Recorder:
-    """Journal/cache/progress bookkeeping shared by both strategies."""
+    """Result collection and progress for every mode, plus the journal
+    and cache bookkeeping of the two local execution strategies."""
 
     total: int
     cache: ResultCache | None = None
     journal: Journal | None = None
     progress: ProgressFn | None = None
-    done: int = 0
     collected: dict[str, CellResult] = field(default_factory=dict)
 
     def on_start(self, cell: SweepCell, attempt: int) -> None:
@@ -313,22 +313,22 @@ class _Recorder:
                 label=cell.label,
             )
 
-    def on_result(self, result: CellResult) -> None:
+    def collect(self, result: CellResult) -> None:
+        """Count a resolved cell (someone else has persisted it)."""
         self.collected[result.cell.cell_id] = result
-        self.done += 1
-        if result.ok and not result.cached and self.cache is not None:
+        if self.progress:
+            self.progress(len(self.collected), self.total, result)
+
+    def on_result(self, result: CellResult) -> None:
+        """Persist, journal and count a cell this process executed."""
+        if result.ok and self.cache is not None:
             assert result.metrics is not None
             self.cache.put(result.cell.cell_id, result.metrics)
         if self.journal:
             if result.ok:
-                event = (
-                    journal_mod.EVENT_CELL_CACHED
-                    if result.cached
-                    else journal_mod.EVENT_CELL_FINISH
-                )
                 metrics = result.metrics or {}
                 self.journal.append(
-                    event,
+                    journal_mod.EVENT_CELL_FINISH,
                     cell_id=result.cell.cell_id,
                     label=result.cell.label,
                     makespan_ms=metrics.get("makespan_ms"),
@@ -344,8 +344,7 @@ class _Recorder:
                     error=result.error,
                     attempts=result.attempts,
                 )
-        if self.progress:
-            self.progress(self.done, self.total, result)
+        self.collect(result)
 
 
 def _run_inline(
@@ -481,13 +480,27 @@ def run_campaign(
     *,
     out_dir: str | Path | None = None,
     jobs: int = 1,
+    workers: int | None = None,
+    server: str | None = None,
     timeout_s: float | None = None,
     retries: int = 1,
     resume: bool = False,
     force: bool = False,
+    lease_ttl_s: float | None = None,
+    poll_s: float = 0.5,
     progress: ProgressFn | None = None,
+    status_fn: Callable[[dict[str, Any]], None] | None = None,
 ) -> CampaignResult:
     """Run every cell of a sweep, returning results in grid order.
+
+    The mode only changes who executes the cells: this process, inline
+    or (``jobs > 1``) on a process pool; with ``workers=N`` a fleet
+    coordinated through ``out_dir`` — N spawned workers plus whoever
+    attaches with ``sweep-worker --out`` (``workers=0`` spawns none and
+    works the queue on an embedded thread); with ``server="HOST:PORT"``
+    the same fleet (``workers`` defaults to 1) attached to a
+    ``sweep-server``, which then owns journal, cache and failure records
+    while ``results.json`` and the workers' spools land in ``out_dir``.
 
     With ``out_dir`` the campaign is durable: completed cells land in a
     content-addressed cache (``out_dir/cache/``) and every event in an
@@ -495,92 +508,128 @@ def run_campaign(
     written to ``out_dir/results.json``.  Re-running the campaign skips
     cached cells; ``resume=True`` additionally appends to the existing
     journal (instead of starting a new one) after replaying it to report
-    where the previous attempt stopped.  ``force=True`` ignores the
-    cache and recomputes everything.
+    where the previous attempt stopped, and keeps a fleet's queue state.
+    ``force=True`` starts over in every mode: it overrides ``resume``,
+    drops the cells' cache entries and recomputes them all.
+    ``lease_ttl_s``, ``poll_s`` and ``status_fn`` (handed a status
+    snapshot every few seconds) only matter to a fleet.
     """
-    cells = grid.expand() if isinstance(grid, SweepGrid) else list(grid)
+    fleet = workers is not None or server is not None
+    if fleet and jobs > 1:
+        raise ValueError(
+            "jobs > 1 (--jobs) runs cells on a local process pool; it "
+            "cannot be combined with a fleet (--workers / --server)"
+        )
+    if fleet and out_dir is None:
+        raise ValueError(
+            "a fleet (--workers / --server) needs a campaign directory "
+            "(out_dir / --out)"
+        )
+    if isinstance(grid, SweepGrid):
+        cells, grid_id = grid.expand(), grid.grid_id
+    else:
+        cells = list(grid)
+        grid_id = f"adhoc-{len(cells)}"
+    ids = [cell.cell_id for cell in cells]
+    by_id: dict[str, SweepCell] = {}
+    for cell_id, cell in zip(ids, cells):
+        by_id.setdefault(cell_id, cell)
     max_attempts = 1 + max(0, int(retries))
+    resume = resume and not force
     t_start = time.monotonic()
 
-    cache: ResultCache | None = None
-    journal: Journal | None = None
+    # The store is the campaign's durable state as its coordinator sees
+    # it: the server, or the campaign directory (none for an in-memory
+    # run).  Everything below talks to either through the same calls.
     out_path: Path | None = None
-    prior = journal_mod.JournalState()
+    store: Any = None
+    start: dict[str, Any] = {"cells": len(cells), "resume": resume}
     if out_dir is not None:
+        from repro.dse.distrib.queue import DEFAULT_LEASE_TTL_S, DistribError
+        from repro.dse.distrib.transport import FsTransport
+
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-        cache = ResultCache(out_path / "cache")
-        journal_path = out_path / "journal.jsonl"
-        if resume:
-            # Indexed fast path: fold only the journal tail past the
-            # snapshot in journal.jsonl.idx instead of re-reading the
-            # whole log on every resume of a large campaign.
-            prior = journal_mod.replay_indexed(journal_path)
-        journal = Journal(journal_path, resume=resume)
-        journal.append(
-            journal_mod.EVENT_CAMPAIGN_START,
-            cells=len(cells),
-            resume=resume,
-            prior_completed=len(prior.completed),
-            prior_incomplete=len(prior.incomplete),
+        if server is not None:
+            from repro.dse.distrib.net.client import NetTransport
+
+            store = NetTransport(
+                server, worker_id="coordinator",
+                spool_dir=out_path / "coordinator-spool",
+            )
+            start["transport"] = "net"
+        else:
+            store = FsTransport(out_path, worker_id="coordinator")
+            prior = store.open_journal(by_id, resume=resume)
+            start.update(
+                prior_completed=len(prior.completed),
+                prior_incomplete=len(prior.incomplete),
+            )
+    recorder = _Recorder(total=len(by_id), progress=progress)
+    if fleet:
+        workers = 1 if workers is None else max(0, workers)
+        lease_ttl_s = lease_ttl_s or DEFAULT_LEASE_TTL_S
+        store.publish(
+            [cell.to_dict() for cell in by_id.values()],
+            grid_id=grid_id, max_attempts=max_attempts, timeout_s=timeout_s,
+            lease_ttl_s=lease_ttl_s, resume=resume,
         )
+        start.update(distributed=True, workers=workers)
+    elif store is not None:
+        # the local executors persist and journal what they run
+        recorder.cache, recorder.journal = store.results, store.canonical
 
-    recorder = _Recorder(
-        total=len(cells), cache=cache, journal=journal, progress=progress
-    )
-
-    # Cache pass: satisfy what we can without executing; dedupe repeats.
-    to_run: list[SweepCell] = []
-    seen: set[str] = set()
-    for cell in cells:
-        cid = cell.cell_id
-        if cid in seen:
-            continue
-        seen.add(cid)
-        hit = cache.get(cid) if (cache is not None and not force) else None
-        if hit is not None:
-            recorder.on_result(CellResult(cell, "ok", hit, cached=True))
-        else:
-            to_run.append(cell)
-
-    inline = [c for c in to_run if c.backend == "threaded"]
-    pooled = [c for c in to_run if c.backend != "threaded"]
+    interrupted = False
     try:
-        if jobs > 1 and len(pooled) > 1:
-            _run_parallel(pooled, jobs, timeout_s, max_attempts, recorder)
+        if store is not None:
+            store.event(journal_mod.EVENT_CAMPAIGN_START, **start)
+            # Cache pass: satisfy what we can without executing.
+            for cell_id, hit in store.cache_pass(force=force).items():
+                recorder.collect(
+                    CellResult(by_id[cell_id], "ok", hit, cached=True)
+                )
+        to_run = {
+            cell_id: cell for cell_id, cell in by_id.items()
+            if cell_id not in recorder.collected
+        }
+        if fleet:
+            from repro.dse.distrib.coordinator import run_fleet
+
+            run_fleet(
+                store, to_run, recorder.collect,
+                workers=workers, out_dir=out_path, server=server,
+                lease_ttl_s=lease_ttl_s, poll_s=poll_s, status_fn=status_fn,
+            )
         else:
-            _run_inline(pooled, max_attempts, recorder)
-        if inline:
-            _run_inline(inline, max_attempts, recorder)
-        if journal:
-            failed = sum(
-                1 for r in recorder.collected.values() if not r.ok
-            )
-            journal.append(
-                journal_mod.EVENT_CAMPAIGN_END,
-                cells=len(cells),
-                failed=failed,
-            )
-    except KeyboardInterrupt:
-        if journal:
-            done = sum(1 for r in recorder.collected.values() if r.ok)
-            journal.append(
-                journal_mod.EVENT_CAMPAIGN_END,
-                cells=len(cells),
-                completed=done,
-                interrupted=True,
-            )
+            inline = [c for c in to_run.values() if c.backend == "threaded"]
+            pooled = [c for c in to_run.values() if c.backend != "threaded"]
+            if jobs > 1 and len(pooled) > 1:
+                _run_parallel(pooled, jobs, timeout_s, max_attempts, recorder)
+            else:
+                _run_inline(pooled, max_attempts, recorder)
+            if inline:
+                _run_inline(inline, max_attempts, recorder)
+    except BaseException:
+        interrupted = True
         raise
     finally:
-        if journal:
-            journal.close()
-            # Refresh the index sidecar so the next --resume (or --status)
-            # starts from this campaign's end instead of replaying it.
-            journal_mod.replay_indexed(journal.path)
+        if store is not None:
+            completed = sum(1 for r in recorder.collected.values() if r.ok)
+            end: dict[str, Any] = {
+                "cells": len(cells),
+                "completed": completed,
+                "failed": len(recorder.collected) - completed,
+            }
+            if interrupted:
+                end["interrupted"] = True
+            try:
+                store.event(journal_mod.EVENT_CAMPAIGN_END, **end)
+            except DistribError:
+                pass  # the server is gone; its journal ends where it ends
+            store.close()
 
-    results = [recorder.collected[cell.cell_id] for cell in cells]
     campaign = CampaignResult(
-        results=results,
+        results=[recorder.collected[cell_id] for cell_id in ids],
         out_dir=out_path,
         elapsed_s=time.monotonic() - t_start,
     )

@@ -250,15 +250,3 @@ def sigkill_server(proc: subprocess.Popen) -> None:
     """The real thing: no cleanup handler runs, no endpoint file removed."""
     proc.send_signal(signal.SIGKILL)
     proc.wait(timeout=10)
-
-
-def wait_for(predicate, *, timeout_s: float = 30.0, poll_s: float = 0.05):
-    """Poll until ``predicate()`` is truthy; returns its value."""
-    deadline = time.monotonic() + timeout_s
-    while True:
-        value = predicate()
-        if value:
-            return value
-        if time.monotonic() >= deadline:
-            raise AssertionError("condition not met in time")
-        time.sleep(poll_s)

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.chaos_net import ChaosProxy, sigkill_server, spawn_server, wait_for
+from tests.chaos_net import ChaosProxy, sigkill_server, spawn_server
 from repro.common.retry import RetryPolicy
 from repro.dse import SweepGrid, run_campaign, validation_sweep
 from repro.dse import journal as journal_mod
@@ -47,7 +47,6 @@ from repro.dse.distrib import (
     load_manifest,
     manifest_cells,
     render_status,
-    run_networked_campaign,
     run_worker,
     write_manifest,
 )
@@ -87,12 +86,12 @@ def tiny_grid(configs=("2C+1F", "3C+0F"), policies=("frfs", "met"),
                      seeds=seeds)
 
 
-def norm(rows):
+def norm(rows, also=()):
     """Result rows modulo attribution: the equivalence-gate comparison."""
+    drop = ("worker", "wall_time_s", *also)
     out = []
     for row in sorted(rows, key=lambda r: r["cell_id"]):
-        out.append({k: v for k, v in row.items()
-                    if k not in ("worker", "wall_time_s")})
+        out.append({k: v for k, v in row.items() if k not in drop})
     return out
 
 
@@ -554,11 +553,11 @@ class TestChaosEquivalence:
             with ChaosProxy((host, port), seed=7, p_reset=0.04,
                             p_truncate=0.02, p_delay=0.04,
                             p_duplicate=0.04, delay_s=0.05) as proxy:
-                net = run_networked_campaign(
-                    grid, tmp_path / "net",
+                net = run_campaign(
+                    grid, out_dir=tmp_path / "net",
                     server=f"127.0.0.1:{proxy.port}",
                     workers=0,  # embedded worker — also behind the proxy
-                    poll_s=0.05, status_interval_s=3600,
+                    poll_s=0.05,
                 )
                 injected = sum(v for k, v in proxy.events.items()
                                if k != "pass")
@@ -580,6 +579,7 @@ class TestChaosEquivalence:
     def test_server_sigkill_restart_loses_and_duplicates_nothing(
             self, tmp_path):
         grid = tiny_grid()
+        cells = grid.expand()
         single = run_campaign(grid, out_dir=tmp_path / "single")
         assert single.ok
 
@@ -587,51 +587,101 @@ class TestChaosEquivalence:
         journal_path = srv_out / "journal.jsonl"
         proc, host, port = spawn_server(srv_out, lease_ttl_s=10.0)
         restarted = None
-        result_box: dict = {}
-
-        def campaign():
-            try:
-                result_box["result"] = run_networked_campaign(
-                    grid, tmp_path / "net", server=f"{host}:{port}",
-                    workers=1, poll_s=0.1, status_interval_s=3600,
-                )
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                result_box["error"] = exc
-
-        coordinator = threading.Thread(target=campaign, daemon=True)
-        coordinator.start()
         try:
-            # Wait until real progress is durable, then SIGKILL the
-            # server — no cleanup handler runs, leases evaporate.
-            def some_finish():
-                try:
-                    return any(
-                        e["event"] == journal_mod.EVENT_CELL_FINISH
-                        for e in journal_mod.read_events(journal_path)
-                    )
-                except OSError:
-                    return False
+            # The kill lands at a counted point, not a timed one: a worker
+            # capped at two cells has come and gone, so exactly half the
+            # campaign is durable on the server when it dies.
+            coord = NetTransport((host, port), worker_id="coordinator",
+                                 spool_dir=tmp_path / "cs")
+            coord.publish([c.to_dict() for c in cells], grid_id=grid.grid_id,
+                          max_attempts=2, timeout_s=None, lease_ttl_s=10.0,
+                          resume=False)
+            first = run_worker(
+                transport=NetTransport((host, port), worker_id="first",
+                                       spool_dir=tmp_path / "spool-first"),
+                max_cells=2, poll_s=0.05,
+            )
+            assert first.stop_reason == "max_cells"
+            before_kill, _failed = coord.resolved_snapshot()
+            coord.close()
+            assert 0 < len(before_kill) < len(cells)
 
-            wait_for(some_finish, timeout_s=120)
+            # SIGKILL: no cleanup handler runs, leases evaporate.  The
+            # restart on the same port and directory is ready once it has
+            # announced its endpoint (spawn_server waits for that), and
+            # its journal/index replay must resume with nothing lost.
             sigkill_server(proc)
-            # Restart on the same port and directory: the journal/index
-            # replay must resume the campaign with nothing lost.
             restarted, _, _ = spawn_server(srv_out, port=port,
                                            lease_ttl_s=10.0)
-            coordinator.join(timeout=180)
-            assert not coordinator.is_alive()
-            if "error" in result_box:
-                raise result_box["error"]
-            net = result_box["result"]
+            net = run_campaign(
+                grid, out_dir=tmp_path / "net", server=f"{host}:{port}",
+                workers=1, resume=True, poll_s=0.1,
+            )
             assert net.ok
-            assert norm(net.rows()) == norm(single.rows())
+            # Nothing lost: what finished before the kill is a cache hit
+            # now, the rest was executed by the resumed fleet ...
+            assert {r.cell.cell_id for r in net if r.cached} == before_kill
+            assert net.executed == len(cells) - len(before_kill)
+            assert norm(net.rows(), also=("cached",)) == norm(
+                single.rows(), also=("cached",))
+            # ... and nothing duplicated, across both server lifetimes.
             counts = resolving_events_per_cell(journal_path)
-            assert counts == {c.cell_id: 1 for c in grid.expand()}
+            assert counts == {c.cell_id: 1 for c in cells}
         finally:
             for p in (proc, restarted):
                 if p is not None and p.poll() is None:
                     p.terminate()
                     p.wait(timeout=10)
+
+
+# -- one campaign driver, three modes --------------------------------------------------
+
+
+@pytest.fixture(params=["jobs", "workers", "server"])
+def campaign_mode(request, tmp_path):
+    """``(run_campaign kwargs, canonical journal path)`` for each mode."""
+    out = tmp_path / "camp"
+    if request.param == "jobs":
+        yield {"out_dir": out}, out / "journal.jsonl"
+    elif request.param == "workers":
+        yield ({"out_dir": out, "workers": 0, "poll_s": 0.05},
+               out / "journal.jsonl")
+    else:
+        srv = tmp_path / "srv"
+        _server, host, port, stop, thread = live_server(srv)
+        try:
+            yield ({"out_dir": out, "server": f"{host}:{port}", "workers": 0,
+                    "poll_s": 0.05}, srv / "journal.jsonl")
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+
+
+class TestCampaignModes:
+    def test_every_mode_matches_the_in_memory_campaign(self, campaign_mode):
+        kwargs, journal_path = campaign_mode
+        grid = tiny_grid()
+        reference = run_campaign(grid)
+        campaign = run_campaign(grid, **kwargs)
+        assert campaign.ok and reference.ok
+        assert norm(campaign.rows(), also=("cached", "core")) == norm(
+            reference.rows(), also=("cached", "core"))
+        counts = resolving_events_per_cell(journal_path)
+        assert counts == {c.cell_id: 1 for c in grid.expand()}
+
+    def test_resume_force_recomputes_every_cell(self, campaign_mode):
+        # --resume --force used to mean three things: the fleet modes
+        # dropped the cache entries, believed the journal's completed
+        # set, ran nothing and returned ok rows without metrics.
+        kwargs, _journal_path = campaign_mode
+        grid = tiny_grid()
+        assert run_campaign(grid, **kwargs).executed == 4
+        again = run_campaign(grid, resume=True, force=True, **kwargs)
+        assert again.ok
+        assert again.executed == 4 and again.cached_hits == 0
+        assert all(r.metrics and r.metrics["makespan_ms"] > 0 for r in again)
+        # and what it recomputed is what a later run finds
+        assert run_campaign(grid, resume=True, **kwargs).cached_hits == 4
 
 
 # -- clock skew in status (satellite) --------------------------------------------------

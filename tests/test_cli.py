@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_USAGE, build_parser, main
 
 
 class TestParser:
@@ -161,6 +161,16 @@ class TestSweep:
         doc = json.loads((out / "results.json").read_text())
         assert doc["summary"]["executed"] == 0
         assert doc["summary"]["cached"] == 12
+
+    def test_jobs_with_a_fleet_is_a_usage_error(self, tmp_path, capsys):
+        # --jobs used to be silently dropped when --workers was given
+        out = tmp_path / "campaign"
+        rc = main(["sweep", *self.GRID, "--jobs", "4", "--workers", "2",
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "--workers" in err
+        assert not out.exists()  # rejected before anything was touched
 
     def test_sweep_json_output(self, tmp_path, capsys):
         out = tmp_path / "campaign"

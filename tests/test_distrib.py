@@ -30,7 +30,7 @@ from repro.dse.distrib import (
     campaign_snapshot,
     merge_once,
     render_status,
-    run_distributed_campaign,
+    run_fleet,
     run_worker,
     status_line,
     write_manifest,
@@ -358,33 +358,12 @@ class TestWorkerLoop:
 
 
 class TestDistributedCampaign:
-    def test_embedded_matches_single_process(self, tmp_path):
-        grid = tiny_grid()
-        single = run_campaign(grid, out_dir=tmp_path / "single")
-        dist = run_distributed_campaign(grid, tmp_path / "dist",
-                                        workers=0, poll_s=0.05)
-        assert dist.ok and single.ok
-
-        def norm(rows):
-            out = []
-            for row in sorted(rows, key=lambda r: r["cell_id"]):
-                row = {k: v for k, v in row.items()
-                       if k not in ("worker", "wall_time_s")}
-                out.append(row)
-            return out
-
-        assert norm(dist.rows()) == norm(single.rows())
-        sa = journal_mod.replay(tmp_path / "single" / "journal.jsonl")
-        sb = journal_mod.replay(tmp_path / "dist" / "journal.jsonl")
-        assert sa.completed == sb.completed
-
     def test_resume_uses_cache_and_runs_nothing(self, tmp_path):
         grid = tiny_grid()
-        first = run_distributed_campaign(grid, tmp_path, workers=0,
-                                         poll_s=0.05)
+        first = run_campaign(grid, out_dir=tmp_path, workers=0, poll_s=0.05)
         assert first.summary()["executed"] == 4
-        second = run_distributed_campaign(grid, tmp_path, workers=0,
-                                          resume=True, poll_s=0.05)
+        second = run_campaign(grid, out_dir=tmp_path, workers=0,
+                              resume=True, poll_s=0.05)
         assert second.ok
         assert second.summary()["executed"] == 0
         assert second.summary()["cached"] == 4
@@ -392,24 +371,131 @@ class TestDistributedCampaign:
     def test_failed_cells_fail_the_campaign(self, tmp_path):
         grid = tiny_grid(policies=("frfs", "no_such_policy"),
                          configs=("2C+1F",))
-        campaign = run_distributed_campaign(grid, tmp_path, workers=0,
-                                            poll_s=0.05, retries=0)
+        campaign = run_campaign(grid, out_dir=tmp_path, workers=0,
+                                poll_s=0.05, retries=0)
         assert not campaign.ok
         statuses = {r["status"] for r in campaign.rows()}
         assert statuses == {"ok", "error"}
 
+    def test_mode_arguments_that_cannot_combine_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="--jobs.*--workers"):
+            run_campaign(tiny_grid(), out_dir=tmp_path, jobs=2, workers=0)
+        with pytest.raises(ValueError, match="--jobs.*--server"):
+            run_campaign(tiny_grid(), out_dir=tmp_path, jobs=2,
+                         server="127.0.0.1:1")
+        with pytest.raises(ValueError, match="campaign directory"):
+            run_campaign(tiny_grid(), workers=0)
+        assert not list(tmp_path.iterdir())  # refused before any side effect
+
     def test_campaign_rows_carry_worker_attribution(self, tmp_path):
-        campaign = run_distributed_campaign(tiny_grid(), tmp_path,
-                                            workers=0, poll_s=0.05)
+        campaign = run_campaign(tiny_grid(), out_dir=tmp_path,
+                                workers=0, poll_s=0.05)
         for row in campaign.rows():
             assert row["worker"] == "w0-embedded"
             assert row["wall_time_s"] > 0
 
 
+class FakeFleetTransport:
+    """The coordinator-side calls ``run_fleet`` makes, scripted.
+
+    ``script`` yields, per ``resolved_snapshot`` call, either a set of
+    completed cell ids or an exception to raise; the last entry repeats.
+    """
+
+    def __init__(self, script, *, live_workers=0):
+        self.script = list(script)
+        self.live_workers = live_workers
+        self.stopped = False
+
+    def resolved_snapshot(self):
+        step = self.script.pop(0) if len(self.script) > 1 else self.script[0]
+        if isinstance(step, Exception):
+            raise step
+        return set(step), {}
+
+    def fetch(self, cell_ids):
+        return {cid: {"makespan_ms": 1.0} for cid in cell_ids}
+
+    def status_snapshot(self):
+        return {"workers": [{"worker": f"ext{i}", "health": "live"}
+                            for i in range(self.live_workers)]}
+
+    def request_stop(self):
+        self.stopped = True
+
+
+class ExitedProc:
+    """A spawned worker that is already gone by the first poll."""
+
+    def poll(self):
+        return 0
+
+    def wait(self, timeout=None):
+        return 0
+
+
+class TestFleetLiveness:
+    """One rule through the one loop: no sockets, no subprocess, no time."""
+
+    def run(self, transport, *, cells=None):
+        from repro.dse.distrib.coordinator import WORKER_GRACE_S
+
+        cells = cells or tiny_grid().expand()
+        now = [0.0]
+        reported = []
+        pending = {c.cell_id: c for c in cells}
+
+        def sleep(_dt):
+            now[0] += WORKER_GRACE_S / 4  # a few polls span the grace window
+
+        run_fleet(
+            transport, pending, reported.append,
+            workers=2, out_dir=Path("unused"), server=None,
+            lease_ttl_s=1.0, poll_s=0.5,
+            spawn=lambda *a, **kw: ExitedProc(),
+            clock=lambda: now[0], sleep=sleep,
+        )
+        return reported
+
+    def test_live_external_worker_keeps_the_campaign_going(self):
+        # Every spawned process is gone and nothing is resolved yet, but
+        # an attached worker is heartbeating: wait for it, through either
+        # transport (the networked loop used to abort here).
+        ids = [c.cell_id for c in tiny_grid().expand()]
+        transport = FakeFleetTransport([set(), set(ids[:2]), set(ids)],
+                                       live_workers=1)
+        reported = self.run(transport)
+        assert sorted(r.cell.cell_id for r in reported) == sorted(ids)
+        assert all(r.ok and r.metrics for r in reported)
+        assert transport.stopped
+
+    def test_stranded_when_nobody_is_left(self):
+        transport = FakeFleetTransport([set()])
+        with pytest.raises(DistribError, match="4 cells unresolved"):
+            self.run(transport)
+        assert transport.stopped
+
+    def test_work_finished_before_the_fleet_left_is_counted(self):
+        # Workers exit "done" the moment the store has every cell; the
+        # snapshot read after seeing them gone must settle the campaign.
+        ids = [c.cell_id for c in tiny_grid().expand()]
+        reported = self.run(FakeFleetTransport([set(ids)]))
+        assert len(reported) == len(ids)
+
+    def test_unreachable_store_gets_a_grace_window(self):
+        ids = [c.cell_id for c in tiny_grid().expand()]
+        down = DistribError("server restarting")
+        # Back within the window: the campaign concludes.
+        reported = self.run(FakeFleetTransport([down, down, set(ids)]))
+        assert len(reported) == len(ids)
+        # Never back: a named error, not a hang.
+        with pytest.raises(DistribError, match="store is unreachable"):
+            self.run(FakeFleetTransport([down]))
+
+
 class TestStatus:
     def test_snapshot_of_finished_campaign(self, tmp_path):
-        run_distributed_campaign(tiny_grid(), tmp_path, workers=0,
-                                 poll_s=0.05)
+        run_campaign(tiny_grid(), out_dir=tmp_path, workers=0, poll_s=0.05)
         snap = campaign_snapshot(tmp_path)
         assert snap["cells"] == 4
         assert snap["resolved"] == 4
@@ -509,9 +595,8 @@ class TestKillMidFlight:
         ), "orphaned worker never released its leases"
         queue.clear_stop()
 
-        campaign = run_distributed_campaign(grid, out, workers=0,
-                                            resume=True, poll_s=0.05,
-                                            lease_ttl_s=1)
+        campaign = run_campaign(grid, out_dir=out, workers=0, resume=True,
+                                poll_s=0.05, lease_ttl_s=1)
         # Nothing lost: every cell resolves ok in the resumed campaign.
         assert campaign.ok
         assert len(campaign.rows()) == len(cells)
@@ -537,9 +622,9 @@ class TestGCAndCLI:
         from repro.dse.maintenance import gc_campaign
 
         grid = tiny_grid()
-        run_distributed_campaign(grid, tmp_path, workers=0, poll_s=0.05)
-        run_distributed_campaign(grid, tmp_path, workers=0, resume=True,
-                                 poll_s=0.05)
+        run_campaign(grid, out_dir=tmp_path, workers=0, poll_s=0.05)
+        run_campaign(grid, out_dir=tmp_path, workers=0, resume=True,
+                     poll_s=0.05)
         cache = ResultCache(tmp_path / "cache")
         cache.put("f" * 16, {"makespan_ms": 1.0})  # orphan: not in campaign
         corrupt = cache.path_for("e" * 16)
@@ -561,8 +646,8 @@ class TestGCAndCLI:
         assert after.incomplete == before.incomplete
         # Resume after GC still runs nothing: the compacted journal and
         # surviving cache entries carry the full campaign state.
-        again = run_distributed_campaign(grid, tmp_path, workers=0,
-                                         resume=True, poll_s=0.05)
+        again = run_campaign(grid, out_dir=tmp_path, workers=0,
+                             resume=True, poll_s=0.05)
         assert again.summary()["executed"] == 0
 
     def test_cli_status_and_gc(self, tmp_path, capsys):
