@@ -6,7 +6,10 @@ where the cell ID is a content hash of the cell's parameters
 the same one, a superset grid, or a different campaign that happens to
 share cells — therefore skips every cell whose result already exists.
 
-Writes are atomic (temp file + ``os.replace``) so a campaign killed
+An entry is one line of sorted-key JSON, ``{"cell_id", "metrics",
+"version"}``; entries written indented by earlier builds parse to the
+same document and stay valid hits.  Writes are atomic
+(:func:`repro.common.atomic.atomic_write_json`) so a campaign killed
 mid-write can never leave a truncated entry behind; a corrupt or
 unreadable entry is treated as a miss.
 """
@@ -14,9 +17,10 @@ unreadable entry is treated as a miss.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any
+
+from repro.common.atomic import atomic_write_json
 
 #: Bumped whenever the metrics payload schema changes incompatibly;
 #: entries written under another version read as misses.
@@ -37,9 +41,9 @@ class ResultCache:
         """The cached metrics payload, or ``None`` on miss/corruption."""
         path = self.path_for(cell_id)
         try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            with open(path, "rb") as fh:
+                entry = json.loads(fh.read())
+        except (OSError, ValueError):
             return None
         if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
             return None
@@ -49,17 +53,14 @@ class ResultCache:
     def put(self, cell_id: str, metrics: dict[str, Any]) -> Path:
         """Atomically persist a cell's metrics; returns the entry path.
 
-        The temp name embeds the writer's pid so concurrent writers on a
-        shared cache directory (multiple sweep workers, or two campaigns
-        sharing cells) never collide mid-write; last rename wins, and
-        both writers wrote the same deterministic payload anyway.
+        Concurrent writers on a shared cache directory (multiple sweep
+        workers, or two campaigns sharing cells) never collide mid-write;
+        last rename wins, and both wrote the same deterministic payload
+        anyway.
         """
         path = self.path_for(cell_id)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         entry = {"version": CACHE_VERSION, "cell_id": cell_id, "metrics": metrics}
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)
+        atomic_write_json(path, entry, sort_keys=True)
         return path
 
     def discard(self, cell_id: str) -> bool:

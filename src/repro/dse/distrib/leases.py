@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +43,8 @@ def lease_now(path: Path) -> float:
     server's clock, which is the same clock that stamps lease renewals —
     so expiry decisions are consistent across hosts with skewed clocks.
     """
-    probe = path / f".clock.{os.getpid()}"
+    # per thread as well as per process: callers race from worker threads
+    probe = path / f".clock.{os.getpid()}.{threading.get_ident()}"
     try:
         with open(probe, "w", encoding="utf-8"):
             pass
@@ -124,9 +126,11 @@ class LeaseDir:
     def try_acquire(self, name: str, **meta: Any) -> bool:
         """One attempt to take the lease; never blocks, never breaks stale."""
         tmp = self._unique(f"claim.{name}")
-        body = {"owner": self.owner, "acquired_ts": time.time(), **meta}
+        body = json.dumps(
+            {"owner": self.owner, "acquired_ts": time.time(), **meta}
+        )
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(body, fh)
+            fh.write(body)
         try:
             os.link(tmp, self.path_for(name))
             return True
@@ -141,7 +145,7 @@ class LeaseDir:
             except FileExistsError:
                 return False
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(body, fh)
+                fh.write(body)
             return True
         finally:
             try:

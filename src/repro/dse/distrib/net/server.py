@@ -43,12 +43,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.common.atomic import atomic_write_json
 from repro.dse import journal as journal_mod
 from repro.dse.cache import ResultCache
 from repro.dse.distrib.queue import (
     DEFAULT_LEASE_TTL_S,
     WorkQueue,
-    _atomic_write_json,
     _read_json,
     distrib_dir,
     write_manifest,
@@ -262,28 +262,33 @@ class SweepServer:
 
     def _op_cache_pass(self, msg: dict[str, Any]) -> dict[str, Any]:
         """Resolve every cell already in the cache (or drop them, --force)."""
-        force = bool(msg.get("force"))
-        worker = str(msg.get("worker", "coordinator"))
-        cached: list[str] = []
-        for cell_id in self.order:
-            if force:
+        if msg.get("force"):
+            for cell_id in self.order:
                 self.cache.discard(cell_id)
-                continue
-            if cell_id in self.completed:
-                cached.append(cell_id)
-                continue
-            if self.cache.get(cell_id) is not None:
-                self.journal.append(
-                    journal_mod.EVENT_CELL_CACHED,
-                    cell_id=cell_id,
-                    label=self.labels.get(cell_id, cell_id),
-                    worker=worker,
-                    attempts=0,
-                )
-                self.completed.add(cell_id)
-                self._note_resolution(cached=True)
-                cached.append(cell_id)
-        return {"cached": sorted(cached)}
+            return {"cached": []}
+        worker = str(msg.get("worker", "coordinator"))
+        fresh = [
+            cell_id for cell_id in self.order
+            if cell_id not in self.completed
+            and self.cache.get(cell_id) is not None
+        ]
+        # one write + flush for the pass, before the reply goes out
+        self.journal.append_many(
+            journal_mod.EVENT_CELL_CACHED,
+            [
+                {
+                    "cell_id": cell_id,
+                    "label": self.labels.get(cell_id, cell_id),
+                    "worker": worker,
+                    "attempts": 0,
+                }
+                for cell_id in fresh
+            ],
+        )
+        for _cell_id in fresh:
+            self._note_resolution(cached=True)
+        self.completed.update(fresh)
+        return {"cached": sorted(c for c in self.order if c in self.completed)}
 
     def _op_resolved(self, msg: dict[str, Any]) -> dict[str, Any]:
         return {
@@ -570,7 +575,7 @@ class SweepServer:
         self._listener.listen(128)
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()[:2]
-        _atomic_write_json(endpoint_path(self.out_dir), {
+        atomic_write_json(endpoint_path(self.out_dir), {
             "host": self.host,
             "port": self.port,
             "pid": os.getpid(),

@@ -15,9 +15,10 @@ exists — which is the only situation the network transport exists for.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any
+
+from repro.common.atomic import atomic_write_json
 
 
 class ResultSpool:
@@ -43,7 +44,6 @@ class ResultSpool:
     ) -> Path:
         """Persist one submission durably (atomic rename)."""
         path = self._path(token)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         doc = {
             "cell_id": cell_id,
             "label": label,
@@ -52,8 +52,7 @@ class ResultSpool:
             "wall_time_s": wall_time_s,
             "token": token,
         }
-        tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        atomic_write_json(path, doc, sort_keys=True)
         return path
 
     def entries(self) -> list[dict[str, Any]]:

@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.common.atomic import atomic_write_json
 from repro.common.errors import ReproError
 from repro.dse.distrib.leases import LeaseDir
 from repro.dse.grid import SweepCell
@@ -52,15 +53,8 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _atomic_write_json(path: Path, doc: Any) -> None:
-    # Keys are written in insertion order, never sorted: the order of a
-    # validation workload's ``apps`` is execution-significant and part of
-    # ``SweepCell.cell_id``, so a manifest that sorted it would hand workers
-    # different cells than the coordinator expanded.
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-    os.replace(tmp, path)
+#: The name tests/test_chaos_net.py imports the writer under.
+_atomic_write_json = atomic_write_json
 
 
 def _read_json(path: Path) -> Any | None:
@@ -96,7 +90,8 @@ def write_manifest(
         "cells": [cell.to_dict() for cell in cells],
     }
     path = root / "manifest.json"
-    _atomic_write_json(path, doc)
+    # insertion order, never sorted: ``apps`` order is part of the cell id
+    atomic_write_json(path, doc)
     return path
 
 
@@ -168,7 +163,7 @@ class WorkQueue:
         return self.root / "STOP"
 
     def request_stop(self, reason: str = "coordinator") -> None:
-        _atomic_write_json(
+        atomic_write_json(
             self.stop_path, {"reason": reason, "ts": round(time.time(), 3)}
         )
 
@@ -222,7 +217,7 @@ class WorkQueue:
         record["final"] = record["attempts"] >= max_attempts
         record["worker"] = self.owner
         record["ts"] = round(time.time(), 3)
-        _atomic_write_json(self.failure_path(cell_id), record)
+        atomic_write_json(self.failure_path(cell_id), record)
         return record
 
     def clear_failure(self, cell_id: str) -> None:
@@ -262,7 +257,7 @@ class WorkQueue:
         return self.workers_dir / f"{worker_id}.json"
 
     def write_worker_status(self, worker_id: str, **fields: Any) -> None:
-        _atomic_write_json(
+        atomic_write_json(
             self.worker_path(worker_id),
             {"worker": worker_id, "ts": round(time.time(), 3), **fields},
         )

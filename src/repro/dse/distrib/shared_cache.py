@@ -1,7 +1,7 @@
 """Shared-filesystem variant of the campaign result cache.
 
-:class:`SharedResultCache` keeps the PR 1 content-hash store's on-disk
-format byte-for-byte (entries written by either class read identically)
+:class:`SharedResultCache` keeps the PR 1 content-hash store's schema
+(same entry keys and version; either class reads the other's entries)
 and layers on what concurrent campaigns on a shared mount need:
 
 * **execution locks** — an owner-checked lease per cell ID under

@@ -35,16 +35,17 @@ import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Any
 
+from repro.common.atomic import atomic_write_json
 from repro.dse import journal as journal_mod
 from repro.dse.cache import ResultCache
 from repro.dse.distrib.queue import (
     DEFAULT_LEASE_TTL_S,
     DistribError,
     WorkQueue,
-    _atomic_write_json,
     _read_json,
     load_manifest,
     write_manifest,
@@ -234,7 +235,7 @@ class ShardMerger:
                     (float(event.get("ts", 0.0)), int(event.get("seq", 0)),
                      name, event)
                 )
-        merged = 0
+        kept: list[tuple[str, dict[str, Any]]] = []
         for _ts, _seq, name, event in sorted(fresh, key=lambda t: t[:3]):
             kind = event["event"]
             cell_id = event.get("cell_id")
@@ -248,12 +249,15 @@ class ShardMerger:
                 k: v for k, v in event.items() if k not in _MERGE_DROP
             }
             fields.setdefault("worker", name)
-            self.journal.append(kind, **fields)
             self.state.fold({"event": kind, **fields})
-            merged += 1
+            kept.append((kind, fields))
+        # one write per run of same-kind events, in merge order; the
+        # offsets below advance only once every run is flushed
+        for kind, run in groupby(kept, key=lambda pair: pair[0]):
+            self.journal.append_many(kind, [fields for _kind, fields in run])
         if advanced:
-            _atomic_write_json(self.path, self.offsets)
-        return merged
+            atomic_write_json(self.path, self.offsets)
+        return len(kept)
 
 
 class FsTransport(WorkerTransport):
@@ -517,27 +521,33 @@ class FsTransport(WorkerTransport):
         cache hit; under ``force`` drop the entries instead so every cell
         is recomputed.  Returns the hits' metrics by cell id."""
         assert self.canonical is not None and self.results is not None
-        hits: dict[str, dict[str, Any]] = {}
-        for cell_id, cell in self.cells.items():
-            if force:
+        if force:
+            for cell_id in self.cells:
                 self.results.discard(cell_id)
-                continue
+            return {}
+        hits: dict[str, dict[str, Any]] = {}
+        records: list[dict[str, Any]] = []
+        for cell_id, cell in self.cells.items():
             hit = self.results.get(cell_id)
             if hit is None:
                 continue
-            self.canonical.append(
-                journal_mod.EVENT_CELL_CACHED,
-                cell_id=cell_id,
-                label=cell.label,
-                makespan_ms=hit.get("makespan_ms"),
-                attempts=0,
-                worker="coordinator",
-                wall_time_s=hit.get("wall_time_s"),
-            )
+            hits[cell_id] = hit
+            records.append({
+                "cell_id": cell_id,
+                "label": cell.label,
+                "makespan_ms": hit.get("makespan_ms"),
+                "attempts": 0,
+                "worker": "coordinator",
+                "wall_time_s": hit.get("wall_time_s"),
+            })
+        # One write for the whole pass: a hit's durable result is its
+        # cache entry, so a kill before the flush only means the next run
+        # hits (and journals) these cells again.
+        self.canonical.append_many(journal_mod.EVENT_CELL_CACHED, records)
+        for cell_id in hits:
             self.state.fold(
                 {"event": journal_mod.EVENT_CELL_CACHED, "cell_id": cell_id}
             )
-            hits[cell_id] = hit
         return hits
 
     def resolved_snapshot(self) -> tuple[set[str], dict[str, dict[str, Any]]]:

@@ -115,13 +115,18 @@ class _Heartbeat(threading.Thread):
         self.transport = transport
         self.shared = shared
         self.interval_s = interval_s
-        self._stop = threading.Event()
+        # not ``_stop``: Thread.join() calls a method of that name
+        self._halt = threading.Event()
 
     def stop(self) -> None:
-        self._stop.set()
+        """Stop beating and wait out a beat already in flight, so the
+        caller's next :meth:`beat` is the last word on the status file."""
+        self._halt.set()
+        if self.is_alive():
+            self.join(timeout=self.interval_s)
 
     def run(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._halt.wait(self.interval_s):
             self.beat()
 
     def beat(self) -> None:
@@ -235,8 +240,8 @@ def run_worker(
             shared.done = summary.executed + summary.cached
             shared.state = "idle"
 
-    heartbeat.start()
     heartbeat.beat()
+    heartbeat.start()
     disconnected_since: float | None = None
     try:
         while True:

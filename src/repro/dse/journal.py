@@ -25,8 +25,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, IO
+from typing import Any, IO, Iterable
 
+from repro.common.atomic import atomic_write_json
 from repro.common.retry import FS_RETRY, is_transient_oserror
 
 EVENT_CAMPAIGN_START = "campaign_start"
@@ -61,6 +62,22 @@ class Journal:
         self._seq = 0
 
     def append(self, event: str, **fields: Any) -> None:
+        """Append one event and flush it before returning."""
+        self._write(self._line(event, fields))
+
+    def append_many(self, event: str, records: Iterable[dict[str, Any]]) -> None:
+        """Append one ``event`` line per record in a single write + flush.
+
+        Each line gets its own ``seq``/``ts`` exactly as :meth:`append`
+        stamps them.  For batches whose durable truth lives elsewhere (a
+        cache hit's entry, a shard's own lines): a kill mid-batch loses
+        only lines the next run re-derives.
+        """
+        text = "".join(self._line(event, fields) for fields in records)
+        if text:
+            self._write(text)
+
+    def _line(self, event: str, fields: dict[str, Any]) -> str:
         if self._fh is None:
             raise ValueError("journal is closed")
         self._seq += 1
@@ -70,24 +87,27 @@ class Journal:
             "ts": round(time.time(), 3),
             **fields,
         }
-        line = json.dumps(record, sort_keys=True) + "\n"
+        return json.dumps(record, sort_keys=True) + "\n"
+
+    def _write(self, text: str) -> None:
         try:
-            self._fh.write(line)
+            self._fh.write(text)
             self._fh.flush()
         except OSError as exc:
             if not is_transient_oserror(exc):
                 raise
-            self._retry_append(line)
+            self._retry_append(text)
 
-    def _retry_append(self, line: str) -> None:
+    def _retry_append(self, text: str) -> None:
         """Recover an append hit by a transient filesystem hiccup.
 
         ``EINTR``/``ESTALE``/``EAGAIN`` (NFS remounts, interrupted
         syscalls) can leave the stream handle poisoned and the file with
         a torn partial line, so each retry reopens the journal after
-        isolating any torn tail.  Replay skips torn fragments, and
-        completed-set folding is idempotent, so the rare double-written
-        line is harmless — losing the event is the only real failure.
+        isolating any torn tail and writes the whole text (one line, or a
+        batch) again.  Replay skips torn fragments, and completed-set
+        folding is idempotent, so the rare double-written line is
+        harmless — losing the event is the only real failure.
         """
 
         def attempt() -> None:
@@ -98,7 +118,7 @@ class Journal:
                     pass
             _repair_torn_tail(self.path)
             self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(line)
+            self._fh.write(text)
             self._fh.flush()
 
         FS_RETRY.call(attempt)
@@ -251,10 +271,7 @@ def write_index(path: str | Path, state: JournalState) -> Path:
         "started": sorted(state.started),
         "interrupted": sorted(state.interrupted),
     }
-    tmp = idx.with_name(idx.name + f".{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, idx)
+    atomic_write_json(idx, doc)
     return idx
 
 

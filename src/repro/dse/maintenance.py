@@ -6,11 +6,18 @@ entries for cells no journal or manifest references anymore (e.g. after
 a grid was narrowed), stale lease tombstones, and a journal that grows
 without bound across resumes.  :func:`gc_campaign` reclaims all of it:
 
-* **cache** — removes leftover ``*.tmp`` files, entries that fail to
-  parse or carry a foreign cache version, and (when the campaign has a
-  journal or manifest to define "referenced") entries for unreferenced
-  cells.  GC is deliberately campaign-scoped: do not point it at a cache
-  directory shared by campaigns whose journals live elsewhere.
+* **temp files** — every durable document is written through
+  :mod:`repro.common.atomic`, so a killed writer leaves exactly one kind
+  of debris, ``<name>.<pid>.<n>.tmp``.  It is collected once older than
+  ``TMP_GRACE_S`` wherever a writer works: ``cache/``, the campaign root
+  (journal index, compaction, ``results.json``), everywhere under
+  ``distrib/`` (manifest, merge offsets, ``workers/``, ``failed/``), and
+  the result spools (``*spool*/``).
+* **cache** — removes entries that fail to parse or carry a foreign
+  cache version, and (when the campaign has a journal or manifest to
+  define "referenced") entries for unreferenced cells.  GC is
+  deliberately campaign-scoped: do not point it at a cache directory
+  shared by campaigns whose journals live elsewhere.
 * **journal** — compacts to the minimal equivalent history: the latest
   ``campaign_start``, one resolving event per completed cell, the last
   error per failed cell, start/interrupt markers for incomplete cells,
@@ -27,7 +34,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.dse import journal as journal_mod
 from repro.dse.cache import CACHE_VERSION, ResultCache
@@ -77,16 +84,26 @@ def _referenced_cells(out_dir: Path) -> set[str] | None:
     return referenced if have_any else None
 
 
-def _gc_cache(out_dir: Path, now: float) -> dict[str, int]:
-    cache = ResultCache(out_dir / "cache")
-    report = {"tmp_removed": 0, "corrupt_removed": 0, "orphans_removed": 0}
-    for tmp in cache.tmp_files():
+def _sweep_tmp(tmp_files: Iterable[Path], now: float) -> int:
+    """Unlink the temp files past their grace period; returns the count."""
+    removed = 0
+    for tmp in tmp_files:
         try:
             if now - tmp.stat().st_mtime >= TMP_GRACE_S:
                 tmp.unlink()
-                report["tmp_removed"] += 1
+                removed += 1
         except OSError:
             pass
+    return removed
+
+
+def _gc_cache(out_dir: Path, now: float) -> dict[str, int]:
+    cache = ResultCache(out_dir / "cache")
+    report = {
+        "tmp_removed": _sweep_tmp(cache.tmp_files(), now),
+        "corrupt_removed": 0,
+        "orphans_removed": 0,
+    }
     referenced = _referenced_cells(out_dir)
     for cell_id in cache.cell_ids():
         path = cache.path_for(cell_id)
@@ -171,10 +188,11 @@ def compact_journal(journal_path: str | Path) -> dict[str, int]:
 
 
 def _gc_distrib(out_dir: Path, now: float) -> dict[str, int]:
-    report = {"lease_debris": 0, "stale_worker_files": 0}
+    report = {"tmp_removed": 0, "lease_debris": 0, "stale_worker_files": 0}
     root = out_dir / "distrib"
     if not root.is_dir():
         return report
+    report["tmp_removed"] = _sweep_tmp(root.rglob("*.tmp"), now)
     leases_dir = root / "leases"
     if leases_dir.is_dir():
         for path in list(leases_dir.glob(".claim.*")) + list(
@@ -208,5 +226,9 @@ def gc_campaign(out_dir: str | Path) -> dict[str, Any]:
         report["journal"] = compact_journal(journal_path)
     else:
         report["journal"] = {"events_before": 0, "events_after": 0}
+    report["journal"]["tmp_removed"] = _sweep_tmp(out_path.glob("*.tmp"), now)
     report["distrib"] = _gc_distrib(out_path, now)
+    report["spools"] = {
+        "tmp_removed": _sweep_tmp(out_path.glob("*spool*/*.tmp"), now)
+    }
     return report

@@ -26,11 +26,12 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro import core as core_select
+from repro.common.atomic import atomic_write_lines
 from repro.dse import journal as journal_mod
 from repro.dse.cache import ResultCache
 from repro.dse.grid import SweepCell, SweepGrid, build_workload, describe_workload
@@ -273,11 +274,20 @@ class CampaignResult:
         }
 
     def save(self, path: str | Path) -> Path:
+        """Write ``{"summary": ..., "cells": rows}`` as plain JSON, the
+        summary on the first line and one row per line after it."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"summary": self.summary(), "cells": self.rows()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+
+        def lines() -> Iterator[str]:
+            yield f'{{"summary": {json.dumps(self.summary())},\n"cells": [\n'
+            sep = ""
+            for result in self.results:
+                yield sep + json.dumps(result.row())
+                sep = ",\n"
+            yield "\n]}\n"
+
+        atomic_write_lines(path, lines())
         return path
 
 

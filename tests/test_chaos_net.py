@@ -683,6 +683,34 @@ class TestCampaignModes:
         # and what it recomputed is what a later run finds
         assert run_campaign(grid, resume=True, **kwargs).cached_hits == 4
 
+    def test_kill_inside_the_cache_pass_loses_nothing(
+        self, campaign_mode, monkeypatch
+    ):
+        # The cache pass journals its hits in one batch.  Dying after the
+        # cache was read but before that batch is written must cost
+        # nothing: a hit's durable result is its cache entry.
+        kwargs, journal_path = campaign_mode
+        grid = tiny_grid()
+        first = run_campaign(grid, **kwargs)
+        assert first.executed == 4
+
+        def killed(self, event, records):
+            raise RuntimeError("killed before the batch was written")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(journal_mod.Journal, "append_many", killed)
+            with pytest.raises((RuntimeError, TransportError), match="killed"):
+                run_campaign(grid, **kwargs)
+        assert resolving_events_per_cell(journal_path) == {}
+
+        rerun = run_campaign(grid, **kwargs)
+        assert rerun.ok and rerun.executed == 0 and rerun.cached_hits == 4
+        assert norm(rerun.rows(), also=("cached",)) == norm(
+            first.rows(), also=("cached",))
+        assert resolving_events_per_cell(journal_path) == {
+            c.cell_id: 1 for c in grid.expand()
+        }
+
 
 # -- clock skew in status (satellite) --------------------------------------------------
 

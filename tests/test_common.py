@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import errno
+import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.common import (
@@ -269,3 +273,94 @@ class TestRetryPolicy:
         assert doc["retries"] == 3
         assert doc["by_site"] == {"cache.put": 2, "journal.append": 1}
         assert "EAGAIN" in doc["last_error"] or "again" in doc["last_error"]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestAtomicWriteJson:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+              deadline=None)
+    @given(doc=_JSON, sort_keys=st.booleans())
+    @example(doc={"z": 1e-300, "a": [-0.0, "é✓ \u2028", {"b": None, "a": 1}]},
+             sort_keys=False)
+    @example(doc={"z": 1e-300, "a": [-0.0, "é✓ \u2028", {"b": None, "a": 1}]},
+             sort_keys=True)
+    def test_round_trip(self, tmp_path, doc, sort_keys):
+        from repro.common.atomic import atomic_write_json
+
+        path = tmp_path / "doc.json"
+        atomic_write_json(path, doc, sort_keys=sort_keys)
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text
+        loaded = json.loads(text)
+        assert loaded == doc
+        # re-encoding tells -0.0 from 0.0 and shows the key order kept
+        assert json.dumps(loaded) == json.dumps(doc, sort_keys=sort_keys)
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_failed_write_leaves_the_old_file_and_no_temp(self, tmp_path):
+        from repro.common.atomic import atomic_write_json
+
+        path = tmp_path / "doc.json"
+        atomic_write_json(path, {"v": 1})
+        with pytest.raises(TypeError):
+            atomic_write_json(path, {"v": object()})
+        target = tmp_path / "dir.json"
+        target.mkdir()  # os.replace onto a directory fails after the write
+        with pytest.raises(OSError):
+            atomic_write_json(target, {"v": 2})
+        assert json.loads(path.read_text(encoding="utf-8")) == {"v": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dir.json", "doc.json"
+        ]
+
+    def test_threads_of_one_process_do_not_share_a_temp_file(self, tmp_path):
+        # workers/<id>.json is written by a worker's main loop and by its
+        # heartbeat thread; with a per-process temp name the loser's
+        # os.replace raised FileNotFoundError
+        from repro.common.atomic import atomic_write_json
+
+        path = tmp_path / "status.json"
+        atomic_write_json(path, {"writer": -1, "n": 0})
+        errors: list[BaseException] = []
+
+        def writer(ident: int) -> None:
+            try:
+                for n in range(500):
+                    atomic_write_json(path, {"writer": ident, "n": n,
+                                             "pad": "x" * 256})
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(i,), daemon=True)
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            reads = 0
+            deadline = time.monotonic() + 60
+            while (any(thread.is_alive() for thread in threads)
+                   and time.monotonic() < deadline):
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                assert set(doc) >= {"writer", "n"}
+                reads += 1
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert reads > 0
+        assert json.loads(path.read_text(encoding="utf-8"))["n"] == 499
+        assert [p.name for p in tmp_path.iterdir()] == ["status.json"]

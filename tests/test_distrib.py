@@ -123,6 +123,35 @@ class TestLeasePrimitive:
             t.join()
         assert len(wins) == 1
 
+    def test_clock_probe_is_private_to_a_thread(self, tmp_path):
+        # the probe file was named by pid alone: of two threads sampling
+        # the clock, one unlinked it before the other's stat
+        from repro.dse.distrib.leases import lease_now
+
+        errors = []
+
+        def sample():
+            try:
+                for _ in range(300):
+                    lease_now(tmp_path)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=sample, daemon=True)
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_renewed_lease_is_not_stolen(self, tmp_path):
         a = LeaseDir(tmp_path, owner="a", ttl_s=0.3)
         b = LeaseDir(tmp_path, owner="b", ttl_s=0.3)
@@ -270,6 +299,19 @@ class TestWorkerLoop:
         )
         assert all(n == 1 for n in counts.values())
         assert len(counts) == len(cells)
+
+    def test_last_status_is_the_exit_state_and_heartbeat_is_joined(
+        self, tmp_path
+    ):
+        cells = tiny_grid(configs=("2C+1F",)).expand()
+        queue = make_queue(tmp_path, cells, ttl=0.15)  # a beat every 50 ms
+        summary = run_worker(tmp_path, worker_id="solo", poll_s=0.05)
+        assert summary.stop_reason == "done"
+        # the worker's final beat is not raced or overwritten by its thread
+        assert not [t for t in threading.enumerate()
+                    if t.name == "heartbeat-solo"]
+        assert queue.worker_statuses()["solo"]["state"] == "done"
+        assert list(queue.workers_dir.glob("*.tmp")) == []
 
     def test_two_concurrent_workers_execute_each_cell_once(self, tmp_path):
         cells = tiny_grid(seeds=(1, 2)).expand()  # 8 cells
@@ -648,6 +690,44 @@ class TestGCAndCLI:
         # surviving cache entries carry the full campaign state.
         again = run_campaign(grid, out_dir=tmp_path, workers=0,
                              resume=True, poll_s=0.05)
+        assert again.summary()["executed"] == 0
+
+    def test_gc_collects_every_writers_stale_temps(self, tmp_path):
+        from repro.dse.maintenance import TMP_GRACE_S, gc_campaign
+
+        run_campaign(tiny_grid(configs=("2C+1F",)), out_dir=tmp_path,
+                     workers=0, poll_s=0.05)
+        spool = tmp_path / "spool-w1"
+        spool.mkdir()
+        planted = {
+            "cache": tmp_path / "cache" / "aa.json.7.0.tmp",
+            "journal": tmp_path / "journal.jsonl.idx.7.1.tmp",
+            "manifest": tmp_path / "distrib" / "manifest.json.7.2.tmp",
+            "merge": tmp_path / "distrib" / "merge_state.json.7.3.tmp",
+            "worker": tmp_path / "distrib" / "workers" / "w1.json.7.4.tmp",
+            "failed": tmp_path / "distrib" / "failed" / "aa.json.7.5.tmp",
+            "spool": spool / "tok.json.7.6.tmp",
+        }
+        old = time.time() - TMP_GRACE_S - 60
+        for path in planted.values():
+            path.write_text("{", encoding="utf-8")
+            os.utime(path, (old, old))
+        # a live writer's temp, younger than the grace period, in each place
+        young = [path.with_name("live-" + path.name)
+                 for path in planted.values()]
+        for path in young:
+            path.write_text("{", encoding="utf-8")
+
+        report = gc_campaign(tmp_path)
+        assert report["cache"]["tmp_removed"] == 1
+        assert report["journal"]["tmp_removed"] == 1
+        assert report["distrib"]["tmp_removed"] == 4
+        assert report["spools"]["tmp_removed"] == 1
+        assert not any(path.exists() for path in planted.values())
+        assert all(path.exists() for path in young)
+        # nothing but temps was touched: the campaign is still complete
+        again = run_campaign(tiny_grid(configs=("2C+1F",)), out_dir=tmp_path,
+                             workers=0, resume=True, poll_s=0.05)
         assert again.summary()["executed"] == 0
 
     def test_cli_status_and_gc(self, tmp_path, capsys):

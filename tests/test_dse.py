@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+import errno
 import json
 
 import pytest
@@ -19,6 +21,8 @@ from repro.dse import (
     table_ii_sweep,
     validation_sweep,
 )
+from repro.dse import cache as cache_mod
+from repro.dse import grid as grid_mod
 from repro.dse import journal as journal_mod
 from repro.dse import runner as runner_mod
 from repro.dse.frontier import best_by, frontier_rows, pareto_frontier
@@ -79,6 +83,50 @@ class TestCellIdentity:
         assert cell.cell_id == cell.cell_id == SweepCell.from_dict(
             json.loads(json.dumps(cell.to_dict()))
         ).cell_id
+
+
+    #: Literal ids computed before identity was cached on the object: a
+    #: plain cell, a non-alphabetical ``apps`` order with seed/jitter, a
+    #: rate workload, a faults cell and a qos cell.
+    GOLDEN = {
+        "4e7cfa57ad450dab": SweepCell(
+            config="2C+1F", policy="frfs", workload=TINY),
+        "076fd13935d5a947": SweepCell(
+            config="3C+2F", policy="eft", seed=7, iterations=2, jitter=True,
+            workload=validation_sweep(
+                {"wifi_tx": 2, "range_detection": 1, "wifi_rx": 1})),
+        "e1b812051307eac0": SweepCell(
+            config="2C+2F", policy="met", workload=rate_sweep(4.0, 2000.0)),
+        "090e06abd34dee26": SweepCell(
+            config="2C+1F", policy="frfs", workload=TINY,
+            faults={"label": "hard", "harden": True,
+                    "retry": {"max_retries": 3, "backoff_us": 1.0}}),
+        "091c8102ef6976df": SweepCell(
+            config="2C+1F", policy="met", workload=TINY,
+            qos={"label": "dl", "deadlines": {"*": 1e9}}),
+    }
+
+    def test_golden_cell_ids_survive_a_campaign(self, tmp_path):
+        cells = list(self.GOLDEN.values())
+        assert [c.cell_id for c in cells] == list(self.GOLDEN)
+        campaign = run_campaign(cells, out_dir=tmp_path)
+        assert campaign.ok
+        # nothing the campaign did to the cells moved their identity
+        for cell_id, cell in self.GOLDEN.items():
+            assert cell.cell_id == cell_id
+            assert SweepCell.from_dict(cell.to_dict()).cell_id == cell_id
+        assert [r["cell_id"] for r in campaign.rows()] == list(self.GOLDEN)
+
+    def test_identity_is_computed_once_per_object(self, monkeypatch):
+        calls = []
+        real = grid_mod._content_hash
+        monkeypatch.setattr(
+            grid_mod, "_content_hash",
+            lambda doc, length: calls.append(length) or real(doc, length),
+        )
+        cell = SweepCell(config="2C+1F", policy="frfs", workload=TINY, seed=3)
+        assert cell.cell_id == cell.cell_id and cell.label == cell.label
+        assert calls == [16]
 
 
 class TestGrid:
@@ -208,6 +256,33 @@ class TestCache:
         )
         assert cache.get("old") is None
 
+    def test_entry_is_one_sorted_line_of_plain_json(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.put("abc", {"z": 1.5, "a": {"é": [1e-300, -0.0]}})
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text
+        assert json.loads(text) == {
+            "cell_id": "abc",
+            "metrics": {"z": 1.5, "a": {"é": [1e-300, -0.0]}},
+            "version": cache_mod.CACHE_VERSION,
+        }
+        assert list(json.loads(text)) == ["cell_id", "metrics", "version"]
+        assert cache.tmp_files() == []
+
+    def test_indented_entry_of_an_older_build_is_still_a_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        metrics = {"makespan_ms": 1.5, "pe_energy_j": {"cpu0": 2e-3}}
+        entry = {"version": cache_mod.CACHE_VERSION, "cell_id": "old",
+                 "metrics": metrics}
+        with open(cache.path_for("old"), "w", encoding="utf-8") as fh:
+            json.dump(entry, fh, indent=1, sort_keys=True)  # as PR 14 wrote
+        assert cache.get("old") == metrics
+
+    def test_undecodable_entry_reads_as_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.path_for("bin").write_bytes(b"\xff\xfe{\x00")
+        assert cache.get("bin") is None
+
     def test_discard_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("a", {})
@@ -260,6 +335,99 @@ class TestJournal:
         with Journal(path, resume=True) as journal:
             journal.append(journal_mod.EVENT_CELL_FINISH, cell_id="b")
         assert journal_mod.replay(path).completed == {"a", "b"}
+
+
+class _TornOnce:
+    """A journal stream whose first ``write`` lands half the text and then
+    fails with a transient errno, like an NFS hiccup mid-append."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.failed = False
+
+    def write(self, text):
+        if not self.failed:
+            self.failed = True
+            self._fh.write(text[: len(text) // 2])
+            self._fh.flush()
+            raise OSError(errno.ESTALE, "stale file handle")
+        return self._fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestJournalBatch:
+    RECORDS = [
+        {"cell_id": f"c{i}", "label": f"L{i}", "attempts": 0, "worker": "w"}
+        for i in range(5)
+    ]
+
+    @staticmethod
+    def _lines(path):
+        out = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            record.pop("ts")
+            out.append(record)
+        return out
+
+    def test_batch_yields_the_lines_single_appends_yield(self, tmp_path):
+        one, many = tmp_path / "one.jsonl", tmp_path / "many.jsonl"
+        with Journal(one) as journal:
+            journal.append(journal_mod.EVENT_CAMPAIGN_START, cells=5)
+            for record in self.RECORDS:
+                journal.append(journal_mod.EVENT_CELL_CACHED, **record)
+            journal.append(journal_mod.EVENT_CAMPAIGN_END, cells=5)
+        with Journal(many) as journal:
+            journal.append(journal_mod.EVENT_CAMPAIGN_START, cells=5)
+            journal.append_many(journal_mod.EVENT_CELL_CACHED, self.RECORDS)
+            journal.append(journal_mod.EVENT_CAMPAIGN_END, cells=5)
+        assert self._lines(many) == self._lines(one)
+        assert [r["seq"] for r in self._lines(many)] == list(range(1, 8))
+        raw = many.read_text(encoding="utf-8").splitlines()
+        assert all(isinstance(json.loads(l)["ts"], float) for l in raw)
+
+    def test_empty_batch_writes_nothing(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with Journal(path) as journal:
+            journal.append_many(journal_mod.EVENT_CELL_CACHED, [])
+            assert path.stat().st_size == 0
+            journal.append(journal_mod.EVENT_CELL_FINISH, cell_id="a")
+        assert [r["seq"] for r in self._lines(path)] == [1]
+
+    def test_batch_is_flushed_when_the_call_returns(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = Journal(path)
+        journal.append_many(journal_mod.EVENT_CELL_CACHED, self.RECORDS)
+        # read through another handle while the writer is still open
+        assert len(journal_mod.read_events(path)) == 5
+        journal.close()
+
+    def test_closed_journal_rejects_a_batch(self, tmp_path):
+        journal = Journal(tmp_path / "j.jsonl")
+        journal.close()
+        with pytest.raises(ValueError, match="closed"):
+            journal.append_many(journal_mod.EVENT_CELL_CACHED, self.RECORDS)
+
+    def test_transient_oserror_mid_batch_loses_no_event(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = Journal(path)
+        journal.append(journal_mod.EVENT_CAMPAIGN_START, cells=5)
+        torn = journal._fh = _TornOnce(journal._fh)
+        journal.append_many(journal_mod.EVENT_CELL_CACHED, self.RECORDS)
+        journal.append(journal_mod.EVENT_CAMPAIGN_END, cells=5)
+        journal.close()
+        assert torn.failed
+        events = journal_mod.read_events(path)
+        # the torn half-batch may repeat a line; none is lost or glued
+        assert {e["cell_id"] for e in events if "cell_id" in e} == {
+            r["cell_id"] for r in self.RECORDS
+        }
+        assert journal_mod.replay(path).completed == {
+            r["cell_id"] for r in self.RECORDS
+        }
+        assert events[-1]["event"] == journal_mod.EVENT_CAMPAIGN_END
 
 
 class TestJournalIndex:
@@ -391,6 +559,105 @@ class TestCampaignInline:
         assert doc["summary"]["cells"] == 4
         assert len(doc["cells"]) == 4
         assert all(c["status"] == "ok" for c in doc["cells"])
+
+
+    def test_results_json_is_the_summary_and_rows_document(self, tmp_path):
+        grid = SweepGrid(configs=("2C+1F",), policies=("frfs", "no_such_policy"),
+                         workloads=(TINY, validation_sweep({"wifi_rx": 1})))
+        campaign = run_campaign(grid, out_dir=tmp_path, retries=0)
+        assert campaign.executed == 2 and len(campaign.failures()) == 2
+        text = (tmp_path / "results.json").read_text(encoding="utf-8")
+        assert json.loads(text) == {
+            "summary": campaign.summary(), "cells": campaign.rows()
+        }
+        # the summary leads, then one row per line
+        lines = text.splitlines()
+        assert json.loads(lines[0].rstrip(",").removeprefix('{"summary": ')) == (
+            campaign.summary())
+        assert [json.loads(l.rstrip(",")) for l in lines[2:-1]] == campaign.rows()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+class _CountingWrites:
+    """A journal stream that records each ``write`` it is handed."""
+
+    def __init__(self, fh, writes):
+        self._fh = fh
+        self._writes = writes
+
+    def write(self, text):
+        self._writes.append(text)
+        return self._fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestWarmPassBookkeeping:
+    """What a pass over an already-computed campaign does, by count."""
+
+    def test_one_hash_one_open_per_cell_and_one_journal_write(
+        self, tmp_path, monkeypatch
+    ):
+        cells = tiny_grid().expand()
+        assert run_campaign(cells, out_dir=tmp_path).executed == len(cells)
+
+        hashes, opens, writes = [], [], []
+        real_hash = grid_mod._content_hash
+        monkeypatch.setattr(
+            grid_mod, "_content_hash",
+            lambda doc, length: hashes.append(1) or real_hash(doc, length),
+        )
+
+        def cache_open(path, *args, **kwargs):
+            opens.append(str(path))
+            return builtins.open(path, *args, **kwargs)
+
+        def journal_open(path, mode="r", **kwargs):
+            fh = builtins.open(path, mode, **kwargs)
+            return _CountingWrites(fh, writes) if mode in ("a", "w") else fh
+
+        monkeypatch.setattr(cache_mod, "open", cache_open, raising=False)
+        monkeypatch.setattr(journal_mod, "open", journal_open, raising=False)
+
+        # fresh objects: nothing memoised by the run that filled the cache
+        fresh = [SweepCell.from_dict(c.to_dict()) for c in cells]
+        warm = run_campaign(fresh, out_dir=tmp_path)
+        assert warm.executed == 0 and warm.cached_hits == len(cells)
+        assert len(hashes) == len(cells)
+        assert sorted(opens) == sorted(
+            str(tmp_path / "cache" / f"{c.cell_id}.json") for c in cells
+        )
+        cached = [w for w in writes if journal_mod.EVENT_CELL_CACHED in w]
+        assert len(cached) == 1
+        assert cached[0].count("\n") == len(cells)
+        assert len(writes) == 3  # campaign_start, the cache pass, campaign_end
+
+        # ... and a pass over the same objects does not hash at all
+        del hashes[:]
+        assert run_campaign(fresh, out_dir=tmp_path).cached_hits == len(cells)
+        assert hashes == []
+
+    def test_executed_cells_still_flush_one_line_each(
+        self, tmp_path, monkeypatch
+    ):
+        writes = []
+
+        def journal_open(path, mode="r", **kwargs):
+            fh = builtins.open(path, mode, **kwargs)
+            return _CountingWrites(fh, writes) if mode in ("a", "w") else fh
+
+        monkeypatch.setattr(journal_mod, "open", journal_open, raising=False)
+        cells = tiny_grid().expand()
+        run_campaign(cells, out_dir=tmp_path)
+        assert all(w.count("\n") == 1 for w in writes)
+        kinds = [json.loads(w)["event"] for w in writes]
+        assert kinds == (
+            [journal_mod.EVENT_CAMPAIGN_START]
+            + [journal_mod.EVENT_CELL_START, journal_mod.EVENT_CELL_FINISH]
+            * len(cells)
+            + [journal_mod.EVENT_CAMPAIGN_END]
+        )
 
 
 class TestCrashResume:

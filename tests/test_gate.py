@@ -1,9 +1,11 @@
 """Tests for the gate's own plumbing in the rootdir ``conftest.py``: the
 stdlib hang guard that stands in for pytest-timeout, the active-core line,
-and the refusal to run when the compiled core is requested but missing."""
+and the refusal to run when the compiled core is requested but missing —
+plus a source gate that keeps the slow JSON encoder out of the store."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -91,3 +93,38 @@ def test_rootdir_conftest_serves_every_suite():
     assert "Unknown config option" not in proc.stdout + proc.stderr
     assert "repro core: {'variant':" in proc.stdout
 
+
+
+def _slow_json_encodes(source: str) -> list[tuple[int, str]]:
+    """``(line, what)`` for each ``json.dump(...)`` call and each
+    ``json.dumps(..., indent=...)``: both run the pure-Python encoder."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"):
+            continue
+        if node.func.attr == "dump":
+            found.append((node.lineno, "json.dump("))
+        elif node.func.attr == "dumps" and any(
+            kw.arg == "indent" for kw in node.keywords
+        ):
+            found.append((node.lineno, "json.dumps(indent=)"))
+    return found
+
+
+def test_store_code_stays_on_the_c_json_encoder():
+    """``json.dump`` and any ``indent=`` take the chunked pure-Python
+    encoder (3-5x the C one-shot ``json.dumps``); the campaign store was
+    moved off it and must not drift back."""
+    assert _slow_json_encodes(
+        "import json\njson.dump(d, fh)\njson.dumps(d, indent=1)\n"
+        "json.dumps(d, sort_keys=True)\n"
+    ) == [(2, "json.dump("), (3, "json.dumps(indent=)")]
+    offenders = []
+    for package in ("dse", "common"):
+        for path in sorted((ROOT / "src" / "repro" / package).rglob("*.py")):
+            for line, what in _slow_json_encodes(path.read_text("utf-8")):
+                offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
+    assert offenders == []
