@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.common.atomic import atomic_write_json
+from repro.common.retry import FS_RETRY
 
 #: Bumped whenever the metrics payload schema changes incompatibly;
 #: entries written under another version read as misses.
@@ -57,11 +58,31 @@ class ResultCache:
         workers, or two campaigns sharing cells) never collide mid-write;
         last rename wins, and both wrote the same deterministic payload
         anyway.
+
+        On a shared (typically NFS) mount a write can fail with
+        ``EINTR``/``ESTALE``/``EAGAIN`` without anything being wrong with
+        the result; dropping a computed cell over one such hiccup would
+        force a whole re-execution.  The atomic temp-then-rename write is
+        safely repeatable, so it runs under the shared bounded-backoff
+        policy (the same one the network transport uses for its calls).
         """
         path = self.path_for(cell_id)
         entry = {"version": CACHE_VERSION, "cell_id": cell_id, "metrics": metrics}
-        atomic_write_json(path, entry, sort_keys=True)
+        FS_RETRY.call(lambda: atomic_write_json(path, entry, sort_keys=True))
         return path
+
+    def put_if_absent(self, cell_id: str, metrics: dict[str, Any]) -> bool:
+        """Store unless a valid entry already exists; True when we wrote.
+
+        The write for a cell several writers may race (a re-issued lease,
+        a retried submit): the first entry stays.  Losing the race is not
+        an error — cell results are deterministic, so the existing entry
+        holds the same numbers.
+        """
+        if self.get(cell_id) is not None:
+            return False
+        self.put(cell_id, metrics)
+        return True
 
     def discard(self, cell_id: str) -> bool:
         """Remove one entry; returns whether it existed."""

@@ -21,14 +21,17 @@ mount speaking TCP to a queue server:
 * :mod:`repro.dse.distrib.queue` — the durable work queue: manifest,
   per-cell leases, per-worker journal shards, heartbeats, failure
   records, stop flag;
-* :mod:`repro.dse.distrib.shared_cache` — the shared-filesystem variant
-  of the content-hash result cache (execution locks dedupe concurrent
-  campaigns);
+* :mod:`repro.dse.distrib.store` —
+  :class:`~repro.dse.distrib.store.CampaignStore`, the one owner of a
+  campaign directory's durable state (canonical journal and completed
+  set, result cache, cache pass, fresh-campaign reset, index refresh):
+  built by ``run_campaign``, by the server and by ``merge_once``, never
+  by a worker;
 * :mod:`repro.dse.distrib.transport` — the
   :class:`~repro.dse.distrib.transport.WorkerTransport` interface both
-  protocols implement, with the directory protocol behind it
-  (:class:`~repro.dse.distrib.transport.FsTransport`, bit-identical on
-  disk) — the worker's side and the coordinator's, shard merge included;
+  protocols implement, with the directory protocol's worker side behind
+  it (:class:`~repro.dse.distrib.transport.FsTransport`, bit-identical
+  on disk) and the shard merge the store folds its shards with;
 * :mod:`repro.dse.distrib.net` — the network transport: a
   dependency-free TCP queue server (``dssoc-emulate sweep-server``),
   framed-JSON client with retry/backoff and idempotency tokens, and a
@@ -57,8 +60,8 @@ from repro.dse.distrib.queue import (
     manifest_cells,
     write_manifest,
 )
-from repro.dse.distrib.shared_cache import SharedResultCache
 from repro.dse.distrib.status import campaign_snapshot, render_status, status_line
+from repro.dse.distrib.store import CampaignStore
 from repro.dse.distrib.transport import (
     ClaimReply,
     FsTransport,
@@ -70,13 +73,13 @@ from repro.dse.distrib.worker import WorkerSummary, run_worker
 
 __all__ = [
     "DEFAULT_LEASE_TTL_S",
+    "CampaignStore",
     "ClaimReply",
     "DistribError",
     "FsTransport",
     "LeaseDir",
     "LeaseInfo",
     "ShardMerger",
-    "SharedResultCache",
     "TransportError",
     "WorkQueue",
     "WorkerSummary",

@@ -20,10 +20,11 @@ owns the *fleet* while workers own *cells*:
    when nobody is left who could finish the work;
 4. asks the fleet to stop and reaps what it spawned, however it ends.
 
-The loop uses the coordinator-side transport calls alone, so the
-directory and the server share it.  Killing the coordinator mid-flight
-loses nothing: workers keep draining the queue, and a resumed
-coordinator folds it all back together.
+The loop uses the coordinator-side calls alone — a directory's
+``CampaignStore`` and a server's ``NetTransport`` name the same ones —
+so the directory and the server share it.  Killing the coordinator
+mid-flight loses nothing: workers keep draining the queue, and a
+resumed coordinator folds it all back together.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.dse import journal as journal_mod
-from repro.dse.distrib.queue import DistribError, WorkQueue
-from repro.dse.distrib.transport import ShardMerger
+from repro.dse.distrib.queue import DistribError
+from repro.dse.distrib.store import CampaignStore
 from repro.dse.distrib.worker import run_worker
 from repro.dse.grid import SweepCell
-from repro.dse.journal import Journal
 from repro.dse.runner import CellResult
 
 #: Seconds between ``status_fn`` snapshots while the fleet works.
@@ -249,13 +248,7 @@ def merge_once(out_dir: str | Path) -> dict[str, Any]:
     journal without re-running the coordinator loop — ``sweep --status``
     after this sees the campaign's true state.  Returns a small report.
     """
-    out_path = Path(out_dir)
-    queue = WorkQueue(out_path, owner="coordinator")
-    journal_path = out_path / "journal.jsonl"
-    state = journal_mod.replay_indexed(journal_path)
-    journal = Journal(journal_path, resume=True)
-    merger = ShardMerger(queue, journal, state)
-    merged = merger.merge()
-    journal.close()
-    journal_mod.write_index(journal_path, journal_mod.replay(journal_path))
-    return {"merged_events": merged, "completed": len(state.completed)}
+    store = CampaignStore(out_dir, resume=True, owner="coordinator")
+    merged = store.merge()
+    store.close()
+    return {"merged_events": merged, "completed": len(store.state.completed)}

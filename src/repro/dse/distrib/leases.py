@@ -1,9 +1,9 @@
 """Filesystem lease primitives for multi-host coordination.
 
-Everything in the distributed sweep service that needs mutual exclusion —
-cell claims in the work queue, execution locks on the shared result
-cache — goes through one primitive: a *lease file* whose existence means
-"held", whose JSON body names the owner, and whose mtime is the owner's
+The one thing in the distributed sweep service that needs mutual
+exclusion — a cell's claim in the work queue, one lease per cell — goes
+through one primitive: a *lease file* whose existence means "held",
+whose JSON body names the owner, and whose mtime is the owner's
 heartbeat.  The protocol uses only operations that are atomic on
 NFS-style shared filesystems:
 

@@ -44,16 +44,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.common.atomic import atomic_write_json
-from repro.dse import journal as journal_mod
-from repro.dse.cache import ResultCache
-from repro.dse.distrib.queue import (
-    DEFAULT_LEASE_TTL_S,
-    WorkQueue,
-    _read_json,
-    distrib_dir,
-    write_manifest,
-)
+from repro.dse.distrib.queue import DEFAULT_LEASE_TTL_S, _read_json, distrib_dir
 from repro.dse.distrib.status import throughput, worker_health
+from repro.dse.distrib.store import CampaignStore
 from repro.dse.distrib.transport import (
     CLAIM_BUSY,
     CLAIM_CACHED,
@@ -61,8 +54,6 @@ from repro.dse.distrib.transport import (
     CLAIM_GRANTED,
     CLAIM_RESOLVED,
 )
-from repro.dse.grid import SweepCell
-from repro.dse.journal import Journal
 from repro.dse.distrib.net.framing import FrameAssembler, FrameError, encode_frame
 
 #: Protocol version spoken by this build; bumped on incompatible change.
@@ -101,7 +92,9 @@ class _WorkerInfo:
 
 
 class SweepServer:
-    """Single campaign, single process, single thread of state mutation."""
+    """Single campaign, single process, single thread of state mutation.
+    Everything durable belongs to ``self.store``; kept here is the volatile
+    bookkeeping: leases, idempotency tokens, worker table, status counters."""
 
     def __init__(
         self,
@@ -113,55 +106,35 @@ class SweepServer:
         monotonic: Callable[[], float] = time.monotonic,
     ) -> None:
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.host = host
         self.port = port
         self.monotonic = monotonic
         self._ttl_override = lease_ttl_s
 
-        self.queue = WorkQueue(
-            self.out_dir, owner="server",
-            lease_ttl_s=lease_ttl_s or DEFAULT_LEASE_TTL_S,
-        )
-        self.cache = ResultCache(self.out_dir / "cache")
-        self.journal_path = self.out_dir / "journal.jsonl"
-
-        self.manifest: dict[str, Any] | None = None
-        self.labels: dict[str, str] = {}
-        self.order: list[str] = []
         self.leases: dict[str, _Lease] = {}
         self.workers: dict[str, _WorkerInfo] = {}
-        self.completed: set[str] = set()
-        self.stop_flag = False
         self.leases_expired = 0
         self.cached_resolutions = 0
         self._fail_tokens: dict[str, str] = {}
         self._resolution_wall_ts: deque[float] = deque(maxlen=100_000)
 
-        self.journal = Journal(self.journal_path, resume=True)
-        self._load_durable_state()
-
-    # -- durable state -------------------------------------------------------------
-
-    def _load_durable_state(self) -> None:
-        """Resume from whatever the campaign directory already holds."""
+        # Resume from whatever the campaign directory already holds.
+        self.store = CampaignStore(self.out_dir, resume=True, owner="server")
+        self.journal_path = self.store.journal_path
         doc = _read_json(distrib_dir(self.out_dir) / "manifest.json")
         if isinstance(doc, dict) and doc.get("cells"):
-            self._adopt_manifest(doc)
-        state = journal_mod.replay_indexed(self.journal_path, write=False)
-        self.completed = set(state.completed)
-        self.stop_flag = self.queue.stop_requested()
+            self.store.adopt(doc)
+        self.stop_flag = self.store.queue.stop_requested()
 
-    def _adopt_manifest(self, doc: dict[str, Any]) -> None:
-        self.manifest = doc
-        self.labels = {}
-        self.order = []
-        for data in doc.get("cells", ()):
-            cell = SweepCell.from_dict(data)
-            cid = cell.cell_id  # content hash — identical on every host
-            if cid not in self.labels:
-                self.order.append(cid)
-                self.labels[cid] = cell.label
+    # -- the store's state, as the handlers read it --------------------------------
+
+    @property
+    def manifest(self) -> dict[str, Any] | None:
+        return self.store.manifest
+
+    @property
+    def completed(self) -> set[str]:
+        return self.store.state.completed
 
     @property
     def lease_ttl_s(self) -> float:
@@ -225,35 +198,30 @@ class SweepServer:
         return {
             "proto": PROTOCOL_VERSION,
             "ready": self.manifest is not None,
-            "total": len(self.order),
+            "total": len(self.store.cells),
         }
 
     def _op_publish(self, msg: dict[str, Any]) -> dict[str, Any]:
         """Coordinator publishes (or re-attaches to) the campaign."""
-        cells = msg["cells"]
         resume = bool(msg.get("resume"))
-        cell_objs = [SweepCell.from_dict(d) for d in cells]
-        write_manifest(
-            self.out_dir, cell_objs,
+        total = self.store.publish(
+            msg["cells"],
             grid_id=str(msg.get("grid_id", "net")),
             max_attempts=int(msg.get("max_attempts", 1)),
             timeout_s=msg.get("timeout_s"),
             lease_ttl_s=float(msg.get("lease_ttl_s", self.lease_ttl_s)),
+            resume=resume,
         )
-        self._adopt_manifest(_read_json(distrib_dir(self.out_dir) / "manifest.json"))
-        self.queue.clear_stop()
         self.stop_flag = False
         if not resume:
-            # Fresh campaign: reset queue state exactly as the directory's
-            # coordinator does (keep the cache — the cache pass mines it).
+            # Fresh campaign: the store reset the durable state exactly as
+            # for a directory's coordinator; forget ours with it.
             self.leases.clear()
             self._fail_tokens.clear()
-            self.queue.reset()
             self.workers.clear()
-            self.completed = set()
-            self.journal.close()
-            self.journal = Journal(self.journal_path, resume=False)
-        return {"total": len(self.order), "resume": resume}
+            self.cached_resolutions = 0
+            self._resolution_wall_ts.clear()
+        return {"total": total, "resume": resume}
 
     def _op_manifest(self, msg: dict[str, Any]) -> dict[str, Any]:
         if self.manifest is None:
@@ -262,39 +230,16 @@ class SweepServer:
 
     def _op_cache_pass(self, msg: dict[str, Any]) -> dict[str, Any]:
         """Resolve every cell already in the cache (or drop them, --force)."""
-        if msg.get("force"):
-            for cell_id in self.order:
-                self.cache.discard(cell_id)
-            return {"cached": []}
-        worker = str(msg.get("worker", "coordinator"))
-        fresh = [
-            cell_id for cell_id in self.order
-            if cell_id not in self.completed
-            and self.cache.get(cell_id) is not None
-        ]
+        before = len(self.completed)
         # one write + flush for the pass, before the reply goes out
-        self.journal.append_many(
-            journal_mod.EVENT_CELL_CACHED,
-            [
-                {
-                    "cell_id": cell_id,
-                    "label": self.labels.get(cell_id, cell_id),
-                    "worker": worker,
-                    "attempts": 0,
-                }
-                for cell_id in fresh
-            ],
-        )
-        for _cell_id in fresh:
+        hits = self.store.cache_pass(force=bool(msg.get("force")))
+        for _ in range(len(self.completed) - before):
             self._note_resolution(cached=True)
-        self.completed.update(fresh)
-        return {"cached": sorted(c for c in self.order if c in self.completed)}
+        return {"cached": sorted(hits)}
 
     def _op_resolved(self, msg: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "completed": sorted(self.completed),
-            "failed": self.queue.failed_summary(),
-        }
+        completed, failed = self.store.resolved_snapshot()
+        return {"completed": sorted(completed), "failed": failed}
 
     def _op_claim(self, msg: dict[str, Any]) -> dict[str, Any]:
         cell_id = msg["cell_id"]
@@ -302,11 +247,11 @@ class SweepServer:
         token = str(msg.get("token", ""))
         if self.manifest is None:
             return {"ok": False, "error": "no campaign published yet"}
-        if cell_id not in self.labels:
+        if cell_id not in self.store.cells:
             return {"ok": False, "error": f"unknown cell {cell_id!r}"}
         if cell_id in self.completed:
             return {"status": CLAIM_RESOLVED}
-        record = self.queue.failure(cell_id)
+        record = self.store.queue.failure(cell_id)
         if record and record.get("final"):
             return {"status": CLAIM_FAILED_FINAL}
         lease = self._live_lease(cell_id)
@@ -320,28 +265,14 @@ class SweepServer:
                 if lease.token == token:
                     return {"status": CLAIM_GRANTED, "attempt": lease.attempt}
                 lease.token = token
-                self.journal.append(
-                    journal_mod.EVENT_CELL_START,
-                    cell_id=cell_id,
-                    label=self.labels[cell_id],
-                    attempt=lease.attempt,
-                    worker=worker,
-                )
+                self.store.start(cell_id, lease.attempt, worker)
                 return {"status": CLAIM_GRANTED, "attempt": lease.attempt}
             return {"status": CLAIM_BUSY, "holder": lease.worker}
-        if self.cache.get(cell_id) is not None:
+        if self.store.cached(cell_id, worker):
             # Resolved on disk (a prior campaign, or a spool flush that
-            # beat this claim): fold it as a cache hit exactly once,
+            # beat this claim): folded as a cache hit exactly once,
             # attributed to the claiming worker — mirrors the filesystem
             # worker journaling cell_cached under its lease.
-            self.journal.append(
-                journal_mod.EVENT_CELL_CACHED,
-                cell_id=cell_id,
-                label=self.labels[cell_id],
-                worker=worker,
-                attempts=0,
-            )
-            self.completed.add(cell_id)
             self._note_resolution(cached=True)
             info = self.workers.get(worker)
             if info is not None:
@@ -352,13 +283,7 @@ class SweepServer:
             worker=worker, token=token, attempt=attempt,
             expires_mono=self.monotonic() + self.lease_ttl_s,
         )
-        self.journal.append(
-            journal_mod.EVENT_CELL_START,
-            cell_id=cell_id,
-            label=self.labels[cell_id],
-            attempt=attempt,
-            worker=worker,
-        )
+        self.store.start(cell_id, attempt, worker)
         return {"status": CLAIM_GRANTED, "attempt": attempt}
 
     def _op_renew(self, msg: dict[str, Any]) -> dict[str, Any]:
@@ -381,26 +306,17 @@ class SweepServer:
         metrics = msg["metrics"]
         if not isinstance(metrics, dict):
             return {"ok": False, "error": "metrics must be an object"}
-        if cell_id in self.completed:
+        if not self.store.finish(
+            cell_id, metrics, attempts=int(msg.get("attempt", 1)),
+            worker=worker, wall_time_s=msg.get("wall_time_s"),
+            token=msg.get("token"),
+        ):
             # Exactly-once folding: a retried submit after a dropped ACK,
             # or a second worker finishing a re-issued cell, both land
             # here — acknowledged, deduped, never double-journaled.
             return {"accepted": True, "dedupe": True}
-        if self.cache.get(cell_id) is None:
-            self.cache.put(cell_id, metrics)
-        self.queue.clear_failure(cell_id)
+        self.store.queue.clear_failure(cell_id)
         self._fail_tokens.pop(cell_id, None)
-        self.journal.append(
-            journal_mod.EVENT_CELL_FINISH,
-            cell_id=cell_id,
-            label=self.labels.get(cell_id, cell_id),
-            makespan_ms=metrics.get("makespan_ms"),
-            attempts=int(msg.get("attempt", 1)),
-            worker=worker,
-            wall_time_s=msg.get("wall_time_s"),
-            token=msg.get("token"),
-        )
-        self.completed.add(cell_id)
         self._note_resolution(cached=False)
         lease = self.leases.get(cell_id)
         if lease is not None and lease.worker == worker:
@@ -418,26 +334,20 @@ class SweepServer:
         if token and self._fail_tokens.get(cell_id) == token:
             # Retry of a failure report whose ACK we lost: do not charge
             # the attempt budget twice.
-            record = self.queue.failure(cell_id) or {"attempts": 1}
+            record = self.store.queue.failure(cell_id) or {"attempts": 1}
             return {
                 "attempts": int(record.get("attempts", 1)),
                 "final": bool(record.get("final")),
                 "dedupe": True,
             }
-        record = self.queue.record_failure(
-            cell_id, str(msg.get("error", "?")), max_attempts=self.max_attempts
+        error, worker = str(msg.get("error", "?")), str(msg.get("worker", "?"))
+        record = self.store.queue.record_failure(
+            cell_id, error, max_attempts=self.max_attempts
         )
         if token:
             self._fail_tokens[cell_id] = token
-        self.journal.append(
-            journal_mod.EVENT_CELL_ERROR,
-            cell_id=cell_id,
-            label=self.labels.get(cell_id, cell_id),
-            error=str(msg.get("error", "?")),
-            attempts=record["attempts"],
-            worker=str(msg.get("worker", "?")),
-        )
-        info = self.workers.get(str(msg.get("worker", "?")))
+        self.store.error(cell_id, error, record["attempts"], worker)
+        info = self.workers.get(worker)
         if info is not None:
             info.errors += 1
         return {
@@ -447,13 +357,7 @@ class SweepServer:
         }
 
     def _op_interrupted(self, msg: dict[str, Any]) -> dict[str, Any]:
-        cell_id = msg["cell_id"]
-        self.journal.append(
-            journal_mod.EVENT_CELL_INTERRUPTED,
-            cell_id=cell_id,
-            label=self.labels.get(cell_id, cell_id),
-            worker=str(msg.get("worker", "?")),
-        )
+        self.store.interrupted(msg["cell_id"], str(msg.get("worker", "?")))
         return {}
 
     def _op_heartbeat(self, msg: dict[str, Any]) -> dict[str, Any]:
@@ -466,7 +370,7 @@ class SweepServer:
         try:
             # Durable mirror: lets `sweep --status --out DIR` on the
             # server host (and post-mortem forensics) see the fleet.
-            self.queue.write_worker_status(
+            self.store.queue.write_worker_status(
                 worker,
                 state=info.state,
                 current_cell=info.current_cell,
@@ -475,16 +379,16 @@ class SweepServer:
             )
         except OSError:
             pass
-        failed = len(self.queue.failed_final())
+        failed = len(self.store.queue.failed_final())
         return {
             "stop": self.stop_flag,
             "resolved": len(self.completed) + failed,
-            "total": len(self.order),
+            "total": len(self.store.cells),
         }
 
     def _op_stop(self, msg: dict[str, Any]) -> dict[str, Any]:
         self.stop_flag = True
-        self.queue.request_stop(str(msg.get("reason", "coordinator")))
+        self.store.request_stop(str(msg.get("reason", "coordinator")))
         return {}
 
     def _op_event(self, msg: dict[str, Any]) -> dict[str, Any]:
@@ -493,14 +397,11 @@ class SweepServer:
         fields = msg.get("fields") or {}
         if not isinstance(fields, dict):
             return {"ok": False, "error": "fields must be an object"}
-        self.journal.append(kind, **fields)
+        self.store.event(kind, **fields)
         return {}
 
     def _op_fetch(self, msg: dict[str, Any]) -> dict[str, Any]:
-        cell_ids = msg.get("cell_ids") or []
-        return {
-            "metrics": {cid: self.cache.get(cid) for cid in cell_ids}
-        }
+        return {"metrics": self.store.fetch(msg.get("cell_ids") or [])}
 
     def _op_status(self, msg: dict[str, Any]) -> dict[str, Any]:
         return {"snapshot": self.snapshot()}
@@ -511,10 +412,11 @@ class SweepServer:
         """A status snapshot shaped like ``status.campaign_snapshot``'s."""
         now_mono = self.monotonic()
         ttl = self.lease_ttl_s
-        failed = self.queue.failed_final()
-        completed = self.completed & set(self.labels) if self.labels else set(self.completed)
-        resolved = len(completed) + len(set(failed) & set(self.labels))
-        total = len(self.order)
+        cells = self.store.cells
+        failed = self.store.queue.failed_final()
+        completed = self.completed & set(cells) if cells else set(self.completed)
+        resolved = len(completed) + len(set(failed) & set(cells))
+        total = len(cells)
 
         workers: list[dict[str, Any]] = []
         for worker_id, info in sorted(self.workers.items()):
@@ -552,7 +454,7 @@ class SweepServer:
             "cells": total,
             "resolved": resolved,
             "completed": len(completed),
-            "failed": len(set(failed) & set(self.labels)),
+            "failed": len(set(failed) & set(cells)),
             "in_flight": len(leases),
             "stop_requested": self.stop_flag,
             "clock_skew": False,
@@ -679,18 +581,7 @@ class SweepServer:
             self.close()
 
     def close(self) -> None:
-        try:
-            self.journal.close()
-        except (OSError, ValueError):
-            pass
-        # Refresh the index sidecar so the next server (or a --resume
-        # coordinator) starts from this run's end instead of replaying.
-        try:
-            journal_mod.write_index(
-                self.journal_path, journal_mod.replay(self.journal_path)
-            )
-        except OSError:
-            pass
+        self.store.close()
 
 
 def run_server(

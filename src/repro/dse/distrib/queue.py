@@ -53,10 +53,6 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-#: The name tests/test_chaos_net.py imports the writer under.
-_atomic_write_json = atomic_write_json
-
-
 def _read_json(path: Path) -> Any | None:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -76,8 +72,9 @@ def write_manifest(
     max_attempts: int,
     timeout_s: float | None,
     lease_ttl_s: float,
-) -> Path:
-    """Partition the campaign into the durable queue (atomic, idempotent)."""
+) -> dict[str, Any]:
+    """Partition the campaign into the durable queue (atomic, idempotent);
+    returns the manifest document written."""
     root = distrib_dir(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -89,10 +86,9 @@ def write_manifest(
         "lease_ttl_s": lease_ttl_s,
         "cells": [cell.to_dict() for cell in cells],
     }
-    path = root / "manifest.json"
     # insertion order, never sorted: ``apps`` order is part of the cell id
-    atomic_write_json(path, doc)
-    return path
+    atomic_write_json(root / "manifest.json", doc)
+    return doc
 
 
 def load_manifest(out_dir: str | Path) -> dict[str, Any]:
@@ -111,8 +107,15 @@ def load_manifest(out_dir: str | Path) -> dict[str, Any]:
     return doc
 
 
-def manifest_cells(manifest: dict[str, Any]) -> list[SweepCell]:
-    return [SweepCell.from_dict(d) for d in manifest["cells"]]
+def manifest_cells(manifest: dict[str, Any]) -> dict[str, SweepCell]:
+    """The campaign's distinct cells by cell id, in grid order.  The id is
+    a content hash — identical on every host — computed here once per
+    cell; a cell the grid names twice is one piece of work."""
+    by_id: dict[str, SweepCell] = {}
+    for data in manifest["cells"]:
+        cell = SweepCell.from_dict(data)
+        by_id.setdefault(cell.cell_id, cell)
+    return by_id
 
 
 # -- queue -----------------------------------------------------------------------

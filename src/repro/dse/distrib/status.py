@@ -73,12 +73,7 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
     out_path = Path(out_dir)
     manifest = load_manifest(out_path)
     lease_ttl = float(manifest.get("lease_ttl_s", 30.0))
-    ids: list[str] = []
-    seen: set[str] = set()
-    for cell in manifest_cells(manifest):
-        if cell.cell_id not in seen:
-            seen.add(cell.cell_id)
-            ids.append(cell.cell_id)
+    ids = set(manifest_cells(manifest))
 
     queue = WorkQueue(out_path, owner="status", lease_ttl_s=lease_ttl)
 
@@ -117,10 +112,10 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
             "wall_time_s": round(wall, 3),
         }
     completed.discard(None)
-    completed &= set(seen)
+    completed &= ids
 
     failed = queue.failed_final()
-    resolved = len(completed) + len(set(failed) & seen)
+    resolved = len(completed) + len(set(failed) & ids)
     total = len(ids)
 
     # Worker health from heartbeats.  Heartbeat files carry the *writing
@@ -178,7 +173,7 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
         "cells": total,
         "resolved": resolved,
         "completed": len(completed),
-        "failed": len(set(failed) & seen),
+        "failed": len(set(failed) & ids),
         "in_flight": len(leases),
         "stop_requested": queue.stop_requested(),
         "clock_skew": any_skew,

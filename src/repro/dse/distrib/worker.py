@@ -49,8 +49,7 @@ from repro.dse.distrib.transport import (
     WorkerTransport,
     new_token,
 )
-from repro.dse.distrib.queue import default_worker_id
-from repro.dse.grid import SweepCell
+from repro.dse.distrib.queue import default_worker_id, manifest_cells
 from repro.runtime.qos import QoSController
 
 #: How long a network worker keeps retrying to reach a lost server
@@ -201,10 +200,7 @@ def run_worker(
     if lease_ttl_s:
         ttl = float(lease_ttl_s)
     timeout_s = manifest.get("timeout_s")
-    cells = [SweepCell.from_dict(d) for d in manifest["cells"]]
-    by_id: dict[str, SweepCell] = {}
-    for cell in cells:
-        by_id.setdefault(cell.cell_id, cell)
+    by_id = manifest_cells(manifest)
     order = list(by_id)
 
     # Cells the coordinator already resolved (prior runs, cache pass) —

@@ -49,6 +49,21 @@ INDEX_VERSION = 1
 _HEAD_PROBE = 96
 
 
+def _resolved(
+    cell_id: str, label: str, metrics: dict[str, Any], attempts: int,
+    worker: str | None, wall_time_s: float | None,
+) -> dict[str, Any]:
+    """The six fields both resolving records (finish, cached) carry."""
+    return {
+        "cell_id": cell_id,
+        "label": label,
+        "makespan_ms": metrics.get("makespan_ms"),
+        "attempts": attempts,
+        "worker": worker,
+        "wall_time_s": wall_time_s,
+    }
+
+
 class Journal:
     """Append-only event writer (one JSON object per line)."""
 
@@ -76,6 +91,60 @@ class Journal:
         text = "".join(self._line(event, fields) for fields in records)
         if text:
             self._write(text)
+
+    # -- per-cell records ------------------------------------------------------------
+    #
+    # The one place the five per-cell record shapes are spelled: the local
+    # executors, a directory worker's shard and the server all write them
+    # through these, so a record carries the same keys in every mode.
+    # ``worker`` is who ran or resolved the cell; the local executors'
+    # start / error / interrupt lines name nobody and leave the key out.
+
+    def _cell(
+        self, event: str, cell_id: str, label: str, worker: str | None, **fields: Any
+    ) -> None:
+        if worker is not None:
+            fields["worker"] = worker
+        self.append(event, cell_id=cell_id, label=label, **fields)
+
+    def cell_start(
+        self, cell_id: str, label: str, attempt: int, *, worker: str | None = None
+    ) -> None:
+        self._cell(EVENT_CELL_START, cell_id, label, worker, attempt=attempt)
+
+    def cell_error(
+        self, cell_id: str, label: str, error: str | None, attempts: int,
+        *, worker: str | None = None,
+    ) -> None:
+        self._cell(
+            EVENT_CELL_ERROR, cell_id, label, worker, error=error, attempts=attempts
+        )
+
+    def cell_interrupted(
+        self, cell_id: str, label: str, *, worker: str | None = None
+    ) -> None:
+        """An attempt cut short by a signal (the cell stays incomplete)."""
+        self._cell(EVENT_CELL_INTERRUPTED, cell_id, label, worker)
+
+    def cell_finish(
+        self, cell_id: str, label: str, metrics: dict[str, Any], *, attempts: int,
+        worker: str | None, wall_time_s: float | None, token: str | None = None,
+    ) -> None:
+        """``token`` is the submit's idempotency token, where there is one."""
+        fields = _resolved(cell_id, label, metrics, attempts, worker, wall_time_s)
+        if token is not None:
+            fields["token"] = token
+        self.append(EVENT_CELL_FINISH, **fields)
+
+    def cells_cached(
+        self, hits: Iterable[tuple[str, str, dict[str, Any]]], *, worker: str
+    ) -> None:
+        """One ``cell_cached`` line per ``(cell_id, label, cached metrics)``,
+        the whole batch in a single :meth:`append_many`."""
+        self.append_many(EVENT_CELL_CACHED, [
+            _resolved(cell_id, label, hit, 0, worker, hit.get("wall_time_s"))
+            for cell_id, label, hit in hits
+        ])
 
     def _line(self, event: str, fields: dict[str, Any]) -> str:
         if self._fh is None:

@@ -33,9 +33,7 @@ import numpy as np
 from repro import core as core_select
 from repro.common.atomic import atomic_write_lines
 from repro.dse import journal as journal_mod
-from repro.dse.cache import ResultCache
 from repro.dse.grid import SweepCell, SweepGrid, build_workload, describe_workload
-from repro.dse.journal import Journal
 
 ProgressFn = Callable[[int, int, "CellResult"], None]
 
@@ -296,32 +294,23 @@ class CampaignResult:
 
 @dataclass
 class _Recorder:
-    """Result collection and progress for every mode, plus the journal
-    and cache bookkeeping of the two local execution strategies."""
+    """Result collection and progress for every mode; the two local
+    execution strategies also persist and journal what they run, through
+    ``store`` (the directory's ``CampaignStore``; None in memory)."""
 
     total: int
-    cache: ResultCache | None = None
-    journal: Journal | None = None
+    store: Any = None
     progress: ProgressFn | None = None
     collected: dict[str, CellResult] = field(default_factory=dict)
 
     def on_start(self, cell: SweepCell, attempt: int) -> None:
-        if self.journal:
-            self.journal.append(
-                journal_mod.EVENT_CELL_START,
-                cell_id=cell.cell_id,
-                label=cell.label,
-                attempt=attempt,
-            )
+        if self.store:
+            self.store.start(cell.cell_id, attempt)
 
     def on_interrupt(self, cell: SweepCell) -> None:
         """Record a cell cut short by SIGINT/SIGTERM (stays incomplete)."""
-        if self.journal:
-            self.journal.append(
-                journal_mod.EVENT_CELL_INTERRUPTED,
-                cell_id=cell.cell_id,
-                label=cell.label,
-            )
+        if self.store:
+            self.store.interrupted(cell.cell_id)
 
     def collect(self, result: CellResult) -> None:
         """Count a resolved cell (someone else has persisted it)."""
@@ -331,29 +320,15 @@ class _Recorder:
 
     def on_result(self, result: CellResult) -> None:
         """Persist, journal and count a cell this process executed."""
-        if result.ok and self.cache is not None:
-            assert result.metrics is not None
-            self.cache.put(result.cell.cell_id, result.metrics)
-        if self.journal:
-            if result.ok:
-                metrics = result.metrics or {}
-                self.journal.append(
-                    journal_mod.EVENT_CELL_FINISH,
-                    cell_id=result.cell.cell_id,
-                    label=result.cell.label,
-                    makespan_ms=metrics.get("makespan_ms"),
-                    attempts=result.attempts,
-                    worker=metrics.get("worker"),
-                    wall_time_s=metrics.get("wall_time_s"),
-                )
-            else:
-                self.journal.append(
-                    journal_mod.EVENT_CELL_ERROR,
-                    cell_id=result.cell.cell_id,
-                    label=result.cell.label,
-                    error=result.error,
-                    attempts=result.attempts,
-                )
+        cell_id, metrics = result.cell.cell_id, result.metrics
+        if self.store and result.ok:
+            self.store.finish(
+                cell_id, metrics, attempts=result.attempts,
+                worker=metrics.get("worker"),
+                wall_time_s=metrics.get("wall_time_s"),
+            )
+        elif self.store:
+            self.store.error(cell_id, result.error, result.attempts)
         self.collect(result)
 
 
@@ -549,14 +524,15 @@ def run_campaign(
     t_start = time.monotonic()
 
     # The store is the campaign's durable state as its coordinator sees
-    # it: the server, or the campaign directory (none for an in-memory
-    # run).  Everything below talks to either through the same calls.
+    # it: the server (through NetTransport), or the campaign directory's
+    # CampaignStore (none for an in-memory run).  Everything below talks
+    # to either through the same calls.
     out_path: Path | None = None
     store: Any = None
     start: dict[str, Any] = {"cells": len(cells), "resume": resume}
     if out_dir is not None:
         from repro.dse.distrib.queue import DEFAULT_LEASE_TTL_S, DistribError
-        from repro.dse.distrib.transport import FsTransport
+        from repro.dse.distrib.store import CampaignStore
 
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
@@ -569,11 +545,10 @@ def run_campaign(
             )
             start["transport"] = "net"
         else:
-            store = FsTransport(out_path, worker_id="coordinator")
-            prior = store.open_journal(by_id, resume=resume)
+            store = CampaignStore(out_path, resume=resume, owner="coordinator")
             start.update(
-                prior_completed=len(prior.completed),
-                prior_incomplete=len(prior.incomplete),
+                prior_completed=len(store.state.completed),
+                prior_incomplete=len(store.state.incomplete),
             )
     recorder = _Recorder(total=len(by_id), progress=progress)
     if fleet:
@@ -586,8 +561,10 @@ def run_campaign(
         )
         start.update(distributed=True, workers=workers)
     elif store is not None:
-        # the local executors persist and journal what they run
-        recorder.cache, recorder.journal = store.results, store.canonical
+        # the local executors persist and journal what they run; there is
+        # no manifest, so the store is told the campaign's cells
+        store.cells = by_id
+        recorder.store = store
 
     interrupted = False
     try:

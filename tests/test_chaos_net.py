@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.chaos_net import ChaosProxy, sigkill_server, spawn_server
+from repro.common.atomic import atomic_write_json
 from repro.common.retry import RetryPolicy
 from repro.dse import SweepGrid, run_campaign, validation_sweep
 from repro.dse import journal as journal_mod
@@ -63,7 +64,6 @@ from repro.dse.distrib.net.framing import (
     send_frame,
 )
 from repro.dse.distrib.net.server import PROTOCOL_VERSION
-from repro.dse.distrib.queue import _atomic_write_json
 from repro.dse.runner import CellResult
 from repro.dse.distrib.transport import (
     CLAIM_BUSY,
@@ -403,6 +403,42 @@ class TestServerProtocol:
         finally:
             reborn.close()
 
+    def test_fresh_publish_drops_the_index_sidecar_before_truncating(
+            self, tmp_path, monkeypatch):
+        # The sidecar describes the journal about to be truncated; a new
+        # journal of the same head and length would pass its checks.
+        cells = tiny_grid(configs=("2C+1F",), policies=("frfs",)).expand()
+        server, _ = self._server(tmp_path)
+        publish(server, cells)
+        server.handle({"op": "submit", "cell_id": cells[0].cell_id,
+                       "metrics": {"makespan_ms": 2.0}, "worker": "w0"})
+        server.close()
+        idx = journal_mod.index_path(server.journal_path)
+        assert idx.exists()
+
+        reborn, _ = self._server(tmp_path)
+        sidecar_at_truncation = []
+        opened = journal_mod.Journal.__init__
+
+        def spy(journal, path, *, resume=False):
+            if not resume:
+                sidecar_at_truncation.append(idx.exists())
+            opened(journal, path, resume=resume)
+
+        monkeypatch.setattr(journal_mod.Journal, "__init__", spy)
+        try:
+            publish(reborn, cells, resume=False)
+            assert sidecar_at_truncation == [False]
+            assert not idx.exists() and reborn.completed == set()
+            # and the status counters start over with the campaign: two
+            # fresh cache passes used to read as a 200 % cache hit rate
+            for _ in range(2):
+                publish(reborn, cells, resume=False)
+                reborn.handle({"op": "cache_pass"})
+            assert reborn.snapshot()["cache_hit_rate"] == 1.0
+        finally:
+            reborn.close()
+
     def test_claim_of_unknown_cell_is_rejected(self, tmp_path):
         cells = tiny_grid(configs=("2C+1F",), policies=("frfs",)).expand()
         server, _ = self._server(tmp_path)
@@ -683,6 +719,76 @@ class TestCampaignModes:
         # and what it recomputed is what a later run finds
         assert run_campaign(grid, resume=True, **kwargs).cached_hits == 4
 
+    def test_resuming_twice_resolves_each_cell_once(self, campaign_mode):
+        # The directory's cache pass used to journal cell_cached for hits
+        # the resumed journal had already resolved: three resolving
+        # events per cell after two resumes, and a 200 % cache hit rate.
+        kwargs, journal_path = campaign_mode
+        grid = tiny_grid()
+        assert run_campaign(grid, **kwargs).executed == 4
+        for _ in range(2):
+            again = run_campaign(grid, resume=True, **kwargs)
+            assert again.executed == 0 and again.cached_hits == 4
+        assert resolving_events_per_cell(journal_path) == {
+            c.cell_id: 1 for c in grid.expand()
+        }
+        if "server" in kwargs:
+            status = NetTransport(kwargs["server"], worker_id="status",
+                                  spool_dir=kwargs["out_dir"] / "status-spool")
+            snap = status.status_snapshot()
+            status.close()
+        elif "workers" in kwargs:
+            snap = campaign_snapshot(kwargs["out_dir"])
+        else:
+            return  # a local campaign has no fleet status
+        assert snap["resolved"] == 4
+        assert 0.0 <= snap["cache_hit_rate"] <= 1.0
+
+    def test_cell_cached_carries_the_same_keys_in_every_mode(
+            self, campaign_mode):
+        # The server's cache-pass and cached-under-claim records used to
+        # carry four keys where the directory's cache pass carried six.
+        six = {"cell_id", "label", "makespan_ms", "attempts", "worker",
+               "wall_time_s"}
+
+        def cached_events(path):
+            found = [e for e in journal_mod.read_events(path)
+                     if e["event"] == journal_mod.EVENT_CELL_CACHED]
+            for event in found:
+                assert six <= set(event), sorted(event)
+                assert event["makespan_ms"] > 0 and event["wall_time_s"] > 0
+            return found
+
+        kwargs, journal_path = campaign_mode
+        grid = tiny_grid()
+        cell = grid.expand()[0]
+        assert run_campaign(grid, **kwargs).executed == 4
+        # written by the cache pass: a fresh run over the filled cache
+        assert run_campaign(grid, **kwargs).cached_hits == 4
+        passed = cached_events(journal_path)
+        assert len(passed) == 4
+        assert {e["worker"] for e in passed} == {"coordinator"}
+        # written by a claim that finds the entry (a local run has none)
+        if "server" in kwargs:
+            probe = NetTransport(kwargs["server"], worker_id="probe",
+                                 spool_dir=kwargs["out_dir"] / "probe-spool")
+            probe.publish([c.to_dict() for c in grid.expand()], grid_id="t",
+                          max_attempts=1, timeout_s=None, lease_ttl_s=10.0,
+                          resume=False)
+            claimed_into = journal_path
+        elif "workers" in kwargs:
+            probe = FsTransport(kwargs["out_dir"], worker_id="probe")
+            probe.wait_ready(timeout_s=2.0, poll_s=0.05)
+            claimed_into = (kwargs["out_dir"] / "distrib" / "journals"
+                            / "probe.jsonl")
+        else:
+            return
+        assert probe.claim(cell.cell_id, cell.label, "t1").status == CLAIM_CACHED
+        probe.release(cell.cell_id)
+        probe.close()
+        (claimed,) = cached_events(claimed_into)
+        assert claimed["worker"] == "probe" and claimed["attempts"] == 0
+
     def test_kill_inside_the_cache_pass_loses_nothing(
         self, campaign_mode, monkeypatch
     ):
@@ -724,7 +830,7 @@ class TestStatusClockSkew:
 
     def test_future_heartbeat_is_clamped_and_flagged(self, tmp_path):
         queue = self._campaign_dir(tmp_path)
-        _atomic_write_json(queue.worker_path("w0"), {
+        atomic_write_json(queue.worker_path("w0"), {
             "worker": "w0", "ts": time.time() + 30.0,
             "state": "running", "current_cell": None, "cells_done": 0,
         })
@@ -738,7 +844,7 @@ class TestStatusClockSkew:
 
     def test_subsecond_future_ts_is_rounding_noise_not_skew(self, tmp_path):
         queue = self._campaign_dir(tmp_path)
-        _atomic_write_json(queue.worker_path("w0"), {
+        atomic_write_json(queue.worker_path("w0"), {
             "worker": "w0", "ts": time.time() + 0.3,
             "state": "running", "current_cell": None, "cells_done": 0,
         })
@@ -845,14 +951,13 @@ class FsLeaseAdapter:
 
     def expire(self) -> None:
         # Partition simulation: the holder stops heartbeating, so its
-        # lease files (and cache execution locks) age past the ttl.
+        # lease files age past the ttl.
         past = time.time() - 3600.0
-        for pattern in ("distrib/leases/*.lease", "cache/locks/*.lease"):
-            for path in self.root.glob(pattern):
-                try:
-                    os.utime(path, (past, past))
-                except OSError:
-                    pass
+        for path in self.root.glob("distrib/leases/*.lease"):
+            try:
+                os.utime(path, (past, past))
+            except OSError:
+                pass
 
     def close(self) -> None:
         for t in self.transports.values():
@@ -1108,7 +1213,7 @@ class TestAppOrderSurvivesTransports:
         write_manifest(tmp_path / "fs", cells, grid_id="t", max_attempts=1,
                        timeout_s=None, lease_ttl_s=10.0)
         manifest = load_manifest(tmp_path / "fs")
-        assert [c.cell_id for c in manifest_cells(manifest)] == ids
+        assert list(manifest_cells(manifest)) == ids
         summary = run_worker(tmp_path / "fs", worker_id="w1", poll_s=0.05)
         assert summary.stop_reason == "done" and summary.executed == len(ids)
         cache = ResultCache(tmp_path / "fs" / "cache")

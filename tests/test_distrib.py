@@ -25,7 +25,6 @@ from repro.dse import journal as journal_mod
 from repro.dse.distrib import (
     DistribError,
     LeaseDir,
-    SharedResultCache,
     WorkQueue,
     campaign_snapshot,
     merge_once,
@@ -187,7 +186,7 @@ class TestWorkQueue:
         from repro.dse.distrib import load_manifest, manifest_cells
 
         manifest = load_manifest(tmp_path)
-        assert [c.cell_id for c in manifest_cells(manifest)] == [
+        assert [c.cell_id for c in manifest_cells(manifest).values()] == [
             c.cell_id for c in cells
         ]
         assert manifest["max_attempts"] == 2
@@ -216,32 +215,6 @@ class TestWorkQueue:
         assert queue.stop_requested()
         queue.clear_stop()
         assert not queue.stop_requested()
-
-
-class TestSharedCache:
-    def test_put_if_absent_dedupes(self, tmp_path):
-        a = SharedResultCache(tmp_path, owner="a")
-        b = SharedResultCache(tmp_path, owner="b")
-        assert a.put_if_absent("cell", {"makespan_ms": 1.0})
-        assert not b.put_if_absent("cell", {"makespan_ms": 1.0})
-        assert b.dedupes == 1
-        assert b.peek("cell") == {"makespan_ms": 1.0}
-
-    def test_execution_locks(self, tmp_path):
-        a = SharedResultCache(tmp_path, owner="a", lock_ttl_s=30)
-        b = SharedResultCache(tmp_path, owner="b", lock_ttl_s=30)
-        assert a.try_lock("cell")
-        assert b.locked_by_other("cell")
-        assert not a.locked_by_other("cell")  # own lock
-        a.unlock("cell")
-        assert not b.locked_by_other("cell")
-
-    def test_hit_miss_accounting(self, tmp_path):
-        cache = SharedResultCache(tmp_path, owner="a")
-        assert cache.get("missing") is None
-        cache.put("cell", {"makespan_ms": 1.0})
-        assert cache.get("cell") is not None
-        assert cache.stats() == {"hits": 1, "misses": 1, "dedupes": 0}
 
 
 class TestShardMerge:

@@ -1,7 +1,8 @@
 """Tests for the gate's own plumbing in the rootdir ``conftest.py``: the
 stdlib hang guard that stands in for pytest-timeout, the active-core line,
 and the refusal to run when the compiled core is requested but missing —
-plus a source gate that keeps the slow JSON encoder out of the store."""
+plus source gates that keep the slow JSON encoder out of the store and the
+per-cell journal records (and the second lease) from being written twice."""
 
 from __future__ import annotations
 
@@ -128,3 +129,52 @@ def test_store_code_stays_on_the_c_json_encoder():
             for line, what in _slow_json_encodes(path.read_text("utf-8")):
                 offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
     assert offenders == []
+
+
+def _second_record_writers(source: str) -> list[tuple[int, str]]:
+    """``(line, what)`` for each ``append(`` / ``append_many(`` call whose
+    first argument is an ``EVENT_CELL_*`` name, and each import of
+    ``shared_cache``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            if any("shared_cache" in name.split(".") for name in names):
+                found.append((node.lineno, "import shared_cache"))
+        elif (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, (ast.Attribute, ast.Name))):
+            called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            first = node.args[0]
+            event = getattr(first, "attr", getattr(first, "id", ""))
+            if called in ("append", "append_many") and event.startswith(
+                "EVENT_CELL_"
+            ):
+                found.append((node.lineno, f"{called}({event}, ...)"))
+    return found
+
+
+def test_per_cell_records_have_one_writer_and_cells_one_lease():
+    """``dse/journal.py`` is the only module that spells the five per-cell
+    records (they were spelled at 17 call sites in three modules, and the
+    copies had drifted), and the ``cache/locks/`` second lease per cell
+    (``shared_cache.py``) stays deleted."""
+    assert _second_record_writers(
+        "from repro.dse.distrib import shared_cache\n"
+        "import repro.dse.distrib.shared_cache as sc\n"
+        "j.append(journal_mod.EVENT_CELL_START, cell_id=c)\n"
+        "j.append_many(EVENT_CELL_CACHED, records)\n"
+        "j.append(journal_mod.EVENT_CAMPAIGN_START)\nrows.append(row)\n"
+        "j.append_many(kind, records)\n"
+    ) == [(1, "import shared_cache"), (2, "import shared_cache"),
+          (3, "append(EVENT_CELL_START, ...)"),
+          (4, "append_many(EVENT_CELL_CACHED, ...)")]
+    dse = ROOT / "src" / "repro" / "dse"
+    offenders = []
+    for path in sorted(dse.rglob("*.py")):
+        if path == dse / "journal.py":
+            continue
+        for line, what in _second_record_writers(path.read_text("utf-8")):
+            offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
+    assert offenders == []
+    assert not (dse / "distrib" / "shared_cache.py").exists()
