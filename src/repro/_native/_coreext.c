@@ -471,10 +471,18 @@ coreext_run_loop(PyObject *Py_UNUSED(module), PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
-/* ReadyList: the WM's ready-task list (see the pure class in          */
-/* runtime/workload_manager.py for the design rationale).  Same        */
-/* offset + tombstone semantics; iteration is a C array walk, which    */
-/* is what makes the scheduler kernels' PyIter_Next loop cheap.        */
+/* ReadyList: the WM's ready-task list.  Same container contract as   */
+/* the pure class in runtime/workload_manager.py (FIFO iteration, len, */
+/* identity membership; no capability index) on a different           */
+/* structure: a pointer array with a `start` offset that swallows the  */
+/* dead prefix (FIFO policies dispatch from the front) and a tombstone */
+/* set for mid-list removals, compacted once tombstones outnumber      */
+/* max(64, live) and before any tombstoned id re-enters.  The pure     */
+/* class is an OrderedDict instead because a Python-level iterator     */
+/* cannot seek past a dead prefix; this one starts its walk at         */
+/* `start`, so it never paid that cost, and the plain array walk is    */
+/* what makes the scheduler kernels' PyIter_Next loop cheap (measured  */
+/* against the pure list in docs/performance.md).                      */
 /* The id bookkeeping reuses Python sets of id() ints so remove_ids    */
 /* interoperates with the caller-built {id(task), ...} sets.           */
 /* ------------------------------------------------------------------ */

@@ -194,9 +194,6 @@ class ApplicationInstance:
         self.deadline: float | None = None
         #: shed by admission control before completing
         self.dropped: bool = False
-        #: True once any task has been dispatched (admission-control
-        #: bookkeeping: drop-oldest only sheds apps with no progress)
-        self.started: bool = False
 
     @property
     def app_name(self) -> str:

@@ -20,9 +20,8 @@ import threading
 
 from repro.analysis.tables import format_table
 from repro.common.errors import ReproError
-from repro.hardware.platform import odroid_xu3, zcu102
-from repro.runtime.backends.threaded import ThreadedBackend
-from repro.runtime.backends.virtual import VirtualBackend
+from repro.hardware.platform import platform_by_name
+from repro.runtime.backends import VirtualBackend, backend_by_name
 from repro.runtime.emulation import Emulation
 from repro.runtime.faults import FaultSpec, FaultSpecError
 from repro.runtime.qos import QoSController, QoSSpec, QoSSpecError
@@ -45,22 +44,6 @@ def _parse_apps(text: str) -> dict[str, int]:
         name, _sep, num = part.partition("=")
         counts[name.strip()] = int(num) if num else 1
     return counts
-
-
-def _platform(name: str):
-    if name == "zcu102":
-        return zcu102()
-    if name == "odroid_xu3":
-        return odroid_xu3()
-    raise ReproError(f"unknown platform {name!r} (zcu102 | odroid_xu3)")
-
-
-def _backend(name: str):
-    if name == "virtual":
-        return VirtualBackend()
-    if name == "threaded":
-        return ThreadedBackend()
-    raise ReproError(f"unknown backend {name!r} (virtual | threaded)")
 
 
 def _apply_core(args: argparse.Namespace) -> None:
@@ -135,7 +118,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     faults = FaultSpec.from_json_file(args.faults) if args.faults else None
     controller = _qos_controller(args)
     emu = Emulation(
-        platform=_platform(args.platform),
+        platform=platform_by_name(args.platform),
         config=args.config,
         policy=args.policy,
         materialize_memory=args.backend == "threaded",
@@ -158,7 +141,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     else:
         workload = validation_workload(_parse_apps(args.apps))
-    backend = _backend(args.backend)
+    backend = backend_by_name(args.backend)
     if args.profile:
         # Profile the emulation phase only: workload construction and the
         # initialization phase (build_session) stay outside the profile so
@@ -515,7 +498,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     controller = _qos_controller(args)
     emu = Emulation(
-        platform=_platform(args.platform),
+        platform=platform_by_name(args.platform),
         config=args.config,
         policy=args.policy,
         materialize_memory=False,

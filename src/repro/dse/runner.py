@@ -41,27 +41,6 @@ ProgressFn = Callable[[int, int, "CellResult"], None]
 # -- worker ----------------------------------------------------------------------
 
 
-def _make_platform(name: str):
-    from repro.hardware.platform import odroid_xu3, zcu102
-
-    if name == "zcu102":
-        return zcu102()
-    if name == "odroid_xu3":
-        return odroid_xu3()
-    raise ValueError(f"unknown platform {name!r} (zcu102 | odroid_xu3)")
-
-
-def _make_backend(name: str):
-    from repro.runtime.backends.threaded import ThreadedBackend
-    from repro.runtime.backends.virtual import VirtualBackend
-
-    if name == "virtual":
-        return VirtualBackend()
-    if name == "threaded":
-        return ThreadedBackend()
-    raise ValueError(f"unknown backend {name!r} (virtual | threaded)")
-
-
 def execute_cell(cell_data: dict[str, Any]) -> dict[str, Any]:
     """Run one sweep cell to completion and return its metrics payload.
 
@@ -70,10 +49,12 @@ def execute_cell(cell_data: dict[str, Any]) -> dict[str, Any]:
     jitter stream, the workload built once per cell.  All payload values
     are JSON-serializable (this dict is exactly what the cache stores).
     """
+    from repro.hardware.platform import platform_by_name
+    from repro.runtime.backends import backend_by_name
     from repro.runtime.emulation import Emulation
 
     cell = SweepCell.from_dict(cell_data)
-    platform = _make_platform(cell.platform)
+    platform = platform_by_name(cell.platform)
     workload = build_workload(cell.workload)
     materialize = cell.backend == "threaded"
 
@@ -92,7 +73,7 @@ def execute_cell(cell_data: dict[str, Any]) -> dict[str, Any]:
             faults=cell.faults,
             qos=cell.qos,
         )
-        last = emu.run(workload, _make_backend(cell.backend), run_index=it)
+        last = emu.run(workload, backend_by_name(cell.backend), run_index=it)
         makespans_us.append(last.stats.makespan)
         overheads_us.append(last.stats.avg_scheduling_overhead())
         if last.stats.interrupted:
@@ -122,10 +103,7 @@ def execute_cell(cell_data: dict[str, Any]) -> dict[str, Any]:
         "pe_utilization": stats.pe_utilization(),
         "pe_energy_j": pe_energy,
         "total_energy_j": float(sum(pe_energy.values())),
-        "mean_response_ms": {
-            app: float(np.mean(times)) / 1000.0
-            for app, times in sorted(stats.app_response_times.items())
-        },
+        "mean_response_ms": stats.mean_response_times(),
         "wall_time_s": time.monotonic() - t0,
         # who computed this cell: a sweep-worker id when running under the
         # distributed service, else the executing process — lets slow or

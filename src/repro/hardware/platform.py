@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.common.errors import HardwareConfigError
+from repro.common.errors import HardwareConfigError, ReproError
 from repro.hardware.accelerator import FFTAcceleratorDevice
 from repro.hardware.pe import PE_BIG, PE_CPU, PE_FFT, PE_LITTLE, PEType
 
@@ -168,3 +168,19 @@ def odroid_xu3() -> SoCPlatform:
             "processor, 4 big + 3 LITTLE cores form the resource pool"
         ),
     )
+
+
+_PLATFORMS: dict[str, Callable[[], SoCPlatform]] = {
+    "zcu102": zcu102,
+    "odroid_xu3": odroid_xu3,
+}
+
+
+def platform_by_name(name: str) -> SoCPlatform:
+    """A fresh platform for a ``--platform`` / sweep-cell / scenario name."""
+    try:
+        return _PLATFORMS[name]()
+    except KeyError:
+        raise ReproError(
+            f"unknown platform {name!r} ({' | '.join(_PLATFORMS)})"
+        ) from None

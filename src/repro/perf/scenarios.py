@@ -88,12 +88,11 @@ class BenchScenario:
         return validation_workload(dict(apps))
 
     def build_emulation(self):
-        from repro.hardware.platform import odroid_xu3, zcu102
+        from repro.hardware.platform import platform_by_name
         from repro.runtime.emulation import Emulation
 
-        platform = zcu102() if self.platform == "zcu102" else odroid_xu3()
         return Emulation(
-            platform=platform,
+            platform=platform_by_name(self.platform),
             config=self.config,
             policy=self.policy,
             materialize_memory=False,

@@ -242,17 +242,8 @@ class ThreadedBackend(ExecutionBackend):
                     pe_failures.clear()
                     req_batch = list(requeues)
                     requeues.clear()
-                now = clock()
-                core.process_completions(batch, now)
-                for failed_handler, orphans in fail_batch:
-                    core.absorb_pe_failure(failed_handler, orphans, now)
-                if req_batch:
-                    core.absorb_requeues(req_batch, now)
-                busy = any(
-                    h.status in (PEStatus.RUN, PEStatus.COMPLETE)
-                    for h in session.handlers
-                )
-                if not busy:
+                core.absorb(batch, fail_batch, req_batch, clock())
+                if not core.any_busy():
                     with wm_condition:
                         if not completed and not requeues and not pe_failures:
                             return
@@ -287,11 +278,7 @@ class ThreadedBackend(ExecutionBackend):
                 requeues.clear()
             t0 = clock()
             now = t0
-            n_comp = core.process_completions(batch, now)
-            for failed_handler, orphans in fail_batch:
-                core.absorb_pe_failure(failed_handler, orphans, now)
-            if req_batch:
-                core.absorb_requeues(req_batch, now)
+            n_comp = core.absorb(batch, fail_batch, req_batch, now)
             if hb_timeout_us is not None:
                 self._check_heartbeats(session, core, now, hb_timeout_us)
             core.inject_due(now)

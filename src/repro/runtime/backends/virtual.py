@@ -32,7 +32,7 @@ from repro.runtime.backends.base import (
     PerfModelOracle,
 )
 from repro.runtime.faults import FaultInjector
-from repro.runtime.handler import PEFailedError, PEStatus, ResourceHandler
+from repro.runtime.handler import PEFailedError, ResourceHandler
 from repro.runtime.stats import EmulationStats
 from repro.runtime.workload_manager import WorkloadManagerCore
 from repro.sim.engine import Engine
@@ -262,19 +262,8 @@ class VirtualBackend(ExecutionBackend):
             if draining:
                 # Graceful shutdown: absorb whatever already finished, stop
                 # injecting/scheduling, and exit once every PE is quiet.
-                now = engine.now
-                core.process_completions(completed, now)
-                completed.clear()
-                while fault_events:
-                    failed_handler, orphans = fault_events.popleft()
-                    core.absorb_pe_failure(failed_handler, orphans, now)
-                if requeues:
-                    core.absorb_requeues(list(requeues), now)
-                    requeues.clear()
-                if not any(
-                    h.status in (PEStatus.RUN, PEStatus.COMPLETE)
-                    for h in session.handlers
-                ):
+                core.absorb(completed, fault_events, requeues, engine.now)
+                if not core.any_busy():
                     return
                 yield waker.wait_event()
                 continue
@@ -298,17 +287,9 @@ class VirtualBackend(ExecutionBackend):
                 continue  # re-evaluate state at the wakeup instant
 
             now = engine.now
-            # process_completions drains synchronously; nothing can append
-            # mid-call, so hand it the deque and clear afterwards instead
-            # of copying every pass.
-            n_comp = core.process_completions(completed, now)
-            completed.clear()
-            while fault_events:
-                failed_handler, orphans = fault_events.popleft()
-                core.absorb_pe_failure(failed_handler, orphans, now)
-            if requeues:
-                core.absorb_requeues(list(requeues), now)
-                requeues.clear()
+            # absorb reads and empties the live deques: it runs without
+            # yielding, so nothing can append mid-call and no pass copies.
+            n_comp = core.absorb(completed, fault_events, requeues, now)
             core.inject_due(now)
             ready_len = len(core.ready)
             assignments = core.run_policy(now)

@@ -10,8 +10,7 @@ workload-manager pass.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
+from collections import OrderedDict
 
 from repro import core as core_select
 from repro.appmodel.instance import ApplicationInstance, TaskInstance, TaskState
@@ -24,97 +23,61 @@ from repro.runtime.stats import EmulationStats
 
 
 class ReadyList:
-    """The ready task list, tuned for the WM's access pattern.
+    """The ready task list: an insertion-ordered set of tasks, by identity.
 
-    Policies iterate it in FIFO order and read its length; the WM removes
-    the dispatched tasks each pass.  FIFO policies dispatch from the front,
-    so removals are consumed two ways: a ``_start`` offset swallows the
-    contiguous dead prefix immediately (the common case), and the rare
-    mid-list removal sits in a tombstone set compacted lazily once the
-    tombstones outnumber live entries.  Iteration is therefore a plain
-    slice walk — no per-item id() filtering — while each pass stays
-    O(live + dispatched) amortized instead of O(queue length).
+    The contract (the compiled twin keeps the same one, minus the index):
 
-    :attr:`platform_counts` is the **capability index**: how many live
-    tasks carry each distinct ``TaskNode.platform_key`` (two or three keys
-    in practice).  It follows the live set — updated by :meth:`extend` and
-    :meth:`remove_ids`, untouched by compaction, which moves no task in or
-    out — so it always equals a recount over ``iter(self)``.
-    :meth:`Scheduler.usable_idle` reads it to tell which idle PEs any ready
-    task can run on.  Items without a ``node`` (tests and probes store
-    opaque objects) count under ``None``, which readers take as "unknown".
+    * iteration is FIFO in :meth:`extend` order; a removed task that comes
+      back (fault requeue) re-enters at the tail;
+    * membership and removal go by ``id(task)`` and removal is O(1)
+      anywhere, so a pass costs O(visited + dispatched) whether the policy
+      dispatches from the front (FRFS) or mid-list (rank-ordered);
+    * no reference is kept to a removed task, so nothing stale is left for
+      a re-entering task or a recycled ``id()`` to collide with;
+    * :attr:`platform_counts`, the **capability index**, equals a recount
+      over ``iter(self)``: live tasks per distinct ``TaskNode.platform_key``
+      (two or three in practice).  :meth:`Scheduler.usable_idle` reads it
+      to tell which idle PEs any ready task can run on; items without a
+      ``node`` (tests, probes) count under ``None``, read as "unknown";
+    * callers neither :meth:`extend` a task already in the list nor mutate
+      it while iterating (policies collect, ``commit`` removes afterwards).
+
+    ``OrderedDict``, not ``dict``: a dict iterator starts at slot 0 and
+    steps over deleted slots (a dict only compacts on insert), so FRFS
+    taking the first task of a burst, pass after pass, would be quadratic;
+    an ``OrderedDict``'s linked list reaches its first entry in one hop.
     """
 
-    __slots__ = ("_items", "_start", "_dead", "_live", "platform_counts")
+    __slots__ = ("_live", "platform_counts")
 
     def __init__(self) -> None:
-        self._items: list[TaskInstance] = []
-        self._start = 0
-        self._dead: set[int] = set()
-        #: id(task) -> its platform key, for every live task
-        self._live: dict[int, tuple[str, ...] | None] = {}
+        #: id(task) -> task, in FIFO order
+        self._live: OrderedDict[int, TaskInstance] = OrderedDict()
         self.platform_counts: dict[tuple[str, ...] | None, int] = {}
 
     def extend(self, tasks: list[TaskInstance]) -> None:
-        dead = self._dead
-        if dead and any(id(t) in dead for t in tasks):
-            # A task re-entering while its mid-list tombstone is still
-            # pending (fault requeue of a dispatched task, or an id()
-            # recycled onto a tombstoned address): without compaction the
-            # stale tombstone would make the new entry invisible to
-            # iteration while len() still counts it, silently losing the
-            # task.  Compact now so the dead occurrence is physically gone
-            # before the id goes live again.
-            self._compact()
-        self._items.extend(tasks)
         live, counts = self._live, self.platform_counts
         for t in tasks:
             try:
                 key = t.node.platform_key
             except AttributeError:
                 key = None
-            live[id(t)] = key
+            live[id(t)] = t
             counts[key] = counts.get(key, 0) + 1
 
     def remove_ids(self, ids: set[int]) -> None:
-        self._dead |= ids
         live, counts = self._live, self.platform_counts
         for i in ids:
-            if i in live:
-                counts[live.pop(i)] -= 1
-        items, dead = self._items, self._dead
-        start, n = self._start, len(items)
-        while start < n and id(items[start]) in dead:
-            dead.remove(id(items[start]))
-            start += 1
-        self._start = start
-        if start > 64 and start * 2 > n:
-            del items[:start]
-            self._start = 0
-        if len(dead) > max(64, len(live)):
-            self._compact()
-
-    def _compact(self) -> None:
-        items = self._items
-        if self._start:
-            items = items[self._start:]
-            self._start = 0
-        dead = self._dead
-        if dead:
-            items = [t for t in items if id(t) not in dead]
-            dead.clear()
-        self._items = items
+            try:
+                key = live.pop(i).node.platform_key
+            except KeyError:
+                continue  # not in the list
+            except AttributeError:
+                key = None
+            counts[key] -= 1
 
     def __iter__(self):
-        start = self._start
-        dead = self._dead
-        if not dead:
-            if start == 0:
-                return iter(self._items)
-            return islice(self._items, start, None)
-        return (
-            t for t in islice(self._items, start, None) if id(t) not in dead
-        )
+        return iter(self._live.values())
 
     def __len__(self) -> int:
         return len(self._live)
@@ -126,7 +89,7 @@ class ReadyList:
         return id(task) in self._live
 
     def snapshot(self) -> list[TaskInstance]:
-        return list(iter(self))
+        return list(self._live.values())
 
 
 class MaterializedSource:
@@ -192,8 +155,6 @@ class WorkloadManagerCore:
             self.source = MaterializedSource(workload)
         else:
             self.source = workload
-        #: prebuilt instances when the source has them (empty for lazy sources)
-        self.instances = getattr(self.source, "instances", [])
         self.handlers = handlers
         self.scheduler = scheduler
         #: event sink for stateful policies (rank caches, in-flight
@@ -220,9 +181,10 @@ class WorkloadManagerCore:
         #: admitted but not yet completed/degraded/dropped
         self.apps_in_flight = 0
         admission = qos.admission if qos is not None else None
-        #: admission order, for the drop-oldest victim scan (lazy-pruned)
-        self._admitted: deque[ApplicationInstance] | None = (
-            deque()
+        #: drop-oldest only: id(app) -> app, in admission order, for every
+        #: admitted app that has dispatched nothing; the first is the victim
+        self._unstarted: OrderedDict[int, ApplicationInstance] | None = (
+            OrderedDict()
             if admission is not None and admission.policy == "drop-oldest"
             else None
         )
@@ -265,7 +227,33 @@ class WorkloadManagerCore:
         nxt = self.next_arrival()
         return nxt is not None and nxt <= now
 
+    def any_busy(self) -> bool:
+        """Some PE can still report: FAILED is terminal, not busy."""
+        return any(
+            h.status in (PEStatus.RUN, PEStatus.COMPLETE) for h in self.handlers
+        )
+
     # -- the three steps of a WM pass -----------------------------------------------
+
+    def absorb(self, completions, pe_failures, requeues, now: float) -> int:
+        """Monitor step: consume what the PEs reported since the last pass.
+
+        Finished tasks first (they release PEs and unlock successors), then
+        permanent PE failures as ``(handler, orphans)`` pairs, then tasks
+        handed back after exhausted in-place retries — the one order both
+        backends use, draining or not.  Each buffer (a list or deque) is
+        emptied once read, so a pass cannot replay it.  Returns the
+        completion count.
+        """
+        n = self.process_completions(completions, now)
+        completions.clear()
+        for handler, orphans in pe_failures:
+            self.absorb_pe_failure(handler, orphans, now)
+        pe_failures.clear()
+        if requeues:
+            self.absorb_requeues(requeues, now)
+            requeues.clear()
+        return n
 
     def process_completions(self, completions, now: float) -> int:
         """Monitor step: bookkeep finished tasks, release PEs, grow ready list.
@@ -319,22 +307,7 @@ class WorkloadManagerCore:
         is what keeps ``completed + degraded + dropped == injected``.
         """
         admission = self.qos.admission if self.qos is not None else None
-        queue = self._admitted
-        if (
-            queue is not None
-            and len(queue) > 64
-            and len(queue) > 4 * (self.apps_in_flight + 1)
-        ):
-            # Settled apps are normally pruned from the front by the victim
-            # scan, but out-of-order completions can strand them mid-deque;
-            # compact so streaming runs do not retain every admitted app.
-            self._admitted = queue = deque(
-                app
-                for app in queue
-                if not (
-                    app.started or app.is_complete or app.degraded or app.dropped
-                )
-            )
+        unstarted = self._unstarted
         injected = 0
         source = self.source
         while True:
@@ -348,21 +321,16 @@ class WorkloadManagerCore:
                 if admission.policy == "defer":
                     # leave the arrival at the stream head for a later pass
                     break
-                if admission.policy == "drop-newest":
+                if not unstarted:
+                    # drop-newest — or drop-oldest when every admitted app
+                    # has made progress: shed the arrival instead of
+                    # wasting work already done
                     instance = source.pop()
                     self.tasks_outstanding += instance.task_count
                     injected += 1
-                    self._drop_app(instance, now, "drop-newest", admitted=False)
+                    self._drop_app(instance, now, admission.policy, admitted=False)
                     continue
-                victim = self._oldest_unstarted()
-                if victim is None:
-                    # every admitted app has made progress: shed the
-                    # arrival instead of wasting work already done
-                    instance = source.pop()
-                    self.tasks_outstanding += instance.task_count
-                    injected += 1
-                    self._drop_app(instance, now, "drop-oldest", admitted=False)
-                    continue
+                _, victim = unstarted.popitem(last=False)
                 self._drop_app(victim, now, "drop-oldest", admitted=True)
             instance = source.pop()
             self.tasks_outstanding += instance.task_count
@@ -374,22 +342,11 @@ class WorkloadManagerCore:
             injected += 1
             if self.qos is not None:
                 self.apps_in_flight += 1
-                if self._admitted is not None:
-                    self._admitted.append(instance)
+                if unstarted is not None:
+                    unstarted[id(instance)] = instance
         if injected:
             self.stats.record_injection(injected)
         return injected
-
-    def _oldest_unstarted(self) -> ApplicationInstance | None:
-        """Oldest admitted app with no progress, pruning settled entries."""
-        queue = self._admitted
-        while queue:
-            app = queue[0]
-            if app.started or app.is_complete or app.degraded or app.dropped:
-                queue.popleft()
-                continue
-            return app
-        return None
 
     def _drop_app(
         self,
@@ -410,15 +367,22 @@ class WorkloadManagerCore:
         self.apps_dropped += 1
         if admitted:
             self.apps_in_flight -= 1
-            in_ready = {id(t) for t in self.ready if t.app is app}
-            if in_ready:
-                self.ready.remove_ids(in_ready)
+            self._discard_ready(app)
         self.tasks_outstanding -= app.task_count
         self.stats.record_app_drop(app, now, reason)
         if self.stats.streaming:
             # Never-started by the victim rule (or never admitted at all):
             # nothing in flight references its tasks.
             app.release()
+
+    def _discard_ready(self, app: ApplicationInstance) -> int:
+        """Remove a dropped or degraded app's queued tasks, returning how
+        many: a walk of its own tasks (membership is O(1)), not the queue."""
+        ready = self.ready
+        in_ready = {id(t) for t in app.tasks.values() if t in ready}
+        if in_ready:
+            ready.remove_ids(in_ready)
+        return len(in_ready)
 
     def run_policy(self, now: float) -> list[Assignment]:
         """Apply the user-selected policy to the ready list (no side effects)."""
@@ -444,9 +408,9 @@ class WorkloadManagerCore:
             return
         chosen = {id(a.task) for a in assignments}
         self.ready.remove_ids(chosen)
-        if self._admitted is not None:
+        if self._unstarted:
             for a in assignments:
-                a.task.app.started = True
+                self._unstarted.pop(id(a.task.app), None)
         for a in assignments:
             binding = a.task.node.binding_for_any(a.handler.accepted_platforms)
             if binding is None:
@@ -535,12 +499,15 @@ class WorkloadManagerCore:
             return
         self.ready.extend([task])
 
+    def _live_platforms(self) -> set[str]:
+        """Every platform name some surviving PE accepts."""
+        return {
+            p for h in self.handlers if not h.failed for p in h.accepted_platforms
+        }
+
     def degrade_unrunnable(self, now: float) -> None:
         """Degrade apps whose ready tasks have no live supporting PE left."""
-        live_platforms: set[str] = set()
-        for h in self.handlers:
-            if not h.failed:
-                live_platforms.update(h.accepted_platforms)
+        live_platforms = self._live_platforms()
         doomed: list[ApplicationInstance] = []
         for t in self.ready:
             if t.app.degraded or t.app in doomed:
@@ -562,16 +529,15 @@ class WorkloadManagerCore:
         self.apps_degraded += 1
         if self.qos is not None:
             self.apps_in_flight -= 1
-        in_ready = {id(t) for t in self.ready if t.app is app}
-        if in_ready:
-            self.ready.remove_ids(in_ready)
-        # Tasks that can no longer run: queued ones just removed, plus every
+        if self._unstarted:
+            self._unstarted.pop(id(app), None)
+        # Tasks that can no longer run: queued ones, removed here, plus every
         # not-yet-ready task.  Requeued tasks still in a backend channel are
         # decremented by the absorb path that drops them.
         pending = sum(
             1 for t in app.tasks.values() if t.state is TaskState.PENDING
         )
-        self.tasks_outstanding -= pending + len(in_ready)
+        self.tasks_outstanding -= pending + self._discard_ready(app)
         self.stats.record_app_degradation(app, now)
 
     def check_liveness(self, now: float, pending_completions: int = 0) -> None:
@@ -584,27 +550,19 @@ class WorkloadManagerCore:
         """
         if self.all_complete() or pending_completions:
             return
-        # FAILED is terminal, not "busy": only RUN/COMPLETE PEs make progress.
-        any_running = any(
-            h.status in (PEStatus.RUN, PEStatus.COMPLETE) for h in self.handlers
-        )
-        if any_running or self.next_arrival() is not None:
+        if self.any_busy() or self.next_arrival() is not None:
             return
         if self.ready:
-            supported: set[str] = set()
-            for h in self.handlers:
-                if not h.failed:
-                    supported.update(h.accepted_platforms)
+            supported = self._live_platforms()
             stuck = [
                 t
                 for t in self.ready
                 if not (set(t.node.platform_names()) & supported)
             ]
             if stuck and self.any_failed:
-                # PEs died under us: degrade instead of crashing the run.
+                # PEs died under us: degrade instead of crashing the run;
+                # whatever runnable work remains is for the next pass.
                 self.degrade_unrunnable(now)
-                if not self.all_complete() and self.ready:
-                    return  # runnable work remains for the next pass
                 return
             if stuck:
                 details = [

@@ -24,6 +24,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro import _native
 from repro import core as core_select
 from repro.appmodel.library import KernelLibrary
 from repro.common.rng import default_rng
@@ -165,7 +166,7 @@ def test_every_pass_matches_the_full_scan(
     )
 
 
-# -- (b) the index equals a recount, whatever the list has been through ------------------
+# -- (b) model ≡ pure ≡ compiled, and the index equals a recount, after every step --------
 
 KEYS = (("cpu",), ("cpu", "fft"), ("fft",))
 
@@ -174,37 +175,67 @@ def fake_task(key) -> SimpleNamespace:
     return SimpleNamespace(node=SimpleNamespace(platform_key=key))
 
 
+def ready_list_twins() -> dict:
+    """The pure class always; its C twin whenever the extension imports."""
+    twins = {"pure": ReadyList()}
+    ext = _native.load()
+    if ext is not None:
+        twins["compiled"] = ext.ReadyList()
+    return twins
+
+
 class ReadyListIndexMachine(RuleBasedStateMachine):
-    """extend / remove from the front / tombstone mid-list / re-enter a
-    tombstoned task / compact: after every step the index is a recount of
-    ``iter(ready)`` and iteration matches a plain-list model (the PR 9
-    stale-tombstone bug class)."""
+    """One rule sequence — extend fresh tasks, remove from the front / the
+    middle / the back, re-enter a removed task, remove everything — drives a
+    plain-list model, the pure :class:`ReadyList` and (when importable)
+    ``_coreext.ReadyList``.  After every step all of them agree on order,
+    length, truth and the membership of every task ever seen, and the pure
+    list's index is a recount (the PR 9 stale-tombstone bug class)."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.ready = ReadyList()
+        self.twins = ready_list_twins()
         self.model: list = []
         self.removed: list = []
+        self.seen: list = []
+
+    def _extend(self, tasks) -> None:
+        for ready in self.twins.values():
+            ready.extend(tasks)
+        self.model.extend(tasks)
+
+    def _remove(self, victims) -> None:
+        ids = {id(t) for t in victims}
+        for ready in self.twins.values():
+            ready.remove_ids(ids)
+        self.model = [t for t in self.model if id(t) not in ids]
+        self.removed.extend(victims)
 
     @rule(keys=st.lists(st.sampled_from(KEYS), max_size=100))
-    def extend_new(self, keys):
+    def extend_fresh(self, keys):
         tasks = [fake_task(k) for k in keys]
-        self.ready.extend(tasks)
-        self.model.extend(tasks)
+        self.seen.extend(tasks)
+        self._extend(tasks)
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
-    def dispatch_from_front(self, data):
+    def remove_from_front(self, data):
         k = data.draw(st.integers(1, len(self.model)))
         self._remove(self.model[:k])
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
-    def tombstone_mid_list(self, data):
+    def remove_from_middle(self, data):
         victims = data.draw(
             st.lists(st.sampled_from(self.model), max_size=80, unique_by=id)
         )
         self._remove(victims)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def remove_from_back(self, data):
+        k = data.draw(st.integers(1, len(self.model)))
+        self._remove(self.model[-k:])
 
     @precondition(lambda self: self.removed)
     @rule(data=st.data())
@@ -214,28 +245,30 @@ class ReadyListIndexMachine(RuleBasedStateMachine):
         )
         ids = {id(t) for t in back}
         self.removed = [t for t in self.removed if id(t) not in ids]
-        self.ready.extend(back)
-        self.model.extend(back)
+        self._extend(back)
 
+    @precondition(lambda self: self.model)
     @rule()
-    def compact(self):
-        self.ready._compact()
-
-    def _remove(self, victims) -> None:
-        ids = {id(t) for t in victims}
-        self.ready.remove_ids(ids)
-        self.model = [t for t in self.model if id(t) not in ids]
-        self.removed.extend(victims)
+    def remove_everything(self):
+        self._remove(list(self.model))
 
     @invariant()
     def index_is_a_recount(self):
-        assert live_counts(self.ready) == recount(self.ready)
-        assert all(n >= 0 for n in self.ready.platform_counts.values())
+        pure = self.twins["pure"]
+        assert live_counts(pure) == recount(pure)
+        assert all(n >= 0 for n in pure.platform_counts.values())
 
     @invariant()
-    def iteration_matches_the_model(self):
-        assert [id(t) for t in self.ready] == [id(t) for t in self.model]
-        assert len(self.ready) == len(self.model)
+    def every_list_matches_the_model(self):
+        order = [id(t) for t in self.model]
+        members = set(order)
+        for name, ready in self.twins.items():
+            assert [id(t) for t in ready] == order, name
+            assert len(ready) == len(order), name
+            assert bool(ready) == bool(order), name
+            assert [t in ready for t in self.seen] == [
+                id(t) in members for t in self.seen
+            ], name
 
 
 TestReadyListIndex = ReadyListIndexMachine.TestCase

@@ -220,6 +220,46 @@ class TestGrid:
         assert len(metrics["makespan_us_runs"]) == 2
         assert metrics["makespan_ms"] > 0
 
+    @staticmethod
+    def _stats_of_the_same_run(cell):
+        """The cell's (deterministic, single-iteration) emulation, run directly."""
+        from repro.runtime.backends import VirtualBackend
+        from repro.runtime.emulation import Emulation
+
+        emu = Emulation(config=cell.config, policy=cell.policy,
+                        materialize_memory=False, jitter=cell.jitter,
+                        seed=cell.seed)
+        return emu.run(build_workload(cell.workload), VirtualBackend()).stats
+
+    def test_arrivals_cell_reports_mean_response_times(self):
+        # Streaming stats keep per-app aggregates, not sample lists; the
+        # cell used to read the lists and store {} for every arrivals cell.
+        desc = arrivals_sweep({
+            "kind": "poisson", "rate_per_ms": 1.0, "seed": 5,
+            "apps": {"wifi_tx": 1.0, "wifi_rx": 1.0}, "max_apps": 6,
+        })
+        cell = SweepCell(config="2C+1F", policy="frfs", workload=desc)
+        metrics = runner_mod.execute_cell(cell.to_dict())
+        stats = self._stats_of_the_same_run(cell)
+        assert stats.streaming and metrics["apps_completed"] == 6
+        assert set(metrics["mean_response_ms"]) == {"wifi_rx", "wifi_tx"}
+        assert metrics["mean_response_ms"] == stats.mean_response_times()
+
+    def test_validation_cell_mean_response_is_the_sample_mean(self):
+        # Materialized cells keep their bytes: the same expression as before
+        # over the retained samples.
+        import numpy as np
+
+        desc = validation_sweep({"wifi_tx": 2, "range_detection": 1})
+        cell = SweepCell(config="2C+1F", policy="met", workload=desc)
+        metrics = runner_mod.execute_cell(cell.to_dict())
+        stats = self._stats_of_the_same_run(cell)
+        assert metrics["mean_response_ms"] == {
+            app: float(np.mean(times)) / 1000.0
+            for app, times in sorted(stats.app_response_times.items())
+        }
+        assert list(metrics["mean_response_ms"]) == ["range_detection", "wifi_tx"]
+
     def test_arrivals_label_and_cell_id(self):
         desc = arrivals_sweep({
             "kind": "poisson", "rate_per_ms": 2.0,
@@ -536,6 +576,29 @@ class TestCampaignInline:
         assert not by_policy["no_such_policy"].ok
         assert "no_such_policy" in by_policy["no_such_policy"].error
         assert not campaign.ok
+
+    def test_misspelt_platform_is_an_isolated_error_row(self):
+        grid = SweepGrid(platforms=("zcu102", "zcu-102"), configs=("2C+1F",),
+                         policies=("frfs",), workloads=(TINY,))
+        campaign = run_campaign(grid, retries=0)
+        good, bad = campaign.results
+        assert good.ok and not bad.ok
+        assert "unknown platform 'zcu-102'" in bad.error
+        assert "zcu102 | odroid_xu3" in bad.error
+
+    def test_unknown_names_are_rejected_with_the_valid_ones(self):
+        from repro.hardware.platform import platform_by_name
+        from repro.perf.scenarios import BenchScenario
+        from repro.runtime.backends import backend_by_name
+
+        assert platform_by_name("odroid_xu3").name == "odroid_xu3"
+        assert backend_by_name("virtual").name == "virtual"
+        # used to fall through to odroid_xu3 silently
+        scenario = BenchScenario("typo", "misspelt platform", platform="zcu-102")
+        with pytest.raises(ReproError, match=r"'zcu-102' \(zcu102 \| odroid_xu3\)"):
+            scenario.build_emulation()
+        with pytest.raises(ReproError, match=r"'thread' \(virtual \| threaded\)"):
+            backend_by_name("thread")
 
     def test_bounded_retry_then_success(self, monkeypatch):
         real = runner_mod.execute_cell

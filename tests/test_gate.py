@@ -1,8 +1,10 @@
 """Tests for the gate's own plumbing in the rootdir ``conftest.py``: the
 stdlib hang guard that stands in for pytest-timeout, the active-core line,
 and the refusal to run when the compiled core is requested but missing —
-plus source gates that keep the slow JSON encoder out of the store and the
-per-cell journal records (and the second lease) from being written twice."""
+plus source gates that keep the slow JSON encoder out of the store, the
+per-cell journal records (and the second lease) from being written twice,
+and the backends' monitor step and the ready list from being hand-rolled
+again."""
 
 from __future__ import annotations
 
@@ -178,3 +180,56 @@ def test_per_cell_records_have_one_writer_and_cells_one_lease():
             offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
     assert offenders == []
     assert not (dse / "distrib" / "shared_cache.py").exists()
+
+
+def _hand_rolled_wm(source: str, calls=(), names=(), attrs=()) -> list[tuple[int, str]]:
+    """``(line, what)`` for each call to a function or method named in
+    ``calls``, each use or import of a name in ``names`` and each access to
+    an attribute in ``attrs``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if called in calls:
+                found.append((node.lineno, f"{called}("))
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name in names:
+                    found.append((node.lineno, f"import {alias.name}"))
+    return sorted(found)
+
+
+def test_monitor_step_has_one_body_and_the_ready_list_no_tombstones():
+    """The backends' monitor step is ``core.absorb(...)`` — the completions
+    → PE failures → requeues sequence used to be spelled four times (the
+    watchdog's direct ``absorb_pe_failure`` stays legal) — and the ready
+    list is one ordered map: no ``islice`` walk over a dead prefix, no
+    ``_dead`` tombstone set, no ``_compact``."""
+    monitor = ("process_completions", "absorb_requeues")
+    assert _hand_rolled_wm(
+        "n = core.process_completions(batch, now)\n"
+        "core.absorb_pe_failure(h, orphans, now)\n"
+        "core.absorb_requeues(list(requeues), now)\n"
+        "core.absorb(batch, fails, requeues, now)\n",
+        calls=monitor,
+    ) == [(1, "process_completions("), (3, "absorb_requeues(")]
+    assert _hand_rolled_wm(
+        "from itertools import islice\nx = islice(items, start, None)\n"
+        "self._dead |= ids\nself._compact()\nself._live.pop(i)\n",
+        names=("islice",), attrs=("_dead", "_compact"),
+    ) == [(1, "import islice"), (2, "islice"), (3, "._dead"), (4, "._compact")]
+    runtime = ROOT / "src" / "repro" / "runtime"
+    offenders = []
+    for path in sorted((runtime / "backends").glob("*.py")):
+        for line, what in _hand_rolled_wm(path.read_text("utf-8"), calls=monitor):
+            offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
+    path = runtime / "workload_manager.py"
+    for line, what in _hand_rolled_wm(
+        path.read_text("utf-8"), names=("islice",), attrs=("_dead", "_compact")
+    ):
+        offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
+    assert offenders == []

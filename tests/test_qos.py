@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import event as hypothesis_event
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.appmodel.instance import TaskState
 from repro.runtime.backends import ThreadedBackend, VirtualBackend
+from repro.runtime.backends import virtual as virtual_backend
 from repro.runtime.emulation import Emulation
 from repro.runtime.qos import (
     AdmissionConfig,
@@ -18,7 +24,8 @@ from repro.runtime.qos import (
 )
 from repro.runtime.schedulers import make_scheduler
 from repro.runtime.schedulers.base import Scheduler
-from repro.runtime.workload import validation_workload
+from repro.runtime.workload import BurstyStream, validation_workload
+from repro.runtime.workload_manager import WorkloadManagerCore
 from repro.common.errors import SchedulingError
 from tests.conftest import make_diamond_graph, make_diamond_library
 from tests.test_backends import diamond_emulation, diamond_perf_model
@@ -355,3 +362,118 @@ class TestHeartbeatWatchdog:
         )
         assert result.stats.watchdog_failstops == 0
         assert result.stats.apps_completed == 2
+
+
+# -- drop-oldest admission map: what the deleted pruning code guaranteed --------------------
+
+
+def unstarted_by_scan(core) -> list:
+    """The oracle: in-flight apps that have dispatched nothing, oldest first,
+    found the slow way — a scan of the whole ready list (an app with nothing
+    dispatched still has every head task queued)."""
+    apps = {id(t.app): t.app for t in core.ready}
+    return sorted(
+        (
+            app for app in apps.values()
+            if all(
+                t.state in (TaskState.PENDING, TaskState.READY)
+                for t in app.tasks.values()
+            )
+        ),
+        key=lambda app: app.instance_id,
+    )
+
+
+class AuditedCore(WorkloadManagerCore):
+    """Checks every drop against the scan oracle and hands itself to the
+    scheduler wrapper, which audits the map once per pass."""
+
+    def __init__(self, workload, handlers, scheduler, stats, **kwargs):
+        super().__init__(workload, handlers, scheduler, stats, **kwargs)
+        scheduler.core = self
+        self.victims = 0
+
+    def _drop_app(self, app, now, reason, *, admitted):
+        oldest = unstarted_by_scan(self)
+        if admitted:
+            # the victim is the oldest app with nothing dispatched
+            assert app is oldest[0]
+            assert id(app) not in self._unstarted
+            self.victims += 1
+        else:
+            # the arrival is shed only when every admitted app has progressed
+            assert oldest == [] and not self._unstarted
+        super()._drop_app(app, now, reason, admitted=admitted)
+
+
+class AdmissionAudit:
+    """Scheduler wrapper: ``schedule`` runs after injection in every pass
+    that has ready work, which is where the map is compared with the scan."""
+
+    def __init__(self, name: str) -> None:
+        self.inner = make_scheduler(name)
+        self.core = None
+        self.passes = 0
+
+    def __getattr__(self, attr):
+        return getattr(self.inner, attr)
+
+    @property
+    def oracle(self):
+        return self.inner.oracle
+
+    @oracle.setter
+    def oracle(self, oracle) -> None:
+        self.inner.oracle = oracle
+
+    def schedule(self, ready, handlers, now):
+        core = self.core
+        unstarted = list(core._unstarted.values())
+        # only apps with nothing dispatched, all of them, in admission order
+        assert unstarted == unstarted_by_scan(core)
+        assert not any(a.dropped or a.degraded or a.is_complete for a in unstarted)
+        # the bound the old compaction block existed for
+        assert len(unstarted) <= core.apps_in_flight <= core.qos.admission.max_pending
+        self.passes += 1
+        return self.inner.schedule(ready, handlers, now)
+
+
+BURSTS = st.lists(
+    st.tuples(
+        st.floats(0.0, 6.0),                       # start_ms
+        st.floats(0.2, 3.0),                       # duration_ms
+        st.sampled_from([4.0, 15.0, 40.0]),        # rate_per_ms
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@given(
+    bursts=BURSTS,
+    base_rate=st.sampled_from([0.2, 1.0]),
+    max_pending=st.sampled_from([1, 2, 5]),
+    policy=st.sampled_from(["frfs", "heft"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_drop_oldest_admission_map_matches_a_scan(
+    bursts, base_rate, max_pending, policy, seed
+):
+    stream = BurstyStream(
+        base_rate, {"range_detection": 2.0, "wifi_tx": 1.0, "wifi_rx": 1.0},
+        bursts=bursts, duration_ms=10.0, seed=seed,
+    )
+    audit = AdmissionAudit(policy)
+    qos = {"admission": {"max_pending": max_pending, "policy": "drop-oldest"}}
+    with mock.patch.object(virtual_backend, "WorkloadManagerCore", AuditedCore):
+        emu = Emulation(config="2C+1F", policy=audit, seed=1, qos=qos)
+        stats = emu.run(stream, VirtualBackend()).stats
+    core = audit.core
+    assert stats.streaming and not core._unstarted
+    assert audit.passes > 0 or stats.apps_injected == 0
+    assert (
+        stats.apps_completed + stats.apps_degraded + stats.apps_dropped
+        == stats.apps_injected
+    )
+    hypothesis_event(f"victims>0: {core.victims > 0}")
+    hypothesis_event(f"arrivals shed: {stats.apps_dropped > core.victims}")

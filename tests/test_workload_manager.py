@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,19 +81,6 @@ class TestReadyList:
         assert list(rl) == expected  # iteration is repeatable
         assert len(rl) == 17
 
-    def test_threshold_compaction_drops_tombstones(self):
-        # Once tombstones outnumber max(64, live), the backing list is
-        # rebuilt and the dead set emptied.
-        rl = ReadyList()
-        items = [[i] for i in range(200)]
-        rl.extend(items)
-        # Remove from the back so the dead-prefix shortcut cannot consume
-        # them; 130 tombstones vs 70 live crosses the max(64, live) bound.
-        rl.remove_ids({id(items[i]) for i in range(70, 200)})
-        assert not rl._dead
-        assert list(rl) == items[:70]
-        assert len(rl) == 70
-
     def test_reextend_after_compaction(self):
         rl = ReadyList()
         first = [[i] for i in range(150)]
@@ -105,15 +94,22 @@ class TestReadyList:
         rl.remove_ids({id(second[0])})
         assert list(rl) == second[1:]
 
-    def test_dead_prefix_consumed_without_tombstones(self):
-        # FIFO-style removals from the front should be absorbed by the
-        # prefix offset, leaving no tombstones to filter during iteration.
+    def test_removed_task_is_released_at_once(self):
+        # Nothing in the list refers to a removed task any more: a mid-list
+        # removal frees it right away instead of at some later compaction
+        # (which is also what keeps a recycled id() from meeting a stale
+        # entry).  The C twin still tombstones, so this is the pure class.
+        class Task:
+            pass
+
         rl = ReadyList()
-        items = [[i] for i in range(10)]
+        items = [Task() for _ in range(10)]
         rl.extend(items)
-        rl.remove_ids({id(items[0]), id(items[1])})
-        assert not rl._dead
-        assert list(rl) == items[2:]
+        ref = weakref.ref(items[4])
+        rl.remove_ids({id(items[4])})
+        del items[4]
+        assert ref() is None
+        assert list(rl) == items and len(rl) == 9
 
     @pytest.mark.parametrize("make", _readylist_impls())
     def test_reextend_while_tombstoned(self, make):
