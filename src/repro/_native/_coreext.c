@@ -32,11 +32,11 @@ static PyObject *str_state;      /* "_state" */
 static PyObject *str_fn;
 static PyObject *str_node;
 static PyObject *str_failed;
-static PyObject *str_status;     /* "_status": the raw attribute behind the
-                                  * ResourceHandler.status property.  One
-                                  * read is GIL-atomic, so skipping the
-                                  * property's lock acquisition returns the
-                                  * same value the property would. */
+static PyObject *str_status;     /* "status": a plain attribute of
+                                  * ResourceHandler, written only under the
+                                  * handler lock.  One read is GIL-atomic,
+                                  * which is all the Python policies rely
+                                  * on too (see runtime/handler.py). */
 static PyObject *str_eft;        /* "estimated_free_time" */
 static PyObject *int_fired;      /* 2 == repro.sim.engine._FIRED */
 
@@ -1710,7 +1710,7 @@ PyInit__coreext(void)
     str_fn = PyUnicode_InternFromString("fn");
     str_node = PyUnicode_InternFromString("node");
     str_failed = PyUnicode_InternFromString("failed");
-    str_status = PyUnicode_InternFromString("_status");
+    str_status = PyUnicode_InternFromString("status");
     str_eft = PyUnicode_InternFromString("estimated_free_time");
     int_fired = PyLong_FromLong(2); /* repro.sim.engine._FIRED */
     if (!str_fire || !str_now || !str_events_fired || !str_callbacks ||

@@ -83,6 +83,9 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
     # ... plus shard events the coordinator has not merged yet, which also
     # carry the timestamps the throughput estimate needs.
     resolution_ts: list[float] = []
+    #: cells some ``cell_cached`` event names (distinct: workers that
+    #: re-discover each other's results each write a line for the same cell)
+    cached_ids: set[Any] = set()
     per_worker: dict[str, dict[str, Any]] = {}
     for shard in queue.shard_paths():
         worker = shard.stem
@@ -101,6 +104,7 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
                 cached += 1
                 resolution_ts.append(ts)
                 completed.add(event.get("cell_id"))
+                cached_ids.add(event.get("cell_id"))
             elif kind == journal_mod.EVENT_CELL_ERROR:
                 errors += 1
             last_ts = max(last_ts, ts)
@@ -156,14 +160,14 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
             "stale": queue.leases.is_stale(info, fs_now),
         })
 
-    cached_total = sum(w.get("cached", 0) for w in per_worker.values())
-    # cell_cached events the coordinator journaled directly (cache pass)
-    cached_total += sum(
-        1 for e in journal_mod.read_events(out_path / "journal.jsonl")
+    # ... and the ones in the canonical journal: the coordinator's cache
+    # pass and shard lines already merged (the same cells, counted once).
+    cached_ids.update(
+        e.get("cell_id")
+        for e in journal_mod.read_events(out_path / "journal.jsonl")
         if e.get("event") == journal_mod.EVENT_CELL_CACHED
-        and e.get("worker") == "coordinator"
     )
-    hit_rate = cached_total / resolved if resolved else 0.0
+    hit_rate = len(cached_ids & completed) / resolved if resolved else 0.0
 
     return {
         "out_dir": str(out_path),

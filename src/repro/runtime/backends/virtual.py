@@ -271,20 +271,15 @@ class VirtualBackend(ExecutionBackend):
             # fault event to absorb, or the workload queue's head arrival
             # coming due (and admittable — a defer-blocked arrival waits
             # for the completion that frees capacity, not for a timer).
-            if (
-                not completed
-                and not fault_events
-                and not requeues
-                and not (
-                    core.has_due_arrival(engine.now) and core.admission_open()
-                )
-            ):
-                wait = waker.wait_event()
+            if not completed and not fault_events and not requeues:
                 nxt = core.next_arrival()
-                if nxt is not None and core.admission_open():
-                    engine.call_at(max(nxt, engine.now), waker.wake)
-                yield wait
-                continue  # re-evaluate state at the wakeup instant
+                admittable = nxt is not None and core.admission_open()
+                if not (admittable and nxt <= engine.now):
+                    wait = waker.wait_event()
+                    if admittable:
+                        engine.call_at(nxt, waker.wake)
+                    yield wait
+                    continue  # re-evaluate state at the wakeup instant
 
             now = engine.now
             # absorb reads and empties the live deques: it runs without
@@ -301,7 +296,9 @@ class VirtualBackend(ExecutionBackend):
             # The pass executes serially on the management core; HostCore
             # divides by core speed (slow LITTLE overlay -> larger overhead,
             # the Fig. 11 mechanism).
-            yield from mgmt_core.consume(wm_token, overhead)
+            charged = mgmt_core.charge(wm_token, overhead)
+            if charged is not None:
+                yield charged
             effective = overhead / mgmt_core.speed
             for _ in range(invocations):
                 session.stats.record_scheduling_pass(
@@ -384,10 +381,19 @@ class VirtualBackend(ExecutionBackend):
                     service = perf.cpu_time(binding.runfunc, pe_type) * jitter
                     durations = (service,)
                 if injector is None:
-                    # Fault-free fast path: identical yield sequence (and
-                    # therefore identical event ordering) to the pre-fault
-                    # backend.
-                    yield from self._charge(engine, handler, host, is_accel, durations)
+                    # Fault-free: identical yield sequence (and therefore
+                    # identical event ordering) to the pre-fault backend.
+                    if is_accel:
+                        yield from self._charge(
+                            engine, handler, host, True, durations
+                        )
+                    else:
+                        # The per-task cycle's one charge, yielded from
+                        # this frame: the event and the float ops of
+                        # _charge's CPU branch without its two generators.
+                        charged = host.charge(handler, service * host.speed)
+                        if charged is not None:
+                            yield charged
                 else:
                     if slowdown != 1.0:
                         durations = tuple(d * slowdown for d in durations)

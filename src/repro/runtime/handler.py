@@ -10,20 +10,32 @@ with a terminal failure state for fault injection::
     COMPLETE ──(WM acknowledges)──► IDLE
     any ──(fault injection, mark_failed)──► FAILED   (terminal)
 
-Any thread reading or writing the status field must hold the handler's
-lock; the threaded backend relies on this, while the single-threaded
-virtual backend satisfies the rule trivially (its lock is uncontended).
-The ``failed`` flag is additionally mirrored as a plain attribute so
-schedulers can exclude failed PEs without taking the lock in their inner
-loops (written once under the lock; a stale read is benign because the
-workload manager re-filters assignments against it before dispatch).
+The locking rule: every *write* of ``status`` and every check-then-set
+(each transition above tests the current state before changing it) holds
+the handler's lock, so two threads can never both win a transition.  A
+single ``status`` *load* does not: ``status`` is a plain attribute, one
+load of it is atomic under the interpreter lock, and a reader that took
+the handler lock for that one load would see exactly the value it sees
+without it — the lock orders the load against writers but cannot keep the
+value current past its release, so every decision made on a bare read was
+already a snapshot.  Nothing acts on a snapshot alone: a policy's "idle"
+is re-tested by :meth:`assign` under the lock, and the workload manager
+re-filters assignments against ``failed`` before dispatch.  The
+``failed`` flag mirrors ``status is PEStatus.FAILED`` (written once, under
+the lock) for inner loops that only ask that.
 
-Completed tasks are buffered in ``finished_tasks`` for the workload
-manager's monitoring step.  The ``reservation_queue`` implements the
-paper's future-work PE-level work queues: with a reservation-capable
-policy, the WM may book tasks onto a busy PE and the resource manager
-*self-serves* the next task on completion (``finish_task(self_serve=True)``),
-skipping the COMPLETE→IDLE handshake entirely.
+The threaded backend's RM blocks in :meth:`wait_for_work` on a condition
+over the same lock.  Writers wake it through :meth:`_notify`, which skips
+the notification while no thread is waiting (a counter kept under the
+lock): on the virtual backend nothing ever waits, so a task costs three
+lock acquisitions — ``assign``, ``finish_task``, ``acknowledge_complete`` —
+and no notification.
+
+The ``reservation_queue`` implements the paper's future-work PE-level
+work queues: with a reservation-capable policy, the WM may book tasks
+onto a busy PE and the resource manager *self-serves* the next task on
+completion (``finish_task(self_serve=True)``), skipping the COMPLETE→IDLE
+handshake entirely.
 """
 
 from __future__ import annotations
@@ -75,10 +87,12 @@ class ResourceHandler:
             self.accepted_platforms = (pe.type_name,)
         self.lock = threading.Lock()
         self.condition = threading.Condition(self.lock)
-        self._status = PEStatus.IDLE
+        #: threads blocked in wait_for_work (changed only under the lock)
+        self._waiters = 0
+        #: written only under the lock; a bare read is a snapshot (module doc)
+        self.status = PEStatus.IDLE
         self.current_task: TaskInstance | None = None
         self.reservation_queue: deque[TaskInstance] = deque()
-        self.finished_tasks: deque[TaskInstance] = deque()
         # accounting (owned by the RM side)
         self.busy_time: float = 0.0
         self.tasks_executed: int = 0
@@ -97,32 +111,31 @@ class ResourceHandler:
         #: Plain float write/read — stale reads only delay detection.
         self.heartbeat: float = -1.0
 
-    # -- properties ------------------------------------------------------------
-
-    @property
-    def status(self) -> PEStatus:
-        with self.lock:
-            return self._status
-
     def is_idle(self) -> bool:
         return self.status is PEStatus.IDLE
+
+    def _notify(self) -> None:
+        """Wake the RM blocked in :meth:`wait_for_work`, if one is (call
+        with the lock held)."""
+        if self._waiters:
+            self.condition.notify_all()
 
     # -- WM side -----------------------------------------------------------------
 
     def assign(self, task: TaskInstance) -> None:
         """Hand a task to an idle PE and flip it to RUN."""
-        with self.condition:
-            if self._status is PEStatus.FAILED:
+        with self.lock:
+            if self.status is PEStatus.FAILED:
                 raise PEFailedError(
                     f"PE {self.name}: assign after permanent failure"
                 )
-            if self._status is not PEStatus.IDLE:
+            if self.status is not PEStatus.IDLE:
                 raise EmulationError(
-                    f"PE {self.name}: assign while {self._status.value}"
+                    f"PE {self.name}: assign while {self.status.value}"
                 )
             self.current_task = task
-            self._status = PEStatus.RUN
-            self.condition.notify_all()
+            self.status = PEStatus.RUN
+            self._notify()
 
     def reserve(self, task: TaskInstance) -> bool:
         """Book a task onto this PE (reservation extension).
@@ -130,41 +143,34 @@ class ResourceHandler:
         Returns True when the PE was idle and the task starts immediately;
         False when it was queued behind the current work.
         """
-        with self.condition:
-            if self._status is PEStatus.FAILED:
+        with self.lock:
+            if self.status is PEStatus.FAILED:
                 raise PEFailedError(
                     f"PE {self.name}: reserve after permanent failure"
                 )
-            if self._status is PEStatus.IDLE:
+            if self.status is PEStatus.IDLE:
                 self.current_task = task
-                self._status = PEStatus.RUN
-                self.condition.notify_all()
+                self.status = PEStatus.RUN
+                self._notify()
                 return True
             self.reservation_queue.append(task)
             return False
 
     def acknowledge_complete(self) -> None:
         """Return a COMPLETE PE to IDLE (plain-dispatch handshake)."""
-        with self.condition:
-            if self._status is not PEStatus.COMPLETE:
+        with self.lock:
+            if self.status is not PEStatus.COMPLETE:
                 raise EmulationError(
-                    f"PE {self.name}: acknowledge while {self._status.value}"
+                    f"PE {self.name}: acknowledge while {self.status.value}"
                 )
             self.current_task = None
-            self._status = PEStatus.IDLE
-
-    def drain_finished(self) -> list[TaskInstance]:
-        """WM monitoring step: collect all buffered completed tasks."""
-        with self.lock:
-            items = list(self.finished_tasks)
-            self.finished_tasks.clear()
-            return items
+            self.status = PEStatus.IDLE
 
     def request_shutdown(self) -> None:
         """Ask the RM (thread) to exit once idle."""
-        with self.condition:
+        with self.lock:
             self.shutdown = True
-            self.condition.notify_all()
+            self._notify()
 
     def mark_failed(self, now: float) -> list[TaskInstance]:
         """Permanent fault: flip to FAILED and surrender unexecuted work.
@@ -176,19 +182,19 @@ class ResourceHandler:
         with the completion channel.  Idempotent: a second call returns
         ``[]``.
         """
-        with self.condition:
-            if self._status is PEStatus.FAILED:
+        with self.lock:
+            if self.status is PEStatus.FAILED:
                 return []
             orphans: list[TaskInstance] = []
-            if self._status is PEStatus.RUN and self.current_task is not None:
+            if self.status is PEStatus.RUN and self.current_task is not None:
                 orphans.append(self.current_task)
             orphans.extend(self.reservation_queue)
             self.reservation_queue.clear()
             self.current_task = None
-            self._status = PEStatus.FAILED
+            self.status = PEStatus.FAILED
             self.failed = True
             self.failed_at = now
-            self.condition.notify_all()
+            self._notify()
             return orphans
 
     # -- RM side -----------------------------------------------------------------
@@ -196,56 +202,55 @@ class ResourceHandler:
     def finish_task(self, *, self_serve: bool = False) -> TaskInstance | None:
         """RM reports the current task done.
 
-        Plain mode (``self_serve=False``): buffers the task and flips to
-        COMPLETE, awaiting the WM's acknowledgement.  Self-serve mode: the
-        PE immediately continues with the next reserved task (returned), or
-        goes straight to IDLE when its queue is empty.
+        Plain mode (``self_serve=False``): flips to COMPLETE, awaiting the
+        WM's acknowledgement.  Self-serve mode: the PE immediately continues
+        with the next reserved task (returned), or goes straight to IDLE
+        when its queue is empty.
         """
-        with self.condition:
-            if self._status is not PEStatus.RUN or self.current_task is None:
+        with self.lock:
+            if self.status is not PEStatus.RUN or self.current_task is None:
                 raise EmulationError(
-                    f"PE {self.name}: finish_task while {self._status.value}"
+                    f"PE {self.name}: finish_task while {self.status.value}"
                 )
             done = self.current_task
-            self.finished_tasks.append(done)
             self.tasks_executed += 1
-            # Busy-time accounting happens here, under the condition lock,
+            # Busy-time accounting happens here, under the lock,
             # because the WM side may read busy_time concurrently; timeline
             # stamps are valid only once mark_complete() ran.
             if done.finish_time >= 0.0 and done.start_time >= 0.0:
                 self.busy_time += done.finish_time - done.start_time
             if not self_serve:
-                self._status = PEStatus.COMPLETE
-                self.condition.notify_all()
+                self.status = PEStatus.COMPLETE
+                self._notify()
                 return None
             if self.reservation_queue:
                 self.current_task = self.reservation_queue.popleft()
-                self.condition.notify_all()
+                self._notify()
                 return self.current_task
             self.current_task = None
-            self._status = PEStatus.IDLE
+            self.status = PEStatus.IDLE
             return None
 
     def abort_task(self, *, self_serve: bool = False) -> TaskInstance | None:
         """RM abandons the current task without completing it (fault path).
 
         Mirrors :meth:`finish_task` minus the completion bookkeeping: the
-        task is *not* buffered, counted, or charged to busy time — the
-        workload manager receives it through the requeue channel instead.
+        task is *not* counted or charged to busy time — the workload
+        manager receives it through the requeue channel instead.
         Self-serve mode continues with the next reserved task.
         """
-        with self.condition:
-            if self._status is not PEStatus.RUN or self.current_task is None:
+        with self.lock:
+            if self.status is not PEStatus.RUN or self.current_task is None:
                 raise EmulationError(
-                    f"PE {self.name}: abort_task while {self._status.value}"
+                    f"PE {self.name}: abort_task while {self.status.value}"
                 )
             self.current_task = None
             if self_serve and self.reservation_queue:
                 self.current_task = self.reservation_queue.popleft()
-                self.condition.notify_all()
+                self._notify()
                 return self.current_task
-            self._status = PEStatus.IDLE
-            self.condition.notify_all()
+            self.status = PEStatus.IDLE
+            self._notify()
             return None
 
     def wait_for_work(self, timeout: float | None = None) -> TaskInstance | None:
@@ -255,16 +260,24 @@ class ResourceHandler:
         """
         with self.condition:
             while not self.shutdown:
-                if self._status is PEStatus.FAILED:
+                if self.status is PEStatus.FAILED:
                     return None
-                if self._status is PEStatus.RUN and self.current_task is not None:
+                if self.status is PEStatus.RUN and self.current_task is not None:
                     return self.current_task
-                if not self.condition.wait(timeout=timeout):
+                # wait() gives the lock up only after this thread is
+                # enqueued and takes it back before returning (or raising),
+                # so a writer that reads a zero count has nobody to wake.
+                self._waiters += 1
+                try:
+                    notified = self.condition.wait(timeout=timeout)
+                finally:
+                    self._waiters -= 1
+                if not notified:
                     return None
             return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"ResourceHandler({self.name!r}, {self._status.value}, "
+            f"ResourceHandler({self.name!r}, {self.status.value}, "
             f"queued={len(self.reservation_queue)})"
         )

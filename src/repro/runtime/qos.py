@@ -394,5 +394,19 @@ class EDFScheduler(Scheduler):
         return deadline if deadline is not None else math.inf
 
     def schedule(self, ready, handlers, now: float) -> list[Assignment]:
-        ordered = sorted(ready, key=self._deadline_key)
+        wanted = getattr(ready, "wanted", None)
+        if wanted is None:
+            ordered = list(ready)
+        else:
+            # Capabilities do not depend on order: the sorted copy answers
+            # Scheduler.usable_idle's question from the list it came from.
+            ordered = _DeadlineOrdered(ready)
+            ordered.wanted = wanted
+        ordered.sort(key=self._deadline_key)
         return self.inner.schedule(ordered, handlers, now)
+
+
+class _DeadlineOrdered(list):
+    """The EDF-sorted ready tasks, still carrying ``ReadyList.wanted``."""
+
+    __slots__ = ("wanted",)

@@ -17,8 +17,7 @@ shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from repro import core as core_select
 from repro.appmodel.instance import TaskInstance
@@ -26,8 +25,7 @@ from repro.common.errors import SchedulingError
 from repro.runtime.handler import PEStatus, ResourceHandler
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """One scheduling decision: run ``task`` on ``handler``'s PE."""
 
     task: TaskInstance
@@ -181,10 +179,10 @@ class Scheduler:
 
     @staticmethod
     def idle_handlers(handlers: list[ResourceHandler]) -> list[ResourceHandler]:
-        """Snapshot of currently idle PEs (reads status under each lock,
-        matching the paper's 'begin by checking availability' guidance).
-        ``PEStatus.FAILED`` is terminal and distinct from IDLE, so failed
-        PEs are excluded here automatically."""
+        """Snapshot of currently idle PEs (the paper's 'begin by checking
+        availability' guidance; one plain ``status`` load per PE, see
+        :mod:`repro.runtime.handler`).  ``PEStatus.FAILED`` is terminal and
+        distinct from IDLE, so failed PEs are excluded here automatically."""
         return [h for h in handlers if h.status is PEStatus.IDLE]
 
     @staticmethod
@@ -196,23 +194,28 @@ class Scheduler:
         A policy that scans the queue should start here and stop once these
         PEs are dispatched: an idle PE that no ready task supports can
         never be booked or dispatched, so waiting for it only walks the
-        whole queue for nothing.  The answer comes from the ready list's
-        capability index (``ReadyList.platform_counts``), not from a scan.
-        A ``ready`` without one — a plain list, the compiled ``ReadyList``
-        — or one holding items of unknown capability yields every idle PE,
-        which is always correct, only slower.
+        whole queue for nothing.  The cheap question comes first: with no
+        idle PE the answer is ``[]`` whatever is queued.  Otherwise the
+        idle PEs are filtered by ``ready.wanted()`` — the platform names
+        some ready task can run on, which the ready list remembers between
+        changes (:meth:`ReadyList.wanted`), not a scan.  A ``ready``
+        without that method — a plain list, the compiled ``ReadyList`` —
+        or one holding items of unknown capability (``wanted()`` is None)
+        yields every idle PE, which is always correct, only slower.
         """
-        counts = getattr(ready, "platform_counts", None)
-        if counts is None or counts.get(None):
-            return [
-                (i, h) for i, h in enumerate(handlers)
-                if h.status is PEStatus.IDLE
-            ]
-        wanted = {name for key, n in counts.items() if n for name in key}
-        return [
+        idle = [
             (i, h) for i, h in enumerate(handlers)
             if h.status is PEStatus.IDLE
-            and not wanted.isdisjoint(h.accepted_platforms)
+        ]
+        if not idle:
+            return idle
+        wanted_of = getattr(ready, "wanted", None)
+        wanted = wanted_of() if wanted_of is not None else None
+        if wanted is None:
+            return idle
+        return [
+            pair for pair in idle
+            if not wanted.isdisjoint(pair[1].accepted_platforms)
         ]
 
     @staticmethod
@@ -254,28 +257,29 @@ def validate_assignments(
     seen_tasks: set[int] = set()
     seen_handlers: set[int] = set()
     for a in assignments:
-        if id(a.task) in seen_tasks:
+        task, handler = a.task, a.handler
+        if id(task) in seen_tasks:
             raise SchedulingError(
-                f"task {a.task.qualified_name()} assigned twice in one pass"
+                f"task {task.qualified_name()} assigned twice in one pass"
             )
-        seen_tasks.add(id(a.task))
-        if a.task not in ready:
+        seen_tasks.add(id(task))
+        if task not in ready:
             raise SchedulingError(
-                f"task {a.task.qualified_name()} is not in the ready list"
+                f"task {task.qualified_name()} is not in the ready list"
             )
-        if not a.task.supports_pe(a.handler):
+        if not task.supports_pe(handler):
             raise SchedulingError(
-                f"task {a.task.qualified_name()} does not support PE type "
-                f"{a.handler.type_name!r}"
+                f"task {task.qualified_name()} does not support PE type "
+                f"{handler.type_name!r}"
             )
         if not allow_busy:
-            if id(a.handler) in seen_handlers:
+            if id(handler) in seen_handlers:
                 raise SchedulingError(
-                    f"PE {a.handler.name} assigned two tasks in one pass"
+                    f"PE {handler.name} assigned two tasks in one pass"
                 )
-            if a.handler.status is not PEStatus.IDLE:
+            status = handler.status
+            if status is not PEStatus.IDLE:
                 raise SchedulingError(
-                    f"PE {a.handler.name} is not idle "
-                    f"({a.handler.status.value})"
+                    f"PE {handler.name} is not idle ({status.value})"
                 )
-        seen_handlers.add(id(a.handler))
+        seen_handlers.add(id(handler))

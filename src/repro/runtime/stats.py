@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,9 +133,9 @@ class _MeanAgg:
         return self.total / self.count if self.count else 0.0
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """Timeline of one executed task."""
+class TaskRecord(NamedTuple):
+    """Timeline of one executed task (one is built per task, so it is the
+    cheapest immutable record Python has: a tuple with named fields)."""
 
     app_name: str
     instance_id: int
@@ -280,30 +281,24 @@ class EmulationStats:
         )
 
     def record_task(self, task, pe: ProcessingElement) -> None:
+        start = task.start_time
+        finish = task.finish_time
+        usage = self.pe_usage[pe.name]
+        usage.busy_time += finish - start
+        usage.tasks_executed += 1
+        if finish > self.emulation_end:
+            self.emulation_end = finish
         if self.streaming:
             self._tasks_recorded += 1
-            usage = self.pe_usage[pe.name]
-            usage.busy_time += task.finish_time - task.start_time
-            usage.tasks_executed += 1
-            self.emulation_end = max(self.emulation_end, task.finish_time)
             return
-        rec = TaskRecord(
-            app_name=task.app_name,
-            instance_id=task.app.instance_id,
-            task_name=task.name,
-            task_id=task.task_id,
-            pe_name=pe.name,
-            pe_type=pe.type_name,
-            ready_time=task.ready_time,
-            dispatch_time=task.dispatch_time,
-            start_time=task.start_time,
-            finish_time=task.finish_time,
+        app = task.app
+        self.task_records.append(
+            TaskRecord(
+                app.app_name, app.instance_id, task.node.name, task.task_id,
+                pe.name, pe.type_name,
+                task.ready_time, task.dispatch_time, start, finish,
+            )
         )
-        self.task_records.append(rec)
-        usage = self.pe_usage[pe.name]
-        usage.busy_time += rec.service_time
-        usage.tasks_executed += 1
-        self.emulation_end = max(self.emulation_end, rec.finish_time)
 
     def record_scheduling_pass(self, overhead: float, ready_len: int) -> None:
         self.sched_overhead_total += overhead

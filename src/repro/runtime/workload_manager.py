@@ -22,6 +22,10 @@ from repro.runtime.schedulers.base import Assignment, Scheduler, validate_assign
 from repro.runtime.stats import EmulationStats
 
 
+#: ReadyList._wanted before the first question and after a count crossed zero
+_STALE = object()
+
+
 class ReadyList:
     """The ready task list: an insertion-ordered set of tasks, by identity.
 
@@ -36,9 +40,14 @@ class ReadyList:
       a re-entering task or a recycled ``id()`` to collide with;
     * :attr:`platform_counts`, the **capability index**, equals a recount
       over ``iter(self)``: live tasks per distinct ``TaskNode.platform_key``
-      (two or three in practice).  :meth:`Scheduler.usable_idle` reads it
-      to tell which idle PEs any ready task can run on; items without a
-      ``node`` (tests, probes) count under ``None``, read as "unknown";
+      (two or three in practice); items without a ``node`` (tests, probes)
+      count under ``None``, read as "unknown";
+    * :meth:`wanted` equals the union recomputed from that index — the
+      platform names of every key with a live task, or None while an item
+      of unknown capability is queued.  It is what
+      :meth:`Scheduler.usable_idle` filters idle PEs by; the answer is
+      remembered and dropped only when a count crosses zero, which a
+      steady queue does far less often than it is asked;
     * callers neither :meth:`extend` a task already in the list nor mutate
       it while iterating (policies collect, ``commit`` removes afterwards).
 
@@ -48,12 +57,14 @@ class ReadyList:
     an ``OrderedDict``'s linked list reaches its first entry in one hop.
     """
 
-    __slots__ = ("_live", "platform_counts")
+    __slots__ = ("_live", "platform_counts", "_wanted")
 
     def __init__(self) -> None:
         #: id(task) -> task, in FIFO order
         self._live: OrderedDict[int, TaskInstance] = OrderedDict()
         self.platform_counts: dict[tuple[str, ...] | None, int] = {}
+        #: wanted()'s remembered answer (a frozenset or None), or _STALE
+        self._wanted: object = _STALE
 
     def extend(self, tasks: list[TaskInstance]) -> None:
         live, counts = self._live, self.platform_counts
@@ -63,7 +74,10 @@ class ReadyList:
             except AttributeError:
                 key = None
             live[id(t)] = t
-            counts[key] = counts.get(key, 0) + 1
+            n = counts.get(key, 0)
+            if not n:
+                self._wanted = _STALE
+            counts[key] = n + 1
 
     def remove_ids(self, ids: set[int]) -> None:
         live, counts = self._live, self.platform_counts
@@ -74,7 +88,25 @@ class ReadyList:
                 continue  # not in the list
             except AttributeError:
                 key = None
-            counts[key] -= 1
+            n = counts[key] - 1
+            if not n:
+                self._wanted = _STALE
+            counts[key] = n
+
+    def wanted(self) -> frozenset[str] | None:
+        """Every platform name some live task can run on; None while an
+        item of unknown capability is queued ("any PE might be wanted")."""
+        wanted = self._wanted
+        if wanted is _STALE:
+            counts = self.platform_counts
+            if counts.get(None):
+                wanted = None
+            else:
+                wanted = frozenset(
+                    name for key, n in counts.items() if n for name in key
+                )
+            self._wanted = wanted
+        return wanted
 
     def __iter__(self):
         return iter(self._live.values())
@@ -229,9 +261,11 @@ class WorkloadManagerCore:
 
     def any_busy(self) -> bool:
         """Some PE can still report: FAILED is terminal, not busy."""
-        return any(
-            h.status in (PEStatus.RUN, PEStatus.COMPLETE) for h in self.handlers
-        )
+        for h in self.handlers:
+            status = h.status
+            if status is PEStatus.RUN or status is PEStatus.COMPLETE:
+                return True
+        return False
 
     # -- the three steps of a WM pass -----------------------------------------------
 
@@ -263,37 +297,34 @@ class WorkloadManagerCore:
         clear it afterwards instead of copying.
         """
         n = 0
+        ready, stats, events_to = self.ready, self.stats, self._events_to
         for handler, task in completions:
             n += 1
             # Plain-dispatch PEs park in COMPLETE until acknowledged here;
             # self-serving (reservation) PEs manage their own status.
             if handler.status is PEStatus.COMPLETE:
                 handler.acknowledge_complete()
-            # The backends deliver completions through their own queues; the
-            # handler-side buffer exists for the monitoring protocol and is
-            # cleared here so it cannot grow without bound.
-            if handler.finished_tasks:
-                handler.drain_finished()
-            newly_ready = task.app.on_task_complete(task, now)
+            app = task.app
+            newly_ready = app.on_task_complete(task, now)
             # Successors of a degraded app will never run; they were removed
             # from the outstanding count when the app was degraded.
-            if not task.app.degraded:
-                self.ready.extend(newly_ready)
-            self.stats.record_task(task, handler.pe)
+            if newly_ready and not app.degraded:
+                ready.extend(newly_ready)
+            stats.record_task(task, handler.pe)
             self.tasks_outstanding -= 1
-            if self._events_to is not None:
-                self._events_to.notify_completion(task, now)
-            if task.app.is_complete:
+            if events_to is not None:
+                events_to.notify_completion(task, now)
+            if app.is_complete:
                 self.apps_completed += 1
-                self.stats.record_app_completion(task.app)
+                stats.record_app_completion(app)
                 if self.qos is not None:
                     self.apps_in_flight -= 1
-                if self.stats.streaming:
+                if stats.streaming:
                     # Open-loop runs: stats have everything they need, so
                     # the DAG/memory bookkeeping can go.  Degraded apps are
                     # never released — their in-flight tasks still complete
                     # through on_task_complete.
-                    task.app.release()
+                    app.release()
         return n
 
     def inject_due(self, now: float) -> int:
@@ -406,30 +437,31 @@ class WorkloadManagerCore:
         them, update per-PE availability estimates, and hand them to PEs."""
         if not assignments:
             return
-        chosen = {id(a.task) for a in assignments}
-        self.ready.remove_ids(chosen)
-        if self._unstarted:
-            for a in assignments:
-                self._unstarted.pop(id(a.task.app), None)
+        self.ready.remove_ids({id(a.task) for a in assignments})
+        unstarted = self._unstarted
+        # availability estimates are kept for the lookahead policies
+        oracle = self.scheduler.oracle
         for a in assignments:
-            binding = a.task.node.binding_for_any(a.handler.accepted_platforms)
+            task, handler = a.task, a.handler
+            if unstarted:
+                unstarted.pop(id(task.app), None)
+            binding = task.node.binding_for_any(handler.accepted_platforms)
             if binding is None:
                 raise EmulationError(
-                    f"task {a.task.qualified_name()} has no binding for PE "
-                    f"{a.handler.name}"
+                    f"task {task.qualified_name()} has no binding for PE "
+                    f"{handler.name}"
                 )
-            a.task.mark_dispatched(now, a.handler, binding)
-        # availability estimates for lookahead policies
-        oracle = self.scheduler.oracle
-        if oracle is not None:
-            for a in assignments:
-                est = oracle.estimate(a.task, a.handler)
-                if est is None:
-                    continue
-                base = max(a.handler.estimated_free_time, now)
-                if a.handler.status is PEStatus.IDLE:
-                    base = now
-                a.handler.estimated_free_time = base + est
+            task.mark_dispatched(now, handler, binding)
+            if oracle is None:
+                continue
+            est = oracle.estimate(task, handler)
+            if est is None:
+                continue
+            if handler.status is PEStatus.IDLE:
+                base = now
+            else:
+                base = max(handler.estimated_free_time, now)
+            handler.estimated_free_time = base + est
         if self._events_to is not None:
             self._events_to.notify_dispatch(assignments, now)
 
@@ -548,9 +580,11 @@ class WorkloadManagerCore:
         those still unlock work, so they defer the verdict to the next
         pass.
         """
-        if self.all_complete() or pending_completions:
+        # Four pure reads, cheapest first: the PE scan runs only when the
+        # two one-load tests could not already rule a deadlock out.
+        if pending_completions or self.next_arrival() is not None:
             return
-        if self.any_busy() or self.next_arrival() is not None:
+        if self.all_complete() or self.any_busy():
             return
         if self.ready:
             supported = self._live_platforms()

@@ -13,19 +13,22 @@ from collections.abc import Generator
 from typing import Any
 
 from repro.common.errors import EmulationError
-from repro.sim.engine import Engine, Event, Interrupt
+from repro.sim.engine import _FIRED, Engine, Event, Interrupt
 
 
 class Process(Event):
     """Drives a generator; usable as an event that fires on completion."""
 
-    __slots__ = ("generator", "_waiting_on", "name")
+    __slots__ = ("generator", "_waiting_on", "name", "_resume_cb")
 
     def __init__(self, engine: Engine, generator: Generator, name: str = "") -> None:
         super().__init__(engine)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Event | None = None
+        #: the one bound method every yielded event gets as its callback
+        #: (``self._resume`` would build a new one per yield)
+        self._resume_cb = self._resume
         # Kick off on the next engine step at the current time so that
         # process creation order, not generator body order, decides ties.
         engine.call_at(engine.now, self._start)
@@ -49,7 +52,7 @@ class Process(Event):
             # Detach from the event we were waiting on; it may still fire
             # later but must no longer resume us.
             try:
-                waiting.callbacks.remove(self._resume)
+                waiting.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
         self.engine.call_at(
@@ -76,9 +79,9 @@ class Process(Event):
                 f"process {self.name!r} yielded {type(target).__name__}; "
                 "processes must yield Event instances"
             )
-        if target.processed:
+        if target._state == _FIRED:
             # Already fired: resume immediately (same timestamp, new step).
             self.engine.call_at(self.engine.now, lambda: self._resume(target))
         else:
             self._waiting_on = target
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._resume_cb)

@@ -59,11 +59,13 @@ class FifoResource:
 class HostCore:
     """A host CPU core time-shared by emulated runtime threads.
 
-    ``consume(owner, duration)`` is a sub-generator (use ``yield from``)
-    that charges ``duration`` µs of CPU work to the core on behalf of
-    ``owner``.  When multiple owners contend, work proceeds in round-robin
-    quanta; every switch to a different owner costs ``switch_cost`` µs of
-    core time (charged to the incoming owner's wait, as in OS preemption).
+    ``charge(owner, duration)`` charges ``duration`` µs of CPU work to the
+    core on behalf of ``owner`` and returns the event to yield;
+    ``consume(owner, duration)`` is the same thing as a sub-generator (use
+    ``yield from``).  When multiple owners contend, work proceeds in
+    round-robin quanta; every switch to a different owner costs
+    ``switch_cost`` µs of core time (charged to the incoming owner's wait,
+    as in OS preemption).
 
     ``speed`` scales durations: a core with speed 0.5 takes twice as long
     for the same nominal work (used for LITTLE overlay cores on Odroid).
@@ -98,19 +100,31 @@ class HostCore:
         """Number of threads currently holding or waiting for the core."""
         return self._token.in_use + self._token.queue_length
 
-    def consume(self, owner: object, duration: float):
-        """Sub-generator: charge ``duration`` µs of work (pre-speed-scaling).
+    def charge(self, owner: object, duration: float) -> Event | None:
+        """Start charging ``duration`` µs of work (pre-speed-scaling).
 
-        The nominal ``duration`` is divided by the core's ``speed`` to get
-        core time, then executed in quanta with preemption modeling.  The
-        actual charging is driven by a single :class:`_Consume` event that
+        Returns the event that fires once the work is done — the caller
+        yields it — or None when there is nothing to charge.  The nominal
+        ``duration`` is divided by the core's ``speed`` to get core time,
+        then executed in quanta with preemption modeling.  The actual
+        charging is driven by a single :class:`_Consume` event that
         re-pushes itself through the grant/switch/slice states, so the
-        owning process suspends and resumes exactly once per ``consume``
-        regardless of how many quanta the work spans.
+        owning process suspends and resumes exactly once per charge
+        regardless of how many quanta the work spans.  A process that
+        charges once per task (the virtual backend's per-task cycle) calls
+        this and yields the event itself: no generator per charge.
         """
         remaining = duration / self.speed
         if remaining > 0.0:
-            yield _Consume(self, owner, remaining)
+            return _Consume(self, owner, remaining)
+        return None
+
+    def consume(self, owner: object, duration: float):
+        """Sub-generator form of :meth:`charge` (use ``yield from``), for
+        callers that compose several charges and sleeps."""
+        charged = self.charge(owner, duration)
+        if charged is not None:
+            yield charged
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"HostCore({self.name!r}, speed={self.speed})"
@@ -123,7 +137,7 @@ _RAN = 2       # slice elapsed; release and either re-acquire or finish
 
 
 class _Consume(Event):
-    """Single-event fast path behind :meth:`HostCore.consume`.
+    """Single-event fast path behind :meth:`HostCore.charge`.
 
     The straightforward implementation charges each quantum with a
     request-event → timeout → release sequence: two generator resumes and

@@ -37,8 +37,12 @@ from repro.runtime.workload_manager import ReadyList
 from tests.test_fuzz_runtime import fuzz_perf_model, layered_graphs
 from tests.test_schedulers import FixedOracle, build_app, make_handlers
 
-#: the policies whose queue scan starts from ``usable_idle``
-INDEXED_POLICIES = ("frfs", "met", "met_power", "eft", "heft", "random", "cprank")
+#: the policies whose queue scan starts from ``usable_idle``; under ``+edf``
+#: the inner policy asks it of the sorted copy the wrapper hands down
+INDEXED_POLICIES = (
+    "frfs", "met", "met_power", "eft", "heft", "random", "cprank",
+    "frfs+edf", "eft+edf",
+)
 
 
 def recount(ready) -> Counter:
@@ -175,9 +179,21 @@ def fake_task(key) -> SimpleNamespace:
     return SimpleNamespace(node=SimpleNamespace(platform_key=key))
 
 
+class SpiedCounts(dict):
+    """A ``platform_counts`` that counts ``items()`` walks: with every
+    capability known, rebuilding ``wanted()`` is the one thing that walks it."""
+
+    walks = 0
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
 def ready_list_twins() -> dict:
     """The pure class always; its C twin whenever the extension imports."""
     twins = {"pure": ReadyList()}
+    twins["pure"].platform_counts = SpiedCounts()
     ext = _native.load()
     if ext is not None:
         twins["compiled"] = ext.ReadyList()
@@ -198,6 +214,8 @@ class ReadyListIndexMachine(RuleBasedStateMachine):
         self.model: list = []
         self.removed: list = []
         self.seen: list = []
+        #: distinct live keys when ``wanted()`` was last asked
+        self.asked_with: frozenset | None = None
 
     def _extend(self, tasks) -> None:
         for ready in self.twins.values():
@@ -257,6 +275,20 @@ class ReadyListIndexMachine(RuleBasedStateMachine):
         pure = self.twins["pure"]
         assert live_counts(pure) == recount(pure)
         assert all(n >= 0 for n in pure.platform_counts.values())
+
+    @invariant()
+    def wanted_is_the_union_rebuilt_only_after_a_zero_crossing(self):
+        """Asked after every step.  One step only extends or only removes,
+        so a count crossed zero in it exactly when the set of live keys
+        changed; only then (and the first time) may the answer be rebuilt."""
+        pure = self.twins["pure"]
+        keys = frozenset(recount(pure))
+        walks = pure.platform_counts.walks
+        assert pure.wanted() == {name for key in keys for name in key}
+        assert pure.wanted() is pure.wanted()
+        rebuilt = pure.platform_counts.walks - walks
+        assert rebuilt == (keys != self.asked_with)
+        self.asked_with = keys
 
     @invariant()
     def every_list_matches_the_model(self):
@@ -391,6 +423,45 @@ def test_bare_ready_list_of_opaque_items_reports_unknown_capability():
     handlers = make_handlers(["cpu", "fft"])
     # unknown capability: every idle PE counts as usable
     assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0, 1]
+
+
+def test_unknown_capability_wants_every_pe_until_it_leaves(pure_core):
+    ready = ReadyList()
+    tasks = build_app(2)  # CPU-only
+    opaque = object()
+    ready.extend(tasks)
+    assert ready.wanted() == {"cpu"}
+    ready.extend([opaque])
+    assert ready.wanted() is None
+    handlers = make_handlers(["cpu", "fft"])
+    assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0, 1]
+    ready.remove_ids({id(opaque)})
+    assert ready.wanted() == {"cpu"}
+    assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0]
+
+
+def test_edf_hands_the_capability_answer_down(pure_core):
+    """``+edf`` sorts the queue into a list; the inner policy must still
+    learn that nothing ready runs on the idle PE, and visit nothing."""
+    handlers = busy_cpus_idle_fft()
+    ready = ReadyList()
+    ready.extend(build_app(1000))  # CPU-only
+    seen = []
+
+    class Inner(Scheduler):
+        name = "inner"
+
+        def schedule(self, ordered, handlers, now):
+            seen.append(ordered)
+            return [] if not self.usable_idle(ordered, handlers) else ["scan"]
+
+    policy = make_scheduler("frfs+edf")
+    policy.inner = Inner()
+    assert policy.schedule(ready, handlers, 10.0) == []
+    assert isinstance(seen[0], list) and len(seen[0]) == 1000
+    # a plain list goes down as a plain list, and is scanned
+    assert policy.schedule(list(ready), handlers, 10.0) == ["scan"]
+    assert type(seen[1]) is list
 
 
 @pytest.mark.parametrize("name", INDEXED_POLICIES)

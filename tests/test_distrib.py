@@ -525,6 +525,30 @@ class TestStatus:
         line = status_line(snap)
         assert line.startswith("[distrib] 4/4 cells")
 
+    def test_cache_hit_rate_counts_a_cell_once_however_many_shards_name_it(
+        self, tmp_path
+    ):
+        """Three directory workers that re-discover each other's results
+        each journal ``cell_cached`` for the same cells; summing lines read
+        6 hits over 2 resolved cells (300 %)."""
+        cells = tiny_grid().expand()  # 4 cells
+        queue = make_queue(tmp_path, cells)
+        hits = [(c.cell_id, c.label, {"wall_time_s": 0.01}) for c in cells[:2]]
+        for worker in ("w0", "w1", "w2"):
+            with journal_mod.Journal(queue.shard_path(worker)) as shard:
+                shard.cells_cached(hits, worker=worker)
+        snap = campaign_snapshot(tmp_path)
+        assert snap["cells"] == 4 and snap["resolved"] == 2
+        assert snap["cache_hit_rate"] == 1.0  # 2 distinct cached / 2 resolved
+        # one more cell, executed: 2 of 3 resolved came from the cache
+        with journal_mod.Journal(queue.shard_path("w0"), resume=True) as shard:
+            shard.cell_finish(cells[2].cell_id, cells[2].label,
+                              {"makespan_ms": 1.0}, attempts=1, worker="w0",
+                              wall_time_s=0.01)
+        snap = campaign_snapshot(tmp_path)
+        assert snap["resolved"] == 3
+        assert snap["cache_hit_rate"] == round(2 / 3, 4)
+
     def test_snapshot_counts_unmerged_shards(self, tmp_path):
         cells = tiny_grid().expand()
         make_queue(tmp_path, cells)

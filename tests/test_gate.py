@@ -3,8 +3,9 @@ stdlib hang guard that stands in for pytest-timeout, the active-core line,
 and the refusal to run when the compiled core is requested but missing —
 plus source gates that keep the slow JSON encoder out of the store, the
 per-cell journal records (and the second lease) from being written twice,
-and the backends' monitor step and the ready list from being hand-rolled
-again."""
+the backends' monitor step and the ready list from being hand-rolled
+again, and the PE handshake from going back to a lock per status read and
+a notification per transition."""
 
 from __future__ import annotations
 
@@ -232,4 +233,82 @@ def test_monitor_step_has_one_body_and_the_ready_list_no_tombstones():
         path.read_text("utf-8"), names=("islice",), attrs=("_dead", "_compact")
     ):
         offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
+    assert offenders == []
+
+
+def _handshake_offences(source: str, *, handler_module: bool) -> list[tuple[int, str]]:
+    """``(line, what)`` for each use of the deleted completion buffer
+    (``finished_tasks`` / ``drain_finished``, any module) and, in the
+    handler module, a ``status`` property, ``with self.condition`` outside
+    ``wait_for_work`` and ``notify_all(`` outside ``_notify``."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if handler_module and node.name == "status" and any(
+                getattr(d, "id", getattr(d, "attr", "")) == "property"
+                for d in node.decorator_list
+            ):
+                found.append((node.lineno, "property status"))
+            function = node.name
+        for field in ("attr", "id", "name"):  # Attribute, Name, def
+            if getattr(node, field, None) in ("finished_tasks", "drain_finished"):
+                found.append((node.lineno, getattr(node, field)))
+        if handler_module and isinstance(node, ast.With):
+            for item in node.items:
+                expr = item.context_expr
+                if (isinstance(expr, ast.Attribute) and expr.attr == "condition"
+                        and function != "wait_for_work"):
+                    found.append((node.lineno, "with self.condition"))
+        if (handler_module and isinstance(node, ast.Call)
+                and getattr(node.func, "attr", "") == "notify_all"
+                and function != "_notify"):
+            found.append((node.lineno, "notify_all("))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_status_reads_take_no_lock_and_only_a_waiter_is_notified():
+    """``ResourceHandler.status`` is a plain attribute (a property that
+    took the lock was read 8.8 times a pass), the never-read completion
+    buffer stays deleted, the methods take the bare lock (``Condition``'s
+    ``__enter__``/``__exit__`` are Python frames) and every notification
+    goes through the one helper that skips it while nobody waits."""
+    sample = (
+        "class H:\n"
+        "    @property\n"
+        "    def status(self):\n"
+        "        with self.lock:\n"
+        "            return self._status\n"
+        "    def assign(self, task):\n"
+        "        with self.condition:\n"
+        "            self.finished_tasks.append(task)\n"
+        "            self.condition.notify_all()\n"
+        "    def _notify(self):\n"
+        "        if self._waiters:\n"
+        "            self.condition.notify_all()\n"
+        "    def wait_for_work(self):\n"
+        "        with self.condition:\n"
+        "            self.condition.wait()\n"
+        "    def drain_finished(self):\n"
+        "        return []\n"
+    )
+    assert _handshake_offences(sample, handler_module=True) == [
+        (3, "property status"), (7, "with self.condition"),
+        (8, "finished_tasks"), (9, "notify_all("), (16, "drain_finished"),
+    ]
+    assert _handshake_offences(sample, handler_module=False) == [
+        (8, "finished_tasks"), (16, "drain_finished"),
+    ]
+    package = ROOT / "src" / "repro"
+    handler = package / "runtime" / "handler.py"
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for line, what in _handshake_offences(
+            path.read_text("utf-8"), handler_module=path == handler
+        ):
+            offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
     assert offenders == []

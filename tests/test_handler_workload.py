@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import queue
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,8 @@ from repro.appmodel.instance import ApplicationInstance
 from repro.common.errors import ApplicationSpecError, EmulationError
 from repro.common.units import MS
 from repro.hardware.pe import PE_BIG, PE_CPU, PE_FFT, ProcessingElement
+from repro.runtime.backends import VirtualBackend
+from repro.runtime.emulation import Emulation
 from repro.runtime.handler import PEStatus, ResourceHandler
 from repro.runtime.workload import (
     WorkloadItem,
@@ -47,7 +54,7 @@ class TestResourceHandler:
         assert handler.current_task is task
         handler.finish_task()
         assert handler.status is PEStatus.COMPLETE
-        assert handler.drain_finished() == [task]
+        assert handler.current_task is task and handler.tasks_executed == 1
         handler.acknowledge_complete()
         assert handler.status is PEStatus.IDLE
         assert handler.current_task is None
@@ -89,7 +96,7 @@ class TestResourceHandler:
         assert handler.status is PEStatus.RUN
         assert handler.finish_task(self_serve=True) is None
         assert handler.status is PEStatus.IDLE
-        assert handler.drain_finished() == [first, second]
+        assert handler.current_task is None and handler.tasks_executed == 2
 
     def test_accepted_platforms_generic_cpu(self):
         cpu = make_handler(PE_CPU)
@@ -115,6 +122,152 @@ class TestResourceHandler:
             handler.finish_task()
             handler.acknowledge_complete()
         assert handler.tasks_executed == 3
+
+
+class CountingLock:
+    """Stands in for ``handler.lock``: the same lock, counting acquisitions."""
+
+    def __init__(self, lock) -> None:
+        self.lock = lock
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+class CountingCondition:
+    """Stands in for ``handler.condition``, counting notifications."""
+
+    def __init__(self, condition) -> None:
+        self.condition = condition
+        self.notified = 0
+
+    def notify_all(self) -> None:
+        self.notified += 1
+        self.condition.notify_all()
+
+    def __enter__(self):
+        return self.condition.__enter__()
+
+    def __exit__(self, *exc):
+        return self.condition.__exit__(*exc)
+
+
+class TestHandshakeByCount:
+    """What the WM <-> RM handshake costs, counted rather than timed."""
+
+    def test_three_lock_acquisitions_per_task_and_no_notification(self):
+        emu = Emulation(config="3C+2F", policy="frfs", jitter=False, seed=1,
+                        materialize_memory=False)
+        session = emu.build_session(
+            validation_workload({"range_detection": 3, "wifi_tx": 2})
+        )
+        for handler in session.handlers:
+            handler.lock = CountingLock(handler.lock)
+            handler.condition = CountingCondition(handler.condition)
+        stats = VirtualBackend().run(session)
+        assert stats.task_count > 20
+        # assign, finish_task, acknowledge_complete; the policy's, the
+        # validator's and the liveness guard's status reads take none
+        for handler in session.handlers:
+            assert handler.lock.acquired == 3 * handler.tasks_executed
+            # nothing ever waits on the virtual backend
+            assert handler.condition.notified == 0
+        assert sum(h.tasks_executed for h in session.handlers) == stats.task_count
+        handler = session.handlers[0]
+        before = handler.lock.acquired
+        assert all(handler.status is PEStatus.IDLE for _ in range(100))
+        assert handler.is_idle()
+        assert handler.lock.acquired == before
+
+
+def blocked_waiter(handler, **kwargs):
+    """A thread parked inside ``wait_for_work``; returns ``(thread, box)``
+    once the handler counts it as waiting (a count, not a sleep)."""
+    box = []
+    thread = threading.Thread(
+        target=lambda: box.append(handler.wait_for_work(**kwargs)), daemon=True
+    )
+    thread.start()
+    while handler._waiters != 1:  # bounded by conftest's hang guard
+        time.sleep(0.001)
+    return thread, box
+
+
+class TestHandshakeByThread:
+    """The waiter-gated notification loses no wake-up."""
+
+    @pytest.mark.parametrize("wake", ["assign", "request_shutdown", "mark_failed"])
+    def test_blocked_rm_is_released(self, wake):
+        handler = make_handler()
+        thread, box = blocked_waiter(handler)
+        task = make_task()
+        if wake == "assign":
+            handler.assign(task)
+        elif wake == "request_shutdown":
+            handler.request_shutdown()
+        else:
+            assert handler.mark_failed(5.0) == []
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert box == [task if wake == "assign" else None]
+        assert handler._waiters == 0
+
+    def test_round_trips_between_two_threads_lose_no_wakeup(self):
+        handler = make_handler()
+        rounds = 2000
+        finished: queue.Queue = queue.Queue()
+
+        def resource_manager():
+            while True:
+                task = handler.wait_for_work()  # no timeout: a lost wake-up hangs
+                if task is None:
+                    return
+                handler.finish_task()
+                finished.put(task)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rm = threading.Thread(target=resource_manager, daemon=True)
+            rm.start()
+            for _ in range(rounds):
+                task = make_task()
+                handler.assign(task)
+                assert finished.get(timeout=60) is task
+                assert handler.status is PEStatus.COMPLETE
+                handler.acknowledge_complete()
+            handler.request_shutdown()
+            rm.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not rm.is_alive()
+        assert handler.tasks_executed == rounds
+        assert handler._waiters == 0
+
+    def test_waiter_count_returns_to_zero_after_a_timeout(self):
+        handler = make_handler()
+        assert handler.wait_for_work(timeout=0.01) is None
+        assert handler._waiters == 0
+
+    def test_waiter_count_returns_to_zero_after_an_exception(self):
+        class Interrupted(threading.Condition):
+            def wait(self, timeout=None):
+                assert handler._waiters == 1
+                raise KeyboardInterrupt
+
+        handler = make_handler()
+        handler.condition = Interrupted(handler.lock)
+        with pytest.raises(KeyboardInterrupt):
+            handler.wait_for_work()
+        assert handler._waiters == 0
+        # and the lock was given back
+        assert handler.lock.acquire(blocking=False)
+        handler.lock.release()
 
 
 class TestWorkloadSpecs:
