@@ -16,6 +16,7 @@ before the "device" reads it, and results are copied out of.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +65,14 @@ class DmaBuffer:
         if capacity <= 0:
             raise MemoryError_("DMA buffer capacity must be positive")
         self.capacity = capacity
-        self._storage = np.zeros(capacity, dtype=np.uint8)
         self.bytes_in: int = 0
         self.transfer_count: int = 0
+
+    @cached_property
+    def _storage(self) -> np.ndarray:
+        # Allocated by the first transfer: the virtual backend builds every
+        # device for its timing model only and never stages a byte.
+        return np.zeros(self.capacity, dtype=np.uint8)
 
     def write(self, data: np.ndarray) -> None:
         """Stage data into the buffer (the DDR→device copy)."""

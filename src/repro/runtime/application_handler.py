@@ -11,6 +11,7 @@ enqueueing the instances by arrival time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.appmodel.dag import TaskGraph
 from repro.appmodel.instance import ApplicationInstance
@@ -25,15 +26,29 @@ _log = get_logger("runtime.application_handler")
 
 @dataclass
 class ResolvedApplication:
-    """An archetype with every (node, platform) kernel symbol resolved."""
+    """An archetype with every kernel symbol it references resolved.
+
+    ``symbols`` holds one entry per distinct ``(shared_object, runfunc)`` of
+    ``graph.kernel_refs``; which of them a ``(node, platform)`` pair runs is
+    the graph's own shared ``binding_refs``, so a session copies nothing per
+    binding.
+    """
 
     graph: TaskGraph
-    kernels: dict[tuple[str, str], Kernel]
+    symbols: dict[tuple[str, str], Kernel]
     setup_kernel: Kernel | None = None
+
+    @cached_property
+    def kernels(self) -> dict[tuple[str, str], Kernel]:
+        """``(node, platform) -> Kernel`` for every binding of the graph."""
+        return {
+            key: self.symbols[ref]
+            for key, ref in self.graph.binding_refs.items()
+        }
 
     def kernel_for(self, node_name: str, platform: str) -> Kernel:
         try:
-            return self.kernels[(node_name, platform)]
+            return self.symbols[self.graph.binding_refs[(node_name, platform)]]
         except KeyError:
             raise ApplicationSpecError(
                 f"app {self.graph.app_name!r}: no resolved kernel for node "
@@ -56,17 +71,16 @@ class ApplicationHandler:
         """Parse one archetype: resolve every runfunc it references (each
         distinct symbol once, in first-use order)."""
         symbols = {ref: self.library.resolve(*ref) for ref in graph.kernel_refs}
-        kernels = {key: symbols[ref] for key, ref in graph.binding_refs.items()}
         setup_kernel = None
         if graph.setup:
             setup_kernel = self.library.resolve(graph.shared_object, graph.setup)
         resolved = ResolvedApplication(
-            graph=graph, kernels=kernels, setup_kernel=setup_kernel
+            graph=graph, symbols=symbols, setup_kernel=setup_kernel
         )
         self._resolved[graph.app_name] = resolved
         _log.debug(
             "parsed %s: %d tasks, %d kernel bindings",
-            graph.app_name, graph.task_count, len(kernels),
+            graph.app_name, graph.task_count, len(graph.binding_refs),
         )
         return resolved
 

@@ -115,6 +115,13 @@ class TestParseOncePerDistinctReference:
                 for p in node.platforms
             }
             assert resolved.kernels == expected
+            assert expected == {
+                key: library.resolve(*ref)
+                for key, ref in graph.binding_refs.items()
+            }
+            assert resolved.kernels is resolved.kernels
+            for (node_name, platform), kernel in expected.items():
+                assert resolved.kernel_for(node_name, platform) is kernel
 
     def test_each_distinct_symbol_resolved_once(self):
         calls = []
@@ -129,6 +136,45 @@ class TestParseOncePerDistinctReference:
             ("fanout.so", "k_dsp"),
             ("fanout.so", "k_src"),  # the setup symbol
         ]
+
+    def test_virtual_run_resolves_at_parse_time_only(self):
+        # Every symbol of the four archetypes is looked up while the session
+        # is built; the virtual backend then charges model time and neither
+        # resolves a symbol nor builds a per-session (node, platform) table.
+        from repro.runtime.backends import VirtualBackend
+        from repro.runtime.emulation import Emulation
+
+        calls = []
+        library = default_kernel_library()
+        real = library.resolve
+        library.resolve = lambda so, fn: calls.append((so, fn)) or real(so, fn)
+        apps = default_applications()
+        emu = Emulation(config="2C+1F", library=library, applications=apps,
+                        materialize_memory=False)
+        session = emu.build_session(
+            validation_workload({"wifi_tx": 1, "range_detection": 1})
+        )
+        assert len(calls) == sum(
+            len(graph.kernel_refs) + bool(graph.setup)
+            for graph in apps.values()
+        )
+        del calls[:]
+        stats = VirtualBackend().run(session)
+        assert stats.apps_completed == 2
+        assert calls == []
+        for name in apps:
+            assert "kernels" not in vars(session.app_handler.resolved(name))
+
+    def test_kernel_for_unknown_pair(self):
+        handler = ApplicationHandler(make_fanout_library())
+        resolved = handler.register(make_fanout_graph())
+        for node_name, platform in [("SRC", "fft"), ("NOPE", "cpu")]:
+            with pytest.raises(ApplicationSpecError) as err:
+                resolved.kernel_for(node_name, platform)
+            assert str(err.value) == (
+                f"app 'fanout': no resolved kernel for node {node_name!r} "
+                f"on platform {platform!r}"
+            )
 
     def test_unknown_shared_object_named_first(self):
         # Both the accel object and k_dsp are missing; a node walk meets

@@ -197,6 +197,15 @@ class TestDma:
         with pytest.raises(MemoryError_):
             buf.read(64)
 
+    def test_buffer_storage_allocated_by_first_transfer(self):
+        # A device built for its timing model only never stages a byte and
+        # so holds no staging memory; an unwritten buffer still reads zeros.
+        buf = DmaBuffer(1024)
+        assert "_storage" not in vars(buf)
+        assert not buf.read(8).any()
+        buf.view(4)[:] = 7
+        assert buf.read(8).tolist() == [7, 7, 7, 7, 0, 0, 0, 0]
+
 
 class TestAccelerator:
     def test_full_protocol_computes_fft(self):
