@@ -35,7 +35,7 @@ from repro.runtime.faults import FaultInjector
 from repro.runtime.handler import PEFailedError, ResourceHandler
 from repro.runtime.stats import EmulationStats
 from repro.runtime.workload_manager import WorkloadManagerCore
-from repro.sim.engine import Engine
+from repro.sim.engine import _PENDING, Engine, _Callback
 from repro.sim.process import Process
 from repro.sim.resources import HostCore, Mailbox
 
@@ -52,7 +52,7 @@ class _Waker:
     bit-identical with the AnyOf formulation, :meth:`fire` relays through
     one ``call_at`` hop — the relay push stands in for the old wait-event
     push and the wait push stands in for the old AnyOf push, so every
-    same-instant contender sees the same heap sequence as before.
+    same-instant contender sees the same queue sequence as before.
     """
 
     def __init__(self, engine: Engine) -> None:
@@ -67,10 +67,11 @@ class _Waker:
 
     def fire(self) -> None:
         wait = self._wait
-        if wait is None or wait.triggered or self._relay_pending:
+        if wait is None or wait._state != _PENDING or self._relay_pending:
             return
         self._relay_pending = True
-        self.engine.call_at(self.engine.now, self._relay)
+        engine = self.engine
+        engine._push_now(_Callback(engine, self._relay))
 
     def _relay(self) -> None:
         self._relay_pending = False
@@ -79,7 +80,7 @@ class _Waker:
     def wake(self) -> None:
         """Succeed the current wait immediately (arrival-timer path)."""
         wait = self._wait
-        if wait is not None and not wait.triggered:
+        if wait is not None and wait._state == _PENDING:
             wait.succeed()
 
 
@@ -174,7 +175,7 @@ class VirtualBackend(ExecutionBackend):
         engine.run(max_events=self.max_events)
         self.last_run_info = {
             "events_fired": engine.events_fired,
-            "events_scheduled": engine._seq,
+            "events_scheduled": engine.events_scheduled,
             "final_time_us": engine.now,
         }
         if session.stats.interrupted:

@@ -72,6 +72,7 @@ class Scheduler:
         self._row_handlers: list[ResourceHandler] | None = None
         self._row_oracle: ExecutionTimeOracle | None = None
         self._est_rows: dict[int, tuple] = {}
+        self._est_pairs: dict[int, tuple] = {}
         self._support_rows: dict[int, tuple] = {}
         self._est_fb = None
         self._support_fb = None
@@ -114,6 +115,7 @@ class Scheduler:
             self._row_handlers = handlers
             self._row_oracle = self.oracle
             self._est_rows = {}
+            self._est_pairs = {}
             self._support_rows = {}
             self._est_fb = None
             self._support_fb = None
@@ -141,6 +143,26 @@ class Scheduler:
         row = tuple(oracle.estimate(task, h) for h in handlers)
         self._est_rows[id(node)] = (node, row)
         return row
+
+    def estimate_pairs(
+        self, task: TaskInstance, handlers: list[ResourceHandler]
+    ) -> tuple:
+        """:meth:`estimate_row` without its holes: ``(position, estimate)``
+        for the handlers the node has an estimate on, ascending position.
+
+        What a placement loop that looks at every PE per task iterates
+        (:func:`~repro.runtime.schedulers.eft.eft_pass`): a CPU-only node
+        on 3C+2F is three pairs, not five columns and two ``None`` tests.
+        Built once per node from the row and cached beside it — same key,
+        same lifetime, and the ``_est_rows`` entry the row made is what
+        pins the node.
+        """
+        row = self.estimate_row(task, handlers)
+        pairs = tuple(
+            (i, est) for i, est in enumerate(row) if est is not None
+        )
+        self._est_pairs[id(task.node)] = pairs
+        return pairs
 
     def support_row(
         self, task, handlers: list[ResourceHandler]

@@ -40,16 +40,16 @@ def eft_pass(
         return []
     policy._sync_row_cache(handlers)
     order = ready if key is None else sorted(ready, key=key)
-    rows = policy._est_rows
     kern = policy._kernels
     if kern is not None:
         # The availability prologue and placement loop both run in C; the
         # kernel reads handler.failed/.status/.estimated_free_time exactly
         # as the pure loop below does.
-        pairs = kern.eft_pass(
-            order, rows, policy._est_fallback(handlers), handlers, now
+        placed = kern.eft_pass(
+            order, policy._est_rows, policy._est_fallback(handlers),
+            handlers, now,
         )
-        return [Assignment(task, handlers[i]) for task, i in pairs]
+        return [Assignment(task, handlers[i]) for task, i in placed]
     # True while a usable idle PE is still free to take a dispatch.
     open_pe = [False] * len(handlers)
     for i, _h in usable:
@@ -57,8 +57,10 @@ def eft_pass(
     idle_remaining = len(usable)
     # Availability estimates, positional over ``handlers``: idle PEs are
     # free now; busy PEs free at their tracked estimate (never in the
-    # past).  Positional arrays + cached estimate rows keep the quadratic
-    # inner loop allocation- and lookup-free.  (An idle PE that is not
+    # past).  A positional array + the cached compact rows (only the PEs
+    # a node has an estimate on, see Scheduler.estimate_pairs) keep the
+    # quadratic inner loop allocation-free, one dict lookup per task, and
+    # free of columns the task cannot use.  (An idle PE that is not
     # usable falls into the last branch; no task visited below has an
     # estimate for it, so its entry is never read.)
     inf = float("inf")
@@ -74,15 +76,15 @@ def eft_pass(
             free = h.estimated_free_time
             avail.append(free if free > now else now)
     assignments: list[Assignment] = []
-    estimate_row = policy.estimate_row
+    compact = policy._est_pairs
+    estimate_pairs = policy.estimate_pairs
     for task in order:
-        hit = rows.get(id(task.node))
-        row = hit[1] if hit is not None else estimate_row(task, handlers)
+        pairs = compact.get(id(task.node))
+        if pairs is None:
+            pairs = estimate_pairs(task, handlers)
         best_i = -1
         best_finish = inf
-        for i, est in enumerate(row):
-            if est is None:
-                continue
+        for i, est in pairs:
             finish = avail[i] + est
             if finish < best_finish:
                 best_finish = finish

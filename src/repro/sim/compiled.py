@@ -3,9 +3,11 @@
 Same observable behaviour as :class:`repro.sim.engine.Engine` — events,
 processes, resources, and error messages are shared with the pure
 implementation — but the event heap and the ``run()`` dispatch loop live
-in C (``repro._native._coreext``).  The heap owns the monotone ``seq``
-counter, so ``_push`` is a single C call and ``_seq`` is a read-only
-mirror of it.
+in C (``repro._native._coreext``).  The C heap keeps every event, the
+same-instant ones included — it has no lane; ``(time, seq)`` order is the
+contract both engines meet — and owns the monotone ``seq`` counter, so
+``_push`` / ``_push_now`` are a single C call each and
+``events_scheduled`` reads that counter.
 """
 
 from __future__ import annotations
@@ -31,14 +33,15 @@ class CompiledEngine(Engine):
         self._running = False
         self.events_fired = 0
 
-    # The heap assigns seq on push; expose the counter under the pure
-    # engine's attribute name for callers that report events_scheduled.
     @property
-    def _seq(self) -> int:
+    def events_scheduled(self) -> int:
         return self._heap.seq
 
     def _push(self, at: float, event: Event) -> None:
         self._heap.push(at, event)
+
+    def _push_now(self, event: Event) -> None:
+        self._heap.push(self.now, event)
 
     def step(self) -> None:
         at, _seq, event = self._heap.pop()

@@ -1,12 +1,21 @@
-"""Event heap and virtual clock.
+"""Event queue and virtual clock.
 
 Design notes
 ------------
 * Time is a float in canonical microseconds (see :mod:`repro.common.units`).
-* Events are scheduled onto a binary heap keyed ``(time, seq)``; ``seq`` is a
-  monotone tiebreaker so same-time events fire in schedule order, which makes
-  runs deterministic.
-* Callbacks attached to an event run when the heap pops it.  A
+* Events fire in ``(time, seq)`` order; ``seq`` is schedule order, so
+  same-time events fire in the order they were scheduled, which makes runs
+  deterministic.  The queue that keeps that order has two parts: a binary
+  heap keyed ``(time, seq)`` for events later than the current instant, and
+  a FIFO *lane* for events scheduled for the instant that is already
+  current (grant hops, mailbox hand-offs, ``succeed()`` — more than half of
+  all events).  The clock never goes back, so every heap entry stamped
+  ``now`` was pushed while the clock was earlier than ``now``, i.e. before
+  anything on the lane, and nothing pushed at ``now`` can land on the heap:
+  heap entries stamped ``now``, then the lane front to back, then the
+  heap's next instant *is* ``(time, seq)`` order, without a tuple, a
+  sift-up and a sift-down per same-instant event.
+* Callbacks attached to an event run when the queue pops it.  A
   :class:`~repro.sim.process.Process` is itself driven by registering its
   ``_resume`` bound method as a callback on whatever event it yielded.
 * The engine is single-threaded by construction; the virtual backend uses it
@@ -17,6 +26,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Callable
 from typing import Any
 
@@ -62,7 +72,7 @@ class Event:
             raise EmulationError("event already triggered")
         self.value = value
         self._state = _SCHEDULED
-        self.engine._push(self.engine.now, self)
+        self.engine._push_now(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -72,7 +82,7 @@ class Event:
         self.value = exc
         self.ok = False
         self._state = _SCHEDULED
-        self.engine._push(self.engine.now, self)
+        self.engine._push_now(self)
         return self
 
     # internal --------------------------------------------------------------
@@ -187,27 +197,52 @@ class _Callback(Event):
     def _fire(self) -> None:
         self._state = _FIRED
         self.fn()
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
+        # Mostly nobody waits on a call_at: swap the list only when
+        # something is attached.
+        if self.callbacks:
+            callbacks, self.callbacks = self.callbacks, []
+            for cb in callbacks:
+                cb(self)
 
 
 class Engine:
-    """The event loop: a heap of ``(time, seq, event)`` and a clock."""
+    """The event loop: a ``(time, seq)``-ordered queue and a clock.
+
+    The queue is a heap of ``(time, seq, event)`` for later instants plus
+    the same-instant lane (module docstring).  ``_push_now(event)``
+    schedules ``event`` for the current instant; here it *is* the lane's
+    ``append``, :class:`~repro.sim.compiled.CompiledEngine` overrides it.
+    """
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
+        #: heap tiebreaker: schedule order among the events on the heap
         self._seq = 0
+        self._lane: deque[Event] = deque()
+        self._push_now = self._lane.append
         self._running = False
         #: cumulative count of events fired by run()/step() (perf metric)
         self.events_fired = 0
 
+    @property
+    def events_scheduled(self) -> int:
+        """Cumulative count of events scheduled, lane and heap alike.
+
+        Nothing is ever cancelled out of the queue, so what was scheduled
+        is what has fired plus what is still queued; like
+        ``events_fired`` it is settled when ``run()`` / ``step()`` returns.
+        """
+        return self.events_fired + len(self._heap) + len(self._lane)
+
     # scheduling ------------------------------------------------------------
 
     def _push(self, at: float, event: Event) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, event))
+        if at == self.now:
+            self._push_now(event)
+        else:
+            self._seq += 1
+            heapq.heappush(self._heap, (at, self._seq, event))
 
     def event(self) -> Event:
         """A fresh pending event."""
@@ -247,15 +282,23 @@ class Engine:
 
     # execution -------------------------------------------------------------
 
+    def _pop_next(self) -> Event:
+        """Remove and return the next event, advancing the clock to it."""
+        heap = self._heap
+        if self._lane and not (heap and heap[0][0] == self.now):
+            return self._lane.popleft()
+        at, _seq, event = heapq.heappop(heap)
+        self.now = at
+        return event
+
     def step(self) -> None:
         """Pop and fire the next event."""
-        at, _seq, event = heapq.heappop(self._heap)
-        self.now = at
+        event = self._pop_next()
         self.events_fired += 1
         event._fire()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Drain the heap; returns the final clock value.
+        """Drain the queue; returns the final clock value.
 
         ``until`` stops the clock at a horizon (events beyond it stay
         queued); ``max_events`` is a runaway guard for tests.
@@ -267,23 +310,37 @@ class Engine:
         # Local bindings: the inner loop runs once per event for millions of
         # events, so every attribute lookup shaved here is measurable.
         heap = self._heap
+        lane = self._lane
         pop = heapq.heappop
+        take = lane.popleft
         try:
             if until is None and max_events is None:
                 # Hot path: no horizon, no guard, minimal per-event work.
-                while heap:
-                    at, _seq, event = pop(heap)
-                    self.now = at
+                now = self.now
+                while True:
+                    # One instant: what the heap holds for it (all pushed
+                    # before the clock got here), then the lane.
+                    while heap and heap[0][0] == now:
+                        pop(heap)[2]._fire()
+                        fired += 1
+                    while lane:
+                        take()._fire()
+                        fired += 1
+                    if not heap:
+                        break
+                    now, _seq, event = pop(heap)
+                    self.now = now
                     event._fire()
                     fired += 1
             else:
-                while heap:
-                    if until is not None and heap[0][0] > until:
+                while True:
+                    at = self.peek()
+                    if at is None:
+                        break
+                    if until is not None and at > until:
                         self.now = until
                         break
-                    at, _seq, event = pop(heap)
-                    self.now = at
-                    event._fire()
+                    self._pop_next()._fire()
                     fired += 1
                     if max_events is not None and fired >= max_events:
                         raise EmulationError(
@@ -295,8 +352,13 @@ class Engine:
         return self.now
 
     def peek(self) -> float | None:
-        """Time of the next queued event, or None if the heap is empty."""
+        """Time of the next queued event, or None if nothing is queued."""
+        if self._lane:
+            return self.now
         return self._heap[0][0] if self._heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Engine(now={self.now:.3f}us, queued={len(self._heap)})"
+        return (
+            f"Engine(now={self.now:.3f}us, "
+            f"queued={len(self._heap) + len(self._lane)})"
+        )

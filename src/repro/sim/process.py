@@ -38,10 +38,25 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        if event.ok:
-            self._advance(event.value, None)
-        else:
+        if not event.ok:
             self._advance(None, event.value)
+            return
+        # The per-event path: send and re-arm in this frame (one Python
+        # call per wake-up instead of two); _advance is the same thing for
+        # start and throw.
+        try:
+            target = self.generator.send(event.value)
+        except StopIteration as stop:
+            self._finish(stop.value)
+            return
+        except Interrupt:
+            self._finish(None)
+            return
+        if isinstance(target, Event) and target._state != _FIRED:
+            self._waiting_on = target
+            target.callbacks.append(self._resume_cb)
+        else:
+            self._wait_on(target)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
@@ -66,14 +81,20 @@ class Process(Event):
             else:
                 target = self.generator.send(value)
         except StopIteration as stop:
-            if not self.triggered:
-                self.succeed(stop.value)
+            self._finish(stop.value)
             return
         except Interrupt:
             # Process chose not to handle the interrupt: treat as clean exit.
-            if not self.triggered:
-                self.succeed(None)
+            self._finish(None)
             return
+        self._wait_on(target)
+
+    def _finish(self, value: Any) -> None:
+        if not self.triggered:
+            self.succeed(value)
+
+    def _wait_on(self, target: Any) -> None:
+        """Suspend until ``target``, the event the generator yielded, fires."""
         if not isinstance(target, Event):
             raise EmulationError(
                 f"process {self.name!r} yielded {type(target).__name__}; "

@@ -130,7 +130,7 @@ class HostCore:
         return f"HostCore({self.name!r}, speed={self.speed})"
 
 
-# _Consume phases: what the next heap pop of the event means.
+# _Consume phases: what the next pop of the event means.
 _GRANTED = 0   # core slot acquired; decide context switch / slice length
 _SWITCHED = 1  # context-switch charge elapsed; start the slice
 _RAN = 2       # slice elapsed; release and either re-acquire or finish
@@ -175,12 +175,11 @@ class _Consume(Event):
         if token.in_use < token.capacity:
             # Uncontended: claim the slot synchronously (exactly what
             # request() would do) and stand in for the grant event by
-            # scheduling ourselves at the current instant — same heap
+            # scheduling ourselves at the current instant — same queue
             # position, one less Event allocation, one less resume.
             token.in_use += 1
             self._phase = _GRANTED
-            engine = self.engine
-            engine._push(engine.now, self)
+            self.engine._push_now(self)
         else:
             # Contended: enqueue a real waiter event so FifoResource's
             # FIFO grant order is preserved; its firing is our grant.
@@ -254,10 +253,10 @@ class Mailbox:
         if self._items:
             # Fast path: the item is already buffered, so build the event
             # pre-scheduled instead of going through succeed()'s state
-            # checks — same heap position, less per-call work.
+            # checks — same queue position, less per-call work.
             ev.value = self._items.popleft()
             ev._state = _SCHEDULED
-            engine._push(engine.now, ev)
+            engine._push_now(ev)
         else:
             self._getters.append(ev)
         return ev

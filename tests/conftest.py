@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import core as core_select
 from repro.appmodel.builder import GraphBuilder
 from repro.appmodel.dag import PlatformBinding, TaskGraph
 from repro.appmodel.instance import ApplicationInstance
@@ -12,6 +13,13 @@ from repro.appmodel.library import KernelLibrary
 from repro.hardware.config import AffinityPlan
 from repro.hardware.platform import odroid_xu3, zcu102
 from repro.runtime.handler import ResourceHandler
+
+
+@pytest.fixture
+def pure_core():
+    """The pure core for the test's duration, whatever the job selected."""
+    with core_select.forced(core_select.CORE_PURE):
+        yield
 
 
 @pytest.fixture

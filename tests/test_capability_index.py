@@ -341,18 +341,16 @@ def spied(name: str, handlers):
     policy = make_scheduler(name, FixedOracle({}))
     policy._sync_row_cache(handlers)
     policy._est_rows = CountingRows()
+    policy._est_pairs = CountingRows()
     policy._support_rows = CountingRows()
     return policy
 
 
 def row_lookups(policy) -> int:
-    return policy._est_rows.lookups + policy._support_rows.lookups
-
-
-@pytest.fixture
-def pure_core():
-    with core_select.forced(core_select.CORE_PURE):
-        yield
+    return (
+        policy._est_rows.lookups + policy._est_pairs.lookups
+        + policy._support_rows.lookups
+    )
 
 
 def busy_cpus_idle_fft():
@@ -394,6 +392,31 @@ def test_one_capable_task_deep_in_the_queue_is_found(pure_core, name):
     assert [(a.task, a.handler) for a in expected] == [(tasks[700], handlers[3])]
     if name in ("eft", "frfs", "met"):  # FIFO visitors stop right there
         assert visited == 701
+
+
+@pytest.mark.parametrize("name", ["eft", "heft", "cprank"])
+def test_a_warm_eft_pass_looks_up_one_compact_row_per_visited_task(
+    pure_core, name
+):
+    handlers = busy_cpus_idle_fft()
+    tasks = build_app(1000, fft_capable={700})
+    ready = CountingReadyList()
+    ready.extend(tasks)
+    policy = spied(name, handlers)
+    first = policy.schedule(ready, handlers, 10.0)  # fills the row caches
+    for rows in (policy._est_rows, policy._est_pairs):
+        rows.lookups = 0
+    ready.visited = 0
+    again = policy.schedule(ready, handlers, 10.0)
+    assert [(a.task, a.handler) for a in again] == [
+        (a.task, a.handler) for a in first
+    ]
+    # the capable task is the 701st in FIFO order and, all ranks being
+    # equal here, in the rank orders' stable sort; a rank order walks the
+    # whole queue once more to sort it, without a row lookup
+    assert ready.visited == (701 if name == "eft" else 1000)
+    assert policy._est_pairs.lookups == 701
+    assert policy._est_rows.lookups == 0
 
 
 def test_usable_idle_follows_the_index(pure_core):
