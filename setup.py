@@ -1,4 +1,4 @@
-"""Packaging shim: builds the optional compiled DES core when it can.
+"""Packaging shim: builds the optional compiled placement kernels when it can.
 
 The extension (``repro._native._coreext``) is a pure accelerator — the
 framework is fully functional without it — so a failed build must never

@@ -1,4 +1,4 @@
-"""Loader for the optional compiled DES core extension.
+"""Loader for the optional compiled placement kernels.
 
 The extension (``repro._native._coreext``) is built from ``_coreext.c``
 either by ``python -m repro._native.build`` (in-place, gcc) or by the
@@ -6,12 +6,17 @@ optional setuptools hook in ``setup.py``.  Import failures are captured,
 not raised: the package must keep working from a source checkout with no
 compiler, so callers decide whether a missing extension is an error
 (explicit ``--core compiled``) or a fallback (env/auto selection) —
-see :mod:`repro.core`.
+see :mod:`repro.core`.  An extension built for another :data:`API` (an
+in-place ``.so`` left over from an older checkout) counts as missing.
 """
 
 from __future__ import annotations
 
 from types import ModuleType
+
+#: what ``BUILD_INFO["api"]`` in ``_coreext.c`` must say; bumped together
+#: with it whenever a kernel's signature or meaning changes
+API = 2
 
 _module: ModuleType | None = None
 _error: str | None = None
@@ -29,8 +34,15 @@ def load() -> ModuleType | None:
             _module = None
             _error = str(exc)
         else:
-            _module = _coreext
-            _error = None
+            built_for = _coreext.BUILD_INFO.get("api")
+            if built_for == API:
+                _module, _error = _coreext, None
+            else:  # a stale build must never be called
+                _module = None
+                _error = (
+                    f"built for api {built_for}, this checkout needs {API}; "
+                    "re-run `python -m repro._native.build`"
+                )
     return _module
 
 
@@ -39,7 +51,8 @@ def available() -> bool:
 
 
 def import_error() -> str | None:
-    """The captured ImportError message, or None when loaded."""
+    """Why the extension is unusable (the ImportError, or an :data:`API`
+    mismatch), or None when loaded."""
     load()
     return _error
 

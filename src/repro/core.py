@@ -1,10 +1,11 @@
-"""Runtime selection of the DES core implementation (pure vs compiled).
+"""Runtime selection of the core variant (pure vs compiled).
 
-The virtual backend and the scheduler inner loops exist twice: the
-pure-Python reference (always available) and the compiled extension in
-``repro._native._coreext`` (built with ``python -m repro._native.build``).
-Both are bit-identical by contract; this module decides which one a
-process uses.
+The emulator is pure Python: one event engine (:mod:`repro.sim.engine`),
+one ready list, plain-Python policies.  Two placement loops — EFT's (shared
+by ``heft`` / ``cprank`` / ``eft+edf``) and MET's — also exist as C kernels
+in the optional extension ``repro._native._coreext`` (built with
+``python -m repro._native.build``), bit-identical by contract.  "Compiled"
+means "use those kernels"; this module decides whether a process does.
 
 Selection precedence:
 
@@ -103,20 +104,24 @@ def selected_core() -> str:
 def native_kernels():
     """The compiled kernel module when selected, else None.
 
-    Hot-path call sites branch on this once per construction: a non-None
-    return means the compiled scheduler kernels and engine are in use.
+    ``Scheduler.__init__`` binds this once per policy instance: a non-None
+    return means ``eft_pass`` / ``met_pass`` run in C.
     """
-    if selected_core() == CORE_COMPILED:
-        return _native.load()
-    return None
+    if selected_core() != CORE_COMPILED:
+        return None
+    kernels = _native.load()
+    if not hasattr(kernels, "ReadyList"):
+        # Only reader: benchmarks/spine/probes.py:203 (the ready list is
+        # one Python class under both cores; ROADMAP has the follow-up).
+        from repro.runtime.workload_manager import ReadyList
+
+        kernels.ReadyList = ReadyList
+    return kernels
 
 
 def make_engine():
-    """A DES engine of the selected variant (same API either way)."""
-    if selected_core() == CORE_COMPILED:
-        from repro.sim.compiled import CompiledEngine
-
-        return CompiledEngine()
+    """``Engine()``.  Only reader: benchmarks/spine/probes.py:120/144/157
+    (there is one engine; ROADMAP has the follow-up that drops this)."""
     from repro.sim.engine import Engine
 
     return Engine()

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro import core as core_select
 from repro.common.errors import EmulationError
 from repro.common.log import get_logger
 from repro.hardware.accelerator import FFTAcceleratorDevice
@@ -103,7 +102,7 @@ class VirtualBackend(ExecutionBackend):
     # -- entry point -----------------------------------------------------------------
 
     def run(self, session: EmulationSession) -> EmulationStats:
-        engine = core_select.make_engine()
+        engine = Engine()
         platform = session.platform
 
         # Host cores: the management core plus every core hosting an RM thread.

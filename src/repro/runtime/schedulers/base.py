@@ -75,11 +75,10 @@ class Scheduler:
         self._est_pairs: dict[int, tuple] = {}
         self._support_rows: dict[int, tuple] = {}
         self._est_fb = None
-        self._support_fb = None
-        # Compiled placement-loop kernels, bound at construction (None on
-        # the pure core).  Subclass schedule() implementations branch on
-        # this and hand the positional inner loop to C; results are
-        # bit-identical by contract.
+        # The compiled placement kernels, bound at construction (None on
+        # the pure core).  eft_pass and MET's schedule() branch on this
+        # and hand their positional inner loop to C; results are
+        # bit-identical by contract.  Every other policy is Python only.
         self._kernels = core_select.native_kernels()
 
     def schedule(
@@ -118,7 +117,6 @@ class Scheduler:
             self._est_pairs = {}
             self._support_rows = {}
             self._est_fb = None
-            self._support_fb = None
 
     def estimate_row(
         self, task: TaskInstance, handlers: list[ResourceHandler]
@@ -191,14 +189,6 @@ class Scheduler:
             )
         return fb
 
-    def _support_fallback(self, handlers: list[ResourceHandler]):
-        fb = self._support_fb
-        if fb is None:
-            fb = self._support_fb = (
-                lambda task: self.support_row(task, handlers)
-            )
-        return fb
-
     @staticmethod
     def idle_handlers(handlers: list[ResourceHandler]) -> list[ResourceHandler]:
         """Snapshot of currently idle PEs (the paper's 'begin by checking
@@ -221,9 +211,9 @@ class Scheduler:
         idle PEs are filtered by ``ready.wanted()`` — the platform names
         some ready task can run on, which the ready list remembers between
         changes (:meth:`ReadyList.wanted`), not a scan.  A ``ready``
-        without that method — a plain list, the compiled ``ReadyList`` —
-        or one holding items of unknown capability (``wanted()`` is None)
-        yields every idle PE, which is always correct, only slower.
+        without that method (a plain list) or one holding items of
+        unknown capability (``wanted()`` is None) yields every idle PE,
+        which is always correct, only slower.
         """
         idle = [
             (i, h) for i, h in enumerate(handlers)

@@ -28,8 +28,9 @@ Rank values are pure-Python floats computed with a fixed expression, so
 the incremental cache is exactly (float-for-float) equal to a full
 recomputation over the remaining DAG — ``tests`` enforce this with an
 oracle comparison across dispatch/failure sequences — and the placement
-loop reuses the compiled ``eft_pass`` kernel when available, so
-``--core compiled`` works without any ``_coreext`` change.
+loop is :func:`~repro.runtime.schedulers.eft.eft_pass` (compiled kernel
+included, when selected), so ``--core compiled`` works without any
+``_coreext`` change.
 """
 
 from __future__ import annotations

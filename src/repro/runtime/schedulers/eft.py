@@ -42,12 +42,12 @@ def eft_pass(
     order = ready if key is None else sorted(ready, key=key)
     kern = policy._kernels
     if kern is not None:
-        # The availability prologue and placement loop both run in C; the
-        # kernel reads handler.failed/.status/.estimated_free_time exactly
-        # as the pure loop below does.
+        # The availability prologue and placement loop below, in C: same
+        # usable positions, same handler.failed / .estimated_free_time
+        # reads, full rows from _est_rows instead of the compact pairs.
         placed = kern.eft_pass(
             order, policy._est_rows, policy._est_fallback(handlers),
-            handlers, now,
+            handlers, [i for i, _h in usable], now,
         )
         return [Assignment(task, handlers[i]) for task, i in placed]
     # True while a usable idle PE is still free to take a dispatch.

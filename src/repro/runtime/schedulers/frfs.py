@@ -32,14 +32,6 @@ class FRFSScheduler(Scheduler):
             return []
         self._sync_row_cache(handlers)
         rows = self._support_rows
-        kern = self._kernels
-        if kern is not None:
-            # Idle-pool scan and placement both in C; the kernel reads
-            # handler.status exactly as usable_idle does.
-            pairs = kern.frfs_pass(
-                ready, rows, self._support_fallback(handlers), handlers,
-            )
-            return [Assignment(task, handlers[i]) for task, i in pairs]
         assignments: list[Assignment] = []
         support_row = self.support_row
         for task in ready:

@@ -48,8 +48,7 @@ class METScheduler(Scheduler):
         if kern is not None:
             pairs = kern.met_pass(
                 ready, rows, self._est_fallback(handlers),
-                [i for i, _h in available],
-                [h.pe_id for _i, h in available],
+                handlers, [i for i, _h in available],
                 self._cost_multipliers(available),
             )
             return [Assignment(task, handlers[i]) for task, i in pairs]

@@ -37,23 +37,6 @@ class RandomScheduler(Scheduler):
         rows = self._support_rows
         assignments: list[Assignment] = []
         support_row = self.support_row
-        kern = self._kernels
-        if kern is not None:
-            # Candidate scan in C; the RNG draw stays in Python so the
-            # draw sequence is identical on both cores.
-            indices = [i for i, _h in available]
-            for task in ready:
-                hit = rows.get(id(task.node))
-                row = hit[1] if hit is not None else support_row(task, handlers)
-                candidates = kern.supported_positions(row, indices)
-                if not candidates:
-                    continue
-                pick = candidates[int(self.rng.integers(len(candidates)))]
-                indices.pop(pick)
-                assignments.append(Assignment(task, available.pop(pick)[1]))
-                if not available:
-                    break
-            return assignments
         for task in ready:
             hit = rows.get(id(task.node))
             row = hit[1] if hit is not None else support_row(task, handlers)

@@ -62,14 +62,6 @@ class ReservationEFTScheduler(Scheduler):
                     free_slots = 0
             slots.append(free_slots)
             open_slots += free_slots
-        kern = self._kernels
-        if kern is not None:
-            self._sync_row_cache(handlers)
-            pairs = kern.eft_reserve_pass(
-                ready, self._est_rows, self._est_fallback(handlers),
-                avail, slots, open_slots,
-            )
-            return [Assignment(task, handlers[i]) for task, i in pairs]
         assignments: list[Assignment] = []
         estimate_row = self.estimate_row
         inf = float("inf")
@@ -126,14 +118,6 @@ class ReservationFRFSScheduler(Scheduler):
             else 1 + len(h.reservation_queue)
             for h in handlers
         ]
-        kern = self._kernels
-        if kern is not None:
-            self._sync_row_cache(handlers)
-            pairs = kern.frfs_reserve_pass(
-                ready, self._support_rows, self._support_fallback(handlers),
-                load, depth,
-            )
-            return [Assignment(task, handlers[i]) for task, i in pairs]
         assignments: list[Assignment] = []
         support_row = self.support_row
         for task in ready:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro import core as core_select
 from repro.appmodel.instance import ApplicationInstance, TaskInstance, TaskState
 from repro.common.errors import EmulationError
 from repro.runtime.faults import FaultInjector
@@ -29,7 +28,8 @@ _STALE = object()
 class ReadyList:
     """The ready task list: an insertion-ordered set of tasks, by identity.
 
-    The contract (the compiled twin keeps the same one, minus the index):
+    The contract (one class under both cores; the compiled kernels
+    iterate it like any other iterable):
 
     * iteration is FIFO in :meth:`extend` order; a removed task that comes
       back (fault requeue) re-enters at the tail;
@@ -196,11 +196,7 @@ class WorkloadManagerCore:
         self.validate = validate
         self.faults = faults
         self.qos = qos
-        # Same structure twice: the compiled ReadyList walks its members
-        # in C (which is what keeps the scheduler kernels' iteration off
-        # the Python generator path); semantics are identical.
-        kernels = core_select.native_kernels()
-        self.ready = kernels.ReadyList() if kernels is not None else ReadyList()
+        self.ready = ReadyList()
         self.apps_completed = 0
         self.apps_degraded = 0
         #: set once any PE has permanently failed (enables recheck paths)

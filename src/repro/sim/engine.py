@@ -210,8 +210,9 @@ class Engine:
 
     The queue is a heap of ``(time, seq, event)`` for later instants plus
     the same-instant lane (module docstring).  ``_push_now(event)``
-    schedules ``event`` for the current instant; here it *is* the lane's
-    ``append``, :class:`~repro.sim.compiled.CompiledEngine` overrides it.
+    schedules ``event`` for the current instant: it *is* the lane's
+    ``append``.  This is the only engine; the compiled core
+    (:mod:`repro.core`) is placement kernels and leaves the event loop here.
     """
 
     def __init__(self) -> None:

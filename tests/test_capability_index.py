@@ -24,8 +24,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro import _native
-from repro import core as core_select
 from repro.appmodel.library import KernelLibrary
 from repro.common.rng import default_rng
 from repro.runtime.backends import VirtualBackend
@@ -147,21 +145,19 @@ def test_every_pass_matches_the_full_scan(
     apps = {
         name: n for name, n in zip(("mixed_app", "cpu_app"), counts) if n
     }
-    # The compiled ReadyList has no index; this is a test of the pure one.
-    with core_select.forced(core_select.CORE_PURE):
-        both = BothWays(policy)
-        emu = Emulation(
-            config=config,
-            policy=both,
-            applications={"mixed_app": mixed, "cpu_app": cpu_heavy},
-            library=lib,
-            perf_model=fuzz_perf_model(),
-            materialize_memory=False,
-            jitter=False,
-            seed=3,
-            faults=faults,
-        )
-        result = emu.run(validation_workload(apps), VirtualBackend())
+    both = BothWays(policy)
+    emu = Emulation(
+        config=config,
+        policy=both,
+        applications={"mixed_app": mixed, "cpu_app": cpu_heavy},
+        library=lib,
+        perf_model=fuzz_perf_model(),
+        materialize_memory=False,
+        jitter=False,
+        seed=3,
+        faults=faults,
+    )
+    result = emu.run(validation_workload(apps), VirtualBackend())
     stats = result.stats
     assert both.passes > 0
     assert (
@@ -170,7 +166,7 @@ def test_every_pass_matches_the_full_scan(
     )
 
 
-# -- (b) model ≡ pure ≡ compiled, and the index equals a recount, after every step --------
+# -- (b) model ≡ ReadyList, and the index equals a recount, after every step -------------
 
 KEYS = (("cpu",), ("cpu", "fft"), ("fft",))
 
@@ -190,27 +186,18 @@ class SpiedCounts(dict):
         return super().items()
 
 
-def ready_list_twins() -> dict:
-    """The pure class always; its C twin whenever the extension imports."""
-    twins = {"pure": ReadyList()}
-    twins["pure"].platform_counts = SpiedCounts()
-    ext = _native.load()
-    if ext is not None:
-        twins["compiled"] = ext.ReadyList()
-    return twins
-
-
 class ReadyListIndexMachine(RuleBasedStateMachine):
     """One rule sequence — extend fresh tasks, remove from the front / the
     middle / the back, re-enter a removed task, remove everything — drives a
-    plain-list model, the pure :class:`ReadyList` and (when importable)
-    ``_coreext.ReadyList``.  After every step all of them agree on order,
-    length, truth and the membership of every task ever seen, and the pure
-    list's index is a recount (the PR 9 stale-tombstone bug class)."""
+    plain-list model and the :class:`ReadyList`.  After every step they
+    agree on order, length, truth and the membership of every task ever
+    seen, and the list's index is a recount (the PR 9 stale-tombstone bug
+    class)."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.twins = ready_list_twins()
+        self.ready = ReadyList()
+        self.ready.platform_counts = SpiedCounts()
         self.model: list = []
         self.removed: list = []
         self.seen: list = []
@@ -218,14 +205,12 @@ class ReadyListIndexMachine(RuleBasedStateMachine):
         self.asked_with: frozenset | None = None
 
     def _extend(self, tasks) -> None:
-        for ready in self.twins.values():
-            ready.extend(tasks)
+        self.ready.extend(tasks)
         self.model.extend(tasks)
 
     def _remove(self, victims) -> None:
         ids = {id(t) for t in victims}
-        for ready in self.twins.values():
-            ready.remove_ids(ids)
+        self.ready.remove_ids(ids)
         self.model = [t for t in self.model if id(t) not in ids]
         self.removed.extend(victims)
 
@@ -272,35 +257,35 @@ class ReadyListIndexMachine(RuleBasedStateMachine):
 
     @invariant()
     def index_is_a_recount(self):
-        pure = self.twins["pure"]
-        assert live_counts(pure) == recount(pure)
-        assert all(n >= 0 for n in pure.platform_counts.values())
+        ready = self.ready
+        assert live_counts(ready) == recount(ready)
+        assert all(n >= 0 for n in ready.platform_counts.values())
 
     @invariant()
     def wanted_is_the_union_rebuilt_only_after_a_zero_crossing(self):
         """Asked after every step.  One step only extends or only removes,
         so a count crossed zero in it exactly when the set of live keys
         changed; only then (and the first time) may the answer be rebuilt."""
-        pure = self.twins["pure"]
-        keys = frozenset(recount(pure))
-        walks = pure.platform_counts.walks
-        assert pure.wanted() == {name for key in keys for name in key}
-        assert pure.wanted() is pure.wanted()
-        rebuilt = pure.platform_counts.walks - walks
+        ready = self.ready
+        keys = frozenset(recount(ready))
+        walks = ready.platform_counts.walks
+        assert ready.wanted() == {name for key in keys for name in key}
+        assert ready.wanted() is ready.wanted()
+        rebuilt = ready.platform_counts.walks - walks
         assert rebuilt == (keys != self.asked_with)
         self.asked_with = keys
 
     @invariant()
-    def every_list_matches_the_model(self):
+    def the_list_matches_the_model(self):
+        ready = self.ready
         order = [id(t) for t in self.model]
         members = set(order)
-        for name, ready in self.twins.items():
-            assert [id(t) for t in ready] == order, name
-            assert len(ready) == len(order), name
-            assert bool(ready) == bool(order), name
-            assert [t in ready for t in self.seen] == [
-                id(t) in members for t in self.seen
-            ], name
+        assert [id(t) for t in ready] == order
+        assert len(ready) == len(order)
+        assert bool(ready) == bool(order)
+        assert [t in ready for t in self.seen] == [
+            id(t) in members for t in self.seen
+        ]
 
 
 TestReadyListIndex = ReadyListIndexMachine.TestCase
@@ -337,12 +322,32 @@ class CountingRows(dict):
         return super().get(key, default)
 
 
+class CountingKernels:
+    """The compiled kernels of the selected core, counting calls."""
+
+    def __init__(self, kernels) -> None:
+        self._kernels = kernels
+        self.calls = 0
+
+    def __getattr__(self, name):
+        kernel = getattr(self._kernels, name)
+
+        def counted(*args):
+            self.calls += 1
+            return kernel(*args)
+
+        return counted
+
+
 def spied(name: str, handlers):
+    """The policy on the selected core: pure loops or compiled kernels."""
     policy = make_scheduler(name, FixedOracle({}))
     policy._sync_row_cache(handlers)
     policy._est_rows = CountingRows()
     policy._est_pairs = CountingRows()
     policy._support_rows = CountingRows()
+    if policy._kernels is not None:
+        policy._kernels = CountingKernels(policy._kernels)
     return policy
 
 
@@ -351,6 +356,10 @@ def row_lookups(policy) -> int:
         policy._est_rows.lookups + policy._est_pairs.lookups
         + policy._support_rows.lookups
     )
+
+
+def kernel_calls(policy) -> int:
+    return 0 if policy._kernels is None else policy._kernels.calls
 
 
 def busy_cpus_idle_fft():
@@ -364,7 +373,7 @@ def busy_cpus_idle_fft():
 
 
 @pytest.mark.parametrize("name", ["eft", "heft", "frfs", "met", "cprank"])
-def test_nothing_ready_runs_on_the_idle_pe(pure_core, name):
+def test_nothing_ready_runs_on_the_idle_pe(name):
     handlers = busy_cpus_idle_fft()
     ready = CountingReadyList()
     ready.extend(build_app(1000))  # CPU-only
@@ -372,13 +381,14 @@ def test_nothing_ready_runs_on_the_idle_pe(pure_core, name):
     assert policy.schedule(ready, handlers, 10.0) == []
     assert ready.visited == 0
     assert row_lookups(policy) == 0
+    assert kernel_calls(policy) == 0
     # the same queue without an index is scanned to the end, for nothing
     reference = make_scheduler(name, FixedOracle({}))
     assert reference.schedule(list(ready), handlers, 10.0) == []
 
 
 @pytest.mark.parametrize("name", ["eft", "heft", "frfs", "met", "cprank"])
-def test_one_capable_task_deep_in_the_queue_is_found(pure_core, name):
+def test_one_capable_task_deep_in_the_queue_is_found(name):
     handlers = busy_cpus_idle_fft()
     tasks = build_app(1000, fft_capable={700})
     ready = CountingReadyList()
@@ -392,6 +402,24 @@ def test_one_capable_task_deep_in_the_queue_is_found(pure_core, name):
     assert [(a.task, a.handler) for a in expected] == [(tasks[700], handlers[3])]
     if name in ("eft", "frfs", "met"):  # FIFO visitors stop right there
         assert visited == 701
+
+
+@pytest.mark.parametrize("name", ["eft", "frfs", "met"])
+def test_the_queue_is_left_with_the_last_usable_pe(name):
+    """One CPU idle and wanted, one FFT idle and unwanted: the pass is over
+    with its first dispatch, however long the queue."""
+    handlers = make_handlers(["cpu", "cpu", "cpu", "fft"])
+    for h, task in zip(handlers[:2], build_app(2)):
+        h.assign(task)
+        h.estimated_free_time = 500.0
+    tasks = build_app(2000)  # CPU-only
+    ready = CountingReadyList()
+    ready.extend(tasks)
+    policy = spied(name, handlers)
+    got = policy.schedule(ready, handlers, 10.0)
+    assert [(a.task, a.handler) for a in got] == [(tasks[0], handlers[2])]
+    assert ready.visited == 1
+    assert kernel_calls(policy) <= 1
 
 
 @pytest.mark.parametrize("name", ["eft", "heft", "cprank"])
@@ -419,7 +447,7 @@ def test_a_warm_eft_pass_looks_up_one_compact_row_per_visited_task(
     assert policy._est_rows.lookups == 0
 
 
-def test_usable_idle_follows_the_index(pure_core):
+def test_usable_idle_follows_the_index():
     handlers = make_handlers(["cpu", "cpu", "fft"])
     tasks = build_app(3, fft_capable={2})
     ready = ReadyList()
@@ -448,7 +476,7 @@ def test_bare_ready_list_of_opaque_items_reports_unknown_capability():
     assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0, 1]
 
 
-def test_unknown_capability_wants_every_pe_until_it_leaves(pure_core):
+def test_unknown_capability_wants_every_pe_until_it_leaves():
     ready = ReadyList()
     tasks = build_app(2)  # CPU-only
     opaque = object()
@@ -463,7 +491,7 @@ def test_unknown_capability_wants_every_pe_until_it_leaves(pure_core):
     assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0]
 
 
-def test_edf_hands_the_capability_answer_down(pure_core):
+def test_edf_hands_the_capability_answer_down():
     """``+edf`` sorts the queue into a list; the inner policy must still
     learn that nothing ready runs on the idle PE, and visit nothing."""
     handlers = busy_cpus_idle_fft()

@@ -1,9 +1,9 @@
 """The engine fires events in ``(time, schedule order)`` — generated.
 
-The pure engine keeps later events on a heap and same-instant ones on a
-FIFO lane (:mod:`repro.sim.engine`); the compiled one keeps everything on a
-C heap.  Both must be indistinguishable from the plain model below: a list,
-a counter, and ``min`` over ``(time, seq)``.  A state machine interleaves
+The engine keeps later events on a heap and same-instant ones on a FIFO
+lane (:mod:`repro.sim.engine`).  That must be indistinguishable from the
+plain model below: a list, a counter, and ``min`` over ``(time, seq)``.  A
+state machine interleaves
 every way of scheduling (from outside and from inside callbacks, for the
 current instant and for later ones, with delays that tie, that differ and
 that vanish in float addition) with every way of driving the engine, and
@@ -31,20 +31,10 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro import _native
-from repro import core as core_select
 from repro.common.errors import EmulationError
+from repro.runtime.backends import virtual
 from repro.sim.engine import Engine
 from tests.test_golden_timeline import GOLDEN, timeline_digest
-
-#: the pure engine always; the compiled one whenever the extension imports
-#: (no skip: ``test_the_selected_core_is_covered`` fails the compiled job if
-#: its engine is not in this list)
-ENGINES: list[type[Engine]] = [Engine]
-if _native.available():
-    from repro.sim.compiled import CompiledEngine
-
-    ENGINES.append(CompiledEngine)
 
 SETTINGS = settings(max_examples=200, stateful_step_count=30, deadline=None)
 
@@ -215,19 +205,8 @@ class EngineOrderMachine(RuleBasedStateMachine):
         assert engine.events_scheduled == model.seq
 
 
-for _cls in ENGINES:
-    _machine = type(
-        f"{_cls.__name__}OrderMachine", (EngineOrderMachine,),
-        {"engine_class": _cls},
-    )
-    _case = _machine.TestCase
-    _case.settings = SETTINGS
-    globals()[f"Test{_cls.__name__}Order"] = _case
-del _cls, _machine, _case
-
-
-def test_the_selected_core_is_covered():
-    assert type(core_select.make_engine()) in ENGINES
+TestEngineOrder = EngineOrderMachine.TestCase
+TestEngineOrder.settings = SETTINGS
 
 
 # -- the machine sees the bug it is there for ------------------------------------
@@ -264,7 +243,8 @@ def _tie_then_same_instant_child(engine) -> list[str]:
     return order
 
 
-@pytest.mark.parametrize("engine_class", ENGINES)
+# one engine class since PR 24; parametrised so the id keeps [Engine]
+@pytest.mark.parametrize("engine_class", [Engine])
 def test_heap_entries_of_an_instant_fire_before_its_lane(engine_class):
     assert _tie_then_same_instant_child(engine_class()) == [
         "first", "second", "child",
@@ -319,10 +299,9 @@ def test_only_later_events_are_pushed_on_the_heap(monkeypatch, name):
         heap_pushes.append(entry)
         real_heappush(heap, entry)
 
-    monkeypatch.setattr(core_select, "make_engine", Spied)
+    monkeypatch.setattr(virtual, "Engine", Spied)
     monkeypatch.setattr(heapq, "heappush", spy_heappush)
-    with core_select.forced(core_select.CORE_PURE):
-        assert timeline_digest(name) == GOLDEN[name]
+    assert timeline_digest(name) == GOLDEN[name]
     (engine,) = engines
     assert engine.same_instant > len(heap_pushes) > 0  # over half of all
     assert engine.events_scheduled == engine.same_instant + len(heap_pushes)

@@ -1,22 +1,21 @@
 """Compiled-core tests: selection semantics + pure/compiled equivalence.
 
-The compiled extension (``repro._native._coreext``) is bit-identical to
-the pure-Python core by contract; these tests are that contract's
-enforcement.  Everything under ``needs_ext`` skips cleanly when the
-extension has not been built (``python -m repro._native.build``).
+The compiled kernels (``repro._native._coreext``) are bit-identical to
+the pure-Python placement loops by contract; these tests are that
+contract's enforcement.  Everything under ``needs_ext`` skips cleanly when
+the extension has not been built (``python -m repro._native.build``).
 """
 
 from __future__ import annotations
 
-import heapq
-import random
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
 from repro import _native
 from repro import core as core_select
-from repro.common.errors import EmulationError, ReproError
+from repro.common.errors import ReproError
 from repro.hardware.platform import zcu102
 from repro.runtime.backends import VirtualBackend
 from repro.runtime.emulation import Emulation
@@ -111,98 +110,56 @@ class TestSelection:
         assert info["variant"] == "compiled"
         assert info["build"]["toolchain"]
         assert info["build"]["python"]
-        assert info["build"]["api"] >= 1
+        assert info["build"]["api"] == _native.API
 
-    @needs_ext
-    def test_make_engine_variants(self):
-        from repro.sim.compiled import CompiledEngine
+    def test_there_is_one_engine_whatever_the_core(self):
         from repro.sim.engine import Engine
 
         with core_select.forced(core_select.CORE_PURE):
-            eng = core_select.make_engine()
-            assert type(eng) is Engine
-        with core_select.forced(core_select.CORE_COMPILED):
-            eng = core_select.make_engine()
-            assert isinstance(eng, CompiledEngine)
+            assert type(core_select.make_engine()) is Engine
+        if HAVE_EXT:
+            with core_select.forced(core_select.CORE_COMPILED):
+                assert type(core_select.make_engine()) is Engine
 
 
-# -- event heap parity -----------------------------------------------------------
+# -- an extension built for other kernels ------------------------------------------
 
 
-@needs_ext
-class TestEventHeapParity:
-    def test_random_ops_match_heapq(self):
-        ext = _native.load()
-        rng = random.Random(20260808)
-        heap = ext.EventHeap()
-        mirror: list[tuple[float, int, str]] = []
-        seq = 0
-        for _ in range(2000):
-            if mirror and rng.random() < 0.45:
-                assert heap.pop() == heapq.heappop(mirror)
-            else:
-                at = round(rng.uniform(0.0, 50.0), 1)  # force tie times too
-                ev = f"ev{seq}"
-                seq += 1  # the engine heap pre-increments: first push is 1
-                heap.push(at, ev)
-                heapq.heappush(mirror, (at, seq, ev))
-            assert len(heap) == len(mirror)
-            assert heap.peek_at() == (mirror[0][0] if mirror else None)
-            assert heap.seq == seq
-        while mirror:
-            assert heap.pop() == heapq.heappop(mirror)
+class TestStaleExtension:
+    """An in-place ``.so`` from an older checkout imports fine and would
+    fail with a ``TypeError`` on its first pass; it must read as missing."""
 
-    def test_pop_empty_raises(self):
-        ext = _native.load()
-        with pytest.raises(IndexError):
-            ext.EventHeap().pop()
+    @pytest.fixture
+    def stale(self, monkeypatch):
+        fake = SimpleNamespace(BUILD_INFO={"toolchain": "gcc", "api": 1})
+        monkeypatch.setattr(_native, "_coreext", fake, raising=False)
+        _native.reset_for_tests()
+        yield fake
+        _native.reset_for_tests()
 
+    def test_it_is_not_importable_and_says_why(self, stale):
+        assert _native.load() is None
+        assert not _native.available()
+        assert _native.build_info() is None
+        message = _native.import_error()
+        assert f"built for api 1, this checkout needs {_native.API}" in message
+        assert "python -m repro._native.build" in message
 
-# -- engine run-loop parity ------------------------------------------------------
+    def test_auto_falls_back_to_pure_silently(self, stale, monkeypatch):
+        monkeypatch.delenv(core_select.ENV_VAR, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core_select.selected_core() == core_select.CORE_PURE
+            assert core_select.native_kernels() is None
 
+    def test_explicit_compiled_is_the_named_error(self, stale):
+        with pytest.raises(ReproError, match="built for api 1"):
+            core_select.set_core("compiled")
 
-def _drive(engine):
-    """A small event program exercising ties, until-horizons, callbacks."""
-    log: list[tuple[float, str]] = []
-
-    def mark(tag):
-        return lambda: log.append((engine.now, tag))
-
-    engine.call_at(5.0, mark("a"))
-    engine.call_at(1.0, mark("b"))
-    engine.call_at(1.0, mark("c"))  # tie: insertion order must win
-
-    def chain():
-        log.append((engine.now, "d"))
-        engine.call_in(2.0, mark("e"))
-
-    engine.call_at(3.0, chain)
-    final = engine.run(until=5.0)
-    return log, final, engine.now, engine.events_fired
-
-
-@needs_ext
-class TestEngineParity:
-    def test_program_matches_pure_engine(self):
-        from repro.sim.compiled import CompiledEngine
-        from repro.sim.engine import Engine
-
-        assert _drive(Engine()) == _drive(CompiledEngine())
-
-    def test_max_events_error_matches(self):
-        from repro.sim.compiled import CompiledEngine
-        from repro.sim.engine import Engine
-
-        def livelock(engine):
-            def rearm():
-                engine.call_in(0.0, rearm)
-
-            engine.call_at(0.0, rearm)
-            with pytest.raises(EmulationError) as exc:
-                engine.run(max_events=25)
-            return str(exc.value), engine.events_fired
-
-        assert livelock(Engine()) == livelock(CompiledEngine())
+    def test_env_compiled_warns_and_names_the_mismatch(self, stale, monkeypatch):
+        monkeypatch.setenv(core_select.ENV_VAR, "compiled")
+        with pytest.warns(RuntimeWarning, match="built for api 1"):
+            assert core_select.selected_core() == core_select.CORE_PURE
 
 
 # -- whole-emulation equivalence -------------------------------------------------
@@ -272,6 +229,14 @@ class TestCrossCoreEquivalence:
         for policy in ("frfs", "frfs+edf", "eft+edf"):
             assert _run_emulation("pure", policy, qos=spec) == \
                 _run_emulation("compiled", policy, qos=spec)
+
+    def test_random_on_a_burst_bit_identical(self):
+        # burst-eft's shape (benchmarks/spine): every app arrives at t=0
+        burst = validation_workload(
+            {"range_detection": 8, "wifi_tx": 6, "pulse_doppler": 2}
+        )
+        assert _run_emulation("pure", "random", workload=burst) == \
+            _run_emulation("compiled", "random", workload=burst)
 
     def test_performance_mode_bit_identical(self):
         workload = table_ii_workload(2.28)

@@ -8,23 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import _native
 from repro.appmodel.instance import ApplicationInstance, TaskState
 from repro.common.errors import EmulationError
 from repro.runtime.schedulers import FRFSScheduler
 from repro.runtime.stats import EmulationStats
 from repro.runtime.workload_manager import ReadyList, WorkloadManagerCore
 from tests.conftest import make_diamond_graph, make_handlers
-
-
-def _readylist_impls():
-    """Both ReadyList implementations: the pure class and, when the
-    extension is built, its C twin (same container contract)."""
-    impls = [ReadyList]
-    ext = _native.load()
-    if ext is not None:
-        impls.append(ext.ReadyList)
-    return impls
 
 
 def make_core(zcu, config="2C+0F", arrivals=(0.0,)):
@@ -111,7 +100,8 @@ class TestReadyList:
         assert ref() is None
         assert list(rl) == items and len(rl) == 9
 
-    @pytest.mark.parametrize("make", _readylist_impls())
+    # one implementation since PR 24; parametrised so the ids keep [ReadyList]
+    @pytest.mark.parametrize("make", [ReadyList])
     def test_reextend_while_tombstoned(self, make):
         """Regression: re-adding a task whose mid-list tombstone is still
         pending must make it visible again.
@@ -131,7 +121,7 @@ class TestReadyList:
         assert len(rl) == 5
         assert items[2] in rl
 
-    @pytest.mark.parametrize("make", _readylist_impls())
+    @pytest.mark.parametrize("make", [ReadyList])
     def test_reextend_sees_single_occurrence(self, make):
         # The stale physical occurrence must not come back as a duplicate:
         # a policy iterating the list would otherwise dispatch the task to
