@@ -512,24 +512,26 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf benchmark suite; write a BENCH_<timestamp>.json report."""
+    """Run the named bench scenarios; write a BENCH_<timestamp>.json report."""
     from repro.perf import (
-        all_scenario_names,
-        compare_reports,
         format_core_compare,
         format_report,
-        load_report,
         run_suite,
         run_suite_compare_cores,
+        scenario_names,
         write_report,
     )
 
     if args.list:
-        for name in all_scenario_names():
+        for name in scenario_names():
             print(name)
         return 0
+    names = _parse_list(args.scenario)
+    if not names:
+        print("bench needs --scenario NAME[,NAME...] (see bench --list)",
+              file=sys.stderr)
+        return EXIT_USAGE
     _apply_core(args)
-    names = _parse_list(args.scenario) if args.scenario else None
     quiet = args.json
 
     def progress(done: int, total: int, name: str) -> None:
@@ -574,10 +576,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(format_report(doc))
-    if args.baseline:
-        base = load_report(args.baseline)
-        print()
-        print(compare_reports(base, doc))
     if path is not None:
         print(f"report written to {path}", file=sys.stderr)
     return 0
@@ -849,11 +847,13 @@ def build_parser() -> argparse.ArgumentParser:
     server_p.set_defaults(fn=cmd_sweep_server)
 
     bench_p = sub.add_parser(
-        "bench", help="measure emulator throughput on canonical scenarios"
+        "bench", help="cross-core gate, peak-RSS scale pair and lookahead "
+                      "scenarios (speed claims: benchmarks/spine)"
     )
     add_core_flag(bench_p)
     bench_p.add_argument("--scenario", default="",
-                         help="comma-separated scenario names (default: all)")
+                         help="comma-separated scenario names (required; "
+                              "see --list)")
     bench_p.add_argument("--quick", action="store_true",
                          help="small workloads, 1 rep, no warmup (CI smoke)")
     bench_p.add_argument("--reps", type=int, default=3,
@@ -864,15 +864,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory for the BENCH_<timestamp>.json report")
     bench_p.add_argument("--no-write", action="store_true",
                          help="skip writing the report file")
-    bench_p.add_argument("--baseline", default="",
-                         help="prior BENCH_*.json to print a speedup table "
-                              "against")
     bench_p.add_argument("--json", action="store_true",
                          help="print the report document as JSON on stdout")
     bench_p.add_argument("--list", action="store_true",
                          help="list scenario names and exit")
     bench_p.add_argument("--compare-cores", action="store_true",
-                         help="run every scenario under both the pure and "
+                         help="run each scenario under both the pure and "
                               "compiled cores (interleaved), assert their "
                               "stats are bit-identical, and print a speedup "
                               "table; writes one BENCH report per core")

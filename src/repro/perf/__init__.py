@@ -1,54 +1,32 @@
-"""Performance benchmark harness for the emulation framework.
+"""``dssoc-emulate bench``: the measurements the spine does not take.
 
-The suite pins down the framework's *own* throughput (host events/sec,
-emulated tasks/sec) on a fixed set of canonical scenarios so that perf
-work is measured, not guessed:
+Speed claims come from the measurement spine (``benchmarks/spine/``).
+This package keeps the three jobs only it does: ``--compare-cores``
+(every named scenario under the pure and compiled cores, deterministic
+stats asserted bit-identical), the 10^5 / 10^6-app peak-RSS scale pair,
+and the lookahead-policy scenarios.  Reports are written as
+``BENCH_<timestamp>.json`` files (schema in ``docs/performance.md``).
 
-* every optimization to the virtual backend must keep emulation output
-  bit-identical (the exact-vector tests are the oracle) — this harness
-  tracks the *speed* axis;
-* reports are written as ``BENCH_<timestamp>.json`` files, making the
-  perf trajectory a first-class, diffable artifact next to the paper
-  reproduction artifacts.
-
-Entry points: ``dssoc-emulate bench`` (CLI) or :func:`run_suite` /
-:func:`compare_reports` (programmatic).
+Entry points: ``dssoc-emulate bench --scenario NAME[,NAME...]`` (CLI) or
+:func:`run_suite` / :func:`run_suite_compare_cores` (programmatic).
+``repro.perf.rss`` is the peak-RSS reader the spine imports too.
 """
 
 from repro.perf.harness import (
-    compare_reports,
     format_core_compare,
     format_report,
-    load_report,
     run_scenario,
     run_suite,
     run_suite_compare_cores,
     write_report,
 )
-from repro.perf.rss import peak_rss_bytes, reset_peak_rss
-from repro.perf.scenarios import (
-    BenchScenario,
-    LOOKAHEAD_SCENARIOS,
-    SCENARIOS,
-    SERVING_SCENARIOS,
-    all_scenario_names,
-    get_scenario,
-    scenario_names,
-)
+from repro.perf.scenarios import SCENARIOS, get_scenario, scenario_names
 
 __all__ = [
-    "BenchScenario",
-    "LOOKAHEAD_SCENARIOS",
     "SCENARIOS",
-    "SERVING_SCENARIOS",
-    "all_scenario_names",
-    "compare_reports",
     "format_core_compare",
     "format_report",
     "get_scenario",
-    "load_report",
-    "peak_rss_bytes",
-    "reset_peak_rss",
     "run_scenario",
     "run_suite",
     "run_suite_compare_cores",

@@ -1,11 +1,11 @@
 """Measurement harness: warmup + repetitions → ``BENCH_<timestamp>.json``.
 
 The report schema (``dssoc-bench/v2``) is documented in
-``docs/performance.md``; v1 reports (pre peak-RSS/app-count tracking)
-are still readable.  Wall times are reported as the median across
-repetitions (min and all samples are kept for inspection); events/sec
-and tasks/sec derive from the median so one noisy rep cannot flatter or
-slander a commit.  Peak RSS is the max across repetitions — it is a
+``docs/performance.md``; comparing two commits is the measurement
+spine's job (``benchmarks/spine/compare.py``).  Wall times are reported
+as the median across repetitions (min and all samples are kept for
+inspection); events/sec and tasks/sec derive from the median so one
+noisy rep cannot flatter or slander a commit.  Peak RSS is the max across repetitions — it is a
 high-water mark, so the worst rep is the honest number.
 """
 
@@ -22,15 +22,16 @@ from pathlib import Path
 
 from repro import core as core_select
 from repro.common.errors import ReproError
-from repro.perf.scenarios import SCENARIOS, get_scenario
+from repro.perf.scenarios import get_scenario
 
 SCHEMA = "dssoc-bench/v2"
-#: older report schemas load_report still accepts
-COMPAT_SCHEMAS = ("dssoc-bench/v1",)
 DEFAULT_OUT_DIR = "benchmarks/results"
+#: the checkout whose commit a report names
+_SOURCE_DIR = Path(__file__).resolve().parent
 
-#: stats that must be bit-identical between the pure and compiled cores
-#: (wall times and memory are the only things allowed to differ)
+#: stats that must be bit-identical across repetitions and between the
+#: pure and compiled cores (wall times and memory are the only things
+#: allowed to differ)
 DETERMINISTIC_KEYS = (
     "events", "tasks", "apps_completed", "makespan_ms", "sched_invocations",
     "apps_injected", "apps_dropped",
@@ -50,12 +51,12 @@ def run_scenario(name: str, *, reps: int = 3, warmup: int = 1,
     wall_median = statistics.median(walls)
     ref = samples[0]
     for s in samples[1:]:
-        if (s["events"], s["tasks"], s["makespan_ms"]) != (
-            ref["events"], ref["tasks"], ref["makespan_ms"]
-        ):
-            raise ReproError(
-                f"scenario {name!r} is nondeterministic across repetitions"
-            )
+        for key in DETERMINISTIC_KEYS:
+            if s[key] != ref[key]:
+                raise ReproError(
+                    f"scenario {name!r} is nondeterministic across "
+                    f"repetitions ({key}: {ref[key]!r} then {s[key]!r})"
+                )
     entry = dict(scenario.spec(quick=quick))
     entry.update(
         {
@@ -68,7 +69,7 @@ def run_scenario(name: str, *, reps: int = 3, warmup: int = 1,
             "events_per_sec": round(ref["events"] / wall_median, 1),
             "tasks": ref["tasks"],
             "tasks_per_sec": round(ref["tasks"] / wall_median, 1),
-            "apps_completed": ref["apps"],
+            "apps_completed": ref["apps_completed"],
             "apps_injected": ref["apps_injected"],
             "apps_degraded": ref["apps_degraded"],
             "apps_dropped": ref["apps_dropped"],
@@ -80,17 +81,15 @@ def run_scenario(name: str, *, reps: int = 3, warmup: int = 1,
     return entry
 
 
-def run_suite(names: list[str] | None = None, *, reps: int = 3,
-              warmup: int = 1, quick: bool = False,
-              progress=None) -> dict:
-    """Run the suite (or a subset) and return the full report document."""
+def run_suite(names: list[str], *, reps: int = 3, warmup: int = 1,
+              quick: bool = False, progress=None) -> dict:
+    """Run the named scenarios and return the full report document."""
     if quick:
         reps, warmup = min(reps, 1), 0
-    selected = names if names else [s.name for s in SCENARIOS]
     scenarios: dict[str, dict] = {}
-    for i, name in enumerate(selected):
+    for i, name in enumerate(names):
         if progress is not None:
-            progress(i, len(selected), name)
+            progress(i, len(names), name)
         scenarios[name] = run_scenario(
             name, reps=reps, warmup=warmup, quick=quick
         )
@@ -127,11 +126,11 @@ def _make_doc(scenarios: dict[str, dict], *, quick: bool) -> dict:
     }
 
 
-def run_suite_compare_cores(names: list[str] | None = None, *,
-                            reps: int = 3, warmup: int = 1,
-                            quick: bool = False,
+def run_suite_compare_cores(names: list[str], *, reps: int = 3,
+                            warmup: int = 1, quick: bool = False,
                             progress=None) -> tuple[dict, dict]:
-    """Run the suite under both cores; return (pure_doc, compiled_doc).
+    """Run the named scenarios under both cores; return (pure_doc,
+    compiled_doc).
 
     The cores are interleaved per scenario (pure then compiled back to
     back) so machine drift hits both sides equally, and every scenario's
@@ -142,12 +141,11 @@ def run_suite_compare_cores(names: list[str] | None = None, *,
     """
     if quick:
         reps, warmup = min(reps, 1), 0
-    selected = names if names else [s.name for s in SCENARIOS]
     pure: dict[str, dict] = {}
     compiled: dict[str, dict] = {}
-    for i, name in enumerate(selected):
+    for i, name in enumerate(names):
         if progress is not None:
-            progress(i, len(selected), name)
+            progress(i, len(names), name)
         with core_select.forced(core_select.CORE_PURE):
             pure[name] = run_scenario(name, reps=reps, warmup=warmup,
                                       quick=quick)
@@ -217,22 +215,13 @@ def write_report(doc: dict, out_dir: str | Path = DEFAULT_OUT_DIR,
     return path
 
 
-def load_report(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    schema = doc.get("schema")
-    if schema != SCHEMA and schema not in COMPAT_SCHEMAS:
-        raise ReproError(f"{path}: not a {SCHEMA} report")
-    return doc
-
-
 def format_report(doc: dict) -> str:
     """Human-readable table for one report."""
     from repro.analysis.tables import format_table
 
     rows = []
     for name, s in doc["scenarios"].items():
-        peak = s.get("peak_rss_bytes")  # absent in v1 reports
+        peak = s["peak_rss_bytes"]
         rows.append(
             [
                 name,
@@ -257,50 +246,20 @@ def format_report(doc: dict) -> str:
     )
 
 
-def compare_reports(base: dict, new: dict) -> str:
-    """Side-by-side speedup table between two reports (same scenarios)."""
-    from repro.analysis.tables import format_table
-
-    rows = []
-    for name, b in base["scenarios"].items():
-        n = new["scenarios"].get(name)
-        if n is None:
-            continue
-        if b.get("apps") != n.get("apps") or b.get("rate") != n.get("rate"):
-            rows.append([name, "-", "-", "workload differs"])
-            continue
-        speedup = (
-            b["wall_s_median"] / n["wall_s_median"]
-            if n["wall_s_median"] > 0
-            else float("inf")
-        )
-        rows.append(
-            [
-                name,
-                f"{b['wall_s_median']:.3f}",
-                f"{n['wall_s_median']:.3f}",
-                f"{speedup:.2f}x",
-            ]
-        )
-    return format_table(
-        ["scenario", "base wall s", "new wall s", "speedup"],
-        rows,
-        title=(
-            f"bench compare: {base.get('git_commit', '?')[:12]} -> "
-            f"{new.get('git_commit', '?')[:12]}"
-        ),
-    )
-
-
 def _git_commit() -> str:
+    """HEAD's full sha, suffixed ``-dirty`` when tracked files differ
+    from it (a report taken on an uncommitted tree measured that tree,
+    not HEAD); ``"unknown"`` outside a git checkout.  ``--exclude=*``
+    keeps a tag name from standing in for the sha."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=40",
+             "--exclude=*"],
             capture_output=True,
             text=True,
             timeout=5,
-            cwd=Path(__file__).resolve().parent,
+            cwd=_SOURCE_DIR,
         )
-        return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"

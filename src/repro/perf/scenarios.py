@@ -1,38 +1,26 @@
-"""Canonical benchmark scenarios.
+"""Benchmark scenarios for what the measurement spine does not run.
 
-Each scenario fixes one load shape the virtual backend must be fast at:
-
-* ``validation-burst`` — everything arrives at t=0 (the paper's
-  validation mode): stresses injection and the dispatch handshake.
-* ``steady-state`` — performance-mode Table II workload at a sustained
-  injection rate: stresses the workload-manager wait/wake loop.
-* ``scheduler-stress`` — a large t=0 burst under EFT so the ready queue
-  stays long: stresses the O(ready × PEs) policy path and the ready-list
-  data structure.
-* ``accel-heavy`` — FFT-bound applications on a 2C+2F DSSoC: stresses
-  the accelerator DMA/compute path and host-core contention (the Fig. 9
-  preemption mechanism).
-
-The serving family (``SERVING_SCENARIOS``) exercises the streaming
-open-loop path — apps built lazily at injection, released at completion,
-streaming stats — so the tracked numbers include peak RSS:
+Speed claims come from ``benchmarks/spine/``.  These six scenarios are
+what only ``dssoc-emulate bench`` measures:
 
 * ``serving-openloop`` — sustained Poisson arrivals of mixed SDR apps
-  near platform capacity.
-* ``serving-flashcrowd`` — a flash crowd over a steady baseline, with
-  QoS deadlines, bounded admission (drop-newest), and ``+edf``.
+  near platform capacity, EFT; and ``serving-flashcrowd`` — a flash
+  crowd over a steady baseline, with QoS deadlines, bounded admission
+  (drop-newest), and ``+edf``.  Their quick forms are CI's streaming
+  smoke and, with the lookahead pair, its cross-core bit-identity smoke.
 * ``serving-openloop-100k`` / ``serving-openloop-1m`` — the memory
   scaling pair: 10^5 vs 10^6 injected apps at the same offered load;
   constant-memory injection means their peak RSS must be about equal.
+* ``lookahead-cprank`` / ``lookahead-rollout`` — a long t=0 burst under
+  cprank (rank cache and repair) and the ``serving-openloop`` stream
+  under rollout's forward simulator.
 
-The lookahead family (``LOOKAHEAD_SCENARIOS``, also opt-in by name)
-reruns the scheduler-stress and serving-openloop load shapes under the
-lookahead policies, timing the cprank rank cache and the rollout
-forward simulator under long ready queues.
-
-Scenarios are deterministic (fixed seed, fixed workload) so that two
-reports from the same commit agree and cross-commit deltas mean code,
-not luck.
+A scenario with ``apps`` is a validation-mode burst (everything at
+t=0); one with ``arrivals`` is an open-loop stream (apps built lazily at
+injection, released at completion, streaming stats).  Every scenario
+runs on the same platform, configuration and seed, with jitter on, so
+two reports from the same commit agree and cross-commit deltas mean
+code, not luck.
 """
 
 from __future__ import annotations
@@ -42,6 +30,11 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ReproError
 
+PLATFORM = "zcu102"
+CONFIG = "3C+2F"
+SEED = 7
+JITTER = True
+
 
 @dataclass(frozen=True)
 class BenchScenario:
@@ -49,55 +42,45 @@ class BenchScenario:
 
     name: str
     description: str
-    platform: str = "zcu102"
-    config: str = "3C+2F"
-    policy: str = "frfs"
-    #: "validation" (apps at t=0), "table_ii" (performance mode), or
-    #: "openloop" (streaming arrivals, lazy injection)
-    mode: str = "validation"
+    policy: str
+    #: validation mode: app name -> count, all injected at t=0
     apps: tuple[tuple[str, int], ...] = ()
     quick_apps: tuple[tuple[str, int], ...] = ()
-    rate: float = 0.0
-    quick_rate: float = 0.0
     #: openloop mode: ArrivalSpec dict forms (see runtime.workload)
     arrivals: dict = field(default_factory=dict)
     quick_arrivals: dict = field(default_factory=dict)
     #: openloop mode: QoS spec dict (admission/deadlines), or empty
     qos: dict = field(default_factory=dict)
-    seed: int = 7
-    jitter: bool = True
+
+    def _apps(self, quick: bool) -> dict:
+        return dict(self.quick_apps if quick and self.quick_apps else self.apps)
+
+    def _arrivals(self, quick: bool) -> dict:
+        return dict(
+            self.quick_arrivals if quick and self.quick_arrivals
+            else self.arrivals
+        )
 
     def workload(self, *, quick: bool = False):
-        if self.mode == "table_ii":
-            from repro.experiments.workloads import table_ii_workload
-
-            rate = self.quick_rate if quick and self.quick_rate else self.rate
-            return table_ii_workload(rate)
-        if self.mode == "openloop":
+        if self.arrivals:
             from repro.runtime.workload import ArrivalSpec
 
-            arrivals = (
-                self.quick_arrivals
-                if quick and self.quick_arrivals
-                else self.arrivals
-            )
-            return ArrivalSpec.from_dict(arrivals).build()
+            return ArrivalSpec.from_dict(self._arrivals(quick)).build()
         from repro.runtime.workload import validation_workload
 
-        apps = self.quick_apps if quick and self.quick_apps else self.apps
-        return validation_workload(dict(apps))
+        return validation_workload(self._apps(quick))
 
     def build_emulation(self):
         from repro.hardware.platform import platform_by_name
         from repro.runtime.emulation import Emulation
 
         return Emulation(
-            platform=platform_by_name(self.platform),
-            config=self.config,
+            platform=platform_by_name(PLATFORM),
+            config=CONFIG,
             policy=self.policy,
             materialize_memory=False,
-            jitter=self.jitter,
-            seed=self.seed,
+            jitter=JITTER,
+            seed=SEED,
             qos=dict(self.qos) if self.qos else None,
         )
 
@@ -128,7 +111,7 @@ class BenchScenario:
             "wall_s": wall_s,
             "events": info.get("events_fired", 0),
             "tasks": stats.task_count,
-            "apps": stats.apps_completed,
+            "apps_completed": stats.apps_completed,
             "apps_injected": stats.apps_injected,
             "apps_degraded": stats.apps_degraded,
             "apps_dropped": stats.apps_dropped,
@@ -141,74 +124,29 @@ class BenchScenario:
         """The scenario's identity, embedded in every report."""
         doc: dict = {
             "description": self.description,
-            "platform": self.platform,
-            "config": self.config,
+            "platform": PLATFORM,
+            "config": CONFIG,
             "policy": self.policy,
-            "mode": self.mode,
-            "seed": self.seed,
-            "jitter": self.jitter,
+            "mode": "openloop" if self.arrivals else "validation",
+            "seed": SEED,
+            "jitter": JITTER,
         }
-        if self.mode == "table_ii":
-            doc["rate"] = (
-                self.quick_rate if quick and self.quick_rate else self.rate
-            )
-        elif self.mode == "openloop":
-            doc["arrivals"] = dict(
-                self.quick_arrivals
-                if quick and self.quick_arrivals
-                else self.arrivals
-            )
+        if self.arrivals:
+            doc["arrivals"] = self._arrivals(quick)
             if self.qos:
                 doc["qos"] = dict(self.qos)
         else:
-            apps = self.quick_apps if quick and self.quick_apps else self.apps
-            doc["apps"] = dict(apps)
+            doc["apps"] = self._apps(quick)
         return doc
 
 
-SCENARIOS: tuple[BenchScenario, ...] = (
-    BenchScenario(
-        name="validation-burst",
-        description="t=0 burst of mixed SDR apps, FRFS on 3C+2F",
-        policy="frfs",
-        apps=(("range_detection", 8), ("wifi_tx", 6), ("wifi_rx", 4)),
-        quick_apps=(("range_detection", 3), ("wifi_tx", 2)),
-    ),
-    BenchScenario(
-        name="steady-state",
-        description="performance-mode Table II trace at 4.57 jobs/ms, FRFS",
-        policy="frfs",
-        mode="table_ii",
-        rate=4.57,
-        quick_rate=1.71,
-        jitter=False,
-    ),
-    BenchScenario(
-        name="scheduler-stress",
-        description="long ready queues under EFT (O(ready x PEs) policy)",
-        policy="eft",
-        apps=(("range_detection", 20), ("wifi_tx", 15), ("pulse_doppler", 5)),
-        quick_apps=(("range_detection", 8), ("wifi_tx", 6),
-                    ("pulse_doppler", 1)),
-    ),
-    BenchScenario(
-        name="accel-heavy",
-        description="FFT-bound apps on 2C+2F (DMA + core contention)",
-        config="2C+2F",
-        policy="frfs",
-        apps=(("range_detection", 12), ("pulse_doppler", 3)),
-        quick_apps=(("range_detection", 4), ("pulse_doppler", 1)),
-    ),
-)
-
 _SDR_MIX = {"range_detection": 2.0, "wifi_tx": 1.0, "wifi_rx": 1.0}
 
-SERVING_SCENARIOS: tuple[BenchScenario, ...] = (
+SCENARIOS: tuple[BenchScenario, ...] = (
     BenchScenario(
         name="serving-openloop",
         description="sustained Poisson open-loop near capacity, EFT",
         policy="eft",
-        mode="openloop",
         arrivals={"kind": "poisson", "rate_per_ms": 3.5, "apps": _SDR_MIX,
                   "duration_ms": 1500.0, "seed": 42},
         quick_arrivals={"kind": "poisson", "rate_per_ms": 1.5,
@@ -218,7 +156,6 @@ SERVING_SCENARIOS: tuple[BenchScenario, ...] = (
         name="serving-flashcrowd",
         description="flash crowd over steady baseline; QoS admission + EDF",
         policy="eft+edf",
-        mode="openloop",
         arrivals={"kind": "bursty", "rate_per_ms": 1.0, "apps": _SDR_MIX,
                   "bursts": [[400.0, 150.0, 10.0], [900.0, 100.0, 8.0]],
                   "duration_ms": 1500.0, "seed": 17},
@@ -233,7 +170,6 @@ SERVING_SCENARIOS: tuple[BenchScenario, ...] = (
         name="serving-openloop-100k",
         description="10^5 apps at 4/ms (memory-scaling pair, small half)",
         policy="frfs",
-        mode="openloop",
         arrivals={"kind": "poisson", "rate_per_ms": 4.0,
                   "apps": {"range_detection": 1.0},
                   "max_apps": 100_000, "seed": 42},
@@ -245,7 +181,6 @@ SERVING_SCENARIOS: tuple[BenchScenario, ...] = (
         name="serving-openloop-1m",
         description="10^6 apps at 4/ms (memory-scaling pair, large half)",
         policy="frfs",
-        mode="openloop",
         arrivals={"kind": "poisson", "rate_per_ms": 4.0,
                   "apps": {"range_detection": 1.0},
                   "max_apps": 1_000_000, "seed": 42},
@@ -253,14 +188,9 @@ SERVING_SCENARIOS: tuple[BenchScenario, ...] = (
                         "apps": {"range_detection": 1.0},
                         "max_apps": 10_000, "seed": 42},
     ),
-)
-
-#: Lookahead-policy stress pair (opt-in by name, like the serving family):
-#: the same load shapes as ``scheduler-stress``/``serving-openloop`` but
-#: under the lookahead policies, so regressions in the rank cache
-#: (cprank) or the rollout simulator show up as wall-time deltas rather
-#: than only as scheduling-overhead stats inside an emulation report.
-LOOKAHEAD_SCENARIOS: tuple[BenchScenario, ...] = (
+    # The lookahead pair times cprank's rank cache and rollout's forward
+    # simulator under long ready queues as wall time, not only as the
+    # scheduling-overhead stats inside an emulation report.
     BenchScenario(
         name="lookahead-cprank",
         description="long ready queues under cprank (rank cache + repair)",
@@ -273,7 +203,6 @@ LOOKAHEAD_SCENARIOS: tuple[BenchScenario, ...] = (
         name="lookahead-rollout",
         description="sustained Poisson open-loop under rollout lookahead",
         policy="rollout",
-        mode="openloop",
         arrivals={"kind": "poisson", "rate_per_ms": 3.5, "apps": _SDR_MIX,
                   "duration_ms": 1500.0, "seed": 42},
         quick_arrivals={"kind": "poisson", "rate_per_ms": 1.5,
@@ -282,16 +211,9 @@ LOOKAHEAD_SCENARIOS: tuple[BenchScenario, ...] = (
 )
 
 _BY_NAME = {s.name: s for s in SCENARIOS}
-_BY_NAME.update({s.name: s for s in SERVING_SCENARIOS})
-_BY_NAME.update({s.name: s for s in LOOKAHEAD_SCENARIOS})
 
 
 def scenario_names() -> list[str]:
-    """The default suite (serving scenarios are opt-in by name)."""
-    return [s.name for s in SCENARIOS]
-
-
-def all_scenario_names() -> list[str]:
     return list(_BY_NAME)
 
 
@@ -301,5 +223,5 @@ def get_scenario(name: str) -> BenchScenario:
     except KeyError:
         raise ReproError(
             f"unknown bench scenario {name!r} "
-            f"(available: {all_scenario_names()})"
+            f"(available: {scenario_names()})"
         ) from None

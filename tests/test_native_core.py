@@ -256,12 +256,12 @@ class TestCompareCoresHarness:
         from repro.perf import run_suite_compare_cores
 
         pure_doc, compiled_doc = run_suite_compare_cores(
-            ["validation-burst"], quick=True
+            ["serving-openloop"], quick=True
         )
         assert pure_doc["core"]["variant"] == "pure"
         assert compiled_doc["core"]["variant"] == "compiled"
-        p = pure_doc["scenarios"]["validation-burst"]
-        c = compiled_doc["scenarios"]["validation-burst"]
+        p = pure_doc["scenarios"]["serving-openloop"]
+        c = compiled_doc["scenarios"]["serving-openloop"]
         assert (p["events"], p["tasks"], p["makespan_ms"]) == (
             c["events"], c["tasks"], c["makespan_ms"]
         )
@@ -270,6 +270,6 @@ class TestCompareCoresHarness:
         from repro.perf import run_suite
 
         with core_select.forced(core_select.CORE_COMPILED):
-            doc = run_suite(["validation-burst"], quick=True)
+            doc = run_suite(["serving-openloop"], quick=True)
         assert doc["core"]["variant"] == "compiled"
         assert doc["core"]["build"]["toolchain"]

@@ -24,7 +24,7 @@ from repro.appmodel import GraphBuilder, KernelLibrary
 from repro.cli import EXIT_USAGE, main
 from repro.common.errors import ApplicationSpecError, EmulationError
 from repro.perf import rss
-from repro.perf.harness import load_report, run_scenario
+from repro.perf.harness import run_scenario
 from repro.runtime.backends import ThreadedBackend, VirtualBackend
 from repro.runtime.emulation import Emulation
 from repro.runtime.stats import P2Quantile
@@ -867,18 +867,6 @@ class TestBenchSchemaV2:
             entry["apps_completed"] + entry["apps_degraded"]
             + entry["apps_dropped"] == entry["apps_injected"]
         )
-
-    def test_reader_accepts_v1_and_v2(self, tmp_path):
-        for schema in ("dssoc-bench/v1", "dssoc-bench/v2"):
-            path = tmp_path / f"{schema.replace('/', '_')}.json"
-            path.write_text(json.dumps({"schema": schema, "scenarios": {}}))
-            assert load_report(path)["schema"] == schema
-
-    def test_reader_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"schema": "dssoc-bench/v0"}))
-        with pytest.raises(Exception, match="not a dssoc-bench"):
-            load_report(path)
 
 
 def test_ru_maxrss_normalization_to_bytes():
