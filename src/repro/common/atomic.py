@@ -10,7 +10,8 @@ killed writer leaves nothing behind but a ``*.tmp`` file that
 Documents are encoded with ``json.dumps``.  ``json.dump`` (and any
 ``indent=``) always runs the pure-Python chunked encoder; ``dumps``
 without ``indent`` is the one-shot C encoder, several times faster on
-the metrics payloads a campaign stores.
+the metrics payloads a campaign stores.  Sorted-key documents go through
+:data:`dumps_sorted`, one encoder built at import.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from typing import Any, Iterable
 #: threads (a worker's heartbeat thread and its main loop write the same
 #: status file), and ``next()`` on a count is atomic under the GIL.
 _serial = itertools.count()
+
+#: ``json.dumps(doc, sort_keys=True)`` byte for byte, without the
+#: ``JSONEncoder`` that call builds anew every time (the journal encodes
+#: one per line).  Stateless between calls, so threads may share it.
+dumps_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -59,4 +65,5 @@ def atomic_write_json(path: str | Path, doc: Any, *, sort_keys: bool = False) ->
     ``SweepCell.cell_id``, so a manifest that sorted it would hand
     workers different cells than the coordinator expanded.
     """
-    atomic_write_lines(path, (json.dumps(doc, sort_keys=sort_keys),))
+    text = dumps_sorted(doc) if sort_keys else json.dumps(doc)
+    atomic_write_lines(path, (text,))

@@ -35,12 +35,11 @@ from repro.dse.journal import Journal, JournalState
 class CampaignStore:
     """One process's ownership of a campaign directory.
 
-    ``resume`` appends to the directory's journal after replaying it
-    (``state`` is where the previous attempt stopped); otherwise the
-    journal starts over.  ``owner`` names this process in the queue's
-    failure records.  ``state.completed`` is kept current by every
-    resolving call below; the other ``state`` fields are as replayed,
-    plus whatever shards have been merged since.
+    ``resume`` appends to the directory's journal after replaying it;
+    otherwise the journal starts over.  ``owner`` names this process in
+    the queue's failure records.  ``state`` is the journal's replay kept
+    current: the journal folds every line it writes into it (resolving
+    calls, merged shard events), so it is also the index written at close.
     """
 
     def __init__(self, out_dir: str | Path, *, resume: bool, owner: str) -> None:
@@ -60,18 +59,21 @@ class CampaignStore:
     def _open_journal(self, resume: bool) -> None:
         if self.journal is not None:
             self.journal.close()
-        if resume:
-            # Indexed fast path: fold only the journal tail past the
-            # snapshot in journal.jsonl.idx instead of re-reading the
-            # whole log on every resume of a large campaign.
-            self.state = journal_mod.replay_indexed(self.journal_path)
-        else:
+        if not resume:
             # The sidecar describes the journal about to be truncated; a
             # new one of the same head and length would pass its checks.
             journal_mod.index_path(self.journal_path).unlink(missing_ok=True)
-            self.state = JournalState()
+        # Opened first: a resumed journal terminates a torn tail, so the
+        # replay below folds exactly the lines the file holds from here on.
         self.journal = Journal(self.journal_path, resume=resume)
-        # made on the first merge: it folds into this journal and state
+        # Indexed fast path: fold only the journal tail past the snapshot
+        # in journal.jsonl.idx instead of re-reading the whole log on
+        # every resume of a large campaign.
+        self.state = self.journal.state = (
+            journal_mod.replay_indexed(self.journal_path) if resume
+            else JournalState()
+        )
+        # made on the first merge: it appends to this journal
         self._merger: ShardMerger | None = None
 
     @cached_property
@@ -148,7 +150,7 @@ class CampaignStore:
     def merge(self) -> int:
         """Fold the workers' new shard events into the canonical journal."""
         if self._merger is None:
-            self._merger = ShardMerger(self.queue, self.journal, self.state)
+            self._merger = ShardMerger(self.queue, self.journal)
         return self._merger.merge()
 
     def resolved_snapshot(self) -> tuple[set[str], dict[str, dict[str, Any]]]:
@@ -166,14 +168,18 @@ class CampaignStore:
         self.queue.request_stop(reason)
 
     def close(self) -> None:
-        """Close the journal and refresh its index sidecar, so the next
+        """Close the journal and write its index sidecar, so the next
         ``--resume`` (or ``--status``, or server) starts from this
         campaign's end instead of replaying.  Never raises."""
         try:
             if self.manifest is not None:
                 self.merge()  # what the fleet wrote while draining
             self.journal.close()
-            journal_mod.replay_indexed(self.journal_path)
+            if self.journal.clean:
+                journal_mod.write_index(self.journal_path, self.state)
+            else:
+                # a retried append may have doubled a line: read it back
+                journal_mod.replay_indexed(self.journal_path)
         except (OSError, ValueError):
             pass  # ValueError: a late shard event met a journal closed before
 
@@ -207,7 +213,6 @@ class CampaignStore:
             cell_id, self.label(cell_id), metrics, attempts=attempts,
             worker=worker, wall_time_s=wall_time_s, token=token,
         )
-        self.state.completed.add(cell_id)
         return True
 
     def cached(self, cell_id: str, worker: str) -> bool:
@@ -224,7 +229,6 @@ class CampaignStore:
             [(cell_id, self.label(cell_id), hit) for cell_id, hit in hits.items()],
             worker=worker,
         )
-        self.state.completed.update(hits)
 
     def error(
         self, cell_id: str, error: str | None, attempts: int,

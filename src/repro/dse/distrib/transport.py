@@ -48,7 +48,7 @@ from repro.dse.distrib.queue import (
     _read_json,
     load_manifest,
 )
-from repro.dse.journal import Journal, JournalState
+from repro.dse.journal import Journal
 
 #: Claim outcomes (the strings cross the wire in net mode).
 CLAIM_GRANTED = "granted"        #: lease taken; caller must run the cell
@@ -197,15 +197,13 @@ class ShardMerger:
     suffixes.  Events that would double-resolve a cell — two finishes
     after a lease was re-issued to a second worker just as the first
     woke back up — are dropped here, which is what makes "no
-    double-counted results" hold end to end.
+    double-counted results" hold end to end.  ``journal`` keeps the
+    canonical state (its ``state``), folding what this appends.
     """
 
-    def __init__(
-        self, queue: WorkQueue, journal: Journal, state: JournalState
-    ) -> None:
+    def __init__(self, queue: WorkQueue, journal: Journal) -> None:
         self.queue = queue
         self.journal = journal
-        self.state = state
         self.path = queue.root / "merge_state.json"
         doc = _read_json(self.path)
         self.offsets: dict[str, int] = (
@@ -230,6 +228,8 @@ class ShardMerger:
                     (float(event.get("ts", 0.0)), int(event.get("seq", 0)),
                      name, event)
                 )
+        completed = self.journal.state.completed
+        resolved: set[str] = set()  # this batch's, not folded until appended
         kept: list[tuple[str, dict[str, Any]]] = []
         for _ts, _seq, name, event in sorted(fresh, key=lambda t: t[:3]):
             kind = event["event"]
@@ -238,13 +238,13 @@ class ShardMerger:
                 journal_mod.EVENT_CELL_FINISH,
                 journal_mod.EVENT_CELL_CACHED,
             ):
-                if cell_id in self.state.completed:
+                if cell_id in completed or cell_id in resolved:
                     continue  # duplicate resolution (lease re-issue race)
+                resolved.add(cell_id)
             fields = {
                 k: v for k, v in event.items() if k not in _MERGE_DROP
             }
             fields.setdefault("worker", name)
-            self.state.fold({"event": kind, **fields})
             kept.append((kind, fields))
         # one write per run of same-kind events, in merge order; the
         # offsets below advance only once every run is flushed

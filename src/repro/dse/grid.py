@@ -121,8 +121,8 @@ class SweepCell:
     cell's parameters — deterministic across processes, platforms, and
     dict orderings — and keys both the result cache and the journal.
 
-    Identity (``cell_id``, ``label``) is computed once per object, on
-    first read.  The cell is frozen and :meth:`from_dict` and
+    Identity (``cell_id``, ``label``, ``workload_label``) is computed once
+    per object, on first read.  The cell is frozen and :meth:`from_dict` and
     :meth:`SweepGrid.expand` hand it private copies of their dicts; do
     not mutate ``workload``/``faults``/``qos`` in place afterwards — build
     a new cell (``dataclasses.replace``) instead.
@@ -199,10 +199,20 @@ class SweepCell:
         return cached
 
     @property
+    def workload_label(self) -> str:
+        """``describe_workload(self.workload)``, the row's ``workload``."""
+        cached = self.__dict__.get("_workload_label")
+        if cached is None:
+            cached = self.__dict__["_workload_label"] = describe_workload(
+                self.workload
+            )
+        return cached
+
+    @property
     def label(self) -> str:
         cached = self.__dict__.get("_label")
         if cached is None:
-            parts = [self.config, self.policy, describe_workload(self.workload)]
+            parts = [self.config, self.policy, self.workload_label]
             if self.platform != "zcu102":
                 parts.insert(0, self.platform)
             if self.seed is not None:

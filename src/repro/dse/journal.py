@@ -15,7 +15,8 @@ covers.  :func:`replay_indexed` seeks past the indexed prefix and folds
 only the tail, so resuming a million-cell campaign does not re-read (and
 re-parse) the whole journal every time.  The index is advisory — when
 missing, stale, or disagreeing with the journal head it is ignored and a
-full replay rebuilds it.
+full replay rebuilds it.  The campaign store writes it at close from the
+state its :class:`Journal` folded while writing, without a read-back.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterable
 
-from repro.common.atomic import atomic_write_json
+from repro.common.atomic import atomic_write_json, dumps_sorted
 from repro.common.retry import FS_RETRY, is_transient_oserror
 
 EVENT_CAMPAIGN_START = "campaign_start"
@@ -65,7 +66,16 @@ def _resolved(
 
 
 class Journal:
-    """Append-only event writer (one JSON object per line)."""
+    """Append-only event writer (one JSON object per line).
+
+    With ``state`` set — to the replay of what the file holds once opened,
+    or an empty one for a fresh file — the journal folds every record it
+    writes into it, and :meth:`close` sets its ``offset`` to the file's
+    size, so the state is what :func:`replay` would read back without
+    reading anything.  That holds while ``clean``: a failed or retried
+    write (the file may hold part of a line, or a line twice) clears it
+    for good.
+    """
 
     def __init__(self, path: str | Path, *, resume: bool = False) -> None:
         self.path = Path(path)
@@ -75,6 +85,8 @@ class Journal:
         mode = "a" if resume else "w"
         self._fh: IO[str] | None = open(self.path, mode, encoding="utf-8")
         self._seq = 0
+        self.state: JournalState | None = None
+        self.clean = True
 
     def append(self, event: str, **fields: Any) -> None:
         """Append one event and flush it before returning."""
@@ -88,7 +100,11 @@ class Journal:
         cache hit's entry, a shard's own lines): a kill mid-batch loses
         only lines the next run re-derives.
         """
-        text = "".join(self._line(event, fields) for fields in records)
+        try:
+            text = "".join(self._line(event, fields) for fields in records)
+        except BaseException:
+            self.clean = False  # the lines folded so far are not written
+            raise
         if text:
             self._write(text)
 
@@ -156,13 +172,17 @@ class Journal:
             "ts": round(time.time(), 3),
             **fields,
         }
-        return json.dumps(record, sort_keys=True) + "\n"
+        text = dumps_sorted(record) + "\n"
+        if self.state is not None:
+            self.state.fold(record)
+        return text
 
     def _write(self, text: str) -> None:
         try:
             self._fh.write(text)
             self._fh.flush()
-        except OSError as exc:
+        except BaseException as exc:
+            self.clean = False  # part of ``text`` may have landed
             if not is_transient_oserror(exc):
                 raise
             self._retry_append(text)
@@ -194,6 +214,9 @@ class Journal:
 
     def close(self) -> None:
         if self._fh is not None:
+            if self.state is not None:
+                # every write was flushed: the size is what a replay consumes
+                self.state.offset = os.fstat(self._fh.fileno()).st_size
             self._fh.close()
             self._fh = None
 

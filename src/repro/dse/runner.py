@@ -33,7 +33,7 @@ import numpy as np
 from repro import core as core_select
 from repro.common.atomic import atomic_write_lines
 from repro.dse import journal as journal_mod
-from repro.dse.grid import SweepCell, SweepGrid, build_workload, describe_workload
+from repro.dse.grid import SweepCell, SweepGrid, build_workload
 
 ProgressFn = Callable[[int, int, "CellResult"], None]
 
@@ -163,7 +163,7 @@ class CellResult:
             "platform": self.cell.platform,
             "config": self.cell.config,
             "policy": self.cell.policy,
-            "workload": describe_workload(self.cell.workload),
+            "workload": self.cell.workload_label,
             "seed": self.cell.seed,
             "iterations": self.cell.iterations,
             "status": self.status,

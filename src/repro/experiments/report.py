@@ -8,7 +8,9 @@ Usage::
 whole report finishes in a few minutes; the default reproduces the paper's
 resolution where practical.  Each artifact file holds the regenerated
 table/series plus the shape-check verdict against the paper's qualitative
-claims; EXPERIMENTS.md records the paper-vs-measured comparison.
+claims; EXPERIMENTS.md records the paper-vs-measured comparison.  Each
+``generate_*`` returns its shape violations (tables have none), and the
+exit status is 1 when any artifact has one.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ def _write(outdir: Path, name: str, content: str) -> None:
     print(f"  wrote {path}")
 
 
-def generate_table_i(outdir: Path) -> None:
+def generate_table_i(outdir: Path) -> list[str]:
     from repro.experiments.case_study_2 import render_table_i, run_table_i
 
     _write(outdir, "table_i.txt", render_table_i(run_table_i()))
+    return []
 
 
-def generate_table_ii(outdir: Path) -> None:
+def generate_table_ii(outdir: Path) -> list[str]:
     from repro.analysis.tables import format_table
     from repro.experiments.workloads import TABLE_II_COUNTS, table_ii_workload
 
@@ -49,20 +52,23 @@ def generate_table_ii(outdir: Path) -> None:
             title="Table II: instance counts per injection rate",
         ),
     )
+    return []
 
 
-def generate_fig9(outdir: Path, quick: bool) -> None:
+def generate_fig9(outdir: Path, quick: bool) -> list[str]:
     from repro.experiments.case_study_1 import (
         check_fig9_shape, render_fig9, run_fig9,
     )
 
     rows = run_fig9(iterations=10 if quick else 50)
+    violations = check_fig9_shape(rows)
     content = render_fig9(rows)
-    content += f"\nshape violations: {check_fig9_shape(rows)!r}"
+    content += f"\nshape violations: {violations!r}"
     _write(outdir, "fig9.txt", content)
+    return violations
 
 
-def generate_fig10(outdir: Path, quick: bool) -> None:
+def generate_fig10(outdir: Path, quick: bool) -> list[str]:
     from repro.analysis.figures import fig10_chart
     from repro.experiments.case_study_2 import (
         check_fig10_shape, render_fig10, run_fig10,
@@ -71,13 +77,15 @@ def generate_fig10(outdir: Path, quick: bool) -> None:
 
     rates = TABLE_II_RATES[:3] if quick else TABLE_II_RATES
     points = run_fig10(rates=rates)
+    violations = check_fig10_shape(points)
     content = render_fig10(points)
     content += "\n\n" + fig10_chart(points)
-    content += f"\nshape violations: {check_fig10_shape(points)!r}"
+    content += f"\nshape violations: {violations!r}"
     _write(outdir, "fig10.txt", content)
+    return violations
 
 
-def generate_fig11(outdir: Path, quick: bool) -> None:
+def generate_fig11(outdir: Path, quick: bool) -> list[str]:
     from repro.analysis.figures import fig11_chart
     from repro.experiments.case_study_3 import (
         check_fig11_shape, render_fig11, run_fig11,
@@ -96,19 +104,23 @@ def generate_fig11(outdir: Path, quick: bool) -> None:
     content += "\n\n" + fig11_chart(
         points, configs=("0BIG+3LTL", "3BIG+2LTL", "4BIG+1LTL", "4BIG+3LTL")
     )
-    content += f"\nshape violations: {check_fig11_shape(points)!r}"
+    violations = check_fig11_shape(points)
+    content += f"\nshape violations: {violations!r}"
     _write(outdir, "fig11.txt", content)
+    return violations
 
 
-def generate_cs4(outdir: Path, quick: bool) -> None:
+def generate_cs4(outdir: Path, quick: bool) -> list[str]:
     from repro.experiments.case_study_4 import (
         check_cs4_shape, render_case_study_4, run_case_study_4,
     )
 
     result = run_case_study_4(n_samples=96 if quick else 256)
+    violations = check_cs4_shape(result)
     content = render_case_study_4(result)
-    content += f"\nshape violations: {check_cs4_shape(result)!r}"
+    content += f"\nshape violations: {violations!r}"
     _write(outdir, "case_study_4.txt", content)
+    return violations
 
 
 GENERATORS = {
@@ -132,11 +144,16 @@ def main(argv: list[str] | None = None) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = args.only or list(GENERATORS)
+    failed: list[str] = []
     for name in names:
         t0 = time.time()
         print(f"generating {name} ...")
-        GENERATORS[name](outdir, args.quick)
+        if GENERATORS[name](outdir, args.quick):
+            failed.append(name)
         print(f"  {name} done in {time.time() - t0:.1f}s")
+    if failed:
+        print(f"shape check failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -293,17 +293,20 @@ class TestAtomicWriteJson:
     @example(doc={"z": 1e-300, "a": [-0.0, "é✓ \u2028", {"b": None, "a": 1}]},
              sort_keys=True)
     def test_round_trip(self, tmp_path, doc, sort_keys):
-        from repro.common.atomic import atomic_write_json
+        from repro.common.atomic import atomic_write_json, dumps_sorted
 
         path = tmp_path / "doc.json"
         atomic_write_json(path, doc, sort_keys=sort_keys)
         text = path.read_text(encoding="utf-8")
         assert "\n" not in text
+        assert text == json.dumps(doc, sort_keys=sort_keys)
         loaded = json.loads(text)
         assert loaded == doc
         # re-encoding tells -0.0 from 0.0 and shows the key order kept
         assert json.dumps(loaded) == json.dumps(doc, sort_keys=sort_keys)
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+        # the shared encoder (journal lines, cache entries) is the same call
+        assert dumps_sorted(doc) == json.dumps(doc, sort_keys=True)
 
     def test_failed_write_leaves_the_old_file_and_no_temp(self, tmp_path):
         from repro.common.atomic import atomic_write_json

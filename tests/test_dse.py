@@ -124,9 +124,17 @@ class TestCellIdentity:
             grid_mod, "_content_hash",
             lambda doc, length: calls.append(length) or real(doc, length),
         )
+        described = []
+        describe = grid_mod.describe_workload
+        monkeypatch.setattr(
+            grid_mod, "describe_workload",
+            lambda desc: described.append(desc) or describe(desc),
+        )
         cell = SweepCell(config="2C+1F", policy="frfs", workload=TINY, seed=3)
         assert cell.cell_id == cell.cell_id and cell.label == cell.label
-        assert calls == [16]
+        row = runner_mod.CellResult(cell, "ok", {"makespan_ms": 1.0}).row()
+        assert row["workload"] == cell.workload_label == "wifi_tx=1"
+        assert calls == [16] and described == [TINY]
 
 
 class TestGrid:

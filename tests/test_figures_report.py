@@ -76,6 +76,20 @@ class TestReportGenerator:
         table_ii = (tmp_path / "table_ii.txt").read_text()
         assert "6.92" in table_ii
 
+    def test_exit_status_follows_the_shape_checks(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.experiments import report
+
+        monkeypatch.setitem(report.GENERATORS, "fig9",
+                            lambda outdir, quick: ["fig9: not monotone"])
+        monkeypatch.setitem(report.GENERATORS, "fig10",
+                            lambda outdir, quick: [])
+        argv = ["--quick", "--outdir", str(tmp_path), "--only"]
+        assert report.main(argv + ["fig9", "fig10"]) == 1
+        assert "shape check failed: fig9" in capsys.readouterr().err
+        assert report.main(argv + ["fig10"]) == 0
+        assert "shape check failed" not in capsys.readouterr().err
+
     def test_unknown_artifact_rejected(self, tmp_path):
         from repro.experiments.report import main
 

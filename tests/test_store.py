@@ -5,10 +5,19 @@ the behaviours every campaign mode now gets from the same code."""
 
 from __future__ import annotations
 
-from repro.dse import SweepGrid, validation_sweep
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.dse import SweepGrid, run_campaign, validation_sweep
 from repro.dse import journal as journal_mod
 from repro.dse.cache import ResultCache
 from repro.dse.distrib import CampaignStore
+from tests.test_dse import _TornOnce
 
 CELLS = {
     cell.cell_id: cell
@@ -29,6 +38,16 @@ def events(store: CampaignStore, kind: str) -> list[dict]:
 def finish(store: CampaignStore, metrics: dict) -> bool:
     return store.finish(CELL, metrics, attempts=1, worker="w0",
                         wall_time_s=metrics["wall_time_s"])
+
+
+def sidecar_is_replay(journal_path: Path) -> bool:
+    """Is the sidecar byte for byte what a full replay of the journal
+    would write?  (Replayed from a copy, so the sidecar stays put.)"""
+    copy = journal_path.with_name("replayed.jsonl")
+    shutil.copyfile(journal_path, copy)
+    journal_mod.write_index(copy, journal_mod.replay(copy))
+    return (journal_mod.index_path(journal_path).read_text()
+            == journal_mod.index_path(copy).read_text())
 
 
 class TestFinish:
@@ -124,6 +143,120 @@ class TestJournalLifecycle:
         finish(store, METRICS)
         store.close()
         assert not (tmp_path / "distrib").exists()
+
+
+IDS = ("c0", "c1", "c2", "c3")  # c0, c1 have cache entries
+_CELL_OPS = ("start", "finish", "cached", "error", "interrupted")
+_OPS = st.lists(
+    st.tuples(st.sampled_from(_CELL_OPS), st.sampled_from(IDS))
+    | st.tuples(st.sampled_from(("event", "retry")), st.none())
+    | st.tuples(
+        st.just("shards"),
+        # (worker, kind, cell): the same cell twice is a duplicate finish
+        st.lists(st.tuples(st.sampled_from(("w0", "w1")),
+                           st.sampled_from(("finish", "cached")),
+                           st.sampled_from(IDS)), min_size=1, max_size=5),
+    ),
+    max_size=12,
+)
+#: what a crash can leave after the last newline: part of a line, or a
+#: whole record whose newline never landed
+_TORN = {"half": '{"event": "cell_finish", "cell_id": "c',
+         "whole": '{"cell_id": "c3", "event": "cell_start", "seq": 99}'}
+
+
+def _apply(store: CampaignStore, op: str, arg) -> None:
+    if op == "start":
+        store.start(arg, 1)
+    elif op == "finish":
+        store.finish(arg, METRICS, attempts=1, worker="w", wall_time_s=0.01)
+    elif op == "cached":
+        if arg not in store.state.completed:  # the callers' contract
+            store.cached(arg, "w")
+    elif op == "error":
+        store.error(arg, "boom", 1)
+    elif op == "interrupted":
+        store.interrupted(arg)
+    elif op == "event":
+        store.event(journal_mod.EVENT_CAMPAIGN_START, cells=len(IDS))
+    elif op == "retry":  # the next write tears, fails transiently, is retried
+        store.journal._fh = _TornOnce(store.journal._fh)
+    else:
+        for worker, kind, cell in arg:
+            with journal_mod.Journal(store.queue.shard_path(worker),
+                                     resume=True) as shard:
+                if kind == "finish":
+                    shard.cell_finish(cell, cell, METRICS, attempts=1,
+                                      worker=worker, wall_time_s=0.01)
+                else:
+                    shard.cells_cached([(cell, cell, METRICS)], worker=worker)
+        store.merge()
+
+
+def _resolutions(journal_path: Path) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for event in journal_mod.read_events(journal_path):
+        if event["event"] in (journal_mod.EVENT_CELL_FINISH,
+                              journal_mod.EVENT_CELL_CACHED):
+            counts[event["cell_id"]] = counts.get(event["cell_id"], 0) + 1
+    return counts
+
+
+class TestIndexFromWhatWasWritten:
+    """The sidecar ``close`` writes comes from the state the journal folded
+    while writing; it must be what a full replay of the file would write."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(prior=_OPS, torn=st.sampled_from((None, "half", "whole")),
+           resume=st.booleans(), ops=_OPS)
+    # a retried four-line batch: its torn first half holds two whole lines,
+    # which the retry writes again
+    @example(prior=[], torn=None, resume=False, ops=[
+        ("retry", None), ("shards", [("w0", "finish", cell) for cell in IDS])])
+    def test_sidecar_equals_a_full_replay(self, prior, torn, resume, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            for cell in IDS[:2]:
+                ResultCache(out / "cache").put(cell, METRICS)
+            first = CampaignStore(out, resume=False, owner="t")
+            for op in prior:
+                _apply(first, *op)
+            first.close()
+            assert sidecar_is_replay(first.journal_path)
+            if torn:
+                with open(first.journal_path, "a", encoding="utf-8") as fh:
+                    fh.write(_TORN[torn])
+
+            store = CampaignStore(out, resume=resume, owner="t")
+            for op in ops:
+                _apply(store, *op)
+            store.close()
+            assert sidecar_is_replay(store.journal_path)
+            full = journal_mod.replay(store.journal_path)
+            if store.journal.clean:
+                assert store.state == full
+            retried = any(op == "retry" for op, _ in prior + ops)
+            if not retried:  # a retried batch may repeat a line
+                assert set(_resolutions(store.journal_path).values()) <= {1}
+            assert store.state.completed == full.completed
+
+    def test_a_warm_pass_reads_nothing_back(self, tmp_path, monkeypatch):
+        grid = SweepGrid(configs=("2C+1F", "3C+0F"), policies=("frfs", "met"),
+                         workloads=(validation_sweep({"wifi_tx": 1}),))
+        assert run_campaign(grid, out_dir=tmp_path).ok
+        reads, paths = [], []
+        read_events_from, path_for = (journal_mod.read_events_from,
+                                      ResultCache.path_for)
+        monkeypatch.setattr(journal_mod, "read_events_from", lambda *a, **k: (
+            reads.append(a) or read_events_from(*a, **k)))
+        monkeypatch.setattr(ResultCache, "path_for", lambda self, cell_id: (
+            paths.append(cell_id) or path_for(self, cell_id)))
+        warm = run_campaign(grid, out_dir=tmp_path)
+        assert warm.cached_hits == len(warm) == 4
+        assert reads == [] and paths == []
+        assert sidecar_is_replay(tmp_path / "journal.jsonl")
+        doc = json.loads(journal_mod.index_path(tmp_path / "journal.jsonl").read_text())
+        assert doc["events"] == 6 and len(doc["completed"]) == 4
 
 
 def test_put_if_absent_first_writer_wins(tmp_path):
