@@ -1,5 +1,5 @@
 """The gate's own plumbing, for every suite under this root (``tests/``,
-``benchmarks/test_*.py``, ``benchmarks/spine/tests``): which core ran, a
+``benchmarks/spine/tests``): which core ran, a
 refusal to test the pure core when the compiled one was asked for, and a
 hang guard that is never inert."""
 

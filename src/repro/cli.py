@@ -1,12 +1,14 @@
 """Command-line interface: ``dssoc-emulate``.
 
-Runs an emulation or regenerates an experiment from the shell::
+Runs an emulation from the shell::
 
     dssoc-emulate run --config 3C+2F --policy frfs \
         --apps range_detection=3,wifi_tx=2
     dssoc-emulate perf --config 3C+2F --policy met --rate 2.28
-    dssoc-emulate experiment table1|fig9|fig10|fig11|cs4
     dssoc-emulate list
+
+The paper's tables and figures are regenerated and checked by
+``python -m repro.experiments.report``.
 """
 
 from __future__ import annotations
@@ -581,37 +583,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "table1":
-        from repro.experiments.case_study_2 import render_table_i, run_table_i
-
-        print(render_table_i(run_table_i()))
-    elif name == "fig9":
-        from repro.experiments.case_study_1 import render_fig9, run_fig9
-
-        print(render_fig9(run_fig9(iterations=args.iterations)))
-    elif name == "fig10":
-        from repro.experiments.case_study_2 import render_fig10, run_fig10
-
-        print(render_fig10(run_fig10()))
-    elif name == "fig11":
-        from repro.experiments.case_study_3 import render_fig11, run_fig11
-
-        print(render_fig11(run_fig11()))
-    elif name == "cs4":
-        from repro.experiments.case_study_4 import (
-            render_case_study_4,
-            run_case_study_4,
-        )
-
-        print(render_case_study_4(run_case_study_4()))
-    else:
-        print(f"unknown experiment {name!r}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def cmd_export_specs(args: argparse.Namespace) -> int:
     """Write every bundled application's Listing-1 JSON to a directory."""
     from pathlib import Path
@@ -710,11 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p.add_argument("--wall-budget", type=float, default=None,
                         help="wall-clock run budget in seconds")
     perf_p.set_defaults(fn=cmd_perf)
-
-    exp_p = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp_p.add_argument("name", choices=["table1", "fig9", "fig10", "fig11", "cs4"])
-    exp_p.add_argument("--iterations", type=int, default=50)
-    exp_p.set_defaults(fn=cmd_experiment)
 
     sweep_p = sub.add_parser(
         "sweep", help="run a DSE campaign (configs x policies x workloads)"

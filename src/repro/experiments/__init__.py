@@ -5,11 +5,16 @@
 * :mod:`repro.experiments.case_study_1` — validation mode across DSSoC
   configurations (Fig. 9a/9b).
 * :mod:`repro.experiments.case_study_2` — performance mode, scheduler
-  comparison (Table I, Fig. 10a/10b).
+  comparison (Tables I–II, Fig. 10a/10b).
 * :mod:`repro.experiments.case_study_3` — Odroid XU3 portability sweep
   (Fig. 11).
 * :mod:`repro.experiments.case_study_4` — automatic application conversion
   (kernel detection, recognition, substitution speedups).
 * :mod:`repro.experiments.monolithic` — the unlabeled monolithic range-
   detection program Case Study 4 converts.
+* :mod:`repro.experiments.ablations` — reservation queues, the
+  overhead-blind (DS3-style) estimate and power-aware MET.
+* :mod:`repro.experiments.report` — ``python -m repro.experiments.report``
+  regenerates every artifact above into ``artifacts/`` and exits 1 when one
+  breaks the paper's claims.
 """

@@ -121,12 +121,26 @@ def check_fig9_shape(rows: list[Fig9Row]) -> list[str]:
         problems.append("2C+2F should be within ~15% of 2C+1F (shared RM core)")
     if med["1C+0F"] <= med["3C+0F"]:
         problems.append("1C+0F should be the slowest all-CPU configuration")
+    # the paper's Fig. 9a spans roughly 6-16 ms across configurations
+    for config, lo, hi in (("1C+0F", 8.0, 25.0), ("3C+0F", 4.0, 12.0)):
+        if not lo <= med[config] <= hi:
+            problems.append(
+                f"{config} median {med[config]:.2f} ms outside {lo:g}-{hi:g} ms"
+            )
     for row in rows:
+        box = row.execution_time
+        if box.n > 1 and box.maximum <= box.minimum:
+            problems.append(f"{row.config}: execution-time box has no spread")
         util = row.pe_utilization
         cpu = [u for pe, u in util.items() if pe.startswith("cpu")]
         fft = [u for pe, u in util.items() if pe.startswith("fft")]
         if fft and cpu and max(fft) > max(cpu):
             problems.append(
                 f"{row.config}: CPU utilization should exceed FFT utilization"
+            )
+        # paper: maximum CPU utilization ~80 %, observed on 1C+0F
+        if row.config == "1C+0F" and not 0.70 <= max(cpu) <= 0.98:
+            problems.append(
+                f"1C+0F max CPU utilization {max(cpu):.2f} outside 0.70-0.98"
             )
     return problems

@@ -1,20 +1,28 @@
-"""Case Study 2 — performance mode (paper Sec. III-D, Table I, Fig. 10).
+"""Case Study 2 — performance mode (paper Sec. III-D, Tables I–II, Fig. 10).
 
 Table I: standalone application execution time and task count on the
-3-core + 2-FFT configuration under FRFS.  Fig. 10: workload execution time
-and average scheduling overhead across the Table II injection rates for
-the EFT, MET, and FRFS policies.
+3-core + 2-FFT configuration under FRFS.  Table II: the instance counts
+the workload generator produces at each injection rate.  Fig. 10: workload
+execution time and average scheduling overhead across the Table II
+injection rates for the EFT, MET, and FRFS policies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.tables import format_table
 from repro.apps import default_applications
 from repro.common.errors import EmulationError
 from repro.dse import SweepGrid, run_campaign, table_ii_sweep, validation_sweep
-from repro.experiments.workloads import TABLE_II_RATES
+from repro.experiments.workloads import (
+    TABLE_II_COUNTS,
+    TABLE_II_RATES,
+    table_ii_workload,
+)
+from repro.runtime.workload import WorkloadSpec
 
 #: Paper Table I reference values (ms / count) for EXPERIMENTS.md.
 PAPER_TABLE_I = {
@@ -71,6 +79,59 @@ def render_table_i(rows: list[TableIRow]) -> str:
         body,
         title="Table I: standalone execution time and task count (3C+2F, FRFS)",
     )
+
+
+def check_table_i(rows: list[TableIRow]) -> list[str]:
+    """Exact task counts, times within 2x and the paper's ordering."""
+    by_app = {r.application: r for r in rows}
+    problems: list[str] = []
+    for app, (paper_ms, paper_tasks) in PAPER_TABLE_I.items():
+        row = by_app[app]
+        if row.task_count != paper_tasks:
+            problems.append(
+                f"{app}: {row.task_count} tasks, the paper has {paper_tasks}"
+            )
+        if not paper_ms / 2 <= row.execution_time_ms <= paper_ms * 2:
+            problems.append(
+                f"{app}: {row.execution_time_ms:.3f} ms is not within 2x of "
+                f"the paper's {paper_ms} ms"
+            )
+    ms = {app: row.execution_time_ms for app, row in by_app.items()}
+    if not (ms["pulse_doppler"] > ms["wifi_rx"] > ms["range_detection"]
+            > ms["wifi_tx"]):
+        problems.append("expected the paper's ordering PD > WiFi RX > RD > WiFi TX")
+    return problems
+
+
+def run_table_ii() -> dict[float, WorkloadSpec]:
+    """The generated workload at every Table II rate."""
+    return {rate: table_ii_workload(rate) for rate in sorted(TABLE_II_COUNTS)}
+
+
+def render_table_ii(specs: dict[float, WorkloadSpec]) -> str:
+    apps = ["pulse_doppler", "range_detection", "wifi_tx", "wifi_rx"]
+    return format_table(
+        ["rate", *apps],
+        [[rate, *(spec.counts()[app] for app in apps)]
+         for rate, spec in specs.items()],
+        title="Table II: instance counts per injection rate",
+    )
+
+
+def check_table_ii(specs: dict[float, WorkloadSpec]) -> list[str]:
+    """Exact counts, rates recovered to ±0.005, arrivals inside the window."""
+    problems: list[str] = []
+    for rate, spec in specs.items():
+        if spec.counts() != TABLE_II_COUNTS[rate]:
+            problems.append(f"rate {rate}: counts differ from the paper's")
+        if abs(spec.injection_rate_per_ms() - rate) > 0.005:
+            problems.append(
+                f"rate {rate}: the trace's rate is "
+                f"{spec.injection_rate_per_ms():.4f} jobs/ms"
+            )
+        if not all(0.0 <= i.arrival_time < spec.time_frame for i in spec.items):
+            problems.append(f"rate {rate}: an arrival falls outside the window")
+    return problems
 
 
 @dataclass
@@ -171,10 +232,29 @@ def check_fig10_shape(points: list[Fig10Point]) -> list[str]:
         times = [p.execution_time_s for p in frfs]
         if times != sorted(times):
             problems.append("FRFS execution time should grow with rate")
+        if len(frfs) >= 3:
+            rates = [p.rate for p in frfs]
+            fit = np.polyval(np.polyfit(rates, times, 1), rates)
+            residual = float(np.abs(fit - np.array(times)).max())
+            if residual > 0.25 * (max(times) - min(times) + 0.05):
+                problems.append("FRFS execution time should be linear in rate")
     for name in ("met", "eft"):
         series = by_policy.get(name, [])
         if len(series) >= 2 and series[-1].avg_sched_overhead_us <= (
             series[0].avg_sched_overhead_us
         ):
             problems.append(f"{name} overhead should grow with injection rate")
+    # the paper's decades: FRFS ~1e0 us, MET 1e1-1e3 us, EFT 1e2-1e5 us
+    decades = {"frfs": (1.0, 8.0), "met": (5.0, 2000.0), "eft": (100.0, 100_000.0)}
+    for p in points:
+        lo, hi = decades.get(p.policy, (0.0, float("inf")))
+        if not lo <= p.avg_sched_overhead_us <= hi:
+            problems.append(
+                f"rate {p.rate}: {p.policy} overhead "
+                f"{p.avg_sched_overhead_us:.2f} us outside {lo:g}-{hi:g} us"
+            )
+    # paper: EFT needs 4.6 s for the 100 ms window at the lowest rate
+    if any(p.policy == "eft" and p.rate == 1.71 and p.execution_time_s <= 1.0
+           for p in points):
+        problems.append("EFT should take over 1 s at rate 1.71 (saturated)")
     return problems

@@ -102,13 +102,26 @@ def render_fig11(points: list[Fig11Point]) -> str:
 
 def check_fig11_shape(points: list[Fig11Point]) -> list[str]:
     """The paper's qualitative claims; returns a list of violations."""
-    problems: list[str] = []
+    # the paper's Fig. 11 spans roughly 0.2-1.8 s across rates 4-18
+    problems = [
+        f"{p.config} @ {p.rate}: {p.execution_time_s:.3f} s outside 0.05-6 s"
+        for p in points if not 0.05 <= p.execution_time_s <= 6.0
+    ]
     top_rate = max(p.rate for p in points)
     at_top = {p.config: p.execution_time_s for p in points if p.rate == top_rate}
+    overhead_at_top = {
+        p.config: p.avg_sched_overhead_us for p in points if p.rate == top_rate
+    }
 
     def has(*configs: str) -> bool:
         return all(c in at_top for c in configs)
 
+    if has("4BIG+3LTL", "2BIG+2LTL") and not (
+        overhead_at_top["4BIG+3LTL"] > overhead_at_top["2BIG+2LTL"]
+    ):
+        problems.append(
+            "4BIG+3LTL should pay more scheduling overhead than 2BIG+2LTL"
+        )
     if has("3BIG+2LTL"):
         best = min(at_top.values())
         if at_top["3BIG+2LTL"] > 1.10 * best:

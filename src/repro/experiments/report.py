@@ -1,24 +1,34 @@
-"""Regenerate every paper artifact into ``artifacts/``.
+"""Regenerate and check every paper artifact into ``artifacts/``.
 
 Usage::
 
     python -m repro.experiments.report [--quick] [--outdir artifacts]
+                                       [--only NAME [NAME ...]]
 
-``--quick`` runs reduced sweeps (fewer iterations/rates/configs) so the
-whole report finishes in a few minutes; the default reproduces the paper's
-resolution where practical.  Each artifact file holds the regenerated
-table/series plus the shape-check verdict against the paper's qualitative
-claims; EXPERIMENTS.md records the paper-vs-measured comparison.  Each
-``generate_*`` returns its shape violations (tables have none), and the
-exit status is 1 when any artifact has one.
+This is the one way to reproduce the paper: Tables I–II, Figs. 9–11, the
+ablations and Case Study 4.  Each artifact file holds the regenerated
+table/series; each ``generate_*`` returns its violations of the paper's
+claims (the ``check_*`` functions), the figure, ablation and CS4 files end
+with a "shape violations: […]" line, and the exit status is 1 when any
+artifact has a violation.  EXPERIMENTS.md records the paper-vs-measured
+comparison.  The Fig. 9–11 sweeps run on a process pool as wide as the
+CPUs this process may use.  On a 2-CPU x86-64 Linux host a full run takes
+≈117 s on one CPU and ≈60 s on both; ``--quick`` runs reduced sweeps
+(fewer iterations/rates/configs) in ≈45 s and ≈24 s.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
+
+
+def _jobs() -> int:
+    """Process-pool width for the sweeps: the CPUs this process may use."""
+    return len(os.sched_getaffinity(0))
 
 
 def _write(outdir: Path, name: str, content: str) -> None:
@@ -27,32 +37,31 @@ def _write(outdir: Path, name: str, content: str) -> None:
     print(f"  wrote {path}")
 
 
-def generate_table_i(outdir: Path) -> list[str]:
-    from repro.experiments.case_study_2 import render_table_i, run_table_i
+def _write_checked(
+    outdir: Path, name: str, content: str, violations: list[str]
+) -> list[str]:
+    _write(outdir, name, content + f"\nshape violations: {violations!r}")
+    return violations
 
-    _write(outdir, "table_i.txt", render_table_i(run_table_i()))
-    return []
+
+def generate_table_i(outdir: Path) -> list[str]:
+    from repro.experiments.case_study_2 import (
+        check_table_i, render_table_i, run_table_i,
+    )
+
+    rows = run_table_i()
+    _write(outdir, "table_i.txt", render_table_i(rows))
+    return check_table_i(rows)
 
 
 def generate_table_ii(outdir: Path) -> list[str]:
-    from repro.analysis.tables import format_table
-    from repro.experiments.workloads import TABLE_II_COUNTS, table_ii_workload
-
-    rows = []
-    for rate in sorted(TABLE_II_COUNTS):
-        counts = table_ii_workload(rate).counts()
-        rows.append([rate, counts["pulse_doppler"], counts["range_detection"],
-                     counts["wifi_tx"], counts["wifi_rx"]])
-    _write(
-        outdir,
-        "table_ii.txt",
-        format_table(
-            ["rate", "pulse_doppler", "range_detection", "wifi_tx", "wifi_rx"],
-            rows,
-            title="Table II: instance counts per injection rate",
-        ),
+    from repro.experiments.case_study_2 import (
+        check_table_ii, render_table_ii, run_table_ii,
     )
-    return []
+
+    specs = run_table_ii()
+    _write(outdir, "table_ii.txt", render_table_ii(specs))
+    return check_table_ii(specs)
 
 
 def generate_fig9(outdir: Path, quick: bool) -> list[str]:
@@ -60,12 +69,9 @@ def generate_fig9(outdir: Path, quick: bool) -> list[str]:
         check_fig9_shape, render_fig9, run_fig9,
     )
 
-    rows = run_fig9(iterations=10 if quick else 50)
-    violations = check_fig9_shape(rows)
-    content = render_fig9(rows)
-    content += f"\nshape violations: {violations!r}"
-    _write(outdir, "fig9.txt", content)
-    return violations
+    rows = run_fig9(iterations=10 if quick else 50, jobs=_jobs())
+    return _write_checked(outdir, "fig9.txt", render_fig9(rows),
+                          check_fig9_shape(rows))
 
 
 def generate_fig10(outdir: Path, quick: bool) -> list[str]:
@@ -76,13 +82,10 @@ def generate_fig10(outdir: Path, quick: bool) -> list[str]:
     from repro.experiments.workloads import TABLE_II_RATES
 
     rates = TABLE_II_RATES[:3] if quick else TABLE_II_RATES
-    points = run_fig10(rates=rates)
-    violations = check_fig10_shape(points)
-    content = render_fig10(points)
-    content += "\n\n" + fig10_chart(points)
-    content += f"\nshape violations: {violations!r}"
-    _write(outdir, "fig10.txt", content)
-    return violations
+    points = run_fig10(rates=rates, jobs=_jobs())
+    content = render_fig10(points) + "\n\n" + fig10_chart(points)
+    return _write_checked(outdir, "fig10.txt", content,
+                          check_fig10_shape(points))
 
 
 def generate_fig11(outdir: Path, quick: bool) -> list[str]:
@@ -99,15 +102,22 @@ def generate_fig11(outdir: Path, quick: bool) -> list[str]:
     else:
         configs = FIG11_CONFIGS
         rates = (4.0, 8.0, 12.0, 18.0)
-    points = run_fig11(configs=configs, rates=rates)
-    content = render_fig11(points)
-    content += "\n\n" + fig11_chart(
+    points = run_fig11(configs=configs, rates=rates, jobs=_jobs())
+    content = render_fig11(points) + "\n\n" + fig11_chart(
         points, configs=("0BIG+3LTL", "3BIG+2LTL", "4BIG+1LTL", "4BIG+3LTL")
     )
-    violations = check_fig11_shape(points)
-    content += f"\nshape violations: {violations!r}"
-    _write(outdir, "fig11.txt", content)
-    return violations
+    return _write_checked(outdir, "fig11.txt", content,
+                          check_fig11_shape(points))
+
+
+def generate_ablations(outdir: Path) -> list[str]:
+    from repro.experiments.ablations import (
+        check_ablations_shape, render_ablations, run_ablations,
+    )
+
+    result = run_ablations()
+    return _write_checked(outdir, "ablations.txt", render_ablations(result),
+                          check_ablations_shape(result))
 
 
 def generate_cs4(outdir: Path, quick: bool) -> list[str]:
@@ -116,29 +126,32 @@ def generate_cs4(outdir: Path, quick: bool) -> list[str]:
     )
 
     result = run_case_study_4(n_samples=96 if quick else 256)
-    violations = check_cs4_shape(result)
-    content = render_case_study_4(result)
-    content += f"\nshape violations: {violations!r}"
-    _write(outdir, "case_study_4.txt", content)
-    return violations
+    return _write_checked(outdir, "case_study_4.txt",
+                          render_case_study_4(result), check_cs4_shape(result))
 
 
+#: artifact name -> generator(outdir, quick); the tables and the ablations
+#: are small enough to ignore ``quick``
 GENERATORS = {
     "table_i": lambda outdir, quick: generate_table_i(outdir),
     "table_ii": lambda outdir, quick: generate_table_ii(outdir),
     "fig9": generate_fig9,
     "fig10": generate_fig10,
     "fig11": generate_fig11,
+    "ablations": lambda outdir, quick: generate_ablations(outdir),
     "cs4": generate_cs4,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--quick", action="store_true",
-                        help="reduced sweeps (minutes instead of tens)")
+                        help="reduced sweeps (≈24 s instead of ≈60 s on "
+                             "two CPUs, ≈45 s instead of ≈117 s on one)")
     parser.add_argument("--outdir", default="artifacts")
-    parser.add_argument("--only", nargs="*", choices=sorted(GENERATORS),
+    parser.add_argument("--only", nargs="+", choices=sorted(GENERATORS),
                         help="generate only the named artifacts")
     args = parser.parse_args(argv)
     outdir = Path(args.outdir)

@@ -11,8 +11,8 @@ its next task directly from its local queue on completion, so the PE never
 idles across the workload manager's scheduling pass.  Placement follows
 earliest-estimated-finish across each PE's existing bookings.
 
-The ablation benchmark (benchmarks/test_ablation_reservation.py) compares
-this against plain FRFS/EFT dispatch on the Fig. 10 workloads.
+The reservation ablation (``repro.experiments.ablations``) compares this
+against plain FRFS/EFT dispatch on a Fig. 10 workload.
 """
 
 from __future__ import annotations

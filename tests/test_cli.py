@@ -20,9 +20,11 @@ class TestParser:
         assert args.policy == "frfs"
         assert args.backend == "virtual"
 
-    def test_experiment_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig99"])
+    def test_experiment_is_a_usage_error(self):
+        # the paper's artifacts come from `python -m repro.experiments.report`
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["experiment", "table1"])
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestCommands:
@@ -80,11 +82,6 @@ class TestCommands:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["apps_injected"] == 171
-
-    def test_experiment_table1(self, capsys):
-        assert main(["experiment", "table1"]) == 0
-        out = capsys.readouterr().out
-        assert "Table I" in out
 
     def test_bad_platform_reports_error(self, capsys):
         rc = main(["run", "--platform", "mars"])

@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import workloads as wl
+from repro.experiments.ablations import (
+    check_ablations_shape,
+    render_ablations,
+    run_ablations,
+)
 from repro.experiments.case_study_1 import check_fig9_shape, render_fig9, run_fig9
 from repro.experiments.case_study_2 import (
-    PAPER_TABLE_I,
+    Fig10Point,
     check_fig10_shape,
+    check_table_i,
+    check_table_ii,
     render_fig10,
     render_table_i,
     run_fig10,
     run_table_i,
+    run_table_ii,
 )
 from repro.experiments.case_study_3 import (
+    check_fig11_shape,
     render_fig11,
     run_fig11,
 )
@@ -52,26 +63,42 @@ class TestWorkloadDefinitions:
 
 
 class TestTableI:
-    def test_values_close_to_paper(self):
-        rows = {r.application: r for r in run_table_i()}
-        for app, (paper_ms, paper_tasks) in PAPER_TABLE_I.items():
-            row = rows[app]
-            assert row.task_count == paper_tasks, app
-            # within 2x of the paper's absolute numbers (calibrated model)
-            assert paper_ms / 2 <= row.execution_time_ms <= paper_ms * 2, app
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return run_table_i()
 
-    def test_ordering_matches_paper(self):
-        rows = {r.application: r.execution_time_ms for r in run_table_i()}
-        assert (
-            rows["pulse_doppler"]
-            > rows["wifi_rx"]
-            > rows["range_detection"]
-            > rows["wifi_tx"]
-        )
+    def test_values_close_to_paper(self, rows):
+        # exact task counts, times within 2x, the paper's ordering
+        assert check_table_i(rows) == []
 
-    def test_render(self):
-        text = render_table_i(run_table_i())
+    def test_ordering_matches_paper(self, rows):
+        # both within 2x of the paper's, but RD now below WiFi TX
+        ms = {"range_detection": 0.2, "wifi_tx": 0.25}
+        swapped = [dataclasses.replace(r, execution_time_ms=ms[r.application])
+                   if r.application in ms else r for r in rows]
+        assert check_table_i(swapped) == [
+            "expected the paper's ordering PD > WiFi RX > RD > WiFi TX"
+        ]
+
+    def test_render(self, rows):
+        text = render_table_i(rows)
         assert "pulse_doppler" in text and "770" in text
+
+    def test_check_catches_a_wrong_count(self, rows):
+        wrong = [dataclasses.replace(r, task_count=r.task_count + 1)
+                 if r.application == "wifi_tx" else r for r in rows]
+        assert check_table_i(wrong) == ["wifi_tx: 8 tasks, the paper has 7"]
+
+
+class TestTableII:
+    def test_check_holds_on_the_generated_workloads(self):
+        assert check_table_ii(run_table_ii()) == []
+
+    def test_check_catches_a_mislabelled_rate(self):
+        specs = run_table_ii()
+        specs[1.71] = specs[2.28]
+        problems = check_table_ii(specs)
+        assert problems and all(p.startswith("rate 1.71:") for p in problems)
 
 
 class TestFig9Small:
@@ -111,6 +138,24 @@ class TestFig10Small:
         text = render_fig10(points)
         assert "frfs" in text and "eft" in text
 
+    def test_check_catches_overhead_out_of_its_decade(self, points):
+        slow = [dataclasses.replace(p, avg_sched_overhead_us=9.0)
+                if p.policy == "frfs" and p.rate == 2.28 else p for p in points]
+        assert "rate 2.28: frfs overhead 9.00 us outside 1-8 us" in (
+            check_fig10_shape(slow))
+
+    def test_check_catches_nonlinear_frfs(self):
+        points = [
+            Fig10Point(rate=r, policy=policy, execution_time_s=t * scale,
+                       avg_sched_overhead_us=us, mean_ready_length=1.0)
+            for r, t in ((1.0, 0.1), (2.0, 0.1), (3.0, 1.0))
+            for policy, scale, us in (("frfs", 1, 3.0), ("met", 2, 10.0 * r),
+                                      ("eft", 4, 500.0 * r))
+        ]
+        assert check_fig10_shape(points) == [
+            "FRFS execution time should be linear in rate"
+        ]
+
 
 class TestFig11Small:
     @pytest.fixture(scope="class")
@@ -132,3 +177,34 @@ class TestFig11Small:
 
     def test_render(self, points):
         assert "3BIG+2LTL" in render_fig11(points)
+
+    def test_shape_criteria_hold(self, points):
+        assert check_fig11_shape(points) == []
+
+    def test_check_catches_a_time_out_of_band(self, points):
+        stalled = [dataclasses.replace(p, execution_time_s=7.0)
+                   if p.config == "0BIG+3LTL" and p.rate == 10.0 else p
+                   for p in points]
+        assert "0BIG+3LTL @ 10.0: 7.000 s outside 0.05-6 s" in (
+            check_fig11_shape(stalled))
+
+
+class TestAblations:
+    @pytest.fixture(scope="class")
+    def result(self):
+        # rate 1.71 keeps every claim (EFT 4.27 s vs 0.099 s with
+        # reservation queues) at three quarters of the artifact's cost
+        return run_ablations(rate=1.71)
+
+    def test_shape_criteria_hold(self, result):
+        assert check_ablations_shape(result) == []
+
+    def test_check_catches_a_reservation_that_does_not_help(self, result):
+        runs = dict(result.runs, eft_reserve=result.runs["eft"])
+        assert check_ablations_shape(dataclasses.replace(result, runs=runs)) == [
+            "reservation queues should at least halve EFT's makespan"
+        ]
+
+    def test_render(self, result):
+        text = render_ablations(result)
+        assert "eft_blind" in text and "met_power" in text

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.figures import ascii_chart, fig10_chart, fig11_chart
 from repro.experiments.case_study_2 import Fig10Point
 from repro.experiments.case_study_3 import Fig11Point
+
+ARTIFACTS = Path(__file__).resolve().parents[1] / "artifacts"
 
 
 class TestAsciiChart:
@@ -66,15 +70,27 @@ class TestAsciiChart:
 
 class TestReportGenerator:
     def test_table_artifacts(self, tmp_path, capsys):
+        """The table generators ignore --quick, so this is a drift check:
+        they rewrite the committed artifacts byte for byte."""
         from repro.experiments.report import main
 
-        rc = main(["--quick", "--outdir", str(tmp_path),
-                   "--only", "table_i", "table_ii"])
+        rc = main(["--only", "table_i", "table_ii", "--outdir", str(tmp_path)])
         assert rc == 0
-        table_i = (tmp_path / "table_i.txt").read_text()
-        assert "770" in table_i
-        table_ii = (tmp_path / "table_ii.txt").read_text()
-        assert "6.92" in table_ii
+        for name in ("table_i.txt", "table_ii.txt"):
+            committed = ARTIFACTS / name
+            assert (tmp_path / name).read_bytes() == committed.read_bytes(), name
+
+    def test_bare_only_is_a_usage_error(self, tmp_path, monkeypatch):
+        from repro.experiments import report
+
+        ran = []
+        for name in report.GENERATORS:
+            monkeypatch.setitem(report.GENERATORS, name,
+                                lambda outdir, quick: ran.append(outdir) or [])
+        with pytest.raises(SystemExit) as exc:
+            report.main(["--outdir", str(tmp_path), "--only"])
+        assert exc.value.code == 2
+        assert ran == []
 
     def test_exit_status_follows_the_shape_checks(
             self, tmp_path, monkeypatch, capsys):
