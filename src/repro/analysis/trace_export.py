@@ -15,7 +15,8 @@ import json
 
 from repro.runtime.stats import EmulationStats
 
-_CSV_FIELDS = (
+#: keys of every exported task row, in column order
+_FIELDS = (
     "task_id", "app_name", "instance_id", "task_name", "pe_name", "pe_type",
     "ready_time", "dispatch_time", "start_time", "finish_time",
     "service_time", "queue_delay",
@@ -23,35 +24,19 @@ _CSV_FIELDS = (
 
 
 def records_as_dicts(stats: EmulationStats) -> list[dict]:
-    """All task records as flat dicts (time fields in µs)."""
-    out = []
-    for r in sorted(stats.task_records, key=lambda r: r.start_time):
-        out.append(
-            {
-                "task_id": r.task_id,
-                "app_name": r.app_name,
-                "instance_id": r.instance_id,
-                "task_name": r.task_name,
-                "pe_name": r.pe_name,
-                "pe_type": r.pe_type,
-                "ready_time": r.ready_time,
-                "dispatch_time": r.dispatch_time,
-                "start_time": r.start_time,
-                "finish_time": r.finish_time,
-                "service_time": r.service_time,
-                "queue_delay": r.queue_delay,
-            }
-        )
-    return out
+    """All task records as flat dicts (time fields in µs), by start time."""
+    return [
+        {f: getattr(r, f) for f in _FIELDS}
+        for r in sorted(stats.task_records, key=lambda r: r.start_time)
+    ]
 
 
 def to_csv(stats: EmulationStats) -> str:
     """The schedule as CSV text (one row per executed task)."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS)
+    writer = csv.DictWriter(buffer, fieldnames=_FIELDS)
     writer.writeheader()
-    for row in records_as_dicts(stats):
-        writer.writerow(row)
+    writer.writerows(records_as_dicts(stats))
     return buffer.getvalue()
 
 

@@ -210,8 +210,8 @@ class ApplicationInstance:
     def release(self) -> None:
         """Drop DAG/memory bookkeeping once this instance is settled.
 
-        Streaming (open-loop) runs call this after recording completion so
-        memory stays O(apps in flight) rather than O(apps injected).  The
+        The lazy source of open-loop runs calls this once the app settled,
+        so memory stays O(apps in flight) rather than O(apps injected).  The
         scalar measurements (arrival/inject/finish times, degraded/dropped
         flags, task_count) survive; ``tasks``, the emulated memory pool,
         and the variable table do not.

@@ -28,6 +28,7 @@ from repro.runtime.emulation import Emulation
 from repro.runtime.faults import FaultSpec, FaultSpecError
 from repro.runtime.qos import QoSController, QoSSpec, QoSSpecError
 from repro.runtime.schedulers import available_policies
+from repro.runtime.stats import StreamingStats
 from repro.runtime.workload import validation_workload
 from repro.experiments.workloads import TABLE_II_RATES, table_ii_workload
 
@@ -186,7 +187,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(result.stats.summary(), indent=2))
         if args.backend == "threaded":
             print("outputs correct:", result.verify_outputs())
-    if result.stats.streaming and (args.gantt or args.trace):
+    if isinstance(result.stats, StreamingStats) and (args.gantt or args.trace):
         # Streaming stats keep no per-task records by design.
         print("note: --gantt/--trace are unavailable for streaming "
               "(--arrivals) runs; per-task records are not retained",

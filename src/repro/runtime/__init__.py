@@ -21,7 +21,7 @@ from repro.runtime.workload import (
     periodic_arrivals,
 )
 from repro.runtime.application_handler import ApplicationHandler, ResolvedApplication
-from repro.runtime.stats import EmulationStats, TaskRecord
+from repro.runtime.stats import EmulationStats, StreamingStats, TaskRecord
 from repro.runtime.emulation import Emulation, EmulationResult
 from repro.runtime.schedulers import (
     Scheduler,
@@ -46,6 +46,7 @@ __all__ = [
     "ApplicationHandler",
     "ResolvedApplication",
     "EmulationStats",
+    "StreamingStats",
     "TaskRecord",
     "Emulation",
     "EmulationResult",

@@ -180,8 +180,8 @@ class LazyInstanceSource:
     manager can peek the next arrival, and the :class:`ApplicationInstance`
     (DAG bookkeeping, ids, optional emulated memory) is only built when the
     WM pops it for injection.  Memory therefore scales with apps *in
-    flight*, not apps *injected* — the streaming half of the open-loop
-    path (release-on-completion is the other half).
+    flight*, not apps *injected*: the workload manager hands every
+    completed or shed instance back through :meth:`release`.
     """
 
     __slots__ = (
@@ -236,3 +236,8 @@ class LazyInstanceSource:
         self.produced += 1
         self._advance()
         return instance
+
+    def release(self, app: ApplicationInstance) -> None:
+        """Drop a settled instance's DAG and memory: this source built it
+        and nobody else holds it."""
+        app.release()

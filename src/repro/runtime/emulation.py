@@ -40,7 +40,7 @@ from repro.runtime.faults import FaultSpec, make_injector
 from repro.runtime.handler import ResourceHandler
 from repro.runtime.qos import QoSController, QoSSpec, make_qos
 from repro.runtime.schedulers import Scheduler, make_scheduler
-from repro.runtime.stats import EmulationStats
+from repro.runtime.stats import EmulationStats, StreamingStats
 from repro.runtime.workload import ArrivalStream, WorkloadSpec
 
 
@@ -135,7 +135,7 @@ class Emulation:
         A :class:`WorkloadSpec` is materialized up front (the paper's
         closed-loop path, bit-identical to the historical behavior); an
         :class:`ArrivalStream` builds instances lazily at injection and
-        switches stats into streaming mode so memory stays O(in flight).
+        records into :class:`StreamingStats`, so memory stays O(in flight).
         """
         plan = AffinityPlan.build(self.platform, self.config)
         handlers = [ResourceHandler(pe) for pe in plan.pes]
@@ -159,7 +159,8 @@ class Emulation:
             if isinstance(self.policy, str)
             else self.policy
         )
-        stats = EmulationStats(label=workload.description, streaming=streaming)
+        stats_cls = StreamingStats if streaming else EmulationStats
+        stats = stats_cls(label=workload.description)
         stats.policy_name = scheduler.name
         stats.config_label = self.config.describe()
         for pe in plan.pes:

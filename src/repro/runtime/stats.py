@@ -10,6 +10,7 @@ queue, run the policy, and communicate tasks to resource managers.
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from repro.hardware.pe import ProcessingElement
 
 _log = get_logger("runtime.stats")
 
-#: streaming mode keeps at most this many fault-timeline entries; overload
+#: streaming runs keep at most this many fault-timeline entries; overload
 #: runs shedding millions of apps must not grow the timeline unboundedly
 _TIMELINE_CAP = 1024
 
@@ -101,19 +102,19 @@ class P2Quantile:
         )
 
     def value(self) -> float:
-        """Current quantile estimate (exact while fewer than 5 samples)."""
+        """Current quantile estimate (exact while at most 5 samples)."""
         q = self._q
         if not q:
             raise EmulationError("quantile of an empty stream")
-        if len(q) < 5:
-            # linear interpolation over the sorted prefix (numpy's default)
+        if self.count <= 5:
+            # linear interpolation over the sorted samples (numpy's default)
             pos = self.p * (len(q) - 1)
             lo = int(pos)
             frac = pos - lo
             if lo + 1 >= len(q):
                 return q[-1]
             return q[lo] + frac * (q[lo + 1] - q[lo])
-        return self._q[2]
+        return q[2]
 
 
 class _MeanAgg:
@@ -130,7 +131,7 @@ class _MeanAgg:
         self.total += x
 
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        return self.total / self.count
 
 
 class TaskRecord(NamedTuple):
@@ -198,39 +199,48 @@ class PEUsage:
 
 
 class EmulationStats:
-    """Accumulator shared by both backends.
+    """Statistics sink shared by both backends; keeps every sample.
 
-    ``streaming=True`` switches every per-sample list to a constant-size
-    incremental aggregate (running sums plus P² quantile estimators), so
-    memory stays O(1) however many applications stream through — the
-    contract behind million-app open-loop runs.  The default (materialized)
-    mode is byte-identical to what it always was: exact percentiles, full
-    task records, per-app sample lists.
+    One :class:`TaskRecord` per task and per-app response and slack lists,
+    so percentiles are exact and trace exports work.  Open-loop runs get
+    the constant-memory :class:`StreamingStats` instead.
+
+    **Sink protocol.**  A run reports only through the hooks below.  *WM*
+    is the workload-manager loop (the ``_wm_process`` coroutine on the
+    virtual backend, the calling thread on the threaded one).  *Locked*
+    hooks append to ``fault_timeline`` under ``_fault_lock``, because
+    ``record_transient_fault`` can run on an RM thread meanwhile.
+
+    - ``register_pe``: once per PE while the session is built.
+    - ``record_injection``: a pass took arrivals off the queue; WM.
+    - ``record_task``: a task finished (monitor step); WM.
+    - ``record_app_completion``: after the ``record_task`` of an app's
+      last task; WM.
+    - ``record_scheduling_pass``: once per policy invocation the cost
+      model charges (virtual), or per non-idle pass with its measured wall
+      time (threaded); WM.
+    - ``record_app_drop``: admission control shed an app; WM, locked.
+    - ``record_pe_failure``: the WM absorbed a PE failure or watchdog
+      fail-stop; WM, locked.
+    - ``record_requeue``: a task went back to the ready list; WM, locked.
+    - ``record_app_degradation``: an app lost its last capable PE; WM,
+      locked.
+    - ``record_transient_fault``: an execution attempt failed; the PE's
+      resource manager (an engine process on the virtual backend, an RM
+      thread on the threaded one), locked.
+    - ``mark_interrupted``: the QoS controller saw a signal or an
+      exhausted budget; WM, first call wins, locked.
     """
 
-    def __init__(self, label: str = "", *, streaming: bool = False) -> None:
+    def __init__(self, label: str = "") -> None:
         self.label = label
-        #: constant-memory mode: aggregates only, no per-task/per-app lists
-        self.streaming = streaming
-        self.task_records: list[TaskRecord] = []
-        # -- streaming-mode aggregates (unused otherwise) -------------------
-        self._tasks_recorded = 0
-        self._ready_len_agg = _MeanAgg()
-        self._resp_agg: dict[str, _MeanAgg] = {}
-        self._slack_agg: dict[str, _MeanAgg] = {}
-        self._resp_tail = {
-            50: P2Quantile(0.50), 95: P2Quantile(0.95), 99: P2Quantile(0.99),
-        }
-        #: timeline entries discarded once the streaming cap was hit
-        self.fault_timeline_truncated = 0
         self.pe_usage: dict[str, PEUsage] = {}
         self.sched_overhead_total: float = 0.0
         self.sched_invocations: int = 0
-        self.sched_overhead_samples: list[float] = []
-        self.ready_len_samples: list[int] = []
+        #: ready-list length summed over every scheduling pass
+        self._ready_len_total: int = 0
         self.apps_injected: int = 0
         self.apps_completed: int = 0
-        self.app_response_times: dict[str, list[float]] = {}
         self.emulation_end: float = 0.0
         self.policy_name: str = ""
         self.config_label: str = ""
@@ -251,6 +261,8 @@ class EmulationStats:
         self.faults_enabled: bool = False
         #: ordered fault events: {"t_us", "kind", "pe", ...}
         self.fault_timeline: list[dict] = []
+        #: timeline entries discarded once the streaming cap was hit
+        self.fault_timeline_truncated = 0
         # Threaded-backend RM threads record faults concurrently; the
         # counters above are composite updates, so guard them.
         self._fault_lock = threading.Lock()
@@ -262,13 +274,19 @@ class EmulationStats:
         #: completed applications that met / missed their deadline
         self.apps_on_time: int = 0
         self.apps_late: int = 0
-        #: per-app slack samples (deadline − finish, µs; negative = late)
-        self.app_slack: dict[str, list[float]] = {}
         #: hung-kernel fail-stops issued by the threaded watchdog
         self.watchdog_failstops: int = 0
         #: run stopped early (signal or budget); stats cover work done so far
         self.interrupted: bool = False
         self.interrupt_reason: str = ""
+        self._init_samples()
+
+    def _init_samples(self) -> None:  # each class allocates only its own store
+        self.task_records: list[TaskRecord] = []
+        #: per-app response-time samples (µs), in completion order
+        self.app_response_times: dict[str, list[float]] = {}
+        #: per-app slack samples (deadline − finish, µs; negative = late)
+        self.app_slack: dict[str, list[float]] = {}
 
     # -- recording -----------------------------------------------------------------
 
@@ -288,9 +306,6 @@ class EmulationStats:
         usage.tasks_executed += 1
         if finish > self.emulation_end:
             self.emulation_end = finish
-        if self.streaming:
-            self._tasks_recorded += 1
-            return
         app = task.app
         self.task_records.append(
             TaskRecord(
@@ -303,62 +318,36 @@ class EmulationStats:
     def record_scheduling_pass(self, overhead: float, ready_len: int) -> None:
         self.sched_overhead_total += overhead
         self.sched_invocations += 1
-        if self.streaming:
-            self._ready_len_agg.add(float(ready_len))
-            return
-        self.sched_overhead_samples.append(overhead)
-        self.ready_len_samples.append(ready_len)
+        self._ready_len_total += ready_len
 
     def record_injection(self, count: int = 1) -> None:
         self.apps_injected += count
 
     def record_app_completion(self, instance) -> None:
         self.apps_completed += 1
-        response = instance.response_time()
-        if self.streaming:
-            agg = self._resp_agg.get(instance.app_name)
-            if agg is None:
-                agg = self._resp_agg[instance.app_name] = _MeanAgg()
-            agg.add(response)
-            for est in self._resp_tail.values():
-                est.add(response)
-        else:
-            self.app_response_times.setdefault(instance.app_name, []).append(
-                response
-            )
+        self.app_response_times.setdefault(instance.app_name, []).append(
+            instance.response_time()
+        )
         self.emulation_end = max(self.emulation_end, instance.finish_time)
         if instance.deadline is not None:
             slack = instance.deadline - instance.finish_time
-            if self.streaming:
-                agg = self._slack_agg.get(instance.app_name)
-                if agg is None:
-                    agg = self._slack_agg[instance.app_name] = _MeanAgg()
-                agg.add(slack)
-            else:
-                self.app_slack.setdefault(instance.app_name, []).append(slack)
+            self.app_slack.setdefault(instance.app_name, []).append(slack)
             if slack >= 0:
                 self.apps_on_time += 1
             else:
                 self.apps_late += 1
 
-    def _timeline_append(self, entry: dict) -> None:
-        """Append under the streaming cap (call with the fault lock held)."""
-        if self.streaming and len(self.fault_timeline) >= _TIMELINE_CAP:
-            self.fault_timeline_truncated += 1
-            return
-        self.fault_timeline.append(entry)
+    def _timeline_append(self, now: float, kind: str, **fields) -> None:
+        """Append a fault-timeline entry (call with the fault lock held)."""
+        self.fault_timeline.append({"t_us": round(now, 3), "kind": kind, **fields})
 
     def record_app_drop(self, instance, now: float, reason: str) -> None:
         """Application shed by admission control before completing."""
         with self._fault_lock:
             self.apps_dropped += 1
             self._timeline_append(
-                {
-                    "t_us": round(now, 3),
-                    "kind": "app_dropped",
-                    "app": f"{instance.app_name}#{instance.instance_id}",
-                    "reason": reason,
-                }
+                now, "app_dropped",
+                app=f"{instance.app_name}#{instance.instance_id}", reason=reason,
             )
 
     def mark_interrupted(self, reason: str, now: float) -> None:
@@ -367,10 +356,7 @@ class EmulationStats:
             if not self.interrupted:
                 self.interrupted = True
                 self.interrupt_reason = reason
-                self._timeline_append(
-                    {"t_us": round(now, 3), "kind": "interrupted",
-                     "reason": reason}
-                )
+                self._timeline_append(now, "interrupted", reason=reason)
 
     # -- fault recording (thread-safe) ---------------------------------------------
 
@@ -381,9 +367,7 @@ class EmulationStats:
             self.pe_failures += 1
             if kind == "watchdog_failstop":
                 self.watchdog_failstops += 1
-            self._timeline_append(
-                {"t_us": round(now, 3), "kind": kind, "pe": pe_name}
-            )
+            self._timeline_append(now, kind, pe=pe_name)
 
     def record_transient_fault(
         self, pe_name: str, task_name: str, attempt: int, now: float, kind: str
@@ -393,13 +377,7 @@ class EmulationStats:
             self.transient_faults += 1
             self.task_retries += 1
             self._timeline_append(
-                {
-                    "t_us": round(now, 3),
-                    "kind": kind,
-                    "pe": pe_name,
-                    "task": task_name,
-                    "attempt": attempt,
-                }
+                now, kind, pe=pe_name, task=task_name, attempt=attempt
             )
 
     def record_requeue(self, task, pe_name: str, now: float, kind: str) -> None:
@@ -407,23 +385,15 @@ class EmulationStats:
         with self._fault_lock:
             self.tasks_requeued += 1
             self._timeline_append(
-                {
-                    "t_us": round(now, 3),
-                    "kind": kind,
-                    "pe": pe_name,
-                    "task": task.qualified_name(),
-                }
+                now, kind, pe=pe_name, task=task.qualified_name()
             )
 
     def record_app_degradation(self, instance, now: float) -> None:
         with self._fault_lock:
             self.apps_degraded += 1
             self._timeline_append(
-                {
-                    "t_us": round(now, 3),
-                    "kind": "app_degraded",
-                    "app": f"{instance.app_name}#{instance.instance_id}",
-                }
+                now, "app_degraded",
+                app=f"{instance.app_name}#{instance.instance_id}",
             )
 
     # -- aggregates ----------------------------------------------------------------
@@ -435,9 +405,7 @@ class EmulationStats:
 
     @property
     def task_count(self) -> int:
-        if self.streaming:
-            return self._tasks_recorded
-        return len(self.task_records)
+        return sum(u.tasks_executed for u in self.pe_usage.values())
 
     def avg_scheduling_overhead(self) -> float:
         """Mean overhead per scheduling pass, µs (the paper's Fig. 10b)."""
@@ -446,11 +414,9 @@ class EmulationStats:
         return self.sched_overhead_total / self.sched_invocations
 
     def mean_ready_length(self) -> float:
-        if self.streaming:
-            return self._ready_len_agg.mean()
-        if not self.ready_len_samples:
+        if self.sched_invocations == 0:
             return 0.0
-        return float(np.mean(self.ready_len_samples))
+        return self._ready_len_total / self.sched_invocations
 
     def pe_utilization(self) -> dict[str, float]:
         """Per-PE usage-time / workload-execution-time (Fig. 9b)."""
@@ -466,16 +432,19 @@ class EmulationStats:
             name: usage.energy_joules(span) for name, usage in self.pe_usage.items()
         }
 
+    def _response_means_us(self) -> dict[str, float]:
+        """Mean response time per app with a completion, µs, by app name."""
+        return {app: float(np.mean(ts)) for app, ts in sorted(self.app_response_times.items())}
+
+    def _slack_means_us(self) -> dict[str, float]:
+        """Mean slack per app with a deadline, µs, by app name."""
+        return {app: float(np.mean(vs)) for app, vs in sorted(self.app_slack.items())}
+
     def mean_response_time(self, app_name: str) -> float:
-        if self.streaming:
-            agg = self._resp_agg.get(app_name)
-            if agg is None or not agg.count:
-                raise EmulationError(f"no completed instances of {app_name!r}")
-            return agg.mean()
-        times = self.app_response_times.get(app_name)
-        if not times:
+        mean = self._response_means_us().get(app_name)
+        if mean is None:
             raise EmulationError(f"no completed instances of {app_name!r}")
-        return float(np.mean(times))
+        return mean
 
     def assert_all_complete(self) -> None:
         """Every injected app completed, was degraded, or was dropped."""
@@ -487,42 +456,22 @@ class EmulationStats:
             )
 
     def response_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 response time over all completed apps, in ms.
-
-        Materialized runs compute exact percentiles over the retained
-        samples; streaming runs report the P² estimates (asymptotically
-        exact, O(1) memory).
-        """
-        if self.streaming:
-            if not self._resp_tail[50].count:
-                return {}
-            return {
-                f"p{p}_ms": round(to_msec(est.value()), 4)
-                for p, est in self._resp_tail.items()
-            }
+        """Exact p50/p95/p99 response time over all completed apps, in ms."""
         samples = [t for ts in self.app_response_times.values() for t in ts]
         if not samples:
             return {}
-        p50, p95, p99 = np.percentile(samples, [50, 95, 99])
-        return {
-            "p50_ms": round(to_msec(float(p50)), 4),
-            "p95_ms": round(to_msec(float(p95)), 4),
-            "p99_ms": round(to_msec(float(p99)), 4),
-        }
+        qs = np.percentile(samples, [50, 95, 99])
+        return {f"p{p}_ms": round(to_msec(float(q)), 4) for p, q in zip((50, 95, 99), qs)}
 
     def mean_response_times(self) -> dict[str, float]:
         """Mean response time per application in ms (empty apps omitted)."""
-        if self.streaming:
-            return {
-                app: agg.mean() / 1000.0
-                for app, agg in sorted(self._resp_agg.items())
-                if agg.count
-            }
         return {
-            app: float(np.mean(times)) / 1000.0
-            for app, times in sorted(self.app_response_times.items())
-            if times
+            app: mean / 1000.0 for app, mean in self._response_means_us().items()
         }
+
+    def _mode_summary(self) -> dict:
+        """Summary keys only this class reports (placed before ``faults``)."""
+        return {}
 
     def summary(self) -> dict:
         """Flat report dict (what the bench harnesses print)."""
@@ -548,11 +497,7 @@ class EmulationStats:
                 k: round(v, 4) for k, v in self.mean_response_times().items()
             },
         }
-        if self.streaming:
-            # Open-loop runs: tail latency is the headline number, so it is
-            # reported unconditionally (estimated, see response_percentiles).
-            report["streaming"] = True
-            report["response_percentiles"] = self.response_percentiles()
+        report.update(self._mode_summary())
         if self.faults_enabled or self.fault_timeline or self.apps_degraded:
             report["faults"] = {
                 "pe_failures": self.pe_failures,
@@ -562,33 +507,94 @@ class EmulationStats:
                 "timeline": list(self.fault_timeline),
             }
             if self.fault_timeline_truncated:
-                report["faults"]["timeline_truncated"] = (
-                    self.fault_timeline_truncated
-                )
+                report["faults"]["timeline_truncated"] = self.fault_timeline_truncated
         # Conditional like "faults": runs without a QoS controller (and
         # without drops/fail-stops) keep today's byte-identical summaries.
         if self.qos_enabled or self.apps_dropped or self.watchdog_failstops:
-            if self.streaming:
-                mean_slack = {
-                    app: round(agg.mean(), 3)
-                    for app, agg in sorted(self._slack_agg.items())
-                    if agg.count
-                }
-            else:
-                mean_slack = {
-                    app: round(float(np.mean(vals)), 3)
-                    for app, vals in sorted(self.app_slack.items())
-                    if vals
-                }
             report["qos"] = {
                 "apps_dropped": self.apps_dropped,
                 "apps_on_time": self.apps_on_time,
                 "apps_late": self.apps_late,
                 "watchdog_failstops": self.watchdog_failstops,
                 "response_percentiles": self.response_percentiles(),
-                "mean_slack_us": mean_slack,
+                "mean_slack_us": {
+                    app: round(mean, 3)
+                    for app, mean in self._slack_means_us().items()
+                },
             }
         if self.interrupted:
             report["interrupted"] = True
             report["interrupt_reason"] = self.interrupt_reason
         return report
+
+
+class StreamingStats(EmulationStats):
+    """Constant-memory sink for open-loop arrival streams.
+
+    Per-app means are running (count, sum) aggregates and p50/p95/p99 are
+    P² estimates, so memory stays O(1) however many apps stream through.
+    ``task_records`` is an empty tuple (record consumers still iterate
+    it); ``app_response_times`` and ``app_slack`` do not exist.
+    """
+
+    def _init_samples(self) -> None:
+        self.task_records: tuple[TaskRecord, ...] = ()
+        self._resp_agg: defaultdict[str, _MeanAgg] = defaultdict(_MeanAgg)
+        self._slack_agg: defaultdict[str, _MeanAgg] = defaultdict(_MeanAgg)
+        self._resp_tail = {
+            50: P2Quantile(0.50), 95: P2Quantile(0.95), 99: P2Quantile(0.99),
+        }
+
+    def record_task(self, task, pe: ProcessingElement) -> None:
+        start = task.start_time
+        finish = task.finish_time
+        usage = self.pe_usage[pe.name]
+        usage.busy_time += finish - start
+        usage.tasks_executed += 1
+        if finish > self.emulation_end:
+            self.emulation_end = finish
+
+    def record_app_completion(self, instance) -> None:
+        self.apps_completed += 1
+        response = instance.response_time()
+        self._resp_agg[instance.app_name].add(response)
+        for est in self._resp_tail.values():
+            est.add(response)
+        self.emulation_end = max(self.emulation_end, instance.finish_time)
+        if instance.deadline is not None:
+            slack = instance.deadline - instance.finish_time
+            self._slack_agg[instance.app_name].add(slack)
+            if slack >= 0:
+                self.apps_on_time += 1
+            else:
+                self.apps_late += 1
+
+    def _timeline_append(self, now: float, kind: str, **fields) -> None:
+        """Append under the streaming cap (call with the fault lock held)."""
+        if len(self.fault_timeline) >= _TIMELINE_CAP:
+            self.fault_timeline_truncated += 1
+            return
+        super()._timeline_append(now, kind, **fields)
+
+    def _response_means_us(self) -> dict[str, float]:
+        return {app: agg.mean() for app, agg in sorted(self._resp_agg.items())}
+
+    def _slack_means_us(self) -> dict[str, float]:
+        return {app: agg.mean() for app, agg in sorted(self._slack_agg.items())}
+
+    def response_percentiles(self) -> dict[str, float]:
+        """P² estimates of p50/p95/p99 response time, in ms."""
+        if not self._resp_tail[50].count:
+            return {}
+        return {
+            f"p{p}_ms": round(to_msec(est.value()), 4)
+            for p, est in self._resp_tail.items()
+        }
+
+    def _mode_summary(self) -> dict:
+        # Open-loop runs: tail latency is the headline number, so it is
+        # reported unconditionally.
+        return {
+            "streaming": True,
+            "response_percentiles": self.response_percentiles(),
+        }

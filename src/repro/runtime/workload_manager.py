@@ -135,9 +135,6 @@ class MaterializedSource:
 
     __slots__ = ("instances", "_idx")
 
-    #: lazy sources set this False when instances carry no emulated memory
-    materialize = True
-
     def __init__(self, instances: list[ApplicationInstance]) -> None:
         self.instances = instances
         self._idx = 0
@@ -163,6 +160,10 @@ class MaterializedSource:
         instance = self.instances[self._idx]
         self._idx += 1
         return instance
+
+    def release(self, app: ApplicationInstance) -> None:
+        """Keep a settled instance: the caller owns the list (and
+        ``EmulationResult.verify_outputs`` reads its memory)."""
 
 
 class WorkloadManagerCore:
@@ -315,12 +316,11 @@ class WorkloadManagerCore:
                 stats.record_app_completion(app)
                 if self.qos is not None:
                     self.apps_in_flight -= 1
-                if stats.streaming:
-                    # Open-loop runs: stats have everything they need, so
-                    # the DAG/memory bookkeeping can go.  Degraded apps are
-                    # never released — their in-flight tasks still complete
-                    # through on_task_complete.
-                    app.release()
+                # Stats have everything they need; the source decides
+                # whether the instance goes.  Degraded apps are never
+                # released — their in-flight tasks still complete through
+                # on_task_complete.
+                self.source.release(app)
         return n
 
     def inject_due(self, now: float) -> int:
@@ -397,10 +397,9 @@ class WorkloadManagerCore:
             self._discard_ready(app)
         self.tasks_outstanding -= app.task_count
         self.stats.record_app_drop(app, now, reason)
-        if self.stats.streaming:
-            # Never-started by the victim rule (or never admitted at all):
-            # nothing in flight references its tasks.
-            app.release()
+        # Never-started by the victim rule (or never admitted at all):
+        # nothing in flight references its tasks.
+        self.source.release(app)
 
     def _discard_ready(self, app: ApplicationInstance) -> int:
         """Remove a dropped or degraded app's queued tasks, returning how

@@ -24,6 +24,7 @@ from repro.runtime.qos import (
 )
 from repro.runtime.schedulers import make_scheduler
 from repro.runtime.schedulers.base import Scheduler
+from repro.runtime.stats import StreamingStats
 from repro.runtime.workload import BurstyStream, validation_workload
 from repro.runtime.workload_manager import WorkloadManagerCore
 from repro.common.errors import SchedulingError
@@ -469,7 +470,7 @@ def test_drop_oldest_admission_map_matches_a_scan(
         emu = Emulation(config="2C+1F", policy=audit, seed=1, qos=qos)
         stats = emu.run(stream, VirtualBackend()).stats
     core = audit.core
-    assert stats.streaming and not core._unstarted
+    assert isinstance(stats, StreamingStats) and not core._unstarted
     assert audit.passes > 0 or stats.apps_injected == 0
     assert (
         stats.apps_completed + stats.apps_degraded + stats.apps_dropped

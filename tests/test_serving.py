@@ -27,7 +27,7 @@ from repro.perf import rss
 from repro.perf.harness import run_scenario
 from repro.runtime.backends import ThreadedBackend, VirtualBackend
 from repro.runtime.emulation import Emulation
-from repro.runtime.stats import P2Quantile
+from repro.runtime.stats import P2Quantile, StreamingStats
 from repro.runtime.workload import (
     ArrivalSpec,
     BurstyStream,
@@ -512,12 +512,15 @@ class TestArrivalSpec:
 
 
 class TestP2Quantile:
-    def test_exact_below_five_samples(self):
-        est = P2Quantile(0.5)
-        data = [7.0, 1.0, 4.0]
+    @pytest.mark.parametrize("p", [0.50, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_exact_below_five_samples(self, n, p):
+        # exact through the fifth sample: the fifth used to read the median
+        data = [7.0, 1.0, 4.0, 9.0, 2.5][:n]
+        est = P2Quantile(p)
         for x in data:
             est.add(x)
-        assert est.value() == pytest.approx(float(np.percentile(data, 50)))
+        assert est.value() == pytest.approx(float(np.percentile(data, p * 100.0)))
 
     def test_empty_stream_raises(self):
         with pytest.raises(EmulationError, match="empty stream"):
@@ -620,10 +623,12 @@ class TestBitIdentity:
                     policy=policy, seed=seed, core=core,
                 )
                 label = f"{policy}/{core}/seed={seed}"
-                assert srm.streaming and not mat.streaming, label
+                assert isinstance(srm, StreamingStats), label
+                assert not isinstance(mat, StreamingStats), label
                 assert srm.makespan == mat.makespan, label
                 assert srm.task_count == mat.task_count, label
                 assert srm.sched_invocations == mat.sched_invocations, label
+                assert srm.mean_ready_length() == mat.mean_ready_length(), label
                 assert srm.apps_completed == mat.apps_completed, label
                 assert srm_info["events_fired"] == \
                     mat_info["events_fired"], label
@@ -658,6 +663,22 @@ class TestBitIdentity:
         assert pure_info["events_fired"] == comp_info["events_fired"]
 
 
+class _Delegate:
+    """Minimal delegating stand-in: every attribute goes to ``target``
+    except the ``overrides`` given as keyword arguments."""
+
+    def __init__(self, target, **overrides) -> None:
+        object.__setattr__(self, "_target", target)
+        for name, value in overrides.items():
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        return getattr(object.__getattribute__(self, "_target"), name)
+
+    def __setattr__(self, name, value) -> None:
+        setattr(object.__getattribute__(self, "_target"), name, value)
+
+
 class TestStreamingRuns:
     def test_streaming_summary_shape(self):
         stream = PoissonStream(2.0, SDR_MIX, duration_ms=40.0, seed=42)
@@ -677,6 +698,43 @@ class TestStreamingRuns:
         assert result.stats.apps_completed > 0
         # streaming sessions never accumulate a materialized instance list
         assert result.instances == []
+
+    def test_materialized_only_fields_fail_loudly(self):
+        # Streaming runs keep no sample lists; reading them must raise, not
+        # return an empty dict a caller would silently report.
+        stream = PoissonStream(2.0, SDR_MIX, duration_ms=20.0, seed=0)
+        stats, _ = _run(stream, policy="frfs", seed=0, core="pure")
+        assert isinstance(stats, StreamingStats) and stats.apps_completed > 0
+        for name in ("app_response_times", "app_slack"):
+            with pytest.raises(AttributeError):
+                getattr(stats, name)
+        assert stats.task_records == () and stats.task_count > 0
+
+    def test_source_not_stats_decides_what_is_released(self):
+        # A delegating wrapper around the stats (what a tracer installs)
+        # must not change what the WM frees: lazily built instances are
+        # released, a materialized list keeps its tasks.
+        built = []
+        stream_session = Emulation(config="3C+2F", policy="frfs", seed=0) \
+            .build_session(PoissonStream(2.0, SDR_MIX, max_apps=12, seed=3))
+        source = stream_session.source
+
+        def recording_pop():
+            app = source.pop()
+            built.append(app)
+            return app
+
+        stream_session.source = _Delegate(source, pop=recording_pop)
+        closed_session = Emulation(config="3C+2F", policy="frfs", seed=0) \
+            .build_session(validation_workload({"wifi_tx": 2, "wifi_rx": 2}))
+        for session in (stream_session, closed_session):
+            session.stats = _Delegate(session.stats)
+            VirtualBackend().run(session)
+        assert len(built) == 12 and all(app.is_complete for app in built)
+        assert all(app.tasks == {} for app in built)
+        assert closed_session.instances and all(
+            len(app.tasks) == app.task_count for app in closed_session.instances
+        )
 
     @pytest.mark.parametrize(
         "admission", ["drop-newest", "drop-oldest", "defer"]
@@ -780,6 +838,12 @@ class TestServingCLI:
         summary = json.loads(capsys.readouterr().out)
         assert summary["streaming"] is True
         assert summary["apps_injected"] == summary["apps_completed"] > 0
+
+    def test_run_arrivals_json_has_no_task_rows(self, tmp_path, capsys):
+        rc = main(["run", "--arrivals", self._spec_file(tmp_path), "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tasks"] == [] and doc["summary"]["tasks"] > 0
 
     def test_run_arrivals_max_apps_override(self, tmp_path, capsys):
         rc = main(["run", "--arrivals", self._spec_file(tmp_path),
