@@ -241,49 +241,29 @@ def _sweep_grid(args: argparse.Namespace):
         iterations=args.iterations,
         jitter=args.jitter,
         backend=args.backend,
-        faults=_parse_faults_axis(args.faults),
-        qos=_parse_qos_axis(args.qos),
+        faults=_load_axis(args.faults, FaultSpec, FaultSpecError),
+        qos=_load_axis(args.qos, QoSSpec, QoSSpecError),
     )
 
 
-def _parse_faults_axis(path: str) -> tuple[dict | None, ...]:
-    """A fault axis from a JSON file: one spec object, or a list of specs
-    (``null`` entries meaning a fault-free cell)."""
+def _load_axis(path: str, spec_cls, error: type[ReproError]) -> tuple[dict | None, ...]:
+    """A fault or QoS axis from a JSON file: one spec object, or a list of
+    specs (``null`` entries meaning a cell without one)."""
     if not path:
         return (None,)
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise FaultSpecError(f"cannot load fault axis {path!r}: {exc}") from exc
+        raise error(
+            f"cannot load {spec_cls.__name__} axis {path!r}: {exc}"
+        ) from exc
     entries = data if isinstance(data, list) else [data]
-    axis = []
-    for entry in entries:
-        if entry is None:
-            axis.append(None)
-        else:
-            # validate early; the grid carries the plain dict form
-            axis.append(FaultSpec.from_dict(entry).to_dict())
-    return tuple(axis)
-
-
-def _parse_qos_axis(path: str) -> tuple[dict | None, ...]:
-    """A QoS axis from a JSON file, same shape as the fault axis."""
-    if not path:
-        return (None,)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise QoSSpecError(f"cannot load QoS axis {path!r}: {exc}") from exc
-    entries = data if isinstance(data, list) else [data]
-    axis = []
-    for entry in entries:
-        if entry is None:
-            axis.append(None)
-        else:
-            axis.append(QoSSpec.from_dict(entry).to_dict())
-    return tuple(axis)
+    # validate early; the grid carries the plain dict form
+    return tuple(
+        None if entry is None else spec_cls.from_dict(entry).to_dict()
+        for entry in entries
+    )
 
 
 @contextlib.contextmanager
@@ -470,6 +450,9 @@ def cmd_sweep_server(args: argparse.Namespace) -> int:
     """
     from repro.dse.distrib.net.server import run_server
 
+    if not args.out:
+        print("sweep-server needs --out DIR", file=sys.stderr)
+        return EXIT_USAGE
     stop = threading.Event()
     if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -629,6 +612,24 @@ def build_parser() -> argparse.ArgumentParser:
                             "auto); 'compiled' errors if the extension is "
                             "not built")
 
+    def add_campaign_flags(p: argparse.ArgumentParser, *names: str) -> None:
+        """The campaign-location flags, declared once for ``sweep``,
+        ``sweep-worker`` and ``sweep-server``."""
+        flags = {
+            "--out": dict(default="", help="campaign directory (sweep "
+                          "defaults to .dssoc_campaigns/<grid-hash>)"),
+            "--server": dict(default="", help="network mode: a sweep-server "
+                             "at HOST:PORT instead of a shared campaign "
+                             "directory (sweep --status: its live snapshot)"),
+            "--lease-ttl": dict(type=float, default=None,
+                                help="cell-lease TTL in seconds (default: the "
+                                     "campaign manifest's, else 30)"),
+            "--poll": dict(type=float, default=0.5,
+                           help="idle poll interval in seconds"),
+        }
+        for name in names:
+            p.add_argument(name, **flags[name])
+
     run_p = sub.add_parser("run", help="validation-mode emulation")
     add_core_flag(run_p)
     run_p.add_argument("--platform", default="zcu102")
@@ -717,9 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-cell wall-clock timeout in seconds")
     sweep_p.add_argument("--retries", type=int, default=1,
                          help="re-attempts per failing cell")
-    sweep_p.add_argument("--out", default="",
-                         help="campaign directory (cache + journal + results); "
-                              "defaults to .dssoc_campaigns/<grid-hash>")
     sweep_p.add_argument("--resume", action="store_true",
                          help="append to the existing journal and re-queue "
                               "only incomplete cells")
@@ -736,18 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "processes coordinated through the campaign "
                               "directory (0 = coordinate only; more workers "
                               "may attach with 'sweep-worker --out DIR')")
-    sweep_p.add_argument("--server", default="",
-                         help="network mode: coordinate through a running "
-                              "sweep-server at HOST:PORT instead of a shared "
-                              "campaign directory (with --status: query the "
-                              "server's live snapshot)")
-    sweep_p.add_argument("--lease-ttl", type=float, default=None,
-                         help="distributed cell-lease TTL in seconds; a "
-                              "worker that stops heartbeating for this long "
-                              "forfeits its cell (default 30)")
-    sweep_p.add_argument("--poll", type=float, default=0.5,
-                         help="distributed coordinator/worker poll interval "
-                              "in seconds")
+    add_campaign_flags(sweep_p, "--out", "--server", "--lease-ttl", "--poll")
     sweep_p.add_argument("--status", action="store_true",
                          help="print live status of the campaign in --out "
                               "(cells/sec, ETA, worker health, cache hits) "
@@ -764,17 +751,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(directory or server)",
     )
     add_core_flag(worker_p)
-    worker_p.add_argument("--out", default="",
-                          help="campaign directory (as passed to sweep --out)")
-    worker_p.add_argument("--server", default="",
-                          help="attach over TCP to a sweep-server at "
-                               "HOST:PORT instead of a shared directory")
+    add_campaign_flags(worker_p, "--out", "--server", "--lease-ttl", "--poll")
     worker_p.add_argument("--worker-id", default="",
                           help="stable worker name (default: <host>-<pid>)")
-    worker_p.add_argument("--lease-ttl", type=float, default=None,
-                          help="override the campaign manifest's lease TTL")
-    worker_p.add_argument("--poll", type=float, default=0.5,
-                          help="idle poll interval in seconds")
     worker_p.add_argument("--oneshot", action="store_true",
                           help="exit after the first pass that finds no "
                                "claimable work instead of waiting on peers")
@@ -799,9 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-server",
         help="serve one sweep campaign over TCP (no shared mount needed)",
     )
-    server_p.add_argument("--out", required=True,
-                          help="campaign directory the server owns (journal, "
-                               "cache, failure records live here)")
+    add_campaign_flags(server_p, "--out", "--lease-ttl")
     server_p.add_argument("--host", default="127.0.0.1",
                           help="bind address (default 127.0.0.1; use 0.0.0.0 "
                                "for off-host workers)")
@@ -809,8 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="bind port (default 0 = ephemeral; the chosen "
                                "port is printed and written to "
                                "<out>/distrib/server.json)")
-    server_p.add_argument("--lease-ttl", type=float, default=None,
-                          help="override the published campaign's lease TTL")
     server_p.set_defaults(fn=cmd_sweep_server)
 
     bench_p = sub.add_parser(

@@ -18,9 +18,10 @@ mount speaking TCP to a queue server:
 * :mod:`repro.dse.distrib.leases` — NFS-safe lease primitives
   (hardlink acquire, mtime heartbeat, owner-checked release,
   rename-arbitrated stale break);
-* :mod:`repro.dse.distrib.queue` — the durable work queue: manifest,
-  per-cell leases, per-worker journal shards, heartbeats, failure
-  records, stop flag;
+* :mod:`repro.dse.distrib.queue` — the campaign directory's layout, the
+  one place its file names are spelled: the manifest (and the lease ttl
+  and attempt budget read from it), failure records, heartbeats and the
+  stop flag as plain functions;
 * :mod:`repro.dse.distrib.store` —
   :class:`~repro.dse.distrib.store.CampaignStore`, the one owner of a
   campaign directory's durable state (canonical journal and completed
@@ -54,7 +55,6 @@ from repro.dse.distrib.leases import LeaseDir, LeaseInfo
 from repro.dse.distrib.queue import (
     DEFAULT_LEASE_TTL_S,
     DistribError,
-    WorkQueue,
     default_worker_id,
     load_manifest,
     manifest_cells,
@@ -81,7 +81,6 @@ __all__ = [
     "LeaseInfo",
     "ShardMerger",
     "TransportError",
-    "WorkQueue",
     "WorkerSummary",
     "WorkerTransport",
     "campaign_snapshot",

@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.dse.distrib import queue as layout
 from repro.dse.distrib.queue import DistribError
 from repro.dse.distrib.store import CampaignStore
 from repro.dse.distrib.worker import run_worker
@@ -77,7 +78,7 @@ def _spawn_worker(
     ]
     if server is not None:
         cmd += ["--server", server,
-                "--spool", str(out_dir / f"spool-{worker_id}")]
+                "--spool", str(layout.spool_dir(out_dir, worker_id))]
     else:
         cmd += ["--out", str(out_dir)]
     # Workers narrate to stderr; their stdout JSON summary would
@@ -157,7 +158,7 @@ def run_fleet(
 
                 mine = NetTransport(
                     server, worker_id="w0-embedded",
-                    spool_dir=out_dir / "spool-embedded",
+                    spool_dir=layout.spool_dir(out_dir, "embedded"),
                 )
 
             def _embedded_worker() -> None:

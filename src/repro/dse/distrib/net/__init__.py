@@ -1,7 +1,7 @@
 """Network transport for distributed sweep campaigns (no shared mount).
 
-The directory protocol in :mod:`repro.dse.distrib.queue` assumes every
-participant mounts the same filesystem.  This package removes that
+The directory protocol (:class:`~repro.dse.distrib.transport.FsTransport`)
+assumes every participant mounts the same filesystem.  This package removes that
 assumption: a dependency-free TCP queue server
 (``dssoc-emulate sweep-server``) owns the campaign state — manifest,
 leases, result submission, heartbeats — and workers/coordinators speak

@@ -43,8 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.common.atomic import atomic_write_json
-from repro.dse.distrib.queue import DEFAULT_LEASE_TTL_S, _read_json, distrib_dir
+from repro.dse.distrib import queue as layout
 from repro.dse.distrib.status import throughput, worker_health
 from repro.dse.distrib.store import CampaignStore
 from repro.dse.distrib.transport import (
@@ -60,14 +59,9 @@ from repro.dse.distrib.net.framing import FrameAssembler, FrameError, encode_fra
 PROTOCOL_VERSION = 1
 
 
-def endpoint_path(out_dir: str | Path) -> Path:
-    return distrib_dir(out_dir) / "server.json"
-
-
 def load_endpoint(out_dir: str | Path) -> dict[str, Any] | None:
     """The running (or last) server's address record, or None."""
-    doc = _read_json(endpoint_path(out_dir))
-    return doc if isinstance(doc, dict) else None
+    return layout.read_record(layout.endpoint_path(out_dir))
 
 
 @dataclass
@@ -118,13 +112,14 @@ class SweepServer:
         self._fail_tokens: dict[str, str] = {}
         self._resolution_wall_ts: deque[float] = deque(maxlen=100_000)
 
-        # Resume from whatever the campaign directory already holds.
+        # Resume from whatever the campaign directory already holds; a
+        # manifest this build cannot read is refused before anything opens.
+        manifest = layout.find_manifest(self.out_dir)
         self.store = CampaignStore(self.out_dir, resume=True, owner="server")
         self.journal_path = self.store.journal_path
-        doc = _read_json(distrib_dir(self.out_dir) / "manifest.json")
-        if isinstance(doc, dict) and doc.get("cells"):
-            self.store.adopt(doc)
-        self.stop_flag = self.store.queue.stop_requested()
+        if manifest is not None:
+            self.store.adopt(manifest)
+        self.stop_flag = layout.stop_requested(self.out_dir)
 
     # -- the store's state, as the handlers read it --------------------------------
 
@@ -138,15 +133,7 @@ class SweepServer:
 
     @property
     def lease_ttl_s(self) -> float:
-        if self._ttl_override:
-            return float(self._ttl_override)
-        if self.manifest and self.manifest.get("lease_ttl_s"):
-            return float(self.manifest["lease_ttl_s"])
-        return DEFAULT_LEASE_TTL_S
-
-    @property
-    def max_attempts(self) -> int:
-        return max(1, int((self.manifest or {}).get("max_attempts", 1)))
+        return layout.lease_ttl_s(self.manifest, self._ttl_override)
 
     def _note_resolution(self, cached: bool) -> None:
         self._resolution_wall_ts.append(time.time())
@@ -251,7 +238,7 @@ class SweepServer:
             return {"ok": False, "error": f"unknown cell {cell_id!r}"}
         if cell_id in self.completed:
             return {"status": CLAIM_RESOLVED}
-        record = self.store.queue.failure(cell_id)
+        record = layout.failure(self.out_dir, cell_id)
         if record and record.get("final"):
             return {"status": CLAIM_FAILED_FINAL}
         lease = self._live_lease(cell_id)
@@ -315,7 +302,7 @@ class SweepServer:
             # or a second worker finishing a re-issued cell, both land
             # here — acknowledged, deduped, never double-journaled.
             return {"accepted": True, "dedupe": True}
-        self.store.queue.clear_failure(cell_id)
+        layout.clear_failure(self.out_dir, cell_id)
         self._fail_tokens.pop(cell_id, None)
         self._note_resolution(cached=False)
         lease = self.leases.get(cell_id)
@@ -334,15 +321,17 @@ class SweepServer:
         if token and self._fail_tokens.get(cell_id) == token:
             # Retry of a failure report whose ACK we lost: do not charge
             # the attempt budget twice.
-            record = self.store.queue.failure(cell_id) or {"attempts": 1}
+            record = layout.failure(self.out_dir, cell_id) or {"attempts": 1}
             return {
                 "attempts": int(record.get("attempts", 1)),
                 "final": bool(record.get("final")),
                 "dedupe": True,
             }
         error, worker = str(msg.get("error", "?")), str(msg.get("worker", "?"))
-        record = self.store.queue.record_failure(
-            cell_id, error, max_attempts=self.max_attempts
+        record = layout.record_failure(
+            self.out_dir, cell_id, error,
+            max_attempts=layout.max_attempts(self.manifest),
+            worker=self.store.owner,
         )
         if token:
             self._fail_tokens[cell_id] = token
@@ -370,8 +359,8 @@ class SweepServer:
         try:
             # Durable mirror: lets `sweep --status --out DIR` on the
             # server host (and post-mortem forensics) see the fleet.
-            self.store.queue.write_worker_status(
-                worker,
+            layout.write_worker_status(
+                self.out_dir, worker,
                 state=info.state,
                 current_cell=info.current_cell,
                 cells_done=info.cells_done,
@@ -379,7 +368,7 @@ class SweepServer:
             )
         except OSError:
             pass
-        failed = len(self.store.queue.failed_final())
+        failed = len(layout.failed_final(self.out_dir))
         return {
             "stop": self.stop_flag,
             "resolved": len(self.completed) + failed,
@@ -413,7 +402,7 @@ class SweepServer:
         now_mono = self.monotonic()
         ttl = self.lease_ttl_s
         cells = self.store.cells
-        failed = self.store.queue.failed_final()
+        failed = layout.failed_final(self.out_dir)
         completed = self.completed & set(cells) if cells else set(self.completed)
         resolved = len(completed) + len(set(failed) & set(cells))
         total = len(cells)
@@ -477,7 +466,7 @@ class SweepServer:
         self._listener.listen(128)
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()[:2]
-        atomic_write_json(endpoint_path(self.out_dir), {
+        layout.write_record(layout.endpoint_path(self.out_dir), {
             "host": self.host,
             "port": self.port,
             "pid": os.getpid(),
@@ -575,7 +564,7 @@ class SweepServer:
             except OSError:
                 pass
             try:
-                endpoint_path(self.out_dir).unlink()
+                layout.endpoint_path(self.out_dir).unlink()
             except OSError:
                 pass
             self.close()

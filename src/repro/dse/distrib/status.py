@@ -4,7 +4,8 @@ Pure read-side: a snapshot is computed only from what is already durable
 in the campaign directory (manifest, canonical journal + index, worker
 shards, heartbeats, leases, failure records), so ``sweep --status`` can
 be pointed at a running campaign from any host sharing the filesystem
-without perturbing it — it takes no leases and writes nothing.
+without perturbing it — it takes no leases, and its one write, the
+clock probe in an existing ``distrib/leases/``, is removed at once.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.dse import journal as journal_mod
-from repro.dse.distrib.leases import lease_now
-from repro.dse.distrib.queue import WorkQueue, load_manifest, manifest_cells
+from repro.dse.distrib import queue as layout
+from repro.dse.distrib.leases import LeaseDir, lease_now
 
 #: A worker whose heartbeat is older than this many lease ttls is dead.
 _STALE_FACTOR = 3.0
@@ -71,14 +72,13 @@ def throughput(
 def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
     """One structured snapshot of a (possibly running) distributed campaign."""
     out_path = Path(out_dir)
-    manifest = load_manifest(out_path)
-    lease_ttl = float(manifest.get("lease_ttl_s", 30.0))
-    ids = set(manifest_cells(manifest))
-
-    queue = WorkQueue(out_path, owner="status", lease_ttl_s=lease_ttl)
+    manifest = layout.load_manifest(out_path)
+    lease_ttl = layout.lease_ttl_s(manifest)
+    ids = set(layout.manifest_cells(manifest))
+    journal_path = layout.journal_path(out_path)
 
     # Canonical view (merged by the coordinator) ...
-    state = journal_mod.replay_indexed(out_path / "journal.jsonl", write=False)
+    state = journal_mod.replay_indexed(journal_path, write=False)
     completed = set(state.completed)
     # ... plus shard events the coordinator has not merged yet, which also
     # carry the timestamps the throughput estimate needs.
@@ -87,7 +87,7 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
     #: re-discover each other's results each write a line for the same cell)
     cached_ids: set[Any] = set()
     per_worker: dict[str, dict[str, Any]] = {}
-    for shard in queue.shard_paths():
+    for shard in layout.shard_paths(out_path):
         worker = shard.stem
         finishes = cached = errors = 0
         last_ts = 0.0
@@ -118,7 +118,7 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
     completed.discard(None)
     completed &= ids
 
-    failed = queue.failed_final()
+    failed = layout.failed_final(out_path)
     resolved = len(completed) + len(set(failed) & ids)
     total = len(ids)
 
@@ -131,7 +131,7 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
     now = time.time()
     any_skew = False
     workers: list[dict[str, Any]] = []
-    for worker_id, status in sorted(queue.worker_statuses().items()):
+    for worker_id, status in sorted(layout.worker_statuses(out_path).items()):
         raw_age = now - float(status.get("ts", 0.0))
         skewed = raw_age < -_SKEW_TOLERANCE_S
         any_skew = any_skew or skewed
@@ -150,21 +150,24 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
         })
 
     # In-flight leases, judged against the shared filesystem's clock.
-    fs_now = lease_now(queue.leases.root)
     leases = []
-    for name, info in sorted(queue.leases.held().items()):
-        leases.append({
-            "cell_id": name,
-            "owner": info.owner,
-            "age_s": round(info.age_s(fs_now), 1),
-            "stale": queue.leases.is_stale(info, fs_now),
-        })
+    leases_root = layout.leases_dir(out_path)
+    if leases_root.is_dir():
+        lease_dir = LeaseDir(leases_root, owner="status", ttl_s=lease_ttl)
+        fs_now = lease_now(leases_root)
+        for name, info in sorted(lease_dir.held().items()):
+            leases.append({
+                "cell_id": name,
+                "owner": info.owner,
+                "age_s": round(info.age_s(fs_now), 1),
+                "stale": lease_dir.is_stale(info, fs_now),
+            })
 
     # ... and the ones in the canonical journal: the coordinator's cache
     # pass and shard lines already merged (the same cells, counted once).
     cached_ids.update(
         e.get("cell_id")
-        for e in journal_mod.read_events(out_path / "journal.jsonl")
+        for e in journal_mod.read_events(journal_path)
         if e.get("event") == journal_mod.EVENT_CELL_CACHED
     )
     hit_rate = len(cached_ids & completed) / resolved if resolved else 0.0
@@ -179,7 +182,7 @@ def campaign_snapshot(out_dir: str | Path) -> dict[str, Any]:
         "completed": len(completed),
         "failed": len(set(failed) & ids),
         "in_flight": len(leases),
-        "stop_requested": queue.stop_requested(),
+        "stop_requested": layout.stop_requested(out_path),
         "clock_skew": any_skew,
         **throughput(resolution_ts, now, total - resolved),
         "cache_hit_rate": round(hit_rate, 4),

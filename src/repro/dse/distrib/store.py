@@ -19,13 +19,12 @@ the shards in.
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
 from typing import Any
 
 from repro.dse import journal as journal_mod
 from repro.dse.cache import ResultCache
-from repro.dse.distrib.queue import WorkQueue, manifest_cells, write_manifest
+from repro.dse.distrib import queue as layout
 from repro.dse.distrib.status import campaign_snapshot
 from repro.dse.distrib.transport import ShardMerger
 from repro.dse.grid import SweepCell
@@ -37,17 +36,18 @@ class CampaignStore:
 
     ``resume`` appends to the directory's journal after replaying it;
     otherwise the journal starts over.  ``owner`` names this process in
-    the queue's failure records.  ``state`` is the journal's replay kept
-    current: the journal folds every line it writes into it (resolving
-    calls, merged shard events), so it is also the index written at close.
+    the failure records a server writes.  ``state`` is the journal's
+    replay kept current: the journal folds every line it writes into it
+    (resolving calls, merged shard events), so it is also the index
+    written at close.
     """
 
     def __init__(self, out_dir: str | Path, *, resume: bool, owner: str) -> None:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.owner = owner
-        self.journal_path = self.out_dir / "journal.jsonl"
-        self.cache = ResultCache(self.out_dir / "cache")
+        self.journal_path = layout.journal_path(self.out_dir)
+        self.cache = ResultCache(layout.cache_dir(self.out_dir))
         #: the published manifest document (None for a local campaign)
         self.manifest: dict[str, Any] | None = None
         #: the campaign's distinct cells by id, in grid order: from the
@@ -76,12 +76,6 @@ class CampaignStore:
         # made on the first merge: it appends to this journal
         self._merger: ShardMerger | None = None
 
-    @cached_property
-    def queue(self) -> WorkQueue:
-        """The directory's work queue, made (with ``distrib/``) on first
-        use: a local campaign never touches it."""
-        return WorkQueue(self.out_dir, owner=self.owner)
-
     def label(self, cell_id: str) -> str:
         cell = self.cells.get(cell_id)
         return cell.label if cell is not None else cell_id
@@ -92,7 +86,7 @@ class CampaignStore:
         """Take ``manifest`` (just written, or found on disk by a
         restarted server) as the campaign; hashes each cell once."""
         self.manifest = manifest
-        self.cells = manifest_cells(manifest)
+        self.cells = layout.manifest_cells(manifest)
 
     def publish(
         self,
@@ -108,11 +102,11 @@ class CampaignStore:
         resets the queue state (keeping the cache — the cache pass mines
         it) and starts the journal over, which matters to a store that
         outlives campaigns; one built fresh has an empty journal already."""
-        self.queue.clear_stop()
+        layout.clear_stop(self.out_dir)
         if not resume:
-            self.queue.reset()
+            layout.reset(self.out_dir)
             self._open_journal(resume=False)
-        self.adopt(write_manifest(
+        self.adopt(layout.write_manifest(
             self.out_dir, [SweepCell.from_dict(d) for d in cells],
             grid_id=grid_id, max_attempts=max_attempts, timeout_s=timeout_s,
             lease_ttl_s=lease_ttl_s,
@@ -150,13 +144,13 @@ class CampaignStore:
     def merge(self) -> int:
         """Fold the workers' new shard events into the canonical journal."""
         if self._merger is None:
-            self._merger = ShardMerger(self.queue, self.journal)
+            self._merger = ShardMerger(self.out_dir, self.journal)
         return self._merger.merge()
 
     def resolved_snapshot(self) -> tuple[set[str], dict[str, dict[str, Any]]]:
         """Merge the workers' shards, then report ``(completed, failed)``."""
         self.merge()
-        return self.state.completed, self.queue.failed_summary()
+        return self.state.completed, layout.failed_summary(self.out_dir)
 
     def fetch(self, cell_ids: list[str]) -> dict[str, Any]:
         return {cell_id: self.cache.get(cell_id) for cell_id in cell_ids}
@@ -165,7 +159,7 @@ class CampaignStore:
         return campaign_snapshot(self.out_dir)
 
     def request_stop(self, reason: str = "coordinator") -> None:
-        self.queue.request_stop(reason)
+        layout.request_stop(self.out_dir, reason)
 
     def close(self) -> None:
         """Close the journal and write its index sidecar, so the next

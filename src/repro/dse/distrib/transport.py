@@ -41,13 +41,9 @@ from typing import Any
 from repro.common.atomic import atomic_write_json
 from repro.dse import journal as journal_mod
 from repro.dse.cache import ResultCache
-from repro.dse.distrib.queue import (
-    DEFAULT_LEASE_TTL_S,
-    DistribError,
-    WorkQueue,
-    _read_json,
-    load_manifest,
-)
+from repro.dse.distrib import queue as layout
+from repro.dse.distrib.leases import LeaseDir
+from repro.dse.distrib.queue import DistribError
 from repro.dse.journal import Journal
 
 #: Claim outcomes (the strings cross the wire in net mode).
@@ -201,22 +197,18 @@ class ShardMerger:
     canonical state (its ``state``), folding what this appends.
     """
 
-    def __init__(self, queue: WorkQueue, journal: Journal) -> None:
-        self.queue = queue
+    def __init__(self, out_dir: str | Path, journal: Journal) -> None:
+        self.out_dir = out_dir
         self.journal = journal
-        self.path = queue.root / "merge_state.json"
-        doc = _read_json(self.path)
-        self.offsets: dict[str, int] = (
-            {str(k): int(v) for k, v in doc.items()}
-            if isinstance(doc, dict)
-            else {}
-        )
+        self.path = layout.merge_state_path(out_dir)
+        doc = layout.read_record(self.path) or {}
+        self.offsets = {str(k): int(v) for k, v in doc.items()}
 
     def merge(self) -> int:
         """Fold all new shard events into the canonical journal."""
         fresh: list[tuple[float, int, str, dict[str, Any]]] = []
         advanced = False
-        for shard in self.queue.shard_paths():
+        for shard in layout.shard_paths(self.out_dir):
             name = shard.stem
             offset = self.offsets.get(name, 0)
             events, consumed = journal_mod.read_events_from(shard, offset)
@@ -278,10 +270,10 @@ class FsTransport(WorkerTransport):
         self.worker_id = worker_id
         self.out_dir = Path(out_dir)
         self._ttl_override = lease_ttl_s
-        # opened by wait_ready: the queue, the result cache and this
+        # opened by wait_ready: the cell leases, the result cache and this
         # worker's journal shard
         self.manifest: dict[str, Any] | None = None
-        self.queue: WorkQueue | None = None
+        self.leases: LeaseDir | None = None
         self.cache: ResultCache | None = None
         self.journal: Journal | None = None
 
@@ -291,46 +283,47 @@ class FsTransport(WorkerTransport):
         deadline = time.monotonic() + timeout_s
         while True:
             try:
-                manifest = load_manifest(self.out_dir)
+                manifest = layout.load_manifest(self.out_dir)
                 break
             except DistribError:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(min(poll_s, 0.2))
-        ttl = float(
-            self._ttl_override
-            or manifest.get("lease_ttl_s")
-            or DEFAULT_LEASE_TTL_S
-        )
         self.manifest = manifest
-        self.queue = WorkQueue(self.out_dir, owner=self.worker_id, lease_ttl_s=ttl)
-        self.cache = ResultCache(self.out_dir / "cache")
-        self.journal = Journal(self.queue.shard_path(self.worker_id), resume=True)
+        self.leases = LeaseDir(
+            layout.leases_dir(self.out_dir), owner=self.worker_id,
+            ttl_s=layout.lease_ttl_s(manifest, self._ttl_override),
+        )
+        self.cache = ResultCache(layout.cache_dir(self.out_dir))
+        self.journal = Journal(
+            layout.shard_path(self.out_dir, self.worker_id), resume=True
+        )
         return manifest
 
     def initial_resolved(self) -> set[str]:
         return set(
             journal_mod.replay_indexed(
-                self.out_dir / "journal.jsonl", write=False
+                layout.journal_path(self.out_dir), write=False
             ).completed
         )
 
     # -- queue ---------------------------------------------------------------------
 
     def stop_requested(self) -> bool:
-        return self.queue.stop_requested()
+        return layout.stop_requested(self.out_dir)
 
     def claim(self, cell_id: str, label: str, token: str) -> ClaimReply:
-        queue = self.queue
-        record = queue.failure(cell_id)
+        record = layout.failure(self.out_dir, cell_id)
         if record and record.get("final"):
             return ClaimReply(CLAIM_FAILED_FINAL)
-        if queue.claimed_elsewhere(cell_id):
+        # held by a live peer? (a stale lease reads as claimable)
+        info = self.leases.info(cell_id)
+        if info and info.owner != self.worker_id and not self.leases.is_stale(info):
             return ClaimReply(CLAIM_BUSY)
-        if not queue.try_claim(cell_id):
+        if not self.leases.acquire(cell_id):
             return ClaimReply(CLAIM_BUSY)
         # -- under this cell's lease (released by the caller's finally) ----
-        record = queue.failure(cell_id)
+        record = layout.failure(self.out_dir, cell_id)
         if record and record.get("final"):
             return ClaimReply(CLAIM_FAILED_FINAL)
         hit = self.cache.get(cell_id)
@@ -346,14 +339,14 @@ class FsTransport(WorkerTransport):
         return ClaimReply(CLAIM_GRANTED, attempt=attempt)
 
     def release(self, cell_id: str) -> None:
-        self.queue.release_claim(cell_id)
+        self.leases.release(cell_id)
 
     def renew(self, cell_id: str) -> None:
-        self.queue.renew_claim(cell_id)
+        self.leases.renew(cell_id)
 
     def heartbeat(self, **status: Any) -> None:
         try:
-            self.queue.write_worker_status(self.worker_id, **status)
+            layout.write_worker_status(self.out_dir, self.worker_id, **status)
         except OSError:
             pass  # a transiently unwritable status file is not fatal
 
@@ -373,16 +366,17 @@ class FsTransport(WorkerTransport):
         token: str,
     ) -> None:
         self.cache.put_if_absent(cell_id, metrics)
-        self.queue.clear_failure(cell_id)
+        layout.clear_failure(self.out_dir, cell_id)
         self.journal.cell_finish(
             cell_id, label, metrics, attempts=attempt,
             worker=self.worker_id, wall_time_s=round(wall_time_s, 6),
         )
 
     def fail(self, cell_id: str, label: str, error: str, token: str) -> dict[str, Any]:
-        max_attempts = max(1, int(self.manifest.get("max_attempts", 1)))
-        record = self.queue.record_failure(
-            cell_id, error, max_attempts=max_attempts
+        record = layout.record_failure(
+            self.out_dir, cell_id, error,
+            max_attempts=layout.max_attempts(self.manifest),
+            worker=self.worker_id,
         )
         self.journal.cell_error(
             cell_id, label, error, record["attempts"], worker=self.worker_id

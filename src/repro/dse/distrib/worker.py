@@ -49,7 +49,7 @@ from repro.dse.distrib.transport import (
     WorkerTransport,
     new_token,
 )
-from repro.dse.distrib.queue import default_worker_id, manifest_cells
+from repro.dse.distrib import queue as layout
 from repro.runtime.qos import QoSController
 
 #: How long a network worker keeps retrying to reach a lost server
@@ -186,7 +186,7 @@ def run_worker(
     to do (CI helpers); otherwise it waits on peers' claims — surviving
     workers automatically absorb a crashed peer's re-issued cells.
     """
-    worker_id = worker_id or default_worker_id()
+    worker_id = worker_id or layout.default_worker_id()
     if transport is None:
         if out_dir is None:
             raise ValueError("run_worker needs out_dir or transport")
@@ -196,11 +196,9 @@ def run_worker(
     worker_id = transport.worker_id
 
     manifest = transport.wait_ready(timeout_s=manifest_wait_s, poll_s=poll_s)
-    ttl = float(manifest.get("lease_ttl_s") or 30.0)
-    if lease_ttl_s:
-        ttl = float(lease_ttl_s)
+    ttl = layout.lease_ttl_s(manifest, lease_ttl_s)
     timeout_s = manifest.get("timeout_s")
-    by_id = manifest_cells(manifest)
+    by_id = layout.manifest_cells(manifest)
     order = list(by_id)
 
     # Cells the coordinator already resolved (prior runs, cache pass) —

@@ -38,6 +38,8 @@ from typing import Any, Iterable
 
 from repro.dse import journal as journal_mod
 from repro.dse.cache import CACHE_VERSION, ResultCache
+from repro.dse.distrib import queue as layout
+from repro.dse.distrib.leases import LeaseDir
 from repro.dse.journal import Journal
 
 #: Temp files younger than this may belong to a live writer; left alone.
@@ -51,36 +53,27 @@ def _referenced_cells(out_dir: Path) -> set[str] | None:
     """Cell IDs this campaign still knows about, or None when undefinable."""
     referenced: set[str] = set()
     have_any = False
-    journal_path = out_dir / "journal.jsonl"
+    journal_path = layout.journal_path(out_dir)
     if journal_path.exists():
         have_any = True
         state = journal_mod.replay(journal_path)
         referenced |= state.completed | state.started | set(state.errored)
         referenced |= state.interrupted
-    manifest_path = out_dir / "distrib" / "manifest.json"
-    if manifest_path.exists():
-        try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            from repro.dse.grid import SweepCell
-
-            referenced |= {
-                SweepCell.from_dict(d).cell_id
-                for d in manifest.get("cells", [])
-            }
+    try:  # a missing or unreadable manifest references nothing
+        manifest = layout.find_manifest(out_dir)
+        if manifest is not None:
+            referenced |= set(layout.manifest_cells(manifest))
             have_any = True
-        except (OSError, json.JSONDecodeError, KeyError):
-            pass
+    except (layout.DistribError, KeyError):
+        pass
     # Unmerged worker shards may reference cells the canonical journal
     # has not seen yet; never treat those as orphans.
-    shards_dir = out_dir / "distrib" / "journals"
-    if shards_dir.is_dir():
-        for shard in shards_dir.glob("*.jsonl"):
-            have_any = True
-            for event in journal_mod.read_events(shard):
-                cell_id = event.get("cell_id")
-                if cell_id:
-                    referenced.add(cell_id)
+    for shard in layout.shard_paths(out_dir):
+        have_any = True
+        for event in journal_mod.read_events(shard):
+            cell_id = event.get("cell_id")
+            if cell_id:
+                referenced.add(cell_id)
     return referenced if have_any else None
 
 
@@ -98,7 +91,7 @@ def _sweep_tmp(tmp_files: Iterable[Path], now: float) -> int:
 
 
 def _gc_cache(out_dir: Path, now: float) -> dict[str, int]:
-    cache = ResultCache(out_dir / "cache")
+    cache = ResultCache(layout.cache_dir(out_dir))
     report = {
         "tmp_removed": _sweep_tmp(cache.tmp_files(), now),
         "corrupt_removed": 0,
@@ -189,29 +182,22 @@ def compact_journal(journal_path: str | Path) -> dict[str, int]:
 
 def _gc_distrib(out_dir: Path, now: float) -> dict[str, int]:
     report = {"tmp_removed": 0, "lease_debris": 0, "stale_worker_files": 0}
-    root = out_dir / "distrib"
+    root = layout.distrib_dir(out_dir)
     if not root.is_dir():
         return report
     report["tmp_removed"] = _sweep_tmp(root.rglob("*.tmp"), now)
-    leases_dir = root / "leases"
+    leases_dir = layout.leases_dir(out_dir)
     if leases_dir.is_dir():
-        for path in list(leases_dir.glob(".claim.*")) + list(
-            leases_dir.glob(".stale.*")
-        ):
-            try:
+        report["lease_debris"] = LeaseDir(
+            leases_dir, owner="gc", ttl_s=layout.DEFAULT_LEASE_TTL_S
+        ).sweep_debris()
+    for path in layout.worker_paths(out_dir):
+        try:
+            if now - path.stat().st_mtime >= WORKER_FILE_TTL_S:
                 path.unlink()
-                report["lease_debris"] += 1
-            except OSError:
-                pass
-    workers_dir = root / "workers"
-    if workers_dir.is_dir():
-        for path in workers_dir.glob("*.json"):
-            try:
-                if now - path.stat().st_mtime >= WORKER_FILE_TTL_S:
-                    path.unlink()
-                    report["stale_worker_files"] += 1
-            except OSError:
-                pass
+                report["stale_worker_files"] += 1
+        except OSError:
+            pass
     return report
 
 
@@ -221,7 +207,7 @@ def gc_campaign(out_dir: str | Path) -> dict[str, Any]:
     now = time.time()
     report: dict[str, Any] = {"out_dir": str(out_path)}
     report["cache"] = _gc_cache(out_path, now)
-    journal_path = out_path / "journal.jsonl"
+    journal_path = layout.journal_path(out_path)
     if journal_path.exists():
         report["journal"] = compact_journal(journal_path)
     else:
@@ -229,6 +215,6 @@ def gc_campaign(out_dir: str | Path) -> dict[str, Any]:
     report["journal"]["tmp_removed"] = _sweep_tmp(out_path.glob("*.tmp"), now)
     report["distrib"] = _gc_distrib(out_path, now)
     report["spools"] = {
-        "tmp_removed": _sweep_tmp(out_path.glob("*spool*/*.tmp"), now)
+        "tmp_removed": _sweep_tmp(out_path.glob(f"{layout.SPOOL_GLOB}/*.tmp"), now)
     }
     return report

@@ -509,7 +509,7 @@ def run_campaign(
     store: Any = None
     start: dict[str, Any] = {"cells": len(cells), "resume": resume}
     if out_dir is not None:
-        from repro.dse.distrib.queue import DEFAULT_LEASE_TTL_S, DistribError
+        from repro.dse.distrib import queue as layout
         from repro.dse.distrib.store import CampaignStore
 
         out_path = Path(out_dir)
@@ -519,7 +519,7 @@ def run_campaign(
 
             store = NetTransport(
                 server, worker_id="coordinator",
-                spool_dir=out_path / "coordinator-spool",
+                spool_dir=layout.spool_dir(out_path, "coordinator"),
             )
             start["transport"] = "net"
         else:
@@ -531,7 +531,7 @@ def run_campaign(
     recorder = _Recorder(total=len(by_id), progress=progress)
     if fleet:
         workers = 1 if workers is None else max(0, workers)
-        lease_ttl_s = lease_ttl_s or DEFAULT_LEASE_TTL_S
+        lease_ttl_s = layout.lease_ttl_s(None, lease_ttl_s)
         store.publish(
             [cell.to_dict() for cell in by_id.values()],
             grid_id=grid_id, max_attempts=max_attempts, timeout_s=timeout_s,
@@ -589,7 +589,7 @@ def run_campaign(
                 end["interrupted"] = True
             try:
                 store.event(journal_mod.EVENT_CAMPAIGN_END, **end)
-            except DistribError:
+            except layout.DistribError:
                 pass  # the server is gone; its journal ends where it ends
             store.close()
 
@@ -599,5 +599,5 @@ def run_campaign(
         elapsed_s=time.monotonic() - t_start,
     )
     if out_path is not None:
-        campaign.save(out_path / "results.json")
+        campaign.save(layout.results_path(out_path))
     return campaign

@@ -36,14 +36,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.chaos_net import ChaosProxy, sigkill_server, spawn_server
-from repro.common.atomic import atomic_write_json
 from repro.common.retry import RetryPolicy
 from repro.dse import SweepGrid, run_campaign, validation_sweep
 from repro.dse import journal as journal_mod
 from repro.dse.cache import ResultCache
 from repro.dse.distrib import (
     TransportError,
-    WorkQueue,
     campaign_snapshot,
     load_manifest,
     manifest_cells,
@@ -51,6 +49,7 @@ from repro.dse.distrib import (
     run_worker,
     write_manifest,
 )
+from repro.dse.distrib import queue as layout
 from repro.dse.distrib.net import NetTransport, ResultSpool, SweepServer
 from repro.dse.distrib.net.framing import (
     MAX_FRAME_BYTES,
@@ -822,18 +821,17 @@ class TestCampaignModes:
 
 
 class TestStatusClockSkew:
-    def _campaign_dir(self, tmp_path):
+    def _campaign_dir(self, tmp_path, beat_ahead_s):
         cells = tiny_grid(configs=("2C+1F",), policies=("frfs",)).expand()
         write_manifest(tmp_path, cells, grid_id="t", max_attempts=1,
                        timeout_s=None, lease_ttl_s=30.0)
-        return WorkQueue(tmp_path, owner="status", lease_ttl_s=30.0)
+        layout.write_worker_status(
+            tmp_path, "w0", ts=time.time() + beat_ahead_s,
+            state="running", current_cell=None, cells_done=0,
+        )
 
     def test_future_heartbeat_is_clamped_and_flagged(self, tmp_path):
-        queue = self._campaign_dir(tmp_path)
-        atomic_write_json(queue.worker_path("w0"), {
-            "worker": "w0", "ts": time.time() + 30.0,
-            "state": "running", "current_cell": None, "cells_done": 0,
-        })
+        self._campaign_dir(tmp_path, beat_ahead_s=30.0)
         snap = campaign_snapshot(tmp_path)
         (worker,) = [w for w in snap["workers"] if w["worker"] == "w0"]
         assert worker["heartbeat_age_s"] == 0.0  # clamped, not negative
@@ -843,11 +841,7 @@ class TestStatusClockSkew:
         assert "clocks are skewed" in render_status(snap)
 
     def test_subsecond_future_ts_is_rounding_noise_not_skew(self, tmp_path):
-        queue = self._campaign_dir(tmp_path)
-        atomic_write_json(queue.worker_path("w0"), {
-            "worker": "w0", "ts": time.time() + 0.3,
-            "state": "running", "current_cell": None, "cells_done": 0,
-        })
+        self._campaign_dir(tmp_path, beat_ahead_s=0.3)
         snap = campaign_snapshot(tmp_path)
         (worker,) = [w for w in snap["workers"] if w["worker"] == "w0"]
         assert worker["heartbeat_age_s"] == 0.0

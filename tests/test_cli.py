@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import EXIT_USAGE, build_parser, main
+from repro.cli import EXIT_ERROR, EXIT_USAGE, build_parser, main
 
 
 class TestParser:
@@ -168,6 +168,20 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "--jobs" in err and "--workers" in err
         assert not out.exists()  # rejected before anything was touched
+
+    @pytest.mark.parametrize("flag", ["--faults", "--qos"])
+    def test_unloadable_axis_file_names_the_file(self, tmp_path, capsys, flag):
+        missing, bad = tmp_path / "missing.json", tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for path in (missing, bad):
+            rc = main(["sweep", *self.GRID, flag, str(path),
+                       "--out", str(tmp_path / "campaign")])
+            assert rc == EXIT_ERROR
+            assert str(path) in capsys.readouterr().err
+
+    def test_sweep_server_needs_a_campaign_directory(self, capsys):
+        assert main(["sweep-server"]) == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
 
     def test_sweep_json_output(self, tmp_path, capsys):
         out = tmp_path / "campaign"

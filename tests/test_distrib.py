@@ -25,7 +25,6 @@ from repro.dse import journal as journal_mod
 from repro.dse.distrib import (
     DistribError,
     LeaseDir,
-    WorkQueue,
     campaign_snapshot,
     merge_once,
     render_status,
@@ -34,6 +33,7 @@ from repro.dse.distrib import (
     status_line,
     write_manifest,
 )
+from repro.dse.distrib import queue as layout
 from repro.dse.journal import Journal
 
 TINY = validation_sweep({"wifi_tx": 1})
@@ -45,11 +45,10 @@ def tiny_grid(configs=("2C+1F", "3C+0F"), policies=("frfs", "met"),
                      seeds=seeds)
 
 
-def make_queue(tmp_path: Path, cells, *, owner="tester", ttl=5.0,
-               max_attempts=2, timeout_s=None) -> WorkQueue:
+def publish(tmp_path: Path, cells, *, ttl=5.0, max_attempts=2,
+            timeout_s=None) -> None:
     write_manifest(tmp_path, cells, grid_id="test", max_attempts=max_attempts,
                    timeout_s=timeout_s, lease_ttl_s=ttl)
-    return WorkQueue(tmp_path, owner=owner, lease_ttl_s=ttl)
 
 
 def events_per_cell(path: Path, kinds) -> dict[str, int]:
@@ -179,10 +178,10 @@ class TestLeasePrimitive:
         assert leases.sweep_debris() == 2
 
 
-class TestWorkQueue:
+class TestCampaignLayout:
     def test_manifest_roundtrip(self, tmp_path):
         cells = tiny_grid().expand()
-        queue = make_queue(tmp_path, cells)
+        publish(tmp_path, cells)
         from repro.dse.distrib import load_manifest, manifest_cells
 
         manifest = load_manifest(tmp_path)
@@ -190,7 +189,7 @@ class TestWorkQueue:
             c.cell_id for c in cells
         ]
         assert manifest["max_attempts"] == 2
-        assert queue.shard_path("w1").name == "w1.jsonl"
+        assert layout.shard_path(tmp_path, "w1").name == "w1.jsonl"
 
     def test_missing_manifest_raises(self, tmp_path):
         from repro.dse.distrib import load_manifest
@@ -199,31 +198,33 @@ class TestWorkQueue:
             load_manifest(tmp_path)
 
     def test_failure_records_reach_final(self, tmp_path):
-        queue = make_queue(tmp_path, tiny_grid().expand())
-        first = queue.record_failure("abc", "boom 1", max_attempts=2)
+        publish(tmp_path, tiny_grid().expand())
+        first = layout.record_failure(tmp_path, "abc", "boom 1",
+                                      max_attempts=2, worker="tester")
         assert first["attempts"] == 1 and not first["final"]
-        second = queue.record_failure("abc", "boom 2", max_attempts=2)
+        second = layout.record_failure(tmp_path, "abc", "boom 2",
+                                       max_attempts=2, worker="tester")
         assert second["attempts"] == 2 and second["final"]
-        assert "abc" in queue.failed_final()
-        queue.clear_failure("abc")
-        assert queue.failure("abc") is None
+        assert "abc" in layout.failed_final(tmp_path)
+        layout.clear_failure(tmp_path, "abc")
+        assert layout.failure(tmp_path, "abc") is None
 
     def test_stop_flag(self, tmp_path):
-        queue = make_queue(tmp_path, tiny_grid().expand())
-        assert not queue.stop_requested()
-        queue.request_stop()
-        assert queue.stop_requested()
-        queue.clear_stop()
-        assert not queue.stop_requested()
+        publish(tmp_path, tiny_grid().expand())
+        assert not layout.stop_requested(tmp_path)
+        layout.request_stop(tmp_path)
+        assert layout.stop_requested(tmp_path)
+        layout.clear_stop(tmp_path)
+        assert not layout.stop_requested(tmp_path)
 
 
 class TestShardMerge:
     def test_duplicate_resolutions_merge_exactly_once(self, tmp_path):
         # Two shards both finish the same cell (a lease re-issue race):
         # the canonical journal must resolve it exactly once.
-        queue = make_queue(tmp_path, tiny_grid().expand())
+        publish(tmp_path, tiny_grid().expand())
         for worker, ms in (("a", 1.0), ("b", 1.0)):
-            with Journal(queue.shard_path(worker)) as shard:
+            with Journal(layout.shard_path(tmp_path, worker)) as shard:
                 shard.append(journal_mod.EVENT_CELL_START, cell_id="c1",
                              worker=worker, attempt=1)
                 shard.append(journal_mod.EVENT_CELL_FINISH, cell_id="c1",
@@ -234,13 +235,13 @@ class TestShardMerge:
         assert counts == {"c1": 1}
 
     def test_merge_is_incremental_across_coordinators(self, tmp_path):
-        queue = make_queue(tmp_path, tiny_grid().expand())
-        with Journal(queue.shard_path("a")) as shard:
+        publish(tmp_path, tiny_grid().expand())
+        with Journal(layout.shard_path(tmp_path, "a")) as shard:
             shard.append(journal_mod.EVENT_CELL_FINISH, cell_id="c1",
                          worker="a", attempts=1)
         assert merge_once(tmp_path)["merged_events"] == 1
         # A second coordinator (fresh offsets file read) sees only new events.
-        with Journal(queue.shard_path("a"), resume=True) as shard:
+        with Journal(layout.shard_path(tmp_path, "a"), resume=True) as shard:
             shard.append(journal_mod.EVENT_CELL_FINISH, cell_id="c2",
                          worker="a", attempts=1)
         assert merge_once(tmp_path)["merged_events"] == 1
@@ -249,8 +250,8 @@ class TestShardMerge:
         }
 
     def test_merged_events_carry_worker_attribution(self, tmp_path):
-        queue = make_queue(tmp_path, tiny_grid().expand())
-        with Journal(queue.shard_path("w7")) as shard:
+        publish(tmp_path, tiny_grid().expand())
+        with Journal(layout.shard_path(tmp_path, "w7")) as shard:
             shard.append(journal_mod.EVENT_CELL_FINISH, cell_id="c1",
                          attempts=1)
         merge_once(tmp_path)
@@ -263,7 +264,7 @@ class TestShardMerge:
 class TestWorkerLoop:
     def test_single_worker_drains_queue(self, tmp_path):
         cells = tiny_grid().expand()
-        make_queue(tmp_path, cells)
+        publish(tmp_path, cells)
         summary = run_worker(tmp_path, worker_id="solo", poll_s=0.05)
         assert summary.stop_reason == "done"
         assert summary.executed == len(cells)
@@ -277,18 +278,18 @@ class TestWorkerLoop:
         self, tmp_path
     ):
         cells = tiny_grid(configs=("2C+1F",)).expand()
-        queue = make_queue(tmp_path, cells, ttl=0.15)  # a beat every 50 ms
+        publish(tmp_path, cells, ttl=0.15)  # a beat every 50 ms
         summary = run_worker(tmp_path, worker_id="solo", poll_s=0.05)
         assert summary.stop_reason == "done"
         # the worker's final beat is not raced or overwritten by its thread
         assert not [t for t in threading.enumerate()
                     if t.name == "heartbeat-solo"]
-        assert queue.worker_statuses()["solo"]["state"] == "done"
-        assert list(queue.workers_dir.glob("*.tmp")) == []
+        assert layout.worker_statuses(tmp_path)["solo"]["state"] == "done"
+        assert list((tmp_path / "distrib" / "workers").glob("*.tmp")) == []
 
     def test_two_concurrent_workers_execute_each_cell_once(self, tmp_path):
         cells = tiny_grid(seeds=(1, 2)).expand()  # 8 cells
-        queue = make_queue(tmp_path, cells)
+        publish(tmp_path, cells)
         summaries = {}
 
         def work(name):
@@ -307,7 +308,7 @@ class TestWorkerLoop:
         # may additionally journal a deduped cache-hit — that is a
         # resolution record, not a second execution.)
         totals: dict[str, int] = {}
-        for shard in queue.shard_paths():
+        for shard in layout.shard_paths(tmp_path):
             for cid, n in executions_per_cell(shard).items():
                 totals[cid] = totals.get(cid, 0) + n
         assert totals == {c.cell_id: 1 for c in cells}
@@ -321,7 +322,7 @@ class TestWorkerLoop:
 
     def test_stale_lease_reissued_and_executed_once(self, tmp_path):
         cells = tiny_grid(configs=("2C+1F",), policies=("frfs",)).expand()
-        make_queue(tmp_path, cells, ttl=0.2)
+        publish(tmp_path, cells, ttl=0.2)
         # A dead worker claimed the only cell and stopped heartbeating.
         dead = LeaseDir(tmp_path / "distrib" / "leases", owner="dead",
                         ttl_s=0.2)
@@ -337,15 +338,15 @@ class TestWorkerLoop:
 
     def test_worker_respects_stop_flag(self, tmp_path):
         cells = tiny_grid().expand()
-        queue = make_queue(tmp_path, cells)
-        queue.request_stop()
+        publish(tmp_path, cells)
+        layout.request_stop(tmp_path)
         summary = run_worker(tmp_path, worker_id="stopped", poll_s=0.05)
         assert summary.stop_reason == "stop_requested"
         assert summary.executed == 0
 
     def test_worker_max_cells(self, tmp_path):
         cells = tiny_grid().expand()  # 4 cells
-        make_queue(tmp_path, cells)
+        publish(tmp_path, cells)
         summary = run_worker(tmp_path, worker_id="capped", poll_s=0.05,
                              max_cells=2)
         assert summary.stop_reason == "max_cells"
@@ -353,7 +354,7 @@ class TestWorkerLoop:
 
     def test_oneshot_exits_when_drained(self, tmp_path):
         cells = tiny_grid(configs=("2C+1F",), policies=("frfs",)).expand()
-        make_queue(tmp_path, cells)
+        publish(tmp_path, cells)
         run_worker(tmp_path, worker_id="first", poll_s=0.05)
         summary = run_worker(tmp_path, worker_id="second", poll_s=0.05,
                              oneshot=True)
@@ -363,11 +364,11 @@ class TestWorkerLoop:
     def test_failing_cells_reach_attempt_budget(self, tmp_path):
         bad = tiny_grid(policies=("no_such_policy",),
                         configs=("2C+1F",)).expand()
-        queue = make_queue(tmp_path, bad, max_attempts=2)
+        publish(tmp_path, bad, max_attempts=2)
         summary = run_worker(tmp_path, worker_id="solo", poll_s=0.05)
         assert summary.stop_reason == "done"
         assert summary.failed == 1
-        record = queue.failed_final()[bad[0].cell_id]
+        record = layout.failed_final(tmp_path)[bad[0].cell_id]
         assert record["attempts"] == 2
         assert "no_such_policy" in record["errors"][-1]
 
@@ -532,16 +533,16 @@ class TestStatus:
         each journal ``cell_cached`` for the same cells; summing lines read
         6 hits over 2 resolved cells (300 %)."""
         cells = tiny_grid().expand()  # 4 cells
-        queue = make_queue(tmp_path, cells)
+        publish(tmp_path, cells)
         hits = [(c.cell_id, c.label, {"wall_time_s": 0.01}) for c in cells[:2]]
         for worker in ("w0", "w1", "w2"):
-            with journal_mod.Journal(queue.shard_path(worker)) as shard:
+            with journal_mod.Journal(layout.shard_path(tmp_path, worker)) as shard:
                 shard.cells_cached(hits, worker=worker)
         snap = campaign_snapshot(tmp_path)
         assert snap["cells"] == 4 and snap["resolved"] == 2
         assert snap["cache_hit_rate"] == 1.0  # 2 distinct cached / 2 resolved
         # one more cell, executed: 2 of 3 resolved came from the cache
-        with journal_mod.Journal(queue.shard_path("w0"), resume=True) as shard:
+        with journal_mod.Journal(layout.shard_path(tmp_path, "w0"), resume=True) as shard:
             shard.cell_finish(cells[2].cell_id, cells[2].label,
                               {"makespan_ms": 1.0}, attempts=1, worker="w0",
                               wall_time_s=0.01)
@@ -551,7 +552,7 @@ class TestStatus:
 
     def test_snapshot_counts_unmerged_shards(self, tmp_path):
         cells = tiny_grid().expand()
-        make_queue(tmp_path, cells)
+        publish(tmp_path, cells)
         run_worker(tmp_path, worker_id="solo", poll_s=0.05)
         # No coordinator merge has happened: status must still see the work.
         snap = campaign_snapshot(tmp_path)
@@ -581,7 +582,7 @@ def _wait_for(predicate, timeout_s=30.0, interval_s=0.02):
 class TestKillMidFlight:
     def test_sigkilled_worker_cells_are_reissued(self, tmp_path):
         cells = tiny_grid(seeds=(1, 2)).expand()  # 8 cells
-        make_queue(tmp_path, cells, ttl=0.5)
+        publish(tmp_path, cells, ttl=0.5)
         proc = _spawn_cli(
             ["sweep-worker", "--out", str(tmp_path), "--worker-id", "victim",
              "--poll", "0.05"],
@@ -627,12 +628,12 @@ class TestKillMidFlight:
             proc.wait(timeout=10)
         # The orphaned worker keeps draining the queue; ask it to stop and
         # wait for it to let go of its leases.
-        queue = WorkQueue(out, owner="test", lease_ttl_s=1)
-        queue.request_stop()
+        layout.request_stop(out)
         assert _wait_for(
-            lambda: not list(queue.leases.root.glob("*.lease")), timeout_s=60
+            lambda: not list(layout.leases_dir(out).glob("*.lease")),
+            timeout_s=60,
         ), "orphaned worker never released its leases"
-        queue.clear_stop()
+        layout.clear_stop(out)
 
         campaign = run_campaign(grid, out_dir=out, workers=0, resume=True,
                                 poll_s=0.05, lease_ttl_s=1)
@@ -707,6 +708,7 @@ class TestGCAndCLI:
         }
         old = time.time() - TMP_GRACE_S - 60
         for path in planted.values():
+            path.parent.mkdir(exist_ok=True)  # failed/: no cell failed
             path.write_text("{", encoding="utf-8")
             os.utime(path, (old, old))
         # a live writer's temp, younger than the grace period, in each place
@@ -747,7 +749,7 @@ class TestGCAndCLI:
         from repro.cli import main
 
         cells = tiny_grid(configs=("2C+1F",), policies=("frfs",)).expand()
-        make_queue(tmp_path, cells)
+        publish(tmp_path, cells)
         code = main(["sweep-worker", "--out", str(tmp_path), "--worker-id",
                      "cli", "--oneshot", "--poll", "0.05"])
         assert code == 0

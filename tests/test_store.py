@@ -17,6 +17,7 @@ from repro.dse import SweepGrid, run_campaign, validation_sweep
 from repro.dse import journal as journal_mod
 from repro.dse.cache import ResultCache
 from repro.dse.distrib import CampaignStore
+from repro.dse.distrib import queue as layout
 from tests.test_dse import _TornOnce
 
 CELLS = {
@@ -133,7 +134,7 @@ class TestJournalLifecycle:
                       lease_ttl_s=5.0, resume=False)
         store.close()
         # a worker's late shard line arrives after the journal is closed
-        with journal_mod.Journal(store.queue.shard_path("w9")) as shard:
+        with journal_mod.Journal(layout.shard_path(tmp_path, "w9")) as shard:
             shard.cell_finish("late", "L", METRICS, attempts=1, worker="w9",
                               wall_time_s=0.01)
         store.close()
@@ -183,7 +184,7 @@ def _apply(store: CampaignStore, op: str, arg) -> None:
         store.journal._fh = _TornOnce(store.journal._fh)
     else:
         for worker, kind, cell in arg:
-            with journal_mod.Journal(store.queue.shard_path(worker),
+            with journal_mod.Journal(layout.shard_path(store.out_dir, worker),
                                      resume=True) as shard:
                 if kind == "finish":
                     shard.cell_finish(cell, cell, METRICS, attempts=1,
