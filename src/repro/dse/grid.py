@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.common.errors import ReproError
-from repro.runtime.workload import ArrivalStream, WorkloadSpec
+from repro.runtime.workload import ArrivalSpec, ArrivalStream, WorkloadSpec
 
 #: Workload descriptor kinds understood by :func:`build_workload`.
 WORKLOAD_KINDS = ("validation", "rate", "table_ii", "arrivals")
@@ -53,14 +53,18 @@ def arrivals_sweep(spec: dict[str, Any]) -> dict[str, Any]:
     """Descriptor for an open-loop arrival stream (serving-style cell).
 
     ``spec`` is an :class:`~repro.runtime.workload.ArrivalSpec` dict —
-    the same shape ``--arrivals`` accepts on the CLI.  It is validated
-    eagerly so a sweep file with a typo'd spec fails at grid expansion,
-    not minutes later inside a worker process.
+    the same shape ``--arrivals`` accepts on the CLI.  It is built
+    eagerly so a sweep file with a spec that cannot run fails at grid
+    expansion, not minutes later inside a worker process.
     """
-    from repro.runtime.workload import ArrivalSpec
-
-    ArrivalSpec.from_dict(dict(spec))  # fail fast; cells carry the dict
+    _arrival_stream(spec)  # fail fast; cells carry the dict
     return {"kind": "arrivals", "spec": dict(spec)}
+
+
+def _arrival_stream(spec: dict[str, Any]) -> ArrivalStream:
+    """The stream an ``arrivals`` cell runs.  Building it checks the
+    whole spec (bounds, rates, mix, bursts) without reading a trace."""
+    return ArrivalSpec.from_dict(dict(spec)).build()
 
 
 def build_workload(descriptor: dict[str, Any]) -> WorkloadSpec | ArrivalStream:
@@ -72,7 +76,7 @@ def build_workload(descriptor: dict[str, Any]) -> WorkloadSpec | ArrivalStream:
     exactly like the materialized kinds.
     """
     from repro.experiments.workloads import table_ii_workload, workload_at_rate
-    from repro.runtime.workload import ArrivalSpec, validation_workload
+    from repro.runtime.workload import validation_workload
 
     kind = descriptor.get("kind")
     if kind == "validation":
@@ -86,7 +90,7 @@ def build_workload(descriptor: dict[str, Any]) -> WorkloadSpec | ArrivalStream:
     if kind == "table_ii":
         return table_ii_workload(descriptor["rate"])
     if kind == "arrivals":
-        return ArrivalSpec.from_dict(dict(descriptor["spec"])).build()
+        return _arrival_stream(descriptor["spec"])
     raise ReproError(
         f"unknown workload descriptor kind {kind!r} (use {WORKLOAD_KINDS})"
     )
@@ -379,13 +383,10 @@ class SweepGrid:
                     f"{WORKLOAD_KINDS}"
                 )
             if w.get("kind") == "arrivals":
-                # Validate the nested arrival spec at parse time — the
-                # same fail-fast contract arrivals_sweep() gives in-code
-                # grids (stray fields, unknown kinds, malformed bursts).
-                from repro.runtime.workload import ArrivalSpec
-
+                # the same fail-fast check arrivals_sweep() gives in-code
+                # grids
                 try:
-                    ArrivalSpec.from_dict(dict(w.get("spec") or {}))
+                    _arrival_stream(w.get("spec") or {})
                 except Exception as exc:
                     raise ReproError(
                         f"invalid arrivals workload in sweep spec: {exc}"

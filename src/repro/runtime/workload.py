@@ -12,8 +12,8 @@
   :class:`ArrivalStream` yields ``(arrival_time_us, app_name)`` pairs
   lazily, in non-decreasing time order, with a bounded lookahead window.
   All sources are seeded and deterministic; :class:`SpecStream` re-expresses
-  a finite :class:`WorkloadSpec` as a stream so both paths share one
-  injection machinery.
+  a finite :class:`WorkloadSpec` as a stream, which is how the equivalence
+  tests show both paths inject the same arrivals.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -250,8 +251,10 @@ def validate_arrivals(iterable, what: str = "arrival stream"):
         yield t, str(app_name)
 
 
-def _normalize_mix(apps: dict[str, float], what: str):
-    """Validate an app-weight mix; return (names, cumulative_weights)."""
+def _normalize_mix(apps, what: str):
+    """Validate an app-weight mix (a mapping or ``(name, weight)`` pairs);
+    return (names, cumulative_weights)."""
+    apps = dict(apps)
     if not apps:
         raise EmulationError(f"{what}: app mix is empty")
     names: list[str] = []
@@ -285,16 +288,20 @@ def _positive_rate(value: float, what: str) -> float:
 class ArrivalStream:
     """Base class for open-loop arrival sources.
 
-    Subclasses implement :meth:`arrivals`, a generator of
-    ``(arrival_time_us, app_name)`` pairs; iteration always goes through the
-    monotonicity guard, so any misbehaving source fails fast with the
-    offending index.  ``total`` is the known arrival count for bounded
-    streams (None when only a duration bounds the stream), and ``mode`` is
-    what stats/report labels use.
+    Subclasses implement :meth:`arrivals`, the stream's law: a generator
+    of ``(arrival_time_us, app_name)`` pairs that never checks a bound.
+    Iteration runs it through the monotonicity guard, so any misbehaving
+    source fails fast with the offending index, and then through the
+    bounds: the first arrival at or past ``duration_us`` ends the stream,
+    and nothing is pulled after the ``max_apps``-th arrival.  ``total`` is
+    the known arrival count (None unless a subclass can say), and ``mode``
+    is what stats/report labels use.
     """
 
     mode = "openloop"
     description = ""
+    duration_us: float | None = None
+    max_apps: int | None = None
 
     @property
     def total(self) -> int | None:
@@ -303,18 +310,39 @@ class ArrivalStream:
     def arrivals(self):
         raise NotImplementedError
 
+    def _set_bounds(
+        self, duration_ms: float | None, max_apps: int | None, what: str
+    ) -> None:
+        """Validate and keep the stream's bounds; None leaves one unset."""
+        if duration_ms is not None:
+            self.duration_us = _positive_rate(
+                duration_ms * MS, f"{what}: duration"
+            )
+        if max_apps is not None and max_apps < 1:
+            raise EmulationError(
+                f"{what}: max_apps must be >= 1, got {max_apps}"
+            )
+        self.max_apps = max_apps
+
     def __iter__(self):
-        return validate_arrivals(
+        end, cap = self.duration_us, self.max_apps
+        checked = validate_arrivals(
             self.arrivals(), what=self.description or type(self).__name__
         )
+        for n, (t, app_name) in enumerate(checked, start=1):
+            if end is not None and t >= end:
+                return
+            yield t, app_name
+            if n == cap:
+                return
 
 
 class SpecStream(ArrivalStream):
     """Finite adapter: replays a :class:`WorkloadSpec` as an arrival stream.
 
-    This is how the classic materialized path and the streaming path share
-    one injection machinery — the spec's sorted items already satisfy the
-    stream contract.
+    The spec's sorted items already satisfy the stream contract.  The
+    bit-identity tests replay a spec through it to show the streaming
+    path injects exactly what the materialized path does.
     """
 
     def __init__(self, spec: WorkloadSpec) -> None:
@@ -331,44 +359,68 @@ class SpecStream(ArrivalStream):
             yield item.arrival_time, item.app_name
 
 
-class _BoundedStream(ArrivalStream):
-    """Shared bounds handling: stop after ``duration_us`` or ``max_apps``."""
+class _GeneratedStream(ArrivalStream):
+    """A seeded source over a weighted app mix; it must be bounded.
+
+    Its :meth:`arrivals` is the one exponential-gap loop: a Poisson
+    process at ``_peak`` per ms.  When the kind defines ``rate_at(t_us)``
+    (µs^-1) each candidate is kept with probability ``rate_at(t)/peak``
+    — Lewis-Shedler thinning against a constant majorant, exact and
+    deterministic for a fixed seed.  The RNG streams are named
+    ``("openloop", kind, …)``, so each kind draws its own.
+    """
+
+    kind = ""
+    rate_at = None
 
     def __init__(
         self,
-        *,
-        duration_us: float | None,
-        max_apps: int | None,
         what: str,
+        apps: dict[str, float],
+        duration_ms: float | None,
+        max_apps: int | None,
+        seed: int = 0,
     ) -> None:
-        if duration_us is None and max_apps is None:
+        if duration_ms is None and max_apps is None:
             raise EmulationError(
                 f"{what}: unbounded stream — set a duration and/or a "
                 "max_apps cap so the emulation can terminate"
             )
-        if duration_us is not None:
-            self.duration_us: float | None = _positive_rate(
-                duration_us, f"{what}: duration"
-            )
-        else:
-            self.duration_us = None
-        if max_apps is not None and max_apps < 1:
-            raise EmulationError(
-                f"{what}: max_apps must be >= 1, got {max_apps}"
-            )
-        self.max_apps = max_apps
-        self._what = what
+        self._set_bounds(duration_ms, max_apps, what)
+        self.names, self.cum = _normalize_mix(apps, what)
+        self.seed = int(seed)
 
     @property
     def total(self) -> int | None:
         # Only a hard count cap makes the length knowable up front.
-        if self.max_apps is not None and self.duration_us is None:
-            return self.max_apps
-        return None
+        return self.max_apps if self.duration_us is None else None
+
+    def arrivals(self):
+        factory = SeedSequenceFactory(self.seed)
+        t_rng = factory.rng("openloop", self.kind, "times")
+        a_rng = factory.rng("openloop", self.kind, "apps")
+        rate_at = self.rate_at
+        if rate_at is not None:
+            u_rng = factory.rng("openloop", self.kind, "thin")
+        peak = self._peak / MS  # majorant, µs^-1
+        scale = 1.0 / peak  # mean candidate gap, µs
+        names, cum = self.names, self.cum
+        last = len(names) - 1
+        t = 0.0
+        while True:
+            gaps = t_rng.exponential(scale, size=_CHUNK)
+            picks = a_rng.random(_CHUNK)
+            accepts = repeat(0.0) if rate_at is None else u_rng.random(_CHUNK)
+            for gap, u, v in zip(gaps, picks, accepts):
+                t += gap
+                if rate_at is None or v * peak < rate_at(t):
+                    yield t, names[min(bisect_right(cum, u), last)]
 
 
-class PoissonStream(_BoundedStream):
+class PoissonStream(_GeneratedStream):
     """Homogeneous Poisson arrivals at ``rate_per_ms``, app mix by weight."""
+
+    kind = "poisson"
 
     def __init__(
         self,
@@ -380,41 +432,16 @@ class PoissonStream(_BoundedStream):
         seed: int = 0,
     ) -> None:
         what = f"poisson({rate_per_ms}/ms)"
-        super().__init__(
-            duration_us=None if duration_ms is None else duration_ms * MS,
-            max_apps=max_apps,
-            what=what,
+        super().__init__(what, apps, duration_ms, max_apps, seed)
+        self.rate_per_ms = self._peak = _positive_rate(
+            rate_per_ms, f"{what}: rate_per_ms"
         )
-        self.rate_per_ms = _positive_rate(rate_per_ms, f"{what}: rate_per_ms")
-        self.names, self.cum = _normalize_mix(apps, what)
-        self.seed = int(seed)
         self.description = (
             f"openloop poisson {self.rate_per_ms:g}/ms seed={self.seed}"
         )
 
-    def arrivals(self):
-        factory = SeedSequenceFactory(self.seed)
-        t_rng = factory.rng("openloop", "poisson", "times")
-        a_rng = factory.rng("openloop", "poisson", "apps")
-        scale = 1.0 / (self.rate_per_ms / MS)  # mean inter-arrival, µs
-        names, cum = self.names, self.cum
-        last = len(names) - 1
-        t = 0.0
-        emitted = 0
-        while True:
-            gaps = t_rng.exponential(scale, size=_CHUNK)
-            picks = a_rng.random(_CHUNK)
-            for gap, u in zip(gaps, picks):
-                t += gap
-                if self.duration_us is not None and t >= self.duration_us:
-                    return
-                yield t, names[min(bisect_right(cum, u), last)]
-                emitted += 1
-                if self.max_apps is not None and emitted >= self.max_apps:
-                    return
 
-
-class PeriodicStream(_BoundedStream):
+class PeriodicStream(_GeneratedStream):
     """Deterministic fixed-spacing arrivals with a smooth weighted mix.
 
     One arrival every ``1/rate_per_ms`` ms; the app for each slot comes from
@@ -422,6 +449,8 @@ class PeriodicStream(_BoundedStream):
     converges to the weights without any randomness — the same seedless
     trace every run.
     """
+
+    kind = "periodic"
 
     def __init__(
         self,
@@ -433,17 +462,12 @@ class PeriodicStream(_BoundedStream):
         phase_us: float = 0.0,
     ) -> None:
         what = f"periodic({rate_per_ms}/ms)"
-        super().__init__(
-            duration_us=None if duration_ms is None else duration_ms * MS,
-            max_apps=max_apps,
-            what=what,
-        )
+        super().__init__(what, apps, duration_ms, max_apps)
         self.rate_per_ms = _positive_rate(rate_per_ms, f"{what}: rate_per_ms")
-        names, cum = _normalize_mix(apps, what)
-        self.names = names
         # back out the normalized per-app shares from the cumulative form
+        cum = self.cum
         self.shares = [
-            cum[i] - (cum[i - 1] if i else 0.0) for i in range(len(names))
+            cum[i] - (cum[i - 1] if i else 0.0) for i in range(len(cum))
         ]
         if not math.isfinite(phase_us) or phase_us < 0:
             raise EmulationError(f"{what}: phase must be >= 0, got {phase_us}")
@@ -457,74 +481,24 @@ class PeriodicStream(_BoundedStream):
         credits = [0.0] * n
         k = 0
         while True:
-            t = self.phase_us + k * period
-            if self.duration_us is not None and t >= self.duration_us:
-                return
             best = 0
             for i in range(n):
                 credits[i] += shares[i]
                 if credits[i] > credits[best]:
                     best = i
             credits[best] -= 1.0
-            yield t, names[best]
+            yield self.phase_us + k * period, names[best]
             k += 1
-            if self.max_apps is not None and k >= self.max_apps:
-                return
 
 
-class _ThinnedStream(_BoundedStream):
-    """Nonhomogeneous Poisson via thinning against a constant majorant.
-
-    Subclasses provide ``rate_at(t_us)`` (µs^-1) and ``peak_rate_us``; the
-    generator draws candidate arrivals at the peak rate and accepts each
-    with probability ``rate_at(t)/peak`` — the standard Lewis-Shedler
-    construction, deterministic for a fixed seed.
-    """
-
-    stream_kind = "thinned"
-
-    def rate_at(self, t_us: float) -> float:
-        raise NotImplementedError
-
-    @property
-    def peak_rate_us(self) -> float:
-        raise NotImplementedError
-
-    def arrivals(self):
-        factory = SeedSequenceFactory(self.seed)
-        t_rng = factory.rng("openloop", self.stream_kind, "times")
-        u_rng = factory.rng("openloop", self.stream_kind, "thin")
-        a_rng = factory.rng("openloop", self.stream_kind, "apps")
-        peak = self.peak_rate_us
-        scale = 1.0 / peak
-        names, cum = self.names, self.cum
-        last = len(names) - 1
-        t = 0.0
-        emitted = 0
-        while True:
-            gaps = t_rng.exponential(scale, size=_CHUNK)
-            accepts = u_rng.random(_CHUNK)
-            picks = a_rng.random(_CHUNK)
-            for gap, v, u in zip(gaps, accepts, picks):
-                t += gap
-                if self.duration_us is not None and t >= self.duration_us:
-                    return
-                if v * peak >= self.rate_at(t):
-                    continue  # thinned out
-                yield t, names[min(bisect_right(cum, u), last)]
-                emitted += 1
-                if self.max_apps is not None and emitted >= self.max_apps:
-                    return
-
-
-class DiurnalStream(_ThinnedStream):
+class DiurnalStream(_GeneratedStream):
     """Sinusoidal day/night load: rate swings between base and peak.
 
     ``rate(t) = base + (peak - base) · (1 - cos(2πt/period)) / 2`` — the
     cycle starts at the base rate, crests at ``period/2``, and returns.
     """
 
-    stream_kind = "diurnal"
+    kind = "diurnal"
 
     def __init__(
         self,
@@ -538,13 +512,9 @@ class DiurnalStream(_ThinnedStream):
         seed: int = 0,
     ) -> None:
         what = f"diurnal({rate_per_ms}..{peak_rate_per_ms}/ms)"
-        super().__init__(
-            duration_us=None if duration_ms is None else duration_ms * MS,
-            max_apps=max_apps,
-            what=what,
-        )
+        super().__init__(what, apps, duration_ms, max_apps, seed)
         self.base = _positive_rate(rate_per_ms, f"{what}: rate_per_ms")
-        self.peak = _positive_rate(
+        self.peak = self._peak = _positive_rate(
             peak_rate_per_ms, f"{what}: peak_rate_per_ms"
         )
         if self.peak < self.base:
@@ -553,16 +523,10 @@ class DiurnalStream(_ThinnedStream):
                 f"rate_per_ms ({self.base})"
             )
         self.period_us = _positive_rate(period_ms, f"{what}: period_ms") * MS
-        self.names, self.cum = _normalize_mix(apps, what)
-        self.seed = int(seed)
         self.description = (
             f"openloop diurnal {self.base:g}..{self.peak:g}/ms "
             f"period={self.period_us / MS:g}ms seed={self.seed}"
         )
-
-    @property
-    def peak_rate_us(self) -> float:
-        return self.peak / MS
 
     def rate_at(self, t_us: float) -> float:
         swing = (self.peak - self.base) / MS
@@ -572,7 +536,7 @@ class DiurnalStream(_ThinnedStream):
         )
 
 
-class BurstyStream(_ThinnedStream):
+class BurstyStream(_GeneratedStream):
     """Flash-crowd load: a base rate with piecewise-constant burst windows.
 
     Each burst is ``(start_ms, duration_ms, rate_per_ms)``; while a burst
@@ -580,7 +544,7 @@ class BurstyStream(_ThinnedStream):
     take the maximum), otherwise the base rate.
     """
 
-    stream_kind = "bursty"
+    kind = "bursty"
 
     def __init__(
         self,
@@ -593,11 +557,7 @@ class BurstyStream(_ThinnedStream):
         seed: int = 0,
     ) -> None:
         what = f"bursty({rate_per_ms}/ms base)"
-        super().__init__(
-            duration_us=None if duration_ms is None else duration_ms * MS,
-            max_apps=max_apps,
-            what=what,
-        )
+        super().__init__(what, apps, duration_ms, max_apps, seed)
         self.base = _positive_rate(rate_per_ms, f"{what}: rate_per_ms")
         if not bursts:
             raise EmulationError(f"{what}: bursts list is empty")
@@ -619,18 +579,11 @@ class BurstyStream(_ThinnedStream):
             rate = _positive_rate(rate, f"{what}: burst #{j} rate")
             windows.append((start_ms * MS, (start_ms + dur_ms) * MS, rate))
         self.windows = sorted(windows)
-        self.names, self.cum = _normalize_mix(apps, what)
-        self.seed = int(seed)
-        peak = max(self.base, max(w[2] for w in self.windows))
-        self._peak = peak
+        self._peak = max(self.base, max(w[2] for w in self.windows))
         self.description = (
             f"openloop bursty {self.base:g}/ms +{len(self.windows)} "
-            f"burst(s) peak={peak:g}/ms seed={self.seed}"
+            f"burst(s) peak={self._peak:g}/ms seed={self.seed}"
         )
-
-    @property
-    def peak_rate_us(self) -> float:
-        return self._peak / MS
 
     def rate_at(self, t_us: float) -> float:
         rate = self.base
@@ -658,7 +611,9 @@ class TraceStream(ArrivalStream):
     bounds replay in *scaled* time exactly like the generated sources:
     the first arrival at or past the bound ends the stream.  Ordering
     violations are reported with the offending line via the stream
-    guard.
+    guard.  ``total`` stays None even under ``max_apps``: the file may
+    end before the cap, and a count nobody will reach would leave the
+    workload manager waiting for apps that never arrive.
     """
 
     def __init__(
@@ -670,25 +625,13 @@ class TraceStream(ArrivalStream):
         max_apps: int | None = None,
     ) -> None:
         self.path = str(path)
-        self.time_scale = _positive_rate(
-            time_scale, f"trace {self.path!r}: time_scale"
-        )
-        if duration_ms is not None:
-            self.duration_us: float | None = _positive_rate(
-                duration_ms * MS, f"trace {self.path!r}: duration"
-            )
-        else:
-            self.duration_us = None
-        if max_apps is not None and max_apps < 1:
-            raise EmulationError(
-                f"trace {self.path!r}: max_apps must be >= 1, got {max_apps}"
-            )
-        self.max_apps = max_apps
+        what = f"trace {self.path!r}"
+        self.time_scale = _positive_rate(time_scale, f"{what}: time_scale")
+        self._set_bounds(duration_ms, max_apps, what)
         self.description = f"openloop trace {self.path}"
 
     def arrivals(self):
         jsonl = self.path.endswith((".jsonl", ".json"))
-        emitted = 0
         saw_data = False
         try:
             fh = open(self.path, encoding="utf-8")
@@ -730,14 +673,7 @@ class TraceStream(ArrivalStream):
                         f"arrival trace {self.path!r} line {lineno}: "
                         "missing app name"
                     )
-                t_scaled = t / self.time_scale
-                if (self.duration_us is not None
-                        and t_scaled >= self.duration_us):
-                    return
-                yield t_scaled, app_name
-                emitted += 1
-                if self.max_apps is not None and emitted >= self.max_apps:
-                    return
+                yield t / self.time_scale, app_name
 
 
 def _is_number(text: str) -> bool:
@@ -752,34 +688,66 @@ def _is_number(text: str) -> bool:
 # Declarative arrival specs (the --arrivals JSON façade)
 # ---------------------------------------------------------------------------
 
-ARRIVAL_KINDS = ("poisson", "periodic", "diurnal", "bursty", "trace")
-
-#: Fields each kind actually consumes, beyond the always-allowed
-#: ``kind``/``duration_ms``/``max_apps``/``label``.  Anything else set on
-#: a spec is rejected up front: a silently ignored ``seed`` on a
-#: deterministic periodic stream (or a rate on a trace replay) is a
-#: config typo, not a request.
-_KIND_FIELDS: dict[str, frozenset[str]] = {
-    "poisson": frozenset({"apps", "rate_per_ms", "seed"}),
-    "periodic": frozenset({"apps", "rate_per_ms"}),
-    "diurnal": frozenset(
-        {"apps", "rate_per_ms", "seed", "peak_rate_per_ms", "period_ms"}
-    ),
-    "bursty": frozenset({"apps", "rate_per_ms", "seed", "bursts"}),
-    "trace": frozenset({"path", "time_scale"}),
+#: kind -> (stream class, required fields, optional fields).  Every kind
+#: also takes ``kind``/``duration_ms``/``max_apps``/``label``.  Any other
+#: field set on a spec is rejected up front: a silently ignored ``seed`` on
+#: a deterministic periodic stream (or a rate on a trace replay) is a
+#: config typo, not a request.  :meth:`ArrivalSpec.build` passes the set
+#: fields to the stream class by name, so an unset optional one takes the
+#: stream's own default.
+_KINDS = {
+    "poisson": (PoissonStream, ("rate_per_ms", "apps"), ("seed",)),
+    "periodic": (PeriodicStream, ("rate_per_ms", "apps"), ()),
+    "diurnal": (DiurnalStream, ("rate_per_ms", "peak_rate_per_ms", "apps"),
+                ("period_ms", "seed")),
+    "bursty": (BurstyStream, ("rate_per_ms", "apps", "bursts"), ("seed",)),
+    "trace": (TraceStream, ("path",), ("time_scale",)),
 }
+ARRIVAL_KINDS = tuple(_KINDS)
 
-#: (field, default) pairs checked against :data:`_KIND_FIELDS`.
-_KIND_CHECKED: tuple[tuple[str, object], ...] = (
-    ("apps", ()),
-    ("rate_per_ms", None),
-    ("seed", 0),
-    ("peak_rate_per_ms", None),
-    ("period_ms", None),
-    ("bursts", ()),
-    ("path", ""),
-    ("time_scale", None),
-)
+_COMMON_FIELDS = ("kind", "duration_ms", "max_apps", "label")
+#: the fields ``rate_scale`` multiplies, an unset one counting as 1.0 (a
+#: burst's rate is scaled too)
+_RATE_FIELDS = ("rate_per_ms", "peak_rate_per_ms", "time_scale")
+_BURST_KEYS = ("start_ms", "duration_ms", "rate_per_ms")
+
+
+def _read_apps(raw) -> tuple[tuple[str, float], ...]:
+    if not isinstance(raw, dict):
+        raise EmulationError("arrival spec 'apps' must be an object "
+                             "mapping app name -> weight")
+    return tuple(sorted((str(k), float(v)) for k, v in raw.items()))
+
+
+def _read_bursts(raw) -> tuple[tuple[float, float, float], ...]:
+    bursts = []
+    for j, burst in enumerate(raw):
+        if isinstance(burst, dict):
+            if set(burst) != set(_BURST_KEYS):
+                raise EmulationError(
+                    f"arrival spec burst #{j} must have exactly start_ms, "
+                    f"duration_ms, rate_per_ms (got {sorted(burst)})"
+                )
+            burst = [burst[key] for key in _BURST_KEYS]
+        try:
+            s, d, r = burst
+        except (TypeError, ValueError):
+            raise EmulationError(
+                f"arrival spec burst #{j}: expected 3 fields, got {burst!r}"
+            ) from None
+        bursts.append((float(s), float(d), float(r)))
+    return tuple(bursts)
+
+
+#: how :meth:`ArrivalSpec.from_dict` reads a JSON value, by field annotation
+_READERS = {
+    "str": str,
+    "int": int,
+    "int | None": int,
+    "float | None": float,
+    "tuple[tuple[str, float], ...]": _read_apps,
+    "tuple[tuple[float, float, float], ...]": _read_bursts,
+}
 
 
 @dataclass(frozen=True)
@@ -804,50 +772,41 @@ class ArrivalSpec:
     #: bursty only: (start_ms, duration_ms, rate_per_ms) windows
     bursts: tuple[tuple[float, float, float], ...] = ()
     #: trace only: path to the trace file and its timestamp unit
-    #: conversion (e.g. 1000.0 for a trace recorded in ms)
+    #: conversion, which divides every stamp (0.001 for a trace in ms)
     path: str = ""
     time_scale: float | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ARRIVAL_KINDS:
+        if self.kind not in _KINDS:
             raise EmulationError(
                 f"unknown arrival kind {self.kind!r} "
                 f"(use one of {ARRIVAL_KINDS})"
             )
-        allowed = _KIND_FIELDS[self.kind]
-        stray = [
-            name for name, default in _KIND_CHECKED
-            if name not in allowed and getattr(self, name) != default
-        ]
+        _, required, optional = _KINDS[self.kind]
+        allowed = required + optional + _COMMON_FIELDS
+        stray = [name for name in self._set_fields() if name not in allowed]
         if stray:
             raise EmulationError(
                 f"arrival spec kind={self.kind!r} does not use "
-                f"{sorted(stray)} (allowed: {sorted(allowed)})"
+                f"{sorted(stray)} (allowed: {sorted(required + optional)})"
             )
+
+    def _set_fields(self) -> dict:
+        """The fields that differ from their defaults, in field order."""
+        return {
+            f.name: getattr(self, f.name) for f in fields(self)
+            if getattr(self, f.name) != f.default
+        }
 
     # -- (de)serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.apps:
-            doc["apps"] = {name: w for name, w in self.apps}
-        for key in ("rate_per_ms", "duration_ms", "max_apps",
-                    "peak_rate_per_ms", "period_ms", "time_scale"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        if self.seed:
-            doc["seed"] = self.seed
-        if self.bursts:
-            doc["bursts"] = [
-                {"start_ms": s, "duration_ms": d, "rate_per_ms": r}
-                for s, d, r in self.bursts
-            ]
-        if self.path:
-            doc["path"] = self.path
-        if self.label:
-            doc["label"] = self.label
+        doc = self._set_fields()
+        if "apps" in doc:
+            doc["apps"] = dict(self.apps)
+        if "bursts" in doc:
+            doc["bursts"] = [dict(zip(_BURST_KEYS, b)) for b in self.bursts]
         return doc
 
     @classmethod
@@ -856,67 +815,16 @@ class ArrivalSpec:
             raise EmulationError(
                 f"arrival spec must be an object, got {type(data).__name__}"
             )
-        known = {
-            "kind", "apps", "rate_per_ms", "duration_ms", "max_apps",
-            "seed", "peak_rate_per_ms", "period_ms", "bursts", "path",
-            "time_scale", "label",
-        }
-        unknown = set(data) - known
+        spec_fields = fields(cls)
+        unknown = set(data) - {f.name for f in spec_fields}
         if unknown:
-            raise EmulationError(
-                f"unknown arrival spec keys: {sorted(unknown)}"
-            )
-        kind = str(data.get("kind", ""))
-        apps_raw = data.get("apps", {})
-        if not isinstance(apps_raw, dict):
-            raise EmulationError("arrival spec 'apps' must be an object "
-                                 "mapping app name -> weight")
-        bursts_raw = data.get("bursts", [])
-        bursts: list[tuple[float, float, float]] = []
-        for j, b in enumerate(bursts_raw):
-            if isinstance(b, dict):
-                extra = set(b) - {"start_ms", "duration_ms", "rate_per_ms"}
-                if extra or "start_ms" not in b:
-                    raise EmulationError(
-                        f"arrival spec burst #{j} must have start_ms, "
-                        f"duration_ms, rate_per_ms (got {sorted(b)})"
-                    )
-                bursts.append((
-                    float(b["start_ms"]),
-                    float(b.get("duration_ms", 0.0)),
-                    float(b.get("rate_per_ms", 0.0)),
-                ))
-            else:
-                try:
-                    s, d, r = b
-                except (TypeError, ValueError):
-                    raise EmulationError(
-                        f"arrival spec burst #{j}: expected 3 fields, "
-                        f"got {b!r}"
-                    ) from None
-                bursts.append((float(s), float(d), float(r)))
-
-        def opt(key: str) -> float | None:
-            value = data.get(key)
-            return None if value is None else float(value)
-
-        max_apps = data.get("max_apps")
-        return cls(
-            kind=kind,
-            apps=tuple(sorted(
-                (str(k), float(v)) for k, v in apps_raw.items()
-            )),
-            rate_per_ms=opt("rate_per_ms"),
-            duration_ms=opt("duration_ms"),
-            max_apps=None if max_apps is None else int(max_apps),
-            seed=int(data.get("seed", 0)),
-            peak_rate_per_ms=opt("peak_rate_per_ms"),
-            period_ms=opt("period_ms"),
-            bursts=tuple(bursts),
-            path=str(data.get("path", "")),
-            time_scale=opt("time_scale"),
-            label=str(data.get("label", "")),
-        )
+            raise EmulationError(f"unknown arrival spec keys: {sorted(unknown)}")
+        values = {
+            f.name: _READERS[f.type](data[f.name]) for f in spec_fields
+            if data.get(f.name) is not None
+        }
+        values.setdefault("kind", "")
+        return cls(**values)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ArrivalSpec":
@@ -940,57 +848,30 @@ class ArrivalSpec:
     ) -> ArrivalStream:
         """Instantiate the stream, applying the offered-load/bound knobs."""
         rate_scale = _positive_rate(rate_scale, "rate_scale")
-        duration = duration_ms if duration_ms is not None else self.duration_ms
-        cap = max_apps if max_apps is not None else self.max_apps
-        apps = dict(self.apps)
-
-        def scaled(rate: float | None, what: str) -> float:
-            if rate is None:
-                raise EmulationError(
-                    f"arrival spec kind={self.kind!r} requires {what}"
-                )
-            return rate * rate_scale
-
-        if self.kind == "trace":
-            if not self.path:
-                raise EmulationError("arrival spec kind='trace' requires path")
-            # rate_scale composes with (never replaces) the spec's own
-            # timestamp unit conversion: both divide replayed times.
-            unit = self.time_scale if self.time_scale is not None else 1.0
-            stream: ArrivalStream = TraceStream(
-                self.path,
-                time_scale=unit * rate_scale,
-                duration_ms=duration,
-                max_apps=cap,
+        stream_cls, required, optional = _KINDS[self.kind]
+        given = self._set_fields()
+        missing = [name for name in required if name not in given]
+        if missing:
+            raise EmulationError(
+                f"arrival spec kind={self.kind!r} requires {', '.join(missing)}"
             )
-        elif self.kind == "poisson":
-            stream = PoissonStream(
-                scaled(self.rate_per_ms, "rate_per_ms"), apps,
-                duration_ms=duration, max_apps=cap, seed=self.seed,
+        kwargs = {
+            name: given[name] for name in required + optional if name in given
+        }
+        # rate_scale multiplies every rate, and composes with (never
+        # replaces) a trace's own time_scale: both divide replayed times.
+        for name in _RATE_FIELDS:
+            if name in required + optional:
+                kwargs[name] = kwargs.get(name, 1.0) * rate_scale
+        if "bursts" in kwargs:
+            kwargs["bursts"] = tuple(
+                (s, d, r * rate_scale) for s, d, r in self.bursts
             )
-        elif self.kind == "periodic":
-            stream = PeriodicStream(
-                scaled(self.rate_per_ms, "rate_per_ms"), apps,
-                duration_ms=duration, max_apps=cap,
-            )
-        elif self.kind == "diurnal":
-            stream = DiurnalStream(
-                scaled(self.rate_per_ms, "rate_per_ms"),
-                scaled(self.peak_rate_per_ms, "peak_rate_per_ms"),
-                apps,
-                period_ms=(
-                    self.period_ms if self.period_ms is not None else 1000.0
-                ),
-                duration_ms=duration, max_apps=cap, seed=self.seed,
-            )
-        else:  # bursty
-            stream = BurstyStream(
-                scaled(self.rate_per_ms, "rate_per_ms"), apps,
-                bursts=tuple(
-                    (s, d, r * rate_scale) for s, d, r in self.bursts
-                ),
-                duration_ms=duration, max_apps=cap, seed=self.seed,
-            )
+        stream = stream_cls(
+            **kwargs,
+            duration_ms=self.duration_ms if duration_ms is None else duration_ms,
+            max_apps=self.max_apps if max_apps is None else max_apps,
+        )
         if self.label:
             stream.description = f"{self.label}: {stream.description}"
         return stream

@@ -205,6 +205,29 @@ class TestGrid:
                 "apps": {"wifi_tx": 1.0},
             })
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "poisson", "apps": {"wifi_tx": 1.0}, "rate_per_ms": 1.0},
+        {"kind": "poisson", "apps": {"wifi_tx": 1.0}, "rate_per_ms": -1.0,
+         "max_apps": 5},
+        {"kind": "poisson", "apps": {"wifi_tx": 1.0}, "max_apps": 5},
+        {"kind": "poisson", "apps": {}, "rate_per_ms": 1.0, "max_apps": 5},
+        {"kind": "bursty", "apps": {"wifi_tx": 1.0}, "rate_per_ms": 1.0,
+         "max_apps": 5, "bursts": [{"start_ms": 1.0}]},
+    ], ids=["no-bound", "negative-rate", "no-rate", "empty-mix",
+            "burst-missing-fields"])
+    def test_spec_that_cannot_run_fails_at_parse(self, spec):
+        # Regression: both sites only parsed the spec, so these passed and
+        # then failed in every cell.
+        from repro.common.errors import EmulationError
+
+        with pytest.raises(EmulationError):
+            arrivals_sweep(spec)
+        with pytest.raises(ReproError, match="invalid arrivals workload"):
+            SweepGrid.from_dict({
+                "configs": ["A"], "policies": ["p"],
+                "workloads": [{"kind": "arrivals", "spec": spec}],
+            })
+
     def test_spec_rejects_bad_nested_arrival_spec(self):
         with pytest.raises(ReproError, match="invalid arrivals workload"):
             SweepGrid.from_dict({

@@ -408,6 +408,19 @@ class TestArrivalSpec:
         })
         assert spec.bursts == ((2.0, 3.0, 9.0),)
 
+    @pytest.mark.parametrize("burst", [
+        {"start_ms": 2.0, "rate_per_ms": 9.0},
+        {"start_ms": 2.0, "duration_ms": 3.0},
+        {"duration_ms": 3.0, "rate_per_ms": 9.0},
+        {"start_ms": 2.0, "duration_ms": 3.0, "rate_per_ms": 9.0, "x": 1},
+    ])
+    def test_burst_object_needs_exactly_three_keys(self, burst):
+        # Regression: a missing duration_ms or rate_per_ms was read as 0.0
+        # and only failed later as a non-positive burst.
+        doc = {**self.CASES["bursty"], "bursts": [burst]}
+        with pytest.raises(EmulationError, match="burst #0 must have exactly"):
+            ArrivalSpec.from_dict(doc)
+
     def test_missing_required_rate(self):
         spec = ArrivalSpec.from_dict(
             {"kind": "poisson", "apps": {"wifi_tx": 1.0}, "duration_ms": 5.0}
