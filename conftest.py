@@ -1,7 +1,6 @@
 """The gate's own plumbing, for every suite under this root (``tests/``,
-``benchmarks/spine/tests``): which core ran, a
-refusal to test the pure core when the compiled one was asked for, and a
-hang guard that is never inert."""
+``benchmarks/spine/tests``): which core ran (the compiled kernels exactly
+when the extension imports) and a hang guard that is never inert."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ _SRC = Path(__file__).resolve().parent / "src"
 if str(_SRC) not in sys.path:  # lets `python -m pytest` run without PYTHONPATH=src
     sys.path.insert(0, str(_SRC))
 
-from repro import _native  # noqa: E402
 from repro import core as core_select  # noqa: E402
 
 _hang_guard_key = pytest.StashKey[tuple]()
@@ -46,14 +44,6 @@ def pytest_addoption(parser, pluginmanager):
 
 
 def pytest_configure(config):
-    requested = os.environ.get(core_select.ENV_VAR, "").strip().lower()
-    if requested == core_select.CORE_COMPILED and not _native.available():
-        # repro.core would fall back to pure with one RuntimeWarning, and a
-        # job meant to test the compiled core would go green on the pure one.
-        raise pytest.UsageError(
-            f"{core_select.ENV_VAR}=compiled but "
-            f"{core_select._unavailable_message()}"
-        )
     if config.pluginmanager.hasplugin("timeout"):
         return  # pytest-timeout owns the key and the guard
     seconds = float(config.getini("timeout") or 0)

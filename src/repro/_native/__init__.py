@@ -4,9 +4,9 @@ The extension (``repro._native._coreext``) is built from ``_coreext.c``
 either by ``python -m repro._native.build`` (in-place, gcc) or by the
 optional setuptools hook in ``setup.py``.  Import failures are captured,
 not raised: the package must keep working from a source checkout with no
-compiler, so callers decide whether a missing extension is an error
-(explicit ``--core compiled``) or a fallback (env/auto selection) —
-see :mod:`repro.core`.  An extension built for another :data:`API` (an
+compiler, so a missing extension selects the pure loops, and only pinning
+the compiled core (``repro.core.forced``) makes it an error — see
+:mod:`repro.core`.  An extension built for another :data:`API` (an
 in-place ``.so`` left over from an older checkout) counts as missing.
 """
 

@@ -49,25 +49,6 @@ def _parse_apps(text: str) -> dict[str, int]:
     return counts
 
 
-def _apply_core(args: argparse.Namespace) -> None:
-    """Apply ``--core`` for this process and any children it spawns.
-
-    ``set_core`` validates the choice (an explicit ``compiled`` with no
-    importable extension is an error, not a fallback); exporting the
-    selection through ``DSSOC_CORE`` makes sweep worker processes
-    inherit it.
-    """
-    choice = getattr(args, "core", None)
-    if not choice:
-        return
-    from repro import core as core_select
-
-    core_select.set_core(choice)
-    import os
-
-    os.environ[core_select.ENV_VAR] = choice
-
-
 def _qos_controller(args: argparse.Namespace) -> QoSController:
     """One controller per run/perf invocation, even with no QoS spec: the
     empty controller carries the interrupt flag the signal handlers set,
@@ -117,7 +98,6 @@ def _interrupt_exit_code(stats) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _apply_core(args)
     faults = FaultSpec.from_json_file(args.faults) if args.faults else None
     controller = _qos_controller(args)
     emu = Emulation(
@@ -292,7 +272,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # --status / --gc operate on an existing campaign directory and run
     # no cells; the grid flags only serve to derive the default --out.
-    _apply_core(args)
     if args.gc:
         from repro.dse.maintenance import gc_campaign
 
@@ -398,7 +377,6 @@ def cmd_sweep_worker(args: argparse.Namespace) -> int:
     """
     from repro.dse.distrib import run_worker
 
-    _apply_core(args)
     if not args.out and not args.server:
         print("sweep-worker needs --out DIR or --server HOST:PORT",
               file=sys.stderr)
@@ -478,7 +456,6 @@ def cmd_sweep_server(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    _apply_core(args)
     if args.rate not in TABLE_II_RATES:
         print(f"rate must be one of {TABLE_II_RATES}", file=sys.stderr)
         return EXIT_USAGE
@@ -517,7 +494,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("bench needs --scenario NAME[,NAME...] (see bench --list)",
               file=sys.stderr)
         return EXIT_USAGE
-    _apply_core(args)
     quiet = args.json
 
     def progress(done: int, total: int, name: str) -> None:
@@ -605,13 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_core_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--core", default="",
-                       choices=["auto", "pure", "compiled"],
-                       help="DES core variant (default: DSSOC_CORE env or "
-                            "auto); 'compiled' errors if the extension is "
-                            "not built")
-
     def add_campaign_flags(p: argparse.ArgumentParser, *names: str) -> None:
         """The campaign-location flags, declared once for ``sweep``,
         ``sweep-worker`` and ``sweep-server``."""
@@ -631,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name, **flags[name])
 
     run_p = sub.add_parser("run", help="validation-mode emulation")
-    add_core_flag(run_p)
     run_p.add_argument("--platform", default="zcu102")
     run_p.add_argument("--config", default="3C+2F")
     run_p.add_argument("--policy", default="frfs")
@@ -673,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(fn=cmd_run)
 
     perf_p = sub.add_parser("perf", help="performance-mode emulation")
-    add_core_flag(perf_p)
     perf_p.add_argument("--platform", default="zcu102")
     perf_p.add_argument("--config", default="3C+2F")
     perf_p.add_argument("--policy", default="frfs")
@@ -687,7 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser(
         "sweep", help="run a DSE campaign (configs x policies x workloads)"
     )
-    add_core_flag(sweep_p)
     sweep_p.add_argument("--spec", default="",
                          help="JSON campaign spec file (overrides grid flags)")
     sweep_p.add_argument("--platforms", default="zcu102")
@@ -750,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach one worker to a distributed sweep campaign "
              "(directory or server)",
     )
-    add_core_flag(worker_p)
     add_campaign_flags(worker_p, "--out", "--server", "--lease-ttl", "--poll")
     worker_p.add_argument("--worker-id", default="",
                           help="stable worker name (default: <host>-<pid>)")
@@ -792,7 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="cross-core gate, peak-RSS scale pair and lookahead "
                       "scenarios (speed claims: benchmarks/spine)"
     )
-    add_core_flag(bench_p)
     bench_p.add_argument("--scenario", default="",
                          help="comma-separated scenario names (required; "
                               "see --list)")

@@ -109,8 +109,8 @@ def execute_cell(cell_data: dict[str, Any]) -> dict[str, Any]:
         # distributed service, else the executing process — lets slow or
         # flaky workers be diagnosed from the journal/results alone
         "worker": os.environ.get("DSSOC_WORKER_ID") or f"pid{os.getpid()}",
-        # which DES core produced it (variant + build metadata); workers
-        # inherit the coordinator's --core choice through DSSOC_CORE
+        # which DES core produced it (variant + build metadata): the
+        # compiled kernels exactly when this checkout's extension imports
         "core": core_select.core_info(),
     }
     if stats.faults_enabled:

@@ -10,12 +10,13 @@ from repro.hardware.accelerator import FFTAcceleratorDevice
 from repro.hardware.config import AffinityPlan
 from repro.hardware.perfmodel import PerformanceModel, SchedulerCostModel
 from repro.hardware.platform import SoCPlatform
-from repro.runtime.application_handler import ApplicationHandler
+from repro.runtime.application_handler import ApplicationHandler, LazyInstanceSource
 from repro.runtime.faults import FaultInjector
 from repro.runtime.handler import ResourceHandler
 from repro.runtime.qos import QoSController
 from repro.runtime.schedulers.base import Scheduler
 from repro.runtime.stats import EmulationStats
+from repro.runtime.workload_manager import MaterializedSource
 
 
 class PerfModelOracle:
@@ -90,18 +91,16 @@ class EmulationSession:
     perf_model: PerformanceModel
     cost_model: SchedulerCostModel
     stats: EmulationStats
+    #: the workload manager's instance queue: a MaterializedSource over
+    #: ``instances``, or a LazyInstanceSource for an arrival stream
+    source: MaterializedSource | LazyInstanceSource
     seeds: SeedSequenceFactory = field(default_factory=SeedSequenceFactory)
     #: apply multiplicative execution-time jitter (virtual backend)
     jitter: bool = True
-    #: validate every policy output (disable only in calibrated sweeps)
-    validate_assignments: bool = True
     #: fault injector, or None for a fault-free run (see runtime.faults)
     faults: FaultInjector | None = None
     #: QoS controller, or None for a guardrail-free run (see runtime.qos)
     qos: QoSController | None = None
-    #: instance source for the workload manager; None (materialized runs
-    #: built before the source abstraction existed) means "wrap instances"
-    source: object | None = None
 
     @property
     def n_pes(self) -> int:

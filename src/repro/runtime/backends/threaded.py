@@ -34,6 +34,7 @@ from repro.appmodel.library import KernelContext
 from repro.common.errors import EmulationError
 from repro.common.log import get_logger
 from repro.hardware.accelerator import FFTAcceleratorDevice
+from repro.runtime.application_handler import LazyInstanceSource
 from repro.runtime.backends.base import (
     EmulationSession,
     ExecutionBackend,
@@ -45,6 +46,11 @@ from repro.runtime.stats import EmulationStats
 from repro.runtime.workload_manager import WorkloadManagerCore
 
 _log = get_logger("runtime.backends.threaded")
+
+#: the workload manager's idle wait between passes, in seconds
+POLL_INTERVAL_S = 0.0005
+#: how long teardown waits for each RM thread before warning it is alive
+JOIN_TIMEOUT_S = 5.0
 
 
 def _try_pin(core_index: int) -> bool:
@@ -91,14 +97,10 @@ class ThreadedBackend(ExecutionBackend):
         self,
         *,
         pin_threads: bool = False,
-        poll_interval_s: float = 0.0005,
         timeout_s: float = 300.0,
-        join_timeout_s: float = 5.0,
     ) -> None:
         self.pin_threads = pin_threads
-        self.poll_interval_s = poll_interval_s
         self.timeout_s = timeout_s
-        self.join_timeout_s = join_timeout_s
 
     def run(self, session: EmulationSession) -> EmulationStats:
         for instance in session.instances:
@@ -107,9 +109,7 @@ class ThreadedBackend(ExecutionBackend):
                     "threaded backend requires materialized instances "
                     "(instantiate with materialize_memory=True)"
                 )
-        if session.source is not None and not hasattr(
-            session.source, "instances"
-        ):
+        if isinstance(session.source, LazyInstanceSource):
             # Open-loop streams pace arrivals in virtual time and release
             # instances on completion — neither fits the real-time threaded
             # execution model.
@@ -127,11 +127,10 @@ class ThreadedBackend(ExecutionBackend):
             session.scheduler.oracle = PerfModelOracle(session.perf_model, devices)
 
         core = WorkloadManagerCore(
-            session.source if session.source is not None else session.instances,
+            session.source,
             session.handlers,
             session.scheduler,
             session.stats,
-            validate=session.validate_assignments,
             faults=session.faults,
             qos=session.qos,
         )
@@ -173,13 +172,13 @@ class ThreadedBackend(ExecutionBackend):
             for handler in session.handlers:
                 handler.request_shutdown()
             for t in rm_threads:
-                t.join(timeout=self.join_timeout_s)
+                t.join(timeout=JOIN_TIMEOUT_S)
             alive = [t.name for t in rm_threads if t.is_alive()]
             if alive:
                 _log.warning(
                     "%d RM daemon thread(s) still alive after %.1fs join "
                     "timeout (hung kernel?): %s",
-                    len(alive), self.join_timeout_s, ", ".join(alive),
+                    len(alive), JOIN_TIMEOUT_S, ", ".join(alive),
                 )
             # A task dispatched in the same WM pass that detected a failure
             # can be stranded: the RM observes the shutdown flag and exits
@@ -227,10 +226,10 @@ class ThreadedBackend(ExecutionBackend):
                     _log.warning(
                         "threaded emulation draining (%s); waiting up to "
                         "%.1fs for in-flight tasks",
-                        reason, self.join_timeout_s,
+                        reason, JOIN_TIMEOUT_S,
                     )
                     draining = True
-                    drain_deadline = time.perf_counter() + self.join_timeout_s
+                    drain_deadline = time.perf_counter() + JOIN_TIMEOUT_S
             if draining:
                 # Graceful shutdown: stop injecting/scheduling, absorb what
                 # finishes, and exit once every PE is quiet (or the drain
@@ -253,7 +252,7 @@ class ThreadedBackend(ExecutionBackend):
                     )
                     return
                 with wm_condition:
-                    wm_condition.wait(timeout=self.poll_interval_s * 10)
+                    wm_condition.wait(timeout=POLL_INTERVAL_S * 10)
                 continue
             with wm_condition:
                 if (
@@ -265,7 +264,7 @@ class ThreadedBackend(ExecutionBackend):
                     )
                 ):
                     nxt = core.next_arrival()
-                    wait_s = self.poll_interval_s
+                    wait_s = POLL_INTERVAL_S
                     if nxt is not None and core.admission_open():
                         wait_s = max(0.0, min(wait_s * 50, (nxt - clock()) / 1e6))
                         wait_s = max(wait_s, 1e-5)

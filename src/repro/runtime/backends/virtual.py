@@ -130,11 +130,10 @@ class VirtualBackend(ExecutionBackend):
 
         injector = session.faults
         core = WorkloadManagerCore(
-            session.source if session.source is not None else session.instances,
+            session.source,
             session.handlers,
             session.scheduler,
             session.stats,
-            validate=session.validate_assignments,
             faults=injector,
             qos=session.qos,
         )

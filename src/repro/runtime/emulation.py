@@ -42,6 +42,7 @@ from repro.runtime.qos import QoSController, QoSSpec, make_qos
 from repro.runtime.schedulers import Scheduler, make_scheduler
 from repro.runtime.stats import EmulationStats, StreamingStats
 from repro.runtime.workload import ArrivalStream, WorkloadSpec
+from repro.runtime.workload_manager import MaterializedSource
 
 
 @dataclass
@@ -95,7 +96,6 @@ class Emulation:
         seed: int | None = None,
         jitter: bool = True,
         materialize_memory: bool = True,
-        validate_assignments: bool = True,
         faults: FaultSpec | dict | None = None,
         qos: QoSController | QoSSpec | dict | None = None,
     ) -> None:
@@ -117,7 +117,6 @@ class Emulation:
         self.seed = seed
         self.jitter = jitter
         self.materialize_memory = materialize_memory
-        self.validate_assignments = validate_assignments
         #: fault plan (FaultSpec, its dict form, or None); an empty spec is
         #: equivalent to None — the run stays bit-identical to fault-free
         self.faults = faults
@@ -177,7 +176,6 @@ class Emulation:
             # signal handling; it must not grow the stats summary.
             stats.qos_enabled = not qos.spec.is_empty
             qos.assign_deadlines(instances)
-        source = None
         if streaming:
             # Built after QoS so deadlines are stamped at pop time.
             source = LazyInstanceSource(
@@ -186,6 +184,8 @@ class Emulation:
                 materialize_memory=self.materialize_memory,
                 qos=qos,
             )
+        else:
+            source = MaterializedSource(instances)
         return EmulationSession(
             platform=self.platform,
             plan=plan,
@@ -198,7 +198,6 @@ class Emulation:
             stats=stats,
             seeds=seeds,
             jitter=self.jitter,
-            validate_assignments=self.validate_assignments,
             faults=injector,
             qos=qos,
             source=source,

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import ReproError
+from repro.common.jsondoc import number, section
 from repro.common.rng import SeedSequenceFactory
 
 
@@ -167,30 +168,44 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
-        if not isinstance(data, dict):
-            raise FaultSpecError(f"fault spec must be an object, got {type(data).__name__}")
-        unknown = set(data) - {
+        err = FaultSpecError
+        data = section(data, "fault spec", (
             "pe_failures", "transient", "retry", "slowdown", "harden", "label",
-        }
-        if unknown:
-            raise FaultSpecError(f"unknown fault spec keys: {sorted(unknown)}")
-        failures = tuple(
-            PEFailure(pe=str(entry["pe"]), at_us=float(entry["at_us"]))
-            for entry in data.get("pe_failures", ())
+        ), err)
+        transient = section(
+            data.get("transient", {}), "transient", ("prob", "accel_prob"), err
         )
-        transient = data.get("transient", {})
-        retry = data.get("retry", {})
+        retry = section(data.get("retry", {}), "retry", (
+            "max_retries", "backoff_us", "max_requeues",
+        ), err)
+        entries = data.get("pe_failures", [])
+        if not isinstance(entries, list):
+            raise err("pe_failures must be a list of {pe, at_us} objects")
+        failures = []
+        for j, entry in enumerate(entries):
+            if not isinstance(entry, dict) or set(entry) != {"pe", "at_us"}:
+                raise err(f"pe_failures #{j} must have exactly pe and at_us, "
+                          f"got {entry!r}")
+            at_us = number(entry["at_us"], float, f"pe_failures #{j} at_us", err)
+            failures.append(PEFailure(pe=str(entry["pe"]), at_us=at_us))
         slowdown = tuple(
-            (str(name), float(factor))
-            for name, factor in sorted(dict(data.get("slowdown", {})).items())
+            (str(name), number(factor, float, f"slowdown for {name!r}", err))
+            for name, factor in sorted(
+                section(data.get("slowdown", {}), "slowdown", None, err).items()
+            )
         )
         return cls(
-            pe_failures=failures,
-            transient_prob=float(transient.get("prob", 0.0)),
-            accel_error_prob=float(transient.get("accel_prob", 0.0)),
-            max_retries=int(retry.get("max_retries", 2)),
-            backoff_us=float(retry.get("backoff_us", 50.0)),
-            max_requeues=int(retry.get("max_requeues", 3)),
+            pe_failures=tuple(failures),
+            transient_prob=number(
+                transient.get("prob", 0.0), float, "transient.prob", err),
+            accel_error_prob=number(
+                transient.get("accel_prob", 0.0), float, "transient.accel_prob", err),
+            max_retries=number(
+                retry.get("max_retries", 2), int, "retry.max_retries", err),
+            backoff_us=number(
+                retry.get("backoff_us", 50.0), float, "retry.backoff_us", err),
+            max_requeues=number(
+                retry.get("max_requeues", 3), int, "retry.max_requeues", err),
             slowdown=slowdown,
             harden=bool(data.get("harden", False)),
             label=str(data.get("label", "")),

@@ -40,6 +40,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ReproError
+from repro.common.jsondoc import number, section
 from repro.runtime.schedulers.base import (
     Assignment,
     ExecutionTimeOracle,
@@ -177,43 +178,37 @@ class QoSSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QoSSpec":
-        if not isinstance(data, dict):
-            raise QoSSpecError(
-                f"QoS spec must be an object, got {type(data).__name__}"
-            )
-        unknown = set(data) - {"deadlines", "admission", "watchdog", "label"}
-        if unknown:
-            raise QoSSpecError(f"unknown QoS spec keys: {sorted(unknown)}")
+        err = QoSSpecError
+        data = section(
+            data, "QoS spec", ("deadlines", "admission", "watchdog", "label"), err
+        )
         deadlines = tuple(
-            (str(name), float(rel))
-            for name, rel in sorted(dict(data.get("deadlines", {})).items())
+            (str(name), number(rel, float, f"deadline for {name!r}", err))
+            for name, rel in sorted(
+                section(data.get("deadlines", {}), "deadlines", None, err).items()
+            )
         )
         admission = None
         adm = data.get("admission")
         if adm is not None:
-            if not isinstance(adm, dict) or "max_pending" not in adm:
-                raise QoSSpecError(
-                    "admission must be an object with a max_pending bound"
-                )
-            bad = set(adm) - {"max_pending", "policy"}
-            if bad:
-                raise QoSSpecError(f"unknown admission keys: {sorted(bad)}")
+            adm = section(adm, "admission", ("max_pending", "policy"), err)
+            if "max_pending" not in adm:
+                raise err("admission must be an object with a max_pending bound")
             admission = AdmissionConfig(
-                max_pending=int(adm["max_pending"]),
+                max_pending=number(
+                    adm["max_pending"], int, "admission.max_pending", err
+                ),
                 policy=str(adm.get("policy", "defer")),
             )
-        watchdog = data.get("watchdog", {})
-        if not isinstance(watchdog, dict):
-            raise QoSSpecError("watchdog must be an object")
-        bad = set(watchdog) - {
+        watchdog = section(data.get("watchdog", {}), "watchdog", (
             "wall_budget_s", "virtual_budget_us", "heartbeat_timeout_s",
-        }
-        if bad:
-            raise QoSSpecError(f"unknown watchdog keys: {sorted(bad)}")
+        ), err)
 
         def opt(key: str) -> float | None:
             value = watchdog.get(key)
-            return None if value is None else float(value)
+            return None if value is None else number(
+                value, float, f"watchdog.{key}", err
+            )
 
         return cls(
             deadlines=deadlines,

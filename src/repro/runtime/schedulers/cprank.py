@@ -29,7 +29,7 @@ the incremental cache is exactly (float-for-float) equal to a full
 recomputation over the remaining DAG — ``tests`` enforce this with an
 oracle comparison across dispatch/failure sequences — and the placement
 loop is :func:`~repro.runtime.schedulers.eft.eft_pass` (compiled kernel
-included, when selected), so ``--core compiled`` works without any
+included, when the extension imports), so the compiled core needs no
 ``_coreext`` change.
 """
 

@@ -13,8 +13,8 @@ work-conserving.
 
 The simulation is plain Python over oracle floats (no RNG, no engine
 state), so results are deterministic and bit-identical under both DES
-cores — ``--core compiled`` simply runs the same pure rollout loop, which
-is the documented fallback for policies without a C port.  Failed PEs
+cores — with the extension built it simply runs the same pure rollout
+loop, which is the documented fallback for policies without a C port.  Failed PEs
 carry ``inf`` availability (the ``failed_mask`` contract), so neither the
 candidates nor the rollouts ever place work on them.
 

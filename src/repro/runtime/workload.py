@@ -819,10 +819,15 @@ class ArrivalSpec:
         unknown = set(data) - {f.name for f in spec_fields}
         if unknown:
             raise EmulationError(f"unknown arrival spec keys: {sorted(unknown)}")
-        values = {
-            f.name: _READERS[f.type](data[f.name]) for f in spec_fields
-            if data.get(f.name) is not None
-        }
+        values = {}
+        for f in spec_fields:
+            if data.get(f.name) is not None:
+                try:
+                    values[f.name] = _READERS[f.type](data[f.name])
+                except (TypeError, ValueError) as exc:
+                    raise EmulationError(
+                        f"arrival spec {f.name!r}: {exc}"
+                    ) from None
         values.setdefault("kind", "")
         return cls(**values)
 

@@ -171,30 +171,24 @@ class WorkloadManagerCore:
 
     def __init__(
         self,
-        workload: list[ApplicationInstance] | MaterializedSource,
+        source: MaterializedSource,
         handlers: list[ResourceHandler],
         scheduler: Scheduler,
         stats: EmulationStats,
         *,
-        validate: bool = True,
         faults: FaultInjector | None = None,
         qos: QoSController | None = None,
     ) -> None:
-        # Workload queue, ordered by arrival.  A plain list (the historical
-        # signature, kept for direct constructions in tests) is wrapped in a
-        # MaterializedSource; anything else must quack like one — streaming
-        # runs pass a LazyInstanceSource that builds instances at pop time.
-        if isinstance(workload, list):
-            self.source = MaterializedSource(workload)
-        else:
-            self.source = workload
+        # Workload queue, ordered by arrival: a MaterializedSource, or
+        # anything that quacks like one — streaming runs pass a
+        # LazyInstanceSource that builds instances at pop time.
+        self.source = source
         self.handlers = handlers
         self.scheduler = scheduler
         #: event sink for stateful policies (rank caches, in-flight
         #: tracking); None keeps the per-completion hot path branch-cheap
         self._events_to = scheduler if scheduler.wants_events else None
         self.stats = stats
-        self.validate = validate
         self.faults = faults
         self.qos = qos
         self.ready = ReadyList()
@@ -420,7 +414,7 @@ class WorkloadManagerCore:
         # assignments here rather than tripping validation on them.
         if self.any_failed and assignments:
             assignments = [a for a in assignments if not a.handler.failed]
-        if self.validate and assignments:
+        if assignments:
             validate_assignments(
                 assignments, self.ready,
                 allow_busy=self.scheduler.uses_reservation,

@@ -217,8 +217,10 @@ class TestThreadedBackend:
         assert all(h.status is not PEStatus.RUN for h in session.handlers)
         assert any(h.status is PEStatus.FAILED for h in session.handlers)
 
-    def test_hanging_kernel_reported_after_timeout(self, caplog):
+    def test_hanging_kernel_reported_after_timeout(self, caplog, monkeypatch):
         import time as _time
+
+        from repro.runtime.backends import threaded
 
         graph = make_diamond_graph()
         lib = make_diamond_library()
@@ -231,7 +233,8 @@ class TestThreadedBackend:
             config="2C+0F", policy="frfs",
             applications={"diamond": graph}, library=lib,
         )
-        backend = ThreadedBackend(timeout_s=0.3, join_timeout_s=0.1)
+        monkeypatch.setattr(threaded, "JOIN_TIMEOUT_S", 0.1)
+        backend = ThreadedBackend(timeout_s=0.3)
         with caplog.at_level("WARNING"):
             with pytest.raises(EmulationError, match="exceeded"):
                 emu.run(validation_workload({"diamond": 1}), backend)

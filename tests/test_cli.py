@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import EXIT_ERROR, EXIT_USAGE, build_parser, main
+from repro.common.errors import EmulationError
+from repro.runtime.faults import FaultSpec, FaultSpecError
+from repro.runtime.qos import QoSSpec, QoSSpecError
+from repro.runtime.workload import ArrivalSpec
 
 
 class TestParser:
@@ -297,3 +302,61 @@ class TestExitCodesAndQoS:
         rc = main(["run", "--apps", "wifi_tx=1", "--no-jitter",
                    "--policy", "frfs+edf"])
         assert rc == 0
+
+
+_POISSON = {"kind": "poisson", "apps": {"wifi_tx": 1.0}, "max_apps": 4}
+
+#: (flag, document, the field the one error line must name)
+MALFORMED_SPECS = [
+    ("--faults", {"transient": 0.1}, "transient"),
+    ("--faults", {"pe_failures": [{"pe": "cpu0"}]}, "pe_failures #0"),
+    ("--faults", {"pe_failures": {"pe": "cpu0", "at_us": 1.0}}, "pe_failures"),
+    ("--faults", {"pe_failures": [{"pe": "cpu0", "at_us": "soon"}]},
+     "pe_failures #0 at_us"),
+    ("--faults", {"slowdown": [1, 2]}, "slowdown"),
+    ("--faults", {"slowdown": {"cpu": "x"}}, "slowdown for 'cpu'"),
+    ("--faults", {"retry": {"max_retries": "two"}}, "retry.max_retries"),
+    ("--faults", {"retry": {"max_retry": 5}}, "max_retry"),
+    ("--faults", {"transient": {"p": 0.1}}, "'p'"),
+    ("--qos", {"deadlines": 5}, "deadlines"),
+    ("--qos", {"deadlines": {"*": "soon"}}, "deadline for '*'"),
+    ("--qos", {"admission": {"max_pending": "many"}}, "admission.max_pending"),
+    ("--qos", {"watchdog": {"wall_budget_s": "long"}}, "watchdog.wall_budget_s"),
+    ("--arrivals", {**_POISSON, "rate_per_ms": "fast"}, "rate_per_ms"),
+    ("--arrivals", {**_POISSON, "rate_per_ms": 1.0, "max_apps": "x"},
+     "max_apps"),
+    ("--arrivals", {**_POISSON, "rate_per_ms": 1.0, "apps": {"a": "b"}},
+     "apps"),
+]
+
+_READERS = {
+    "--faults": (FaultSpec.from_dict, FaultSpecError),
+    "--qos": (QoSSpec.from_dict, QoSSpecError),
+    "--arrivals": (ArrivalSpec.from_dict, EmulationError),
+}
+
+
+@pytest.mark.parametrize(
+    "flag, doc, field", MALFORMED_SPECS,
+    ids=[f"{flag[2:]}:{field}" for flag, _doc, field in MALFORMED_SPECS],
+)
+def test_malformed_spec_file_is_one_error_line_naming_the_field(
+    flag, doc, field, tmp_path, capsys
+):
+    """A spec file of the wrong shape used to end in a traceback (or, for
+    an unknown retry key, to run with the default): each reader raises its
+    named error, and ``run`` and ``sweep`` print it as one ``error:`` line."""
+    from_dict, error = _READERS[flag]
+    with pytest.raises(error, match=re.escape(field)):
+        from_dict(doc)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    commands = [["run", "--apps", "wifi_tx=1"]]
+    if flag != "--arrivals":  # a sweep axis
+        commands.append(["sweep", "--configs", "2C+1F", "--policies", "frfs",
+                         "--apps", "wifi_tx=1", "--out", str(tmp_path / "c")])
+    for command in commands:
+        assert main([*command, flag, str(path)]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert field in err[0]

@@ -307,13 +307,16 @@ class TestSchedulersExcludeFailedPEs:
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_policy_never_picks_failed_pe(self, policy):
-        from repro.runtime.workload_manager import WorkloadManagerCore
+        from repro.runtime.workload_manager import (
+            MaterializedSource,
+            WorkloadManagerCore,
+        )
 
         session, by_name = self._session_with_failed_cpu1(policy)
         assert by_name["cpu1"].status is PEStatus.FAILED
         core = WorkloadManagerCore(
-            session.instances, session.handlers, session.scheduler,
-            session.stats, validate=session.validate_assignments,
+            MaterializedSource(session.instances), session.handlers,
+            session.scheduler, session.stats,
         )
         core.inject_due(0.0)
         assignments = core.run_policy(0.0)

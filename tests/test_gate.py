@@ -1,7 +1,7 @@
 """Tests for the gate's own plumbing in the rootdir ``conftest.py``: the
-stdlib hang guard that stands in for pytest-timeout, the active-core line,
-and the refusal to run when the compiled core is requested but missing —
-plus source gates that keep the slow JSON encoder out of the store, the
+stdlib hang guard that stands in for pytest-timeout and the active-core
+line — plus source gates that keep the core chosen by what imports (no
+setting for it), the slow JSON encoder out of the store, the
 per-cell journal records (and the second lease) from being written twice,
 the backends' monitor step and the ready list from being hand-rolled
 again, and the PE handshake from going back to a lock per status read and
@@ -12,13 +12,12 @@ from __future__ import annotations
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-from repro import _native
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,15 +73,37 @@ def test_quiet_run_still_names_the_core(tmp_path):
     assert "repro core: {'variant':" in proc.stdout
 
 
-@pytest.mark.skipif(_native.available(), reason="the extension is built here")
-def test_compiled_core_requested_but_missing_is_a_usage_error(tmp_path):
-    proc = run_pytest_in(
-        tmp_path, "def test_ok():\n    pass\n", "", DSSOC_CORE="compiled"
-    )
-    assert proc.returncode == pytest.ExitCode.USAGE_ERROR, proc.stdout
-    assert "DSSOC_CORE=compiled" in proc.stderr
-    assert "python -m repro._native.build" in proc.stderr
-    assert "passed" not in proc.stdout
+_CORE_SETTING = re.compile(r"DSSOC_CORE|\bset_core\b|--core(?![\w-])")
+
+
+def _core_settings(text: str) -> list[tuple[int, str]]:
+    """``(line, what)`` for each ``DSSOC_CORE``, ``set_core`` and ``--core``
+    option (``--compare-cores`` is not one)."""
+    return [
+        (number, match.group())
+        for number, line in enumerate(text.splitlines(), 1)
+        for match in _CORE_SETTING.finditer(line)
+    ]
+
+
+def test_the_core_is_what_imports_and_nothing_sets_it():
+    """The compiled kernels run exactly when the extension imports;
+    ``repro.core.forced()`` is the one in-process pin.  The ``--core`` flag,
+    the ``DSSOC_CORE`` variable and ``set_core()`` stay deleted from the
+    program, the rootdir ``conftest.py`` and CI."""
+    assert _core_settings(
+        "p.add_argument('--core', choices=c)\nDSSOC_CORE=pure pytest\n"
+        "core.set_core('pure')\nbench --compare-cores\nreset_core()\n"
+    ) == [(1, "--core"), (2, "DSSOC_CORE"), (3, "set_core")]
+    paths = [ROOT / "conftest.py"]
+    paths += sorted((ROOT / "src").rglob("*.py"))
+    paths += sorted(p for p in (ROOT / ".github").rglob("*") if p.is_file())
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in paths
+        for line, what in _core_settings(path.read_text("utf-8"))
+    ]
+    assert offenders == []
 
 
 def test_rootdir_conftest_serves_every_suite():

@@ -35,68 +35,67 @@ ALL_POLICIES = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_selection():
-    """Each test starts from no explicit selection and a clear warn latch."""
-    core_select.reset_for_tests()
-    yield
-    core_select.reset_for_tests()
-
-
 # -- selection semantics ---------------------------------------------------------
 
 
 class TestSelection:
     def test_unknown_choice_rejected(self):
         with pytest.raises(ReproError, match="unknown core"):
-            core_select.set_core("turbo")
+            with core_select.forced("turbo"):
+                pass
 
     def test_explicit_compiled_without_extension_errors(self, monkeypatch):
         monkeypatch.setattr(_native, "available", lambda: False)
-        with pytest.raises(ReproError, match="not importable"):
-            core_select.set_core("compiled")
+        with pytest.raises(ReproError, match="not importable") as info:
+            with core_select.forced("compiled"):
+                pass
+        assert "python -m repro._native.build" in str(info.value)
 
-    def test_env_compiled_without_extension_warns_once(self, monkeypatch):
-        monkeypatch.setattr(_native, "available", lambda: False)
-        monkeypatch.setenv(core_select.ENV_VAR, "compiled")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert core_select.selected_core() == core_select.CORE_PURE
+    @pytest.mark.parametrize("value", ["pure", "compiled", "hyperspeed"])
+    def test_dssoc_core_is_not_read(self, monkeypatch, value):
+        monkeypatch.setenv("DSSOC_CORE", value)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second resolve must be silent
-            assert core_select.selected_core() == core_select.CORE_PURE
+            warnings.simplefilter("error")
+            assert core_select.selected_core() == (
+                "compiled" if HAVE_EXT else "pure"
+            )
 
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(core_select.ENV_VAR, "hyperspeed")
-        with pytest.raises(ReproError, match=core_select.ENV_VAR):
-            core_select.selected_core()
-
-    def test_env_pure_selected(self, monkeypatch):
-        monkeypatch.setenv(core_select.ENV_VAR, "pure")
-        assert core_select.selected_core() == core_select.CORE_PURE
-        assert core_select.native_kernels() is None
-
-    def test_auto_matches_availability(self, monkeypatch):
-        monkeypatch.delenv(core_select.ENV_VAR, raising=False)
+    def test_auto_matches_availability(self):
         expected = (
             core_select.CORE_COMPILED if _native.available()
             else core_select.CORE_PURE
         )
         assert core_select.selected_core() == expected
 
-    def test_set_core_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(core_select.ENV_VAR, "pure")
-        if HAVE_EXT:
-            assert core_select.set_core("compiled") == "compiled"
-        assert core_select.set_core("pure") == "pure"
-        core_select.set_core("auto")  # clears: env wins again
-        assert core_select.selected_core() == core_select.CORE_PURE
-
-    def test_forced_context_restores(self, monkeypatch):
-        monkeypatch.delenv(core_select.ENV_VAR, raising=False)
-        core_select.set_core("pure")
+    def test_forced_pins_and_restores_when_nested(self):
         with core_select.forced(core_select.CORE_PURE):
-            assert core_select.selected_core() == core_select.CORE_PURE
-        assert core_select.selected_core() == core_select.CORE_PURE
+            if HAVE_EXT:
+                with core_select.forced(core_select.CORE_COMPILED):
+                    assert core_select.selected_core() == "compiled"
+            assert core_select.selected_core() == "pure"
+            assert core_select.native_kernels() is None
+        assert core_select.selected_core() == (
+            "compiled" if HAVE_EXT else "pure"
+        )
+
+    def test_forced_context_restores(self):
+        before = core_select.selected_core()
+        with pytest.raises(RuntimeError):
+            with core_select.forced(core_select.CORE_PURE):
+                assert core_select.selected_core() == core_select.CORE_PURE
+                raise RuntimeError("leave the block by an exception")
+        assert core_select.selected_core() == before
+
+    @pytest.mark.parametrize(
+        "command", ["run", "perf", "sweep", "sweep-worker", "bench"]
+    )
+    def test_core_flag_is_a_usage_error(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--core", "pure"])
+        assert exit_info.value.code == 2
+        assert "--core" in capsys.readouterr().err
 
     def test_core_info_pure(self):
         with core_select.forced(core_select.CORE_PURE):
@@ -145,21 +144,17 @@ class TestStaleExtension:
         assert f"built for api 1, this checkout needs {_native.API}" in message
         assert "python -m repro._native.build" in message
 
-    def test_auto_falls_back_to_pure_silently(self, stale, monkeypatch):
-        monkeypatch.delenv(core_select.ENV_VAR, raising=False)
+    def test_auto_falls_back_to_pure_silently(self, stale):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert core_select.selected_core() == core_select.CORE_PURE
             assert core_select.native_kernels() is None
 
     def test_explicit_compiled_is_the_named_error(self, stale):
-        with pytest.raises(ReproError, match="built for api 1"):
-            core_select.set_core("compiled")
-
-    def test_env_compiled_warns_and_names_the_mismatch(self, stale, monkeypatch):
-        monkeypatch.setenv(core_select.ENV_VAR, "compiled")
-        with pytest.warns(RuntimeWarning, match="built for api 1"):
-            assert core_select.selected_core() == core_select.CORE_PURE
+        with pytest.raises(ReproError, match="built for api 1") as info:
+            with core_select.forced("compiled"):
+                pass
+        assert "python -m repro._native.build" in str(info.value)
 
 
 # -- whole-emulation equivalence -------------------------------------------------

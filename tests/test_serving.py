@@ -58,13 +58,6 @@ SDR_MIX = {"range_detection": 2.0, "wifi_tx": 1.0, "wifi_rx": 1.0}
 MS = 1000.0  # µs per ms
 
 
-@pytest.fixture(autouse=True)
-def _fresh_selection():
-    core_select.reset_for_tests()
-    yield
-    core_select.reset_for_tests()
-
-
 # -- stream sources --------------------------------------------------------------
 
 

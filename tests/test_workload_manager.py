@@ -12,7 +12,11 @@ from repro.appmodel.instance import ApplicationInstance, TaskState
 from repro.common.errors import EmulationError
 from repro.runtime.schedulers import FRFSScheduler
 from repro.runtime.stats import EmulationStats
-from repro.runtime.workload_manager import ReadyList, WorkloadManagerCore
+from repro.runtime.workload_manager import (
+    MaterializedSource,
+    ReadyList,
+    WorkloadManagerCore,
+)
 from tests.conftest import make_diamond_graph, make_handlers
 
 
@@ -25,7 +29,9 @@ def make_core(zcu, config="2C+0F", arrivals=(0.0,)):
     stats = EmulationStats()
     for h in handlers:
         stats.register_pe(h.pe)
-    core = WorkloadManagerCore(instances, handlers, FRFSScheduler(), stats)
+    core = WorkloadManagerCore(
+        MaterializedSource(instances), handlers, FRFSScheduler(), stats
+    )
     return core, handlers, stats
 
 
