@@ -1,10 +1,10 @@
-"""Backend interface and the perf-model execution-time oracle."""
+"""Backend interface, the emulation session and the setup both backends share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.appmodel.instance import ApplicationInstance, TaskInstance
+from repro.appmodel.instance import ApplicationInstance
 from repro.common.rng import SeedSequenceFactory
 from repro.hardware.accelerator import FFTAcceleratorDevice
 from repro.hardware.config import AffinityPlan
@@ -16,66 +16,9 @@ from repro.runtime.handler import ResourceHandler
 from repro.runtime.qos import QoSController
 from repro.runtime.schedulers.base import Scheduler
 from repro.runtime.stats import EmulationStats
-from repro.runtime.workload_manager import MaterializedSource
+from repro.runtime.workload_manager import MaterializedSource, PerfModelOracle, WorkloadManagerCore
 
-
-class PerfModelOracle:
-    """Execution-time estimates from the calibrated performance model.
-
-    Both the virtual backend's timing and the schedulers' expectations draw
-    from the same tables — the paper's schedulers likewise consume the
-    profiled per-platform execution costs carried in the application JSON.
-    """
-
-    def __init__(
-        self,
-        perf_model: PerformanceModel,
-        devices: dict[int, FFTAcceleratorDevice],
-    ) -> None:
-        self.perf_model = perf_model
-        self.devices = devices
-        # Estimates depend only on (archetype node, PE) — instances of the
-        # same application share TaskNode objects, so this cache turns the
-        # schedulers' hot estimate() calls into dict lookups.
-        self._cache: dict[tuple[int, int], float | None] = {}
-        # Second level: the model itself depends only on (runfunc, PE), so
-        # distinct nodes sharing a kernel resolve to one model evaluation.
-        self._runfunc_cache: dict[tuple[str, int], float] = {}
-
-    def estimate(self, task: TaskInstance, handler: ResourceHandler) -> float | None:
-        node = task.node
-        key = (id(node), handler.pe_id)
-        hit = self._cache.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        value = self._estimate_uncached(node, handler)
-        self._cache[key] = value
-        return value
-
-    def _estimate_uncached(self, node, handler: ResourceHandler) -> float | None:
-        binding = node.binding_for_any(handler.accepted_platforms)
-        if binding is None:
-            return None
-        # pe_id pins both the PE type and (for accelerators) the device, so
-        # keying on (runfunc, pe_id) is sound and collapses every node that
-        # runs the same kernel onto one model evaluation.
-        key = (binding.runfunc, handler.pe_id)
-        hit = self._runfunc_cache.get(key)
-        if hit is not None:
-            return hit
-        pe_type = handler.pe.pe_type
-        if pe_type.is_accelerator:
-            device = self.devices.get(handler.pe_id)
-            if device is None:
-                return None
-            value = self.perf_model.service_time(binding.runfunc, pe_type, device)
-        else:
-            value = self.perf_model.cpu_time(binding.runfunc, pe_type)
-        self._runfunc_cache[key] = value
-        return value
-
-
-_MISS = object()
+__all__ = ["EmulationSession", "ExecutionBackend", "PerfModelOracle", "start_session"]
 
 
 @dataclass
@@ -114,3 +57,16 @@ class ExecutionBackend:
 
     def run(self, session: EmulationSession) -> EmulationStats:
         raise NotImplementedError
+
+
+def start_session(
+    session: EmulationSession,
+) -> tuple[WorkloadManagerCore, dict[int, FFTAcceleratorDevice]]:
+    """Setup both backends share: one device model per accelerator PE
+    (keyed by ``pe_id``), and the started workload-manager core."""
+    devices = {
+        pe.pe_id: session.platform.make_accelerator(f"{pe.name}_dev")
+        for pe in session.plan.pes
+        if pe.is_accelerator
+    }
+    return WorkloadManagerCore.start(session, devices), devices

@@ -33,17 +33,15 @@ import time
 from repro.appmodel.library import KernelContext
 from repro.common.errors import EmulationError
 from repro.common.log import get_logger
-from repro.hardware.accelerator import FFTAcceleratorDevice
 from repro.runtime.application_handler import LazyInstanceSource
 from repro.runtime.backends.base import (
     EmulationSession,
     ExecutionBackend,
-    PerfModelOracle,
+    start_session,
 )
 from repro.runtime.faults import InjectedKernelFault
-from repro.runtime.handler import PEFailedError, PEStatus, ResourceHandler
+from repro.runtime.handler import PEStatus, ResourceHandler
 from repro.runtime.stats import EmulationStats
-from repro.runtime.workload_manager import WorkloadManagerCore
 
 _log = get_logger("runtime.backends.threaded")
 
@@ -117,25 +115,7 @@ class ThreadedBackend(ExecutionBackend):
                 "threaded backend cannot run open-loop arrival streams; "
                 "use the virtual backend for --arrivals runs"
             )
-        devices: dict[int, FFTAcceleratorDevice] = {}
-        for pe in session.plan.pes:
-            if pe.is_accelerator:
-                devices[pe.pe_id] = session.platform.make_accelerator(
-                    f"{pe.name}_dev"
-                )
-        if session.scheduler.oracle is None:
-            session.scheduler.oracle = PerfModelOracle(session.perf_model, devices)
-
-        core = WorkloadManagerCore(
-            session.source,
-            session.handlers,
-            session.scheduler,
-            session.stats,
-            faults=session.faults,
-            qos=session.qos,
-        )
-        if session.qos is not None:
-            session.qos.start_run()
+        core, devices = start_session(session)
         # Reference start time: all timestamps are µs since this instant.
         ref = time.perf_counter()
 
@@ -192,23 +172,31 @@ class ThreadedBackend(ExecutionBackend):
                         pass
         if failure:
             raise combine_failures(failure)
-        if session.stats.interrupted:
-            # Drained early (signal or budget): partial stats are the
-            # deliverable, so the completeness invariant does not apply.
-            return session.stats
-        session.stats.assert_all_complete()
-        return session.stats
+        return core.verdict()
 
     # -- workload-manager thread (runs on the caller) ------------------------------------
 
     def _wm_loop(self, session, core, clock, wm_condition,
                  completed, requeues, pe_failures, failure):
-        self_serve = session.scheduler.uses_reservation
         if self.pin_threads:
             _try_pin(session.platform.management_core)
         deadline = time.perf_counter() + self.timeout_s
         qos = session.qos
         hb_timeout_us = qos.heartbeat_timeout_us if qos is not None else None
+        buffers = (completed, pe_failures, requeues)
+
+        def take() -> list[list]:
+            """Move what the RM threads reported into lists of our own."""
+            with wm_condition:
+                batch = [list(b) for b in buffers]
+                for b in buffers:
+                    b.clear()
+            return batch
+
+        def pending() -> int:
+            with wm_condition:
+                return len(completed) + len(pe_failures) + len(requeues)
+
         draining = False
         drain_deadline = 0.0
         while not core.all_complete():
@@ -219,10 +207,9 @@ class ThreadedBackend(ExecutionBackend):
                     f"threaded emulation exceeded {self.timeout_s}s "
                     f"({core.apps_completed}/{core.n_apps} apps complete)"
                 )
-            if qos is not None and not draining:
-                reason = qos.poll()
+            if not draining:
+                reason = core.poll_interrupt(clock())
                 if reason is not None:
-                    session.stats.mark_interrupted(reason, clock())
                     _log.warning(
                         "threaded emulation draining (%s); waiting up to "
                         "%.1fs for in-flight tasks",
@@ -231,21 +218,11 @@ class ThreadedBackend(ExecutionBackend):
                     draining = True
                     drain_deadline = time.perf_counter() + JOIN_TIMEOUT_S
             if draining:
-                # Graceful shutdown: stop injecting/scheduling, absorb what
-                # finishes, and exit once every PE is quiet (or the drain
-                # deadline passes — a hung kernel must not hold us hostage).
-                with wm_condition:
-                    batch = list(completed)
-                    completed.clear()
-                    fail_batch = list(pe_failures)
-                    pe_failures.clear()
-                    req_batch = list(requeues)
-                    requeues.clear()
-                core.absorb(batch, fail_batch, req_batch, clock())
-                if not core.any_busy():
-                    with wm_condition:
-                        if not completed and not requeues and not pe_failures:
-                            return
+                # Exit once every PE is quiet, or once the drain deadline
+                # passes: a hung kernel must not hold us hostage.
+                if core.drain(*take(), clock()):
+                    if not pending():
+                        return
                 elif time.perf_counter() > drain_deadline:
                     _log.warning(
                         "drain deadline exceeded; abandoning in-flight tasks"
@@ -255,66 +232,41 @@ class ThreadedBackend(ExecutionBackend):
                     wm_condition.wait(timeout=POLL_INTERVAL_S * 10)
                 continue
             with wm_condition:
-                if (
-                    not completed
-                    and not requeues
-                    and not pe_failures
-                    and not (
-                        core.has_due_arrival(clock()) and core.admission_open()
-                    )
-                ):
-                    nxt = core.next_arrival()
-                    wait_s = POLL_INTERVAL_S
-                    if nxt is not None and core.admission_open():
-                        wait_s = max(0.0, min(wait_s * 50, (nxt - clock()) / 1e6))
-                        wait_s = max(wait_s, 1e-5)
-                    wm_condition.wait(timeout=wait_s)
-                batch = list(completed)
-                completed.clear()
-                fail_batch = list(pe_failures)
-                pe_failures.clear()
-                req_batch = list(requeues)
-                requeues.clear()
+                if not (completed or requeues or pe_failures):
+                    nxt = core.next_admittable()
+                    now = clock()
+                    if nxt is None or nxt > now:
+                        wait_s = POLL_INTERVAL_S
+                        if nxt is not None:
+                            wait_s = max(1e-5, min(wait_s * 50, (nxt - now) / 1e6))
+                        wm_condition.wait(timeout=wait_s)
             t0 = clock()
-            now = t0
-            n_comp = core.absorb(batch, fail_batch, req_batch, now)
             if hb_timeout_us is not None:
-                self._check_heartbeats(session, core, now, hb_timeout_us)
-            core.inject_due(now)
-            ready_len = len(core.ready)
-            assignments = core.run_policy(now)
-            core.commit(assignments, clock())
-            for a in assignments:
-                try:
-                    if self_serve:
-                        a.handler.reserve(a.task)
-                    else:
-                        a.handler.assign(a.task)
-                    if hb_timeout_us is not None:
-                        a.handler.heartbeat = clock()
-                except PEFailedError:
-                    # Lost the race against a concurrent PE failure.
-                    core.recover_failed_dispatch(a.task, clock())
+                self._check_heartbeats(session, core, t0, hb_timeout_us)
+            n_comp, ready_len, assignments = core.run_pass(*take(), t0)
+            for a in core.dispatch(assignments, clock()):
+                if hb_timeout_us is not None:
+                    # A started task's PE leaves IDLE: restart its watchdog
+                    # clock.  A booking behind running work must not.
+                    a.handler.heartbeat = clock()
             # Measured overhead: monitor + ready update + policy + dispatch.
             if n_comp or assignments or ready_len:
                 session.stats.record_scheduling_pass(clock() - t0, ready_len)
-            with wm_condition:
-                pending = len(completed) + len(requeues) + len(pe_failures)
             try:
-                core.check_liveness(clock(), pending_completions=pending)
+                core.check_liveness(clock(), pending_completions=pending())
             except EmulationError:
-                # A completion may have landed between the snapshot and the
+                # A completion may have landed between the count and the
                 # verdict; only a still-empty queue is a real deadlock.
-                with wm_condition:
-                    if not completed and not requeues and not pe_failures:
-                        raise
+                if not pending():
+                    raise
 
     @staticmethod
     def _check_heartbeats(session, core, now, hb_timeout_us):
         """QoS watchdog: fail-stop PEs whose RM shows no sign of life.
 
-        A PE stuck in RUN with a stale heartbeat has a hung kernel (the RM
-        stamps the heartbeat at dispatch and around every attempt).  The
+        A PE stuck in RUN with a stale heartbeat has a hung kernel (the WM
+        stamps the heartbeat when a task starts on an idle PE, the RM
+        before every attempt).  The
         existing ``mark_failed`` path orphans its work for rescheduling on
         the surviving PEs; the hung RM thread notices ``handler.failed``
         when (if) its kernel returns and exits without touching the task.

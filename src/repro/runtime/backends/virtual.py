@@ -28,10 +28,10 @@ from repro.hardware.accelerator import FFTAcceleratorDevice
 from repro.runtime.backends.base import (
     EmulationSession,
     ExecutionBackend,
-    PerfModelOracle,
+    start_session,
 )
 from repro.runtime.faults import FaultInjector
-from repro.runtime.handler import PEFailedError, ResourceHandler
+from repro.runtime.handler import ResourceHandler
 from repro.runtime.stats import EmulationStats
 from repro.runtime.workload_manager import WorkloadManagerCore
 from repro.sim.engine import _PENDING, Engine, _Callback
@@ -39,6 +39,11 @@ from repro.sim.process import Process
 from repro.sim.resources import HostCore, Mailbox
 
 _log = get_logger("runtime.backends.virtual")
+
+#: round-robin time slice of a shared host core, in µs
+QUANTUM_US = 100.0
+#: cost of one context switch on a shared host core, in µs
+SWITCH_COST_US = 8.0
 
 
 class _Waker:
@@ -86,16 +91,7 @@ class _Waker:
 class VirtualBackend(ExecutionBackend):
     name = "virtual"
 
-    def __init__(
-        self,
-        *,
-        quantum_us: float = 100.0,
-        switch_cost_us: float = 8.0,
-        max_events: int | None = None,
-    ) -> None:
-        self.quantum_us = quantum_us
-        self.switch_cost_us = switch_cost_us
-        self.max_events = max_events
+    def __init__(self) -> None:
         #: engine counters from the most recent run() (perf harness input)
         self.last_run_info: dict | None = None
 
@@ -113,32 +109,14 @@ class VirtualBackend(ExecutionBackend):
             cores[idx] = HostCore(
                 engine,
                 spec.name,
-                quantum=self.quantum_us,
-                switch_cost=self.switch_cost_us,
+                quantum=QUANTUM_US,
+                switch_cost=SWITCH_COST_US,
                 speed=spec.speed,
             )
 
-        # Accelerator devices (timing models only in this backend).
-        devices: dict[int, FFTAcceleratorDevice] = {}
-        for pe in session.plan.pes:
-            if pe.is_accelerator:
-                devices[pe.pe_id] = platform.make_accelerator(f"{pe.name}_dev")
-
-        # Give the scheduler its oracle if it arrived without one.
-        if session.scheduler.oracle is None:
-            session.scheduler.oracle = PerfModelOracle(session.perf_model, devices)
-
+        # Accelerator devices are timing models only in this backend.
+        core, devices = start_session(session)
         injector = session.faults
-        core = WorkloadManagerCore(
-            session.source,
-            session.handlers,
-            session.scheduler,
-            session.stats,
-            faults=injector,
-            qos=session.qos,
-        )
-        if session.qos is not None:
-            session.qos.start_run()
         waker = _Waker(engine)
         completed: deque[tuple[ResourceHandler, object]] = deque()
         #: tasks handed back by RMs after exhausting in-place retries
@@ -170,24 +148,13 @@ class VirtualBackend(ExecutionBackend):
                 engine, injector, session.handlers, rm_procs, core,
                 fault_events, waker,
             )
-        engine.run(max_events=self.max_events)
+        engine.run()
         self.last_run_info = {
             "events_fired": engine.events_fired,
             "events_scheduled": engine.events_scheduled,
             "final_time_us": engine.now,
         }
-        if session.stats.interrupted:
-            # Drained early (signal or budget): partial stats are the
-            # deliverable, so the completeness invariants do not apply.
-            return session.stats
-        if not core.all_complete():
-            raise EmulationError(
-                f"virtual emulation stalled: {core.apps_completed}/"
-                f"{core.n_apps} applications completed "
-                f"({core.apps_degraded} degraded)"
-            )
-        session.stats.assert_all_complete()
-        return session.stats
+        return core.verdict()
 
     # -- fault injection -----------------------------------------------------------
 
@@ -244,25 +211,21 @@ class VirtualBackend(ExecutionBackend):
         policy = session.scheduler.name
         self_serve = session.scheduler.uses_reservation
         n_pes = session.n_pes
-        qos = session.qos
         draining = False
         wm_token = object()  # identity on the management core
 
         while not core.all_complete():
-            if qos is not None and not draining:
-                reason = qos.poll(engine.now)
+            if not draining:
+                reason = core.poll_interrupt(engine.now, engine.now)
                 if reason is not None:
-                    session.stats.mark_interrupted(reason, engine.now)
                     _log.warning(
                         "virtual emulation draining at t=%.1fus (%s)",
                         engine.now, reason,
                     )
                     draining = True
             if draining:
-                # Graceful shutdown: absorb whatever already finished, stop
-                # injecting/scheduling, and exit once every PE is quiet.
-                core.absorb(completed, fault_events, requeues, engine.now)
-                if not core.any_busy():
+                # drain reads and empties the live deques without yielding
+                if core.drain(completed, fault_events, requeues, engine.now):
                     return
                 yield waker.wait_event()
                 continue
@@ -271,22 +234,19 @@ class VirtualBackend(ExecutionBackend):
             # coming due (and admittable — a defer-blocked arrival waits
             # for the completion that frees capacity, not for a timer).
             if not completed and not fault_events and not requeues:
-                nxt = core.next_arrival()
-                admittable = nxt is not None and core.admission_open()
-                if not (admittable and nxt <= engine.now):
+                nxt = core.next_admittable()
+                if nxt is None or nxt > engine.now:
                     wait = waker.wait_event()
-                    if admittable:
+                    if nxt is not None:
                         engine.call_at(nxt, waker.wake)
                     yield wait
                     continue  # re-evaluate state at the wakeup instant
 
-            now = engine.now
-            # absorb reads and empties the live deques: it runs without
+            # run_pass reads and empties the live deques: it runs without
             # yielding, so nothing can append mid-call and no pass copies.
-            n_comp = core.absorb(completed, fault_events, requeues, now)
-            core.inject_due(now)
-            ready_len = len(core.ready)
-            assignments = core.run_policy(now)
+            n_comp, ready_len, assignments = core.run_pass(
+                completed, fault_events, requeues, engine.now
+            )
 
             overhead, invocations = cost_model.pass_cost(
                 policy, ready_len, n_pes, n_comp, len(assignments),
@@ -305,26 +265,10 @@ class VirtualBackend(ExecutionBackend):
                 )
 
             dispatch_now = engine.now
-            core.commit(assignments, dispatch_now)
-            for a in assignments:
-                try:
-                    if self_serve:
-                        started = a.handler.reserve(a.task)
-                        if started:
-                            mailboxes[a.handler.pe_id].put(a.task)
-                    else:
-                        a.handler.assign(a.task)
-                        mailboxes[a.handler.pe_id].put(a.task)
-                except PEFailedError:
-                    # The PE failed while this pass was charging its
-                    # overhead; put the task back for the next pass.
-                    core.recover_failed_dispatch(a.task, dispatch_now)
-            core.check_liveness(
-                dispatch_now,
-                pending_completions=(
-                    len(completed) + len(requeues) + len(fault_events)
-                ),
-            )
+            for a in core.dispatch(assignments, dispatch_now):
+                mailboxes[a.handler.pe_id].put(a.task)
+            pending = len(completed) + len(requeues) + len(fault_events)
+            core.check_liveness(dispatch_now, pending_completions=pending)
 
     # -- resource-manager process ----------------------------------------------------------
 

@@ -106,7 +106,8 @@ class ResourceHandler:
         #: time the PE failed (µs), or -1.0 while healthy
         self.failed_at: float = -1.0
         #: last sign of life from this PE's RM (threaded-backend wall-clock
-        #: µs), stamped at dispatch and around kernel attempts; the QoS
+        #: µs), stamped when a task starts here and before each kernel
+        #: attempt (never for a booking behind running work); the QoS
         #: watchdog fail-stops a PE stuck in RUN past its heartbeat timeout.
         #: Plain float write/read — stale reads only delay detection.
         self.heartbeat: float = -1.0

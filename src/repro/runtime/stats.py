@@ -206,8 +206,10 @@ class EmulationStats:
     the constant-memory :class:`StreamingStats` instead.
 
     **Sink protocol.**  A run reports only through the hooks below.  *WM*
-    is the workload-manager loop (the ``_wm_process`` coroutine on the
-    virtual backend, the calling thread on the threaded one).  *Locked*
+    is the workload-manager loop (an engine process on the virtual
+    backend, the calling thread on the threaded one) and the
+    ``WorkloadManagerCore`` steps it calls (``run_pass``, ``dispatch``,
+    ``drain``, ...).  *Locked*
     hooks append to ``fault_timeline`` under ``_fault_lock``, because
     ``record_transient_fault`` can run on an RM thread meanwhile.
 

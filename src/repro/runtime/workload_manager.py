@@ -1,24 +1,32 @@
 """Workload-manager core logic (paper Sec. II-C, Fig. 3).
 
-Backend-independent state machine shared by the virtual and threaded
-backends: injection of arrived applications, completion monitoring and
-ready-list maintenance, policy invocation with assignment validation, and
-dispatch bookkeeping.  The backends own *time* (virtual clock vs. wall
-clock) and the mechanics of waiting; this core owns *what happens* in each
-workload-manager pass.
+One backend-independent state machine behind both backends, each step
+written once: setup (:meth:`WorkloadManagerCore.start`), the interrupt
+check, the drain step, the pass (absorb → inject → policy), dispatch
+(commit, hand-off, lost-race recovery) and the end-of-run verdict.  The
+backends own *time* (virtual clock vs. wall clock) and keep only what
+depends on it: their loops and how they wait, the pass overhead (modelled
+and charged vs. measured), delivering a started task to its PE, and the
+threaded watchdog and deadlines.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 from repro.appmodel.instance import ApplicationInstance, TaskInstance, TaskState
 from repro.common.errors import EmulationError
+from repro.hardware.accelerator import FFTAcceleratorDevice
+from repro.hardware.perfmodel import PerformanceModel
 from repro.runtime.faults import FaultInjector
-from repro.runtime.handler import PEStatus, ResourceHandler
+from repro.runtime.handler import PEFailedError, PEStatus, ResourceHandler
 from repro.runtime.qos import QoSController
 from repro.runtime.schedulers.base import Assignment, Scheduler, validate_assignments
 from repro.runtime.stats import EmulationStats
+
+if TYPE_CHECKING:
+    from repro.runtime.backends.base import EmulationSession
 
 
 #: ReadyList._wanted before the first question and after a count crossed zero
@@ -166,6 +174,63 @@ class MaterializedSource:
         ``EmulationResult.verify_outputs`` reads its memory)."""
 
 
+class PerfModelOracle:
+    """Execution-time estimates from the calibrated performance model.
+
+    Both the virtual backend's timing and the schedulers' expectations draw
+    from the same tables — the paper's schedulers likewise consume the
+    profiled per-platform execution costs carried in the application JSON.
+    """
+
+    def __init__(
+        self,
+        perf_model: PerformanceModel,
+        devices: dict[int, FFTAcceleratorDevice],
+    ) -> None:
+        self.perf_model = perf_model
+        self.devices = devices
+        # Estimates depend only on (archetype node, PE) — instances of the
+        # same application share TaskNode objects, so this cache turns the
+        # schedulers' hot estimate() calls into dict lookups.
+        self._cache: dict[tuple[int, int], float | None] = {}
+        # Second level: the model itself depends only on (runfunc, PE), so
+        # distinct nodes sharing a kernel resolve to one model evaluation.
+        self._runfunc_cache: dict[tuple[str, int], float] = {}
+
+    def estimate(self, task: TaskInstance, handler: ResourceHandler) -> float | None:
+        node = task.node
+        key = (id(node), handler.pe_id)
+        hit = self._cache.get(key, _MISS)
+        if hit is not _MISS:
+            return hit
+        value = self._estimate_uncached(node, handler)
+        self._cache[key] = value
+        return value
+
+    def _estimate_uncached(self, node, handler: ResourceHandler) -> float | None:
+        binding = node.binding_for_any(handler.accepted_platforms)
+        if binding is None:
+            return None
+        # pe_id pins both the PE type and (for accelerators) the device
+        key = (binding.runfunc, handler.pe_id)
+        hit = self._runfunc_cache.get(key)
+        if hit is not None:
+            return hit
+        pe_type = handler.pe.pe_type
+        if pe_type.is_accelerator:
+            device = self.devices.get(handler.pe_id)
+            if device is None:
+                return None
+            value = self.perf_model.service_time(binding.runfunc, pe_type, device)
+        else:
+            value = self.perf_model.cpu_time(binding.runfunc, pe_type)
+        self._runfunc_cache[key] = value
+        return value
+
+
+_MISS = object()
+
+
 class WorkloadManagerCore:
     """One emulation's WM state: workload queue, ready list, dispatch."""
 
@@ -212,6 +277,19 @@ class WorkloadManagerCore:
             else None
         )
 
+    @classmethod
+    def start(cls, session: EmulationSession, devices: dict) -> WorkloadManagerCore:
+        """Setup step: give the scheduler an oracle over the perf model if
+        it arrived without one, build the core, and start the QoS clock."""
+        scheduler = session.scheduler
+        if scheduler.oracle is None:
+            scheduler.oracle = PerfModelOracle(session.perf_model, devices)
+        core = cls(session.source, session.handlers, scheduler, session.stats,
+                   faults=session.faults, qos=session.qos)
+        if session.qos is not None:
+            session.qos.start_run()
+        return core
+
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -228,27 +306,27 @@ class WorkloadManagerCore:
             return done == total
         return self.source.exhausted and done == self.source.produced
 
-    def admission_open(self) -> bool:
-        """False only while a ``defer``-policy arrival must wait for capacity.
-
-        Backends gate their "a due arrival needs a WM pass" wake-up on
-        this, so a deferred arrival does not spin the WM; the completion
-        that frees capacity triggers the pass that admits it.  The drop
-        policies always resolve an arrival immediately, so admission is
-        always "open" for them.
-        """
-        admission = self.qos.admission if self.qos is not None else None
-        if admission is None or admission.policy != "defer":
-            return True
-        return self.apps_in_flight < admission.max_pending
-
     def next_arrival(self) -> float | None:
         """Arrival time of the workload queue's head, or None when drained."""
         return self.source.peek_time()
 
-    def has_due_arrival(self, now: float) -> bool:
-        nxt = self.next_arrival()
-        return nxt is not None and nxt <= now
+    def next_admittable(self) -> float | None:
+        """The head's arrival time, or None when the queue is drained or
+        a ``defer``-policy arrival must wait for capacity.
+
+        Backends wake a pass for this time, so a deferred arrival does not
+        spin the WM: the completion that frees capacity triggers the pass
+        that admits it.  The drop policies resolve every arrival at once.
+        """
+        nxt = self.source.peek_time()
+        admission = self.qos.admission if self.qos is not None else None
+        if (
+            admission is None
+            or admission.policy != "defer"
+            or self.apps_in_flight < admission.max_pending
+        ):
+            return nxt
+        return None
 
     def any_busy(self) -> bool:
         """Some PE can still report: FAILED is terminal, not busy."""
@@ -258,7 +336,75 @@ class WorkloadManagerCore:
                 return True
         return False
 
-    # -- the three steps of a WM pass -----------------------------------------------
+    # -- the steps each backend's loop calls ----------------------------------------
+
+    def poll_interrupt(self, now: float, modeled_us: float | None = None) -> str | None:
+        """Interrupt check: the QoS controller's reason to stop (signal or
+        budget), already recorded in the stats at ``now``, or None.  The
+        caller starts draining on a reason; only the virtual backend passes
+        ``modeled_us``, which arms the modelled-time budget."""
+        qos = self.qos
+        if qos is None:
+            return None
+        reason = qos.poll(modeled_us)
+        if reason is not None:
+            self.stats.mark_interrupted(reason, now)
+        return reason
+
+    def drain(self, completions, pe_failures, requeues, now: float) -> bool:
+        """Drain step (graceful shutdown, nothing injected or scheduled):
+        absorb what the PEs reported; True once no PE is busy."""
+        self.absorb(completions, pe_failures, requeues, now)
+        return not self.any_busy()
+
+    def run_pass(self, completions, pe_failures, requeues, now: float) -> tuple:
+        """One pass: absorb → inject → policy, dispatching nothing.  Returns
+        ``(completions absorbed, ready-list length the policy saw,
+        assignments)``, the inputs of the pass-overhead accounting."""
+        n_comp = self.absorb(completions, pe_failures, requeues, now)
+        self.inject_due(now)
+        ready_len = len(self.ready)
+        return n_comp, ready_len, self.run_policy(now)
+
+    def dispatch(self, assignments: list[Assignment], now: float) -> list[Assignment]:
+        """Dispatch step: :meth:`commit`, then ``assign`` (``reserve`` for a
+        reservation policy) each task in order.  Returns the assignments
+        whose task started; a booking queued behind running work did not.
+        A task whose PE failed since the policy chose it goes back on the
+        ready list at ``now``."""
+        if not assignments:
+            return assignments
+        self.commit(assignments, now)
+        reserve = self.scheduler.uses_reservation
+        started = []
+        for a in assignments:
+            try:
+                if reserve:
+                    if not a.handler.reserve(a.task):
+                        continue
+                else:
+                    a.handler.assign(a.task)
+            except PEFailedError:
+                self.recover_failed_dispatch(a.task, now)
+                continue
+            started.append(a)
+        return started
+
+    def verdict(self) -> EmulationStats:
+        """End-of-run verdict: an interrupted run's partial stats are the
+        deliverable; any other run must have accounted for every app."""
+        stats = self.stats
+        if stats.interrupted:
+            return stats
+        if not self.all_complete():
+            raise EmulationError(
+                f"emulation stalled: {self.apps_completed}/{self.n_apps} "
+                f"applications completed ({self.apps_degraded} degraded)"
+            )
+        stats.assert_all_complete()
+        return stats
+
+    # -- the parts of a pass ---------------------------------------------------------
 
     def absorb(self, completions, pe_failures, requeues, now: float) -> int:
         """Monitor step: consume what the PEs reported since the last pass.

@@ -257,6 +257,27 @@ def test_monitor_step_has_one_body_and_the_ready_list_no_tombstones():
     assert offenders == []
 
 
+def test_backends_keep_only_time_and_waiting():
+    """Setup, the interrupt check, the pass, dispatch and the end-of-run
+    verdict are ``WorkloadManagerCore`` steps that both backends call; no
+    backend module spells one of their parts again."""
+    parts = (
+        "inject_due", "run_policy", "commit", "recover_failed_dispatch",
+        "assign", "reserve", "mark_interrupted", "assert_all_complete",
+        "WorkloadManagerCore", "PerfModelOracle",
+    )
+    assert _hand_rolled_wm(
+        "core.commit(a, now)\nh.reserve(t)\ncore.dispatch(a, now)\n"
+        "core = WorkloadManagerCore(src)\nx: WorkloadManagerCore\n",
+        calls=parts,
+    ) == [(1, "commit("), (2, "reserve("), (4, "WorkloadManagerCore(")]
+    offenders = []
+    for path in sorted((ROOT / "src" / "repro" / "runtime" / "backends").glob("*.py")):
+        for line, what in _hand_rolled_wm(path.read_text("utf-8"), calls=parts):
+            offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
+    assert offenders == []
+
+
 def _handshake_offences(source: str, *, handler_module: bool) -> list[tuple[int, str]]:
     """``(line, what)`` for each use of the deleted completion buffer
     (``finished_tasks`` / ``drain_finished``, any module) and, in the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.appmodel.instance import TaskState
 from repro.runtime.backends import ThreadedBackend, VirtualBackend
-from repro.runtime.backends import virtual as virtual_backend
+from repro.runtime.backends import base as backends_base
 from repro.runtime.emulation import Emulation
 from repro.runtime.qos import (
     AdmissionConfig,
@@ -25,7 +26,12 @@ from repro.runtime.qos import (
 from repro.runtime.schedulers import make_scheduler
 from repro.runtime.schedulers.base import Scheduler
 from repro.runtime.stats import StreamingStats
-from repro.runtime.workload import BurstyStream, validation_workload
+from repro.runtime.workload import (
+    BurstyStream,
+    WorkloadItem,
+    WorkloadSpec,
+    validation_workload,
+)
 from repro.runtime.workload_manager import WorkloadManagerCore
 from repro.common.errors import SchedulingError
 from tests.conftest import make_diamond_graph, make_diamond_library
@@ -356,6 +362,42 @@ class TestHeartbeatWatchdog:
         kinds = {e["kind"] for e in stats.fault_timeline}
         assert "watchdog_failstop" in kinds
 
+    def test_booking_behind_a_running_task_keeps_its_heartbeat(self):
+        # Only a task that starts on an idle PE restarts the PE's watchdog
+        # clock.  A reservation booked behind a running (maybe hung) kernel
+        # must not, or each booking would postpone the fail-stop.
+        lib = make_diamond_library()
+        cpu = {}
+        seen = {}
+
+        def first_a_waits_for_a_booking(ctx):
+            if seen:
+                return
+            handler = cpu["handler"]
+            seen["before"] = handler.heartbeat
+            give_up = time.monotonic() + 10.0
+            while not handler.reservation_queue and time.monotonic() < give_up:
+                time.sleep(0.001)
+            seen["booked"] = len(handler.reservation_queue)
+            time.sleep(0.1)  # the pass that booked it has long finished
+            seen["after"] = handler.heartbeat
+
+        lib.register_symbol("diamond.so", "k_a", first_a_waits_for_a_booking)
+        emu = Emulation(
+            config="1C+0F", policy="frfs_reserve",
+            applications={"diamond": make_diamond_graph()}, library=lib,
+            qos={"watchdog": {"heartbeat_timeout_s": 30.0}},
+        )
+        # the second app arrives while the first one's A is running
+        session = emu.build_session(WorkloadSpec(
+            [WorkloadItem("diamond", 0.0), WorkloadItem("diamond", 20_000.0)]
+        ))
+        cpu["handler"] = session.handlers[0]
+        stats = ThreadedBackend().run(session)
+        assert seen["booked"] == 1
+        assert seen["after"] == seen["before"] > 0.0
+        assert stats.apps_completed == 2 and stats.watchdog_failstops == 0
+
     def test_healthy_run_untouched_by_watchdog(self):
         result = qos_run(
             {"watchdog": {"heartbeat_timeout_s": 30.0}},
@@ -466,7 +508,7 @@ def test_drop_oldest_admission_map_matches_a_scan(
     )
     audit = AdmissionAudit(policy)
     qos = {"admission": {"max_pending": max_pending, "policy": "drop-oldest"}}
-    with mock.patch.object(virtual_backend, "WorkloadManagerCore", AuditedCore):
+    with mock.patch.object(backends_base, "WorkloadManagerCore", AuditedCore):
         emu = Emulation(config="2C+1F", policy=audit, seed=1, qos=qos)
         stats = emu.run(stream, VirtualBackend()).stats
     core = audit.core

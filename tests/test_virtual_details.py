@@ -1,5 +1,5 @@
 """Focused tests for virtual-backend mechanisms: RM core sharing (the
-2C+2F effect), oracle caching, and backend tuning knobs."""
+2C+2F effect), oracle caching, and the host-core time-slicing constants."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from repro.appmodel.dag import PlatformBinding
 from repro.appmodel.library import KernelLibrary
 from repro.hardware.perfmodel import PerformanceModel
 from repro.runtime.backends import VirtualBackend
+from repro.runtime.backends import virtual
 from repro.runtime.backends.base import PerfModelOracle
 from repro.runtime.emulation import Emulation
 from repro.runtime.workload import validation_workload
@@ -55,25 +56,25 @@ class TestSharedCorePreemption:
         )
         assert shared.makespan_us > dedicated.makespan_us
 
-    def test_switch_cost_knob_increases_contention_penalty(self):
+    def test_switch_cost_knob_increases_contention_penalty(self, monkeypatch):
+        monkeypatch.setattr(virtual, "SWITCH_COST_US", 0.0)
         cheap = burst_emulation("2C+2F").run(
-            validation_workload({"fft_burst": 1}),
-            VirtualBackend(switch_cost_us=0.0),
+            validation_workload({"fft_burst": 1}), VirtualBackend()
         )
+        monkeypatch.setattr(virtual, "SWITCH_COST_US", 40.0)
         pricey = burst_emulation("2C+2F").run(
-            validation_workload({"fft_burst": 1}),
-            VirtualBackend(switch_cost_us=40.0),
+            validation_workload({"fft_burst": 1}), VirtualBackend()
         )
         assert pricey.makespan_us > cheap.makespan_us
 
-    def test_one_accelerator_unaffected_by_knobs(self):
+    def test_one_accelerator_unaffected_by_knobs(self, monkeypatch):
+        monkeypatch.setattr(virtual, "SWITCH_COST_US", 0.0)
         a = burst_emulation("1C+1F", n_tasks=6).run(
-            validation_workload({"fft_burst": 1}),
-            VirtualBackend(switch_cost_us=0.0),
+            validation_workload({"fft_burst": 1}), VirtualBackend()
         )
+        monkeypatch.setattr(virtual, "SWITCH_COST_US", 40.0)
         b = burst_emulation("1C+1F", n_tasks=6).run(
-            validation_workload({"fft_burst": 1}),
-            VirtualBackend(switch_cost_us=40.0),
+            validation_workload({"fft_burst": 1}), VirtualBackend()
         )
         # single RM thread per core: no preemption, no switch cost paid
         assert a.makespan_us == pytest.approx(b.makespan_us)
@@ -131,24 +132,15 @@ class TestPerfModelOracle:
 
 
 class TestBackendKnobs:
-    def test_max_events_guard(self):
-        from repro.common.errors import EmulationError
-
-        emu = burst_emulation("1C+1F", n_tasks=8)
-        with pytest.raises(EmulationError, match="max_events"):
-            emu.run(
-                validation_workload({"fft_burst": 2}),
-                VirtualBackend(max_events=10),
-            )
-
-    def test_quantum_knob_changes_shared_core_interleaving(self):
+    def test_quantum_knob_changes_shared_core_interleaving(self, monkeypatch):
+        monkeypatch.setattr(virtual, "SWITCH_COST_US", 4.0)
+        monkeypatch.setattr(virtual, "QUANTUM_US", 5.0)
         fine = burst_emulation("2C+2F").run(
-            validation_workload({"fft_burst": 1}),
-            VirtualBackend(quantum_us=5.0, switch_cost_us=4.0),
+            validation_workload({"fft_burst": 1}), VirtualBackend()
         )
+        monkeypatch.setattr(virtual, "QUANTUM_US", 500.0)
         coarse = burst_emulation("2C+2F").run(
-            validation_workload({"fft_burst": 1}),
-            VirtualBackend(quantum_us=500.0, switch_cost_us=4.0),
+            validation_workload({"fft_burst": 1}), VirtualBackend()
         )
         # finer quanta force more context switches -> more total overhead
         assert fine.makespan_us >= coarse.makespan_us

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from repro.appmodel.instance import ApplicationInstance, TaskState
 from repro.common.errors import EmulationError
 from repro.runtime.schedulers import FRFSScheduler
+from repro.runtime.schedulers.base import Assignment
+from repro.runtime.schedulers.reservation import ReservationFRFSScheduler
 from repro.runtime.stats import EmulationStats
 from repro.runtime.workload_manager import (
     MaterializedSource,
@@ -20,7 +22,7 @@ from repro.runtime.workload_manager import (
 from tests.conftest import make_diamond_graph, make_handlers
 
 
-def make_core(zcu, config="2C+0F", arrivals=(0.0,)):
+def make_core(zcu, config="2C+0F", arrivals=(0.0,), scheduler=None):
     handlers = make_handlers(zcu, config)
     instances = [
         ApplicationInstance(make_diamond_graph(), i, t, materialize=False)
@@ -30,7 +32,7 @@ def make_core(zcu, config="2C+0F", arrivals=(0.0,)):
     for h in handlers:
         stats.register_pe(h.pe)
     core = WorkloadManagerCore(
-        MaterializedSource(instances), handlers, FRFSScheduler(), stats
+        MaterializedSource(instances), handlers, scheduler or FRFSScheduler(), stats
     )
     return core, handlers, stats
 
@@ -266,6 +268,7 @@ class TestWorkloadManagerCore:
             core.process_completions(completions, now)
         assert stats.apps_completed == 1
         assert stats.task_count == 4
+        assert core.verdict() is stats
 
     def test_liveness_check_detects_unsupported_tasks(self, zcu):
         # config with only FFT PEs cannot run the CPU-only A task
@@ -284,6 +287,62 @@ class TestWorkloadManagerCore:
         assert core.tasks_outstanding == 0
         core.inject_due(0.0)
         assert core.tasks_outstanding == 8
+
+
+class TestPassSteps:
+    """The dispatch step and the end-of-run verdict, with no backend."""
+
+    def test_dispatch_assigns_and_returns_what_started(self, zcu):
+        core, handlers, _stats = make_core(zcu)
+        core.inject_due(0.0)
+        assignments = core.run_policy(0.0)
+        assert core.dispatch(assignments, 2.0) == assignments
+        task, handler = assignments[0]
+        assert handler.current_task is task and not handler.is_idle()
+        assert task.dispatch_time == 2.0 and task not in core.ready
+
+    def test_dispatch_returns_a_started_reservation_not_a_queued_one(self, zcu):
+        core, handlers, _stats = make_core(
+            zcu, config="1C+0F", arrivals=(0.0, 0.0),
+            scheduler=ReservationFRFSScheduler(),
+        )
+        core.inject_due(0.0)
+        (cpu,) = handlers
+        first, second = (Assignment(t, cpu) for t in core.ready.snapshot())
+        assert core.dispatch([first, second], 1.0) == [first]
+        assert cpu.current_task is first.task
+        assert list(cpu.reservation_queue) == [second.task]
+        assert second.task.state is TaskState.DISPATCHED
+        assert len(core.ready) == 0
+
+    def test_dispatch_that_lost_the_race_requeues_the_task_at_now(self, zcu):
+        core, handlers, _stats = make_core(zcu)
+        core.inject_due(0.0)
+        assignments = core.run_policy(0.0)
+        task, handler = assignments[0]
+        handler.mark_failed(0.5)  # between the policy and the hand-off
+        recovered = []
+        recover = core.recover_failed_dispatch
+        core.recover_failed_dispatch = lambda t, now: (
+            recovered.append((t, now)), recover(t, now)
+        )
+        assert core.dispatch(assignments, 3.0) == []
+        assert recovered == [(task, 3.0)]
+        assert task.state is TaskState.READY and task in core.ready
+        assert task.fault_requeues == 0 and core.tasks_outstanding == 4
+
+    def test_verdict_of_an_interrupted_run_is_its_partial_stats(self, zcu):
+        core, _handlers, stats = make_core(zcu)
+        core.inject_due(0.0)
+        stats.mark_interrupted("wall_budget", 1.0)
+        assert core.verdict() is stats
+
+    def test_verdict_of_a_stalled_run_names_the_counts(self, zcu):
+        core, _handlers, _stats = make_core(zcu, arrivals=(0.0, 0.0, 5.0))
+        core.inject_due(0.0)
+        with pytest.raises(EmulationError, match=r"stalled: 0/3 applications "
+                           r"completed \(0 degraded\)"):
+            core.verdict()
 
 
 class TestDeadlockDiagnostics:
