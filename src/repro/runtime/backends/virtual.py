@@ -49,14 +49,13 @@ SWITCH_COST_US = 8.0
 class _Waker:
     """Level-triggered wakeup: fire() releases the current wait, if any.
 
-    The workload manager used to sleep on ``AnyOf([wait, arrival_timer])``,
-    which costs an AnyOf allocation plus an extra event hop per pass.  Now
-    the WM yields the wait event directly and arrival timers call
-    :meth:`wake` straight at the waker.  To keep event ordering
-    bit-identical with the AnyOf formulation, :meth:`fire` relays through
-    one ``call_at`` hop — the relay push stands in for the old wait-event
-    push and the wait push stands in for the old AnyOf push, so every
-    same-instant contender sees the same queue sequence as before.
+    The workload manager (WM) yields the wait event directly; arrival timers
+    call :meth:`wake` straight at the waker.  :meth:`fire` (a completion, a
+    requeue, a PE failure) relays through one same-instant ``call_at`` hop
+    before it succeeds the wait.  That hop sets an order, not a cost: a
+    completion queued at the same instant after the one that woke the WM
+    fires before the WM resumes, so the same pass absorbs it.  Whether to
+    keep that order is an open question (ROADMAP, event budget, item (c)).
     """
 
     def __init__(self, engine: Engine) -> None:
@@ -316,86 +315,61 @@ class VirtualBackend(ExecutionBackend):
                         )
                     points = perf.accel_points(binding.runfunc)
                     nbytes = perf.accel_transfer_bytes(binding.runfunc)
-                    t_in = device.dma.transfer_time(nbytes)
-                    t_out = device.dma.transfer_time(nbytes)
-                    t_compute = device.compute_time(points) * jitter
-                    durations = (t_in, t_compute, t_out)
+                    t_in = device.dma.transfer_time(nbytes) * slowdown
+                    t_out = device.dma.transfer_time(nbytes) * slowdown
+                    t_compute = device.compute_time(points) * jitter * slowdown
                 else:
-                    service = perf.cpu_time(binding.runfunc, pe_type) * jitter
-                    durations = (service,)
-                if injector is None:
-                    # Fault-free: identical yield sequence (and therefore
-                    # identical event ordering) to the pre-fault backend.
+                    # cpu_time() already applied the PE-type speed; the host
+                    # core's own speed equals the PE's, so charge the
+                    # pre-scaled duration at unit core speed.
+                    service = (
+                        perf.cpu_time(binding.runfunc, pe_type) * jitter
+                        * slowdown * host.speed
+                    )
+                attempts = 0
+                while True:
+                    # The fault is decided up front (one RNG draw per
+                    # attempt); the attempt still charges its full modeled
+                    # time before the fault manifests.
+                    fault = (
+                        injector.draw_fault(handler) if injector is not None
+                        else None
+                    )
                     if is_accel:
-                        yield from self._charge(
-                            engine, handler, host, True, durations
-                        )
-                    else:
-                        # The per-task cycle's one charge, yielded from
-                        # this frame: the event and the float ops of
-                        # _charge's CPU branch without its two generators.
-                        charged = host.charge(handler, service * host.speed)
+                        # DDR -> BRAM transfer occupies the manager's host core.
+                        charged = host.charge(handler, t_in)
                         if charged is not None:
                             yield charged
+                        # The manager thread sleeps while the device computes,
+                        # releasing the core to co-resident manager threads.
+                        yield engine.timeout(t_compute)
+                        # BRAM -> DDR transfer occupies the core again.
+                        charged = host.charge(handler, t_out)
+                        if charged is not None:
+                            yield charged
+                    else:
+                        charged = host.charge(handler, service)
+                        if charged is not None:
+                            yield charged
+                    if fault is None:
+                        break
+                    attempts += 1
+                    session.stats.record_transient_fault(
+                        handler.name, task.qualified_name(), attempts,
+                        engine.now, fault,
+                    )
+                    if attempts > injector.max_retries:
+                        break
+                    yield engine.timeout(injector.backoff_us(attempts))
+                if fault is None:
+                    task.mark_complete(engine.now)
+                    next_task = handler.finish_task(self_serve=self_serve)
+                    completed.append((handler, task))
                 else:
-                    if slowdown != 1.0:
-                        durations = tuple(d * slowdown for d in durations)
-                    attempts = 0
-                    gave_up = False
-                    while True:
-                        # The fault is decided up front (one RNG draw per
-                        # attempt); the attempt still charges its full
-                        # modeled time before the fault manifests.
-                        fault = injector.draw_fault(handler)
-                        yield from self._charge(
-                            engine, handler, host, is_accel, durations
-                        )
-                        if fault is None:
-                            break
-                        attempts += 1
-                        session.stats.record_transient_fault(
-                            handler.name, task.qualified_name(), attempts,
-                            engine.now, fault,
-                        )
-                        if attempts > injector.max_retries:
-                            gave_up = True
-                            break
-                        yield engine.timeout(injector.backoff_us(attempts))
-                    if gave_up:
-                        # Retries exhausted: hand the task back to the WM
-                        # for rescheduling and continue with reserved work.
-                        task.mark_requeued(engine.now)
-                        next_task = handler.abort_task(self_serve=self_serve)
-                        requeues.append((handler, task))
-                        waker.fire()
-                        task = next_task
-                        continue
-                task.mark_complete(engine.now)
-                next_task = handler.finish_task(self_serve=self_serve)
-                completed.append((handler, task))
+                    # Retries exhausted: hand the task back to the WM for
+                    # rescheduling and continue with reserved work.
+                    task.mark_requeued(engine.now)
+                    next_task = handler.abort_task(self_serve=self_serve)
+                    requeues.append((handler, task))
                 waker.fire()
                 task = next_task
-
-    @staticmethod
-    def _charge(
-        engine: Engine,
-        handler: ResourceHandler,
-        host: HostCore,
-        is_accel: bool,
-        durations: tuple,
-    ):
-        """Charge one execution attempt's modeled time (one task, one try)."""
-        if is_accel:
-            t_in, t_compute, t_out = durations
-            # DDR -> BRAM transfer occupies the manager's host core.
-            yield from host.consume(handler, t_in)
-            # The manager thread sleeps while the device computes,
-            # releasing the core to co-resident manager threads.
-            yield engine.timeout(t_compute)
-            # BRAM -> DDR transfer occupies the core again.
-            yield from host.consume(handler, t_out)
-        else:
-            # cpu_time() already applied the PE-type speed; the host
-            # core's own speed equals the PE's, so consume the
-            # pre-scaled duration at unit core speed.
-            yield from host.consume(handler, durations[0] * host.speed)

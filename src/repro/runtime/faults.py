@@ -34,13 +34,14 @@ Semantics shared by both backends:
   modeled service time (virtual backend) or post-kernel stall (threaded).
 
 An *empty* spec (no failures, zero probabilities, no slowdown, hardening
-off) disables the whole machinery: backends take their original code paths
-and results are bit-identical to a run without any spec.
+off) builds no injector, and its results are bit-identical to a run
+without any spec.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,9 +75,10 @@ class PEFailure:
     at_us: float
 
     def __post_init__(self) -> None:
-        if self.at_us < 0:
+        if not (math.isfinite(self.at_us) and self.at_us >= 0):
             raise FaultSpecError(
-                f"PE failure time must be >= 0, got {self.at_us} for {self.pe!r}"
+                f"PE failure at_us must be finite and >= 0, got {self.at_us} "
+                f"for {self.pe!r}"
             )
 
     def matches(self, handler) -> bool:
@@ -121,12 +123,15 @@ class FaultSpec:
             raise FaultSpecError("max_retries must be >= 0")
         if self.max_requeues < 0:
             raise FaultSpecError("max_requeues must be >= 0")
-        if self.backoff_us < 0:
-            raise FaultSpecError("backoff_us must be >= 0")
+        if not (math.isfinite(self.backoff_us) and self.backoff_us >= 0):
+            raise FaultSpecError(
+                f"backoff_us must be finite and >= 0, got {self.backoff_us}"
+            )
         for name, factor in self.slowdown:
-            if factor < 1.0:
+            if not (math.isfinite(factor) and factor >= 1.0):
                 raise FaultSpecError(
-                    f"slowdown factor must be >= 1.0, got {factor} for {name!r}"
+                    f"slowdown factor must be finite and >= 1.0, got {factor} "
+                    f"for {name!r}"
                 )
 
     @property

@@ -1,14 +1,16 @@
 """Discrete-event simulation engine.
 
-A compact generator-coroutine DES in the style of SimPy, purpose-built for
-the virtual-time execution backend: an event heap with a virtual clock
-(microseconds), processes written as generators that ``yield`` events, and a
+The kernel of the virtual-time execution backend, and no more than it uses:
+an event queue with a virtual clock (microseconds), one-shot events,
+timeouts and ``call_at`` callbacks, processes written as generators that
+``yield`` events (and can be interrupted), a mailbox channel, and a
 host-core resource model with round-robin time slicing and context-switch
 overhead (needed to reproduce the paper's resource-manager core-sharing
-effects).
+effects).  There are no composite (all-of / any-of) events, no failed
+events and no partial runs: ``Engine.run()`` drains the queue.
 """
 
-from repro.sim.engine import Engine, Event, Timeout, Interrupt, AllOf, AnyOf
+from repro.sim.engine import Engine, Event, Timeout, Interrupt
 from repro.sim.process import Process
 from repro.sim.resources import FifoResource, HostCore, Mailbox
 
@@ -17,8 +19,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Interrupt",
-    "AllOf",
-    "AnyOf",
     "Process",
     "FifoResource",
     "HostCore",

@@ -43,17 +43,16 @@ class Event:
 
     Events are created against an :class:`Engine` and fire at most once,
     carrying an optional ``value``.  ``succeed()`` schedules the event for
-    the current instant; ``schedule_at``/``schedule_in`` place it in the
-    future.
+    the current instant; :class:`Timeout` and :meth:`Engine.call_at` place
+    one in the future.
     """
 
-    __slots__ = ("engine", "callbacks", "value", "_state", "ok")
+    __slots__ = ("engine", "callbacks", "value", "_state")
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.callbacks: list[Callable[[Event], None]] = []
         self.value: Any = None
-        self.ok: bool = True
         self._state = _PENDING
 
     @property
@@ -75,16 +74,6 @@ class Event:
         self.engine._push_now(self)
         return self
 
-    def fail(self, exc: BaseException) -> "Event":
-        """Fire the event now, delivering an exception to waiters."""
-        if self._state != _PENDING:
-            raise EmulationError("event already triggered")
-        self.value = exc
-        self.ok = False
-        self._state = _SCHEDULED
-        self.engine._push_now(self)
-        return self
-
     # internal --------------------------------------------------------------
 
     def _fire(self) -> None:
@@ -100,8 +89,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise EmulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise EmulationError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(engine)
         self.value = value
         self._state = _SCHEDULED
@@ -114,65 +103,6 @@ class Interrupt(Exception):
     def __init__(self, cause: Any = None) -> None:
         super().__init__(cause)
         self.cause = cause
-
-
-class _Composite(Event):
-    """Base for AllOf/AnyOf condition events."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, engine: "Engine", events: list[Event]) -> None:
-        super().__init__(engine)
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if not self.events:
-            self.succeed([])
-            return
-        for ev in self.events:
-            if ev.processed:
-                self._child_fired(ev)
-            else:
-                ev.callbacks.append(self._child_fired)
-
-    def _child_fired(self, ev: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Composite):
-    """Fires when every constituent event has fired; value = list of values.
-
-    An empty ``AllOf`` is vacuously satisfied and fires immediately with
-    ``[]``.
-    """
-
-    __slots__ = ()
-
-    def _child_fired(self, ev: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0 and self._state == _PENDING:
-            self.succeed([e.value for e in self.events])
-
-
-class AnyOf(_Composite):
-    """Fires when the first constituent event fires; value = (event, value).
-
-    An empty ``AnyOf`` is rejected: no constituent can ever fire, and the
-    documented ``(event, value)`` contract has no honest empty-case value.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: list[Event]) -> None:
-        if not events:
-            raise EmulationError(
-                "AnyOf requires at least one event (an empty AnyOf can "
-                "never fire)"
-            )
-        super().__init__(engine, events)
-
-    def _child_fired(self, ev: Event) -> None:
-        if self._state == _PENDING:
-            self.succeed((ev, ev.value))
 
 
 class _Callback(Event):
@@ -190,7 +120,6 @@ class _Callback(Event):
         self.engine = engine
         self.callbacks = []
         self.value = None
-        self.ok = True
         self._state = _SCHEDULED
         self.fn = fn
 
@@ -223,7 +152,7 @@ class Engine:
         self._lane: deque[Event] = deque()
         self._push_now = self._lane.append
         self._running = False
-        #: cumulative count of events fired by run()/step() (perf metric)
+        #: cumulative count of events fired by run() (perf metric)
         self.events_fired = 0
 
     @property
@@ -232,7 +161,7 @@ class Engine:
 
         Nothing is ever cancelled out of the queue, so what was scheduled
         is what has fired plus what is still queued; like
-        ``events_fired`` it is settled when ``run()`` / ``step()`` returns.
+        ``events_fired`` it is settled when ``run()`` returns.
         """
         return self.events_fired + len(self._heap) + len(self._lane)
 
@@ -253,27 +182,13 @@ class Engine:
         """An event firing ``delay`` µs from now."""
         return Timeout(self, delay, value)
 
-    def schedule_at(self, at: float, value: Any = None) -> Event:
-        """An event firing at absolute virtual time ``at`` (µs)."""
-        if at < self.now:
-            raise EmulationError(f"cannot schedule in the past: {at} < {self.now}")
-        ev = Event(self)
-        ev.value = value
-        ev._state = _SCHEDULED
-        self._push(at, ev)
-        return ev
-
     def call_at(self, at: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute time ``at``."""
-        if at < self.now:
-            raise EmulationError(f"cannot schedule in the past: {at} < {self.now}")
+        if not at >= self.now:  # also rejects NaN
+            raise EmulationError(f"cannot schedule at {at}: the clock is at {self.now}")
         ev = _Callback(self, fn)
         self._push(at, ev)
         return ev
-
-    def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn()`` after ``delay`` µs."""
-        return self.call_at(self.now + delay, fn)
 
     def process(self, generator) -> "Process":
         """Start a generator as a simulation process."""
@@ -283,27 +198,8 @@ class Engine:
 
     # execution -------------------------------------------------------------
 
-    def _pop_next(self) -> Event:
-        """Remove and return the next event, advancing the clock to it."""
-        heap = self._heap
-        if self._lane and not (heap and heap[0][0] == self.now):
-            return self._lane.popleft()
-        at, _seq, event = heapq.heappop(heap)
-        self.now = at
-        return event
-
-    def step(self) -> None:
-        """Pop and fire the next event."""
-        event = self._pop_next()
-        self.events_fired += 1
-        event._fire()
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Drain the queue; returns the final clock value.
-
-        ``until`` stops the clock at a horizon (events beyond it stay
-        queued); ``max_events`` is a runaway guard for tests.
-        """
+    def run(self) -> float:
+        """Fire events until the queue is empty; returns the final clock."""
         if self._running:
             raise EmulationError("engine is already running (re-entrant run())")
         self._running = True
@@ -314,49 +210,27 @@ class Engine:
         lane = self._lane
         pop = heapq.heappop
         take = lane.popleft
+        now = self.now
         try:
-            if until is None and max_events is None:
-                # Hot path: no horizon, no guard, minimal per-event work.
-                now = self.now
-                while True:
-                    # One instant: what the heap holds for it (all pushed
-                    # before the clock got here), then the lane.
-                    while heap and heap[0][0] == now:
-                        pop(heap)[2]._fire()
-                        fired += 1
-                    while lane:
-                        take()._fire()
-                        fired += 1
-                    if not heap:
-                        break
-                    now, _seq, event = pop(heap)
-                    self.now = now
-                    event._fire()
+            while True:
+                # One instant: what the heap holds for it (all pushed
+                # before the clock got here), then the lane.
+                while heap and heap[0][0] == now:
+                    pop(heap)[2]._fire()
                     fired += 1
-            else:
-                while True:
-                    at = self.peek()
-                    if at is None:
-                        break
-                    if until is not None and at > until:
-                        self.now = until
-                        break
-                    self._pop_next()._fire()
+                while lane:
+                    take()._fire()
                     fired += 1
-                    if max_events is not None and fired >= max_events:
-                        raise EmulationError(
-                            f"exceeded max_events={max_events}; possible livelock"
-                        )
+                if not heap:
+                    break
+                now, _seq, event = pop(heap)
+                self.now = now
+                event._fire()
+                fired += 1
         finally:
             self.events_fired += fired
             self._running = False
         return self.now
-
-    def peek(self) -> float | None:
-        """Time of the next queued event, or None if nothing is queued."""
-        if self._lane:
-            return self.now
-        return self._heap[0][0] if self._heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

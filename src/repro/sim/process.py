@@ -38,12 +38,9 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        if not event.ok:
-            self._advance(None, event.value)
-            return
         # The per-event path: send and re-arm in this frame (one Python
         # call per wake-up instead of two); _advance is the same thing for
-        # start and throw.
+        # start and interrupt.
         try:
             target = self.generator.send(event.value)
         except StopIteration as stop:

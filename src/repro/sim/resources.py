@@ -92,14 +92,6 @@ class HostCore:
         self.busy_time: float = 0.0
         self.switch_count: int = 0
 
-    def occupied(self) -> bool:
-        return self._token.in_use > 0
-
-    @property
-    def contention(self) -> int:
-        """Number of threads currently holding or waiting for the core."""
-        return self._token.in_use + self._token.queue_length
-
     def charge(self, owner: object, duration: float) -> Event | None:
         """Start charging ``duration`` µs of work (pre-speed-scaling).
 
@@ -162,7 +154,6 @@ class _Consume(Event):
         self.engine = engine
         self.callbacks = []
         self.value = None
-        self.ok = True
         self._state = _SCHEDULED
         self.core = core
         self.owner = owner

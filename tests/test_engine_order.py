@@ -3,11 +3,10 @@
 The engine keeps later events on a heap and same-instant ones on a FIFO
 lane (:mod:`repro.sim.engine`).  That must be indistinguishable from the
 plain model below: a list, a counter, and ``min`` over ``(time, seq)``.  A
-state machine interleaves
-every way of scheduling (from outside and from inside callbacks, for the
-current instant and for later ones, with delays that tie, that differ and
-that vanish in float addition) with every way of driving the engine, and
-after each step compares the fired sequence, the clock, ``peek()`` and the
+state machine interleaves every way of scheduling (from outside and from
+inside callbacks, for the current instant and for later ones, with delays
+that tie, that differ and that vanish in float addition) with runs of the
+engine, and after each step compares the fired sequence, the clock and the
 two counters.
 
 The machine is also pointed at a deliberately wrong engine — a lane that
@@ -26,12 +25,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
     run_state_machine_as_test,
 )
 
-from repro.common.errors import EmulationError
 from repro.runtime.backends import virtual
 from repro.sim.engine import Engine
 from tests.test_golden_timeline import GOLDEN, timeline_digest
@@ -56,19 +53,19 @@ delays = st.one_of(
 class Node:
     """One event to schedule, and what its callback schedules in turn."""
 
-    kind: str  # timeout | call_in | call_at_now | succeed
+    kind: str  # timeout | call_at (now + delay) | call_at_now | succeed
     delay: float
     children: list
     label: int = -1
 
     def due(self, now: float) -> float:
-        return now + self.delay if self.kind in ("timeout", "call_in") else now
+        return now + self.delay if self.kind in ("timeout", "call_at") else now
 
 
 def _node(children):
     return st.builds(
         Node,
-        kind=st.sampled_from(["timeout", "call_in", "call_at_now", "succeed"]),
+        kind=st.sampled_from(["timeout", "call_at", "call_at_now", "succeed"]),
         delay=delays,
         children=children,
     )
@@ -94,29 +91,15 @@ class Model:
         self.seq += 1
         self.pending.append((node.due(self.now), self.seq, node))
 
-    def next_time(self) -> float | None:
-        return min(at for at, _seq, _node in self.pending) if self.pending else None
-
-    def fire_next(self) -> None:
-        entry = min(self.pending, key=lambda e: e[:2])
-        self.pending.remove(entry)
-        self.now, _seq, node = entry
-        self.fired.append(node.label)
-        for child in node.children:
-            self.schedule(child)
-
-    def run(self, until: float | None, max_events: int | None) -> bool:
-        """What ``Engine.run`` documents; True if the guard tripped."""
-        fired = 0
+    def run(self) -> None:
+        """What ``Engine.run`` documents: fire the next event until none is left."""
         while self.pending:
-            if until is not None and self.next_time() > until:
-                self.now = until
-                break
-            self.fire_next()
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                return True
-        return False
+            entry = min(self.pending, key=lambda e: e[:2])
+            self.pending.remove(entry)
+            self.now, _seq, node = entry
+            self.fired.append(node.label)
+            for child in node.children:
+                self.schedule(child)
 
 
 class EngineOrderMachine(RuleBasedStateMachine):
@@ -147,8 +130,8 @@ class EngineOrderMachine(RuleBasedStateMachine):
 
         if node.kind == "timeout":
             engine.timeout(node.delay).callbacks.append(fire)
-        elif node.kind == "call_in":
-            engine.call_in(node.delay, fire)
+        elif node.kind == "call_at":
+            engine.call_at(engine.now + node.delay, fire)
         elif node.kind == "call_at_now":
             engine.call_at(engine.now, fire)
         else:
@@ -168,30 +151,8 @@ class EngineOrderMachine(RuleBasedStateMachine):
     @rule()
     def run(self):
         final = self.engine.run()
-        assert not self.model.run(None, None)
+        self.model.run()
         assert final == self.model.now
-
-    @rule(horizon=delays)
-    def run_until(self, horizon):
-        until = self.model.now + horizon
-        self.engine.run(until=until)
-        self.model.run(until, None)
-
-    @precondition(lambda self: self.model.pending)
-    @rule()
-    def step(self):
-        self.engine.step()
-        self.model.fire_next()
-
-    @rule(max_events=st.integers(1, 6), horizon=st.none() | delays)
-    def run_guarded(self, max_events, horizon):
-        until = None if horizon is None else self.model.now + horizon
-        tripped = False
-        try:
-            self.engine.run(until=until, max_events=max_events)
-        except EmulationError:
-            tripped = True
-        assert tripped == self.model.run(until, max_events)
 
     # -- after every step --------------------------------------------------------
 
@@ -200,7 +161,6 @@ class EngineOrderMachine(RuleBasedStateMachine):
         engine, model = self.engine, self.model
         assert self.fired == model.fired
         assert engine.now == model.now
-        assert engine.peek() == model.next_time()
         assert engine.events_fired == len(model.fired)
         assert engine.events_scheduled == model.seq
 
@@ -216,15 +176,16 @@ class LaneFirstEngine(Engine):
     """Wrong on purpose: same-instant pushes overtake heap entries that were
     scheduled for this instant earlier."""
 
-    def _pop_next(self):
-        if self._lane:
-            return self._lane.popleft()
-        self.now, _seq, event = heapq.heappop(self._heap)
-        return event
-
-    def run(self, until=None, max_events=None):
-        # the general loop, which is the one that asks _pop_next
-        return super().run(until, 10**9 if max_events is None else max_events)
+    def run(self):
+        heap, lane = self._heap, self._lane
+        while lane or heap:
+            if lane:
+                event = lane.popleft()
+            else:
+                self.now, _seq, event = heapq.heappop(heap)
+            self.events_fired += 1
+            event._fire()
+        return self.now
 
 
 def _tie_then_same_instant_child(engine) -> list[str]:

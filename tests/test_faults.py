@@ -70,6 +70,11 @@ class TestFaultSpec:
             {"slowdown": {"cpu": 0.5}},
             {"pe_failures": [{"pe": "cpu0", "at_us": -1.0}]},
             {"nonsense": True},
+            # json.load accepts the NaN literal, and NaN passes every
+            # ordered comparison's negation
+            {"retry": {"backoff_us": float("nan")}},
+            {"pe_failures": [{"pe": "fft0", "at_us": float("nan")}]},
+            {"slowdown": {"cpu": float("nan")}},
         ],
     )
     def test_validation_errors(self, bad):
@@ -99,9 +104,29 @@ class TestVirtualFaults:
         return emu.run(validation_workload({"diamond": apps}), VirtualBackend())
 
     def test_empty_spec_bit_identical(self):
-        base = self._run(None).makespan_us
-        for empty in (FaultSpec(), {}, {"retry": {"max_retries": 5}}):
-            assert self._run(empty).makespan_us == base
+        """A plan that injects nothing leaves the run exactly as it was:
+        the empty ones build no injector, and ``harden`` builds one that
+        the virtual backend never fires (it acts on the threaded backend
+        only), so that run goes through the fault-aware attempt loop."""
+
+        def observe(spec):
+            backend = VirtualBackend()
+            emu = diamond_emulation(
+                policy="frfs", materialize_memory=False, seed=11, faults=spec
+            )
+            result = emu.run(validation_workload({"diamond": 4}), backend)
+            return (
+                result.makespan_us,
+                list(result.stats.task_records),
+                backend.last_run_info,
+            )
+
+        base = observe(None)
+        assert base[1] and base[2]["events_fired"] > 0
+        for inert in (
+            FaultSpec(), {}, {"retry": {"max_retries": 5}}, {"harden": True},
+        ):
+            assert observe(inert) == base, inert
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_pe_failure_mid_run_all_policies(self, policy):

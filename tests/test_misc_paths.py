@@ -66,13 +66,6 @@ class TestThreadPinning:
 
 
 class TestEngineIntrospection:
-    def test_peek_shows_next_event_time(self):
-        engine = Engine()
-        assert engine.peek() is None
-        engine.timeout(7.0)
-        engine.timeout(3.0)
-        assert engine.peek() == 3.0
-
     def test_reentrant_run_rejected(self):
         engine = Engine()
         failures = []
@@ -87,13 +80,6 @@ class TestEngineIntrospection:
         engine.process(nested())
         engine.run()
         assert any("re-entrant" in f for f in failures)
-
-    def test_event_fail_requires_pending(self):
-        engine = Engine()
-        ev = engine.event()
-        ev.succeed()
-        with pytest.raises(EmulationError):
-            ev.fail(ValueError("x"))
 
 
 class TestThreadedTimeout:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import EmulationError
-from repro.sim import AllOf, AnyOf, Engine, Event, Interrupt
+from repro.sim import Engine, Interrupt
 
 
 class TestEventBasics:
@@ -21,6 +21,8 @@ class TestEventBasics:
         engine = Engine()
         with pytest.raises(EmulationError):
             engine.timeout(-1.0)
+        with pytest.raises(EmulationError):
+            engine.timeout(float("nan"))
 
     def test_succeed_fires_at_current_time(self):
         engine = Engine()
@@ -44,81 +46,27 @@ class TestEventBasics:
         engine.run()
         assert engine.now == 5.0
         with pytest.raises(EmulationError):
-            engine.schedule_at(1.0)
+            engine.call_at(1.0, lambda: None)
+        # NaN compares false with everything: it must not slip past the
+        # check and into the heap, where it would break the event order.
+        with pytest.raises(EmulationError):
+            engine.call_at(float("nan"), lambda: None)
 
     def test_same_time_events_fire_in_schedule_order(self):
         engine = Engine()
         order = []
         for tag in "abc":
-            ev = engine.schedule_at(4.0)
-            ev.callbacks.append(lambda e, t=tag: order.append(t))
+            engine.call_at(4.0, lambda t=tag: order.append(t))
         engine.run()
         assert order == ["a", "b", "c"]
 
-    def test_call_in_and_call_at(self):
+    def test_call_at_fires_in_time_order(self):
         engine = Engine()
         order = []
-        engine.call_in(5.0, lambda: order.append(("in", engine.now)))
-        engine.call_at(2.0, lambda: order.append(("at", engine.now)))
+        engine.call_at(5.0, lambda: order.append(("late", engine.now)))
+        engine.call_at(2.0, lambda: order.append(("early", engine.now)))
         engine.run()
-        assert order == [("at", 2.0), ("in", 5.0)]
-
-    def test_run_until_stops_clock(self):
-        engine = Engine()
-        engine.timeout(100.0)
-        final = engine.run(until=30.0)
-        assert final == 30.0
-        assert engine.peek() == 100.0
-
-    def test_max_events_guard(self):
-        engine = Engine()
-
-        def ticker():
-            while True:
-                yield engine.timeout(1.0)
-
-        engine.process(ticker())
-        with pytest.raises(EmulationError, match="max_events"):
-            engine.run(max_events=50)
-
-
-class TestComposites:
-    def test_allof_waits_for_all(self):
-        engine = Engine()
-        e1 = engine.timeout(5.0, value=1)
-        e2 = engine.timeout(9.0, value=2)
-        fired = []
-        AllOf(engine, [e1, e2]).callbacks.append(
-            lambda ev: fired.append((engine.now, ev.value))
-        )
-        engine.run()
-        assert fired == [(9.0, [1, 2])]
-
-    def test_allof_empty_fires_immediately(self):
-        engine = Engine()
-        fired = []
-        AllOf(engine, []).callbacks.append(lambda ev: fired.append(engine.now))
-        engine.run()
-        assert fired == [0.0]
-
-    def test_anyof_fires_on_first(self):
-        engine = Engine()
-        e1 = engine.timeout(5.0, value="fast")
-        e2 = engine.timeout(9.0, value="slow")
-        fired = []
-        AnyOf(engine, [e1, e2]).callbacks.append(
-            lambda ev: fired.append((engine.now, ev.value[1]))
-        )
-        engine.run()
-        assert fired == [(5.0, "fast")]
-
-    def test_anyof_empty_rejected(self):
-        # An empty AnyOf could never fire, so a process waiting on one
-        # would hang the emulation silently; reject it loudly instead.
-        # (An empty AllOf stays valid — vacuously satisfied, see above.)
-        engine = Engine()
-        with pytest.raises(EmulationError, match="AnyOf"):
-            AnyOf(engine, [])
+        assert order == [("early", 2.0), ("late", 5.0)]
 
 
 class TestProcesses:
@@ -209,22 +157,6 @@ class TestProcesses:
         engine.run()
         with pytest.raises(EmulationError):
             p.interrupt()
-
-    def test_failed_event_raises_in_process(self):
-        engine = Engine()
-        caught = []
-
-        def proc(ev):
-            try:
-                yield ev
-            except ValueError as exc:
-                caught.append(str(exc))
-
-        ev = engine.event()
-        engine.process(proc(ev))
-        engine.call_in(2.0, lambda: ev.fail(ValueError("nope")))
-        engine.run()
-        assert caught == ["nope"]
 
     def test_waiting_on_already_fired_event(self):
         engine = Engine()

@@ -91,24 +91,6 @@ class TestHostCore:
         total_work = 60.0 + core.switch_count * 2.0
         assert core.busy_time == pytest.approx(total_work)
 
-    def test_contention_counts_holders_and_waiters(self):
-        engine = Engine()
-        core = HostCore(engine, "c0", quantum=5.0)
-
-        def hog():
-            yield from core.consume("hog", 50.0)
-
-        def peeker(out):
-            yield engine.timeout(1.0)
-            out.append(core.contention)
-            yield from core.consume("peek", 1.0)
-
-        out = []
-        engine.process(hog())
-        engine.process(peeker(out))
-        engine.run()
-        assert out == [1]
-
     def test_invalid_parameters_rejected(self):
         engine = Engine()
         with pytest.raises(EmulationError):
@@ -217,7 +199,7 @@ class TestMailbox:
             got.append((engine.now, value))
 
         engine.process(getter())
-        engine.call_in(7.0, lambda: box.put("late"))
+        engine.call_at(7.0, lambda: box.put("late"))
         engine.run()
         assert got == [(7.0, "late")]
 
