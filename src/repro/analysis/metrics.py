@@ -48,9 +48,3 @@ def schedulability_check(stats: EmulationStats, time_frame_us: float) -> bool:
         return True
     return stats.makespan <= 3.0 * time_frame_us
 
-
-def scheduling_overhead_fraction(stats: EmulationStats) -> float:
-    """Share of the makespan spent inside workload-manager passes."""
-    if stats.makespan <= 0:
-        return 0.0
-    return min(1.0, stats.sched_overhead_total / stats.makespan)

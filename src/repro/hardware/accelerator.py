@@ -45,7 +45,8 @@ class FFTTimingModel:
     def compute_time(self, n_points: int) -> float:
         if n_points <= 0:
             raise MemoryError_(f"FFT size must be positive, got {n_points}")
-        stages = max(1, int(np.ceil(np.log2(n_points))))
+        # ceil(log2(n)) in integer arithmetic (no numpy scalar dispatch)
+        stages = max(1, (n_points - 1).bit_length())
         return self.setup_us + n_points * stages * self.per_point_stage_us
 
 

@@ -191,6 +191,8 @@ class SchedulerCostModel:
     * ``dispatch_cost_per_task`` — handler hand-off of one selected task,
     * ``base_cost`` — fixed loop overhead per invocation.
 
+    :meth:`pass_cost` prices a WM pass of :meth:`invocations` invocations.
+
     Defaults reproduce Fig. 10b's decades at 5 PEs: FRFS ≈ 2.5 µs flat,
     MET linear in ready length, EFT quadratic.
     """
@@ -256,50 +258,42 @@ class SchedulerCostModel:
             scale = float(ready_len) ** power
         return c0 + coeff * scale * n_pes
 
-    def invocation_cost(
-        self,
-        policy: str,
-        ready_len: int,
-        n_pes: int,
-        completions: int,
-        dispatched: int,
-    ) -> float:
-        """Overhead of one scheduling invocation (single completion)."""
-        return (
-            self.base_cost
-            + self.monitor_cost_per_completion * completions
-            + self.policy_cost(policy, ready_len, n_pes)
-            + self.dispatch_cost_per_task * dispatched
-        )
+    def invocations(self, policy, completions: int) -> int:
+        """How many scheduler invocations one WM pass stands for.
+
+        ``policy`` is the session's scheduler (read duck-typed: ``name``,
+        ``uses_reservation``).  The paper's runtime has no reservation
+        queues, so "a scheduling algorithm incurs this overhead every time
+        a task completes its execution": a pass that absorbed k completions
+        stands for max(1, k) back-to-back invocations.  A self-serving
+        (reservation) policy's resource managers pull their next task from
+        their PE work queues, so its pass is one invocation — the overhead
+        reduction the paper's future-work section is after.  This is the
+        one place the rule lives; a subclass overrides it to model another.
+        """
+        if policy.uses_reservation:
+            return 1
+        return max(1, completions)
 
     def pass_cost(
         self,
-        policy: str,
+        policy,
         ready_len: int,
         n_pes: int,
         completions: int,
         dispatched: int,
-        *,
-        per_completion: bool = True,
     ) -> tuple[float, int]:
         """Total overhead of one WM pass and the invocation count it models.
 
-        The paper's runtime has no reservation queues, so "a scheduling
-        algorithm incurs this overhead every time a task completes its
-        execution": a pass that observed k completions stands for k
-        back-to-back scheduler invocations, each paying the base loop and
-        the policy's compute cost.  Returns ``(total_us, invocations)``;
-        the invocation count is what the overhead statistic averages over
-        (Fig. 10b reports *per-invocation* overhead).
-
-        ``per_completion=False`` models the reservation-queue extension:
-        resource managers self-serve from their PE work queues, so the
-        policy runs once per batch instead of once per completion — the
-        overhead reduction the paper's future-work section is after.
+        Each of the :meth:`invocations` pays the base loop and the policy's
+        compute cost; the pass pays the monitor step once per completion
+        and the hand-off once per dispatched task.  Returns ``(total_us,
+        invocations)``; the invocation count is what the overhead statistic
+        averages over (Fig. 10b reports *per-invocation* overhead).
         """
-        invocations = max(1, completions) if per_completion else 1
+        invocations = self.invocations(policy, completions)
         per_invocation = self.base_cost + self.policy_cost(
-            policy, ready_len, n_pes
+            policy.name, ready_len, n_pes
         )
         total = (
             per_invocation * invocations

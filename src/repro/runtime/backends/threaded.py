@@ -251,7 +251,7 @@ class ThreadedBackend(ExecutionBackend):
                     a.handler.heartbeat = clock()
             # Measured overhead: monitor + ready update + policy + dispatch.
             if n_comp or assignments or ready_len:
-                session.stats.record_scheduling_pass(clock() - t0, ready_len)
+                session.stats.record_scheduling_pass(clock() - t0, ready_len, n_comp, 1)
             try:
                 core.check_liveness(clock(), pending_completions=pending())
             except EmulationError:

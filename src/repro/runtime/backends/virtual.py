@@ -207,8 +207,6 @@ class VirtualBackend(ExecutionBackend):
         waker: _Waker,
     ):
         cost_model = session.cost_model
-        policy = session.scheduler.name
-        self_serve = session.scheduler.uses_reservation
         n_pes = session.n_pes
         draining = False
         wm_token = object()  # identity on the management core
@@ -248,8 +246,7 @@ class VirtualBackend(ExecutionBackend):
             )
 
             overhead, invocations = cost_model.pass_cost(
-                policy, ready_len, n_pes, n_comp, len(assignments),
-                per_completion=not self_serve,
+                session.scheduler, ready_len, n_pes, n_comp, len(assignments)
             )
             # The pass executes serially on the management core; HostCore
             # divides by core speed (slow LITTLE overlay -> larger overhead,
@@ -257,11 +254,9 @@ class VirtualBackend(ExecutionBackend):
             charged = mgmt_core.charge(wm_token, overhead)
             if charged is not None:
                 yield charged
-            effective = overhead / mgmt_core.speed
-            for _ in range(invocations):
-                session.stats.record_scheduling_pass(
-                    effective / invocations, ready_len
-                )
+            session.stats.record_scheduling_pass(
+                overhead / mgmt_core.speed, ready_len, n_comp, invocations
+            )
 
             dispatch_now = engine.now
             for a in core.dispatch(assignments, dispatch_now):

@@ -66,15 +66,9 @@ class Scheduler:
 
     def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:
         self.oracle = oracle
-        # Per-archetype-node row caches over the current handler list (see
-        # estimate_row/support_row).  Keyed by id(node); each entry pins the
-        # node object so the id cannot be recycled.
         self._row_handlers: list[ResourceHandler] | None = None
         self._row_oracle: ExecutionTimeOracle | None = None
-        self._est_rows: dict[int, tuple] = {}
-        self._est_pairs: dict[int, tuple] = {}
-        self._support_rows: dict[int, tuple] = {}
-        self._est_fb = None
+        self._reset_tables()
         # The compiled placement kernels, bound at construction (None on
         # the pure core).  eft_pass and MET's schedule() branch on this
         # and hand their positional inner loop to C; results are
@@ -113,10 +107,21 @@ class Scheduler:
         if handlers is not self._row_handlers or self.oracle is not self._row_oracle:
             self._row_handlers = handlers
             self._row_oracle = self.oracle
-            self._est_rows = {}
-            self._est_pairs = {}
-            self._support_rows = {}
-            self._est_fb = None
+            self._reset_tables()
+
+    def _reset_tables(self) -> None:
+        """Drop every table computed over the handler list and the oracle.
+
+        Runs when either changes (a new session), so a reused instance
+        starts clean.  The row caches are per archetype node (see
+        :meth:`estimate_row` / :meth:`support_row`), keyed by id(node);
+        each entry pins the node so the id cannot be recycled.  Policies
+        with tables of their own extend this.
+        """
+        self._est_rows: dict[int, tuple] = {}
+        self._est_pairs: dict[int, tuple] = {}
+        self._support_rows: dict[int, tuple] = {}
+        self._est_fb = None
 
     def estimate_row(
         self, task: TaskInstance, handlers: list[ResourceHandler]

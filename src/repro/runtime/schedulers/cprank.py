@@ -38,7 +38,7 @@ from __future__ import annotations
 from repro.appmodel.dag import TaskGraph
 from repro.appmodel.instance import ApplicationInstance, TaskInstance, TaskState
 from repro.runtime.handler import ResourceHandler
-from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Scheduler
+from repro.runtime.schedulers.base import Assignment, Scheduler
 from repro.runtime.schedulers.eft import eft_pass
 from repro.runtime.schedulers.heft import _ProbeTask
 
@@ -47,12 +47,12 @@ class CPRankScheduler(Scheduler):
     name = "cprank"
     wants_events = True
 
-    def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:
-        super().__init__(oracle)
+    def _reset_tables(self) -> None:
+        super()._reset_tables()
         #: id(app) -> (app, {node_name: upward rank}); the app reference
         #: pins the instance so the id cannot be recycled while cached
         self._ranks: dict[int, tuple[ApplicationInstance, dict[str, float]]] = {}
-        #: (id(graph), id(handlers), failed-index signature) ->
+        #: (id(graph), failed-index signature) over the synced handlers ->
         #: (graph, {node_name: mean live cost})
         self._costs: dict[tuple, tuple[TaskGraph, dict[str, float]]] = {}
 
@@ -66,8 +66,9 @@ class CPRankScheduler(Scheduler):
         Keyed by the failed-PE signature so a failure lazily refreshes the
         table; a handful of archetypes x failure states keeps this tiny.
         """
+        self._sync_row_cache(handlers)
         failed = self.failed_mask(handlers)
-        sig = (id(graph), id(handlers)) + (
+        sig = (id(graph),) + (
             () if failed is None
             else tuple(i for i, f in enumerate(failed) if f)
         )

@@ -13,16 +13,18 @@ from __future__ import annotations
 from repro.appmodel.dag import TaskGraph
 from repro.appmodel.instance import TaskInstance
 from repro.runtime.handler import ResourceHandler
-from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Scheduler
+from repro.runtime.schedulers.base import Assignment, Scheduler
 from repro.runtime.schedulers.eft import eft_pass
 
 
 class HEFTScheduler(Scheduler):
     name = "heft"
 
-    def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:
-        super().__init__(oracle)
-        self._rank_cache: dict[tuple[int, str], float] = {}
+    def _reset_tables(self) -> None:
+        super()._reset_tables()
+        #: id(graph) -> (graph, {node_name: upward rank}) over the synced
+        #: handlers; the graph reference pins the id
+        self._rank_cache: dict[int, tuple[TaskGraph, dict[str, float]]] = {}
 
     # -- upward ranks ---------------------------------------------------------------
 
@@ -48,14 +50,13 @@ class HEFTScheduler(Scheduler):
 
     def _ranks(self, graph: TaskGraph,
                handlers: list[ResourceHandler]) -> dict[str, float]:
-        key = (id(graph), ",".join(sorted({h.type_name for h in handlers})))
-        cached = self._rank_cache.get(key)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
+        hit = self._rank_cache.get(id(graph))
+        if hit is not None:
+            return hit[1]
         ranks = graph.upward_rank_lengths(
             lambda n: self._mean_cost(graph, n, handlers)
         )
-        self._rank_cache[key] = ranks  # type: ignore[assignment]
+        self._rank_cache[id(graph)] = (graph, ranks)
         return ranks
 
     # -- scheduling -------------------------------------------------------------------
@@ -66,6 +67,7 @@ class HEFTScheduler(Scheduler):
         handlers: list[ResourceHandler],
         now: float,
     ) -> list[Assignment]:
+        # eft_pass syncs the row cache before it sorts: _ranks reads it.
         return eft_pass(
             self, ready, handlers, now,
             key=lambda t: -self._ranks(t.app.graph, handlers)[t.name],

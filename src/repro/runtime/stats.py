@@ -218,9 +218,10 @@ class EmulationStats:
     - ``record_task``: a task finished (monitor step); WM.
     - ``record_app_completion``: after the ``record_task`` of an app's
       last task; WM.
-    - ``record_scheduling_pass``: once per policy invocation the cost
-      model charges (virtual), or per non-idle pass with its measured wall
-      time (threaded); WM.
+    - ``record_scheduling_pass``: once per WM pass on both backends —
+      every pass with the cost model's overhead and invocation count
+      (virtual), every non-idle pass with its measured wall time as one
+      invocation (threaded); WM.
     - ``record_app_drop``: admission control shed an app; WM, locked.
     - ``record_pe_failure``: the WM absorbed a PE failure or watchdog
       fail-stop; WM, locked.
@@ -239,8 +240,12 @@ class EmulationStats:
         self.pe_usage: dict[str, PEUsage] = {}
         self.sched_overhead_total: float = 0.0
         self.sched_invocations: int = 0
-        #: ready-list length summed over every scheduling pass
+        #: ready-list length summed over every scheduling invocation
         self._ready_len_total: int = 0
+        #: recorded WM passes, and the completions they absorbed (not in
+        #: summary(): ``sched_invocations`` is what the paper reports)
+        self.sched_passes: int = 0
+        self.completions_absorbed: int = 0
         self.apps_injected: int = 0
         self.apps_completed: int = 0
         self.emulation_end: float = 0.0
@@ -317,10 +322,18 @@ class EmulationStats:
             )
         )
 
-    def record_scheduling_pass(self, overhead: float, ready_len: int) -> None:
-        self.sched_overhead_total += overhead
-        self.sched_invocations += 1
-        self._ready_len_total += ready_len
+    def record_scheduling_pass(self, overhead: float, ready_len: int,
+                               completions: int, invocations: int) -> None:
+        """One WM pass standing for ``invocations`` scheduler runs, each
+        seeing its ready length and charged an equal share of ``overhead``
+        (added one at a time: the same floats as recording each alone)."""
+        self.sched_passes += 1
+        self.completions_absorbed += completions
+        self.sched_invocations += invocations
+        self._ready_len_total += ready_len * invocations
+        share = overhead / invocations
+        for _ in range(invocations):
+            self.sched_overhead_total += share
 
     def record_injection(self, count: int = 1) -> None:
         self.apps_injected += count

@@ -279,10 +279,16 @@ class WorkloadManagerCore:
 
     @classmethod
     def start(cls, session: EmulationSession, devices: dict) -> WorkloadManagerCore:
-        """Setup step: give the scheduler an oracle over the perf model if
-        it arrived without one, build the core, and start the QoS clock."""
+        """Setup step: give the scheduler this session's oracle over the
+        perf model, build the core, and start the QoS clock.
+
+        A scheduler instance may serve several sessions, and a
+        :class:`PerfModelOracle` caches by positional ``pe_id``, so every
+        session gets its own; an oracle of any other type is the caller's
+        and is kept.  The new oracle also resets the scheduler's tables
+        (:meth:`Scheduler._sync_row_cache`)."""
         scheduler = session.scheduler
-        if scheduler.oracle is None:
+        if scheduler.oracle is None or isinstance(scheduler.oracle, PerfModelOracle):
             scheduler.oracle = PerfModelOracle(session.perf_model, devices)
         core = cls(session.source, session.handlers, scheduler, session.stats,
                    faults=session.faults, qos=session.qos)

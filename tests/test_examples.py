@@ -48,6 +48,15 @@ def test_custom_scheduler(capsys):
     assert "frfs" in out
 
 
+def test_fig10_passes(capsys):
+    run_example("fig10_passes.py", ["1.71"])
+    out = capsys.readouterr().out
+    assert "passes" in out and "completions_per_pass" in out
+    # the EFT cell of artifacts/fig10.txt: 4.27 s, 590.5 us
+    assert "1.71  eft     7218   3326" in out
+    assert "4.27" in out and "590.5" in out
+
+
 def test_auto_conversion(capsys):
     run_example("auto_conversion.py")
     out = capsys.readouterr().out

@@ -4,8 +4,9 @@ line — plus source gates that keep the core chosen by what imports (no
 setting for it), the slow JSON encoder out of the store, the
 per-cell journal records (and the second lease) from being written twice,
 the backends' monitor step and the ready list from being hand-rolled
-again, and the PE handshake from going back to a lock per status read and
-a notification per transition."""
+again, the PE handshake from going back to a lock per status read and
+a notification per transition, and the invocation rule from growing a
+caller-settable switch again."""
 
 from __future__ import annotations
 
@@ -354,3 +355,49 @@ def test_status_reads_take_no_lock_and_only_a_waiter_is_notified():
         ):
             offenders.append(f"{path.relative_to(ROOT)}:{line}: {what}")
     assert offenders == []
+
+
+def _identifiers(source: str, wanted: tuple[str, ...]) -> list[tuple[int, str]]:
+    """``(line, name)`` for each name, attribute, keyword, parameter,
+    definition or import in ``source`` spelled exactly as one of ``wanted``
+    (whole identifiers: ``monitor_cost_per_completion`` is not
+    ``per_completion``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for field in ("id", "attr", "arg", "name"):
+            value = getattr(node, field, None)
+            if isinstance(value, str) and value in wanted:
+                found.append((getattr(node, "lineno", 0), value))
+    return sorted(found)
+
+
+def test_one_invocation_rule_and_one_pass_record():
+    """How many invocations a WM pass stands for is
+    ``SchedulerCostModel.invocations`` alone: no ``per_completion=`` switch
+    for a caller to set, and the per-invocation ``invocation_cost`` and the
+    uncalled ``scheduling_overhead_fraction`` stay deleted.  Each backend
+    records a pass with one ``record_scheduling_pass`` call."""
+    gone = ("per_completion", "invocation_cost", "scheduling_overhead_fraction")
+    assert _identifiers(
+        "m.pass_cost(p, 1, 5, 2, 1, per_completion=False)\n"
+        "def invocation_cost(self, monitor_cost_per_completion): ...\n"
+        "from repro.analysis.metrics import scheduling_overhead_fraction\n",
+        gone,
+    ) == [(1, "per_completion"), (2, "invocation_cost"),
+          (3, "scheduling_overhead_fraction")]
+    package = ROOT / "src" / "repro"
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in sorted(package.rglob("*.py"))
+        for line, what in _identifiers(path.read_text("utf-8"), gone)
+    ]
+    assert offenders == []
+    backends = sorted((package / "runtime" / "backends").glob("*.py"))
+    records = {
+        path.name: len(_hand_rolled_wm(
+            path.read_text("utf-8"), calls=("record_scheduling_pass",)
+        ))
+        for path in backends
+    }
+    assert records == {"base.py": 0, "__init__.py": 0, "threaded.py": 1,
+                       "virtual.py": 1}

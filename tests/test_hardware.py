@@ -3,6 +3,8 @@ and the performance models."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,12 @@ class TestAccelerator:
         assert t.compute_time(8) == pytest.approx(8 * 3)
         assert t.compute_time(1024) == pytest.approx(1024 * 10)
 
+    def test_stage_count_is_the_numpy_ceil_log2(self):
+        n = np.arange(1, 65536)
+        numpy_stages = np.maximum(1, np.ceil(np.log2(n)).astype(int))
+        t = FFTTimingModel(setup_us=0.0, per_point_stage_us=1.0)
+        assert [t.compute_time(int(k)) for k in n] == (n * numpy_stages).tolist()
+
     def test_job_time_includes_dma_roundtrip(self):
         dev = FFTAcceleratorDevice("fft0")
         points = 128
@@ -329,6 +337,12 @@ class TestPerformanceModel:
         assert quiet.jitter(rng) == 1.0
 
 
+#: what the cost model reads of a policy: its name and whether it serves
+#: its PEs from reservation queues
+FRFS = SimpleNamespace(name="frfs", uses_reservation=False)
+RESERVE = SimpleNamespace(name="frfs_reserve", uses_reservation=True)
+
+
 class TestSchedulerCostModel:
     def test_frfs_cost_independent_of_ready_length(self):
         model = SchedulerCostModel()
@@ -348,13 +362,16 @@ class TestSchedulerCostModel:
     def test_paper_frfs_magnitude_at_5_pes(self):
         # Fig 10b reports ~1.9-2.7us for FRFS on 3C+2F
         model = SchedulerCostModel()
-        cost = model.invocation_cost("frfs", 10, 5, completions=1, dispatched=1)
+        cost, _ = model.pass_cost(FRFS, 10, 5, completions=1, dispatched=1)
         assert 1.0 < cost < 5.0
 
-    def test_invocation_cost_components(self):
+    def test_pass_cost_components(self):
         model = SchedulerCostModel()
-        base = model.invocation_cost("frfs", 0, 5, 0, 0)
-        more = model.invocation_cost("frfs", 0, 5, completions=4, dispatched=2)
+        base, _ = model.pass_cost(RESERVE, 0, 5, 0, 0)
+        more, invocations = model.pass_cost(RESERVE, 0, 5, completions=4,
+                                            dispatched=2)
+        assert invocations == 1
+        assert base == model.base_cost + model.policy_cost("frfs_reserve", 0, 5)
         expected = (
             base
             + 4 * model.monitor_cost_per_completion
@@ -366,9 +383,9 @@ class TestSchedulerCostModel:
         """The paper: the policy runs on *every* task completion, so a
         pass that observed k completions stands for k invocations."""
         model = SchedulerCostModel()
-        one, inv_one = model.pass_cost("frfs", 10, 5, completions=1,
+        one, inv_one = model.pass_cost(FRFS, 10, 5, completions=1,
                                        dispatched=1)
-        four, inv_four = model.pass_cost("frfs", 10, 5, completions=4,
+        four, inv_four = model.pass_cost(FRFS, 10, 5, completions=4,
                                          dispatched=1)
         assert inv_one == 1 and inv_four == 4
         per_invocation = model.base_cost + model.policy_cost("frfs", 10, 5)
@@ -378,10 +395,29 @@ class TestSchedulerCostModel:
 
     def test_pass_cost_injection_only_counts_one_invocation(self):
         model = SchedulerCostModel()
-        total, invocations = model.pass_cost("frfs", 5, 5, completions=0,
+        total, invocations = model.pass_cost(FRFS, 5, 5, completions=0,
                                              dispatched=2)
         assert invocations == 1
         assert total > 0
+
+    def test_a_self_serving_pass_is_one_invocation(self):
+        model = SchedulerCostModel()
+        assert model.invocations(RESERVE, 4) == 1
+        assert model.invocations(FRFS, 4) == 4
+
+    def test_the_rule_is_overridden_by_a_subclass(self):
+        class OncePerPass(SchedulerCostModel):
+            def invocations(self, policy, completions):
+                return 1
+
+        total, invocations = OncePerPass().pass_cost(FRFS, 10, 5, 4, 1)
+        model = SchedulerCostModel()
+        assert invocations == 1
+        assert total == pytest.approx(
+            model.base_cost + model.policy_cost("frfs", 10, 5)
+            + 4 * model.monitor_cost_per_completion
+            + model.dispatch_cost_per_task
+        )
 
     def test_unknown_policy_uses_default_coeffs(self):
         model = SchedulerCostModel()

@@ -345,3 +345,56 @@ def test_policy_output_always_valid_property(n_tasks, pes, policy):
     out = sched.schedule(tasks, handlers, 0.0)
     validate_assignments(out, tasks)
     assert len({id(a.handler) for a in out}) == len(out)
+
+
+class TestReusedInstance:
+    """One scheduler instance serving several sessions behaves like a
+    fresh one in each: every session gets its own perf-model oracle, and
+    the tables computed over the previous session's PEs are dropped."""
+
+    APPS = {"range_detection": 4, "pulse_doppler": 1, "wifi_tx": 2}
+
+    @staticmethod
+    def makespan(policy, config: str, apps=APPS) -> float:
+        from repro.runtime.backends import VirtualBackend
+        from repro.runtime.emulation import Emulation
+        from repro.runtime.workload import validation_workload
+
+        emu = Emulation(config=config, policy=policy, seed=3, jitter=False)
+        return emu.run(validation_workload(apps), VirtualBackend()).stats.makespan
+
+    @pytest.mark.parametrize("first,second", [
+        ("1C+1F", "3C+2F"), ("3C+2F", "1C+1F"),
+    ])
+    @pytest.mark.parametrize("policy", [
+        "eft", "met", "heft", "cprank", "rollout", "eft_reserve", "eft+edf",
+    ])
+    def test_reuse_matches_a_fresh_instance(self, policy, first, second):
+        scheduler = make_scheduler(policy)
+        self.makespan(scheduler, first)
+        assert self.makespan(scheduler, second) == self.makespan(policy, second)
+
+    def test_heft_ranks_follow_the_session_pes(self):
+        """Same PE type names, different mix: the upward ranks of the first
+        session's PEs would reorder the second session's ready list."""
+        apps = {"range_detection": 2, "pulse_doppler": 1, "wifi_tx": 2,
+                "wifi_rx": 2}
+        scheduler = make_scheduler("heft")
+        self.makespan(scheduler, "2C+1F", apps)
+        assert (self.makespan(scheduler, "3C+2F", apps)
+                == self.makespan("heft", "3C+2F", apps))
+
+    def test_a_caller_oracle_of_another_type_is_kept(self):
+        class Flat:
+            calls = 0
+
+            def estimate(self, task, handler):
+                self.calls += 1
+                return 10.0 if task.supports_pe(handler) else None
+
+        oracle = Flat()
+        scheduler = make_scheduler("eft", oracle)
+        for config in ("1C+1F", "3C+2F"):
+            self.makespan(scheduler, config)
+            assert scheduler.oracle is oracle
+        assert oracle.calls > 0

@@ -11,7 +11,6 @@ from repro.analysis.metrics import (
     per_type_utilization,
     queue_delay_stats,
     schedulability_check,
-    scheduling_overhead_fraction,
     throughput_tasks_per_ms,
 )
 from repro.analysis.tables import format_table, render_rows
@@ -128,10 +127,6 @@ class TestMetrics:
         assert schedulability_check(stats, stats.makespan)
         assert not schedulability_check(stats, stats.makespan / 10.0)
         assert schedulability_check(stats, 0.0)
-
-    def test_overhead_fraction_bounded(self):
-        stats = run_small().stats
-        assert 0.0 < scheduling_overhead_fraction(stats) <= 1.0
 
 
 class TestTables:
