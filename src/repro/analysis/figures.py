@@ -1,6 +1,6 @@
 """ASCII figure rendering for experiment output.
 
-The bench harnesses print tables; for sweeps (Figs. 10 and 11) a coarse
+The experiments print tables; for sweeps (Figs. 10 and 11) a coarse
 terminal plot makes the *shape* — orderings, crossovers, growth — visible
 at a glance without any plotting dependency.
 """

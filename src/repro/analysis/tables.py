@@ -1,6 +1,6 @@
-"""Plain-text table rendering for the benchmark harnesses.
+"""Plain-text table rendering for the CLI and the experiment reports.
 
-The bench targets print the same rows/series the paper reports; these
+The experiments print the same rows/series the paper reports; these
 helpers keep that output aligned and diff-friendly.
 """
 

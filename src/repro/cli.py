@@ -41,11 +41,24 @@ EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
 
 
+class UsageError(ReproError):
+    """A flag value that does not parse: one ``error:`` line, exit 2."""
+
+
+def _number(flag: str, token: str, kind: type[int] | type[float]):
+    """``kind(token)``, or a :class:`UsageError` naming the flag and token."""
+    try:
+        return kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"{flag}: {token.strip()!r} is not {what}") from None
+
+
 def _parse_apps(text: str) -> dict[str, int]:
     counts: dict[str, int] = {}
     for part in text.split(","):
         name, _sep, num = part.partition("=")
-        counts[name.strip()] = int(num) if num else 1
+        counts[name.strip()] = _number("--apps", num, int) if num else 1
     return counts
 
 
@@ -205,12 +218,14 @@ def _sweep_grid(args: argparse.Namespace):
         return grid
     workloads: list[dict] = []
     if args.rates:
-        workloads.extend(rate_sweep(float(r)) for r in _parse_list(args.rates))
+        workloads.extend(rate_sweep(_number("--rates", r, float))
+                         for r in _parse_list(args.rates))
     if args.apps or not workloads:
         workloads.append(validation_sweep(_parse_apps(args.apps or
                                                       "range_detection=1")))
     seeds: tuple[int | None, ...] = (
-        tuple(int(s) for s in _parse_list(args.seeds)) if args.seeds else (None,)
+        tuple(_number("--seeds", s, int) for s in _parse_list(args.seeds))
+        if args.seeds else (None,)
     )
     return SweepGrid(
         platforms=tuple(_parse_list(args.platforms)),
@@ -474,75 +489,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return _interrupt_exit_code(result.stats)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the named bench scenarios; write a BENCH_<timestamp>.json report."""
-    from repro.perf import (
-        format_core_compare,
-        format_report,
-        run_suite,
-        run_suite_compare_cores,
-        scenario_names,
-        write_report,
-    )
-
-    if args.list:
-        for name in scenario_names():
-            print(name)
-        return 0
-    names = _parse_list(args.scenario)
-    if not names:
-        print("bench needs --scenario NAME[,NAME...] (see bench --list)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    quiet = args.json
-
-    def progress(done: int, total: int, name: str) -> None:
-        if not quiet:
-            print(f"[{done + 1}/{total}] {name} ...", file=sys.stderr)
-
-    if args.compare_cores:
-        pure_doc, compiled_doc = run_suite_compare_cores(
-            names,
-            reps=args.reps,
-            warmup=args.warmup,
-            quick=args.quick,
-            progress=progress,
-        )
-        paths = []
-        if not args.no_write:
-            paths = [
-                write_report(pure_doc, out_dir=args.out, tag="pure"),
-                write_report(compiled_doc, out_dir=args.out, tag="compiled"),
-            ]
-        if args.json:
-            print(json.dumps(
-                {"pure": pure_doc, "compiled": compiled_doc}, indent=2
-            ))
-        else:
-            print(format_core_compare(pure_doc, compiled_doc))
-        for p in paths:
-            print(f"report written to {p}", file=sys.stderr)
-        return 0
-
-    doc = run_suite(
-        names,
-        reps=args.reps,
-        warmup=args.warmup,
-        quick=args.quick,
-        progress=progress,
-    )
-    path = None
-    if not args.no_write:
-        path = write_report(doc, out_dir=args.out)
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(format_report(doc))
-    if path is not None:
-        print(f"report written to {path}", file=sys.stderr)
-    return 0
-
-
 def cmd_export_specs(args: argparse.Namespace) -> int:
     """Write every bundled application's Listing-1 JSON to a directory."""
     from pathlib import Path
@@ -753,34 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "<out>/distrib/server.json)")
     server_p.set_defaults(fn=cmd_sweep_server)
 
-    bench_p = sub.add_parser(
-        "bench", help="cross-core gate, peak-RSS scale pair and lookahead "
-                      "scenarios (speed claims: benchmarks/spine)"
-    )
-    bench_p.add_argument("--scenario", default="",
-                         help="comma-separated scenario names (required; "
-                              "see --list)")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="small workloads, 1 rep, no warmup (CI smoke)")
-    bench_p.add_argument("--reps", type=int, default=3,
-                         help="timed repetitions per scenario")
-    bench_p.add_argument("--warmup", type=int, default=1,
-                         help="untimed warmup runs per scenario")
-    bench_p.add_argument("--out", default="benchmarks/results",
-                         help="directory for the BENCH_<timestamp>.json report")
-    bench_p.add_argument("--no-write", action="store_true",
-                         help="skip writing the report file")
-    bench_p.add_argument("--json", action="store_true",
-                         help="print the report document as JSON on stdout")
-    bench_p.add_argument("--list", action="store_true",
-                         help="list scenario names and exit")
-    bench_p.add_argument("--compare-cores", action="store_true",
-                         help="run each scenario under both the pure and "
-                              "compiled cores (interleaved), assert their "
-                              "stats are bit-identical, and print a speedup "
-                              "table; writes one BENCH report per core")
-    bench_p.set_defaults(fn=cmd_bench)
-
     list_p = sub.add_parser("list", help="show registered apps and policies")
     list_p.set_defaults(fn=cmd_list)
 
@@ -799,6 +717,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -11,7 +11,8 @@ There is one rule: the compiled kernels run exactly when the extension
 imports (:func:`repro._native.available`).  Nothing is configured, so
 sweep workers, pool children and the coordinator of the same checkout all
 answer alike.  :func:`forced` pins a variant inside a ``with`` block: the
-pure loops stay reachable as the reference (``bench --compare-cores``).
+pure loops stay reachable as the reference the cross-core tests compare
+against.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -109,6 +110,40 @@ def describe_workload(descriptor: dict[str, Any]) -> str:
         label = spec.get("label") or spec.get("kind", "?")
         return f"arrivals:{label}"
     return str(descriptor)
+
+
+def _check_descriptor(descriptor: dict[str, Any]) -> None:
+    """Reject a workload descriptor no cell could run, once per grid.
+
+    Rates get scalar checks only (nothing is built); an ``arrivals`` spec
+    gets the fail-fast build :func:`arrivals_sweep` gives in-code grids.
+    """
+    kind = descriptor.get("kind")
+    if kind not in WORKLOAD_KINDS:
+        raise ReproError(
+            f"workload descriptor kind {kind!r} not in {WORKLOAD_KINDS}"
+        )
+    if kind in ("rate", "table_ii"):
+        rate = descriptor.get("rate")
+        if not (isinstance(rate, (int, float)) and math.isfinite(rate)
+                and rate > 0):
+            raise ReproError(
+                f"{kind} workload needs a finite rate > 0, got {rate!r}"
+            )
+        if kind == "table_ii":
+            from repro.experiments.workloads import TABLE_II_RATES
+
+            if rate not in TABLE_II_RATES:
+                raise ReproError(
+                    f"table_ii rate {rate!r} is not one of {TABLE_II_RATES}"
+                )
+    elif kind == "arrivals":
+        try:
+            _arrival_stream(descriptor.get("spec") or {})
+        except Exception as exc:
+            raise ReproError(
+                f"invalid arrivals workload in sweep grid: {exc}"
+            ) from exc
 
 
 def _content_hash(doc: dict[str, Any], length: int) -> str:
@@ -271,6 +306,8 @@ class SweepGrid:
             raise ReproError(
                 "qos axis cannot be empty (use (None,) for QoS-free)"
             )
+        for w in self.workloads:
+            _check_descriptor(w)
 
     @property
     def size(self) -> int:
@@ -376,21 +413,6 @@ class SweepGrid:
             )
         except KeyError as exc:
             raise ReproError(f"sweep spec missing key: {exc}") from None
-        for w in grid.workloads:
-            if w.get("kind") not in WORKLOAD_KINDS:
-                raise ReproError(
-                    f"workload descriptor kind {w.get('kind')!r} not in "
-                    f"{WORKLOAD_KINDS}"
-                )
-            if w.get("kind") == "arrivals":
-                # the same fail-fast check arrivals_sweep() gives in-code
-                # grids
-                try:
-                    _arrival_stream(w.get("spec") or {})
-                except Exception as exc:
-                    raise ReproError(
-                        f"invalid arrivals workload in sweep spec: {exc}"
-                    ) from exc
         return grid
 
     def with_overrides(self, **kwargs: Any) -> SweepGrid:

@@ -489,7 +489,8 @@ class EmulationStats:
         return {}
 
     def summary(self) -> dict:
-        """Flat report dict (what the bench harnesses print)."""
+        """Flat report dict (what ``run`` / ``perf`` print and the golden
+        digests hash)."""
         energy = self.pe_energy()
         report = {
             "label": self.label,

@@ -754,7 +754,7 @@ _READERS = {
 class ArrivalSpec:
     """JSON-serializable description of one arrival stream.
 
-    The CLI/bench knobs compose through :meth:`build`: ``rate_scale``
+    The CLI knobs compose through :meth:`build`: ``rate_scale``
     multiplies every generated rate (for a trace it *composes* with the
     spec's own ``time_scale`` unit conversion), and
     ``duration_ms``/``max_apps`` override the spec's own bounds.

@@ -224,6 +224,37 @@ class TestSweep:
         assert statuses == {"frfs": "ok", "no_such_policy": "error"}
 
 
+@pytest.mark.parametrize("argv, flag, token", [
+    (["run", "--apps", "range_detection=x"], "--apps", "x"),
+    (["sweep", "--apps", "wifi_tx=1.5"], "--apps", "1.5"),
+    (["sweep", "--seeds", "1,x"], "--seeds", "x"),
+    (["sweep", "--rates", "abc"], "--rates", "abc"),
+], ids=["run-apps", "sweep-apps", "sweep-seeds", "sweep-rates"])
+def test_non_numeric_flag_value_is_a_usage_error(argv, flag, token, tmp_path,
+                                                  capsys):
+    """These ended in a ``ValueError`` traceback: each is one ``error:``
+    line naming the flag and the bad token, and exit 2."""
+    out = tmp_path / "campaign"
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert flag in err[0] and repr(token) in err[0], err
+    assert not out.exists()
+
+
+def test_a_rate_no_cell_can_run_stops_the_sweep_before_it_starts(tmp_path,
+                                                                  capsys):
+    """``--rates 2.28,nan`` used to run a campaign with one failed cell."""
+    out = tmp_path / "campaign"
+    assert main(["sweep", "--rates", "2.28,nan", "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "nan" in err[0]
+    assert not out.exists()
+
+
 class TestExitCodesAndQoS:
     """Exit-code contract (docs/qos.md) and the QoS CLI surface."""
 

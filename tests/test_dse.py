@@ -169,6 +169,42 @@ class TestGrid:
         with pytest.raises(ReproError, match="kind"):
             SweepGrid.from_dict({"configs": ["A"], "policies": ["p"],
                                  "workloads": [{"kind": "nope"}]})
+        # an in-code grid gets the same check
+        with pytest.raises(ReproError, match="kind"):
+            SweepGrid(configs=("A",), policies=("p",),
+                      workloads=({"kind": "nope"},))
+
+    @pytest.mark.parametrize("descriptor", [
+        rate_sweep(float("nan")), rate_sweep(float("inf")), rate_sweep(0.0),
+        rate_sweep(-2.0), {"kind": "rate"}, {"kind": "rate", "rate": "2.28"},
+        table_ii_sweep(float("nan")), table_ii_sweep(-1.71),
+        table_ii_sweep(2.0),
+    ], ids=["rate-nan", "rate-inf", "rate-zero", "rate-negative",
+            "rate-missing", "rate-string", "table_ii-nan", "table_ii-negative",
+            "table_ii-not-in-table"])
+    def test_a_rate_no_cell_can_run_is_rejected_by_the_grid(self, descriptor):
+        # Regression: these passed grid construction, then failed in
+        # every cell ("injection rate must be positive").
+        with pytest.raises(ReproError, match="rate"):
+            SweepGrid(configs=("A",), policies=("p",), workloads=(descriptor,))
+        with pytest.raises(ReproError, match="rate"):
+            SweepGrid.from_dict({"configs": ["A"], "policies": ["p"],
+                                 "workloads": [descriptor]})
+
+    def test_rate_check_builds_no_workload(self, monkeypatch):
+        from repro.experiments import workloads
+
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("the grid built a workload")
+
+        monkeypatch.setattr(workloads, "workload_at_rate", no_build)
+        monkeypatch.setattr(workloads, "table_ii_workload", no_build)
+        grid = SweepGrid(
+            configs=("A",), policies=("p",),
+            workloads=(rate_sweep(4.0), rate_sweep(0.5, 2000.0),
+                       *(table_ii_sweep(r) for r in workloads.TABLE_II_RATES)),
+        )
+        assert grid.size == 7
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ReproError):

@@ -401,3 +401,49 @@ def test_one_invocation_rule_and_one_pass_record():
     }
     assert records == {"base.py": 0, "__init__.py": 0, "threaded.py": 1,
                        "virtual.py": 1}
+
+
+#: what the deleted second speed harness was reached by (spelled in two
+#: parts so this file does not name them itself)
+_HARNESS_NAMES = tuple(
+    a + b for a, b in (("repro.perf.", "harness"), ("repro.perf.", "scenarios"),
+                       ("dssoc-emulate ", "bench"))
+)
+
+
+def test_one_instrument_for_speed():
+    """Speed is measured by ``benchmarks/spine/`` alone: the CLI keeps its
+    seven subcommands, ``repro.perf`` keeps only the peak-RSS reader the
+    spine imports, and nothing in the program, the tests, CI or the
+    verify notes names the deleted harness again."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(subparsers.choices) == [
+        "export-specs", "list", "perf", "run", "sweep", "sweep-server",
+        "sweep-worker",
+    ]
+    perf = ROOT / "src" / "repro" / "perf"
+    assert sorted(p.name for p in perf.iterdir()
+                  if p.name != "__pycache__") == ["__init__.py", "rss.py"]
+    paths = [
+        path
+        for top in ("src", "tests", ".github", ".claude")
+        for path in sorted((ROOT / top).rglob("*"))
+        if path.is_file() and path.suffix in (".py", ".md", ".yml", ".yaml",
+                                              ".toml", ".c", ".json")
+    ]
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}: {name}"
+        for path in paths
+        for number, line in enumerate(
+            path.read_text("utf-8", errors="replace").splitlines(), 1)
+        for name in _HARNESS_NAMES
+        if name in line
+    ]
+    assert offenders == []

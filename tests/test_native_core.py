@@ -21,7 +21,7 @@ from repro.runtime.backends import VirtualBackend
 from repro.runtime.emulation import Emulation
 from repro.runtime.faults import FaultSpec, PEFailure
 from repro.runtime.qos import QoSController, QoSSpec
-from repro.runtime.workload import validation_workload
+from repro.runtime.workload import ArrivalSpec, validation_workload
 from repro.experiments.workloads import table_ii_workload
 
 HAVE_EXT = _native.available()
@@ -87,7 +87,7 @@ class TestSelection:
         assert core_select.selected_core() == before
 
     @pytest.mark.parametrize(
-        "command", ["run", "perf", "sweep", "sweep-worker", "bench"]
+        "command", ["run", "perf", "sweep", "sweep-worker"]
     )
     def test_core_flag_is_a_usage_error(self, command, capsys):
         from repro.cli import main
@@ -190,8 +190,78 @@ def _run_emulation(core: str, policy: str, *, seed: int = 11,
     }
 
 
+_SDR_MIX = {"range_detection": 2.0, "wifi_tx": 1.0, "wifi_rx": 1.0}
+_QUICK_POISSON = {"kind": "poisson", "rate_per_ms": 1.5, "apps": _SDR_MIX,
+                  "duration_ms": 200.0, "seed": 42}
+
+#: Four quick timing-only workloads on zcu102 3C+2F, seed 7, jitter on:
+#: a Poisson stream near capacity under EFT, a flash crowd under QoS
+#: admission + EDF, and the long ready queues of cprank (rank cache over
+#: ``eft_pass``) and rollout (forward simulator).
+QUICK_WORKLOADS = {
+    "serving-openloop": {"policy": "eft", "arrivals": _QUICK_POISSON},
+    "serving-flashcrowd": {
+        "policy": "eft+edf",
+        "arrivals": {"kind": "bursty", "rate_per_ms": 0.5, "apps": _SDR_MIX,
+                     "bursts": [[50.0, 50.0, 8.0]], "duration_ms": 250.0,
+                     "seed": 17},
+        "qos": {"deadlines": {"*": 2000.0},
+                "admission": {"max_pending": 64, "policy": "drop-newest"}},
+    },
+    "lookahead-cprank": {
+        "policy": "cprank",
+        "apps": {"range_detection": 8, "wifi_tx": 6, "pulse_doppler": 1},
+    },
+    "lookahead-rollout": {"policy": "rollout", "arrivals": _QUICK_POISSON},
+}
+
+
+def _run_quick(name: str):
+    """One :data:`QUICK_WORKLOADS` run on the active core: its stats and
+    the number of engine events it fired."""
+    spec = QUICK_WORKLOADS[name]
+    emu = Emulation(
+        platform=zcu102(),
+        config="3C+2F",
+        policy=spec["policy"],
+        materialize_memory=False,
+        jitter=True,
+        seed=7,
+        qos=spec.get("qos"),
+    )
+    if "arrivals" in spec:
+        workload = ArrivalSpec.from_dict(spec["arrivals"]).build()
+    else:
+        workload = validation_workload(spec["apps"])
+    backend = VirtualBackend()
+    stats = emu.run(workload, backend).stats
+    return stats, backend.last_run_info["events_fired"]
+
+
+def test_quick_workloads_pin_and_conserve():
+    """On whichever core is active: the cprank burst's counts are pinned,
+    and every app a serving stream injects completes, degrades or drops."""
+    stats, events = _run_quick("lookahead-cprank")
+    assert (events, stats.task_count, stats.apps_completed,
+            stats.apps_injected, round(stats.makespan / 1000.0, 4),
+            stats.sched_invocations) == (5098, 860, 15, 15, 19.9354, 861)
+    for name in ("serving-openloop", "serving-flashcrowd"):
+        stats, _events = _run_quick(name)
+        assert (stats.apps_completed + stats.apps_degraded
+                + stats.apps_dropped == stats.apps_injected > 0), name
+
+
 @needs_ext
 class TestCrossCoreEquivalence:
+    @pytest.mark.parametrize("name", list(QUICK_WORKLOADS))
+    def test_quick_workloads_bit_identical(self, name):
+        runs = {}
+        for core in ("pure", "compiled"):
+            with core_select.forced(core):
+                stats, events = _run_quick(name)
+            runs[core] = (stats.summary(), events, stats.sched_invocations)
+        assert runs["pure"] == runs["compiled"]
+
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_every_policy_bit_identical(self, policy):
         pure = _run_emulation("pure", policy)
@@ -240,31 +310,3 @@ class TestCrossCoreEquivalence:
             == _run_emulation("compiled", "met", workload=workload,
                               jitter=False)
         )
-
-
-# -- harness integration ---------------------------------------------------------
-
-
-@needs_ext
-class TestCompareCoresHarness:
-    def test_compare_cores_suite_quick(self):
-        from repro.perf import run_suite_compare_cores
-
-        pure_doc, compiled_doc = run_suite_compare_cores(
-            ["serving-openloop"], quick=True
-        )
-        assert pure_doc["core"]["variant"] == "pure"
-        assert compiled_doc["core"]["variant"] == "compiled"
-        p = pure_doc["scenarios"]["serving-openloop"]
-        c = compiled_doc["scenarios"]["serving-openloop"]
-        assert (p["events"], p["tasks"], p["makespan_ms"]) == (
-            c["events"], c["tasks"], c["makespan_ms"]
-        )
-
-    def test_bench_report_records_core(self):
-        from repro.perf import run_suite
-
-        with core_select.forced(core_select.CORE_COMPILED):
-            doc = run_suite(["serving-openloop"], quick=True)
-        assert doc["core"]["variant"] == "compiled"
-        assert doc["core"]["build"]["toolchain"]

@@ -3,17 +3,21 @@
 Covers the open-loop streaming engine end to end:
 
 * every :class:`ArrivalStream` source (determinism, bounds, guards),
-* the :class:`ArrivalSpec` JSON façade and its CLI/bench knobs,
+* the :class:`ArrivalSpec` JSON façade and its CLI knobs,
 * P² streaming percentiles against exact ``np.percentile``,
 * streaming-vs-materialized **bit-identity** across all eight policies
   and both cores (the refactor's regression gate), and
 * a 100k-application smoke asserting peak RSS stays under a fixed cap —
-  the constant-memory guarantee the streaming path exists to provide.
+  the constant-memory guarantee the streaming path exists to provide —
+  and a 128 MiB ceiling on a whole ``run --arrivals`` process.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +28,6 @@ from repro.appmodel import GraphBuilder, KernelLibrary
 from repro.cli import EXIT_USAGE, main
 from repro.common.errors import ApplicationSpecError, EmulationError
 from repro.perf import rss
-from repro.perf.harness import run_scenario
 from repro.runtime.backends import ThreadedBackend, VirtualBackend
 from repro.runtime.emulation import Emulation
 from repro.runtime.stats import P2Quantile, StreamingStats
@@ -826,7 +829,41 @@ def test_100k_apps_bounded_rss():
     )
 
 
-# -- CLI + bench schema ----------------------------------------------------------
+def test_run_arrivals_process_stays_under_128_mib(tmp_path):
+    """A fresh ``run --arrivals --json`` process over a quick Poisson stream
+    near capacity peaks under 128 MiB on the active core.  It reads about
+    41 MiB (docs/performance.md, "Fixed costs"): 3x headroom for another
+    interpreter build, tight enough to catch a leak."""
+    spec = tmp_path / "arrivals.json"
+    spec.write_text(json.dumps({
+        "kind": "poisson", "rate_per_ms": 1.5, "duration_ms": 200.0,
+        "seed": 42,
+        "apps": {"range_detection": 2.0, "wifi_tx": 1.0, "wifi_rx": 1.0},
+    }))
+    code = (
+        "import contextlib, os, sys\n"
+        "from repro.cli import main\n"
+        "from repro.perf.rss import peak_rss_bytes\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    rc = main(['run', '--arrivals', sys.argv[1], '--policy', 'eft',\n"
+        "               '--config', '3C+2F', '--seed', '7', '--json'])\n"
+        "print(rc, peak_rss_bytes())\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(spec)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, peak = map(int, proc.stdout.split())
+    assert rc == 0
+    assert 0 < peak < 128 * 2**20, f"peak RSS {peak / 2**20:.1f} MiB"
+
+
+# -- CLI ----------------------------------------------------------------------------
 
 
 class TestServingCLI:
@@ -908,35 +945,6 @@ class TestServingCLI:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["apps_injected"] == 6
-
-    def test_bench_list_includes_serving(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "serving-openloop" in out
-        assert "serving-flashcrowd" in out
-
-
-class TestBenchSchemaV2:
-    def test_serving_scenario_entry(self):
-        entry = run_scenario(
-            "serving-openloop", reps=1, warmup=0, quick=True
-        )
-        assert entry["mode"] == "openloop"
-        assert entry["apps_injected"] > 0
-        assert (
-            entry["apps_completed"] + entry["apps_degraded"]
-            + entry["apps_dropped"] == entry["apps_injected"]
-        )
-        assert "peak_rss_bytes" in entry
-
-    def test_flashcrowd_scenario_sheds_load(self):
-        entry = run_scenario(
-            "serving-flashcrowd", reps=1, warmup=0, quick=True
-        )
-        assert (
-            entry["apps_completed"] + entry["apps_degraded"]
-            + entry["apps_dropped"] == entry["apps_injected"]
-        )
 
 
 def test_ru_maxrss_normalization_to_bytes():
