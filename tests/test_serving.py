@@ -45,6 +45,7 @@ from repro.runtime.workload import (
     validate_arrivals,
     validation_workload,
 )
+from tests.test_native_core import _run_quick
 
 HAVE_EXT = _native.available()
 needs_ext = pytest.mark.skipif(
@@ -945,6 +946,28 @@ class TestServingCLI:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["apps_injected"] == 6
+
+
+class TestBenchSchemaV2:
+    """The quick serving workloads on the active core: every app a
+    stream injects completes, degrades or drops."""
+
+    def test_serving_scenario_entry(self):
+        stats, events = _run_quick("serving-openloop")
+        assert events > 0 and stats.apps_injected > 0
+        assert (
+            stats.apps_completed + stats.apps_degraded
+            + stats.apps_dropped == stats.apps_injected
+        )
+
+    def test_flashcrowd_scenario_sheds_load(self):
+        stats, _events = _run_quick("serving-flashcrowd")
+        # the burst overruns max_pending=64 under drop-newest admission
+        assert stats.apps_dropped > 0
+        assert (
+            stats.apps_completed + stats.apps_degraded
+            + stats.apps_dropped == stats.apps_injected
+        )
 
 
 def test_ru_maxrss_normalization_to_bytes():
