@@ -1,18 +1,23 @@
-"""EFT placement over compact rows is the placement over full rows.
+"""EFT placement over compact rows, with deferred bookings, is the
+placement over full rows with every booking applied.
 
 ``eft_pass`` iterates, per task, a cached tuple of ``(position, estimate)``
 for the PEs the task's node has an estimate on
-(:meth:`Scheduler.estimate_pairs`).  Before that it walked every column of
-the node's estimate row and skipped the ``None`` ones.
-``full_row_eft_pass`` below is a straight transcription of that loop, kept
-here only, as the reference: over generated rows, PE states and visiting
-orders the two must hand out the same assignments in the same order and
-evaluate the same ``avail[i] + est`` sums, in the same order, on the same
-availabilities — which is every booking a later decision of the pass could
-see.
+(:meth:`Scheduler.estimate_pairs`), and defers the booking of a task with
+no pair on an open PE until a later task's choice depends on it.  Before
+that it walked every column of the node's estimate row, skipped the
+``None`` ones and booked every visited task.  ``full_row_eft_pass`` below
+is a straight transcription of that loop, kept here only, as the
+reference: over generated rows, PE states and visiting orders the two must
+hand out the same assignments in the same order, and on every PE the
+bookings the pass applies must be a prefix of the reference's bookings
+there, operands included — the ones it skips come after every booking a
+dispatch of the pass depends on.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +29,8 @@ from repro.appmodel.dag import PlatformBinding
 from repro.appmodel.instance import ApplicationInstance
 from repro.runtime.schedulers import Assignment, make_scheduler
 from repro.runtime.schedulers.eft import eft_pass
-from tests.test_schedulers import make_handlers
+from tests.test_capability_index import busy_cpus_idle_fft
+from tests.test_schedulers import FixedOracle, build_app, make_handlers
 
 
 def full_row_eft_pass(policy, ready, handlers, now, key=None):
@@ -72,6 +78,21 @@ def full_row_eft_pass(policy, ready, handlers, now, key=None):
     return assignments
 
 
+class Booked(float):
+    """The finish time of a spied sum, remembering the availability it was
+    added to.  Stored into ``avail`` it is a booking, and the next sum on
+    that PE takes it as its left operand — so the last value on each PE
+    chains back through every booking applied there."""
+
+    def __new__(cls, value: float, avail: float):
+        self = super().__new__(cls, value)
+        self.avail = avail
+        return self
+
+    def __add__(self, est):
+        return est.__radd__(self)
+
+
 class SpiedEstimate(float):
     """An estimate that logs every ``avail[i] + est`` it takes part in."""
 
@@ -82,9 +103,53 @@ class SpiedEstimate(float):
         return self
 
     def __radd__(self, avail: float) -> float:
-        finish = avail + float(self)
+        finish = Booked(avail + float(self), avail)
         self.log.append((self.pe_id, avail, finish))
         return finish
+
+
+def place_and_book(place, *args):
+    """Run the placement pass ``place``; return its ``(task, handler)``
+    assignments and, per PE position, the ``(avail, finish)`` of every
+    booking it applied there, in order.
+
+    The pass's ``avail`` list is read as its frame returns; each final
+    value is followed back through :attr:`Booked.avail` to the prologue's.
+    """
+    final = []
+
+    def profile(frame, event, _arg):
+        if event == "return" and frame.f_code is place.__code__:
+            final.append(frame.f_locals.get("avail", []))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        got = place(*args)
+    finally:
+        sys.setprofile(previous)
+    bookings = []
+    for value in final[0]:
+        chain = []
+        while isinstance(value, Booked):
+            chain.append((float(value.avail), float(value)))
+            value = value.avail
+        bookings.append(chain[::-1])
+    return [(a.task, a.handler) for a in got], bookings
+
+
+class SpiedOracle:
+    """Another oracle's estimates, spied on."""
+
+    def __init__(self, oracle, log: list) -> None:
+        self.oracle = oracle
+        self.log = log
+
+    def estimate(self, task, handler):
+        value = self.oracle.estimate(task, handler)
+        if value is None:
+            return None
+        return SpiedEstimate(value, handler.pe_id, self.log)
 
 
 class TableOracle:
@@ -148,7 +213,8 @@ def passes(draw):
         (f"T{n}", pe): draw(ESTIMATES)
         for n in range(n_nodes) for pe in range(n_pes)
     }
-    n_instances = draw(st.integers(1, 4))
+    # up to 12 instances: long runs of tasks with no open PE to take
+    n_instances = draw(st.integers(1, 12))
     ranks = draw(st.one_of(
         st.none(),
         st.lists(st.integers(0, 3), min_size=n_nodes * n_instances,
@@ -171,32 +237,42 @@ def set_up(states):
     return handlers
 
 
+def build_pass(case):
+    """The handlers, ready tasks, visiting key (None: FIFO) and estimate
+    table of one generated :func:`passes` case."""
+    states, table, n_nodes, n_instances, ranks = case
+    handlers = set_up(states)
+    ready = instances(n_nodes, n_instances)
+    key = None
+    if ranks is not None:
+        rank_of = {id(t): r for t, r in zip(ready, ranks)}
+        key = lambda t: rank_of[id(t)]  # noqa: E731
+    return handlers, ready, key, table
+
+
 @given(case=passes())
 @settings(max_examples=300, deadline=None)
 def test_compact_rows_place_like_full_rows(case):
-    states, table, n_nodes, n_instances, ranks = case
+    states = case[0]
     with core_select.forced(core_select.CORE_PURE):
-        handlers = set_up(states)
-        ready = instances(n_nodes, n_instances)
-        key = None
-        if ranks is not None:
-            rank_of = {id(t): r for t, r in zip(ready, ranks)}
-            key = lambda t: rank_of[id(t)]  # noqa: E731
-        seen: list[list] = []
-        placed = []
+        handlers, ready, key, table = build_pass(case)
+        runs = {}
         for place in (full_row_eft_pass, eft_pass):
-            log: list = []
-            policy = make_scheduler("eft", TableOracle(table, log))
+            policy = make_scheduler("eft", TableOracle(table, []))
             assert policy._kernels is None
             # twice: the second pass is all cache hits
-            for _ in range(2):
-                del log[:]
-                got = place(policy, ready, handlers, NOW, key)
-                placed.append([(a.task, a.handler) for a in got])
-                seen.append(list(log))
-    assert placed[0] == placed[1] == placed[2] == placed[3]
-    assert seen[0] == seen[1] == seen[2] == seen[3]
-    assert len(placed[0]) <= sum(s == "idle" for s in states)
+            runs[place] = [
+                place_and_book(place, policy, ready, handlers, NOW, key)
+                for _ in range(2)
+            ]
+    (placed, reference), again = runs[full_row_eft_pass]
+    assert again == (placed, reference)
+    for got, booked in runs[eft_pass]:
+        assert got == placed
+        assert len(booked) == len(reference)
+        for on_pe, full in zip(booked, reference):
+            assert on_pe == full[:len(on_pe)]
+    assert len(placed) <= sum(s == "idle" for s in states)
 
 
 def test_tie_goes_to_the_lower_position_and_bookings_accumulate(pure_core):
@@ -208,17 +284,33 @@ def test_tie_goes_to_the_lower_position_and_bookings_accumulate(pure_core):
     got = eft_pass(policy, ready, handlers, NOW)
     # PE 1 wins the first tie, is booked, so PE 2 wins the next; PE 0 is
     # open but no task has an estimate on it, so the pass walks the queue
-    # to its end booking the two others
+    # to its end — and the last two tasks, with no open PE left to take,
+    # are deferred and never booked
     assert [(a.task, a.handler) for a in got] == [
         (ready[0], handlers[1]), (ready[1], handlers[2]),
     ]
     assert log == [
         (1, 100.0, 102.0), (2, 100.0, 102.0),
         (1, 102.0, 104.0), (2, 100.0, 102.0),
-        (1, 102.0, 104.0), (2, 102.0, 104.0),
-        (1, 104.0, 106.0), (2, 102.0, 104.0),
     ]
     assert policy._est_pairs[id(ready[0].node)] == ((1, 2.0), (2, 2.0))
+
+
+def test_tasks_with_no_open_pe_are_never_weighed_for_nothing(pure_core):
+    """1 000 CPU-only tasks queued on busy CPUs ahead of the one task the
+    idle FFT can take: none of their CPU bookings can move its choice, so
+    the pass adds only that task's estimates — one per PE — where booking
+    every visited task added 3 x 700 more."""
+    handlers = busy_cpus_idle_fft()
+    tasks = build_app(1000, fft_capable={700})
+    log: list = []
+    policy = make_scheduler("eft", SpiedOracle(FixedOracle({}), log))
+    got = eft_pass(policy, tasks, handlers, 10.0)
+    assert [(a.task, a.handler) for a in got] == [(tasks[700], handlers[3])]
+    assert log == [
+        (0, 500.0, 510.0), (1, 500.0, 510.0), (2, 500.0, 510.0),
+        (3, 10.0, 20.0),
+    ]
 
 
 def test_compact_rows_live_and_die_with_the_row_cache(pure_core):

@@ -12,6 +12,7 @@ import warnings
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
 from repro import _native
 from repro import core as core_select
@@ -23,6 +24,9 @@ from repro.runtime.faults import FaultSpec, PEFailure
 from repro.runtime.qos import QoSController, QoSSpec
 from repro.runtime.workload import ArrivalSpec, validation_workload
 from repro.experiments.workloads import table_ii_workload
+from repro.runtime.schedulers import make_scheduler
+from repro.runtime.schedulers.eft import eft_pass
+from tests.test_eft_compact_rows import NOW, TableOracle, build_pass, passes
 
 HAVE_EXT = _native.available()
 needs_ext = pytest.mark.skipif(
@@ -249,6 +253,26 @@ class TestCrossCoreEquivalence:
                 stats, events = _run_quick(name)
             runs[core] = (stats.summary(), events, stats.sched_invocations)
         assert runs["pure"] == runs["compiled"]
+
+    @given(case=passes())
+    @settings(max_examples=300, deadline=None)
+    def test_eft_kernel_places_like_the_deferring_pure_pass(self, case):
+        """The C ``eft_pass`` books every visited task; the pure pass
+        defers the bookings of tasks with no open PE and applies them only
+        when a later choice depends on them.  Over the generated rows, PE
+        states and visiting orders of ``tests/test_eft_compact_rows.py``
+        both hand out the same assignments in the same order."""
+        handlers, ready, key, table = build_pass(case)
+        placed = {}
+        for core in ("pure", "compiled"):
+            with core_select.forced(core):
+                policy = make_scheduler("eft", TableOracle(table, []))
+                assert (policy._kernels is None) == (core == "pure")
+                placed[core] = [
+                    (a.task, a.handler)
+                    for a in eft_pass(policy, ready, handlers, NOW, key)
+                ]
+        assert placed["pure"] == placed["compiled"]
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_every_policy_bit_identical(self, policy):
