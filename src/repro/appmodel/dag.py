@@ -278,8 +278,8 @@ class TaskGraph:
 
     def upward_rank_lengths(self, weight_fn=None) -> dict[str, float]:
         """Per-node longest path to the exit — the list-scheduling
-        "upward rank" skeleton (HEFT/cprank priorities are this with
-        mean-execution-time weights).  ``weight_fn(node_name) -> float``
+        "upward rank" skeleton (HEFT's priorities are this with
+        mean-execution-time weights over the live PEs).  ``weight_fn(node_name) -> float``
         defaults to unit weights; an exit node's rank is its own weight,
         and ``max(result.values())`` equals :meth:`critical_path_length`
         under the same weights."""

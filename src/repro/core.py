@@ -2,10 +2,10 @@
 
 The emulator is pure Python: one event engine (:mod:`repro.sim.engine`),
 one ready list, plain-Python policies.  Two placement loops — EFT's (shared
-by ``heft`` / ``cprank`` / ``eft+edf``) and MET's — also exist as C kernels
-in the optional extension ``repro._native._coreext`` (built with
-``python -m repro._native.build``), bit-identical by contract.  "Compiled"
-means "use those kernels".
+by ``heft``, its alias ``cprank``, and ``eft+edf``) and MET's — also exist
+as C kernels in the optional extension ``repro._native._coreext`` (built
+with ``python -m repro._native.build``), bit-identical by contract.
+"Compiled" means "use those kernels".
 
 There is one rule: the compiled kernels run exactly when the extension
 imports (:func:`repro._native.available`).  Nothing is configured, so

@@ -214,8 +214,8 @@ class SchedulerCostModel:
         "met_power": (0.4, 0.009, 1),
         "frfs_reserve": (0.2, 0.32, 0),
         "eft_reserve": (0.8, 1.2e-4, 2),
-        # Lookahead policies: cprank pays HEFT's sort+placement (the rank
-        # cache amortizes the rank computation itself); rollout's bounded
+        # Lookahead policies: cprank is HEFT under its older name and
+        # pays the same sort+placement; rollout's bounded
         # forward simulations cost more per pass but are capped by its
         # scan_limit, so the model is linear rather than quadratic.
         "cprank": (1.0, 1.5e-4, 2),

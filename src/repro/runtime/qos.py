@@ -360,7 +360,7 @@ class EDFScheduler(Scheduler):
         self.inner = inner
         self.name = f"{inner.name}+edf"
         self.uses_reservation = inner.uses_reservation
-        # Stateful inner policies (cprank/rollout) still see WM events
+        # A stateful inner policy (rollout) still sees WM events
         # through the wrapper.
         self.wants_events = inner.wants_events
 

@@ -57,11 +57,12 @@ class Scheduler:
     name = "base"
     #: reservation-capable policies may also target busy PEs (queued dispatch)
     uses_reservation = False
-    #: policies that maintain incremental state (rank caches, in-flight
+    #: policies that maintain incremental state (rollout's in-flight
     #: tracking) set this True so the workload manager forwards dispatch/
     #: completion/PE-failure events to the notify_* hooks below.  The
     #: default False keeps the WM hot loops free of per-event calls for
-    #: the stateless policies.
+    #: the stateless policies, whose per-session tables (HEFT's ranks)
+    #: read only archetype graphs and PE state.
     wants_events = False
 
     def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:

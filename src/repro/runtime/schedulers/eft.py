@@ -17,8 +17,8 @@ assignments are those of booking every task (the compiled kernel still
 does).
 
 :func:`eft_pass` is that placement loop, shared with the rank-ordered
-policies (``heft``, ``cprank``), which differ only in the order they visit
-the ready tasks.
+``heft`` (also registered as ``cprank``), which differs only in the order
+it visits the ready tasks.
 """
 
 from __future__ import annotations

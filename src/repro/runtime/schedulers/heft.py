@@ -1,11 +1,17 @@
 """HEFT-style lookahead policy (framework extension, custom-policy demo).
 
 Prioritizes ready tasks by *upward rank* — the longest expected path from
-the task to its application's exit, using mean execution times across
-supporting PE types — then places each, highest rank first, on the PE with
-the earliest finish time.  This is the classic HEFT list heuristic adapted
-to the framework's dynamic, idle-PE dispatch model, and doubles as the
-documentation example for integrating a custom policy.
+the task to its application's exit, using each node's mean execution time
+over the **live** (non-failed) PEs that support it — then places each,
+highest rank first, on the PE with the earliest finish time.  This is the
+classic HEFT list heuristic adapted to the framework's dynamic, idle-PE
+dispatch model, and doubles as the documentation example for integrating
+a custom policy.
+
+Ranks depend only on the archetype graph and on which PEs are dead, so
+one table per ``(graph, failed PEs)`` serves every instance: a PE failure
+selects a fresh table on the next pass, and a node's rank only reads its
+successors, so completed nodes never need pruning.
 """
 
 from __future__ import annotations
@@ -22,41 +28,28 @@ class HEFTScheduler(Scheduler):
 
     def _reset_tables(self) -> None:
         super()._reset_tables()
-        #: id(graph) -> (graph, {node_name: upward rank}) over the synced
-        #: handlers; the graph reference pins the id
-        self._rank_cache: dict[int, tuple[TaskGraph, dict[str, float]]] = {}
+        #: positions of failed PEs -> id(graph) -> (graph, {node_name:
+        #: upward rank}) over the synced handlers; the graph pins the id
+        self._rank_cache: dict[tuple[int, ...], dict[int, tuple]] = {}
 
     # -- upward ranks ---------------------------------------------------------------
 
-    def _mean_cost(self, graph: TaskGraph, node_name: str,
-                   handlers: list[ResourceHandler]) -> float:
-        oracle = self.required_oracle()
-        node = graph.nodes[node_name]
-        costs = []
-        for h in handlers:
-            if node.supports_any(h.accepted_platforms):
-                # Build a probe estimate via any task of this node: the
-                # oracle keys on (node, pe type) information only.
-                costs.append(self._probe_estimate(node_name, graph, h))
-        return sum(costs) / len(costs) if costs else 0.0
+    def _ranks(self, graph: TaskGraph, handlers: list[ResourceHandler],
+               dead: tuple[int, ...]) -> dict[str, float]:
+        """Build and keep ``graph``'s ranks with the PEs at ``dead`` failed."""
 
-    def _probe_estimate(self, node_name: str, graph: TaskGraph,
-                        handler: ResourceHandler) -> float:
-        # The oracle accepts TaskInstance; create a transient probe bound to
-        # the archetype node (no app state is touched).
-        probe = _ProbeTask(graph, node_name)
-        est = self.required_oracle().estimate(probe, handler)  # type: ignore[arg-type]
-        return est if est is not None else 0.0
+        def mean_live_cost(node_name: str) -> float:
+            row = self.estimate_row(_ProbeTask(graph, node_name), handlers)
+            total = 0.0
+            n = 0
+            for i, est in enumerate(row):
+                if est is not None and i not in dead:
+                    total += est
+                    n += 1
+            return total / n if n else 0.0
 
-    def _ranks(self, graph: TaskGraph,
-               handlers: list[ResourceHandler]) -> dict[str, float]:
-        hit = self._rank_cache.get(id(graph))
-        if hit is not None:
-            return hit[1]
-        ranks = graph.upward_rank_lengths(
-            lambda n: self._mean_cost(graph, n, handlers)
-        )
-        self._rank_cache[id(graph)] = (graph, ranks)
+        ranks = graph.upward_rank_lengths(mean_live_cost)
+        self._rank_cache.setdefault(dead, {})[id(graph)] = (graph, ranks)
         return ranks
 
     # -- scheduling -------------------------------------------------------------------
@@ -67,11 +60,31 @@ class HEFTScheduler(Scheduler):
         handlers: list[ResourceHandler],
         now: float,
     ) -> list[Assignment]:
-        # eft_pass syncs the row cache before it sorts: _ranks reads it.
-        return eft_pass(
-            self, ready, handlers, now,
-            key=lambda t: -self._ranks(t.app.graph, handlers)[t.name],
+        # Sync first: a new handler list replaces the tables read below.
+        self._sync_row_cache(handlers)
+        failed = self.failed_mask(handlers)
+        dead = () if failed is None else tuple(
+            i for i, f in enumerate(failed) if f
         )
+        # One table per failed-PE set, resolved once per pass: a task's
+        # sort key is then a single lookup.
+        tables = self._rank_cache.setdefault(dead, {})
+
+        def neg_rank(task: TaskInstance) -> float:
+            graph = task.app.graph
+            hit = tables.get(id(graph))
+            ranks = hit[1] if hit is not None else self._ranks(
+                graph, handlers, dead)
+            return -ranks[task.name]
+
+        return eft_pass(self, ready, handlers, now, key=neg_rank)
+
+
+class CPRankScheduler(HEFTScheduler):
+    """The same policy under its older registry name, which sweep specs,
+    a golden session and the benchmark spine still select."""
+
+    name = "cprank"
 
 
 class _ProbeTask:

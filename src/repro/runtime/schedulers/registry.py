@@ -12,10 +12,9 @@ from collections.abc import Callable
 
 from repro.common.errors import SchedulingError
 from repro.runtime.schedulers.base import ExecutionTimeOracle, Scheduler
-from repro.runtime.schedulers.cprank import CPRankScheduler
 from repro.runtime.schedulers.eft import EFTScheduler
 from repro.runtime.schedulers.frfs import FRFSScheduler
-from repro.runtime.schedulers.heft import HEFTScheduler
+from repro.runtime.schedulers.heft import CPRankScheduler, HEFTScheduler
 from repro.runtime.schedulers.met import METScheduler, PowerAwareMETScheduler
 from repro.runtime.schedulers.random_policy import RandomScheduler
 from repro.runtime.schedulers.reservation import (
@@ -47,7 +46,12 @@ def available_policies() -> list[str]:
 
 def register_policy(name: str, factory: SchedulerFactory,
                     replace: bool = False) -> None:
-    """Add a user-defined policy to the dispatch table."""
+    """Add a user-defined policy to the dispatch table.  The name must be
+    non-empty and free of ``+``, which :func:`make_scheduler` splits on."""
+    if not name or "+" in name:
+        raise SchedulingError(
+            f"invalid policy name {name!r}: empty or contains '+'"
+        )
     if name in _REGISTRY and not replace:
         raise SchedulingError(
             f"policy {name!r} already registered (pass replace=True to override)"

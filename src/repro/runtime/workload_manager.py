@@ -250,7 +250,7 @@ class WorkloadManagerCore:
         self.source = source
         self.handlers = handlers
         self.scheduler = scheduler
-        #: event sink for stateful policies (rank caches, in-flight
+        #: event sink for stateful policies (rollout's in-flight
         #: tracking); None keeps the per-completion hot path branch-cheap
         self._events_to = scheduler if scheduler.wants_events else None
         self.stats = stats

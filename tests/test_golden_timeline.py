@@ -1,15 +1,17 @@
 """Full-timeline golden digests for the virtual backend.
 
 The spine pins five aggregates per workload; this pins every timestamp.
-Each small session below is run once and hashed: every ``TaskRecord``
-field in record order (materialized runs), the summary dict, and the
-engine's ``events_fired`` / ``events_scheduled`` / ``final_time_us``.  The
-sessions are chosen to cross the per-task cycle's branches: plain and
-rank-ordered policies, ``+edf``, self-serving reservation PEs, the 2C+2F
-shared-core configuration whose round-robin preemption drives the
-contended ``_Consume`` path, a slow (Odroid LITTLE) management core, a
-permanent PE failure plus transient faults with retries, all three
-admission policies, materialized and streaming, jitter on and off.
+Each of the sixteen small sessions below is run once and hashed: every
+``TaskRecord`` field in record order (materialized runs), the summary
+dict, and the engine's ``events_fired`` / ``events_scheduled`` /
+``final_time_us``.  The sessions are chosen to cross the per-task cycle's
+branches: plain and rank-ordered policies, ``+edf``, self-serving
+reservation PEs, the 2C+2F shared-core configuration whose round-robin
+preemption drives the contended ``_Consume`` path, a slow (Odroid
+LITTLE) management core, a permanent PE failure plus transient faults
+with retries (also under a rank-ordered policy, whose ranks average over
+the live PEs only), all three admission policies, materialized and
+streaming, jitter on and off.
 
 The constants were produced by running this file at the commit *before*
 the per-task cycle was rewritten (``python tests/test_golden_timeline.py``
@@ -118,6 +120,9 @@ SESSIONS: dict[str, dict] = {
     "frfs-stream-drop-oldest-pe-failure": dict(
         config="2C+2F", policy="frfs", jitter=True, workload=FLASH,
         qos=_admission("drop-oldest", 4, 2000.0), faults=PE_FAILURE),
+    "cprank-pe-failure-shared-core": dict(
+        config="2C+2F", policy="cprank", jitter=True, workload=BURST,
+        faults=PE_FAILURE),
 }
 
 GOLDEN: dict[str, str] = {
@@ -151,6 +156,8 @@ GOLDEN: dict[str, str] = {
         "f4df8942453afd45e477201588c0776cccda50c83a4b6d5a69602203a7928129",
     "frfs-stream-drop-oldest-pe-failure":
         "f6b3ce17972c6b0ee607ccc23c22d0eecf443889eff4f7c4ec9236277e626f06",
+    "cprank-pe-failure-shared-core":
+        "53ff22a917904b97a00bfd49b5ad3aee1026a42d89f3abe4ab16f28ec58717d6",
 }
 
 

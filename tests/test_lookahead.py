@@ -1,26 +1,28 @@
-"""Tests for the lookahead policies: cprank (incremental critical-path
-ranks) and rollout (dispatch-now-vs-defer forward simulation).
+"""Tests for the lookahead policies: HEFT's upward ranks (also selected
+as ``cprank``) and rollout (dispatch-now-vs-defer forward simulation).
 
-The centerpiece is the rank-cache oracle test: after every event in a
-dispatch/completion/failure sequence, each entry in cprank's incremental
-cache must equal — float for float — a full recomputation of the upward
-ranks over the remaining DAG, and every READY task must have an entry.
+The centerpiece is the rank oracle test: on random DAGs, PE mixes and
+failed-PE subsets, every rank ``HEFTScheduler`` serves must equal — float
+for float — a full recomputation of the upward ranks over the live PEs.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.appmodel.builder import GraphBuilder
 from repro.appmodel.dag import PlatformBinding
-from repro.appmodel.instance import ApplicationInstance, TaskState
+from repro.appmodel.instance import ApplicationInstance
 from repro.runtime.schedulers import (
     Assignment,
+    HEFTScheduler,
     available_policies,
     make_scheduler,
 )
-from repro.runtime.schedulers.cprank import CPRankScheduler
 from repro.runtime.schedulers.rollout import RolloutScheduler
+from tests.test_fuzz_runtime import layered_graphs
 from tests.test_schedulers import FixedOracle, build_app, make_handlers
 
 
@@ -46,137 +48,90 @@ PIPE_TIMES = {
 }
 
 
-def reference_ranks(sched, app, handlers):
-    """Full upward-rank recomputation over the remaining (non-complete)
-    DAG — the oracle the incremental cache must match exactly."""
+def reference_ranks(oracle, app, handlers):
+    """Full upward-rank recomputation: a node's mean estimate over the
+    live PEs that run it, plus its largest successor rank."""
     graph = app.graph
-    costs = sched._live_costs(graph, handlers)
-    tasks = app.tasks
     ranks: dict[str, float] = {}
     for name in reversed(graph.topological_order()):
-        if tasks[name].state is TaskState.COMPLETE:
-            continue
+        total = 0.0
+        n = 0
+        for h in handlers:
+            est = oracle.estimate(app.tasks[name], h)
+            if est is None or h.failed:
+                continue
+            total += est
+            n += 1
         node = graph.nodes[name]
-        ranks[name] = costs[name] + max(
-            (ranks[s] for s in node.successors if s in ranks), default=0.0
+        ranks[name] = (total / n if n else 0.0) + max(
+            (ranks[s] for s in node.successors), default=0.0
         )
     return ranks
 
 
-def assert_cache_matches_oracle(sched, app, handlers):
-    entry = sched._ranks.get(id(app))
-    assert entry is not None, "rank cache entry missing for live app"
-    ranks = entry[1]
-    ref = reference_ranks(sched, app, handlers)
-    # every cached value is exactly the full-recompute value ...
-    for name, value in ranks.items():
-        assert value == ref[name], (
-            f"rank[{name}] drifted: cached {value!r} != full {ref[name]!r}"
-        )
-    # ... and every schedulable task has a cached rank
-    for t in app.tasks.values():
-        if t.state is TaskState.READY:
-            assert t.name in ranks, f"READY task {t.name} missing from cache"
+def served_ranks(sched, app, handlers):
+    """The rank table the last schedule() pass over ``handlers`` sorted
+    by (a KeyError if the pass ranked under another failed-PE set)."""
+    dead = tuple(i for i, h in enumerate(handlers) if h.failed)
+    return sched._rank_cache[dead][id(app.graph)][1]
 
 
-def _dispatch(sched, task, handler, now):
-    """Unit-test dispatch: stamp the task and feed the WM event hook."""
-    binding = task.node.binding_for_any(handler.accepted_platforms)
-    task.mark_dispatched(now, handler, binding)
-    sched.notify_dispatch([Assignment(task, handler)], now)
-
-
-def _complete(sched, task, now):
-    """Unit-test completion: run + complete + release successors."""
-    task.mark_running(now)
-    task.mark_complete(now)
-    newly = task.app.on_task_complete(task, now)
-    sched.notify_completion(task, now)
-    return newly
-
-
-class TestCPRankCacheOracle:
-    def test_incremental_equals_full_recompute_through_lifecycle(self):
+class TestRanks:
+    def test_failed_pe_leaves_the_mean(self):
         app = build_pipeline_app()
         handlers = make_handlers(["cpu", "cpu", "fft"])
-        sched = CPRankScheduler(FixedOracle(dict(PIPE_TIMES)))
+        oracle = FixedOracle(dict(PIPE_TIMES))
+        sched = HEFTScheduler(oracle)
         a = app.tasks["A"]
         a.mark_ready(0.0)
+        assert sched.schedule([a], handlers, 0.0)
+        # B's mean over (40, 40, 4) while the fft PE lives ...
+        assert served_ranks(sched, app, handlers)["B"] == pytest.approx(
+            28.0 + 30.0 + 15.0
+        )
+        # ... and over the two cpus once it is dead
+        handlers[2].mark_failed(12.0)
+        sched.schedule([a], handlers, 12.0)
+        ranks = served_ranks(sched, app, handlers)
+        assert ranks["B"] == pytest.approx(40.0 + 30.0 + 15.0)
+        assert ranks == reference_ranks(oracle, app, handlers)
 
-        # build on first pass
-        out = sched.schedule([a], handlers, 0.0)
-        assert out and out[0].task is a
-        assert_cache_matches_oracle(sched, app, handlers)
-
-        # dispatch prunes the node but leaves the rest exact
-        sched.notify_dispatch(out, 0.0)
-        a.mark_dispatched(0.0, out[0].handler, a.node.binding_for_any(
-            out[0].handler.accepted_platforms))
-        assert "A" not in sched._ranks[id(app)][1]
-        assert_cache_matches_oracle(sched, app, handlers)
-
-        # completion releases B and C; cache still exact
-        ready = _complete(sched, a, 10.0)
-        assert {t.name for t in ready} == {"B", "C"}
-        assert_cache_matches_oracle(sched, app, handlers)
-
-        # dispatch B onto the fft PE, then fail that PE: the repair pass
-        # must rebuild B's entry (orphan requeue) and refresh every rank
-        # whose live-mean cost changed, exactly.
-        fft = handlers[2]
-        _dispatch(sched, app.tasks["B"], fft, 10.0)
-        fft.assign(app.tasks["B"])  # in flight when the failure hits
-        orphans = fft.mark_failed(12.0)
-        assert orphans == [app.tasks["B"]]
-        sched.notify_pe_failure(fft, 12.0)
-        for t in orphans:
-            t.mark_requeued(12.0, charge=False)
-        assert_cache_matches_oracle(sched, app, handlers)
-        # B supports the dead platform: its entry is back for requeue
-        assert "B" in sched._ranks[id(app)][1]
-
-        # ranks did actually change: B's live-mean cost lost the 4µs fft
-        # column (mean(40, 40, 4) -> mean(40, 40))
-        ref = reference_ranks(sched, app, handlers)
-        assert ref["B"] == pytest.approx(40.0 + 30.0 + 15.0)
-
-        # drive the app to completion; the entry is evicted at the end
-        for name in ("B", "C", "D", "E"):
-            t = app.tasks[name]
-            if t.state is TaskState.READY:
-                _dispatch(sched, t, handlers[0], 20.0)
-            newly = _complete(sched, t, 30.0)
-            for n in newly:
-                _dispatch(sched, n, handlers[0], 30.0)
-            if not t.app.is_complete:
-                assert_cache_matches_oracle(sched, app, handlers)
-        assert id(app) not in sched._ranks
-
-    def test_lazy_single_node_repair_after_prune(self):
-        # A task requeued after its entry was pruned at dispatch (retry
-        # exhaustion on a live PE) gets a lazily recomputed, exact rank.
-        app = build_pipeline_app()
-        handlers = make_handlers(["cpu", "cpu"])
-        sched = CPRankScheduler(FixedOracle(dict(PIPE_TIMES)))
-        a = app.tasks["A"]
-        a.mark_ready(0.0)
-        sched.schedule([a], handlers, 0.0)
-        _dispatch(sched, a, handlers[0], 0.0)
-        assert "A" not in sched._ranks[id(app)][1]
-        a.mark_requeued(1.0, charge=True)  # transient retries exhausted
-        rank = sched._rank_of(a, handlers)
-        assert rank == reference_ranks(sched, app, handlers)["A"]
-
-    def test_completion_of_final_task_evicts_entry(self):
-        tasks = build_app(1)
-        app = tasks[0].app
-        handlers = make_handlers(["cpu"])
-        sched = CPRankScheduler(FixedOracle({("k0", "cpu"): 5.0}))
-        sched.schedule(tasks, handlers, 0.0)
-        assert id(app) in sched._ranks
-        _dispatch(sched, tasks[0], handlers[0], 0.0)
-        _complete(sched, tasks[0], 5.0)
-        assert id(app) not in sched._ranks
+    @given(
+        graph=layered_graphs(),
+        kinds=st.lists(st.sampled_from(["cpu", "fft"]),
+                       min_size=1, max_size=5),
+        dead=st.sets(st.integers(min_value=0, max_value=4)),
+        cpu_time=st.floats(min_value=0.5, max_value=500.0),
+        fft_time=st.floats(min_value=0.5, max_value=500.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ranks_equal_full_recompute(
+        self, graph, kinds, dead, cpu_time, fft_time
+    ):
+        # Every node runs on cpu, so one live cpu keeps every node
+        # schedulable; a cpu-less mix gets one.
+        if "cpu" not in kinds:
+            kinds = ["cpu", *kinds]
+        handlers = make_handlers(kinds)
+        cpus = [i for i, k in enumerate(kinds) if k == "cpu"]
+        dead = {i for i in dead if i < len(kinds)} - {cpus[0]}
+        oracle = FixedOracle({
+            ("k_generic", "cpu"): cpu_time, ("k_accel", "fft"): fft_time,
+        })
+        sched = HEFTScheduler(oracle)
+        app = ApplicationInstance(graph, 0, 0.0, materialize=False)
+        roots = [app.tasks[n] for n in graph.topological_order()
+                 if not graph.nodes[n].predecessors]
+        for t in roots:
+            t.mark_ready(0.0)
+        # rank once with every PE live, so a stale table could be served
+        sched.schedule(roots, handlers, 0.0)
+        for i in sorted(dead):
+            handlers[i].mark_failed(1.0)
+        sched.schedule(roots, handlers, 1.0)
+        assert served_ranks(sched, app, handlers) == reference_ranks(
+            oracle, app, handlers
+        )
 
 
 class TestCPRankScheduling:
@@ -195,7 +150,7 @@ class TestCPRankScheduling:
         oracle = FixedOracle({
             ("kx", "cpu"): 10.0, ("ky", "cpu"): 50.0, ("kz", "cpu"): 10.0,
         })
-        out = CPRankScheduler(oracle).schedule([z, x], handlers, 0.0)
+        out = make_scheduler("cprank", oracle).schedule([z, x], handlers, 0.0)
         assert out[0].task.name == "X"
 
     def test_failed_pe_never_assigned(self):
@@ -206,24 +161,9 @@ class TestCPRankScheduling:
             ("k0", "cpu"): 50.0, ("k0_accel", "fft"): 1.0,
             ("k1", "cpu"): 50.0, ("k1_accel", "fft"): 1.0,
         })
-        out = CPRankScheduler(oracle).schedule(tasks, handlers, 0.0)
+        out = make_scheduler("cprank", oracle).schedule(tasks, handlers, 0.0)
         assert out
         assert all(a.handler.pe_id == 0 for a in out)
-
-    def test_ranks_isolated_per_instance(self):
-        # two instances of the same archetype keep separate caches
-        app1 = build_pipeline_app()
-        app2 = build_pipeline_app()
-        handlers = make_handlers(["cpu"])
-        sched = CPRankScheduler(FixedOracle(dict(PIPE_TIMES)))
-        t1, t2 = app1.tasks["A"], app2.tasks["A"]
-        t1.mark_ready(0.0)
-        t2.mark_ready(0.0)
-        sched.schedule([t1, t2], handlers, 0.0)
-        assert id(app1) in sched._ranks and id(app2) in sched._ranks
-        sched.notify_dispatch([Assignment(t1, handlers[0])], 0.0)
-        assert "A" not in sched._ranks[id(app1)][1]
-        assert "A" in sched._ranks[id(app2)][1]
 
 
 class TestRollout:
@@ -324,7 +264,11 @@ class TestRegistryIntegration:
         assert make_scheduler("cprank").name == "cprank"
         assert make_scheduler("rollout").name == "rollout"
 
-    @pytest.mark.parametrize("name", ["cprank+edf", "rollout+edf"])
+    @pytest.mark.parametrize("name", ["cprank+edf", "heft+edf"])
+    def test_edf_wrapper_of_stateless_policy_wants_no_events(self, name):
+        assert make_scheduler(name, FixedOracle({})).wants_events is False
+
+    @pytest.mark.parametrize("name", ["rollout+edf"])
     def test_edf_wrapper_forwards_events(self, name):
         oracle = FixedOracle({("k0", "cpu"): 5.0})
         sched = make_scheduler(name, oracle)
@@ -332,10 +276,7 @@ class TestRegistryIntegration:
         tasks = build_app(1)
         handlers = make_handlers(["cpu"])
         sched.notify_dispatch([Assignment(tasks[0], handlers[0])], 0.0)
-        inner = sched.inner
-        if isinstance(inner, RolloutScheduler):
-            assert len(inner._inflight) == 1
+        assert len(sched.inner._inflight) == 1
         sched.notify_completion(tasks[0], 5.0)
-        if isinstance(inner, RolloutScheduler):
-            assert not inner._inflight
+        assert not sched.inner._inflight
         sched.notify_pe_failure(handlers[0], 6.0)

@@ -200,7 +200,7 @@ _QUICK_POISSON = {"kind": "poisson", "rate_per_ms": 1.5, "apps": _SDR_MIX,
 
 #: Four quick timing-only workloads on zcu102 3C+2F, seed 7, jitter on:
 #: a Poisson stream near capacity under EFT, a flash crowd under QoS
-#: admission + EDF, and the long ready queues of cprank (rank cache over
+#: admission + EDF, and the long ready queues of cprank (HEFT's ranks over
 #: ``eft_pass``) and rollout (forward simulator).
 QUICK_WORKLOADS = {
     "serving-openloop": {"policy": "eft", "arrivals": _QUICK_POISSON},

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,15 @@ class TestRegistry:
         register_policy(
             "custom_test_policy", lambda oracle: Custom(oracle), replace=True
         )
+
+    @pytest.mark.parametrize("name", ["", "my+pol", "+edf"])
+    def test_register_rejects_names_lookup_cannot_find(self, name):
+        # make_scheduler splits on '+', so such a name could never be
+        # selected (and '' would make "+edf" resolve).
+        before = available_policies()
+        with pytest.raises(SchedulingError, match=re.escape(repr(name))):
+            register_policy(name, lambda oracle: FRFSScheduler(oracle))
+        assert available_policies() == before
 
 
 @given(
