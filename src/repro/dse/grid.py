@@ -123,7 +123,9 @@ def _check_descriptor(descriptor: dict[str, Any]) -> None:
         raise ReproError(
             f"workload descriptor kind {kind!r} not in {WORKLOAD_KINDS}"
         )
-    if kind in ("rate", "table_ii"):
+    if kind == "validation":
+        _check_apps(descriptor.get("apps"))
+    elif kind in ("rate", "table_ii"):
         rate = descriptor.get("rate")
         if not (isinstance(rate, (int, float)) and math.isfinite(rate)
                 and rate > 0):
@@ -144,6 +146,65 @@ def _check_descriptor(descriptor: dict[str, Any]) -> None:
             raise ReproError(
                 f"invalid arrivals workload in sweep grid: {exc}"
             ) from exc
+
+
+def _check_apps(apps: Any) -> None:
+    """A ``validation`` descriptor's ``apps``: a non-empty mapping of
+    application names a cell can build to whole counts >= 1."""
+    from repro.apps.registry import APPLICATION_BUILDERS
+
+    if not isinstance(apps, dict) or not apps:
+        raise ReproError(
+            f"validation workload field 'apps' needs at least one "
+            f"application, got {apps!r}"
+        )
+    for name, count in apps.items():
+        if name not in APPLICATION_BUILDERS:
+            raise ReproError(
+                f"validation workload field 'apps': unknown application "
+                f"{name!r} (available: {sorted(APPLICATION_BUILDERS)})"
+            )
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ReproError(
+                f"validation workload field 'apps': count for {name!r} must "
+                f"be a whole number >= 1, got {count!r}"
+            )
+
+
+def _check_configs(configs: tuple[str, ...], platforms: tuple[str, ...]) -> None:
+    """Reject a config no cell could run: one a cell cannot parse, or one
+    naming a PE type that no platform of the grid has.
+
+    Each config is parsed once, with the parser a cell's
+    :class:`~repro.runtime.emulation.Emulation` uses.  A config asking for
+    more PEs than a platform's pool holds, and a platform name that does
+    not resolve, stay per-cell errors: other cells of the grid can run.
+    """
+    from repro.hardware.config import parse_config
+    from repro.hardware.platform import platform_by_name
+
+    known = []
+    for name in platforms:
+        try:
+            known.append(set(platform_by_name(name).pe_types))
+        except ReproError:
+            pass  # reported by every cell on that platform
+    for text in configs:
+        if not isinstance(text, str):
+            raise ReproError(
+                f"sweep grid field 'configs': {text!r} is not a string"
+            )
+        try:
+            config = parse_config(text)
+        except ReproError as exc:
+            raise ReproError(f"sweep grid field 'configs': {exc}") from None
+        types = {type_name for type_name, _n in config.counts}
+        if known and not any(types <= pe_types for pe_types in known):
+            raise ReproError(
+                f"sweep grid field 'configs': {text!r} names PE types "
+                f"{sorted(types)}, which no platform of the grid "
+                f"{list(platforms)} provides together"
+            )
 
 
 def _content_hash(doc: dict[str, Any], length: int) -> str:
@@ -308,6 +369,7 @@ class SweepGrid:
             )
         for w in self.workloads:
             _check_descriptor(w)
+        _check_configs(self.configs, self.platforms)
 
     @property
     def size(self) -> int:

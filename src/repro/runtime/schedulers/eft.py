@@ -9,12 +9,15 @@ that landed on an actually-idle PE turn into dispatches; bookings onto
 busy PEs merely shape subsequent estimates, as in list-scheduling EFT.
 
 That quadratic cost is what the scheduler cost model charges, and it is
-unchanged.  The host pays less: a task that cannot take an open PE only
-has its booking deferred, and a deferred booking is computed only when a
-later task's choice between an open and a busy PE depends on it.  So the
-host cost is quadratic only in the bookings some dispatch depends on; the
-assignments are those of booking every task (the compiled kernel still
-does).
+unchanged.  The host pays less.  A task that cannot take an open PE is not
+weighed; its booking is applied, in visiting order, only when a later
+task's choice between an open and a busy PE depends on it.  In FIFO order
+over the workload manager's ready list the pass does not even visit such
+tasks: it walks only the capability lanes some open PE accepts
+(:meth:`~repro.runtime.workload_manager.ReadyList.lanes`).  So the host
+cost follows the tasks an open PE can take and the bookings some dispatch
+depends on; the assignments are those of booking every task (the compiled
+kernel still visits and books every one).
 
 :func:`eft_pass` is that placement loop, shared with the rank-ordered
 ``heft`` (also registered as ``cprank``), which differs only in the order
@@ -23,7 +26,7 @@ it visits the ready tasks.
 
 from __future__ import annotations
 
-from collections import deque
+from operator import itemgetter
 
 from repro.appmodel.instance import TaskInstance
 from repro.runtime.handler import ResourceHandler
@@ -45,7 +48,9 @@ def eft_pass(
     The pass is over as soon as every *usable* idle PE (see
     :meth:`Scheduler.usable_idle`) is dispatched; with none, it returns
     before sorting or touching the queue.  ``usable`` is read from
-    ``ready`` itself — counts do not depend on visiting order.
+    ``ready`` itself — counts do not depend on visiting order.  In FIFO
+    order over a ready list with :meth:`ReadyList.lanes`, the pure loop
+    visits only the lanes an open PE accepts.
     """
     usable = policy.usable_idle(ready, handlers)
     if not usable:
@@ -89,21 +94,24 @@ def eft_pass(
     assignments: list[Assignment] = []
     compact = policy._est_pairs
     estimate_pairs = policy.estimate_pairs
-    # A visited task with no pair on an open PE cannot be dispatched in
-    # this pass (open PEs only close), so its booking can only shape a
-    # later task's choice.  ``deferred`` holds such tasks' compact rows in
-    # visiting order until their bookings are applied, and ``shut`` maps
-    # their nodes' ids to the row, so another task of the same node costs
-    # one lookup.  Both are made by the first such task.
-    deferred = None
-    shut = None
-    for task in order:
+    # A task with no pair on an open PE cannot be dispatched in this pass
+    # (open PEs only close), so its booking can only shape a later task's
+    # choice: it is not weighed when visited, and ``walker`` applies its
+    # booking later if that choice depends on it.  FIFO over a ReadyList
+    # visits only the lanes some open PE accepts (a task of any other lane
+    # has no pair on an open PE); any other order visits every task, and
+    # ``closed`` remembers the nodes found with no pair on an open PE, so
+    # another task of the same node costs one lookup.
+    lanes = getattr(ready, "lanes", None) if key is None else None
+    visit = order if lanes is None else _lane_cursor(lanes(), usable, open_pe)
+    closed: set[int] = set()
+    # ids of the visited tasks that were weighed (booked when they could be)
+    weighed: set[int] = set()
+    walker = None
+    for task in visit:
         node_id = id(task.node)
-        if shut is not None:
-            pairs = shut.get(node_id)
-            if pairs is not None:
-                deferred.append(pairs)
-                continue
+        if node_id in closed:
+            continue
         pairs = compact.get(node_id)
         if pairs is None:
             pairs = estimate_pairs(task, handlers)
@@ -111,24 +119,31 @@ def eft_pass(
             if open_pe[i]:
                 break
         else:
-            if shut is None:
-                shut = {}
-                deferred = deque()
-            shut[node_id] = pairs
-            deferred.append(pairs)
+            closed.add(node_id)
             continue
+        weighed.add(id(task))
         best_i, best_finish = _weigh(pairs, avail)
         if best_i < 0:
             continue
         if not open_pe[best_i]:
-            # ``avail`` is a lower bound while bookings are deferred: they
+            # ``avail`` is a lower bound while bookings are left out: they
             # only raise busy PEs, never an open one.  A task that prefers
-            # an open PE keeps it under every later value, so the deferred
-            # bookings are applied, in visiting order, only until this task
-            # settles on an open PE or none is left — when its choice is
+            # an open PE keeps it under every later value, so the walker
+            # applies the bookings of the earlier tasks that were not
+            # weighed, in visiting order, only until this task settles on
+            # an open PE or it reaches this task — when the choice is
             # exact.  Only a booking on its current best can move it.
-            while deferred:
-                b, booked = _weigh(deferred.popleft(), avail)
+            if walker is None:
+                walker = iter(order)
+            for earlier in walker:
+                if earlier is task:
+                    break
+                if id(earlier) in weighed:
+                    continue
+                earlier_pairs = compact.get(id(earlier.node))
+                if earlier_pairs is None:
+                    earlier_pairs = estimate_pairs(earlier, handlers)
+                b, booked = _weigh(earlier_pairs, avail)
                 if b >= 0:
                     avail[b] = booked
                     if b == best_i:
@@ -144,11 +159,70 @@ def eft_pass(
             idle_remaining -= 1
             # Once every usable idle PE has been dispatched, later bookings
             # cannot change any observable outcome of this pass — skip
-            # them, and drop the ones still deferred.  (The *modeled*
-            # overhead still charges the full O(n^2) scan.)
+            # them, and the ones left out before.  (The *modeled* overhead
+            # still charges the full O(n^2) scan.)
             if idle_remaining == 0:
                 break
     return assignments
+
+
+def _lane_cursor(lanes, usable, open_pe):
+    """The tasks of the ready list's ``lanes`` (:meth:`ReadyList.lanes`)
+    that some open PE accepts, in FIFO order.
+
+    A lane counts while an open PE's ``accepted_platforms`` meets its key
+    (the ``None`` key, unknown capability, always counts).  Every usable PE
+    accepts some live lane, so when one lane counts, every usable PE
+    accepts it and it counts until the pass ends: its own iterator is the
+    cursor.  Otherwise the lanes that count are merged by ``seq``, and one
+    is dropped when it is next in line and every PE that accepted it has
+    closed.
+    """
+    if len(lanes) == 1:  # a lone live lane counts: no need to ask
+        return map(itemgetter(1), lanes[0][1])
+    counted = []
+    for lane_key, entries in lanes:
+        if lane_key is None:
+            accepting = ()
+        else:
+            names = set(lane_key)
+            accepting = [
+                i for i, h in usable if not names.isdisjoint(h.accepted_platforms)
+            ]
+            if not accepting:
+                continue
+        counted.append((entries, accepting))
+    if len(counted) == 1:
+        return map(itemgetter(1), counted[0][0])
+    return _merged(counted, open_pe)
+
+
+def _merged(counted, open_pe):
+    """:func:`_lane_cursor` over two or more ``(entries, accepting)`` lanes."""
+    heads = []
+    for entries, accepting in counted:
+        it = iter(entries)
+        seq, task = next(it)
+        heads.append([seq, task, it, accepting])
+    while heads:
+        head = heads[0]
+        for other in heads:
+            if other[0] < head[0]:
+                head = other
+        accepting = head[3]
+        for i in accepting:
+            if open_pe[i]:
+                break
+        else:
+            if accepting:
+                heads.remove(head)
+                continue
+        yield head[1]
+        entry = next(head[2], None)
+        if entry is None:
+            heads.remove(head)
+        else:
+            head[0], head[1] = entry
 
 
 def _weigh(pairs: tuple, avail: list[float]) -> tuple[int, float]:

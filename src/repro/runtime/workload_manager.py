@@ -56,6 +56,12 @@ class ReadyList:
       :meth:`Scheduler.usable_idle` filters idle PEs by; the answer is
       remembered and dropped only when a count crosses zero, which a
       steady queue does far less often than it is asked;
+    * :meth:`lanes` holds the same tasks split by that key, one FIFO *lane*
+      per key: each lane is the list filtered by key, in list order, and as
+      long as the key's count.  A lane stores the ``seq`` each task was
+      added with, from one counter that only grows (a re-entering task
+      gets a new one at its lane's tail), so merging lanes by ``seq`` gives
+      back list order;
     * callers neither :meth:`extend` a task already in the list nor mutate
       it while iterating (policies collect, ``commit`` removes afterwards).
 
@@ -65,7 +71,7 @@ class ReadyList:
     an ``OrderedDict``'s linked list reaches its first entry in one hop.
     """
 
-    __slots__ = ("_live", "platform_counts", "_wanted")
+    __slots__ = ("_live", "platform_counts", "_wanted", "_lanes", "_seq")
 
     def __init__(self) -> None:
         #: id(task) -> task, in FIFO order
@@ -73,9 +79,14 @@ class ReadyList:
         self.platform_counts: dict[tuple[str, ...] | None, int] = {}
         #: wanted()'s remembered answer (a frozenset or None), or _STALE
         self._wanted: object = _STALE
+        #: platform key -> id(task) -> seq, in FIFO order
+        self._lanes: dict[tuple[str, ...] | None, OrderedDict] = {}
+        #: the last seq handed out
+        self._seq = 0
 
     def extend(self, tasks: list[TaskInstance]) -> None:
-        live, counts = self._live, self.platform_counts
+        live, counts, lanes = self._live, self.platform_counts, self._lanes
+        seq = self._seq
         for t in tasks:
             try:
                 key = t.node.platform_key
@@ -85,10 +96,15 @@ class ReadyList:
             n = counts.get(key, 0)
             if not n:
                 self._wanted = _STALE
+                if key not in lanes:
+                    lanes[key] = OrderedDict()
             counts[key] = n + 1
+            seq += 1
+            lanes[key][id(t)] = seq
+        self._seq = seq
 
     def remove_ids(self, ids: set[int]) -> None:
-        live, counts = self._live, self.platform_counts
+        live, counts, lanes = self._live, self.platform_counts, self._lanes
         for i in ids:
             try:
                 key = live.pop(i).node.platform_key
@@ -96,10 +112,21 @@ class ReadyList:
                 continue  # not in the list
             except AttributeError:
                 key = None
+            del lanes[key][i]
             n = counts[key] - 1
             if not n:
                 self._wanted = _STALE
             counts[key] = n
+
+    def lanes(self) -> list[tuple[tuple[str, ...] | None, object]]:
+        """``(key, entries)`` for every capability key with a live task:
+        ``entries`` iterates that key's tasks as ``(seq, task)``, in FIFO
+        order.  Iterate them before the list next changes."""
+        task_of = self._live.__getitem__
+        return [
+            (key, zip(lane.values(), map(task_of, lane)))
+            for key, lane in self._lanes.items() if lane
+        ]
 
     def wanted(self) -> frozenset[str] | None:
         """Every platform name some live task can run on; None while an

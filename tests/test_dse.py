@@ -141,7 +141,7 @@ class TestCellIdentity:
 class TestGrid:
     def test_expansion_size_and_order(self):
         grid = SweepGrid(
-            configs=("A", "B"),
+            configs=("2C+1F", "3C+0F"),
             policies=("p", "q"),
             workloads=(TINY, rate_sweep(4.0)),
             seeds=(0, 1),
@@ -151,7 +151,8 @@ class TestGrid:
         # workload-major, then config, then policy, then seed
         assert [c.workload["kind"] for c in cells[:4]] == ["validation"] * 4
         assert [(c.config, c.policy, c.seed) for c in cells[:4]] == [
-            ("A", "p", 0), ("A", "p", 1), ("A", "q", 0), ("A", "q", 1),
+            ("2C+1F", "p", 0), ("2C+1F", "p", 1),
+            ("2C+1F", "q", 0), ("2C+1F", "q", 1),
         ]
 
     def test_spec_roundtrip(self):
@@ -191,6 +192,50 @@ class TestGrid:
             SweepGrid.from_dict({"configs": ["A"], "policies": ["p"],
                                  "workloads": [descriptor]})
 
+    @pytest.mark.parametrize("apps, match", [
+        ({"no_such_app": 1}, "unknown application 'no_such_app'"),
+        ({"wifi_tx": 0}, "count for 'wifi_tx'"),
+        ({"wifi_tx": -1}, "count for 'wifi_tx'"),
+        ({"wifi_tx": 1.5}, "count for 'wifi_tx'"),
+        ({"wifi_tx": True}, "count for 'wifi_tx'"),
+        ({}, "at least one application"),
+    ], ids=["unknown-app", "count-zero", "count-negative", "count-fraction",
+            "count-bool", "no-apps"])
+    def test_a_validation_workload_no_cell_can_run_is_rejected(
+        self, apps, match
+    ):
+        # Regression: these passed grid construction, then failed in
+        # every cell.
+        descriptor = {"kind": "validation", "apps": apps}
+        with pytest.raises(ReproError, match=f"field 'apps'.*{match}"):
+            SweepGrid(configs=("2C+1F",), policies=("p",),
+                      workloads=(descriptor,))
+        with pytest.raises(ReproError, match=f"field 'apps'.*{match}"):
+            SweepGrid.from_dict({"configs": ["2C+1F"], "policies": ["p"],
+                                 "workloads": [descriptor]})
+
+    @pytest.mark.parametrize("config", [
+        "3Q+2F", "2C+2BIG", "2BIG+3LTL", "A", "", "3C+", "0C+0F", "cpu:x", 3,
+    ])
+    def test_a_config_no_cell_can_run_is_rejected(self, config):
+        with pytest.raises(ReproError, match="field 'configs'"):
+            SweepGrid(configs=("2C+1F", config), policies=("p",),
+                      workloads=(TINY,))
+        with pytest.raises(ReproError, match="field 'configs'"):
+            SweepGrid.from_dict({"configs": [config], "policies": ["p"],
+                                 "workloads": [TINY]})
+
+    def test_a_config_some_cell_can_run_is_kept(self):
+        # Over the pool (4C+2F on zcu102) and a misspelt platform stay
+        # per-cell errors; a config one of the grid's platforms has every
+        # PE type of is accepted.
+        grid = SweepGrid(
+            platforms=("zcu102", "odroid_xu3", "zcu-102"),
+            configs=("4C+2F", "2BIG+3LTL", "cpu:3,fft:2"),
+            policies=("p",), workloads=(TINY,),
+        )
+        assert grid.size == 9
+
     def test_rate_check_builds_no_workload(self, monkeypatch):
         from repro.experiments import workloads
 
@@ -200,7 +245,7 @@ class TestGrid:
         monkeypatch.setattr(workloads, "workload_at_rate", no_build)
         monkeypatch.setattr(workloads, "table_ii_workload", no_build)
         grid = SweepGrid(
-            configs=("A",), policies=("p",),
+            configs=("2C+1F",), policies=("p",),
             workloads=(rate_sweep(4.0), rate_sweep(0.5, 2000.0),
                        *(table_ii_sweep(r) for r in workloads.TABLE_II_RATES)),
         )

@@ -29,6 +29,7 @@ from repro.appmodel.dag import PlatformBinding
 from repro.appmodel.instance import ApplicationInstance
 from repro.runtime.schedulers import Assignment, make_scheduler
 from repro.runtime.schedulers.eft import eft_pass
+from repro.runtime.workload_manager import ReadyList
 from tests.test_capability_index import busy_cpus_idle_fft
 from tests.test_schedulers import FixedOracle, build_app, make_handlers
 
@@ -154,30 +155,35 @@ class SpiedOracle:
 
 class TableOracle:
     """``(node name, PE position) -> estimate or None``, with holes wherever
-    the table says so — not only where the platform lists differ."""
+    the table says so — not only where the platform lists differ.  Like
+    every oracle, it has no estimate where they do."""
 
     def __init__(self, table: dict, log: list) -> None:
         self.table = table
         self.log = log
 
     def estimate(self, task, handler):
+        if not task.node.supports_any(handler.accepted_platforms):
+            return None
         value = self.table[task.node.name, handler.pe_id]
         if value is None:
             return None
         return SpiedEstimate(value, handler.pe_id, self.log)
 
 
-def instances(n_nodes: int, n_instances: int):
+def instances(n_nodes: int, n_instances: int, platforms=None):
     """Tasks of ``n_instances`` instances of one ``n_nodes``-node graph, in
     arrival order: instances share archetype nodes, which is what the row
-    caches key on."""
+    caches key on.  Node ``i`` runs on ``platforms[i]`` (default: cpu and
+    fft)."""
     b = GraphBuilder("eft_rows_app", "eft_rows.so")
     b.scalar("n", 1)
     for i in range(n_nodes):
+        names = ("cpu", "fft") if platforms is None else platforms[i]
         b.node(
             f"T{i}", args=["n"],
-            platforms=[PlatformBinding(name="cpu", runfunc=f"k{i}"),
-                       PlatformBinding(name="fft", runfunc=f"k{i}_accel")],
+            platforms=[PlatformBinding(name=name, runfunc=f"k{i}_{name}")
+                       for name in names],
         )
     graph = b.build()
     tasks = []
@@ -196,6 +202,8 @@ NOW = 100.0
 ESTIMATES = st.sampled_from([None, None, 1.0, 2.0, 2.0, 5.0])
 #: idle | busy with a stale estimate (<= now) | busy into the future | failed
 PE_STATES = st.sampled_from(["idle", "stale", "stale-now", "busy", "failed"])
+#: what a node runs on: each is one lane of the ready list
+NODE_PLATFORMS = st.sampled_from([("cpu", "fft"), ("cpu",), ("fft",)])
 
 
 @st.composite
@@ -208,7 +216,11 @@ def passes(draw):
         states[i] = "busy"
     if not idle:
         states[draw(st.integers(0, n_pes - 1))] = "idle"
+    kinds = draw(st.lists(st.sampled_from(["cpu", "cpu", "fft"]),
+                          min_size=n_pes, max_size=n_pes))
     n_nodes = draw(st.integers(1, 4))
+    platforms = draw(st.lists(NODE_PLATFORMS, min_size=n_nodes,
+                              max_size=n_nodes))
     table = {
         (f"T{n}", pe): draw(ESTIMATES)
         for n in range(n_nodes) for pe in range(n_pes)
@@ -220,11 +232,11 @@ def passes(draw):
         st.lists(st.integers(0, 3), min_size=n_nodes * n_instances,
                  max_size=n_nodes * n_instances),
     ))
-    return states, table, n_nodes, n_instances, ranks
+    return states, table, n_nodes, n_instances, ranks, kinds, platforms
 
 
-def set_up(states):
-    handlers = make_handlers(["cpu"] * len(states))
+def set_up(states, kinds=None):
+    handlers = make_handlers(["cpu"] * len(states) if kinds is None else kinds)
     filler = instances(len(states), 1)
     for handler, state, task in zip(handlers, states, filler):
         if state == "failed":
@@ -240,9 +252,9 @@ def set_up(states):
 def build_pass(case):
     """The handlers, ready tasks, visiting key (None: FIFO) and estimate
     table of one generated :func:`passes` case."""
-    states, table, n_nodes, n_instances, ranks = case
-    handlers = set_up(states)
-    ready = instances(n_nodes, n_instances)
+    states, table, n_nodes, n_instances, ranks, kinds, platforms = case
+    handlers = set_up(states, kinds)
+    ready = instances(n_nodes, n_instances, platforms)
     key = None
     if ranks is not None:
         rank_of = {id(t): r for t, r in zip(ready, ranks)}
@@ -250,28 +262,44 @@ def build_pass(case):
     return handlers, ready, key, table
 
 
+def as_ready_list(tasks) -> ReadyList:
+    ready = ReadyList()
+    ready.extend(tasks)
+    return ready
+
+
 @given(case=passes())
 @settings(max_examples=300, deadline=None)
 def test_compact_rows_place_like_full_rows(case):
+    """A FIFO case runs over a plain list and over a real
+    :class:`ReadyList`, where the pure pass visits only the lanes an open
+    PE accepts; each is held to the reference over the same queue."""
     states = case[0]
+    placements = []
     with core_select.forced(core_select.CORE_PURE):
         handlers, ready, key, table = build_pass(case)
-        runs = {}
-        for place in (full_row_eft_pass, eft_pass):
-            policy = make_scheduler("eft", TableOracle(table, []))
-            assert policy._kernels is None
-            # twice: the second pass is all cache hits
-            runs[place] = [
-                place_and_book(place, policy, ready, handlers, NOW, key)
-                for _ in range(2)
-            ]
-    (placed, reference), again = runs[full_row_eft_pass]
-    assert again == (placed, reference)
-    for got, booked in runs[eft_pass]:
-        assert got == placed
-        assert len(booked) == len(reference)
-        for on_pe, full in zip(booked, reference):
-            assert on_pe == full[:len(on_pe)]
+        queues = [ready]
+        if key is None:
+            queues.append(as_ready_list(ready))
+        for queue in queues:
+            runs = {}
+            for place in (full_row_eft_pass, eft_pass):
+                policy = make_scheduler("eft", TableOracle(table, []))
+                assert policy._kernels is None
+                # twice: the second pass is all cache hits
+                runs[place] = [
+                    place_and_book(place, policy, queue, handlers, NOW, key)
+                    for _ in range(2)
+                ]
+            (placed, reference), again = runs[full_row_eft_pass]
+            assert again == (placed, reference)
+            for got, booked in runs[eft_pass]:
+                assert got == placed
+                assert len(booked) == len(reference)
+                for on_pe, full in zip(booked, reference):
+                    assert on_pe == full[:len(on_pe)]
+            placements.append(placed)
+    assert placements == [placed] * len(placements)
     assert len(placed) <= sum(s == "idle" for s in states)
 
 
