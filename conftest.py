@@ -1,5 +1,5 @@
 """The gate's own plumbing, for every suite under this root (``tests/``,
-``benchmarks/spine/tests``): which core ran (the compiled kernels exactly
+``benchmarks/spine/tests``): which core ran (the compiled kernel exactly
 when the extension imports) and a hang guard that is never inert."""
 
 from __future__ import annotations

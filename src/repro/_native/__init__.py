@@ -1,10 +1,10 @@
-"""Loader for the optional compiled placement kernels.
+"""Loader for the optional compiled placement kernel (MET's inner loop).
 
 The extension (``repro._native._coreext``) is built from ``_coreext.c``
 either by ``python -m repro._native.build`` (in-place, gcc) or by the
 optional setuptools hook in ``setup.py``.  Import failures are captured,
 not raised: the package must keep working from a source checkout with no
-compiler, so a missing extension selects the pure loops, and only pinning
+compiler, so a missing extension selects the pure loop, and only pinning
 the compiled core (``repro.core.forced``) makes it an error — see
 :mod:`repro.core`.  An extension built for another :data:`API` (an
 in-place ``.so`` left over from an older checkout) counts as missing.
@@ -16,7 +16,7 @@ from types import ModuleType
 
 #: what ``BUILD_INFO["api"]`` in ``_coreext.c`` must say; bumped together
 #: with it whenever a kernel's signature or meaning changes
-API = 2
+API = 3
 
 _module: ModuleType | None = None
 _error: str | None = None

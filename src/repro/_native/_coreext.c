@@ -1,30 +1,28 @@
-/* Compiled placement kernels: the positional inner loops of the EFT and
- * MET scheduling policies, behind the same semantics as the pure-Python
- * loops in repro.runtime.schedulers.{eft,met}.  Everything else — the
- * event engine, the ready list, every other policy — is Python only (see
- * docs/performance.md, "The compiled core", for the measurements that
- * decided what stayed).
+/* Compiled placement kernel: the positional inner loop of the MET (and
+ * power-aware MET) scheduling policy, behind the same semantics as the
+ * pure-Python loop in repro.runtime.schedulers.met.  Everything else — the
+ * event engine, the ready list, every other policy, EFT's placement loop
+ * included — is Python only (see docs/performance.md, "The compiled core",
+ * for the measurements that decided what stayed).
  *
  * Bit-identity contract: every comparison, tie-break and iteration order
  * below replicates the pure loop exactly.  All arithmetic is on C doubles,
- * which are the same IEEE-754 binary64 values CPython floats hold, so
- * availability / finish-time accumulation is bit-identical.
+ * which are the same IEEE-754 binary64 values CPython floats hold.
  *
- * Each kernel receives the tasks to visit in order, the scheduler's
- * estimate-row cache (id(node) -> (node, row)), a fallback callable that
- * computes (and caches) a missing row, the handler list, and the positions
- * of the usable idle PEs as Scheduler.usable_idle chose them.  The caller
- * has run _sync_row_cache(handlers) first, so the cache dict's identity is
- * stable for the whole pass.  The result is a list of (task, position)
- * pairs in dispatch order; the Python side maps them to Assignments.
+ * The kernel receives the tasks to visit in order, the scheduler's
+ * estimate-row cache (id(node) -> (node, row)), the scheduler's
+ * estimate_row(task, handlers) method, which computes (and caches) a
+ * missing row, the handler list, and the positions of the usable idle PEs
+ * as Scheduler.usable_idle chose them.  The caller has run
+ * _sync_row_cache(handlers) first, so the cache dict's identity is stable
+ * for the whole pass.  The result is a list of (task, position) pairs in
+ * dispatch order; the Python side maps them to Assignments.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 static PyObject *str_node;
-static PyObject *str_failed;
-static PyObject *str_eft;   /* "estimated_free_time" */
 static PyObject *str_pe_id;
 
 /* ------------------------------------------------------------------ */
@@ -34,7 +32,7 @@ static PyObject *str_pe_id;
 /* contract in Scheduler._sync_row_cache: entries are only ever        */
 /* *added* to a cache dict; invalidation replaces the whole dict       */
 /* object.  Identity change resets the mirror; a size change (the      */
-/* fallback added rows) resyncs it.  Row pointers are borrowed from    */
+/* miss added rows) resyncs it.  Row pointers are borrowed from        */
 /* the dict, which cannot drop them while the mirror holds a strong    */
 /* reference to the dict itself.                                       */
 /* ------------------------------------------------------------------ */
@@ -112,7 +110,8 @@ mirror_sync(PyObject *cache)
  * PyLong_FromVoidPtr(node) in CPython).  Returns a new reference to a
  * tuple, or NULL with an exception set. */
 static PyObject *
-fetch_row(PyObject *cache, PyObject *task, PyObject *fallback)
+fetch_row(PyObject *cache, PyObject *task, PyObject *estimate_row,
+          PyObject *handlers)
 {
     PyObject *node = PyObject_GetAttr(task, str_node);
     if (!node)
@@ -132,9 +131,10 @@ fetch_row(PyObject *cache, PyObject *task, PyObject *fallback)
         }
         i = (i + 1) & mirror.mask;
     }
-    /* Miss: compute via the Python fallback, which inserts into the dict;
-     * the size change triggers a resync on the next lookup. */
-    if (!row && !(row = PyObject_CallOneArg(fallback, task)))
+    /* Miss: compute via estimate_row(task, handlers), which inserts into
+     * the dict; the size change triggers a resync on the next lookup. */
+    if (!row && !(row = PyObject_CallFunctionObjArgs(estimate_row, task,
+                                                     handlers, NULL)))
         return NULL;
     if (!PyTuple_Check(row)) {
         PyErr_SetString(PyExc_TypeError, "estimate row must be a tuple");
@@ -200,141 +200,7 @@ append_pair(PyObject *result, PyObject *task, Py_ssize_t index)
     return rc;
 }
 
-/* handler.<name> as a C double */
-static int
-double_attr(PyObject *handler, PyObject *name, double *out)
-{
-    PyObject *value = PyObject_GetAttr(handler, name);
-    if (!value)
-        return -1;
-    *out = PyFloat_AsDouble(value);
-    Py_DECREF(value);
-    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
-}
-
-/* eft_pass(order, cache, fallback, handlers, usable, now)
- * The EFT placement loop of schedulers/eft.py:eft_pass, availability
- * prologue included (the rank-ordered policies pass their sorted list as
- * ``order``):
- *   usable position -> open for dispatch, avail = now
- *   failed          -> avail = inf
- *   otherwise       -> avail = max(estimated_free_time, now)
- * and the pass ends with the dispatch that takes the last open PE. */
-static PyObject *
-coreext_eft_pass(PyObject *Py_UNUSED(module), PyObject *args)
-{
-    PyObject *order, *cache, *fallback, *handlers, *usable;
-    double now;
-    if (!PyArg_ParseTuple(args, "OO!OOOd:eft_pass", &order, &PyDict_Type,
-                          &cache, &fallback, &handlers, &usable, &now))
-        return NULL;
-    Py_ssize_t n_usable = 0;
-    Py_ssize_t *pos = usable_positions(handlers, usable, &n_usable);
-    if (!pos)
-        return NULL;
-    Py_ssize_t m = PyList_GET_SIZE(handlers);
-    double *avail = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(double));
-    char *open_pe = PyMem_Calloc((size_t)(m ? m : 1), 1);
-    PyObject *result = PyList_New(0);
-    PyObject *iter = NULL;
-    if (!avail || !open_pe) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    if (!result)
-        goto fail;
-    Py_ssize_t idle_remaining = 0;
-    for (Py_ssize_t k = 0; k < n_usable; k++) {
-        if (!open_pe[pos[k]]) {
-            open_pe[pos[k]] = 1;
-            idle_remaining++;
-        }
-    }
-    for (Py_ssize_t i = 0; i < m; i++) {
-        if (open_pe[i]) {
-            avail[i] = now;
-            continue;
-        }
-        PyObject *h = PyList_GET_ITEM(handlers, i);
-        PyObject *failed = PyObject_GetAttr(h, str_failed);
-        if (!failed)
-            goto fail;
-        int f = PyObject_IsTrue(failed);
-        Py_DECREF(failed);
-        if (f < 0)
-            goto fail;
-        if (f) {
-            avail[i] = Py_HUGE_VAL;
-            continue;
-        }
-        double free_at;
-        if (double_attr(h, str_eft, &free_at) < 0)
-            goto fail;
-        avail[i] = free_at > now ? free_at : now;
-    }
-    iter = PyObject_GetIter(order);
-    if (!iter)
-        goto fail;
-    PyObject *task;
-    while (idle_remaining > 0 && (task = PyIter_Next(iter))) {
-        PyObject *row = fetch_row(cache, task, fallback);
-        if (!row) {
-            Py_DECREF(task);
-            goto fail;
-        }
-        Py_ssize_t rn = PyTuple_GET_SIZE(row);
-        if (rn > m)
-            rn = m;
-        Py_ssize_t best_i = -1;
-        double best_finish = Py_HUGE_VAL;
-        for (Py_ssize_t i = 0; i < rn; i++) {
-            PyObject *est = PyTuple_GET_ITEM(row, i);
-            if (est == Py_None)
-                continue;
-            double e = PyFloat_AsDouble(est);
-            if (e == -1.0 && PyErr_Occurred()) {
-                Py_DECREF(row);
-                Py_DECREF(task);
-                goto fail;
-            }
-            double finish = avail[i] + e;
-            if (finish < best_finish) {
-                best_finish = finish;
-                best_i = i;
-            }
-        }
-        Py_DECREF(row);
-        if (best_i >= 0) {
-            /* Book the task either way; dispatch only onto an open PE. */
-            avail[best_i] = best_finish;
-            if (open_pe[best_i]) {
-                open_pe[best_i] = 0;
-                idle_remaining -= 1;
-                if (append_pair(result, task, best_i) < 0) {
-                    Py_DECREF(task);
-                    goto fail;
-                }
-            }
-        }
-        Py_DECREF(task);
-    }
-    if (PyErr_Occurred())
-        goto fail;
-    Py_DECREF(iter);
-    PyMem_Free(pos);
-    PyMem_Free(avail);
-    PyMem_Free(open_pe);
-    return result;
-fail:
-    Py_XDECREF(iter);
-    Py_XDECREF(result);
-    PyMem_Free(pos);
-    PyMem_Free(avail);
-    PyMem_Free(open_pe);
-    return NULL;
-}
-
-/* met_pass(ready, cache, fallback, handlers, usable, powers)
+/* met_pass(ready, cache, estimate_row, handlers, usable, powers)
  * The MET / power-aware MET loop of schedulers/met.py: each task onto the
  * usable idle PE with the smallest (cost, pe_id), which then leaves the
  * pool.  ``powers`` is a list of cost multipliers aligned with ``usable``,
@@ -342,9 +208,10 @@ fail:
 static PyObject *
 coreext_met_pass(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *ready, *cache, *fallback, *handlers, *usable, *pow_list;
+    PyObject *ready, *cache, *estimate_row, *handlers, *usable, *pow_list;
     if (!PyArg_ParseTuple(args, "OO!OOOO:met_pass", &ready, &PyDict_Type,
-                          &cache, &fallback, &handlers, &usable, &pow_list))
+                          &cache, &estimate_row, &handlers, &usable,
+                          &pow_list))
         return NULL;
     Py_ssize_t m = 0;
     Py_ssize_t *pos = usable_positions(handlers, usable, &m);
@@ -392,7 +259,7 @@ coreext_met_pass(PyObject *Py_UNUSED(module), PyObject *args)
         goto fail;
     PyObject *task;
     while (m > 0 && (task = PyIter_Next(iter))) {
-        PyObject *row = fetch_row(cache, task, fallback);
+        PyObject *row = fetch_row(cache, task, estimate_row, handlers);
         if (!row) {
             Py_DECREF(task);
             goto fail;
@@ -458,11 +325,8 @@ fail:
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef coreext_methods[] = {
-    {"eft_pass", coreext_eft_pass, METH_VARARGS,
-     "eft_pass(order, cache, fallback, handlers, usable, now) -> "
-     "[(task, position), ...]"},
     {"met_pass", coreext_met_pass, METH_VARARGS,
-     "met_pass(ready, cache, fallback, handlers, usable, powers) -> "
+     "met_pass(ready, cache, estimate_row, handlers, usable, powers) -> "
      "[(task, position), ...]"},
     {NULL, NULL, 0, NULL},
 };
@@ -470,7 +334,7 @@ static PyMethodDef coreext_methods[] = {
 static struct PyModuleDef coreext_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._native._coreext",
-    .m_doc = "Compiled EFT and MET placement kernels.",
+    .m_doc = "Compiled MET placement kernel.",
     .m_size = -1,
     .m_methods = coreext_methods,
 };
@@ -479,10 +343,8 @@ PyMODINIT_FUNC
 PyInit__coreext(void)
 {
     str_node = PyUnicode_InternFromString("node");
-    str_failed = PyUnicode_InternFromString("failed");
-    str_eft = PyUnicode_InternFromString("estimated_free_time");
     str_pe_id = PyUnicode_InternFromString("pe_id");
-    if (!str_node || !str_failed || !str_eft || !str_pe_id)
+    if (!str_node || !str_pe_id)
         return NULL;
 
     PyObject *m = PyModule_Create(&coreext_module);
@@ -496,7 +358,7 @@ PyInit__coreext(void)
         "toolchain", "gcc",
         "compiler_version", __VERSION__,
         "python", PY_VERSION,
-        "api", 2);
+        "api", 3);
     if (!build || PyModule_AddObject(m, "BUILD_INFO", build) < 0) {
         Py_XDECREF(build);
         Py_DECREF(m);

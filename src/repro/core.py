@@ -1,13 +1,13 @@
-"""Which core variant runs: the pure loops or the compiled kernels.
+"""Which core variant runs: the pure loops or the compiled kernel.
 
 The emulator is pure Python: one event engine (:mod:`repro.sim.engine`),
-one ready list, plain-Python policies.  Two placement loops — EFT's (shared
-by ``heft``, its alias ``cprank``, and ``eft+edf``) and MET's — also exist
-as C kernels in the optional extension ``repro._native._coreext`` (built
-with ``python -m repro._native.build``), bit-identical by contract.
-"Compiled" means "use those kernels".
+one ready list, plain-Python policies.  One placement loop — MET's (also
+``met_power``'s) — also exists as a C kernel in the optional extension
+``repro._native._coreext`` (built with ``python -m repro._native.build``),
+bit-identical by contract.  "Compiled" means "use that kernel"; EFT's loop
+(``eft``, ``heft``, ``cprank``, ``eft+edf``) is Python on both cores.
 
-There is one rule: the compiled kernels run exactly when the extension
+There is one rule: the compiled kernel runs exactly when the extension
 imports (:func:`repro._native.available`).  Nothing is configured, so
 sweep workers, pool children and the coordinator of the same checkout all
 answer alike.  :func:`forced` pins a variant inside a ``with`` block: the
@@ -49,8 +49,8 @@ def selected_core() -> str:
 def native_kernels():
     """The compiled kernel module when selected, else None.
 
-    ``Scheduler.__init__`` binds this once per policy instance: a non-None
-    return means ``eft_pass`` / ``met_pass`` run in C.
+    ``METScheduler.__init__`` binds this once per policy instance: a
+    non-None return means ``met_pass`` runs in C.
     """
     if selected_core() != CORE_COMPILED:
         return None

@@ -19,6 +19,7 @@ pickle boundary.  :func:`run_campaign` orchestrates a whole sweep:
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections import deque
@@ -110,7 +111,7 @@ def execute_cell(cell_data: dict[str, Any]) -> dict[str, Any]:
         # flaky workers be diagnosed from the journal/results alone
         "worker": os.environ.get("DSSOC_WORKER_ID") or f"pid{os.getpid()}",
         # which DES core produced it (variant + build metadata): the
-        # compiled kernels exactly when this checkout's extension imports
+        # compiled kernel exactly when this checkout's extension imports
         "core": core_select.core_info(),
     }
     if stats.faults_enabled:
@@ -438,6 +439,23 @@ def _run_parallel(
 # -- orchestration ---------------------------------------------------------------
 
 
+def _check_settings(*, jobs, workers, retries, timeout_s) -> None:
+    """Reject a campaign setting out of range before anything runs."""
+    if jobs < 1:
+        raise ValueError(f"jobs (--jobs) must be at least 1, got {jobs}")
+    if workers is not None and workers < 0:
+        raise ValueError(
+            f"workers (--workers) must be at least 0, got {workers}"
+        )
+    if retries < 0:
+        raise ValueError(f"retries (--retries) must be at least 0, got {retries}")
+    if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s > 0):
+        raise ValueError(
+            "timeout_s (--timeout) must be a finite number of seconds "
+            f"above 0, got {timeout_s}"
+        )
+
+
 def run_campaign(
     grid: SweepGrid | Iterable[SweepCell],
     *,
@@ -476,7 +494,13 @@ def run_campaign(
     drops the cells' cache entries and recomputes them all.
     ``lease_ttl_s``, ``poll_s`` and ``status_fn`` (handed a status
     snapshot every few seconds) only matter to a fleet.
+
+    ``jobs`` must be at least 1, ``workers`` and ``retries`` at least 0,
+    and ``timeout_s`` None (no timeout) or a finite number of seconds
+    above 0; anything else is a :class:`ValueError` naming the setting.
     """
+    _check_settings(jobs=jobs, workers=workers, retries=retries,
+                    timeout_s=timeout_s)
     fleet = workers is not None or server is not None
     if fleet and jobs > 1:
         raise ValueError(
@@ -497,7 +521,7 @@ def run_campaign(
     by_id: dict[str, SweepCell] = {}
     for cell_id, cell in zip(ids, cells):
         by_id.setdefault(cell_id, cell)
-    max_attempts = 1 + max(0, int(retries))
+    max_attempts = 1 + int(retries)
     resume = resume and not force
     t_start = time.monotonic()
 
@@ -530,7 +554,7 @@ def run_campaign(
             )
     recorder = _Recorder(total=len(by_id), progress=progress)
     if fleet:
-        workers = 1 if workers is None else max(0, workers)
+        workers = 1 if workers is None else workers
         lease_ttl_s = layout.lease_ttl_s(None, lease_ttl_s)
         store.publish(
             [cell.to_dict() for cell in by_id.values()],

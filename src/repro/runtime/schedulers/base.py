@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Protocol
 
-from repro import core as core_select
 from repro.appmodel.instance import TaskInstance
 from repro.common.errors import SchedulingError
 from repro.runtime.handler import PEStatus, ResourceHandler
@@ -70,11 +69,6 @@ class Scheduler:
         self._row_handlers: list[ResourceHandler] | None = None
         self._row_oracle: ExecutionTimeOracle | None = None
         self._reset_tables()
-        # The compiled placement kernels, bound at construction (None on
-        # the pure core).  eft_pass and MET's schedule() branch on this
-        # and hand their positional inner loop to C; results are
-        # bit-identical by contract.  Every other policy is Python only.
-        self._kernels = core_select.native_kernels()
 
     def schedule(
         self,
@@ -122,7 +116,6 @@ class Scheduler:
         self._est_rows: dict[int, tuple] = {}
         self._est_pairs: dict[int, tuple] = {}
         self._support_rows: dict[int, tuple] = {}
-        self._est_fb = None
 
     def estimate_row(
         self, task: TaskInstance, handlers: list[ResourceHandler]
@@ -181,19 +174,6 @@ class Scheduler:
         row = tuple(node.supports_any(h.accepted_platforms) for h in handlers)
         self._support_rows[id(node)] = (node, row)
         return row
-
-    def _est_fallback(self, handlers: list[ResourceHandler]):
-        """Row-cache-miss closure handed to the compiled kernels.
-
-        Cached alongside the row caches (callers must have run
-        :meth:`_sync_row_cache` with the same ``handlers`` first, so the
-        captured list is always the synced one)."""
-        fb = self._est_fb
-        if fb is None:
-            fb = self._est_fb = (
-                lambda task: self.estimate_row(task, handlers)
-            )
-        return fb
 
     @staticmethod
     def idle_handlers(handlers: list[ResourceHandler]) -> list[ResourceHandler]:

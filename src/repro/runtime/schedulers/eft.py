@@ -16,8 +16,7 @@ over the workload manager's ready list the pass does not even visit such
 tasks: it walks only the capability lanes some open PE accepts
 (:meth:`~repro.runtime.workload_manager.ReadyList.lanes`).  So the host
 cost follows the tasks an open PE can take and the bookings some dispatch
-depends on; the assignments are those of booking every task (the compiled
-kernel still visits and books every one).
+depends on; the assignments are those of booking every task.
 
 :func:`eft_pass` is that placement loop, shared with the rank-ordered
 ``heft`` (also registered as ``cprank``), which differs only in the order
@@ -49,24 +48,14 @@ def eft_pass(
     :meth:`Scheduler.usable_idle`) is dispatched; with none, it returns
     before sorting or touching the queue.  ``usable`` is read from
     ``ready`` itself — counts do not depend on visiting order.  In FIFO
-    order over a ready list with :meth:`ReadyList.lanes`, the pure loop
-    visits only the lanes an open PE accepts.
+    order over a ready list with :meth:`ReadyList.lanes`, the pass visits
+    only the lanes an open PE accepts.
     """
     usable = policy.usable_idle(ready, handlers)
     if not usable:
         return []
     policy._sync_row_cache(handlers)
     order = ready if key is None else sorted(ready, key=key)
-    kern = policy._kernels
-    if kern is not None:
-        # The availability prologue and placement loop below, in C: same
-        # usable positions, same handler.failed / .estimated_free_time
-        # reads, full rows from _est_rows instead of the compact pairs.
-        placed = kern.eft_pass(
-            order, policy._est_rows, policy._est_fallback(handlers),
-            handlers, [i for i, _h in usable], now,
-        )
-        return [Assignment(task, handlers[i]) for task, i in placed]
     # True while a usable idle PE is still free to take a dispatch.
     open_pe = [False] * len(handlers)
     for i, _h in usable:

@@ -14,13 +14,22 @@ advantage.
 
 from __future__ import annotations
 
+from repro import core as core_select
 from repro.appmodel.instance import TaskInstance
 from repro.runtime.handler import ResourceHandler
-from repro.runtime.schedulers.base import Assignment, Scheduler
+from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Scheduler
 
 
 class METScheduler(Scheduler):
     name = "met"
+
+    def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:
+        super().__init__(oracle)
+        # The compiled placement kernel, bound at construction (None on
+        # the pure core).  schedule() branches on this and hands its
+        # positional inner loop to C; results are bit-identical by
+        # contract.  Every other policy is Python only.
+        self._kernels = core_select.native_kernels()
 
     def _cost(self, task: TaskInstance, handler: ResourceHandler, est: float) -> float:
         return est
@@ -47,7 +56,7 @@ class METScheduler(Scheduler):
         kern = self._kernels
         if kern is not None:
             pairs = kern.met_pass(
-                ready, rows, self._est_fallback(handlers),
+                ready, rows, self.estimate_row,
                 handlers, [i for i, _h in available],
                 self._cost_multipliers(available),
             )

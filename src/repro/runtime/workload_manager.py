@@ -36,8 +36,8 @@ _STALE = object()
 class ReadyList:
     """The ready task list: an insertion-ordered set of tasks, by identity.
 
-    The contract (one class under both cores; the compiled kernels
-    iterate it like any other iterable):
+    The contract (one class under both cores; the compiled kernel
+    iterates it like any other iterable):
 
     * iteration is FIFO in :meth:`extend` order; a removed task that comes
       back (fault requeue) re-enters at the tail;

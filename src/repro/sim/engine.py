@@ -141,7 +141,8 @@ class Engine:
     the same-instant lane (module docstring).  ``_push_now(event)``
     schedules ``event`` for the current instant: it *is* the lane's
     ``append``.  This is the only engine; the compiled core
-    (:mod:`repro.core`) is placement kernels and leaves the event loop here.
+    (:mod:`repro.core`) is one placement kernel and leaves the event loop
+    here.
     """
 
     def __init__(self) -> None:

@@ -749,6 +749,52 @@ class TestCampaignInline:
         assert list(tmp_path.glob("*.tmp")) == []
 
 
+class TestCampaignSettings:
+    """Out-of-range settings are rejected before any cell runs or any file
+    is written, in every mode: nothing is clamped or read as "off"."""
+
+    @pytest.mark.parametrize("setting, value, flag", [
+        ("jobs", 0, "--jobs"),
+        ("jobs", -2, "--jobs"),
+        ("workers", -1, "--workers"),
+        ("retries", -5, "--retries"),
+        ("timeout_s", -1.0, "--timeout"),
+        ("timeout_s", 0, "--timeout"),
+        ("timeout_s", float("nan"), "--timeout"),
+        ("timeout_s", float("inf"), "--timeout"),
+    ])
+    def test_a_setting_out_of_range_is_named(self, tmp_path, setting, value,
+                                             flag):
+        out = tmp_path / "campaign"
+        with pytest.raises(ValueError, match=f"{setting} \\({flag}\\)"):
+            run_campaign(tiny_grid(), out_dir=out, **{setting: value})
+        assert not out.exists()
+
+    def test_the_edges_of_the_ranges_run(self, tmp_path):
+        campaign = run_campaign(
+            tiny_grid(configs=("2C+1F",), policies=("frfs",)),
+            out_dir=tmp_path / "fleet", workers=0, retries=0, timeout_s=60.0,
+        )
+        assert campaign.ok and campaign.executed == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "-2"), ("--workers", "-1"), ("--retries", "-5"),
+        ("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "nan"),
+    ])
+    def test_the_cli_exits_2_with_one_line(self, tmp_path, capsys, flag,
+                                           value):
+        from repro.cli import EXIT_USAGE, main
+
+        out = tmp_path / "campaign"
+        rc = main(["sweep", "--configs", "2C+1F", "--policies", "frfs",
+                   "--apps", "wifi_tx=1", f"{flag}={value}", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("sweep: ") and flag in err[0]
+        assert not out.exists()
+
+
 class _CountingWrites:
     """A journal stream that records each ``write`` it is handed."""
 

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import core as core_select
 from repro.appmodel.builder import GraphBuilder
 from repro.appmodel.dag import PlatformBinding
 from repro.appmodel.instance import ApplicationInstance
@@ -272,38 +271,36 @@ def as_ready_list(tasks) -> ReadyList:
 @settings(max_examples=300, deadline=None)
 def test_compact_rows_place_like_full_rows(case):
     """A FIFO case runs over a plain list and over a real
-    :class:`ReadyList`, where the pure pass visits only the lanes an open
-    PE accepts; each is held to the reference over the same queue."""
+    :class:`ReadyList`, where the pass visits only the lanes an open PE
+    accepts; each is held to the reference over the same queue."""
     states = case[0]
     placements = []
-    with core_select.forced(core_select.CORE_PURE):
-        handlers, ready, key, table = build_pass(case)
-        queues = [ready]
-        if key is None:
-            queues.append(as_ready_list(ready))
-        for queue in queues:
-            runs = {}
-            for place in (full_row_eft_pass, eft_pass):
-                policy = make_scheduler("eft", TableOracle(table, []))
-                assert policy._kernels is None
-                # twice: the second pass is all cache hits
-                runs[place] = [
-                    place_and_book(place, policy, queue, handlers, NOW, key)
-                    for _ in range(2)
-                ]
-            (placed, reference), again = runs[full_row_eft_pass]
-            assert again == (placed, reference)
-            for got, booked in runs[eft_pass]:
-                assert got == placed
-                assert len(booked) == len(reference)
-                for on_pe, full in zip(booked, reference):
-                    assert on_pe == full[:len(on_pe)]
-            placements.append(placed)
+    handlers, ready, key, table = build_pass(case)
+    queues = [ready]
+    if key is None:
+        queues.append(as_ready_list(ready))
+    for queue in queues:
+        runs = {}
+        for place in (full_row_eft_pass, eft_pass):
+            policy = make_scheduler("eft", TableOracle(table, []))
+            # twice: the second pass is all cache hits
+            runs[place] = [
+                place_and_book(place, policy, queue, handlers, NOW, key)
+                for _ in range(2)
+            ]
+        (placed, reference), again = runs[full_row_eft_pass]
+        assert again == (placed, reference)
+        for got, booked in runs[eft_pass]:
+            assert got == placed
+            assert len(booked) == len(reference)
+            for on_pe, full in zip(booked, reference):
+                assert on_pe == full[:len(on_pe)]
+        placements.append(placed)
     assert placements == [placed] * len(placements)
     assert len(placed) <= sum(s == "idle" for s in states)
 
 
-def test_tie_goes_to_the_lower_position_and_bookings_accumulate(pure_core):
+def test_tie_goes_to_the_lower_position_and_bookings_accumulate():
     handlers = make_handlers(["cpu", "cpu", "cpu"])
     ready = instances(1, 4)
     log: list = []
@@ -324,7 +321,7 @@ def test_tie_goes_to_the_lower_position_and_bookings_accumulate(pure_core):
     assert policy._est_pairs[id(ready[0].node)] == ((1, 2.0), (2, 2.0))
 
 
-def test_tasks_with_no_open_pe_are_never_weighed_for_nothing(pure_core):
+def test_tasks_with_no_open_pe_are_never_weighed_for_nothing():
     """1 000 CPU-only tasks queued on busy CPUs ahead of the one task the
     idle FFT can take: none of their CPU bookings can move its choice, so
     the pass adds only that task's estimates — one per PE — where booking
@@ -341,7 +338,7 @@ def test_tasks_with_no_open_pe_are_never_weighed_for_nothing(pure_core):
     ]
 
 
-def test_compact_rows_live_and_die_with_the_row_cache(pure_core):
+def test_compact_rows_live_and_die_with_the_row_cache():
     ready = instances(2, 2)
     log: list = []
     table = {("T0", 0): 1.0, ("T0", 1): None, ("T1", 0): None, ("T1", 1): 4.0}
@@ -380,7 +377,7 @@ def test_compact_rows_live_and_die_with_the_row_cache(pure_core):
 
 
 @pytest.mark.parametrize("name", ["heft", "cprank", "eft+edf"])
-def test_rank_ordered_policies_inherit_the_compact_rows(pure_core, name):
+def test_rank_ordered_policies_inherit_the_compact_rows(name):
     handlers = make_handlers(["cpu", "fft"])
     ready = instances(3, 2)
     table = {(f"T{n}", pe): 1.0 + n + pe for n in range(3) for pe in range(2)}

@@ -17,9 +17,9 @@ The constants were produced by running this file at the commit *before*
 the per-task cycle was rewritten (``python tests/test_golden_timeline.py``
 prints the table); a hot-path change that moves one event, one float or
 one record fails here.  The test follows the selected core, so the
-compiled job holds the C placement kernels (``eft_pass``, ``met_pass``) to
-the same constants; the engine and the ready list are the same Python
-under both.
+compiled job holds the C placement kernel (``met_pass``) to the same
+constants; the engine, the ready list and every other policy's loop are
+the same Python under both.
 """
 
 from __future__ import annotations

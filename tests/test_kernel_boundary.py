@@ -1,7 +1,7 @@
-"""The compiled kernels check what Python hands them — called directly.
+"""The compiled kernel checks what Python hands it — called directly.
 
-``eft_pass`` and ``met_pass`` take the usable idle positions from
-``Scheduler.usable_idle`` and index C arrays with them, so a position that
+``met_pass`` takes the usable idle positions from
+``Scheduler.usable_idle`` and indexes C arrays with them, so a position that
 is not an int, is negative or is past the handler list must end in a
 ``TypeError`` / ``ValueError``, never in a write outside the arrays.  A
 position whose PE has meanwhile left IDLE is *not* an error: policies act
@@ -27,7 +27,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 #: kernel name -> the trailing argument after the usable positions
-KERNELS = {"eft_pass": 10.0, "met_pass": None}
+KERNELS = {"met_pass": None}
 
 
 def kernel_call(name: str):
@@ -41,7 +41,7 @@ def kernel_call(name: str):
 
     def call(usable, last=KERNELS[name]):
         placed = getattr(policy._kernels, name)(
-            tasks, policy._est_rows, policy._est_fallback(handlers),
+            tasks, policy._est_rows, policy.estimate_row,
             handlers, usable, last,
         )
         return [(tasks.index(task), i) for task, i in placed]
@@ -50,10 +50,9 @@ def kernel_call(name: str):
     return call
 
 
-@pytest.fixture(params=sorted(KERNELS))
-def call(request):
-    """One retained kernel per run of the test."""
-    return kernel_call(request.param)
+@pytest.fixture
+def call():
+    return kernel_call("met_pass")
 
 
 def test_usable_positions_place_tasks_in_order(call):

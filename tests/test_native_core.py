@@ -1,7 +1,7 @@
 """Compiled-core tests: selection semantics + pure/compiled equivalence.
 
-The compiled kernels (``repro._native._coreext``) are bit-identical to
-the pure-Python placement loops by contract; these tests are that
+The compiled kernel (``repro._native._coreext``) is bit-identical to
+the pure-Python MET placement loop by contract; these tests are that
 contract's enforcement.  Everything under ``needs_ext`` skips cleanly when
 the extension has not been built (``python -m repro._native.build``).
 """
@@ -12,7 +12,6 @@ import warnings
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
 
 from repro import _native
 from repro import core as core_select
@@ -24,11 +23,6 @@ from repro.runtime.faults import FaultSpec, PEFailure
 from repro.runtime.qos import QoSController, QoSSpec
 from repro.runtime.workload import ArrivalSpec, validation_workload
 from repro.experiments.workloads import table_ii_workload
-from repro.runtime.schedulers import make_scheduler
-from repro.runtime.schedulers.eft import eft_pass
-from tests.test_eft_compact_rows import (
-    NOW, TableOracle, as_ready_list, build_pass, passes,
-)
 
 HAVE_EXT = _native.available()
 needs_ext = pytest.mark.skipif(
@@ -255,30 +249,6 @@ class TestCrossCoreEquivalence:
                 stats, events = _run_quick(name)
             runs[core] = (stats.summary(), events, stats.sched_invocations)
         assert runs["pure"] == runs["compiled"]
-
-    @given(case=passes())
-    @settings(max_examples=300, deadline=None)
-    def test_eft_kernel_places_like_the_deferring_pure_pass(self, case):
-        """The C ``eft_pass`` books every visited task; the pure pass
-        leaves out the bookings of tasks with no open PE and applies them
-        only when a later choice depends on them.  Over the generated rows,
-        PE states and visiting orders of ``tests/test_eft_compact_rows.py``
-        both hand out the same assignments in the same order — a FIFO case
-        over a plain list and over a real ``ReadyList``, where the pure
-        pass visits only the lanes an open PE accepts."""
-        handlers, ready, key, table = build_pass(case)
-        queues = [ready] if key is not None else [ready, as_ready_list(ready)]
-        placed = {}
-        for core in ("pure", "compiled"):
-            with core_select.forced(core):
-                for n, queue in enumerate(queues):
-                    policy = make_scheduler("eft", TableOracle(table, []))
-                    assert (policy._kernels is None) == (core == "pure")
-                    placed[core, n] = [
-                        (a.task, a.handler)
-                        for a in eft_pass(policy, queue, handlers, NOW, key)
-                    ]
-        assert len(set(map(tuple, placed.values()))) == 1
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_every_policy_bit_identical(self, policy):
