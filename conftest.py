@@ -1,6 +1,6 @@
 """The gate's own plumbing, for every suite under this root (``tests/``,
-``benchmarks/spine/tests``): which core ran (the compiled kernel exactly
-when the extension imports) and a hang guard that is never inert."""
+``benchmarks/spine/tests``): the ``src`` path and a hang guard that is
+never inert."""
 
 from __future__ import annotations
 
@@ -15,22 +15,7 @@ _SRC = Path(__file__).resolve().parent / "src"
 if str(_SRC) not in sys.path:  # lets `python -m pytest` run without PYTHONPATH=src
     sys.path.insert(0, str(_SRC))
 
-from repro import core as core_select  # noqa: E402
-
 _hang_guard_key = pytest.StashKey[tuple]()
-
-
-def _core_line() -> str:
-    return f"repro core: {core_select.core_info()}"
-
-
-def pytest_report_header(config):
-    return _core_line()
-
-
-def pytest_terminal_summary(terminalreporter):
-    if not terminalreporter.showheader:  # -q hides the header; tier-1 runs -q
-        terminalreporter.write_line(_core_line())
 
 
 def pytest_addoption(parser, pluginmanager):

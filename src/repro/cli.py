@@ -165,12 +165,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         with _graceful_signals(controller):
             result = emu.run(workload, backend)
     if args.json:
-        from repro import core as core_select
         from repro.analysis.trace_export import records_as_dicts
 
         doc = {
             "summary": result.stats.summary(),
-            "core": core_select.core_info(),
             "tasks": records_as_dicts(result.stats),
         }
         if args.backend == "threaded":
@@ -213,9 +211,7 @@ def _sweep_grid(args: argparse.Namespace):
     from repro.dse import SweepGrid, rate_sweep, validation_sweep
 
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            grid = SweepGrid.from_dict(json.load(fh))
-        return grid
+        return SweepGrid.from_dict(_load_json(args.spec, "sweep spec"))
     workloads: list[dict] = []
     if args.rates:
         workloads.extend(rate_sweep(_number("--rates", r, float))
@@ -241,18 +237,22 @@ def _sweep_grid(args: argparse.Namespace):
     )
 
 
+def _load_json(path: str, what: str, error: type[ReproError] = ReproError):
+    """The JSON document at ``path``; a missing, unreadable or undecodable
+    file is ``error`` naming ``what`` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise error(f"cannot load {what} {path!r}: {exc}") from exc
+
+
 def _load_axis(path: str, spec_cls, error: type[ReproError]) -> tuple[dict | None, ...]:
     """A fault or QoS axis from a JSON file: one spec object, or a list of
     specs (``null`` entries meaning a cell without one)."""
     if not path:
         return (None,)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise error(
-            f"cannot load {spec_cls.__name__} axis {path!r}: {exc}"
-        ) from exc
+    data = _load_json(path, f"{spec_cls.__name__} axis", error)
     entries = data if isinstance(data, list) else [data]
     # validate early; the grid carries the plain dict form
     return tuple(

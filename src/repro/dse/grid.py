@@ -207,6 +207,46 @@ def _check_configs(configs: tuple[str, ...], platforms: tuple[str, ...]) -> None
             )
 
 
+def _check_policies(policies: tuple[str, ...]) -> None:
+    """Reject a policy no cell could build: each name must resolve through
+    :func:`~repro.runtime.schedulers.make_scheduler`, ``+variant`` included."""
+    from repro.runtime.schedulers import make_scheduler
+
+    for name in policies:
+        if not isinstance(name, str):
+            raise ReproError(
+                f"sweep grid field 'policies': {name!r} is not a string"
+            )
+        try:
+            make_scheduler(name)
+        except ReproError as exc:
+            raise ReproError(f"sweep grid field 'policies': {exc}") from None
+
+
+def _spec_list(data: dict[str, Any], name: str, default: tuple | None) -> tuple:
+    """A spec axis: a JSON list (a string is not one: ``"frfs"`` would
+    iterate as four one-letter policies); required when ``default`` is None."""
+    if default is None and name not in data:
+        raise ReproError(f"sweep spec missing key: {name!r}")
+    value = data.get(name, default)
+    if not isinstance(value, (list, tuple)):
+        raise ReproError(
+            f"sweep spec field {name!r} must be a list, got {value!r}"
+        )
+    return tuple(value)
+
+
+def _spec_objects(data: dict[str, Any], name: str, default: tuple | None) -> tuple:
+    """A spec axis of JSON objects (``null`` too, except for workloads)."""
+    entries = _spec_list(data, name, default)
+    for entry in entries:
+        if not isinstance(entry, dict) and (name == "workloads" or entry is not None):
+            raise ReproError(
+                f"sweep spec field {name!r}: {entry!r} is not an object"
+            )
+    return tuple(None if e is None else dict(e) for e in entries)
+
+
 def _content_hash(doc: dict[str, Any], length: int) -> str:
     """Leading hex digits of the SHA-256 of ``doc``'s canonical JSON."""
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -370,6 +410,7 @@ class SweepGrid:
         for w in self.workloads:
             _check_descriptor(w)
         _check_configs(self.configs, self.platforms)
+        _check_policies(self.policies)
 
     @property
     def size(self) -> int:
@@ -447,6 +488,10 @@ class SweepGrid:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> SweepGrid:
         """Build a grid from a campaign spec dict (JSON file contents)."""
+        if not isinstance(data, dict):
+            raise ReproError(
+                f"sweep spec must be a JSON object, got {type(data).__name__}"
+            )
         unknown = set(data) - {
             "platforms", "configs", "policies", "workloads", "seeds",
             "iterations", "jitter", "backend", "faults", "qos",
@@ -454,28 +499,24 @@ class SweepGrid:
         if unknown:
             raise ReproError(f"unknown sweep spec keys: {sorted(unknown)}")
         try:
-            workloads = tuple(dict(w) for w in data["workloads"])
-            grid = cls(
-                configs=tuple(data["configs"]),
-                policies=tuple(data["policies"]),
-                workloads=workloads,
-                platforms=tuple(data.get("platforms", ("zcu102",))),
-                seeds=tuple(data.get("seeds", (None,))),
-                iterations=int(data.get("iterations", 1)),
-                jitter=bool(data.get("jitter", False)),
-                backend=data.get("backend", "virtual"),
-                faults=tuple(
-                    dict(f) if f is not None else None
-                    for f in data.get("faults", (None,))
-                ),
-                qos=tuple(
-                    dict(q) if q is not None else None
-                    for q in data.get("qos", (None,))
-                ),
-            )
-        except KeyError as exc:
-            raise ReproError(f"sweep spec missing key: {exc}") from None
-        return grid
+            iterations = int(data.get("iterations", 1))
+        except (TypeError, ValueError):
+            raise ReproError(
+                f"sweep spec field 'iterations' must be a whole number, "
+                f"got {data['iterations']!r}"
+            ) from None
+        return cls(
+            configs=_spec_list(data, "configs", None),
+            policies=_spec_list(data, "policies", None),
+            workloads=_spec_objects(data, "workloads", None),
+            platforms=_spec_list(data, "platforms", ("zcu102",)),
+            seeds=_spec_list(data, "seeds", (None,)),
+            iterations=iterations,
+            jitter=bool(data.get("jitter", False)),
+            backend=data.get("backend", "virtual"),
+            faults=_spec_objects(data, "faults", (None,)),
+            qos=_spec_objects(data, "qos", (None,)),
+        )
 
     def with_overrides(self, **kwargs: Any) -> SweepGrid:
         """A copy with some axes replaced (convenience for experiments)."""

@@ -31,7 +31,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro import core as core_select
 from repro.common.atomic import atomic_write_lines
 from repro.dse import journal as journal_mod
 from repro.dse.grid import SweepCell, SweepGrid, build_workload
@@ -110,9 +109,6 @@ def execute_cell(cell_data: dict[str, Any]) -> dict[str, Any]:
         # distributed service, else the executing process — lets slow or
         # flaky workers be diagnosed from the journal/results alone
         "worker": os.environ.get("DSSOC_WORKER_ID") or f"pid{os.getpid()}",
-        # which DES core produced it (variant + build metadata): the
-        # compiled kernel exactly when this checkout's extension imports
-        "core": core_select.core_info(),
     }
     if stats.faults_enabled:
         metrics["faults"] = {
@@ -185,11 +181,6 @@ class CellResult:
                 "worker",
             ):
                 row[key] = self.metrics.get(key)
-            # flatten to the variant string: rows feed tables, where a
-            # nested build dict would be noise (full metadata stays in
-            # the cached metrics document)
-            core = self.metrics.get("core")
-            row["core"] = core.get("variant") if core else None
         if self.error:
             row["error"] = self.error
         return row

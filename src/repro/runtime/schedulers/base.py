@@ -11,12 +11,14 @@ The ready list a policy is handed is iterable in FIFO order, sized, and
 supports membership by identity.  The workload manager's own
 :class:`~repro.runtime.workload_manager.ReadyList` also carries a capability
 index, which :meth:`Scheduler.usable_idle` turns into "the idle PEs worth
-scanning the queue for"; a plain list works everywhere, without that
-shortcut.
+scanning the queue for", and one FIFO lane per capability, which
+:func:`open_lanes` turns into "the queued tasks an open PE can take"; a
+plain list works everywhere, without those shortcuts.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple, Protocol
 
 from repro.appmodel.instance import TaskInstance
@@ -239,6 +241,76 @@ class Scheduler:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
+
+
+def open_lanes(ready, usable: list[tuple[int, ResourceHandler]],
+               open_pe: list[bool]):
+    """The tasks of ``ready`` an open PE can take, in FIFO order: what a
+    FIFO placement pass visits (``eft_pass``, MET).
+
+    ``usable`` is the pass's :meth:`Scheduler.usable_idle` answer and
+    ``open_pe`` its positional "still free to take a dispatch" flags, which
+    the pass clears as it dispatches; the cursor reads them live.  Over a
+    ready list with :meth:`~repro.runtime.workload_manager.ReadyList.lanes`
+    a lane counts while an open PE's ``accepted_platforms`` meets its key
+    (the ``None`` key, unknown capability, always counts).  Every usable PE
+    accepts some live lane, so when one lane counts, every usable PE
+    accepts it and it counts until the pass ends: its own iterator is the
+    cursor.  Otherwise the lanes that count are merged by ``seq``, and one
+    is dropped when it is next in line and every PE that accepted it has
+    closed.  A task of a lane that does not count has no estimate on an
+    open PE, so skipping it changes no placement.  A ready list without
+    ``lanes`` (a plain list, EDF's sorted copy) is walked in full.
+    """
+    lanes_of = getattr(ready, "lanes", None)
+    if lanes_of is None:
+        return ready
+    lanes = lanes_of()
+    if len(lanes) == 1:  # a lone live lane counts: no need to ask
+        return map(itemgetter(1), lanes[0][1])
+    counted = []
+    for lane_key, entries in lanes:
+        if lane_key is None:
+            accepting = ()
+        else:
+            names = set(lane_key)
+            accepting = [
+                i for i, h in usable if not names.isdisjoint(h.accepted_platforms)
+            ]
+            if not accepting:
+                continue
+        counted.append((entries, accepting))
+    if len(counted) == 1:
+        return map(itemgetter(1), counted[0][0])
+    return _merged(counted, open_pe)
+
+
+def _merged(counted, open_pe):
+    """:func:`open_lanes` over two or more ``(entries, accepting)`` lanes."""
+    heads = []
+    for entries, accepting in counted:
+        it = iter(entries)
+        seq, task = next(it)
+        heads.append([seq, task, it, accepting])
+    while heads:
+        head = heads[0]
+        for other in heads:
+            if other[0] < head[0]:
+                head = other
+        accepting = head[3]
+        for i in accepting:
+            if open_pe[i]:
+                break
+        else:
+            if accepting:
+                heads.remove(head)
+                continue
+        yield head[1]
+        entry = next(head[2], None)
+        if entry is None:
+            heads.remove(head)
+        else:
+            head[0], head[1] = entry
 
 
 def validate_assignments(

@@ -25,11 +25,9 @@ it visits the ready tasks.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from repro.appmodel.instance import TaskInstance
 from repro.runtime.handler import ResourceHandler
-from repro.runtime.schedulers.base import Assignment, Scheduler
+from repro.runtime.schedulers.base import Assignment, Scheduler, open_lanes
 
 _INF = float("inf")
 
@@ -91,8 +89,7 @@ def eft_pass(
     # has no pair on an open PE); any other order visits every task, and
     # ``closed`` remembers the nodes found with no pair on an open PE, so
     # another task of the same node costs one lookup.
-    lanes = getattr(ready, "lanes", None) if key is None else None
-    visit = order if lanes is None else _lane_cursor(lanes(), usable, open_pe)
+    visit = order if key is not None else open_lanes(ready, usable, open_pe)
     closed: set[int] = set()
     # ids of the visited tasks that were weighed (booked when they could be)
     weighed: set[int] = set()
@@ -153,65 +150,6 @@ def eft_pass(
             if idle_remaining == 0:
                 break
     return assignments
-
-
-def _lane_cursor(lanes, usable, open_pe):
-    """The tasks of the ready list's ``lanes`` (:meth:`ReadyList.lanes`)
-    that some open PE accepts, in FIFO order.
-
-    A lane counts while an open PE's ``accepted_platforms`` meets its key
-    (the ``None`` key, unknown capability, always counts).  Every usable PE
-    accepts some live lane, so when one lane counts, every usable PE
-    accepts it and it counts until the pass ends: its own iterator is the
-    cursor.  Otherwise the lanes that count are merged by ``seq``, and one
-    is dropped when it is next in line and every PE that accepted it has
-    closed.
-    """
-    if len(lanes) == 1:  # a lone live lane counts: no need to ask
-        return map(itemgetter(1), lanes[0][1])
-    counted = []
-    for lane_key, entries in lanes:
-        if lane_key is None:
-            accepting = ()
-        else:
-            names = set(lane_key)
-            accepting = [
-                i for i, h in usable if not names.isdisjoint(h.accepted_platforms)
-            ]
-            if not accepting:
-                continue
-        counted.append((entries, accepting))
-    if len(counted) == 1:
-        return map(itemgetter(1), counted[0][0])
-    return _merged(counted, open_pe)
-
-
-def _merged(counted, open_pe):
-    """:func:`_lane_cursor` over two or more ``(entries, accepting)`` lanes."""
-    heads = []
-    for entries, accepting in counted:
-        it = iter(entries)
-        seq, task = next(it)
-        heads.append([seq, task, it, accepting])
-    while heads:
-        head = heads[0]
-        for other in heads:
-            if other[0] < head[0]:
-                head = other
-        accepting = head[3]
-        for i in accepting:
-            if open_pe[i]:
-                break
-        else:
-            if accepting:
-                heads.remove(head)
-                continue
-        yield head[1]
-        entry = next(head[2], None)
-        if entry is None:
-            heads.remove(head)
-        else:
-            head[0], head[1] = entry
 
 
 def _weigh(pairs: tuple, avail: list[float]) -> tuple[int, float]:

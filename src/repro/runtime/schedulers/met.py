@@ -1,9 +1,14 @@
 """Minimum execution time (MET) — O(n) in ready-queue length.
 
-Every ready task is examined (hence the linear complexity the paper
-reports); each is placed on the idle supporting PE with the smallest
-expected execution time.  Ties break toward the lower PE id for
-determinism.
+Each ready task, in FIFO order, is placed on the idle supporting PE with
+the smallest expected execution time, which then leaves the pool; the pass
+ends when no usable idle PE is left.  Ties break toward the lower PE id
+for determinism.  The modelled cost examines every ready task (the linear
+complexity the paper reports); the host visits only the tasks an open PE
+can take: over the workload manager's ready list it walks the capability
+lanes some open PE accepts (:func:`~repro.runtime.schedulers.base.open_lanes`,
+shared with EFT's FIFO pass) and reads each node's compact row
+(:meth:`~repro.runtime.schedulers.base.Scheduler.estimate_pairs`).
 
 :class:`PowerAwareMETScheduler` is the framework-extension hook for the
 paper's future-work "power aware heuristics": it minimizes expected energy
@@ -14,30 +19,16 @@ advantage.
 
 from __future__ import annotations
 
-from repro import core as core_select
 from repro.appmodel.instance import TaskInstance
 from repro.runtime.handler import ResourceHandler
-from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Scheduler
+from repro.runtime.schedulers.base import Assignment, Scheduler, open_lanes
 
 
 class METScheduler(Scheduler):
     name = "met"
 
-    def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:
-        super().__init__(oracle)
-        # The compiled placement kernel, bound at construction (None on
-        # the pure core).  schedule() branches on this and hands its
-        # positional inner loop to C; results are bit-identical by
-        # contract.  Every other policy is Python only.
-        self._kernels = core_select.native_kernels()
-
     def _cost(self, task: TaskInstance, handler: ResourceHandler, est: float) -> float:
         return est
-
-    def _cost_multipliers(self, available) -> list[float] | None:
-        """Per-pool cost multipliers for the compiled kernel (None = raw
-        estimates, the plain-MET cost)."""
-        return None
 
     def schedule(
         self,
@@ -45,42 +36,38 @@ class METScheduler(Scheduler):
         handlers: list[ResourceHandler],
         now: float,
     ) -> list[Assignment]:
-        # (position-in-handlers, handler) pairs so cached estimate rows can
-        # be indexed positionally as the idle pool shrinks.  FAILED PEs are
-        # never IDLE, so the pool excludes them by construction.
-        available = self.usable_idle(ready, handlers)
-        if not available:
+        usable = self.usable_idle(ready, handlers)
+        if not usable:
             return []
         self._sync_row_cache(handlers)
-        rows = self._est_rows
-        kern = self._kernels
-        if kern is not None:
-            pairs = kern.met_pass(
-                ready, rows, self.estimate_row,
-                handlers, [i for i, _h in available],
-                self._cost_multipliers(available),
-            )
-            return [Assignment(task, handlers[i]) for task, i in pairs]
-        estimate_row = self.estimate_row
+        # True while a usable idle PE is still free to take a dispatch;
+        # FAILED PEs are never IDLE, so they are never open.
+        open_pe = [False] * len(handlers)
+        for i, _h in usable:
+            open_pe[i] = True
+        remaining = len(usable)
+        compact = self._est_pairs
+        estimate_pairs = self.estimate_pairs
         cost = self._cost
         assignments: list[Assignment] = []
-        for task in ready:
-            hit = rows.get(id(task.node))
-            row = hit[1] if hit is not None else estimate_row(task, handlers)
+        for task in open_lanes(ready, usable, open_pe):
+            pairs = compact.get(id(task.node))
+            if pairs is None:
+                pairs = estimate_pairs(task, handlers)
             best: tuple[float, int] | None = None
-            best_pos = -1
-            for pos, (i, handler) in enumerate(available):
-                est = row[i]
-                if est is None:
-                    continue
-                key = (cost(task, handler, est), handler.pe_id)
-                if best is None or key < best:
-                    best = key
-                    best_pos = pos
-            if best_pos >= 0:
-                _i, handler = available.pop(best_pos)
-                assignments.append(Assignment(task, handler))
-                if not available:
+            best_i = -1
+            for i, est in pairs:
+                if open_pe[i]:
+                    handler = handlers[i]
+                    key = (cost(task, handler, est), handler.pe_id)
+                    if best is None or key < best:
+                        best = key
+                        best_i = i
+            if best_i >= 0:
+                open_pe[best_i] = False
+                assignments.append(Assignment(task, handlers[best_i]))
+                remaining -= 1
+                if not remaining:
                     break
         return assignments
 
@@ -90,6 +77,3 @@ class PowerAwareMETScheduler(METScheduler):
 
     def _cost(self, task: TaskInstance, handler: ResourceHandler, est: float) -> float:
         return est * handler.pe.pe_type.active_power_w
-
-    def _cost_multipliers(self, available) -> list[float] | None:
-        return [h.pe.pe_type.active_power_w for _i, h in available]

@@ -12,9 +12,7 @@ critical task; ties go to dispatching, which keeps the policy
 work-conserving.
 
 The simulation is plain Python over oracle floats (no RNG, no engine
-state), so results are deterministic and bit-identical under both DES
-cores — with the extension built it simply runs the same pure rollout
-loop, which is the documented fallback for policies without a C port.  Failed PEs
+state), so results are deterministic.  Failed PEs
 carry ``inf`` availability (the ``failed_mask`` contract), so neither the
 candidates nor the rollouts ever place work on them.
 
@@ -144,8 +142,8 @@ class RolloutScheduler(Scheduler):
         # task behind the earliest such completion.
         next_event = None
         order = 1 << 20  # successors sort after the scanned ready prefix
-        # Insertion order == dispatch order: deterministic across runs and
-        # cores (never sort by id(), which is address-dependent).
+        # Insertion order == dispatch order: deterministic across runs
+        # (never sort by id(), which is address-dependent).
         for task, handler, finish in list(self._inflight.values()):
             if handler.failed:
                 continue

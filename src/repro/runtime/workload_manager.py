@@ -36,8 +36,7 @@ _STALE = object()
 class ReadyList:
     """The ready task list: an insertion-ordered set of tasks, by identity.
 
-    The contract (one class under both cores; the compiled kernel
-    iterates it like any other iterable):
+    The contract:
 
     * iteration is FIFO in :meth:`extend` order; a removed task that comes
       back (fault requeue) re-enters at the tail;

@@ -140,9 +140,7 @@ class Engine:
     The queue is a heap of ``(time, seq, event)`` for later instants plus
     the same-instant lane (module docstring).  ``_push_now(event)``
     schedules ``event`` for the current instant: it *is* the lane's
-    ``append``.  This is the only engine; the compiled core
-    (:mod:`repro.core`) is one placement kernel and leaves the event loop
-    here.
+    ``append``.  This is the only engine.
     """
 
     def __init__(self) -> None:

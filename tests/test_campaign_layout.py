@@ -19,8 +19,8 @@ from repro.dse.distrib import DistribError, campaign_snapshot, write_manifest
 from repro.dse.distrib.net import SweepServer
 from repro.dse.maintenance import gc_campaign
 
-#: two cells, the second of which fails every attempt
-GRID = SweepGrid(configs=("2C+1F",), policies=("frfs", "no_such_policy"),
+#: two cells, the second of which fails every attempt (zcu102 has 3 CPUs)
+GRID = SweepGrid(configs=("2C+1F", "4C+2F"), policies=("frfs",),
                  workloads=(validation_sweep({"wifi_tx": 1}),))
 OK_CELL, BAD_CELL = (cell.cell_id for cell in GRID.expand())
 

@@ -351,34 +351,13 @@ class CountingRows(dict):
         return super().get(key, default)
 
 
-class CountingKernels:
-    """The compiled kernel of the selected core, counting calls."""
-
-    def __init__(self, kernels) -> None:
-        self._kernels = kernels
-        self.calls = 0
-
-    def __getattr__(self, name):
-        kernel = getattr(self._kernels, name)
-
-        def counted(*args):
-            self.calls += 1
-            return kernel(*args)
-
-        return counted
-
-
 def spied(name: str, handlers):
-    """The policy on the selected core: MET's compiled kernel or its pure
-    loop; every other policy has only its pure loop, and no ``_kernels``."""
+    """The policy, with row caches that count lookups."""
     policy = make_scheduler(name, FixedOracle({}))
     policy._sync_row_cache(handlers)
     policy._est_rows = CountingRows()
     policy._est_pairs = CountingRows()
     policy._support_rows = CountingRows()
-    kernels = getattr(policy, "_kernels", None)
-    if kernels is not None:
-        policy._kernels = CountingKernels(kernels)
     return policy
 
 
@@ -387,11 +366,6 @@ def row_lookups(policy) -> int:
         policy._est_rows.lookups + policy._est_pairs.lookups
         + policy._support_rows.lookups
     )
-
-
-def kernel_calls(policy) -> int:
-    kernels = getattr(policy, "_kernels", None)
-    return 0 if kernels is None else kernels.calls
 
 
 def busy_cpus_idle_fft():
@@ -404,7 +378,9 @@ def busy_cpus_idle_fft():
     return handlers
 
 
-@pytest.mark.parametrize("name", ["eft", "heft", "frfs", "met", "cprank"])
+@pytest.mark.parametrize(
+    "name", ["eft", "heft", "frfs", "met", "met_power", "cprank"]
+)
 def test_nothing_ready_runs_on_the_idle_pe(name):
     handlers = busy_cpus_idle_fft()
     ready = CountingReadyList()
@@ -413,13 +389,14 @@ def test_nothing_ready_runs_on_the_idle_pe(name):
     assert policy.schedule(ready, handlers, 10.0) == []
     assert ready.visited == 0
     assert row_lookups(policy) == 0
-    assert kernel_calls(policy) == 0
     # the same queue without an index is scanned to the end, for nothing
     reference = make_scheduler(name, FixedOracle({}))
     assert reference.schedule(list(ready), handlers, 10.0) == []
 
 
-@pytest.mark.parametrize("name", ["eft", "heft", "frfs", "met", "cprank"])
+@pytest.mark.parametrize(
+    "name", ["eft", "heft", "frfs", "met", "met_power", "cprank"]
+)
 def test_one_capable_task_deep_in_the_queue_is_found(name):
     handlers = busy_cpus_idle_fft()
     tasks = build_app(1000, fft_capable={700})
@@ -432,15 +409,15 @@ def test_one_capable_task_deep_in_the_queue_is_found(name):
     reference = make_scheduler(name, FixedOracle({}))
     expected = reference.schedule(list(ready), handlers, 10.0)
     assert [(a.task, a.handler) for a in expected] == [(tasks[700], handlers[3])]
-    if name in ("frfs", "met"):  # FIFO visitors stop right there
+    if name == "frfs":  # a FIFO walk stops right there
         assert visited == 701
-    elif name == "eft":
+    elif name in ("eft", "met", "met_power"):
         # the pass visits the one lane the FFT accepts, and its first task
         # is the one
         assert visited == 1
 
 
-@pytest.mark.parametrize("name", ["eft", "frfs", "met"])
+@pytest.mark.parametrize("name", ["eft", "frfs", "met", "met_power"])
 def test_the_queue_is_left_with_the_last_usable_pe(name):
     """One CPU idle and wanted, one FFT idle and unwanted: the pass is over
     with its first dispatch, however long the queue."""
@@ -455,8 +432,6 @@ def test_the_queue_is_left_with_the_last_usable_pe(name):
     got = policy.schedule(ready, handlers, 10.0)
     assert [(a.task, a.handler) for a in got] == [(tasks[0], handlers[2])]
     assert ready.visited == 1
-    # only MET has a compiled kernel: one call when its core is selected
-    assert kernel_calls(policy) <= (1 if name == "met" else 0)
 
 
 @pytest.mark.parametrize("name", ["eft", "heft", "cprank"])

@@ -214,14 +214,15 @@ class TestSweep:
 
     def test_sweep_reports_cell_failures(self, tmp_path, capsys):
         out = tmp_path / "campaign"
-        rc = main(["sweep", "--configs", "2C+1F",
-                   "--policies", "frfs,no_such_policy",
+        # zcu102 has 3 CPUs: the 4C+2F cell fails when it runs
+        rc = main(["sweep", "--configs", "2C+1F,4C+2F",
+                   "--policies", "frfs",
                    "--apps", "wifi_tx=1", "--retries", "0",
                    "--out", str(out)])
         assert rc == 1
         doc = json.loads((out / "results.json").read_text())
-        statuses = {c["policy"]: c["status"] for c in doc["cells"]}
-        assert statuses == {"frfs": "ok", "no_such_policy": "error"}
+        statuses = {c["config"]: c["status"] for c in doc["cells"]}
+        assert statuses == {"2C+1F": "ok", "4C+2F": "error"}
 
 
 @pytest.mark.parametrize("argv, flag, token", [
@@ -253,6 +254,66 @@ def test_a_rate_no_cell_can_run_stops_the_sweep_before_it_starts(tmp_path,
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert "nan" in err[0]
     assert not out.exists()
+
+
+_GOOD_SPEC = {
+    "configs": ["2C+1F"], "policies": ["frfs"],
+    "workloads": [{"kind": "validation", "apps": {"wifi_tx": 1}}],
+}
+
+
+@pytest.mark.parametrize("content, names", [
+    (None, ["cannot load sweep spec", "spec.json"]),
+    ("{nope", ["cannot load sweep spec", "spec.json"]),
+    (b"\xff\xfe{}", ["cannot load sweep spec", "spec.json"]),
+    ("[1, 2]", ["sweep spec must be a JSON object", "list"]),
+    ({**_GOOD_SPEC, "workloads": _GOOD_SPEC["workloads"][0]},
+     ["'workloads' must be a list"]),
+    ({**_GOOD_SPEC, "workloads": ["wifi_tx"]}, ["'workloads'", "not an object"]),
+    ({**_GOOD_SPEC, "configs": "2C+1F"}, ["'configs' must be a list"]),
+    ({**_GOOD_SPEC, "policies": "frfs"}, ["'policies' must be a list"]),
+    ({**_GOOD_SPEC, "faults": [7]}, ["'faults'", "not an object"]),
+    ({**_GOOD_SPEC, "iterations": "two"}, ["'iterations'", "'two'"]),
+    ({**_GOOD_SPEC, "policies": ["frfs", "nope"]}, ["'policies'", "'nope'"]),
+], ids=["missing", "not-json", "not-utf8", "a-list", "workloads-object",
+        "workload-string", "configs-string", "policies-string", "fault-entry",
+        "iterations-word", "unknown-policy"])
+def test_a_bad_sweep_spec_file_is_one_error_line(content, names, tmp_path,
+                                                 monkeypatch, capsys):
+    """Each of these ended in a traceback, or ran a grid of cells that
+    all failed after the campaign directory was written."""
+    monkeypatch.chdir(tmp_path)
+    spec = tmp_path / "spec.json"
+    if isinstance(content, bytes):
+        spec.write_bytes(content)
+    elif isinstance(content, str):
+        spec.write_text(content, encoding="utf-8")
+    elif content is not None:
+        spec.write_text(json.dumps(content), encoding="utf-8")
+    assert main(["sweep", "--spec", str(spec)]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    for name in names:
+        assert name in err[0], err
+    assert not (tmp_path / ".dssoc_campaigns").exists()
+
+
+@pytest.mark.parametrize("policies, bad", [
+    ("frfs,nope", "'nope'"),
+    ("frfs,eft+lifo", "'lifo'"),
+])
+def test_a_policy_no_cell_can_build_stops_the_sweep(policies, bad, tmp_path,
+                                                    monkeypatch, capsys):
+    """An unknown policy, or an unknown ``+variant``, used to run and fail
+    its cells after the campaign directory was written."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--configs", "2C+1F", "--policies", policies,
+            "--apps", "wifi_tx=1"]
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "'policies'" in err[0] and bad in err[0], err
+    assert not (tmp_path / ".dssoc_campaigns").exists()
 
 
 class TestExitCodesAndQoS:

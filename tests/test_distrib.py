@@ -362,15 +362,15 @@ class TestWorkerLoop:
         assert summary.executed == 0
 
     def test_failing_cells_reach_attempt_budget(self, tmp_path):
-        bad = tiny_grid(policies=("no_such_policy",),
-                        configs=("2C+1F",)).expand()
+        # zcu102 has 3 CPUs: the cell fails every attempt
+        bad = tiny_grid(policies=("frfs",), configs=("4C+2F",)).expand()
         publish(tmp_path, bad, max_attempts=2)
         summary = run_worker(tmp_path, worker_id="solo", poll_s=0.05)
         assert summary.stop_reason == "done"
         assert summary.failed == 1
         record = layout.failed_final(tmp_path)[bad[0].cell_id]
         assert record["attempts"] == 2
-        assert "no_such_policy" in record["errors"][-1]
+        assert "4C+2F" in record["errors"][-1]
 
 
 class TestDistributedCampaign:
@@ -385,8 +385,7 @@ class TestDistributedCampaign:
         assert second.summary()["cached"] == 4
 
     def test_failed_cells_fail_the_campaign(self, tmp_path):
-        grid = tiny_grid(policies=("frfs", "no_such_policy"),
-                         configs=("2C+1F",))
+        grid = tiny_grid(policies=("frfs",), configs=("2C+1F", "4C+2F"))
         campaign = run_campaign(grid, out_dir=tmp_path, workers=0,
                                 poll_s=0.05, retries=0)
         assert not campaign.ok

@@ -142,7 +142,7 @@ class TestGrid:
     def test_expansion_size_and_order(self):
         grid = SweepGrid(
             configs=("2C+1F", "3C+0F"),
-            policies=("p", "q"),
+            policies=("frfs", "met"),
             workloads=(TINY, rate_sweep(4.0)),
             seeds=(0, 1),
         )
@@ -151,8 +151,8 @@ class TestGrid:
         # workload-major, then config, then policy, then seed
         assert [c.workload["kind"] for c in cells[:4]] == ["validation"] * 4
         assert [(c.config, c.policy, c.seed) for c in cells[:4]] == [
-            ("2C+1F", "p", 0), ("2C+1F", "p", 1),
-            ("2C+1F", "q", 0), ("2C+1F", "q", 1),
+            ("2C+1F", "frfs", 0), ("2C+1F", "frfs", 1),
+            ("2C+1F", "met", 0), ("2C+1F", "met", 1),
         ]
 
     def test_spec_roundtrip(self):
@@ -163,16 +163,16 @@ class TestGrid:
 
     def test_spec_rejects_unknown_keys(self):
         with pytest.raises(ReproError, match="unknown sweep spec"):
-            SweepGrid.from_dict({"configs": ["A"], "policies": ["p"],
+            SweepGrid.from_dict({"configs": ["A"], "policies": ["frfs"],
                                  "workloads": [TINY], "bogus": 1})
 
     def test_spec_rejects_bad_workload_kind(self):
         with pytest.raises(ReproError, match="kind"):
-            SweepGrid.from_dict({"configs": ["A"], "policies": ["p"],
+            SweepGrid.from_dict({"configs": ["A"], "policies": ["frfs"],
                                  "workloads": [{"kind": "nope"}]})
         # an in-code grid gets the same check
         with pytest.raises(ReproError, match="kind"):
-            SweepGrid(configs=("A",), policies=("p",),
+            SweepGrid(configs=("A",), policies=("frfs",),
                       workloads=({"kind": "nope"},))
 
     @pytest.mark.parametrize("descriptor", [
@@ -187,9 +187,9 @@ class TestGrid:
         # Regression: these passed grid construction, then failed in
         # every cell ("injection rate must be positive").
         with pytest.raises(ReproError, match="rate"):
-            SweepGrid(configs=("A",), policies=("p",), workloads=(descriptor,))
+            SweepGrid(configs=("A",), policies=("frfs",), workloads=(descriptor,))
         with pytest.raises(ReproError, match="rate"):
-            SweepGrid.from_dict({"configs": ["A"], "policies": ["p"],
+            SweepGrid.from_dict({"configs": ["A"], "policies": ["frfs"],
                                  "workloads": [descriptor]})
 
     @pytest.mark.parametrize("apps, match", [
@@ -208,10 +208,10 @@ class TestGrid:
         # every cell.
         descriptor = {"kind": "validation", "apps": apps}
         with pytest.raises(ReproError, match=f"field 'apps'.*{match}"):
-            SweepGrid(configs=("2C+1F",), policies=("p",),
+            SweepGrid(configs=("2C+1F",), policies=("frfs",),
                       workloads=(descriptor,))
         with pytest.raises(ReproError, match=f"field 'apps'.*{match}"):
-            SweepGrid.from_dict({"configs": ["2C+1F"], "policies": ["p"],
+            SweepGrid.from_dict({"configs": ["2C+1F"], "policies": ["frfs"],
                                  "workloads": [descriptor]})
 
     @pytest.mark.parametrize("config", [
@@ -219,11 +219,53 @@ class TestGrid:
     ])
     def test_a_config_no_cell_can_run_is_rejected(self, config):
         with pytest.raises(ReproError, match="field 'configs'"):
-            SweepGrid(configs=("2C+1F", config), policies=("p",),
+            SweepGrid(configs=("2C+1F", config), policies=("frfs",),
                       workloads=(TINY,))
         with pytest.raises(ReproError, match="field 'configs'"):
-            SweepGrid.from_dict({"configs": [config], "policies": ["p"],
+            SweepGrid.from_dict({"configs": [config], "policies": ["frfs"],
                                  "workloads": [TINY]})
+
+    @pytest.mark.parametrize("policy, match", [
+        ("nope", "unknown scheduling policy 'nope'"),
+        ("eft+lifo", "unknown policy variant 'lifo'"),
+        ("+edf", "unknown scheduling policy"),
+        (3, "3 is not a string"),
+    ], ids=["unknown", "bad-variant", "no-base", "not-a-string"])
+    def test_a_policy_no_cell_can_build_is_rejected(self, policy, match):
+        # Regression: these passed grid construction, then failed in
+        # every cell of that policy.
+        with pytest.raises(ReproError, match=f"field 'policies'.*{match}"):
+            SweepGrid(configs=("2C+1F",), policies=("frfs", policy),
+                      workloads=(TINY,))
+        with pytest.raises(ReproError, match=f"field 'policies'.*{match}"):
+            SweepGrid.from_dict({"configs": ["2C+1F"],
+                                 "policies": ["frfs", policy],
+                                 "workloads": [TINY]})
+
+    def test_every_registered_policy_and_edf_variant_is_accepted(self):
+        from repro.runtime.schedulers import available_policies
+
+        names = available_policies()
+        grid = SweepGrid(configs=("2C+1F",),
+                         policies=(*names, *(f"{n}+edf" for n in names)),
+                         workloads=(TINY,))
+        assert grid.size == 2 * len(names)
+
+    @pytest.mark.parametrize("field, value", [
+        ("configs", "2C+1F"), ("policies", "frfs"), ("workloads", TINY),
+        ("seeds", 3), ("platforms", "zcu102"), ("faults", {}), ("qos", None),
+    ])
+    def test_a_spec_axis_that_is_not_a_list_is_rejected(self, field, value):
+        spec = {"configs": ["2C+1F"], "policies": ["frfs"],
+                "workloads": [TINY], field: value}
+        with pytest.raises(ReproError,
+                           match=f"sweep spec field '{field}' must be a list"):
+            SweepGrid.from_dict(spec)
+
+    @pytest.mark.parametrize("data", [[1, 2], "grid", None])
+    def test_a_spec_that_is_not_an_object_is_rejected(self, data):
+        with pytest.raises(ReproError, match="must be a JSON object"):
+            SweepGrid.from_dict(data)
 
     def test_a_config_some_cell_can_run_is_kept(self):
         # Over the pool (4C+2F on zcu102) and a misspelt platform stay
@@ -232,7 +274,7 @@ class TestGrid:
         grid = SweepGrid(
             platforms=("zcu102", "odroid_xu3", "zcu-102"),
             configs=("4C+2F", "2BIG+3LTL", "cpu:3,fft:2"),
-            policies=("p",), workloads=(TINY,),
+            policies=("frfs",), workloads=(TINY,),
         )
         assert grid.size == 9
 
@@ -245,7 +287,7 @@ class TestGrid:
         monkeypatch.setattr(workloads, "workload_at_rate", no_build)
         monkeypatch.setattr(workloads, "table_ii_workload", no_build)
         grid = SweepGrid(
-            configs=("2C+1F",), policies=("p",),
+            configs=("2C+1F",), policies=("frfs",),
             workloads=(rate_sweep(4.0), rate_sweep(0.5, 2000.0),
                        *(table_ii_sweep(r) for r in workloads.TABLE_II_RATES)),
         )
@@ -253,7 +295,7 @@ class TestGrid:
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ReproError):
-            SweepGrid(configs=(), policies=("p",), workloads=(TINY,))
+            SweepGrid(configs=(), policies=("frfs",), workloads=(TINY,))
 
     def test_build_workload_kinds(self):
         assert build_workload(TINY).counts() == {"wifi_tx": 1}
@@ -305,14 +347,14 @@ class TestGrid:
             arrivals_sweep(spec)
         with pytest.raises(ReproError, match="invalid arrivals workload"):
             SweepGrid.from_dict({
-                "configs": ["A"], "policies": ["p"],
+                "configs": ["A"], "policies": ["frfs"],
                 "workloads": [{"kind": "arrivals", "spec": spec}],
             })
 
     def test_spec_rejects_bad_nested_arrival_spec(self):
         with pytest.raises(ReproError, match="invalid arrivals workload"):
             SweepGrid.from_dict({
-                "configs": ["A"], "policies": ["p"],
+                "configs": ["A"], "policies": ["frfs"],
                 "workloads": [{"kind": "arrivals",
                                "spec": {"kind": "warp"}}],
             })
@@ -681,13 +723,14 @@ class TestCampaignInline:
         assert again.executed == 1 and again.cached_hits == 0
 
     def test_failed_cell_is_isolated(self):
-        grid = SweepGrid(configs=("2C+1F",), policies=("frfs", "no_such_policy"),
+        # zcu102 has 3 CPUs: the 4C+2F cell fails when it runs
+        grid = SweepGrid(configs=("2C+1F", "4C+2F"), policies=("frfs",),
                          workloads=(TINY,))
         campaign = run_campaign(grid, retries=0)
-        by_policy = {r.cell.policy: r for r in campaign}
-        assert by_policy["frfs"].ok
-        assert not by_policy["no_such_policy"].ok
-        assert "no_such_policy" in by_policy["no_such_policy"].error
+        by_config = {r.cell.config: r for r in campaign}
+        assert by_config["2C+1F"].ok
+        assert not by_config["4C+2F"].ok
+        assert "4C+2F" in by_config["4C+2F"].error
         assert not campaign.ok
 
     def test_misspelt_platform_is_an_isolated_error_row(self):
@@ -733,7 +776,8 @@ class TestCampaignInline:
 
 
     def test_results_json_is_the_summary_and_rows_document(self, tmp_path):
-        grid = SweepGrid(configs=("2C+1F",), policies=("frfs", "no_such_policy"),
+        # zcu102 has 3 CPUs: both 4C+2F cells fail when they run
+        grid = SweepGrid(configs=("2C+1F", "4C+2F"), policies=("frfs",),
                          workloads=(TINY, validation_sweep({"wifi_rx": 1})))
         campaign = run_campaign(grid, out_dir=tmp_path, retries=0)
         assert campaign.executed == 2 and len(campaign.failures()) == 2

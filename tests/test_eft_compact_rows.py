@@ -13,6 +13,10 @@ hand out the same assignments in the same order, and on every PE the
 bookings the pass applies must be a prefix of the reference's bookings
 there, operands included — the ones it skips come after every booking a
 dispatch of the pass depends on.
+
+MET (and ``met_power``) walks the same capability lanes over the same
+compact rows; ``full_scan_met_loop`` is its loop as it was before, every
+ready task against full rows, kept here as its reference.
 """
 
 from __future__ import annotations
@@ -391,3 +395,49 @@ def test_rank_ordered_policies_inherit_the_compact_rows(name):
         assert pairs == tuple(
             (i, est) for i, est in enumerate(row) if est is not None
         )
+
+
+def full_scan_met_loop(policy, ready, handlers, now):
+    """MET's placement loop as it was before it visited lanes: every ready
+    task in FIFO order, its full estimate row, and the usable idle PEs as a
+    list it pops each dispatched PE from."""
+    available = policy.usable_idle(ready, handlers)
+    assignments: list[Assignment] = []
+    for task in ready:
+        if not available:
+            break
+        row = policy.estimate_row(task, handlers)
+        best = None
+        best_pos = -1
+        for pos, (i, handler) in enumerate(available):
+            est = row[i]
+            if est is None:
+                continue
+            key = (policy._cost(task, handler, est), handler.pe_id)
+            if best is None or key < best:
+                best = key
+                best_pos = pos
+        if best_pos >= 0:
+            _i, handler = available.pop(best_pos)
+            assignments.append(Assignment(task, handler))
+    return assignments
+
+
+@given(case=passes(), name=st.sampled_from(["met", "met_power"]))
+@settings(max_examples=300, deadline=None)
+def test_met_over_lanes_places_like_the_full_scan(case, name):
+    """Over a real :class:`ReadyList` of mixed capability lanes, with PEs
+    idle, busy or failed, MET visits only the lanes an open PE accepts; it
+    must hand out what the full scan hands out, cold and warm, and so must
+    a plain list of the same tasks."""
+    handlers, tasks, _key, table = build_pass(case)
+    ready = as_ready_list(tasks)
+    reference = make_scheduler(name, TableOracle(table, []))
+    expected = [
+        (a.task, a.handler)
+        for a in full_scan_met_loop(reference, tasks, handlers, NOW)
+    ]
+    policy = make_scheduler(name, TableOracle(table, []))
+    for queue in (ready, ready, tasks):
+        got = policy.schedule(queue, handlers, NOW)
+        assert [(a.task, a.handler) for a in got] == expected

@@ -24,6 +24,12 @@ from repro.experiments.case_study_2 import (
     run_table_i,
     run_table_ii,
 )
+from repro.experiments.case_study_4 import (
+    CS4Result,
+    CS4Variant,
+    check_cs4_shape,
+    render_case_study_4,
+)
 from repro.experiments.case_study_3 import (
     check_fig11_shape,
     render_fig11,
@@ -208,3 +214,66 @@ class TestAblations:
     def test_render(self, result):
         text = render_ablations(result)
         assert "eft_blind" in text and "met_power" in text
+
+
+def synthetic_cs4(optimized_us, accelerator_us, none_us=1000.0) -> CS4Result:
+    """A Case Study 4 result with the given per-round DFT times (the IDFT
+    times equal them); the baseline takes ``none_us`` every round."""
+    def variant(mode, dft_us):
+        return CS4Variant(mode, dft_us=list(dft_us), idft_us=list(dft_us),
+                          lag_correct=True)
+
+    return CS4Result(
+        n_samples=256, kernel_count=6, io_kernel_count=3,
+        recognized=[("KERNEL_3", "dft"), ("KERNEL_4", "dft"),
+                    ("KERNEL_5", "idft")],
+        detection_report=[],
+        variants={
+            "none": variant("none", [none_us] * len(optimized_us)),
+            "optimized": variant("optimized", optimized_us),
+            "accelerator": variant("accelerator", accelerator_us),
+        },
+    )
+
+
+class TestCS4Estimator:
+    """The check reads medians over interleaved rounds, so one slow round
+    of either variant cannot decide the ordering claim."""
+
+    #: per-round speedups 1000, 909, 1111, 500, 1000 (median 1000) and
+    #: 833, 1250, 769, 800, 909 (median 833): rounds 2 and 4 alone would
+    #: put the accelerator first
+    OPTIMIZED = (1.0, 1.1, 0.9, 2.0, 1.0)
+    ACCELERATOR = (1.2, 0.8, 1.3, 1.25, 1.1)
+
+    def test_overlapping_samples_are_ordered_by_their_medians(self):
+        result = synthetic_cs4(self.OPTIMIZED, self.ACCELERATOR)
+        opt, acc = result.speedups("optimized"), result.speedups("accelerator")
+        assert max(acc) > min(opt)  # the samples overlap
+        assert result.speedup("optimized") == pytest.approx(1000.0)
+        assert result.speedup("accelerator") == pytest.approx(1000.0 / 1.2)
+        assert check_cs4_shape(result) == []
+
+    def test_a_lower_optimized_median_is_a_violation(self):
+        result = synthetic_cs4(self.ACCELERATOR, self.OPTIMIZED)
+        problems = check_cs4_shape(result)
+        assert len(problems) == 1 and "median" in problems[0], problems
+
+    def test_the_floor_reads_the_median_not_the_best_round(self):
+        # one round at 1000x, the median at 10x
+        result = synthetic_cs4((1.0, 100.0, 100.0), (100.0, 1.0, 100.0))
+        problems = check_cs4_shape(result)
+        assert problems == [
+            f"{mode} substitution should speed DFTs up >=20x (median)"
+            for mode in ("optimized", "accelerator")
+        ]
+
+    def test_the_report_gives_median_and_range_per_variant(self):
+        text = render_case_study_4(
+            synthetic_cs4(self.OPTIMIZED, self.ACCELERATOR)
+        )
+        assert "median over 5 interleaved rounds" in text
+        rows = {line.split()[0]: line.split() for line in text.splitlines()
+                if line.startswith(("optimized", "accelerator"))}
+        assert rows["optimized"][1:3] == ["1000.0", "500.0-1111.1"]
+        assert rows["accelerator"][1:3] == ["833.3", "769.2-1250.0"]

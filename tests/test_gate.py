@@ -1,7 +1,7 @@
 """Tests for the gate's own plumbing in the rootdir ``conftest.py``: the
-stdlib hang guard that stands in for pytest-timeout and the active-core
-line — plus source gates that keep the core chosen by what imports (no
-setting for it), the slow JSON encoder out of the store, the
+stdlib hang guard that stands in for pytest-timeout — plus source gates
+that keep the spine-only ``repro.core`` / ``repro._native`` stubs without
+new users, the slow JSON encoder out of the store, the
 per-cell journal records (and the second lease) from being written twice,
 the backends' monitor step and the ready list from being hand-rolled
 again, the PE handshake from going back to a lock per status read and
@@ -13,7 +13,6 @@ from __future__ import annotations
 import ast
 import importlib.util
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,48 +67,9 @@ class TestHangGuardFallback:
         assert "Unknown config option" not in proc.stdout + proc.stderr
 
 
-def test_quiet_run_still_names_the_core(tmp_path):
-    proc = run_pytest_in(tmp_path, "def test_ok():\n    pass\n", "")
-    assert proc.returncode == 0, proc.stderr
-    assert "repro core: {'variant':" in proc.stdout
-
-
-_CORE_SETTING = re.compile(r"DSSOC_CORE|\bset_core\b|--core(?![\w-])")
-
-
-def _core_settings(text: str) -> list[tuple[int, str]]:
-    """``(line, what)`` for each ``DSSOC_CORE``, ``set_core`` and ``--core``
-    option (``--compare-cores`` is not one)."""
-    return [
-        (number, match.group())
-        for number, line in enumerate(text.splitlines(), 1)
-        for match in _CORE_SETTING.finditer(line)
-    ]
-
-
-def test_the_core_is_what_imports_and_nothing_sets_it():
-    """The compiled kernels run exactly when the extension imports;
-    ``repro.core.forced()`` is the one in-process pin.  The ``--core`` flag,
-    the ``DSSOC_CORE`` variable and ``set_core()`` stay deleted from the
-    program, the rootdir ``conftest.py`` and CI."""
-    assert _core_settings(
-        "p.add_argument('--core', choices=c)\nDSSOC_CORE=pure pytest\n"
-        "core.set_core('pure')\nbench --compare-cores\nreset_core()\n"
-    ) == [(1, "--core"), (2, "DSSOC_CORE"), (3, "set_core")]
-    paths = [ROOT / "conftest.py"]
-    paths += sorted((ROOT / "src").rglob("*.py"))
-    paths += sorted(p for p in (ROOT / ".github").rglob("*") if p.is_file())
-    offenders = [
-        f"{path.relative_to(ROOT)}:{line}: {what}"
-        for path in paths
-        for line, what in _core_settings(path.read_text("utf-8"))
-    ]
-    assert offenders == []
-
-
 def test_rootdir_conftest_serves_every_suite():
-    """``pytest benchmarks/spine/tests`` used to run without the ini key,
-    the hang guard and the core line: they lived in ``tests/conftest.py``."""
+    """``pytest benchmarks/spine/tests`` used to run without the ini key
+    and the hang guard: they lived in ``tests/conftest.py``."""
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "benchmarks/spine/tests/test_spec.py"],
@@ -117,7 +77,6 @@ def test_rootdir_conftest_serves_every_suite():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Unknown config option" not in proc.stdout + proc.stderr
-    assert "repro core: {'variant':" in proc.stdout
 
 
 
@@ -445,5 +404,54 @@ def test_one_instrument_for_speed():
             path.read_text("utf-8", errors="replace").splitlines(), 1)
         for name in _HARNESS_NAMES
         if name in line
+    ]
+    assert offenders == []
+
+
+#: the stubs left only for ``benchmarks/spine/`` (see their docstrings)
+_SPINE_STUBS = ("repro.core", "repro._native")
+
+
+def _stub_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, module)`` for each import of a spine-only stub, in any
+    spelling: ``import repro.core``, ``from repro import core`` or
+    ``from repro._native import x``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            for stub in _SPINE_STUBS:
+                if module == stub or module.startswith(stub + "."):
+                    found.append((node.lineno, stub))
+    return sorted(set(found))
+
+
+def test_spine_only_stubs_gain_no_users():
+    """``repro.core`` and ``repro._native`` answer only the spine's calls.
+    No module under ``src/repro/`` imports them but themselves, and under
+    ``tests/`` only the contract test that pins their answers does."""
+    assert _stub_imports(
+        "from repro import core as core_select\nimport repro._native\n"
+        "from repro import _native, cli\nfrom repro.core import core_info\n"
+        "from repro import coredump\nimport repro.corex\nfrom . import core\n"
+    ) == [(1, "repro.core"), (2, "repro._native"), (3, "repro._native"),
+          (4, "repro.core")]
+    allowed = {
+        ROOT / "src" / "repro" / "core.py",
+        ROOT / "src" / "repro" / "_native" / "__init__.py",
+        ROOT / "tests" / "test_core_stubs.py",
+    }
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {stub}"
+        for top in ("src", "tests")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path not in allowed
+        for line, stub in _stub_imports(path.read_text("utf-8"))
     ]
     assert offenders == []

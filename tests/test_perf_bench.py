@@ -1,19 +1,18 @@
-"""The quick lookahead workloads, pinned on whichever core is active.
+"""The quick lookahead workloads, pinned.
 
 ``lookahead-cprank`` is a 15-app burst under critical-path ranking;
 ``lookahead-rollout`` is a short Poisson stream under the rollout
-forward simulator (see ``QUICK_WORKLOADS`` in ``test_native_core``,
-which also holds both bit-identical across the two cores).
+forward simulator (see ``QUICK_WORKLOADS`` in ``tests/quick_workloads.py``).
 """
 
 from __future__ import annotations
 
-from tests.test_native_core import _run_quick
+from tests.quick_workloads import run_quick
 
 
 class TestScenarios:
     def test_run_once_counts_work(self):
-        stats, events = _run_quick("lookahead-cprank")
+        stats, events = run_quick("lookahead-cprank")
         assert {
             "events": events,
             "tasks": stats.task_count,
@@ -29,8 +28,8 @@ class TestScenarios:
         }
 
     def test_lookahead_scenarios_run_quick(self):
-        cp, events = _run_quick("lookahead-cprank")
+        cp, events = run_quick("lookahead-cprank")
         assert cp.apps_completed == 15 and events > 0
-        ro, _events = _run_quick("lookahead-rollout")
+        ro, _events = run_quick("lookahead-rollout")
         assert ro.apps_injected > 0
         assert ro.apps_completed == ro.apps_injected

@@ -5,8 +5,8 @@ Covers the open-loop streaming engine end to end:
 * every :class:`ArrivalStream` source (determinism, bounds, guards),
 * the :class:`ArrivalSpec` JSON façade and its CLI knobs,
 * P² streaming percentiles against exact ``np.percentile``,
-* streaming-vs-materialized **bit-identity** across all eight policies
-  and both cores (the refactor's regression gate), and
+* streaming-vs-materialized **bit-identity** across every policy (the
+  refactor's regression gate), and
 * a 100k-application smoke asserting peak RSS stays under a fixed cap —
   the constant-memory guarantee the streaming path exists to provide —
   and a 128 MiB ceiling on a whole ``run --arrivals`` process.
@@ -22,11 +22,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro import _native
-from repro import core as core_select
 from repro.appmodel import GraphBuilder, KernelLibrary
 from repro.cli import EXIT_USAGE, main
-from repro.common.errors import ApplicationSpecError, EmulationError
+from repro.common.errors import EmulationError
 from repro.perf import rss
 from repro.runtime.backends import ThreadedBackend, VirtualBackend
 from repro.runtime.emulation import Emulation
@@ -45,12 +43,7 @@ from repro.runtime.workload import (
     validate_arrivals,
     validation_workload,
 )
-from tests.test_native_core import _run_quick
-
-HAVE_EXT = _native.available()
-needs_ext = pytest.mark.skipif(
-    not HAVE_EXT, reason="compiled core extension not built"
-)
+from tests.quick_workloads import run_quick
 
 ALL_POLICIES = (
     "frfs", "met", "eft", "heft", "random", "met_power",
@@ -595,16 +588,11 @@ class TestP2Quantile:
 # -- streaming vs materialized: bit-identity -------------------------------------
 
 
-def _run(workload, *, policy, seed, core):
-    with core_select.forced(core):
-        emu = Emulation(config="3C+2F", policy=policy, seed=seed)
-        backend = VirtualBackend()
-        result = emu.run(workload, backend)
+def _run(workload, *, policy, seed):
+    emu = Emulation(config="3C+2F", policy=policy, seed=seed)
+    backend = VirtualBackend()
+    result = emu.run(workload, backend)
     return result.stats, backend.last_run_info
-
-
-def _cores():
-    return ("pure", "compiled") if HAVE_EXT else ("pure",)
 
 
 class TestBitIdentity:
@@ -612,8 +600,8 @@ class TestBitIdentity:
 
     This is the refactor's regression gate: both paths share one
     injection machinery, so every scheduling decision, event count, and
-    float in the makespan must match — across all eight policies, both
-    cores, and multiple seeds.
+    float in the makespan must match — across every policy and multiple
+    seeds.
     """
 
     WORKLOAD = performance_workload(
@@ -623,54 +611,38 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_policy_matrix(self, policy):
-        for core in _cores():
-            for seed in (3, 11):
-                mat, mat_info = _run(
-                    self.WORKLOAD, policy=policy, seed=seed, core=core
-                )
-                srm, srm_info = _run(
-                    SpecStream(self.WORKLOAD),
-                    policy=policy, seed=seed, core=core,
-                )
-                label = f"{policy}/{core}/seed={seed}"
-                assert isinstance(srm, StreamingStats), label
-                assert not isinstance(mat, StreamingStats), label
-                assert srm.makespan == mat.makespan, label
-                assert srm.task_count == mat.task_count, label
-                assert srm.sched_invocations == mat.sched_invocations, label
-                assert srm.mean_ready_length() == mat.mean_ready_length(), label
-                assert srm.apps_completed == mat.apps_completed, label
-                assert srm_info["events_fired"] == \
-                    mat_info["events_fired"], label
-                m_sum, s_sum = mat.summary(), srm.summary()
-                for key in ("pe_utilization", "pe_energy_j",
-                            "total_energy_j", "avg_sched_overhead_us"):
-                    assert s_sum[key] == m_sum[key], f"{label}: {key}"
-                # means accumulate in the same completion order on both
-                # paths, so even these match exactly
-                assert s_sum["mean_response_ms"] == \
-                    m_sum["mean_response_ms"], label
+        for seed in (3, 11):
+            mat, mat_info = _run(self.WORKLOAD, policy=policy, seed=seed)
+            srm, srm_info = _run(
+                SpecStream(self.WORKLOAD), policy=policy, seed=seed,
+            )
+            label = f"{policy}/seed={seed}"
+            assert isinstance(srm, StreamingStats), label
+            assert not isinstance(mat, StreamingStats), label
+            assert srm.makespan == mat.makespan, label
+            assert srm.task_count == mat.task_count, label
+            assert srm.sched_invocations == mat.sched_invocations, label
+            assert srm.mean_ready_length() == mat.mean_ready_length(), label
+            assert srm.apps_completed == mat.apps_completed, label
+            assert srm_info["events_fired"] == \
+                mat_info["events_fired"], label
+            m_sum, s_sum = mat.summary(), srm.summary()
+            for key in ("pe_utilization", "pe_energy_j",
+                        "total_energy_j", "avg_sched_overhead_us"):
+                assert s_sum[key] == m_sum[key], f"{label}: {key}"
+            # means accumulate in the same completion order on both
+            # paths, so even these match exactly
+            assert s_sum["mean_response_ms"] == \
+                m_sum["mean_response_ms"], label
 
     def test_validation_workload_identity(self):
         spec = validation_workload(
             {"range_detection": 3, "wifi_tx": 2, "wifi_rx": 2}
         )
-        mat, _ = _run(spec, policy="eft", seed=7, core="pure")
-        srm, _ = _run(SpecStream(spec), policy="eft", seed=7, core="pure")
+        mat, _ = _run(spec, policy="eft", seed=7)
+        srm, _ = _run(SpecStream(spec), policy="eft", seed=7)
         assert srm.makespan == mat.makespan
         assert srm.task_count == mat.task_count
-
-    @needs_ext
-    def test_cores_agree_on_generated_stream(self):
-        # same stream, pure vs compiled core: deterministic keys identical
-        mk = lambda: PoissonStream(
-            2.0, SDR_MIX, duration_ms=40.0, seed=42
-        )
-        pure, pure_info = _run(mk(), policy="eft", seed=1, core="pure")
-        comp, comp_info = _run(mk(), policy="eft", seed=1, core="compiled")
-        assert pure.makespan == comp.makespan
-        assert pure.apps_injected == comp.apps_injected
-        assert pure_info["events_fired"] == comp_info["events_fired"]
 
 
 class _Delegate:
@@ -692,7 +664,7 @@ class _Delegate:
 class TestStreamingRuns:
     def test_streaming_summary_shape(self):
         stream = PoissonStream(2.0, SDR_MIX, duration_ms=40.0, seed=42)
-        stats, _ = _run(stream, policy="eft", seed=1, core="pure")
+        stats, _ = _run(stream, policy="eft", seed=1)
         summary = stats.summary()
         assert summary["streaming"] is True
         assert summary["apps_injected"] == summary["apps_completed"]
@@ -702,9 +674,8 @@ class TestStreamingRuns:
 
     def test_instances_released_on_completion(self):
         stream = PoissonStream(2.0, SDR_MIX, duration_ms=20.0, seed=0)
-        with core_select.forced("pure"):
-            emu = Emulation(config="3C+2F", policy="frfs", seed=0)
-            result = emu.run(stream, VirtualBackend())
+        emu = Emulation(config="3C+2F", policy="frfs", seed=0)
+        result = emu.run(stream, VirtualBackend())
         assert result.stats.apps_completed > 0
         # streaming sessions never accumulate a materialized instance list
         assert result.instances == []
@@ -713,7 +684,7 @@ class TestStreamingRuns:
         # Streaming runs keep no sample lists; reading them must raise, not
         # return an empty dict a caller would silently report.
         stream = PoissonStream(2.0, SDR_MIX, duration_ms=20.0, seed=0)
-        stats, _ = _run(stream, policy="frfs", seed=0, core="pure")
+        stats, _ = _run(stream, policy="frfs", seed=0)
         assert isinstance(stats, StreamingStats) and stats.apps_completed > 0
         for name in ("app_response_times", "app_slack"):
             with pytest.raises(AttributeError):
@@ -760,9 +731,8 @@ class TestStreamingRuns:
             "deadlines": {"*": 15.0 * MS},
             "admission": {"max_pending": 24, "policy": admission},
         }
-        with core_select.forced("pure"):
-            emu = Emulation(config="3C+2F", policy="eft", seed=2, qos=qos)
-            stats = emu.run(stream, VirtualBackend()).stats
+        emu = Emulation(config="3C+2F", policy="eft", seed=2, qos=qos)
+        stats = emu.run(stream, VirtualBackend()).stats
         assert stats.apps_injected > 0
         assert (
             stats.apps_completed + stats.apps_degraded + stats.apps_dropped
@@ -812,13 +782,12 @@ def test_100k_apps_bounded_rss():
     stream = PoissonStream(
         40.0, {"tick": 1.0}, max_apps=100_000, seed=42
     )
-    with core_select.forced("compiled" if HAVE_EXT else "pure"):
-        emu = Emulation(
-            config="3C+2F", policy="frfs", seed=0, jitter=False,
-            applications=apps, library=lib,
-        )
-        rss.reset_peak_rss()
-        stats = emu.run(stream, VirtualBackend()).stats
+    emu = Emulation(
+        config="3C+2F", policy="frfs", seed=0, jitter=False,
+        applications=apps, library=lib,
+    )
+    rss.reset_peak_rss()
+    stats = emu.run(stream, VirtualBackend()).stats
     peak = rss.peak_rss_bytes()
     assert stats.apps_injected == 100_000
     assert stats.apps_completed == 100_000
@@ -953,7 +922,7 @@ class TestBenchSchemaV2:
     stream injects completes, degrades or drops."""
 
     def test_serving_scenario_entry(self):
-        stats, events = _run_quick("serving-openloop")
+        stats, events = run_quick("serving-openloop")
         assert events > 0 and stats.apps_injected > 0
         assert (
             stats.apps_completed + stats.apps_degraded
@@ -961,7 +930,7 @@ class TestBenchSchemaV2:
         )
 
     def test_flashcrowd_scenario_sheds_load(self):
-        stats, _events = _run_quick("serving-flashcrowd")
+        stats, _events = run_quick("serving-flashcrowd")
         # the burst overruns max_pending=64 under drop-newest admission
         assert stats.apps_dropped > 0
         assert (
