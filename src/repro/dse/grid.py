@@ -397,6 +397,14 @@ class SweepGrid:
             raise ReproError("sweep grid needs at least one workload")
         if self.iterations < 1:
             raise ReproError("iterations must be >= 1")
+        for seed in self.seeds:
+            if seed is not None and (
+                isinstance(seed, bool) or not isinstance(seed, int)
+            ):
+                raise ReproError(
+                    f"sweep grid field 'seeds': {seed!r} is not a whole "
+                    f"number or null"
+                )
         if self.backend not in ("virtual", "threaded"):
             raise ReproError(f"unknown backend {self.backend!r}")
         if not self.faults:
@@ -498,13 +506,20 @@ class SweepGrid:
         }
         if unknown:
             raise ReproError(f"unknown sweep spec keys: {sorted(unknown)}")
-        try:
-            iterations = int(data.get("iterations", 1))
-        except (TypeError, ValueError):
+        iterations = data.get("iterations", 1)
+        if isinstance(iterations, float) and iterations.is_integer():
+            iterations = int(iterations)
+        if isinstance(iterations, bool) or not isinstance(iterations, int):
             raise ReproError(
                 f"sweep spec field 'iterations' must be a whole number, "
-                f"got {data['iterations']!r}"
-            ) from None
+                f"got {iterations!r}"
+            )
+        jitter = data.get("jitter", False)
+        if not isinstance(jitter, bool):
+            raise ReproError(
+                f"sweep spec field 'jitter' must be true or false, "
+                f"got {jitter!r}"
+            )
         return cls(
             configs=_spec_list(data, "configs", None),
             policies=_spec_list(data, "policies", None),
@@ -512,7 +527,7 @@ class SweepGrid:
             platforms=_spec_list(data, "platforms", ("zcu102",)),
             seeds=_spec_list(data, "seeds", (None,)),
             iterations=iterations,
-            jitter=bool(data.get("jitter", False)),
+            jitter=jitter,
             backend=data.get("backend", "virtual"),
             faults=_spec_objects(data, "faults", (None,)),
             qos=_spec_objects(data, "qos", (None,)),

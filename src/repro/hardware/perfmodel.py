@@ -247,7 +247,8 @@ class SchedulerCostModel:
         coeffs = self._coeffs.get(policy)
         if coeffs is None and "+" in policy:
             # Policy variants (e.g. "frfs+edf") cost like their base policy;
-            # the EDF tie-break is a ready-list sort, dominated by it.
+            # the EDF order is kept by the ready list, O(log ready) per
+            # added task, dominated by it.
             coeffs = self._coeffs.get(policy.partition("+")[0])
         c0, coeff, power = coeffs if coeffs is not None else self.default_coeffs
         if power == 0:

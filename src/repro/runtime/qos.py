@@ -16,9 +16,10 @@ This module makes those guarantees declarative:
   in-flight work finish, and return partial stats flagged
   ``interrupted=True`` instead of crashing or hanging.
 * :class:`EDFScheduler` — a deadline-aware wrapper around any registered
-  policy: the ready list is presented in earliest-deadline-first order
-  (stable, so same-deadline tasks keep their FIFO order) before the
-  wrapped policy runs.  Selected as ``<policy>+edf``, e.g. ``frfs+edf``.
+  policy: the wrapped policy is handed the ready tasks in
+  earliest-deadline-first order (same-deadline tasks in FIFO order),
+  which the ready list keeps as tasks enter and leave it.  Selected as
+  ``<policy>+edf``, e.g. ``frfs+edf``.
 
 Accounting contract (both backends): every presented arrival is admitted,
 deferred, or shed, so
@@ -347,14 +348,26 @@ def make_qos(qos: "QoSController | QoSSpec | dict | None") -> QoSController | No
     return QoSController(qos)
 
 
+def deadline_key(task) -> float:
+    """EDF's order key: the task's absolute application deadline, with
+    ``inf`` for an app without one (it sorts last)."""
+    deadline = task.app.deadline
+    return deadline if deadline is not None else math.inf
+
+
 class EDFScheduler(Scheduler):
     """Earliest-deadline-first tie-break around any registered policy.
 
-    The wrapped policy sees the ready list sorted by absolute application
-    deadline (apps without a deadline sort last); the sort is stable, so
-    tasks with equal deadlines keep their FIFO order and a run without
-    deadlines behaves exactly like the bare policy.
+    The wrapped policy sees the ready tasks in ascending absolute
+    application deadline (apps without a deadline sort last), ties in FIFO
+    order, so a run without deadlines behaves exactly like the bare
+    policy.  The workload manager's ready list keeps that order itself
+    (:attr:`ready_key`): a deadline is fixed before its task is listed, so
+    each task is placed once, when it is added, and a pass reads the
+    list's :attr:`~repro.runtime.workload_manager.ReadyList.ordered` view.
     """
+
+    ready_key = staticmethod(deadline_key)
 
     def __init__(self, inner: Scheduler) -> None:
         self.inner = inner
@@ -383,25 +396,14 @@ class EDFScheduler(Scheduler):
     def notify_pe_failure(self, handler, now: float) -> None:
         self.inner.notify_pe_failure(handler, now)
 
-    @staticmethod
-    def _deadline_key(task) -> float:
-        deadline = task.app.deadline
-        return deadline if deadline is not None else math.inf
-
     def schedule(self, ready, handlers, now: float) -> list[Assignment]:
-        wanted = getattr(ready, "wanted", None)
-        if wanted is None:
-            ordered = list(ready)
-        else:
-            # Capabilities do not depend on order: the sorted copy answers
-            # Scheduler.usable_idle's question from the list it came from.
-            ordered = _DeadlineOrdered(ready)
-            ordered.wanted = wanted
-        ordered.sort(key=self._deadline_key)
-        return self.inner.schedule(ordered, handlers, now)
+        if getattr(ready, "key", None) is not deadline_key:
+            # A plain list or a FIFO-only ReadyList (tests, direct
+            # callers): list it in deadline order first.  Imported here
+            # because the workload manager imports this module.
+            from repro.runtime.workload_manager import ReadyList
 
-
-class _DeadlineOrdered(list):
-    """The EDF-sorted ready tasks, still carrying ``ReadyList.wanted``."""
-
-    __slots__ = ("wanted",)
+            keyed = ReadyList(key=deadline_key)
+            keyed.extend(list(ready))
+            ready = keyed
+        return self.inner.schedule(ready.ordered, handlers, now)

@@ -7,8 +7,9 @@ task's platform list.  The workload manager validates every assignment
 a :class:`~repro.common.errors.SchedulingError` rather than corrupting the
 emulation.
 
-The ready list a policy is handed is iterable in FIFO order, sized, and
-supports membership by identity.  The workload manager's own
+The ready list a policy is handed is iterable in FIFO order (or in the
+order of the policy's :attr:`Scheduler.ready_key`), sized, and supports
+membership by identity.  The workload manager's own
 :class:`~repro.runtime.workload_manager.ReadyList` also carries a capability
 index, which :meth:`Scheduler.usable_idle` turns into "the idle PEs worth
 scanning the queue for", and one FIFO lane per capability, which
@@ -24,6 +25,10 @@ from typing import NamedTuple, Protocol
 from repro.appmodel.instance import TaskInstance
 from repro.common.errors import SchedulingError
 from repro.runtime.handler import PEStatus, ResourceHandler
+
+#: read once per PE per pass; a module global is a fraction of the cost
+#: of the Enum class attribute lookup
+_IDLE = PEStatus.IDLE
 
 
 class Assignment(NamedTuple):
@@ -65,6 +70,11 @@ class Scheduler:
     #: the stateless policies, whose per-session tables (HEFT's ranks)
     #: read only archetype graphs and PE state.
     wants_events = False
+    #: an order key for the ready list, or None (FIFO).  The workload
+    #: manager builds its list with it, so the list keeps ``(key, seq)``
+    #: order as tasks come and go (:attr:`ReadyList.ordered`); the policy
+    #: must not need the key to change while a task is listed.
+    ready_key = None
 
     def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:
         self.oracle = oracle
@@ -183,7 +193,7 @@ class Scheduler:
         availability' guidance; one plain ``status`` load per PE, see
         :mod:`repro.runtime.handler`).  ``PEStatus.FAILED`` is terminal and
         distinct from IDLE, so failed PEs are excluded here automatically."""
-        return [h for h in handlers if h.status is PEStatus.IDLE]
+        return [h for h in handlers if h.status is _IDLE]
 
     @staticmethod
     def usable_idle(
@@ -205,7 +215,7 @@ class Scheduler:
         """
         idle = [
             (i, h) for i, h in enumerate(handlers)
-            if h.status is PEStatus.IDLE
+            if h.status is _IDLE
         ]
         if not idle:
             return idle
@@ -260,7 +270,8 @@ def open_lanes(ready, usable: list[tuple[int, ResourceHandler]],
     is dropped when it is next in line and every PE that accepted it has
     closed.  A task of a lane that does not count has no estimate on an
     open PE, so skipping it changes no placement.  A ready list without
-    ``lanes`` (a plain list, EDF's sorted copy) is walked in full.
+    ``lanes`` (a plain list, EDF's deadline-ordered view) is walked in
+    full.
     """
     lanes_of = getattr(ready, "lanes", None)
     if lanes_of is None:
@@ -348,7 +359,7 @@ def validate_assignments(
                     f"PE {handler.name} assigned two tasks in one pass"
                 )
             status = handler.status
-            if status is not PEStatus.IDLE:
+            if status is not _IDLE:
                 raise SchedulingError(
                     f"PE {handler.name} is not idle ({status.value})"
                 )

@@ -236,8 +236,8 @@ class RolloutScheduler(Scheduler):
         if idle_remaining == 0:
             return []
 
-        # Bounded FIFO prefix of the ready list (EDF composition pre-sorts
-        # it, so the prefix is the deadline-critical head under +edf).
+        # Bounded prefix of the ready list (under +edf it is handed over in
+        # deadline order, so the prefix is the deadline-critical head).
         scanned: list[tuple[int, TaskInstance]] = []
         for idx, task in enumerate(ready):
             if idx >= self.scan_limit:

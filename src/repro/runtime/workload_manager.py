@@ -12,8 +12,9 @@ threaded watchdog and deadlines.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.appmodel.instance import ApplicationInstance, TaskInstance, TaskState
 from repro.common.errors import EmulationError
@@ -61,6 +62,11 @@ class ReadyList:
       added with, from one counter that only grows (a re-entering task
       gets a new one at its lane's tail), so merging lanes by ``seq`` gives
       back list order;
+    * with a ``key`` (a policy's :attr:`Scheduler.ready_key`), the same
+      tasks are also kept in ``(key(task), seq)`` order, which
+      :attr:`ordered` reads: the stable ``sorted(self, key=key)``.  A key is
+      read once, when its task is added, so it must not change while the
+      task is listed;
     * callers neither :meth:`extend` a task already in the list nor mutate
       it while iterating (policies collect, ``commit`` removes afterwards).
 
@@ -70,9 +76,12 @@ class ReadyList:
     an ``OrderedDict``'s linked list reaches its first entry in one hop.
     """
 
-    __slots__ = ("_live", "platform_counts", "_wanted", "_lanes", "_seq")
+    __slots__ = (
+        "_live", "platform_counts", "_wanted", "_lanes", "_seq",
+        "key", "_keyed", "_order_keys", "_order", "ordered",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, key: Callable[[TaskInstance], Any] | None = None) -> None:
         #: id(task) -> task, in FIFO order
         self._live: OrderedDict[int, TaskInstance] = OrderedDict()
         self.platform_counts: dict[tuple[str, ...] | None, int] = {}
@@ -82,6 +91,16 @@ class ReadyList:
         self._lanes: dict[tuple[str, ...] | None, OrderedDict] = {}
         #: the last seq handed out
         self._seq = 0
+        #: the order key, or None: FIFO only, and :attr:`ordered` is None
+        self.key = key
+        #: keyed only: id(task) -> its ``(key, seq)``
+        self._keyed: dict[int, tuple] = {}
+        #: keyed only: every live ``(key, seq)``, ascending, and beside it
+        #: the task of each entry
+        self._order_keys: list[tuple] = []
+        self._order: list[TaskInstance] = []
+        #: keyed only: the tasks in key order, a :class:`KeyOrder` view
+        self.ordered = KeyOrder(self) if key is not None else None
 
     def extend(self, tasks: list[TaskInstance]) -> None:
         live, counts, lanes = self._live, self.platform_counts, self._lanes
@@ -100,7 +119,22 @@ class ReadyList:
             counts[key] = n + 1
             seq += 1
             lanes[key][id(t)] = seq
+        if self.key is not None:
+            self._insert_keyed(tasks, self._seq)
         self._seq = seq
+
+    def _insert_keyed(self, tasks: list[TaskInstance], seq: int) -> None:
+        """Place ``tasks``, given seqs ``seq + 1, ...``, in key order."""
+        key, keyed = self.key, self._keyed
+        keys, order = self._order_keys, self._order
+        for t in tasks:
+            seq += 1
+            entry = (key(t), seq)
+            keyed[id(t)] = entry
+            # seq grows, so a new entry lands after every equal key
+            at = bisect_right(keys, entry)
+            keys.insert(at, entry)
+            order.insert(at, t)
 
     def remove_ids(self, ids: set[int]) -> None:
         live, counts, lanes = self._live, self.platform_counts, self._lanes
@@ -116,6 +150,14 @@ class ReadyList:
             if not n:
                 self._wanted = _STALE
             counts[key] = n
+        if self.key is not None:
+            keyed, keys, order = self._keyed, self._order_keys, self._order
+            for i in ids:
+                entry = keyed.pop(i, None)
+                if entry is not None:
+                    at = bisect_left(keys, entry)
+                    del keys[at]
+                    del order[at]
 
     def lanes(self) -> list[tuple[tuple[str, ...] | None, object]]:
         """``(key, entries)`` for every capability key with a live task:
@@ -156,6 +198,33 @@ class ReadyList:
 
     def snapshot(self) -> list[TaskInstance]:
         return list(self._live.values())
+
+
+class KeyOrder:
+    """A keyed :class:`ReadyList` as a policy sees it in key order
+    (:attr:`ReadyList.ordered`): iteration in ``(key, seq)`` order, length,
+    membership by identity and :meth:`~ReadyList.wanted`, all read live
+    from the list; no ``lanes``, so a FIFO placement pass walks it in
+    order.  Read-only: a policy collects, the list is changed after."""
+
+    __slots__ = ("_order", "_live", "wanted")
+
+    def __init__(self, ready: ReadyList) -> None:
+        self._order = ready._order
+        self._live = ready._live
+        self.wanted = ready.wanted
+
+    def __iter__(self):
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __bool__(self) -> bool:
+        return bool(self._order)
+
+    def __contains__(self, task: object) -> bool:
+        return id(task) in self._live
 
 
 class MaterializedSource:
@@ -282,7 +351,7 @@ class WorkloadManagerCore:
         self.stats = stats
         self.faults = faults
         self.qos = qos
-        self.ready = ReadyList()
+        self.ready = ReadyList(key=getattr(scheduler, "ready_key", None))
         self.apps_completed = 0
         self.apps_degraded = 0
         #: set once any PE has permanently failed (enables recheck paths)

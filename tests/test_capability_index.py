@@ -36,7 +36,8 @@ from tests.test_fuzz_runtime import fuzz_perf_model, layered_graphs
 from tests.test_schedulers import FixedOracle, build_app, make_handlers
 
 #: the policies whose queue scan starts from ``usable_idle``; under ``+edf``
-#: the inner policy asks it of the sorted copy the wrapper hands down
+#: the inner policy asks it of the deadline-ordered view the wrapper hands
+#: down
 INDEXED_POLICIES = (
     "frfs", "met", "met_power", "eft", "heft", "random", "cprank",
     "frfs+edf", "eft+edf",
@@ -68,6 +69,8 @@ class BothWays:
         self.name = self.indexed.name
         self.uses_reservation = self.indexed.uses_reservation
         self.wants_events = self.indexed.wants_events
+        # +edf: the WM's list keeps the deadline order the indexed twin reads
+        self.ready_key = self.indexed.ready_key
         self.passes = 0
 
     @property
@@ -503,8 +506,9 @@ def test_unknown_capability_wants_every_pe_until_it_leaves():
 
 
 def test_edf_hands_the_capability_answer_down():
-    """``+edf`` sorts the queue into a list; the inner policy must still
-    learn that nothing ready runs on the idle PE, and visit nothing."""
+    """``+edf`` hands down the deadline-ordered view of a keyed ready list;
+    the inner policy must still learn that nothing ready runs on the idle
+    PE, and visit nothing."""
     handlers = busy_cpus_idle_fft()
     ready = ReadyList()
     ready.extend(build_app(1000))  # CPU-only
@@ -520,10 +524,15 @@ def test_edf_hands_the_capability_answer_down():
     policy = make_scheduler("frfs+edf")
     policy.inner = Inner()
     assert policy.schedule(ready, handlers, 10.0) == []
-    assert isinstance(seen[0], list) and len(seen[0]) == 1000
-    # a plain list goes down as a plain list, and is scanned
-    assert policy.schedule(list(ready), handlers, 10.0) == ["scan"]
-    assert type(seen[1]) is list
+    assert list(seen[0]) == list(ready)  # no deadlines: FIFO order
+    # a plain list is listed in deadline order the same way, index and all
+    assert policy.schedule(list(ready), handlers, 10.0) == []
+    assert list(seen[1]) == list(ready)
+    # the workload manager's list is keyed already: its own view goes down
+    keyed = ReadyList(key=policy.ready_key)
+    keyed.extend(list(ready))
+    assert policy.schedule(keyed, handlers, 10.0) == []
+    assert seen[2] is keyed.ordered
 
 
 @pytest.mark.parametrize("name", INDEXED_POLICIES)

@@ -274,10 +274,14 @@ _GOOD_SPEC = {
     ({**_GOOD_SPEC, "policies": "frfs"}, ["'policies' must be a list"]),
     ({**_GOOD_SPEC, "faults": [7]}, ["'faults'", "not an object"]),
     ({**_GOOD_SPEC, "iterations": "two"}, ["'iterations'", "'two'"]),
+    ({**_GOOD_SPEC, "iterations": 2.9}, ["'iterations'", "2.9"]),
+    ({**_GOOD_SPEC, "jitter": "false"}, ["'jitter'", "'false'"]),
+    ({**_GOOD_SPEC, "seeds": ["a"]}, ["'seeds'", "'a'"]),
     ({**_GOOD_SPEC, "policies": ["frfs", "nope"]}, ["'policies'", "'nope'"]),
 ], ids=["missing", "not-json", "not-utf8", "a-list", "workloads-object",
         "workload-string", "configs-string", "policies-string", "fault-entry",
-        "iterations-word", "unknown-policy"])
+        "iterations-word", "iterations-fraction", "jitter-string",
+        "seed-string", "unknown-policy"])
 def test_a_bad_sweep_spec_file_is_one_error_line(content, names, tmp_path,
                                                  monkeypatch, capsys):
     """Each of these ended in a traceback, or ran a grid of cells that

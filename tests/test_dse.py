@@ -5,6 +5,7 @@ from __future__ import annotations
 import builtins
 import errno
 import json
+import re
 
 import pytest
 
@@ -261,6 +262,41 @@ class TestGrid:
         with pytest.raises(ReproError,
                            match=f"sweep spec field '{field}' must be a list"):
             SweepGrid.from_dict(spec)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("jitter", "false", "'jitter' must be true or false, got 'false'"),
+        ("jitter", 1, "'jitter' must be true or false, got 1"),
+        ("iterations", 2.9, "'iterations' must be a whole number, got 2.9"),
+        ("iterations", "3", "'iterations' must be a whole number, got '3'"),
+        ("iterations", True, "'iterations' must be a whole number, got True"),
+    ])
+    def test_a_spec_scalar_is_checked_not_coerced(self, field, value, match):
+        spec = {"configs": ["2C+1F"], "policies": ["frfs"],
+                "workloads": [TINY], field: value}
+        with pytest.raises(ReproError, match=re.escape(match)):
+            SweepGrid.from_dict(spec)
+
+    def test_spec_scalars_of_the_right_type_are_kept(self):
+        grid = SweepGrid.from_dict({
+            "configs": ["2C+1F"], "policies": ["frfs"], "workloads": [TINY],
+            "jitter": True, "iterations": 3.0,
+        })
+        assert grid.jitter is True
+        assert grid.iterations == 3 and type(grid.iterations) is int
+
+    @pytest.mark.parametrize("seed", ["a", 1.5, True, [1]])
+    def test_a_seed_that_is_not_a_whole_number_is_rejected(self, seed):
+        with pytest.raises(ReproError, match=r"field 'seeds': .* is not a whole"):
+            SweepGrid(configs=("2C+1F",), policies=("frfs",),
+                      workloads=(TINY,), seeds=(0, seed))
+        with pytest.raises(ReproError, match="field 'seeds'"):
+            SweepGrid.from_dict({"configs": ["2C+1F"], "policies": ["frfs"],
+                                 "workloads": [TINY], "seeds": [seed]})
+
+    def test_whole_and_null_seeds_are_kept(self):
+        grid = SweepGrid(configs=("2C+1F",), policies=("frfs",),
+                         workloads=(TINY,), seeds=(0, None, 7))
+        assert [c.seed for c in grid.expand()] == [0, None, 7]
 
     @pytest.mark.parametrize("data", [[1, 2], "grid", None])
     def test_a_spec_that_is_not_an_object_is_rejected(self, data):

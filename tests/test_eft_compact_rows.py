@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.appmodel.builder import GraphBuilder
 from repro.appmodel.dag import PlatformBinding
 from repro.appmodel.instance import ApplicationInstance
+from repro.runtime.qos import deadline_key
 from repro.runtime.schedulers import Assignment, make_scheduler
 from repro.runtime.schedulers.eft import eft_pass
 from repro.runtime.workload_manager import ReadyList
@@ -117,13 +118,15 @@ def place_and_book(place, *args):
     assignments and, per PE position, the ``(avail, finish)`` of every
     booking it applied there, in order.
 
-    The pass's ``avail`` list is read as its frame returns; each final
-    value is followed back through :attr:`Booked.avail` to the prologue's.
+    The pass's ``avail`` list is read as its frame returns (``place``'s, or
+    that of the ``eft_pass`` it calls); each final value is followed back
+    through :attr:`Booked.avail` to the prologue's.
     """
     final = []
+    codes = (place.__code__, eft_pass.__code__)
 
     def profile(frame, event, _arg):
-        if event == "return" and frame.f_code is place.__code__:
+        if event == "return" and frame.f_code in codes:
             final.append(frame.f_locals.get("avail", []))
 
     previous = sys.getprofile()
@@ -265,43 +268,71 @@ def build_pass(case):
     return handlers, ready, key, table
 
 
-def as_ready_list(tasks) -> ReadyList:
-    ready = ReadyList()
+def as_ready_list(tasks, key=None) -> ReadyList:
+    ready = ReadyList(key=key)
     ready.extend(tasks)
     return ready
 
 
-@given(case=passes())
+def edf_pass(policy, ready, handlers, now, _key):
+    """``eft+edf``'s pass: the wrapper hands ``eft_pass`` the ready list's
+    deadline-ordered view."""
+    return policy.schedule(ready, handlers, now)
+
+
+def held_to_full_rows(place, name, queue, handlers, key, table):
+    """Run ``name``'s pass ``place`` and the reference in ``key`` order over
+    ``queue``, twice each (the second pass is all cache hits); the
+    assignments must match and the bookings be prefixes of the
+    reference's.  Returns the assignments."""
+    runs = {}
+    for run, policy_name in ((full_row_eft_pass, "eft"), (place, name)):
+        policy = make_scheduler(policy_name, TableOracle(table, []))
+        runs[run] = [
+            place_and_book(run, policy, queue, handlers, NOW, key)
+            for _ in range(2)
+        ]
+    (placed, reference), again = runs[full_row_eft_pass]
+    assert again == (placed, reference)
+    for got, booked in runs[place]:
+        assert got == placed
+        assert len(booked) == len(reference)
+        for on_pe, full in zip(booked, reference):
+            assert on_pe == full[:len(on_pe)]
+    return placed
+
+
+#: one deadline per instance: few values, so equal deadlines are common
+INSTANCE_DEADLINES = st.lists(
+    st.sampled_from([None, 1.0, 2.0, 2.0, 3.0]), min_size=12, max_size=12
+)
+
+
+@given(case=passes(), deadlines=INSTANCE_DEADLINES)
 @settings(max_examples=300, deadline=None)
-def test_compact_rows_place_like_full_rows(case):
+def test_compact_rows_place_like_full_rows(case, deadlines):
     """A FIFO case runs over a plain list and over a real
     :class:`ReadyList`, where the pass visits only the lanes an open PE
-    accepts; each is held to the reference over the same queue."""
+    accepts; each is held to the reference over the same queue.  Every
+    case also runs ``eft+edf`` over a ReadyList keyed by the deadline key,
+    held to the reference in ``sorted(ready, key=deadline_key)`` order."""
     states = case[0]
-    placements = []
     handlers, ready, key, table = build_pass(case)
     queues = [ready]
     if key is None:
         queues.append(as_ready_list(ready))
-    for queue in queues:
-        runs = {}
-        for place in (full_row_eft_pass, eft_pass):
-            policy = make_scheduler("eft", TableOracle(table, []))
-            # twice: the second pass is all cache hits
-            runs[place] = [
-                place_and_book(place, policy, queue, handlers, NOW, key)
-                for _ in range(2)
-            ]
-        (placed, reference), again = runs[full_row_eft_pass]
-        assert again == (placed, reference)
-        for got, booked in runs[eft_pass]:
-            assert got == placed
-            assert len(booked) == len(reference)
-            for on_pe, full in zip(booked, reference):
-                assert on_pe == full[:len(on_pe)]
-        placements.append(placed)
+    placements = [
+        held_to_full_rows(eft_pass, "eft", queue, handlers, key, table)
+        for queue in queues
+    ]
+    placed = placements[0]
     assert placements == [placed] * len(placements)
     assert len(placed) <= sum(s == "idle" for s in states)
+    for task in ready:
+        task.app.deadline = deadlines[task.app.instance_id]
+    by_deadline = as_ready_list(ready, deadline_key)
+    held_to_full_rows(edf_pass, "eft+edf", by_deadline, handlers,
+                      deadline_key, table)
 
 
 def test_tie_goes_to_the_lower_position_and_bookings_accumulate():

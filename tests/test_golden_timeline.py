@@ -1,7 +1,7 @@
 """Full-timeline golden digests for the virtual backend.
 
 The spine pins five aggregates per workload; this pins every timestamp.
-Each of the sixteen small sessions below is run once and hashed: every
+Each of the seventeen small sessions below is run once and hashed: every
 ``TaskRecord`` field in record order (materialized runs), the summary
 dict, and the engine's ``events_fired`` / ``events_scheduled`` /
 ``final_time_us``.  The sessions are chosen to cross the per-task cycle's
@@ -10,13 +10,15 @@ reservation PEs, the 2C+2F shared-core configuration whose round-robin
 preemption drives the contended ``_Consume`` path, a slow (Odroid
 LITTLE) management core, a permanent PE failure plus transient faults
 with retries (also under a rank-ordered policy, whose ranks average over
-the live PEs only), all three admission policies, materialized and
+the live PEs only, and under ``eft+edf``, whose requeued tasks re-enter
+the deadline order), all three admission policies, materialized and
 streaming, jitter on and off.
 
 The constants were produced by running this file at the commit *before*
 the per-task cycle was rewritten (``python tests/test_golden_timeline.py``
-prints the table); a hot-path change that moves one event, one float or
-one record fails here.
+prints the table); ``eft-edf-pe-failure``'s at the commit before the ready
+list kept EDF's deadline order.  A hot-path change that moves one event,
+one float or one record fails here.
 """
 
 from __future__ import annotations
@@ -120,6 +122,10 @@ SESSIONS: dict[str, dict] = {
     "cprank-pe-failure-shared-core": dict(
         config="2C+2F", policy="cprank", jitter=True, workload=BURST,
         faults=PE_FAILURE),
+    "eft-edf-pe-failure": dict(
+        config="3C+2F", policy="eft+edf", jitter=True, workload=BURST,
+        faults=PE_FAILURE,
+        qos={"deadlines": {"range_detection": 1200.0, "*": 2500.0}}),
 }
 
 GOLDEN: dict[str, str] = {
@@ -155,6 +161,8 @@ GOLDEN: dict[str, str] = {
         "f6b3ce17972c6b0ee607ccc23c22d0eecf443889eff4f7c4ec9236277e626f06",
     "cprank-pe-failure-shared-core":
         "53ff22a917904b97a00bfd49b5ad3aee1026a42d89f3abe4ab16f28ec58717d6",
+    "eft-edf-pe-failure":
+        "8db68087bfbe71a4e652256471a4ca4859d557287a02cb9200af72cd614c0f99",
 }
 
 

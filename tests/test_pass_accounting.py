@@ -3,7 +3,7 @@
 Each workload-manager pass is recorded by one ``record_scheduling_pass``
 call; the cost model's :meth:`~SchedulerCostModel.invocations` rule says
 how many scheduler invocations that pass stands for.  A test-side wrapper
-collects every call of each of the sixteen sessions in
+collects every call of each of the seventeen sessions in
 ``tests/test_golden_timeline.py`` (whose digests it still checks, so the
 wrapper cannot have changed a run), then holds the counters to the rule.
 """

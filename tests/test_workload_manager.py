@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.appmodel.instance import ApplicationInstance, TaskState
 from repro.common.errors import EmulationError
+from repro.runtime.qos import deadline_key
 from repro.runtime.schedulers import FRFSScheduler
 from repro.runtime.schedulers.base import Assignment
 from repro.runtime.schedulers.reservation import ReservationFRFSScheduler
@@ -20,6 +22,10 @@ from repro.runtime.workload_manager import (
     WorkloadManagerCore,
 )
 from tests.conftest import make_diamond_graph, make_handlers
+
+#: few distinct values, so equal deadlines (the FIFO tie) are common
+DEADLINES = st.sampled_from([None, 10.0, 10.0, 20.0, 35.5])
+PLATFORM_KEYS = st.sampled_from([("cpu",), ("cpu", "fft"), ("fft",)])
 
 
 def make_core(zcu, config="2C+0F", arrivals=(0.0,), scheduler=None):
@@ -208,6 +214,62 @@ class TestReadyList:
                     ]
             assert list(rl) == model
             assert len(rl) == len(model)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_keyed_order_is_the_stable_deadline_sort(self, data):
+        """A list keyed by EDF's deadline key keeps ``sorted(fifo, key)``
+        in its :attr:`ReadyList.ordered` view over random adds, removals
+        and requeues (a requeued task gets a new seq: it goes behind its
+        equal-deadline peers), with ``None`` deadlines last; the view's
+        ``wanted()`` is the list's, and the FIFO side is that of a list
+        without a key."""
+        keyed, fifo = ReadyList(key=deadline_key), ReadyList()
+        model: list[SimpleNamespace] = []
+        removed: list[SimpleNamespace] = []
+
+        def new_task():
+            return SimpleNamespace(
+                app=SimpleNamespace(deadline=data.draw(DEADLINES)),
+                node=SimpleNamespace(platform_key=data.draw(PLATFORM_KEYS)),
+            )
+
+        for _ in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(["extend", "remove", "requeue"]))
+            if op == "extend":
+                batch = [new_task() for _ in range(data.draw(st.integers(0, 6)))]
+            elif op == "requeue" and removed:
+                batch = data.draw(
+                    st.lists(st.sampled_from(removed), max_size=3, unique_by=id)
+                )
+                removed = [t for t in removed if all(t is not b for b in batch)]
+            else:
+                batch = []
+            if op == "remove" and model:
+                victims = data.draw(
+                    st.lists(st.sampled_from(model), max_size=4, unique_by=id)
+                )
+                ids = {id(v) for v in victims} | {id(object())}
+                keyed.remove_ids(ids)
+                fifo.remove_ids(ids)
+                model = [t for t in model if id(t) not in ids]
+                removed.extend(victims)
+            for ready in (keyed, fifo):
+                ready.extend(batch)
+            model.extend(batch)
+
+            view = keyed.ordered
+            assert list(view) == sorted(model, key=deadline_key)
+            assert list(keyed) == list(fifo) == model
+            assert len(view) == len(keyed) == len(model)
+            assert bool(view) == bool(model)
+            assert all(t in view for t in model)
+            assert not any(t in view for t in removed)
+            assert view.wanted() == keyed.wanted() == fifo.wanted()
+            assert not hasattr(view, "lanes")
+            assert [(k, [e[0] for e in lane]) for k, lane in keyed.lanes()] == [
+                (k, [e[0] for e in lane]) for k, lane in fifo.lanes()
+            ]
 
 
 class TestWorkloadManagerCore:
