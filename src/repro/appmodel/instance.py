@@ -36,6 +36,13 @@ class TaskState(enum.IntEnum):
     COMPLETE = 4
 
 
+#: read on every transition; a module global is a fraction of the cost of
+#: the Enum class attribute lookup
+_PENDING, _READY, _DISPATCHED, _RUNNING, _COMPLETE = (
+    TaskState.PENDING, TaskState.READY, TaskState.DISPATCHED,
+    TaskState.RUNNING, TaskState.COMPLETE,
+)
+
 class TaskInstance:
     """Runtime state of one DAG node within one application instance.
 
@@ -63,7 +70,7 @@ class TaskInstance:
         self.node = node
         self.app = app
         self.task_id = task_id
-        self.state = TaskState.PENDING
+        self.state = _PENDING
         self.unfinished_preds = len(node.predecessors)
         self.assigned_pe: Any = None  # ResourceHandler once dispatched
         self.chosen_platform: PlatformBinding | None = None
@@ -90,29 +97,29 @@ class TaskInstance:
         return self.node.supports_any(handler.accepted_platforms)
 
     def mark_ready(self, now: float) -> None:
-        if self.state != TaskState.PENDING:
+        if self.state != _PENDING:
             raise EmulationError(
                 f"task {self.qualified_name()} marked ready in state {self.state.name}"
             )
-        self.state = TaskState.READY
+        self.state = _READY
         self.ready_time = now
 
     def mark_dispatched(self, now: float, pe: Any, platform: PlatformBinding) -> None:
-        if self.state != TaskState.READY:
+        if self.state != _READY:
             raise EmulationError(
                 f"task {self.qualified_name()} dispatched in state {self.state.name}"
             )
-        self.state = TaskState.DISPATCHED
+        self.state = _DISPATCHED
         self.dispatch_time = now
         self.assigned_pe = pe
         self.chosen_platform = platform
 
     def mark_running(self, now: float) -> None:
-        if self.state != TaskState.DISPATCHED:
+        if self.state != _DISPATCHED:
             raise EmulationError(
                 f"task {self.qualified_name()} started in state {self.state.name}"
             )
-        self.state = TaskState.RUNNING
+        self.state = _RUNNING
         self.start_time = now
 
     def mark_requeued(self, now: float, *, charge: bool = True) -> None:
@@ -123,11 +130,11 @@ class TaskInstance:
         passes ``charge=False``.  ``ready_time`` keeps its original value
         so queue-delay statistics measure from first readiness.
         """
-        if self.state not in (TaskState.DISPATCHED, TaskState.RUNNING):
+        if self.state not in (_DISPATCHED, _RUNNING):
             raise EmulationError(
                 f"task {self.qualified_name()} requeued in state {self.state.name}"
             )
-        self.state = TaskState.READY
+        self.state = _READY
         self.assigned_pe = None
         self.chosen_platform = None
         self.dispatch_time = -1.0
@@ -136,11 +143,11 @@ class TaskInstance:
             self.fault_requeues += 1
 
     def mark_complete(self, now: float) -> None:
-        if self.state != TaskState.RUNNING:
+        if self.state != _RUNNING:
             raise EmulationError(
                 f"task {self.qualified_name()} completed in state {self.state.name}"
             )
-        self.state = TaskState.COMPLETE
+        self.state = _COMPLETE
         self.finish_time = now
 
     def qualified_name(self) -> str:

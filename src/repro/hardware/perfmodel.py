@@ -238,19 +238,19 @@ class SchedulerCostModel:
         self.monitor_cost_per_completion = monitor_cost_per_completion
         self.dispatch_cost_per_task = dispatch_cost_per_task
         self.default_coeffs = default_coeffs
+        #: policy name -> the table entry it resolved to (see _resolve)
+        self._resolved: dict[str, tuple[float, float, int]] = {}
 
     def set_policy(self, name: str, c0: float, coeff: float, power: int) -> None:
         self._coeffs[name] = (c0, coeff, power)
+        self._resolved.clear()
 
     def policy_cost(self, policy: str, ready_len: int, n_pes: int) -> float:
         """The heuristic's compute time for one invocation (reference core)."""
-        coeffs = self._coeffs.get(policy)
-        if coeffs is None and "+" in policy:
-            # Policy variants (e.g. "frfs+edf") cost like their base policy;
-            # the EDF order is kept by the ready list, O(log ready) per
-            # added task, dominated by it.
-            coeffs = self._coeffs.get(policy.partition("+")[0])
-        c0, coeff, power = coeffs if coeffs is not None else self.default_coeffs
+        coeffs = self._resolved.get(policy)
+        if coeffs is None:
+            coeffs = self._resolve(policy)
+        c0, coeff, power = coeffs
         if power == 0:
             scale = 1.0
         elif power == 1:
@@ -258,6 +258,20 @@ class SchedulerCostModel:
         else:
             scale = float(ready_len) ** power
         return c0 + coeff * scale * n_pes
+
+    def _resolve(self, policy: str) -> tuple[float, float, int]:
+        """``policy``'s coefficients: its own entry, else, for a variant
+        such as ``"frfs+edf"``, its base policy's (the EDF order is kept by
+        the ready list, O(log ready) per added task, dominated by the
+        policy).  A table entry is remembered until :meth:`set_policy`; a
+        name without one costs :attr:`default_coeffs`, read each time."""
+        coeffs = self._coeffs.get(policy)
+        if coeffs is None and "+" in policy:
+            coeffs = self._coeffs.get(policy.partition("+")[0])
+        if coeffs is None:
+            return self.default_coeffs
+        self._resolved[policy] = coeffs
+        return coeffs
 
     def invocations(self, policy, completions: int) -> int:
         """How many scheduler invocations one WM pass stands for.

@@ -57,6 +57,12 @@ class PEStatus(enum.Enum):
     FAILED = "failed"
 
 
+#: read on every transition; a module global is a fraction of the cost of
+#: the Enum class attribute lookup
+_IDLE, _RUN, _COMPLETE, _FAILED = (
+    PEStatus.IDLE, PEStatus.RUN, PEStatus.COMPLETE, PEStatus.FAILED
+)
+
 class PEFailedError(EmulationError):
     """Work was handed to a PE that has permanently failed.
 
@@ -90,7 +96,7 @@ class ResourceHandler:
         #: threads blocked in wait_for_work (changed only under the lock)
         self._waiters = 0
         #: written only under the lock; a bare read is a snapshot (module doc)
-        self.status = PEStatus.IDLE
+        self.status = _IDLE
         self.current_task: TaskInstance | None = None
         self.reservation_queue: deque[TaskInstance] = deque()
         # accounting (owned by the RM side)
@@ -113,7 +119,7 @@ class ResourceHandler:
         self.heartbeat: float = -1.0
 
     def is_idle(self) -> bool:
-        return self.status is PEStatus.IDLE
+        return self.status is _IDLE
 
     def _notify(self) -> None:
         """Wake the RM blocked in :meth:`wait_for_work`, if one is (call
@@ -126,16 +132,16 @@ class ResourceHandler:
     def assign(self, task: TaskInstance) -> None:
         """Hand a task to an idle PE and flip it to RUN."""
         with self.lock:
-            if self.status is PEStatus.FAILED:
+            if self.status is _FAILED:
                 raise PEFailedError(
                     f"PE {self.name}: assign after permanent failure"
                 )
-            if self.status is not PEStatus.IDLE:
+            if self.status is not _IDLE:
                 raise EmulationError(
                     f"PE {self.name}: assign while {self.status.value}"
                 )
             self.current_task = task
-            self.status = PEStatus.RUN
+            self.status = _RUN
             self._notify()
 
     def reserve(self, task: TaskInstance) -> bool:
@@ -145,13 +151,13 @@ class ResourceHandler:
         False when it was queued behind the current work.
         """
         with self.lock:
-            if self.status is PEStatus.FAILED:
+            if self.status is _FAILED:
                 raise PEFailedError(
                     f"PE {self.name}: reserve after permanent failure"
                 )
-            if self.status is PEStatus.IDLE:
+            if self.status is _IDLE:
                 self.current_task = task
-                self.status = PEStatus.RUN
+                self.status = _RUN
                 self._notify()
                 return True
             self.reservation_queue.append(task)
@@ -160,12 +166,12 @@ class ResourceHandler:
     def acknowledge_complete(self) -> None:
         """Return a COMPLETE PE to IDLE (plain-dispatch handshake)."""
         with self.lock:
-            if self.status is not PEStatus.COMPLETE:
+            if self.status is not _COMPLETE:
                 raise EmulationError(
                     f"PE {self.name}: acknowledge while {self.status.value}"
                 )
             self.current_task = None
-            self.status = PEStatus.IDLE
+            self.status = _IDLE
 
     def request_shutdown(self) -> None:
         """Ask the RM (thread) to exit once idle."""
@@ -184,15 +190,15 @@ class ResourceHandler:
         ``[]``.
         """
         with self.lock:
-            if self.status is PEStatus.FAILED:
+            if self.status is _FAILED:
                 return []
             orphans: list[TaskInstance] = []
-            if self.status is PEStatus.RUN and self.current_task is not None:
+            if self.status is _RUN and self.current_task is not None:
                 orphans.append(self.current_task)
             orphans.extend(self.reservation_queue)
             self.reservation_queue.clear()
             self.current_task = None
-            self.status = PEStatus.FAILED
+            self.status = _FAILED
             self.failed = True
             self.failed_at = now
             self._notify()
@@ -209,7 +215,7 @@ class ResourceHandler:
         when its queue is empty.
         """
         with self.lock:
-            if self.status is not PEStatus.RUN or self.current_task is None:
+            if self.status is not _RUN or self.current_task is None:
                 raise EmulationError(
                     f"PE {self.name}: finish_task while {self.status.value}"
                 )
@@ -221,7 +227,7 @@ class ResourceHandler:
             if done.finish_time >= 0.0 and done.start_time >= 0.0:
                 self.busy_time += done.finish_time - done.start_time
             if not self_serve:
-                self.status = PEStatus.COMPLETE
+                self.status = _COMPLETE
                 self._notify()
                 return None
             if self.reservation_queue:
@@ -229,7 +235,7 @@ class ResourceHandler:
                 self._notify()
                 return self.current_task
             self.current_task = None
-            self.status = PEStatus.IDLE
+            self.status = _IDLE
             return None
 
     def abort_task(self, *, self_serve: bool = False) -> TaskInstance | None:
@@ -241,7 +247,7 @@ class ResourceHandler:
         Self-serve mode continues with the next reserved task.
         """
         with self.lock:
-            if self.status is not PEStatus.RUN or self.current_task is None:
+            if self.status is not _RUN or self.current_task is None:
                 raise EmulationError(
                     f"PE {self.name}: abort_task while {self.status.value}"
                 )
@@ -250,7 +256,7 @@ class ResourceHandler:
                 self.current_task = self.reservation_queue.popleft()
                 self._notify()
                 return self.current_task
-            self.status = PEStatus.IDLE
+            self.status = _IDLE
             self._notify()
             return None
 
@@ -261,9 +267,9 @@ class ResourceHandler:
         """
         with self.condition:
             while not self.shutdown:
-                if self.status is PEStatus.FAILED:
+                if self.status is _FAILED:
                     return None
-                if self.status is PEStatus.RUN and self.current_task is not None:
+                if self.status is _RUN and self.current_task is not None:
                     return self.current_task
                 # wait() gives the lock up only after this thread is
                 # enqueued and takes it back before returning (or raising),

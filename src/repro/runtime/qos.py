@@ -15,11 +15,12 @@ This module makes those guarantees declarative:
   test) can request a graceful *drain*: backends stop injecting, let
   in-flight work finish, and return partial stats flagged
   ``interrupted=True`` instead of crashing or hanging.
-* :class:`EDFScheduler` — a deadline-aware wrapper around any registered
-  policy: the wrapped policy is handed the ready tasks in
-  earliest-deadline-first order (same-deadline tasks in FIFO order),
-  which the ready list keeps as tasks enter and leave it.  Selected as
-  ``<policy>+edf``, e.g. ``frfs+edf``.
+* :func:`deadline_key` — EDF's order.  ``<policy>+edf`` (e.g. ``frfs+edf``)
+  is the base policy with this as its
+  :attr:`~repro.runtime.schedulers.base.Scheduler.ready_key`: the
+  workload manager's ready list keeps the ready tasks in
+  earliest-deadline-first order (same-deadline tasks in FIFO order) as
+  they enter and leave it, and that order is what the policy is handed.
 
 Accounting contract (both backends): every presented arrival is admitted,
 deferred, or shed, so
@@ -42,11 +43,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ReproError
 from repro.common.jsondoc import number, section
-from repro.runtime.schedulers.base import (
-    Assignment,
-    ExecutionTimeOracle,
-    Scheduler,
-)
 
 #: Overload policies for the bounded admission queue.
 OVERLOAD_POLICIES = ("drop-newest", "drop-oldest", "defer")
@@ -350,60 +346,9 @@ def make_qos(qos: "QoSController | QoSSpec | dict | None") -> QoSController | No
 
 def deadline_key(task) -> float:
     """EDF's order key: the task's absolute application deadline, with
-    ``inf`` for an app without one (it sorts last)."""
+    ``inf`` for an app without one (it sorts last).  Without deadlines
+    every key ties, so the order is FIFO and a ``+edf`` run behaves
+    exactly like the bare policy."""
     deadline = task.app.deadline
     return deadline if deadline is not None else math.inf
 
-
-class EDFScheduler(Scheduler):
-    """Earliest-deadline-first tie-break around any registered policy.
-
-    The wrapped policy sees the ready tasks in ascending absolute
-    application deadline (apps without a deadline sort last), ties in FIFO
-    order, so a run without deadlines behaves exactly like the bare
-    policy.  The workload manager's ready list keeps that order itself
-    (:attr:`ready_key`): a deadline is fixed before its task is listed, so
-    each task is placed once, when it is added, and a pass reads the
-    list's :attr:`~repro.runtime.workload_manager.ReadyList.ordered` view.
-    """
-
-    ready_key = staticmethod(deadline_key)
-
-    def __init__(self, inner: Scheduler) -> None:
-        self.inner = inner
-        self.name = f"{inner.name}+edf"
-        self.uses_reservation = inner.uses_reservation
-        # A stateful inner policy (rollout) still sees WM events
-        # through the wrapper.
-        self.wants_events = inner.wants_events
-
-    # The oracle is attached by the backend after construction; the inner
-    # policy is what actually consumes it.
-    @property
-    def oracle(self) -> ExecutionTimeOracle | None:
-        return self.inner.oracle
-
-    @oracle.setter
-    def oracle(self, oracle: ExecutionTimeOracle | None) -> None:
-        self.inner.oracle = oracle
-
-    def notify_dispatch(self, assignments, now: float) -> None:
-        self.inner.notify_dispatch(assignments, now)
-
-    def notify_completion(self, task, now: float) -> None:
-        self.inner.notify_completion(task, now)
-
-    def notify_pe_failure(self, handler, now: float) -> None:
-        self.inner.notify_pe_failure(handler, now)
-
-    def schedule(self, ready, handlers, now: float) -> list[Assignment]:
-        if getattr(ready, "key", None) is not deadline_key:
-            # A plain list or a FIFO-only ReadyList (tests, direct
-            # callers): list it in deadline order first.  Imported here
-            # because the workload manager imports this module.
-            from repro.runtime.workload_manager import ReadyList
-
-            keyed = ReadyList(key=deadline_key)
-            keyed.extend(list(ready))
-            ready = keyed
-        return self.inner.schedule(ready.ordered, handlers, now)

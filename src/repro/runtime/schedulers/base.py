@@ -72,8 +72,10 @@ class Scheduler:
     wants_events = False
     #: an order key for the ready list, or None (FIFO).  The workload
     #: manager builds its list with it, so the list keeps ``(key, seq)``
-    #: order as tasks come and go (:attr:`ReadyList.ordered`); the policy
-    #: must not need the key to change while a task is listed.
+    #: order as tasks come and go, and hands the policy that order
+    #: (:attr:`ReadyList.ordered`) instead of the list.  A key must not
+    #: change while its task is listed.  ``make_scheduler("<p>+edf")`` sets
+    #: :func:`~repro.runtime.qos.deadline_key` here.
     ready_key = None
 
     def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:
@@ -270,7 +272,7 @@ def open_lanes(ready, usable: list[tuple[int, ResourceHandler]],
     is dropped when it is next in line and every PE that accepted it has
     closed.  A task of a lane that does not count has no estimate on an
     open PE, so skipping it changes no placement.  A ready list without
-    ``lanes`` (a plain list, EDF's deadline-ordered view) is walked in
+    ``lanes`` (a plain list, a keyed list's key-order view) is walked in
     full.
     """
     lanes_of = getattr(ready, "lanes", None)

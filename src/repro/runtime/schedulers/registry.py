@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.common.errors import SchedulingError
+from repro.runtime.qos import deadline_key
 from repro.runtime.schedulers.base import ExecutionTimeOracle, Scheduler
 from repro.runtime.schedulers.eft import EFTScheduler
 from repro.runtime.schedulers.frfs import FRFSScheduler
@@ -64,8 +65,11 @@ def make_scheduler(
 ) -> Scheduler:
     """Instantiate a policy by registry name.
 
-    A ``+edf`` suffix (e.g. ``frfs+edf``) wraps the base policy in the
-    deadline-aware EDF tie-break from :mod:`repro.runtime.qos`.
+    A ``+edf`` suffix (e.g. ``frfs+edf``) returns the base policy itself,
+    keyed by :func:`~repro.runtime.qos.deadline_key` (its
+    :attr:`~Scheduler.ready_key`) and named ``<name>+edf`` for reports and
+    the cost model: the workload manager's ready list keeps deadline order,
+    and the policy is handed that order.
     """
     base_name, _, variant = name.partition("+")
     try:
@@ -79,9 +83,9 @@ def make_scheduler(
     if not variant:
         return scheduler
     if variant == "edf":
-        from repro.runtime.qos import EDFScheduler
-
-        return EDFScheduler(scheduler)
+        scheduler.ready_key = deadline_key
+        scheduler.name = f"{scheduler.name}+edf"
+        return scheduler
     raise SchedulingError(
         f"unknown policy variant {variant!r} in {name!r} (only '+edf')"
     )

@@ -30,7 +30,12 @@ if TYPE_CHECKING:
     from repro.runtime.backends.base import EmulationSession
 
 
-#: ReadyList._wanted before the first question and after a count crossed zero
+#: PE states read per PE or per task in the hot paths; a module global is
+#: a fraction of the cost of the Enum class attribute lookup
+_IDLE, _RUN, _COMPLETE = PEStatus.IDLE, PEStatus.RUN, PEStatus.COMPLETE
+
+#: ReadyList._wanted before the first question and after a lane emptied
+#: or refilled
 _STALE = object()
 
 
@@ -46,27 +51,27 @@ class ReadyList:
       dispatches from the front (FRFS) or mid-list (rank-ordered);
     * no reference is kept to a removed task, so nothing stale is left for
       a re-entering task or a recycled ``id()`` to collide with;
-    * :attr:`platform_counts`, the **capability index**, equals a recount
-      over ``iter(self)``: live tasks per distinct ``TaskNode.platform_key``
-      (two or three in practice); items without a ``node`` (tests, probes)
-      count under ``None``, read as "unknown";
-    * :meth:`wanted` equals the union recomputed from that index — the
-      platform names of every key with a live task, or None while an item
-      of unknown capability is queued.  It is what
+    * :meth:`lanes`, the **capability index**, holds the same tasks split
+      by ``TaskNode.platform_key`` (two or three distinct keys in
+      practice), one FIFO *lane* per key: each lane is the list filtered by
+      key, in list order, so its length is the key's live-task count.
+      Items without a ``node`` (tests, probes) go in the ``None`` lane, read
+      as "unknown".  A lane stores the ``seq`` each task was added with,
+      from one counter that only grows (a re-entering task gets a new one
+      at its lane's tail), so merging lanes by ``seq`` gives back list
+      order;
+    * :meth:`wanted` equals the union recomputed from the non-empty lanes —
+      the platform names of every key with a live task, or None while an
+      item of unknown capability is queued.  It is what
       :meth:`Scheduler.usable_idle` filters idle PEs by; the answer is
-      remembered and dropped only when a count crosses zero, which a
+      remembered and dropped only when a lane empties or refills, which a
       steady queue does far less often than it is asked;
-    * :meth:`lanes` holds the same tasks split by that key, one FIFO *lane*
-      per key: each lane is the list filtered by key, in list order, and as
-      long as the key's count.  A lane stores the ``seq`` each task was
-      added with, from one counter that only grows (a re-entering task
-      gets a new one at its lane's tail), so merging lanes by ``seq`` gives
-      back list order;
     * with a ``key`` (a policy's :attr:`Scheduler.ready_key`), the same
-      tasks are also kept in ``(key(task), seq)`` order, which
-      :attr:`ordered` reads: the stable ``sorted(self, key=key)``.  A key is
-      read once, when its task is added, so it must not change while the
-      task is listed;
+      tasks are also kept in ``(key(task), seq)`` order, ``seq`` being the
+      one their lane holds, which :attr:`ordered` reads: the stable
+      ``sorted(self, key=key)``.  A key is read when its task is added and
+      again when it is removed, so it must not change while the task is
+      listed;
     * callers neither :meth:`extend` a task already in the list nor mutate
       it while iterating (policies collect, ``commit`` removes afterwards).
 
@@ -77,14 +82,13 @@ class ReadyList:
     """
 
     __slots__ = (
-        "_live", "platform_counts", "_wanted", "_lanes", "_seq",
-        "key", "_keyed", "_order_keys", "_order", "ordered",
+        "_live", "_wanted", "_lanes", "_seq", "key", "_order_keys", "_order",
+        "ordered",
     )
 
     def __init__(self, key: Callable[[TaskInstance], Any] | None = None) -> None:
         #: id(task) -> task, in FIFO order
         self._live: OrderedDict[int, TaskInstance] = OrderedDict()
-        self.platform_counts: dict[tuple[str, ...] | None, int] = {}
         #: wanted()'s remembered answer (a frozenset or None), or _STALE
         self._wanted: object = _STALE
         #: platform key -> id(task) -> seq, in FIFO order
@@ -93,8 +97,6 @@ class ReadyList:
         self._seq = 0
         #: the order key, or None: FIFO only, and :attr:`ordered` is None
         self.key = key
-        #: keyed only: id(task) -> its ``(key, seq)``
-        self._keyed: dict[int, tuple] = {}
         #: keyed only: every live ``(key, seq)``, ascending, and beside it
         #: the task of each entry
         self._order_keys: list[tuple] = []
@@ -103,7 +105,7 @@ class ReadyList:
         self.ordered = KeyOrder(self) if key is not None else None
 
     def extend(self, tasks: list[TaskInstance]) -> None:
-        live, counts, lanes = self._live, self.platform_counts, self._lanes
+        live, lanes = self._live, self._lanes
         seq = self._seq
         for t in tasks:
             try:
@@ -111,53 +113,46 @@ class ReadyList:
             except AttributeError:
                 key = None
             live[id(t)] = t
-            n = counts.get(key, 0)
-            if not n:
+            lane = lanes.get(key)
+            if not lane:
                 self._wanted = _STALE
-                if key not in lanes:
-                    lanes[key] = OrderedDict()
-            counts[key] = n + 1
+                if lane is None:
+                    lane = lanes[key] = OrderedDict()
             seq += 1
-            lanes[key][id(t)] = seq
+            lane[id(t)] = seq
         if self.key is not None:
             self._insert_keyed(tasks, self._seq)
         self._seq = seq
 
     def _insert_keyed(self, tasks: list[TaskInstance], seq: int) -> None:
         """Place ``tasks``, given seqs ``seq + 1, ...``, in key order."""
-        key, keyed = self.key, self._keyed
-        keys, order = self._order_keys, self._order
+        key, keys, order = self.key, self._order_keys, self._order
         for t in tasks:
             seq += 1
             entry = (key(t), seq)
-            keyed[id(t)] = entry
             # seq grows, so a new entry lands after every equal key
             at = bisect_right(keys, entry)
             keys.insert(at, entry)
             order.insert(at, t)
 
     def remove_ids(self, ids: set[int]) -> None:
-        live, counts, lanes = self._live, self.platform_counts, self._lanes
+        live, lanes, key = self._live, self._lanes, self.key
+        keys, order = self._order_keys, self._order
         for i in ids:
-            try:
-                key = live.pop(i).node.platform_key
-            except KeyError:
+            t = live.pop(i, None)
+            if t is None:
                 continue  # not in the list
+            try:
+                lane = lanes[t.node.platform_key]
             except AttributeError:
-                key = None
-            del lanes[key][i]
-            n = counts[key] - 1
-            if not n:
+                lane = lanes[None]
+            seq = lane.pop(i)
+            if not lane:
                 self._wanted = _STALE
-            counts[key] = n
-        if self.key is not None:
-            keyed, keys, order = self._keyed, self._order_keys, self._order
-            for i in ids:
-                entry = keyed.pop(i, None)
-                if entry is not None:
-                    at = bisect_left(keys, entry)
-                    del keys[at]
-                    del order[at]
+            if key is not None:
+                at = bisect_left(keys, (key(t), seq))
+                del keys[at]
+                del order[at]
 
     def lanes(self) -> list[tuple[tuple[str, ...] | None, object]]:
         """``(key, entries)`` for every capability key with a live task:
@@ -174,12 +169,12 @@ class ReadyList:
         item of unknown capability is queued ("any PE might be wanted")."""
         wanted = self._wanted
         if wanted is _STALE:
-            counts = self.platform_counts
-            if counts.get(None):
+            lanes = self._lanes
+            if lanes.get(None):
                 wanted = None
             else:
                 wanted = frozenset(
-                    name for key, n in counts.items() if n for name in key
+                    name for key, lane in lanes.items() if lane for name in key
                 )
             self._wanted = wanted
         return wanted
@@ -352,6 +347,11 @@ class WorkloadManagerCore:
         self.faults = faults
         self.qos = qos
         self.ready = ReadyList(key=getattr(scheduler, "ready_key", None))
+        #: what each pass hands the policy: the key-order view of a keyed
+        #: list, else the list; the WM's own walks stay FIFO
+        self._policy_view = (
+            self.ready if self.ready.ordered is None else self.ready.ordered
+        )
         self.apps_completed = 0
         self.apps_degraded = 0
         #: set once any PE has permanently failed (enables recheck paths)
@@ -433,7 +433,7 @@ class WorkloadManagerCore:
         """Some PE can still report: FAILED is terminal, not busy."""
         for h in self.handlers:
             status = h.status
-            if status is PEStatus.RUN or status is PEStatus.COMPLETE:
+            if status is _RUN or status is _COMPLETE:
                 return True
         return False
 
@@ -540,7 +540,7 @@ class WorkloadManagerCore:
             n += 1
             # Plain-dispatch PEs park in COMPLETE until acknowledged here;
             # self-serving (reservation) PEs manage their own status.
-            if handler.status is PEStatus.COMPLETE:
+            if handler.status is _COMPLETE:
                 handler.acknowledge_complete()
             app = task.app
             newly_ready = app.on_task_complete(task, now)
@@ -655,7 +655,9 @@ class WorkloadManagerCore:
         """Apply the user-selected policy to the ready list (no side effects)."""
         if not self.ready:
             return []
-        assignments = self.scheduler.schedule(self.ready, self.handlers, now)
+        assignments = self.scheduler.schedule(
+            self._policy_view, self.handlers, now
+        )
         # Under fault injection a PE can fail between the policy reading its
         # status and this pass committing (threaded backend); drop such
         # assignments here rather than tripping validation on them.
@@ -693,7 +695,7 @@ class WorkloadManagerCore:
             est = oracle.estimate(task, handler)
             if est is None:
                 continue
-            if handler.status is PEStatus.IDLE:
+            if handler.status is _IDLE:
                 base = now
             else:
                 base = max(handler.estimated_free_time, now)

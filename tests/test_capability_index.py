@@ -29,15 +29,22 @@ from repro.common.rng import default_rng
 from repro.runtime.backends import VirtualBackend
 from repro.runtime.emulation import Emulation
 from repro.runtime.handler import PEStatus
+from repro.runtime.qos import deadline_key
 from repro.runtime.schedulers import Scheduler, make_scheduler
+from repro.runtime.stats import EmulationStats
 from repro.runtime.workload import validation_workload
-from repro.runtime.workload_manager import ReadyList
+from repro.runtime.workload_manager import (
+    KeyOrder,
+    MaterializedSource,
+    ReadyList,
+    WorkloadManagerCore,
+)
 from tests.test_fuzz_runtime import fuzz_perf_model, layered_graphs
 from tests.test_schedulers import FixedOracle, build_app, make_handlers
 
 #: the policies whose queue scan starts from ``usable_idle``; under ``+edf``
-#: the inner policy asks it of the deadline-ordered view the wrapper hands
-#: down
+#: the policy asks it of the deadline-ordered view the workload manager
+#: hands down
 INDEXED_POLICIES = (
     "frfs", "met", "met_power", "eft", "heft", "random", "cprank",
     "frfs+edf", "eft+edf",
@@ -49,7 +56,12 @@ def recount(ready) -> Counter:
 
 
 def live_counts(ready: ReadyList) -> Counter:
-    return Counter({k: n for k, n in ready.platform_counts.items() if n})
+    """The index's count per capability key: the length of its lane."""
+    return Counter({k: len(list(entries)) for k, entries in ready.lanes()})
+
+
+def wanted_by_scan(ready) -> frozenset:
+    return frozenset(name for t in ready for name in t.node.platform_key)
 
 
 # -- (a) every pass of a run, indexed vs full scan ---------------------------------------
@@ -58,7 +70,7 @@ def live_counts(ready: ReadyList) -> Counter:
 class BothWays:
     """One policy instance driven by the WM's indexed ready list, and a twin
     that sees each pass's queue as a plain list; the twin's answer is the
-    reference.  Forwards the oracle and WM events to both, like ``+edf``."""
+    reference.  Forwards the oracle and WM events to both."""
 
     def __init__(self, name: str) -> None:
         self.indexed = make_scheduler(name)
@@ -69,7 +81,7 @@ class BothWays:
         self.name = self.indexed.name
         self.uses_reservation = self.indexed.uses_reservation
         self.wants_events = self.indexed.wants_events
-        # +edf: the WM's list keeps the deadline order the indexed twin reads
+        # +edf: the WM keys its list by it and hands down the ordered view
         self.ready_key = self.indexed.ready_key
         self.passes = 0
 
@@ -95,9 +107,16 @@ class BothWays:
         self.scan.notify_pe_failure(handler, now)
 
     def schedule(self, ready, handlers, now):
-        assert type(ready) is ReadyList
-        assert live_counts(ready) == recount(ready)
-        expected = self.scan.schedule(list(ready), handlers, now)
+        if self.ready_key is None:
+            assert type(ready) is ReadyList
+            assert live_counts(ready) == recount(ready)
+            queue = list(ready)
+        else:
+            assert type(ready) is KeyOrder
+            # the reference sorts the FIFO list itself
+            queue = sorted(ready._live.values(), key=deadline_key)
+        assert ready.wanted() == wanted_by_scan(ready)
+        expected = self.scan.schedule(queue, handlers, now)
         got = self.indexed.schedule(ready, handlers, now)
         assert [(id(a.task), a.handler.name) for a in got] == [
             (id(a.task), a.handler.name) for a in expected
@@ -178,9 +197,10 @@ def fake_task(key) -> SimpleNamespace:
     return SimpleNamespace(node=SimpleNamespace(platform_key=key))
 
 
-class SpiedCounts(dict):
-    """A ``platform_counts`` that counts ``items()`` walks: with every
-    capability known, rebuilding ``wanted()`` is the one thing that walks it."""
+class SpiedLanes(dict):
+    """The lanes, counting ``items()`` walks: with every capability known,
+    rebuilding ``wanted()`` is the one thing that walks them between two
+    reads of :meth:`ReadyList.lanes`."""
 
     walks = 0
 
@@ -200,7 +220,7 @@ class ReadyListIndexMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.ready = ReadyList()
-        self.ready.platform_counts = SpiedCounts()
+        self.ready._lanes = SpiedLanes()
         self.model: list = []
         self.removed: list = []
         self.seen: list = []
@@ -262,7 +282,6 @@ class ReadyListIndexMachine(RuleBasedStateMachine):
     def index_is_a_recount(self):
         ready = self.ready
         assert live_counts(ready) == recount(ready)
-        assert all(n >= 0 for n in ready.platform_counts.values())
 
     @invariant()
     def wanted_is_the_union_rebuilt_only_after_a_zero_crossing(self):
@@ -271,10 +290,10 @@ class ReadyListIndexMachine(RuleBasedStateMachine):
         changed; only then (and the first time) may the answer be rebuilt."""
         ready = self.ready
         keys = frozenset(recount(ready))
-        walks = ready.platform_counts.walks
+        walks = ready._lanes.walks
         assert ready.wanted() == {name for key in keys for name in key}
         assert ready.wanted() is ready.wanted()
-        rebuilt = ready.platform_counts.walks - walks
+        rebuilt = ready._lanes.walks - walks
         assert rebuilt == (keys != self.asked_with)
         self.asked_with = keys
 
@@ -289,7 +308,6 @@ class ReadyListIndexMachine(RuleBasedStateMachine):
             assert [id(t) for _seq, t in entries] == [
                 id(t) for t in self.model if t.node.platform_key == key
             ]
-            assert len(entries) == ready.platform_counts[key]
             seqs = [seq for seq, _t in entries]
             assert seqs == sorted(set(seqs))
             merged.extend(entries)
@@ -484,7 +502,7 @@ def test_bare_ready_list_of_opaque_items_reports_unknown_capability():
     ready.extend(items)
     ready.remove_ids({id(items[1])})
     assert list(ready) == [items[0], items[2], items[3]]
-    assert ready.platform_counts == {None: 3}
+    assert live_counts(ready) == {None: 3}
     handlers = make_handlers(["cpu", "fft"])
     # unknown capability: every idle PE counts as usable
     assert [i for i, _h in Scheduler.usable_idle(ready, handlers)] == [0, 1]
@@ -506,33 +524,26 @@ def test_unknown_capability_wants_every_pe_until_it_leaves():
 
 
 def test_edf_hands_the_capability_answer_down():
-    """``+edf`` hands down the deadline-ordered view of a keyed ready list;
-    the inner policy must still learn that nothing ready runs on the idle
-    PE, and visit nothing."""
+    """Under ``+edf`` the workload manager hands the policy its keyed ready
+    list's deadline-ordered view; the policy must still learn from it that
+    nothing ready runs on the idle PE, and visit nothing."""
     handlers = busy_cpus_idle_fft()
-    ready = ReadyList()
-    ready.extend(build_app(1000))  # CPU-only
+    policy = make_scheduler("frfs+edf", FixedOracle({}))
     seen = []
 
-    class Inner(Scheduler):
-        name = "inner"
+    def schedule(ready, handlers, now, frfs=policy.schedule):
+        seen.append(ready)
+        return frfs(ready, handlers, now)
 
-        def schedule(self, ordered, handlers, now):
-            seen.append(ordered)
-            return [] if not self.usable_idle(ordered, handlers) else ["scan"]
-
-    policy = make_scheduler("frfs+edf")
-    policy.inner = Inner()
-    assert policy.schedule(ready, handlers, 10.0) == []
-    assert list(seen[0]) == list(ready)  # no deadlines: FIFO order
-    # a plain list is listed in deadline order the same way, index and all
-    assert policy.schedule(list(ready), handlers, 10.0) == []
-    assert list(seen[1]) == list(ready)
-    # the workload manager's list is keyed already: its own view goes down
-    keyed = ReadyList(key=policy.ready_key)
-    keyed.extend(list(ready))
-    assert policy.schedule(keyed, handlers, 10.0) == []
-    assert seen[2] is keyed.ordered
+    policy.schedule = schedule
+    core = WorkloadManagerCore(
+        MaterializedSource([]), handlers, policy, EmulationStats()
+    )
+    core.ready.extend(build_app(1000))  # CPU-only
+    assert core.run_policy(10.0) == []
+    assert len(seen) == 1 and seen[0] is core.ready.ordered
+    assert list(seen[0]) == list(core.ready)  # no deadlines: FIFO order
+    assert not Scheduler.usable_idle(seen[0], handlers)
 
 
 @pytest.mark.parametrize("name", INDEXED_POLICIES)

@@ -275,9 +275,9 @@ def as_ready_list(tasks, key=None) -> ReadyList:
 
 
 def edf_pass(policy, ready, handlers, now, _key):
-    """``eft+edf``'s pass: the wrapper hands ``eft_pass`` the ready list's
-    deadline-ordered view."""
-    return policy.schedule(ready, handlers, now)
+    """``eft+edf``'s pass: EFT over the keyed ready list's deadline-ordered
+    view, as the workload manager hands it."""
+    return policy.schedule(ready.ordered, handlers, now)
 
 
 def held_to_full_rows(place, name, queue, handlers, key, table):
@@ -419,10 +419,9 @@ def test_rank_ordered_policies_inherit_the_compact_rows(name):
     table["T1", 0] = None
     policy = make_scheduler(name, TableOracle(table, []))
     assert len(policy.schedule(ready, handlers, NOW)) == 2
-    inner = getattr(policy, "inner", policy)
-    assert inner._est_pairs
-    for node_id, pairs in inner._est_pairs.items():
-        _node, row = inner._est_rows[node_id]
+    assert policy._est_pairs
+    for node_id, pairs in policy._est_pairs.items():
+        _node, row = policy._est_rows[node_id]
         assert pairs == tuple(
             (i, est) for i, est in enumerate(row) if est is not None
         )

@@ -428,6 +428,22 @@ class TestSchedulerCostModel:
         model.set_policy("custom", 1.0, 2.0, 1)
         assert model.policy_cost("custom", 3, 2) == pytest.approx(1.0 + 2.0 * 3 * 2)
 
+    def test_set_policy_reprices_a_variant_already_priced(self):
+        """A variant's coefficients are resolved once and remembered; a
+        later ``set_policy`` of its base policy (or of the variant itself)
+        still sets the price."""
+        model = SchedulerCostModel()
+        assert model.policy_cost("eft+edf", 3, 2) == model.policy_cost("eft", 3, 2)
+        model.set_policy("eft", 1.0, 2.0, 1)
+        assert model.policy_cost("eft+edf", 3, 2) == pytest.approx(1.0 + 2.0 * 3 * 2)
+        model.set_policy("eft+edf", 4.0, 0.0, 0)
+        assert model.policy_cost("eft+edf", 3, 2) == 4.0
+        assert model.policy_cost("mystery+edf", 3, 2) == model.policy_cost(
+            "mystery", 3, 2
+        )
+        model.default_coeffs = (7.0, 0.0, 0)
+        assert model.policy_cost("mystery+edf", 3, 2) == 7.0
+
     @given(
         st.integers(min_value=0, max_value=5000),
         st.integers(min_value=1, max_value=16),

@@ -276,7 +276,7 @@ class TestRegistryIntegration:
         tasks = build_app(1)
         handlers = make_handlers(["cpu"])
         sched.notify_dispatch([Assignment(tasks[0], handlers[0])], 0.0)
-        assert len(sched.inner._inflight) == 1
+        assert len(sched._inflight) == 1
         sched.notify_completion(tasks[0], 5.0)
-        assert not sched.inner._inflight
+        assert not sched._inflight
         sched.notify_pe_failure(handlers[0], 6.0)

@@ -17,14 +17,14 @@ from repro.runtime.backends import base as backends_base
 from repro.runtime.emulation import Emulation
 from repro.runtime.qos import (
     AdmissionConfig,
-    EDFScheduler,
     QoSController,
     QoSSpec,
     QoSSpecError,
+    deadline_key,
     make_qos,
 )
-from repro.runtime.schedulers import make_scheduler
-from repro.runtime.schedulers.base import Scheduler
+from repro.runtime.schedulers import FRFSScheduler, make_scheduler
+from repro.runtime.schedulers.reservation import ReservationEFTScheduler
 from repro.runtime.stats import StreamingStats
 from repro.runtime.workload import (
     BurstyStream,
@@ -32,7 +32,7 @@ from repro.runtime.workload import (
     WorkloadSpec,
     validation_workload,
 )
-from repro.runtime.workload_manager import WorkloadManagerCore
+from repro.runtime.workload_manager import ReadyList, WorkloadManagerCore
 from repro.common.errors import SchedulingError
 from tests.conftest import make_diamond_graph, make_diamond_library
 from tests.test_backends import diamond_emulation, diamond_perf_model
@@ -115,20 +115,6 @@ class TestQoSSpec:
         assert ctl.interrupt_reason == "SIGINT"
 
 
-class _RecordingScheduler(Scheduler):
-    """Captures the ready order it was shown; schedules nothing."""
-
-    name = "recording"
-    uses_reservation = False
-
-    def __init__(self):
-        self.seen: list[list] = []
-
-    def schedule(self, ready, handlers, now):
-        self.seen.append(list(ready))
-        return []
-
-
 class _FakeApp:
     def __init__(self, deadline):
         self.deadline = deadline
@@ -141,22 +127,34 @@ class _FakeTask:
 
 class TestEDFScheduler:
     def test_ready_list_sorted_by_deadline_stable(self):
-        inner = _RecordingScheduler()
-        edf = EDFScheduler(inner)
         late, early, tie_a, tie_b, none = (
             _FakeTask(900.0), _FakeTask(10.0), _FakeTask(50.0),
             _FakeTask(50.0), _FakeTask(None),
         )
-        edf.schedule([late, tie_a, none, early, tie_b], [], 0.0)
+        ready = ReadyList(key=make_scheduler("frfs+edf").ready_key)
+        ready.extend([late, tie_a, none, early, tie_b])
         # earliest first; equal deadlines keep FIFO order; None sorts last
-        assert inner.seen[0] == [early, tie_a, tie_b, late, none]
+        assert list(ready.ordered) == [early, tie_a, tie_b, late, none]
+        # the list itself stays FIFO
+        assert list(ready) == [late, tie_a, none, early, tie_b]
 
     def test_registry_variant_selection(self):
         edf = make_scheduler("frfs+edf")
-        assert isinstance(edf, EDFScheduler)
-        assert edf.name == "frfs+edf"
-        assert not edf.uses_reservation
-        assert make_scheduler("eft_reserve+edf").uses_reservation
+        assert type(edf) is FRFSScheduler and not edf.uses_reservation
+        reserve = make_scheduler("eft_reserve+edf")
+        assert type(reserve) is ReservationEFTScheduler
+        assert reserve.uses_reservation
+
+    @pytest.mark.parametrize("name", [
+        "frfs", "met", "eft", "random", "heft", "met_power", "frfs_reserve",
+        "eft_reserve", "cprank", "rollout",
+    ])
+    def test_edf_variant_is_the_base_policy_keyed_by_deadline(self, name):
+        base, edf = make_scheduler(name), make_scheduler(f"{name}+edf")
+        assert type(edf) is type(base)
+        assert (edf.name, edf.ready_key) == (f"{base.name}+edf", deadline_key)
+        assert base.ready_key is None
+        assert edf.wants_events is base.wants_events
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(SchedulingError, match="variant"):
