@@ -2,12 +2,6 @@
 
 from repro.analysis.boxstats import BoxStats, box_stats
 from repro.analysis.figures import ascii_chart, fig10_chart, fig11_chart
-from repro.analysis.metrics import (
-    per_type_utilization,
-    queue_delay_stats,
-    schedulability_check,
-    throughput_tasks_per_ms,
-)
 from repro.analysis.tables import format_table, render_rows
 from repro.analysis.trace_export import (
     gantt_ascii,
@@ -24,10 +18,6 @@ __all__ = [
     "ascii_chart",
     "fig10_chart",
     "fig11_chart",
-    "per_type_utilization",
-    "queue_delay_stats",
-    "schedulability_check",
-    "throughput_tasks_per_ms",
     "format_table",
     "render_rows",
     "gantt_ascii",

@@ -21,7 +21,6 @@ can execute its remaining tasks.
 from __future__ import annotations
 
 import enum
-from typing import Any
 
 from repro.appmodel.dag import PlatformBinding, TaskGraph, TaskNode
 from repro.appmodel.variables import MemoryPool, VariableTable
@@ -57,7 +56,6 @@ class TaskInstance:
         "task_id",
         "state",
         "unfinished_preds",
-        "assigned_pe",
         "chosen_platform",
         "ready_time",
         "dispatch_time",
@@ -72,7 +70,6 @@ class TaskInstance:
         self.task_id = task_id
         self.state = _PENDING
         self.unfinished_preds = len(node.predecessors)
-        self.assigned_pe: Any = None  # ResourceHandler once dispatched
         self.chosen_platform: PlatformBinding | None = None
         self.ready_time: float = -1.0
         self.dispatch_time: float = -1.0
@@ -104,14 +101,13 @@ class TaskInstance:
         self.state = _READY
         self.ready_time = now
 
-    def mark_dispatched(self, now: float, pe: Any, platform: PlatformBinding) -> None:
+    def mark_dispatched(self, now: float, platform: PlatformBinding) -> None:
         if self.state != _READY:
             raise EmulationError(
                 f"task {self.qualified_name()} dispatched in state {self.state.name}"
             )
         self.state = _DISPATCHED
         self.dispatch_time = now
-        self.assigned_pe = pe
         self.chosen_platform = platform
 
     def mark_running(self, now: float) -> None:
@@ -135,7 +131,6 @@ class TaskInstance:
                 f"task {self.qualified_name()} requeued in state {self.state.name}"
             )
         self.state = _READY
-        self.assigned_pe = None
         self.chosen_platform = None
         self.dispatch_time = -1.0
         self.start_time = -1.0
@@ -166,24 +161,18 @@ class ApplicationInstance:
         instance_id: int,
         arrival_time: float,
         *,
-        pool_slack: int = 256,
         task_id_base: int = 0,
         materialize: bool = True,
     ) -> None:
         self.graph = graph
         self.instance_id = instance_id
         self.arrival_time = arrival_time
+        #: the instance's variables over its emulated memory pool; None on
+        #: a timing-only instance (virtual backend), whose kernels never run
+        self.variables: VariableTable | None = None
         if materialize:
-            capacity = VariableTable.required_pool_bytes(graph.variables, pool_slack)
-            self.pool: MemoryPool | None = MemoryPool(capacity)
-            self.variables: VariableTable | None = VariableTable(
-                graph.variables, self.pool
-            )
-        else:
-            # Timing-only instance for the virtual backend: no emulated
-            # memory is allocated and kernels must never run on it.
-            self.pool = None
-            self.variables = None
+            capacity = VariableTable.required_pool_bytes(graph.variables)
+            self.variables = VariableTable(graph.variables, MemoryPool(capacity))
         self.tasks: dict[str, TaskInstance] = {}
         next_id = task_id_base
         for name in graph.topological_order():
@@ -220,11 +209,10 @@ class ApplicationInstance:
         The lazy source of open-loop runs calls this once the app settled,
         so memory stays O(apps in flight) rather than O(apps injected).  The
         scalar measurements (arrival/inject/finish times, degraded/dropped
-        flags, task_count) survive; ``tasks``, the emulated memory pool,
-        and the variable table do not.
+        flags, task_count) survive; ``tasks`` and the variable table (with
+        its emulated memory pool) do not.
         """
         self.tasks = {}
-        self.pool = None
         self.variables = None
 
     def head_tasks(self) -> list[TaskInstance]:

@@ -28,6 +28,8 @@ import numpy as np
 from repro.common.errors import ApplicationSpecError, MemoryError_
 
 _POINTER_BYTES = 8  # pointers are 8 bytes on the 64-bit targets emulated
+#: pool headroom beyond the variables' own storage and alignment padding
+_POOL_SLACK_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -180,14 +182,6 @@ class MemoryPool:
             )
         self._storage[base : base + len(data)] = data
 
-    @property
-    def bytes_used(self) -> int:
-        return self._offset
-
-    @property
-    def allocation_count(self) -> int:
-        return len(self._allocations)
-
 
 class VariableBinding:
     """A live variable: its spec plus its storage inside a pool.
@@ -297,8 +291,8 @@ class VariableTable:
         return list(self._bindings)
 
     @staticmethod
-    def required_pool_bytes(specs: dict[str, VariableSpec], slack: int = 64) -> int:
+    def required_pool_bytes(specs: dict[str, VariableSpec]) -> int:
         """Pool capacity needed for a spec set (8-byte alignment padding
-        bounded by 7 bytes per allocation; ``slack`` adds headroom)."""
+        bounded by 7 bytes per allocation, plus fixed headroom)."""
         total = sum(s.storage_bytes + 14 for s in specs.values())
-        return total + slack
+        return total + _POOL_SLACK_BYTES

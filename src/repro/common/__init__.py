@@ -25,7 +25,7 @@ from repro.common.units import (
     MiB,
     format_bytes,
 )
-from repro.common.rng import SeedSequenceFactory, derive_seed, default_rng
+from repro.common.rng import SeedSequenceFactory, derive_seed
 from repro.common.ids import IdAllocator, monotonic_names
 from repro.common.log import get_logger
 
@@ -53,7 +53,6 @@ __all__ = [
     "format_bytes",
     "SeedSequenceFactory",
     "derive_seed",
-    "default_rng",
     "IdAllocator",
     "monotonic_names",
     "get_logger",

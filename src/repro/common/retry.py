@@ -38,10 +38,6 @@ def is_transient_oserror(exc: BaseException) -> bool:
     return isinstance(exc, OSError) and exc.errno in TRANSIENT_ERRNOS
 
 
-class RetryBudgetExceeded(Exception):
-    """All attempts failed; ``__cause__`` carries the last error."""
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry: ``attempts`` tries, exponential backoff, full jitter.

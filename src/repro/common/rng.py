@@ -27,11 +27,6 @@ def derive_seed(root_seed: int, *names: object) -> int:
     return (int(root_seed) * 0x9E3779B1 + digest) & 0x7FFF_FFFF_FFFF_FFFF
 
 
-def default_rng(seed: int | None = None) -> np.random.Generator:
-    """A fresh PCG64 generator; ``None`` selects the framework default seed."""
-    return np.random.default_rng(_DEFAULT_SEED if seed is None else seed)
-
-
 class SeedSequenceFactory:
     """Hands out independent, named RNG streams from one root seed.
 

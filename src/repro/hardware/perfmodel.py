@@ -89,6 +89,13 @@ ACCEL_FFT_POINTS: dict[str, int] = {
     "wifi_fft_ACCEL": 64,
 }
 
+#: reference-core time (µs) of a CPU kernel the table does not list
+DEFAULT_CPU_TIME_US = 25.0
+
+#: lognormal sigma of the per-execution multiplicative jitter (models the
+#: cache/branch/DRAM variability that produces the Fig. 9a boxes)
+JITTER_SIGMA = 0.05
+
 
 class PerformanceModel:
     """Kernel service times per PE type for the virtual backend."""
@@ -97,9 +104,6 @@ class PerformanceModel:
         self,
         cpu_times: dict[str, float] | None = None,
         accel_points: dict[str, int] | None = None,
-        *,
-        default_cpu_time: float = 25.0,
-        jitter_sigma: float = 0.05,
     ) -> None:
         self._cpu_times = dict(
             REFERENCE_KERNEL_TIMES_US if cpu_times is None else cpu_times
@@ -107,12 +111,6 @@ class PerformanceModel:
         self._accel_points = dict(
             ACCEL_FFT_POINTS if accel_points is None else accel_points
         )
-        if default_cpu_time <= 0:
-            raise HardwareConfigError("default_cpu_time must be positive")
-        self.default_cpu_time = default_cpu_time
-        #: lognormal sigma for per-execution multiplicative jitter (models
-        #: caches/branches/DRAM variability that produce the Fig. 9a boxes).
-        self.jitter_sigma = jitter_sigma
 
     # -- registration -----------------------------------------------------------
 
@@ -135,7 +133,7 @@ class PerformanceModel:
 
     def cpu_time(self, runfunc: str, pe_type: PEType) -> float:
         """Service time of a kernel on a CPU-type PE (speed-scaled)."""
-        base = self._cpu_times.get(runfunc, self.default_cpu_time)
+        base = self._cpu_times.get(runfunc, DEFAULT_CPU_TIME_US)
         return base / pe_type.speed
 
     def accel_compute_time(self, runfunc: str, device: FFTAcceleratorDevice) -> float:
@@ -171,9 +169,7 @@ class PerformanceModel:
 
     def jitter(self, rng: np.random.Generator) -> float:
         """A multiplicative jitter factor (mean ≈ 1)."""
-        if self.jitter_sigma <= 0:
-            return 1.0
-        return float(rng.lognormal(mean=0.0, sigma=self.jitter_sigma))
+        return float(rng.lognormal(mean=0.0, sigma=JITTER_SIGMA))
 
 
 # -- scheduling-overhead model -------------------------------------------------
@@ -217,10 +213,12 @@ class SchedulerCostModel:
         # Lookahead policies: cprank is HEFT under its older name and
         # pays the same sort+placement; rollout's bounded
         # forward simulations cost more per pass but are capped by its
-        # scan_limit, so the model is linear rather than quadratic.
+        # SCAN_LIMIT, so the model is linear rather than quadratic.
         "cprank": (1.0, 1.5e-4, 2),
         "rollout": (1.2, 0.012, 1),
     }
+    #: what a policy without an entry of its own (or of its base) costs
+    DEFAULT_COEFFS: tuple[float, float, int] = (0.5, 0.15, 1)
 
     def __init__(
         self,
@@ -229,7 +227,6 @@ class SchedulerCostModel:
         base_cost: float = 0.4,
         monitor_cost_per_completion: float = 0.25,
         dispatch_cost_per_task: float = 0.8,
-        default_coeffs: tuple[float, float, int] = (0.5, 0.15, 1),
     ) -> None:
         self._coeffs = dict(
             self.DEFAULT_POLICY_COEFFS if policy_coeffs is None else policy_coeffs
@@ -237,7 +234,6 @@ class SchedulerCostModel:
         self.base_cost = base_cost
         self.monitor_cost_per_completion = monitor_cost_per_completion
         self.dispatch_cost_per_task = dispatch_cost_per_task
-        self.default_coeffs = default_coeffs
         #: policy name -> the table entry it resolved to (see _resolve)
         self._resolved: dict[str, tuple[float, float, int]] = {}
 
@@ -263,13 +259,13 @@ class SchedulerCostModel:
         """``policy``'s coefficients: its own entry, else, for a variant
         such as ``"frfs+edf"``, its base policy's (the EDF order is kept by
         the ready list, O(log ready) per added task, dominated by the
-        policy).  A table entry is remembered until :meth:`set_policy`; a
-        name without one costs :attr:`default_coeffs`, read each time."""
+        policy), else :attr:`DEFAULT_COEFFS`.  The answer is remembered
+        until :meth:`set_policy`."""
         coeffs = self._coeffs.get(policy)
         if coeffs is None and "+" in policy:
             coeffs = self._coeffs.get(policy.partition("+")[0])
         if coeffs is None:
-            return self.default_coeffs
+            coeffs = self.DEFAULT_COEFFS
         self._resolved[policy] = coeffs
         return coeffs
 

@@ -99,9 +99,6 @@ class ResourceHandler:
         self.status = _IDLE
         self.current_task: TaskInstance | None = None
         self.reservation_queue: deque[TaskInstance] = deque()
-        # accounting (owned by the RM side)
-        self.busy_time: float = 0.0
-        self.tasks_executed: int = 0
         #: scheduler-visible estimate of when this PE frees up (used by
         #: EFT/HEFT/reservation placement)
         self.estimated_free_time: float = 0.0
@@ -117,9 +114,6 @@ class ResourceHandler:
         #: watchdog fail-stops a PE stuck in RUN past its heartbeat timeout.
         #: Plain float write/read — stale reads only delay detection.
         self.heartbeat: float = -1.0
-
-    def is_idle(self) -> bool:
-        return self.status is _IDLE
 
     def _notify(self) -> None:
         """Wake the RM blocked in :meth:`wait_for_work`, if one is (call
@@ -219,13 +213,6 @@ class ResourceHandler:
                 raise EmulationError(
                     f"PE {self.name}: finish_task while {self.status.value}"
                 )
-            done = self.current_task
-            self.tasks_executed += 1
-            # Busy-time accounting happens here, under the lock,
-            # because the WM side may read busy_time concurrently; timeline
-            # stamps are valid only once mark_complete() ran.
-            if done.finish_time >= 0.0 and done.start_time >= 0.0:
-                self.busy_time += done.finish_time - done.start_time
             if not self_serve:
                 self.status = _COMPLETE
                 self._notify()
@@ -241,10 +228,10 @@ class ResourceHandler:
     def abort_task(self, *, self_serve: bool = False) -> TaskInstance | None:
         """RM abandons the current task without completing it (fault path).
 
-        Mirrors :meth:`finish_task` minus the completion bookkeeping: the
-        task is *not* counted or charged to busy time — the workload
-        manager receives it through the requeue channel instead.
-        Self-serve mode continues with the next reserved task.
+        Mirrors :meth:`finish_task`, except that the task is not
+        completed: the workload manager receives it through the requeue
+        channel instead.  Self-serve mode continues with the next reserved
+        task.
         """
         with self.lock:
             if self.status is not _RUN or self.current_task is None:

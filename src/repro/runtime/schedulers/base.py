@@ -24,6 +24,7 @@ from typing import NamedTuple, Protocol
 
 from repro.appmodel.instance import TaskInstance
 from repro.common.errors import SchedulingError
+from repro.common.rng import SeedSequenceFactory
 from repro.runtime.handler import PEStatus, ResourceHandler
 
 #: read once per PE per pass; a module global is a fraction of the cost
@@ -92,6 +93,11 @@ class Scheduler:
     ) -> list[Assignment]:
         """Map ready tasks to PEs.  Must not mutate ``ready``."""
         raise NotImplementedError
+
+    def begin_session(self, seeds: SeedSequenceFactory) -> None:
+        """A session starts; ``seeds`` names its random streams (the run's
+        seed and ``run_index``).  A policy that draws random numbers takes
+        its stream from here, so each run draws its own."""
 
     # -- incremental-state hooks (only called when wants_events is True) -----------
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.appmodel.instance import TaskInstance
-from repro.common.rng import default_rng
+from repro.common.rng import SeedSequenceFactory
 from repro.runtime.handler import ResourceHandler
 from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Scheduler
 
@@ -13,13 +11,13 @@ from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Sched
 class RandomScheduler(Scheduler):
     name = "random"
 
-    def __init__(
-        self,
-        oracle: ExecutionTimeOracle | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:
         super().__init__(oracle)
-        self.rng = rng if rng is not None else default_rng()
+        # outside a session: the stream a session with the default seed gets
+        self.begin_session(SeedSequenceFactory())
+
+    def begin_session(self, seeds: SeedSequenceFactory) -> None:
+        self.rng = seeds.rng("policy")
 
     def schedule(
         self,

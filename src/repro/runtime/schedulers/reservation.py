@@ -6,7 +6,7 @@ framework to support abstractions like PE-level work queues to enable
 lower-overhead task dispatch" (Sec. V).
 
 With reservation enabled, the policy may book a ready task onto a *busy*
-PE (up to ``queue_depth`` outstanding per PE); the resource manager pulls
+PE (up to :data:`QUEUE_DEPTH` outstanding per PE); the resource manager pulls
 its next task directly from its local queue on completion, so the PE never
 idles across the workload manager's scheduling pass.  Placement follows
 earliest-estimated-finish across each PE's existing bookings.
@@ -18,23 +18,16 @@ against plain FRFS/EFT dispatch on a Fig. 10 workload.
 from __future__ import annotations
 
 from repro.appmodel.instance import TaskInstance
-from repro.runtime.handler import PEStatus, ResourceHandler
-from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Scheduler
+from repro.runtime.handler import _IDLE, ResourceHandler
+from repro.runtime.schedulers.base import Assignment, Scheduler
+
+#: tasks one PE may hold at once: the running one plus its bookings
+QUEUE_DEPTH = 4
 
 
 class ReservationEFTScheduler(Scheduler):
     name = "eft_reserve"
     uses_reservation = True
-
-    def __init__(
-        self,
-        oracle: ExecutionTimeOracle | None = None,
-        queue_depth: int = 4,
-    ) -> None:
-        super().__init__(oracle)
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        self.queue_depth = queue_depth
 
     def schedule(
         self,
@@ -45,13 +38,13 @@ class ReservationEFTScheduler(Scheduler):
         avail: list[float] = []
         slots: list[int] = []
         open_slots = 0
-        depth = self.queue_depth
+        depth = QUEUE_DEPTH
         for h in handlers:
             if h.failed:
                 # A failed PE accepts neither dispatch nor bookings.
                 avail.append(float("inf"))
                 free_slots = 0
-            elif h.status is PEStatus.IDLE:
+            elif h.status is _IDLE:
                 avail.append(now)
                 free_slots = depth
             else:
@@ -93,28 +86,18 @@ class ReservationFRFSScheduler(Scheduler):
     name = "frfs_reserve"
     uses_reservation = True
 
-    def __init__(
-        self,
-        oracle: ExecutionTimeOracle | None = None,
-        queue_depth: int = 4,
-    ) -> None:
-        super().__init__(oracle)
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        self.queue_depth = queue_depth
-
     def schedule(
         self,
         ready: list[TaskInstance],
         handlers: list[ResourceHandler],
         now: float,
     ) -> list[Assignment]:
-        depth = self.queue_depth
+        depth = QUEUE_DEPTH
         # ``depth`` is the exclusive load bound below, so a failed PE pinned
         # at ``depth`` can never be selected.
         load = [
             depth if h.failed
-            else 0 if h.status is PEStatus.IDLE
+            else 0 if h.status is _IDLE
             else 1 + len(h.reservation_queue)
             for h in handlers
         ]

@@ -16,14 +16,11 @@ state), so results are deterministic.  Failed PEs
 carry ``inf`` availability (the ``failed_mask`` contract), so neither the
 candidates nor the rollouts ever place work on them.
 
-Knobs (constructor arguments; the registry entry uses the defaults,
-custom values go through ``register_policy``):
+Bounds (module constants):
 
-* ``top_k`` — candidate assignments evaluated per committed dispatch;
-* ``horizon_tasks`` — bound on simulated task completions per rollout;
-* ``horizon_us`` — optional modeled-time bound: simulated work starting
-  past ``now + horizon_us`` is not booked;
-* ``scan_limit`` — ready-prefix scanned for candidates, so open-loop
+* :data:`TOP_K` — candidate assignments evaluated per committed dispatch;
+* :data:`HORIZON_TASKS` — simulated task completions per rollout;
+* :data:`SCAN_LIMIT` — ready-prefix scanned for candidates, so open-loop
   backlogs cannot make a pass O(ready x rollouts).
 
 In-flight work is tracked through the WM event hooks (dispatch adds an
@@ -34,29 +31,26 @@ release-time information.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.appmodel.instance import TaskInstance
-from repro.runtime.handler import PEStatus, ResourceHandler
+from repro.runtime.handler import _IDLE, ResourceHandler
 from repro.runtime.schedulers.base import Assignment, ExecutionTimeOracle, Scheduler
+
+#: candidate assignments evaluated per committed dispatch
+TOP_K = 3
+#: simulated task completions per rollout
+HORIZON_TASKS = 24
+#: ready-prefix scanned for candidates
+SCAN_LIMIT = 64
 
 
 class RolloutScheduler(Scheduler):
     name = "rollout"
     wants_events = True
 
-    def __init__(
-        self,
-        oracle: ExecutionTimeOracle | None = None,
-        *,
-        top_k: int = 3,
-        horizon_tasks: int = 24,
-        horizon_us: float | None = None,
-        scan_limit: int = 64,
-    ) -> None:
+    def __init__(self, oracle: ExecutionTimeOracle | None = None) -> None:
         super().__init__(oracle)
-        self.top_k = max(1, int(top_k))
-        self.horizon_tasks = max(1, int(horizon_tasks))
-        self.horizon_us = horizon_us
-        self.scan_limit = max(1, int(scan_limit))
         #: id(task) -> (task, handler, estimated finish time)
         self._inflight: dict[
             int, tuple[TaskInstance, ResourceHandler, float]
@@ -114,10 +108,6 @@ class RolloutScheduler(Scheduler):
         makespan = now
         finish_sum = 0.0
         steps = 0
-        limit = self.horizon_tasks
-        deadline = (
-            now + self.horizon_us if self.horizon_us is not None else None
-        )
 
         def complete(task: TaskInstance, finish: float, order: int) -> None:
             # Release simulated successors of a (simulated) completion.
@@ -173,7 +163,7 @@ class RolloutScheduler(Scheduler):
             order += 1
 
         inf = float("inf")
-        while sim_pool and steps < limit:
+        while sim_pool and steps < HORIZON_TASKS:
             best = -1
             best_i = -1
             best_finish = inf
@@ -195,11 +185,6 @@ class RolloutScheduler(Scheduler):
             if best < 0:
                 break
             idx, task = sim_pool.pop(best)
-            if deadline is not None and best_finish - _row_est(
-                estimate_row(task, handlers), best_i
-            ) > deadline:
-                # Starts beyond the horizon: the rollout stops caring.
-                continue
             sim_avail[best_i] = best_finish
             if best_finish > makespan:
                 makespan = best_finish
@@ -225,7 +210,7 @@ class RolloutScheduler(Scheduler):
             if h.failed:
                 idle.append(False)
                 avail.append(float("inf"))
-            elif h.status is PEStatus.IDLE:
+            elif h.status is _IDLE:
                 idle.append(True)
                 avail.append(now)
                 idle_remaining += 1
@@ -238,16 +223,11 @@ class RolloutScheduler(Scheduler):
 
         # Bounded prefix of the ready list (under +edf it is handed over in
         # deadline order, so the prefix is the deadline-critical head).
-        scanned: list[tuple[int, TaskInstance]] = []
-        for idx, task in enumerate(ready):
-            if idx >= self.scan_limit:
-                break
-            scanned.append((idx, task))
+        remaining = list(islice(enumerate(ready), SCAN_LIMIT))
 
         estimate_row = self.estimate_row
         assignments: list[Assignment] = []
         taken = [False] * len(handlers)
-        remaining = scanned
         while idle_remaining > 0 and remaining:
             # Top-k candidates by immediate EFT finish (one best PE per
             # task), over idle not-yet-taken PEs only.
@@ -268,7 +248,7 @@ class RolloutScheduler(Scheduler):
             if not cands:
                 break
             cands.sort(key=lambda c: (c[0], c[1]))
-            cands = cands[: self.top_k]
+            cands = cands[:TOP_K]
 
             pool_base = remaining
             best_choice = None
@@ -306,8 +286,3 @@ class RolloutScheduler(Scheduler):
         for a in assignments:
             self._inflight.pop(id(a.task), None)
         return assignments
-
-
-def _row_est(row: tuple, i: int) -> float:
-    est = row[i]
-    return est if est is not None else 0.0

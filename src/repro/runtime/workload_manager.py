@@ -191,9 +191,6 @@ class ReadyList:
     def __contains__(self, task: object) -> bool:
         return id(task) in self._live
 
-    def snapshot(self) -> list[TaskInstance]:
-        return list(self._live.values())
-
 
 class KeyOrder:
     """A keyed :class:`ReadyList` as a policy sees it in key order
@@ -375,16 +372,20 @@ class WorkloadManagerCore:
     @classmethod
     def start(cls, session: EmulationSession, devices: dict) -> WorkloadManagerCore:
         """Setup step: give the scheduler this session's oracle over the
-        perf model, build the core, and start the QoS clock.
+        perf model and its random streams, build the core, and start the
+        QoS clock.
 
         A scheduler instance may serve several sessions, and a
         :class:`PerfModelOracle` caches by positional ``pe_id``, so every
         session gets its own; an oracle of any other type is the caller's
         and is kept.  The new oracle also resets the scheduler's tables
-        (:meth:`Scheduler._sync_row_cache`)."""
+        (:meth:`Scheduler._sync_row_cache`).  The streams come from the
+        session's seeds (:meth:`Scheduler.begin_session`), so a reused
+        instance draws what a fresh one would."""
         scheduler = session.scheduler
         if scheduler.oracle is None or isinstance(scheduler.oracle, PerfModelOracle):
             scheduler.oracle = PerfModelOracle(session.perf_model, devices)
+        scheduler.begin_session(session.seeds)
         core = cls(session.source, session.handlers, scheduler, session.stats,
                    faults=session.faults, qos=session.qos)
         if session.qos is not None:
@@ -689,7 +690,7 @@ class WorkloadManagerCore:
                     f"task {task.qualified_name()} has no binding for PE "
                     f"{handler.name}"
                 )
-            task.mark_dispatched(now, handler, binding)
+            task.mark_dispatched(now, binding)
             if oracle is None:
                 continue
             est = oracle.estimate(task, handler)

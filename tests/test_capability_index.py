@@ -25,7 +25,6 @@ from hypothesis.stateful import (
 )
 
 from repro.appmodel.library import KernelLibrary
-from repro.common.rng import default_rng
 from repro.runtime.backends import VirtualBackend
 from repro.runtime.emulation import Emulation
 from repro.runtime.handler import PEStatus
@@ -75,9 +74,6 @@ class BothWays:
     def __init__(self, name: str) -> None:
         self.indexed = make_scheduler(name)
         self.scan = make_scheduler(name)
-        if name == "random":
-            self.indexed.rng = default_rng(7)
-            self.scan.rng = default_rng(7)
         self.name = self.indexed.name
         self.uses_reservation = self.indexed.uses_reservation
         self.wants_events = self.indexed.wants_events
@@ -93,6 +89,10 @@ class BothWays:
     def oracle(self, oracle) -> None:
         self.indexed.oracle = oracle
         self.scan.oracle = oracle
+
+    def begin_session(self, seeds) -> None:
+        self.indexed.begin_session(seeds)
+        self.scan.begin_session(seeds)
 
     def notify_dispatch(self, assignments, now) -> None:
         self.indexed.notify_dispatch(assignments, now)

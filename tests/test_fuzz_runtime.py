@@ -60,7 +60,7 @@ def layered_graphs(draw, app_name: str = "fuzz_app") -> TaskGraph:
 
 
 def fuzz_perf_model() -> PerformanceModel:
-    perf = PerformanceModel(jitter_sigma=0.0)
+    perf = PerformanceModel()
     perf.set_time("k_generic", 15.0)
     perf.set_accel_job("k_accel", 64)
     return perf

@@ -5,8 +5,9 @@ new users, the slow JSON encoder out of the store, the
 per-cell journal records (and the second lease) from being written twice,
 the backends' monitor step and the ready list from being hand-rolled
 again, the PE handshake from going back to a lock per status read and
-a notification per transition, and the invocation rule from growing a
-caller-settable switch again."""
+a notification per transition, the invocation rule from growing a
+caller-settable switch again, and settings with one value in use (or
+state nothing reads) from coming back."""
 
 from __future__ import annotations
 
@@ -360,6 +361,43 @@ def test_one_invocation_rule_and_one_pass_record():
     }
     assert records == {"base.py": 0, "__init__.py": 0, "threaded.py": 1,
                        "virtual.py": 1}
+
+
+#: settings that became constants and state nothing read, by the
+#: ``src/repro`` file they are gone from (None: the whole package)
+_REMOVED = {
+    None: (
+        "top_k", "horizon_tasks", "horizon_us", "scan_limit", "_row_est",
+        "queue_depth", "default_coeffs", "jitter_sigma", "default_cpu_time",
+        "pool_slack", "is_idle", "assigned_pe", "bytes_used",
+        "allocation_count", "RetryBudgetExceeded", "per_type_utilization",
+        "queue_delay_stats", "throughput_tasks_per_ms", "schedulability_check",
+    ),
+    "runtime/handler.py": ("busy_time", "tasks_executed"),
+    "runtime/workload_manager.py": ("snapshot",),
+    "appmodel/instance.py": ("pool",),
+    "appmodel/variables.py": ("slack",),
+}
+
+
+def test_one_value_settings_and_unread_state_stay_deleted():
+    """A setting no caller sets to anything but its default is a constant,
+    and state nothing reads is not kept: none of the removed names comes
+    back as an identifier, and ``repro.analysis.metrics`` stays deleted."""
+    assert _identifiers(
+        "RolloutScheduler(oracle, scan_limit=1)\n"
+        "h.busy_time += 1.0\n",
+        ("scan_limit", "busy_time"),
+    ) == [(1, "scan_limit"), (2, "busy_time")]
+    package = ROOT / "src" / "repro"
+    assert not (package / "analysis" / "metrics.py").exists()
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package).as_posix()
+        gone = _REMOVED[None] + _REMOVED.get(rel, ())
+        for line, what in _identifiers(path.read_text("utf-8"), gone):
+            offenders.append(f"{rel}:{line}: {what}")
+    assert offenders == []
 
 
 #: what the deleted second speed harness was reached by (spelled in two

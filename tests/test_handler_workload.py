@@ -54,7 +54,7 @@ class TestResourceHandler:
         assert handler.current_task is task
         handler.finish_task()
         assert handler.status is PEStatus.COMPLETE
-        assert handler.current_task is task and handler.tasks_executed == 1
+        assert handler.current_task is task
         handler.acknowledge_complete()
         assert handler.status is PEStatus.IDLE
         assert handler.current_task is None
@@ -96,7 +96,7 @@ class TestResourceHandler:
         assert handler.status is PEStatus.RUN
         assert handler.finish_task(self_serve=True) is None
         assert handler.status is PEStatus.IDLE
-        assert handler.current_task is None and handler.tasks_executed == 2
+        assert handler.current_task is None
 
     def test_accepted_platforms_generic_cpu(self):
         cpu = make_handler(PE_CPU)
@@ -115,13 +115,16 @@ class TestResourceHandler:
         handler.request_shutdown()
         assert handler.wait_for_work(timeout=0.01) is None
 
-    def test_tasks_executed_counter(self):
+    def test_handshake_repeats_from_idle(self):
         handler = make_handler()
         for _ in range(3):
-            handler.assign(make_task())
+            task = make_task()
+            handler.assign(task)
             handler.finish_task()
+            assert handler.current_task is task
             handler.acknowledge_complete()
-        assert handler.tasks_executed == 3
+            assert handler.status is PEStatus.IDLE
+            assert handler.current_task is None
 
 
 class CountingLock:
@@ -174,14 +177,13 @@ class TestHandshakeByCount:
         # assign, finish_task, acknowledge_complete; the policy's, the
         # validator's and the liveness guard's status reads take none
         for handler in session.handlers:
-            assert handler.lock.acquired == 3 * handler.tasks_executed
+            executed = stats.pe_usage[handler.name].tasks_executed
+            assert handler.lock.acquired == 3 * executed
             # nothing ever waits on the virtual backend
             assert handler.condition.notified == 0
-        assert sum(h.tasks_executed for h in session.handlers) == stats.task_count
         handler = session.handlers[0]
         before = handler.lock.acquired
         assert all(handler.status is PEStatus.IDLE for _ in range(100))
-        assert handler.is_idle()
         assert handler.lock.acquired == before
 
 
@@ -246,7 +248,6 @@ class TestHandshakeByThread:
         finally:
             sys.setswitchinterval(interval)
         assert not rm.is_alive()
-        assert handler.tasks_executed == rounds
         assert handler._waiters == 0
 
     def test_waiter_count_returns_to_zero_after_a_timeout(self):

@@ -20,6 +20,7 @@ from repro.hardware.config import AffinityPlan, parse_config
 from repro.hardware.dma import DMAModel, DmaBuffer
 from repro.hardware.pe import PE_BIG, PE_CPU, PE_FFT, PE_LITTLE, PEType, PEKind
 from repro.hardware.perfmodel import (
+    DEFAULT_CPU_TIME_US,
     PerformanceModel,
     SchedulerCostModel,
 )
@@ -289,8 +290,8 @@ class TestPerformanceModel:
         assert big < base < little
 
     def test_unknown_kernel_uses_default(self):
-        model = PerformanceModel(default_cpu_time=33.0)
-        assert model.cpu_time("mystery", PE_CPU) == 33.0
+        model = PerformanceModel()
+        assert model.cpu_time("mystery", PE_CPU) == DEFAULT_CPU_TIME_US
 
     def test_128pt_fft_faster_on_cpu_than_accelerator(self):
         """The paper's Fig. 9 finding that motivates the 1C+1F behaviour."""
@@ -328,13 +329,11 @@ class TestPerformanceModel:
             model.set_accel_job("bad", 0)
 
     def test_jitter_statistics(self):
-        model = PerformanceModel(jitter_sigma=0.05)
+        model = PerformanceModel()
         rng = np.random.default_rng(12)
         samples = np.array([model.jitter(rng) for _ in range(4000)])
         assert samples.mean() == pytest.approx(1.0, abs=0.02)
         assert 0.01 < samples.std() < 0.12
-        quiet = PerformanceModel(jitter_sigma=0.0)
-        assert quiet.jitter(rng) == 1.0
 
 
 #: what the cost model reads of a policy: its name and whether it serves
@@ -421,7 +420,10 @@ class TestSchedulerCostModel:
 
     def test_unknown_policy_uses_default_coeffs(self):
         model = SchedulerCostModel()
-        assert model.policy_cost("mystery", 10, 5) > 0
+        c0, coeff, power = SchedulerCostModel.DEFAULT_COEFFS
+        assert model.policy_cost("mystery", 10, 5) == pytest.approx(
+            c0 + coeff * 10**power * 5
+        )
 
     def test_set_policy_overrides(self):
         model = SchedulerCostModel()
@@ -441,7 +443,7 @@ class TestSchedulerCostModel:
         assert model.policy_cost("mystery+edf", 3, 2) == model.policy_cost(
             "mystery", 3, 2
         )
-        model.default_coeffs = (7.0, 0.0, 0)
+        model.set_policy("mystery", 7.0, 0.0, 0)
         assert model.policy_cost("mystery+edf", 3, 2) == 7.0
 
     @given(

@@ -115,7 +115,7 @@ class TestApplicationInstance:
         instance.inject_time = 0.0
         a = instance.tasks["A"]
         a.mark_ready(1.0)
-        a.mark_dispatched(2.0, pe=None, platform=a.node.platforms[0])
+        a.mark_dispatched(2.0, platform=a.node.platforms[0])
         a.mark_running(3.0)
         a.mark_complete(4.0)
         newly = instance.on_task_complete(a, 4.0)
@@ -141,7 +141,7 @@ class TestApplicationInstance:
             task = instance.tasks[name]
             if task.state is TaskState.PENDING:
                 task.mark_ready(t)
-            task.mark_dispatched(t, None, task.node.platforms[0])
+            task.mark_dispatched(t, task.node.platforms[0])
             task.mark_running(t)
             task.mark_complete(t)
             return instance.on_task_complete(task, t)
@@ -165,7 +165,6 @@ class TestApplicationInstance:
             make_diamond_graph(), 0, 0.0, materialize=False
         )
         assert instance.variables is None
-        assert instance.pool is None
         assert instance.task_count == 4  # tasks still exist for scheduling
 
     def test_qualified_name(self):

@@ -21,7 +21,7 @@ from repro.runtime.schedulers import (
     available_policies,
     make_scheduler,
 )
-from repro.runtime.schedulers.rollout import RolloutScheduler
+from repro.runtime.schedulers.rollout import SCAN_LIMIT, RolloutScheduler
 from tests.test_fuzz_runtime import layered_graphs
 from tests.test_schedulers import FixedOracle, build_app, make_handlers
 
@@ -224,14 +224,15 @@ class TestRollout:
         assert all(a.handler.pe_id == 0 for a in out)
 
     def test_scan_limit_bounds_candidates(self):
-        tasks = build_app(4)
+        tasks = build_app(SCAN_LIMIT + 1)
         handlers = make_handlers(["cpu", "cpu"])
-        oracle = FixedOracle({(f"k{i}", "cpu"): 10.0 for i in range(4)})
-        out = RolloutScheduler(oracle, scan_limit=1).schedule(
-            tasks, handlers, 0.0
-        )
-        # only the scanned prefix (T0) is eligible this pass
-        assert [a.task.name for a in out] == ["T0"]
+        # the task past the scanned prefix is the fastest by far
+        oracle = FixedOracle({(f"k{i}", "cpu"): 10.0 for i in range(SCAN_LIMIT)})
+        oracle.times[(f"k{SCAN_LIMIT}", "cpu")] = 1.0
+        out = RolloutScheduler(oracle).schedule(tasks, handlers, 0.0)
+        # only the scanned prefix is eligible this pass
+        assert len(out) == 2
+        assert tasks[SCAN_LIMIT] not in [a.task for a in out]
 
     def test_completion_and_failure_clear_inflight(self):
         tasks = build_app(2, fft_capable={0, 1})
@@ -248,13 +249,6 @@ class TestRollout:
         handlers[1].mark_failed(11.0)
         sched.notify_pe_failure(handlers[1], 11.0)
         assert not sched._inflight
-
-    def test_knobs_clamped(self):
-        sched = RolloutScheduler(FixedOracle({}), top_k=0,
-                                 horizon_tasks=-3, scan_limit=0)
-        assert sched.top_k == 1
-        assert sched.horizon_tasks == 1
-        assert sched.scan_limit == 1
 
 
 class TestRegistryIntegration:

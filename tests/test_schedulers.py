@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +12,7 @@ from repro.appmodel.builder import GraphBuilder
 from repro.appmodel.dag import PlatformBinding
 from repro.appmodel.instance import ApplicationInstance
 from repro.common.errors import SchedulingError
+from repro.common.rng import SeedSequenceFactory
 from repro.hardware.pe import PE_CPU, PE_FFT, ProcessingElement
 from repro.runtime.handler import ResourceHandler
 from repro.runtime.schedulers import (
@@ -29,6 +29,7 @@ from repro.runtime.schedulers import (
 )
 from repro.runtime.schedulers.base import validate_assignments
 from repro.runtime.schedulers.reservation import (
+    QUEUE_DEPTH,
     ReservationEFTScheduler,
     ReservationFRFSScheduler,
 )
@@ -184,13 +185,18 @@ class TestEFT:
         assert {a.handler.pe_id for a in out} == {0, 1}
 
 
+def seeded_random(seed: int) -> RandomScheduler:
+    """A RANDOM policy drawing the stream a session with ``seed`` gives it."""
+    sched = RandomScheduler()
+    sched.begin_session(SeedSequenceFactory(seed))
+    return sched
+
+
 class TestRandom:
     def test_only_supported_idle_pes_chosen(self):
         tasks = build_app(4)
         handlers = make_handlers(["cpu", "fft", "cpu"])
-        out = RandomScheduler(rng=np.random.default_rng(0)).schedule(
-            tasks, handlers, 0.0
-        )
+        out = seeded_random(0).schedule(tasks, handlers, 0.0)
         assert all(a.handler.type_name == "cpu" for a in out)
         assert len(out) == 2
 
@@ -198,13 +204,29 @@ class TestRandom:
         def run(seed):
             tasks = build_app(3)
             handlers = make_handlers(["cpu", "cpu", "cpu"])
-            sched = RandomScheduler(rng=np.random.default_rng(seed))
             return [
                 (a.task.name, a.handler.pe_id)
-                for a in sched.schedule(tasks, handlers, 0.0)
+                for a in seeded_random(seed).schedule(tasks, handlers, 0.0)
             ]
 
         assert run(7) == run(7)
+
+    def test_the_run_seed_picks_the_stream(self):
+        """Each run's seed gives the policy its own stream: one seed
+        repeats its placements, two seeds place differently."""
+        from repro.runtime.emulation import Emulation
+        from repro.runtime.workload import validation_workload
+
+        apps = {"range_detection": 3, "wifi_tx": 2, "pulse_doppler": 1}
+
+        def placements(seed):
+            emu = Emulation(config="3C+2F", policy="random", seed=seed,
+                            jitter=False)
+            records = emu.run(validation_workload(apps)).stats.task_records
+            return [(r.task_id, r.pe_name) for r in records]
+
+        assert placements(1) == placements(1)
+        assert placements(1) != placements(2)
 
 
 class TestHEFT:
@@ -234,33 +256,32 @@ class TestReservation:
         tasks = build_app(2)
         handlers = make_handlers(["cpu"])
         handlers[0].reserve(build_app(1)[0])  # PE now busy
-        sched = ReservationFRFSScheduler(queue_depth=4)
+        sched = ReservationFRFSScheduler()
         out = sched.schedule(tasks, handlers, 0.0)
         assert len(out) == 2
         assert all(a.handler.pe_id == 0 for a in out)
 
     def test_queue_depth_bounds_bookings(self):
-        tasks = build_app(6)
-        handlers = make_handlers(["cpu"])
-        sched = ReservationFRFSScheduler(queue_depth=2)
-        out = sched.schedule(tasks, handlers, 0.0)
-        assert len(out) == 2
+        """A PE holds at most QUEUE_DEPTH tasks: an idle one takes that
+        many, a busy one with a booking takes what is left."""
+        tasks = build_app(QUEUE_DEPTH + 2)
+        idle, busy = make_handlers(["cpu", "cpu"])
+        busy.reserve(build_app(1)[0])
+        busy.reserve(build_app(1)[0])
+        for policy in (ReservationFRFSScheduler, ReservationEFTScheduler):
+            sched = policy(FixedOracle({}))
+            assert len(sched.schedule(tasks, [idle], 0.0)) == QUEUE_DEPTH
+            assert len(sched.schedule(tasks, [busy], 0.0)) == QUEUE_DEPTH - 2
 
     def test_eft_reserve_balances_by_finish_time(self):
         tasks = build_app(4)
         handlers = make_handlers(["cpu", "cpu"])
         oracle = FixedOracle({(f"k{i}", "cpu"): 10.0 for i in range(4)})
-        out = ReservationEFTScheduler(oracle, queue_depth=2).schedule(
-            tasks, handlers, 0.0
-        )
+        out = ReservationEFTScheduler(oracle).schedule(tasks, handlers, 0.0)
         per_pe = {}
         for a in out:
             per_pe[a.handler.pe_id] = per_pe.get(a.handler.pe_id, 0) + 1
         assert per_pe == {0: 2, 1: 2}
-
-    def test_invalid_queue_depth(self):
-        with pytest.raises(ValueError):
-            ReservationFRFSScheduler(queue_depth=0)
 
 
 class TestValidation:
@@ -351,8 +372,7 @@ def test_policy_output_always_valid_property(n_tasks, pes, policy):
     handlers = make_handlers(pes)
     oracle = FixedOracle({})
     sched = make_scheduler(policy, oracle)
-    if policy == "random":
-        sched.rng = np.random.default_rng(0)
+    sched.begin_session(SeedSequenceFactory(0))
     out = sched.schedule(tasks, handlers, 0.0)
     validate_assignments(out, tasks)
     assert len({id(a.handler) for a in out}) == len(out)
@@ -375,10 +395,11 @@ class TestReusedInstance:
         return emu.run(validation_workload(apps), VirtualBackend()).stats.makespan
 
     @pytest.mark.parametrize("first,second", [
-        ("1C+1F", "3C+2F"), ("3C+2F", "1C+1F"),
+        ("1C+1F", "3C+2F"), ("3C+2F", "1C+1F"), ("3C+2F", "3C+2F"),
     ])
     @pytest.mark.parametrize("policy", [
         "eft", "met", "heft", "cprank", "rollout", "eft_reserve", "eft+edf",
+        "random",
     ])
     def test_reuse_matches_a_fresh_instance(self, policy, first, second):
         scheduler = make_scheduler(policy)

@@ -7,12 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.boxstats import box_stats
-from repro.analysis.metrics import (
-    per_type_utilization,
-    queue_delay_stats,
-    schedulability_check,
-    throughput_tasks_per_ms,
-)
 from repro.analysis.tables import format_table, render_rows
 from repro.common.errors import EmulationError
 from repro.runtime.backends import VirtualBackend
@@ -99,34 +93,6 @@ class TestBoxStats:
         b = box_stats(samples)
         assert b.minimum <= b.q1 <= b.median <= b.q3 <= b.maximum
         assert b.minimum <= b.mean <= b.maximum
-
-
-class TestMetrics:
-    def test_per_type_utilization_groups(self):
-        stats = run_small().stats
-        per_type = per_type_utilization(stats)
-        assert set(per_type) == {"cpu", "fft"}
-        assert per_type["cpu"] > per_type["fft"]
-
-    def test_queue_delay_stats(self):
-        stats = run_small().stats
-        q = queue_delay_stats(stats)
-        assert q["mean"] >= 0 and q["p95"] >= q["p50"] >= 0
-        assert q["max"] >= q["p95"]
-
-    def test_queue_delay_empty(self):
-        assert queue_delay_stats(EmulationStats())["max"] == 0.0
-
-    def test_throughput(self):
-        stats = run_small().stats
-        expected = stats.task_count / (stats.makespan / 1000.0)
-        assert throughput_tasks_per_ms(stats) == pytest.approx(expected)
-
-    def test_schedulability(self):
-        stats = run_small().stats
-        assert schedulability_check(stats, stats.makespan)
-        assert not schedulability_check(stats, stats.makespan / 10.0)
-        assert schedulability_check(stats, 0.0)
 
 
 class TestTables:

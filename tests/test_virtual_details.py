@@ -32,7 +32,7 @@ def fft_only_app(n_tasks: int):
 def burst_emulation(config: str, n_tasks: int = 16):
     lib = KernelLibrary()
     lib.register_shared_object("fft_burst.so", {"burst_accel": lambda ctx: None})
-    perf = PerformanceModel(jitter_sigma=0.0)
+    perf = PerformanceModel()
     perf.set_accel_job("burst_accel", 128)
     return Emulation(
         config=config, policy="frfs",
@@ -90,7 +90,7 @@ class TestPerfModelOracle:
 
         plan = AffinityPlan.build(zcu102(), "1C+1F")
         handlers = [ResourceHandler(pe) for pe in plan.pes]
-        perf = PerformanceModel(jitter_sigma=0.0)
+        perf = PerformanceModel()
         perf.set_time("k_b", 20.0)
         perf.set_accel_job("k_b_accel", 8)
         devices = {

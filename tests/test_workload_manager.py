@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.appmodel.instance import ApplicationInstance, TaskState
 from repro.common.errors import EmulationError
+from repro.runtime.handler import PEStatus
 from repro.runtime.qos import deadline_key
 from repro.runtime.schedulers import FRFSScheduler
 from repro.runtime.schedulers.base import Assignment
@@ -307,7 +308,7 @@ class TestWorkloadManagerCore:
         core.process_completions([(handler, task)], 3.0)
         assert sorted(t.name for t in core.ready) == ["B", "C"]
         assert stats.task_count == 1
-        assert handlers[0].is_idle()
+        assert handlers[0].status is PEStatus.IDLE
 
     def test_full_drive_to_completion(self, zcu):
         core, handlers, stats = make_core(zcu, config="2C+0F")
@@ -360,7 +361,7 @@ class TestPassSteps:
         assignments = core.run_policy(0.0)
         assert core.dispatch(assignments, 2.0) == assignments
         task, handler = assignments[0]
-        assert handler.current_task is task and not handler.is_idle()
+        assert handler.current_task is task and handler.status is PEStatus.RUN
         assert task.dispatch_time == 2.0 and task not in core.ready
 
     def test_dispatch_returns_a_started_reservation_not_a_queued_one(self, zcu):
@@ -370,7 +371,7 @@ class TestPassSteps:
         )
         core.inject_due(0.0)
         (cpu,) = handlers
-        first, second = (Assignment(t, cpu) for t in core.ready.snapshot())
+        first, second = (Assignment(t, cpu) for t in list(core.ready))
         assert core.dispatch([first, second], 1.0) == [first]
         assert cpu.current_task is first.task
         assert list(cpu.reservation_queue) == [second.task]
