@@ -23,17 +23,6 @@ class BoxStats:
     def iqr(self) -> float:
         return self.q3 - self.q1
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "mean": self.mean,
-            "n": self.n,
-        }
-
 
 def box_stats(samples: list[float] | np.ndarray) -> BoxStats:
     """Compute box statistics; requires at least one sample."""

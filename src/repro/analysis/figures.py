@@ -103,29 +103,23 @@ def fig10_chart(points) -> str:
     )
 
 
-def pareto_chart(
-    rows: Sequence[Mapping],
-    *,
-    x_key: str = "makespan_ms",
-    y_key: str = "total_energy_j",
-    title: str = "Campaign Pareto plane",
-) -> str:
-    """Campaign cells on the (x, y) minimization plane.
+def pareto_chart(rows: Sequence[Mapping]) -> str:
+    """Campaign cells on the makespan / energy minimization plane.
 
     Frontier members (computed via :func:`repro.dse.frontier.frontier_rows`
     when rows lack a ``pareto`` flag) are drawn with the first marker,
     dominated designs with the second.
     """
+    from repro.dse.frontier import X_METRIC, Y_METRIC, frontier_rows
+
     rows = list(rows)
     if rows and "pareto" not in rows[0]:
-        from repro.dse.frontier import frontier_rows
-
-        rows = frontier_rows(rows, x=x_key, y=y_key)
+        rows = frontier_rows(rows)
     series: dict[str, list[tuple[float, float]]] = {
         "frontier": [], "dominated": [],
     }
     for row in rows:
-        x, y = row.get(x_key), row.get(y_key)
+        x, y = row.get(X_METRIC), row.get(Y_METRIC)
         if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
             continue
         series["frontier" if row.get("pareto") else "dominated"].append(
@@ -134,7 +128,7 @@ def pareto_chart(
     if not series["dominated"]:
         del series["dominated"]
     return ascii_chart(
-        series, title=f"{title} ({x_key} vs {y_key})"
+        series, title=f"Campaign Pareto plane ({X_METRIC} vs {Y_METRIC})"
     )
 
 

@@ -245,15 +245,8 @@ class TaskGraph:
         """Nodes with no predecessors (injected as initially ready)."""
         return tuple(n for n, node in self.nodes.items() if not node.predecessors)
 
-    def tail_nodes(self) -> tuple[str, ...]:
-        return tuple(n for n, node in self.nodes.items() if not node.successors)
-
     def topological_order(self) -> tuple[str, ...]:
         return self._topo_order
-
-    def platform_types(self) -> set[str]:
-        """All PE types any node of this application can run on."""
-        return {p.name for node in self.nodes.values() for p in node.platforms}
 
     def to_networkx(self) -> nx.DiGraph:
         import networkx as nx
@@ -291,9 +284,6 @@ class TaskGraph:
             best = max((ranks[s] for s in node.successors), default=0.0)
             ranks[name] = weight_fn(name) + best
         return ranks
-
-    def total_variable_bytes(self) -> int:
-        return sum(spec.storage_bytes for spec in self.variables.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -125,12 +125,6 @@ class KernelLibrary:
         """Add (or replace) one symbol in a shared object, creating it if new."""
         self._objects.setdefault(shared_object, {})[symbol] = fn
 
-    def has_shared_object(self, name: str) -> bool:
-        return name in self._objects
-
-    def shared_objects(self) -> list[str]:
-        return list(self._objects)
-
     def symbols(self, shared_object: str) -> list[str]:
         if shared_object not in self._objects:
             raise SymbolResolutionError(f"shared object {shared_object!r} not found")
@@ -151,12 +145,3 @@ class KernelLibrary:
                 f"{shared_object!r}"
             )
         return fn
-
-    def merged_with(self, other: "KernelLibrary") -> "KernelLibrary":
-        """A new library containing both registries (other wins conflicts)."""
-        merged = KernelLibrary()
-        for name, syms in self._objects.items():
-            merged._objects[name] = dict(syms)
-        for name, syms in other._objects.items():
-            merged._objects.setdefault(name, {}).update(syms)
-        return merged

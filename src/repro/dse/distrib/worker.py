@@ -56,6 +56,9 @@ from repro.runtime.qos import QoSController
 #: before giving up (each idle retry also sleeps ``poll_s``).
 DEFAULT_RECONNECT_BUDGET_S = 60.0
 
+#: How long a worker waits for the coordinator to publish the manifest.
+MANIFEST_WAIT_S = 30.0
+
 
 @dataclass
 class WorkerSummary:
@@ -170,7 +173,6 @@ def run_worker(
     oneshot: bool = False,
     max_cells: int | None = None,
     controller: QoSController | None = None,
-    manifest_wait_s: float = 30.0,
     reconnect_budget_s: float = DEFAULT_RECONNECT_BUDGET_S,
     log=None,
 ) -> WorkerSummary:
@@ -195,7 +197,7 @@ def run_worker(
         )
     worker_id = transport.worker_id
 
-    manifest = transport.wait_ready(timeout_s=manifest_wait_s, poll_s=poll_s)
+    manifest = transport.wait_ready(timeout_s=MANIFEST_WAIT_S, poll_s=poll_s)
     ttl = layout.lease_ttl_s(manifest, lease_ttl_s)
     timeout_s = manifest.get("timeout_s")
     by_id = layout.manifest_cells(manifest)

@@ -35,13 +35,14 @@ def pareto_frontier(points: Sequence[tuple[float, float]]) -> list[int]:
     return frontier
 
 
-def frontier_rows(
-    rows: Sequence[dict[str, Any]],
-    *,
-    x: str = "makespan_ms",
-    y: str = "total_energy_j",
-) -> list[dict[str, Any]]:
-    """Annotate campaign rows with Pareto membership on the (x, y) plane.
+#: the Pareto plane of every campaign: makespan against energy, both minimized
+X_METRIC = "makespan_ms"
+Y_METRIC = "total_energy_j"
+
+
+def frontier_rows(rows: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Annotate campaign rows with Pareto membership on the makespan /
+    energy plane.
 
     Rows missing either metric (failed cells) are marked non-frontier.
     Returns new dicts with ``pareto`` (bool) added, preserving order.
@@ -49,7 +50,7 @@ def frontier_rows(
     usable: list[int] = []
     points: list[tuple[float, float]] = []
     for i, row in enumerate(rows):
-        xv, yv = row.get(x), row.get(y)
+        xv, yv = row.get(X_METRIC), row.get(Y_METRIC)
         if isinstance(xv, (int, float)) and isinstance(yv, (int, float)):
             usable.append(i)
             points.append((float(xv), float(yv)))
@@ -59,31 +60,17 @@ def frontier_rows(
     ]
 
 
-def render_frontier(
-    rows: Sequence[dict[str, Any]],
-    *,
-    x: str = "makespan_ms",
-    y: str = "total_energy_j",
-    title: str = "Pareto frontier (minimize both axes)",
-) -> str:
+def render_frontier(rows: Sequence[dict[str, Any]]) -> str:
     """Frontier members as a table, sorted along the frontier."""
     from repro.analysis.tables import format_table
 
-    annotated = [r for r in frontier_rows(rows, x=x, y=y) if r["pareto"]]
-    annotated.sort(key=lambda r: (r[x], r[y]))
+    annotated = [r for r in frontier_rows(rows) if r["pareto"]]
+    annotated.sort(key=lambda r: (r[X_METRIC], r[Y_METRIC]))
     body = [
-        [r.get("label", r.get("cell_id", "?")), r[x], r[y]] for r in annotated
+        [r.get("label", r.get("cell_id", "?")), r[X_METRIC], r[Y_METRIC]]
+        for r in annotated
     ]
-    return format_table(["cell", x, y], body, title=title)
-
-
-def best_by(
-    rows: Sequence[dict[str, Any]], metric: str = "makespan_ms"
-) -> dict[str, Any] | None:
-    """The row minimizing ``metric`` (ignoring rows without it)."""
-    usable = [
-        r for r in rows if isinstance(r.get(metric), (int, float))
-    ]
-    if not usable:
-        return None
-    return min(usable, key=lambda r: r[metric])
+    return format_table(
+        ["cell", X_METRIC, Y_METRIC], body,
+        title="Pareto frontier (minimize both axes)",
+    )

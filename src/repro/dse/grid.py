@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ReproError
@@ -532,7 +532,3 @@ class SweepGrid:
             faults=_spec_objects(data, "faults", (None,)),
             qos=_spec_objects(data, "qos", (None,)),
         )
-
-    def with_overrides(self, **kwargs: Any) -> SweepGrid:
-        """A copy with some axes replaced (convenience for experiments)."""
-        return replace(self, **kwargs)

@@ -223,15 +223,6 @@ class CampaignResult:
 
         return campaign_table(self.rows(), sort_by=sort_by)
 
-    def frontier(
-        self,
-        x: str = "makespan_ms",
-        y: str = "total_energy_j",
-    ) -> list[dict[str, Any]]:
-        from repro.dse.frontier import frontier_rows
-
-        return frontier_rows(self.rows(), x=x, y=y)
-
     def summary(self) -> dict[str, Any]:
         return {
             "cells": len(self.results),

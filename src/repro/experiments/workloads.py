@@ -2,7 +2,6 @@
 
 * Table II's five performance-mode workloads (instance counts per app at
   each average injection rate; counts sum to rate × 100 ms).
-* The Fig. 9 validation workload (one instance of each application).
 * Rate-scaled workloads for the Odroid sweep of Fig. 11 (rates 4–18
   jobs/ms, same application mix proportions as Table II).
 """
@@ -15,7 +14,6 @@ from repro.common.errors import ApplicationSpecError
 from repro.common.units import MS
 from repro.runtime.workload import (
     WorkloadSpec,
-    validation_workload,
     workload_for_counts,
 )
 
@@ -41,13 +39,6 @@ MIX_SHARES: dict[str, float] = {
     "wifi_tx": 0.118,
     "wifi_rx": 0.118,
 }
-
-
-def fig9_workload() -> WorkloadSpec:
-    """Case study 1: single instances of PD, RD, and the WiFi apps at t=0."""
-    return validation_workload(
-        {"pulse_doppler": 1, "range_detection": 1, "wifi_tx": 1, "wifi_rx": 1}
-    )
 
 
 def table_ii_workload(rate: float) -> WorkloadSpec:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import EmulationError, HardwareConfigError, MemoryError_
+from repro.common.errors import EmulationError, MemoryError_
 from repro.hardware.dma import DMAModel, DmaBuffer
 
 
@@ -50,28 +50,28 @@ class FFTTimingModel:
         return self.setup_us + n_points * stages * self.per_point_stage_us
 
 
-class FFTAcceleratorDevice:
-    """One FFT accelerator instance with its DMA engine and BRAM."""
+#: bytes of one complex64 sample, the device's data type
+COMPLEX64_BYTES = 8
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        bram_bytes: int = 32 * 1024,
-        dma: DMAModel | None = None,
-        timing: FFTTimingModel | None = None,
-        max_points: int = 4096,
-    ) -> None:
-        if bram_bytes <= 0:
-            raise HardwareConfigError("BRAM capacity must be positive")
+
+class FFTAcceleratorDevice:
+    """One FFT accelerator instance with its DMA engine and BRAM.
+
+    Every device is the ZCU102 overlay's: 32 KiB of Block RAM, so a
+    transform of at most ``max_points`` = 32 KiB / 8 B = 4096 complex64
+    points; the AXI DMA path (14 µs setup, 300 B/µs); and the default
+    :class:`FFTTimingModel`.  Both models are frozen and shared by all
+    devices.
+    """
+
+    bram_bytes = 32 * 1024
+    max_points = bram_bytes // COMPLEX64_BYTES
+    dma = DMAModel(setup_latency_us=14.0, bandwidth_bytes_per_us=300.0)
+    timing = FFTTimingModel()
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bram_bytes = bram_bytes
-        self.dma = dma if dma is not None else DMAModel(
-            setup_latency_us=14.0, bandwidth_bytes_per_us=300.0
-        )
-        self.timing = timing if timing is not None else FFTTimingModel()
-        self.max_points = max_points
-        self.buffer = DmaBuffer(bram_bytes)
+        self.buffer = DmaBuffer(self.bram_bytes)
         self.state = AcceleratorState.IDLE
         self._pending_points = 0
         self._pending_inverse = False
@@ -83,9 +83,9 @@ class FFTAcceleratorDevice:
         """Device compute time in µs, excluding DMA."""
         return self.timing.compute_time(n_points)
 
-    def job_time(self, n_points: int, *, complex_bytes: int = 8) -> float:
+    def job_time(self, n_points: int) -> float:
         """End-to-end accelerator service time: DMA in + compute + DMA out."""
-        nbytes = n_points * complex_bytes
+        nbytes = n_points * COMPLEX64_BYTES
         return self.dma.round_trip_time(nbytes, nbytes) + self.compute_time(n_points)
 
     # -- functional interface (threaded backend) --------------------------------
@@ -126,7 +126,7 @@ class FFTAcceleratorDevice:
         if self.state is not AcceleratorState.BUSY:
             return
         n = self._pending_points
-        data = self.buffer.view(n * 8, np.complex64)
+        data = self.buffer.view(n * COMPLEX64_BYTES, np.complex64)
         if self._pending_inverse:
             result = np.fft.ifft(data).astype(np.complex64)
         else:
@@ -145,7 +145,9 @@ class FFTAcceleratorDevice:
             raise EmulationError(
                 f"accelerator {self.name!r}: read_result() while {self.state.value}"
             )
-        out = self.buffer.read(self._pending_points * 8, np.complex64)
+        out = self.buffer.read(
+            self._pending_points * COMPLEX64_BYTES, np.complex64
+        )
         self.state = AcceleratorState.IDLE
         self._pending_points = 0
         return out

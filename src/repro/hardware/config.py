@@ -67,13 +67,6 @@ class DSSoCConfig:
                 return count
         return 0
 
-    @property
-    def total_pes(self) -> int:
-        return sum(c for _n, c in self.counts)
-
-    def type_names(self) -> list[str]:
-        return [n for n, c in self.counts if c > 0]
-
     def describe(self) -> str:
         return self.label or ",".join(f"{n}:{c}" for n, c in self.counts)
 
@@ -202,20 +195,6 @@ class AffinityPlan:
 
     def cores_in_use(self) -> set[int]:
         return {pe.host_core for pe in self.pes}
-
-    def pes_on_core(self, core: int) -> list[ProcessingElement]:
-        return [pe for pe in self.pes if pe.host_core == core]
-
-    def shared_cores(self) -> dict[int, list[ProcessingElement]]:
-        """Cores hosting more than one resource-manager thread."""
-        return {
-            core: pes
-            for core in self.cores_in_use()
-            if len(pes := self.pes_on_core(core)) > 1
-        }
-
-    def supported_platform_names(self) -> set[str]:
-        return {pe.type_name for pe in self.pes}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         placement = ", ".join(f"{pe.name}@core{pe.host_core}" for pe in self.pes)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import HardwareConfigError
-from repro.hardware.accelerator import FFTAcceleratorDevice
+from repro.hardware.accelerator import COMPLEX64_BYTES, FFTAcceleratorDevice
 from repro.hardware.pe import PEType
 
 # -- CPU kernel-time table (µs on the reference Cortex-A53) -------------------
@@ -100,17 +100,10 @@ JITTER_SIGMA = 0.05
 class PerformanceModel:
     """Kernel service times per PE type for the virtual backend."""
 
-    def __init__(
-        self,
-        cpu_times: dict[str, float] | None = None,
-        accel_points: dict[str, int] | None = None,
-    ) -> None:
-        self._cpu_times = dict(
-            REFERENCE_KERNEL_TIMES_US if cpu_times is None else cpu_times
-        )
-        self._accel_points = dict(
-            ACCEL_FFT_POINTS if accel_points is None else accel_points
-        )
+    def __init__(self) -> None:
+        # per-model copies: set_time / set_accel_job register kernels here
+        self._cpu_times = dict(REFERENCE_KERNEL_TIMES_US)
+        self._accel_points = dict(ACCEL_FFT_POINTS)
 
     # -- registration -----------------------------------------------------------
 
@@ -126,9 +119,6 @@ class PerformanceModel:
             raise HardwareConfigError(f"{runfunc}: n_points must be positive")
         self._accel_points[runfunc] = int(n_points)
 
-    def has_kernel(self, runfunc: str) -> bool:
-        return runfunc in self._cpu_times or runfunc in self._accel_points
-
     # -- queries -----------------------------------------------------------------
 
     def cpu_time(self, runfunc: str, pe_type: PEType) -> float:
@@ -142,7 +132,7 @@ class PerformanceModel:
 
     def accel_transfer_bytes(self, runfunc: str) -> int:
         """One-way DMA payload for an accelerator-bound kernel."""
-        return self.accel_points(runfunc) * 8  # complex64
+        return self.accel_points(runfunc) * COMPLEX64_BYTES
 
     def accel_points(self, runfunc: str) -> int:
         n = self._accel_points.get(runfunc)

@@ -111,10 +111,6 @@ class SoCPlatform:
             )
         return self.accelerator_factory(name)
 
-    @property
-    def management_core_speed(self) -> float:
-        return self.core(self.management_core).speed
-
 
 def zcu102() -> SoCPlatform:
     """Zynq UltraScale+ MPSoC evaluation platform (paper Sec. III-B)."""

@@ -97,9 +97,6 @@ class ApplicationHandler:
                 f"(parsed: {sorted(self._resolved)})"
             ) from None
 
-    def app_names(self) -> list[str]:
-        return sorted(self._resolved)
-
     def check_platform_coverage(self, available_platforms: set[str]) -> None:
         """Every node must have at least one binding the configuration can
         execute — otherwise the emulation would deadlock on that task."""

@@ -114,7 +114,8 @@ def periodic_arrivals(
     phase: float = 0.0,
 ) -> list[float]:
     """Arrival instants for one application: every ``period`` µs within
-    ``[0, time_frame)``, each kept with ``probability``."""
+    ``[0, time_frame)``, each kept with ``probability`` (drawn from
+    ``rng``, which a probability below 1 requires)."""
     # NaN/inf would make every loop comparison False and spin forever, so
     # reject non-finite parameters up front alongside the sign checks.
     if not np.isfinite(period) or period <= 0:
@@ -127,6 +128,10 @@ def periodic_arrivals(
         raise ApplicationSpecError(f"phase must be >= 0, got {phase}")
     if not 0.0 <= probability <= 1.0:
         raise ApplicationSpecError(f"probability out of range: {probability}")
+    if probability < 1.0 and rng is None:
+        raise ApplicationSpecError(
+            f"probability {probability} < 1 needs an rng to draw arrivals from"
+        )
     arrivals: list[float] = []
     k = 0
     # Multiply rather than accumulate so float error cannot admit an extra
@@ -136,7 +141,7 @@ def periodic_arrivals(
         t = phase + k * period
         if t >= time_frame - eps:
             break
-        if probability >= 1.0 or (rng is not None and rng.random() < probability):
+        if probability >= 1.0 or rng.random() < probability:
             arrivals.append(t)
         k += 1
     return arrivals

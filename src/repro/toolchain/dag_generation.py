@@ -85,7 +85,6 @@ def generate_dag(
     recognition: list[RecognitionResult] | None = None,
     *,
     substitute: str = "both",
-    app_name: str | None = None,
 ) -> GeneratedApplication:
     """Emit the task graph + kernel library for one substitution mode."""
     if substitute not in SUBSTITUTIONS:
@@ -98,8 +97,7 @@ def generate_dag(
         if r.recognized_as is not None
     }
     shared_object = f"{func_name}_auto.so"
-    app = app_name or f"{func_name}_auto_{substitute}"
-    builder = GraphBuilder(app, shared_object)
+    builder = GraphBuilder(f"{func_name}_auto_{substitute}", shared_object)
 
     # Variables: every boundary-crossing observation; argument values are
     # baked in as byte initializers (Listing 1's ``val`` vectors).

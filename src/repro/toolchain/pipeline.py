@@ -83,20 +83,14 @@ class ConversionResult:
         )
 
 
-def convert(
-    func: Callable,
-    example_args: tuple = (),
-    *,
-    hotness_threshold: float = 0.005,
-    amplification_threshold: float = 8.0,
-    recognize: bool = True,
-    hash_cache: dict[str, str] | None = None,
-) -> ConversionResult:
+def convert(func: Callable, example_args: tuple = ()) -> ConversionResult:
     """Convert a monolithic function into a DAG application.
 
     ``example_args`` plays the role of the representative input the dynamic
     trace is collected on; its values are also baked into the generated
-    application's variable initializers.
+    application's variable initializers.  Detection uses the thresholds of
+    :mod:`repro.toolchain.trace_analysis` and every kernel goes through
+    recognition; ``generate("none")`` gives the app without substitution.
     """
     blocks = split_into_blocks(func)
     if len(example_args) != len(blocks.arg_names):
@@ -105,11 +99,7 @@ def convert(
             f"({blocks.arg_names}); got {len(example_args)} example values"
         )
     trace = trace_function(func, example_args, blocks=blocks)
-    segments = detect_kernels(
-        trace,
-        hotness_threshold=hotness_threshold,
-        amplification_threshold=amplification_threshold,
-    )
+    segments = detect_kernels(trace)
 
     # Externals: anything resolvable in the function's globals or builtins
     # is a library reference, not a program variable.
@@ -138,9 +128,6 @@ def convert(
         blocks, segments, liveness, observations, global_ns,
         func_name=func.__name__,
     )
-    recognition: list[RecognitionResult] = []
-    if recognize:
-        recognition = recognize_kernels(outlined, hash_cache=hash_cache)
     return ConversionResult(
         func_name=func.__name__,
         blocks=blocks,
@@ -149,7 +136,7 @@ def convert(
         liveness=liveness,
         observations=observations,
         outlined=outlined,
-        recognition=recognition,
+        recognition=recognize_kernels(outlined),
         initial_values=initial_locals,
     )
 

@@ -5,9 +5,9 @@ process to substitute in a call to an FFT library or add support for an
 FFT accelerator".  Recognition combines:
 
 * a **normalized-AST hash** — variable names canonicalized by first
-  appearance, constants kept — which fingerprints the kernel's shape and
-  caches prior decisions, and
-* an **operational probe** — the outlined kernel is run on synthesized
+  appearance, constants kept — which fingerprints the kernel's shape
+  (reported with each result), and
+* an **operational probe** — the outlined kernel is run on two synthesized
   inputs and its output compared against each known reference computation
   (forward/inverse DFT).  Only semantically verified kernels are rebound,
   so the substitution can never change program output.
@@ -152,59 +152,56 @@ class RecognitionResult:
     length: int = 0
 
 
-def recognize_kernels(
-    outlined: list[OutlinedSegment],
-    *,
-    probe_lengths: tuple[int, ...] = (16, 32),
-    rtol: float = 1e-6,
-    atol: float = 1e-8,
-    hash_cache: dict[str, str] | None = None,
-) -> list[RecognitionResult]:
+#: RNG seeds of the two probe inputs: a kernel is recognized only if it
+#: matches the reference on both, so two distinct inputs must be drawn
+PROBE_SEEDS = (0xBEEF + 16, 0xBEEF + 32)
+#: relative and absolute tolerance of the probe comparison (``np.allclose``):
+#: the complex128 reference against the outlined loop's own arithmetic
+PROBE_RTOL = 1e-6
+PROBE_ATOL = 1e-8
+
+
+def _probe_input(seed: int, in_obs: VariableObservation) -> np.ndarray:
+    """A random complex input with the observed length and dtype."""
+    rng = np.random.default_rng(seed)
+    return (
+        rng.standard_normal(in_obs.length)
+        + 1j * rng.standard_normal(in_obs.length)
+    ).astype(np.dtype(in_obs.dtype))
+
+
+def recognize_kernels(outlined: list[OutlinedSegment]) -> list[RecognitionResult]:
     """Classify every kernel segment against the reference library.
 
-    ``hash_cache`` (hash → reference name) lets repeated conversions skip
-    the probe for kernels already recognized — but a cache hit is still
-    probe-verified once per conversion, keeping substitution sound.
+    A transform-shaped kernel is run once on each of the ``PROBE_SEEDS``
+    inputs, and it is recognized as the first reference (forward, then
+    inverse DFT) whose output it matches on every probe within
+    ``PROBE_RTOL`` / ``PROBE_ATOL``.
     """
     results: list[RecognitionResult] = []
     for seg in outlined:
         if not seg.is_kernel:
             continue
-        ast_hash = normalized_hash(seg.source)
-        result = RecognitionResult(segment_name=seg.name, ast_hash=ast_hash,
+        result = RecognitionResult(segment_name=seg.name,
+                                   ast_hash=normalized_hash(seg.source),
                                    recognized_as=None)
         sig = _probe_signature(seg)
         if sig is not None:
             in_obs, out_obs = sig
-            candidates = list(_REFERENCES)
-            if hash_cache and ast_hash in hash_cache:
-                cached = hash_cache[ast_hash]
-                candidates = [cached] + [c for c in candidates if c != cached]
-            for ref_name in candidates:
-                ref = _REFERENCES[ref_name]
-                ok = True
-                for n in probe_lengths:
-                    if in_obs.length and n > in_obs.length:
-                        n = in_obs.length
-                    rng = np.random.default_rng(0xBEEF + n)
-                    probe = (
-                        rng.standard_normal(in_obs.length)
-                        + 1j * rng.standard_normal(in_obs.length)
-                    ).astype(np.dtype(in_obs.dtype))
-                    got = _run_probe(seg, in_obs, out_obs, probe)
-                    if got is None or not np.allclose(
+            probes = [_probe_input(seed, in_obs) for seed in PROBE_SEEDS]
+            outputs = [_run_probe(seg, in_obs, out_obs, p) for p in probes]
+            for ref_name, ref in _REFERENCES.items():
+                if all(
+                    got is not None and np.allclose(
                         got, ref(probe.astype(np.complex128)),
-                        rtol=rtol, atol=atol,
-                    ):
-                        ok = False
-                        break
-                if ok:
+                        PROBE_RTOL, PROBE_ATOL,
+                    )
+                    for probe, got in zip(probes, outputs)
+                ):
                     result.recognized_as = ref_name
                     result.in_var = in_obs.name
                     result.out_var = out_obs.name
                     result.length = in_obs.length
-                    if hash_cache is not None:
-                        hash_cache[ast_hash] = ref_name
                     break
         results.append(result)
     return results
@@ -217,7 +214,6 @@ def make_optimized_kernel(
     kind: str,
     in_obs: VariableObservation,
     out_obs: VariableObservation,
-    extra_outs: tuple[VariableObservation, ...] = (),
 ):
     """The FFTW-analog invocation with the recognized kernel's signature."""
     ref = _REFERENCES[kind]

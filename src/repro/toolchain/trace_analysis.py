@@ -38,34 +38,35 @@ class Segment:
         return self.kind == "kernel"
 
 
-def detect_kernels(
-    trace: DynamicTrace,
-    *,
-    hotness_threshold: float = 0.005,
-    amplification_threshold: float = 8.0,
-    strong_amplification: float = 32.0,
-    merge_adjacent_kernels: bool = False,
-) -> list[Segment]:
+#: a kernel runs at least this many dynamic events per static line (a loop)
+AMPLIFICATION_THRESHOLD = 8.0
+#: ... and holds at least this share of all dynamic events (it is hot) ...
+HOTNESS_THRESHOLD = 0.005
+#: ... unless it is amplified this strongly, which keeps long I/O loops
+#: kernels even when a quadratic compute loop dominates the event share
+STRONG_AMPLIFICATION = 32.0
+
+
+def detect_kernels(trace: DynamicTrace) -> list[Segment]:
     """Partition the traced blocks into kernel / non-kernel segments.
 
     A block is a kernel when it is loop-amplified (≥
-    ``amplification_threshold`` events per static line) and either hot
-    (≥ ``hotness_threshold`` of all dynamic events) or *strongly*
-    amplified (≥ ``strong_amplification``) — the latter keeps long I/O
-    loops labeled as kernels even when a quadratic compute loop dominates
-    the relative event share.  ``merge_adjacent_kernels=False`` keeps each
-    hot loop as its own kernel node (two back-to-back DFT loops become two
-    kernels, as in the paper's range-detection conversion).
+    ``AMPLIFICATION_THRESHOLD`` events per static line) and either hot
+    (≥ ``HOTNESS_THRESHOLD`` of all dynamic events) or *strongly*
+    amplified (≥ ``STRONG_AMPLIFICATION``).  Each kernel block is its own
+    segment, so each hot loop outlines to its own DAG node (two
+    back-to-back DFT loops become two kernels, as in the paper's
+    range-detection conversion); runs of non-kernel blocks merge.
     """
     blocks = trace.blocks.blocks
     if not blocks:
         raise ToolchainError("no blocks to analyze")
     labels: list[str] = []
     for block in blocks:
-        hot = trace.hotness(block.index) >= hotness_threshold
+        hot = trace.hotness(block.index) >= HOTNESS_THRESHOLD
         amp = trace.amplification(block.index)
-        is_kernel = amp >= amplification_threshold and (
-            hot or amp >= strong_amplification
+        is_kernel = amp >= AMPLIFICATION_THRESHOLD and (
+            hot or amp >= STRONG_AMPLIFICATION
         )
         labels.append("kernel" if is_kernel else "non_kernel")
 
@@ -87,10 +88,7 @@ def detect_kernels(
         )
 
     for block, label in zip(blocks, labels):
-        same = label == run_kind
-        # Kernels stay one-block-per-segment unless merging is requested,
-        # so each hot loop outlines to its own DAG node.
-        if run and same and (label == "non_kernel" or merge_adjacent_kernels):
+        if run and label == run_kind == "non_kernel":
             run.append(block.index)
         else:
             flush()

@@ -47,9 +47,8 @@ class TestParsing:
     def test_default_suite_parses(self):
         handler = ApplicationHandler(default_kernel_library())
         handler.register_all(default_applications())
-        assert handler.app_names() == [
-            "pulse_doppler", "range_detection", "wifi_rx", "wifi_tx"
-        ]
+        for name in ("pulse_doppler", "range_detection", "wifi_rx", "wifi_tx"):
+            assert handler.resolved(name).graph.app_name == name
 
     def test_platform_coverage_check(self):
         handler = ApplicationHandler(make_diamond_library())
@@ -205,7 +204,8 @@ class TestParseOncePerDistinctReference:
         assert str(err.value) == (
             "symbol 'no_such_setup' not found in shared object 'fanout.so'"
         )
-        assert handler.app_names() == []
+        with pytest.raises(ApplicationSpecError, match="not detected"):
+            handler.resolved("fanout")
 
     def test_coverage_error_names_first_offending_node(self):
         handler = ApplicationHandler(make_fanout_library())

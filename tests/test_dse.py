@@ -6,6 +6,7 @@ import builtins
 import errno
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.dse import cache as cache_mod
 from repro.dse import grid as grid_mod
 from repro.dse import journal as journal_mod
 from repro.dse import runner as runner_mod
-from repro.dse.frontier import best_by, frontier_rows, pareto_frontier
+from repro.dse.frontier import frontier_rows, pareto_frontier
 from repro.runtime.stats import StreamingStats
 
 TINY = validation_sweep({"wifi_tx": 1})
@@ -1022,14 +1023,9 @@ class TestPareto:
         annotated = frontier_rows(rows)
         assert [r["pareto"] for r in annotated] == [True, False, False]
 
-    def test_best_by(self):
-        rows = [{"makespan_ms": 3.0}, {"makespan_ms": 1.0}, {"makespan_ms": None}]
-        assert best_by(rows)["makespan_ms"] == 1.0
-        assert best_by([{"makespan_ms": None}]) is None
-
     def test_campaign_frontier_end_to_end(self):
         campaign = run_campaign(tiny_grid())
-        annotated = campaign.frontier()
+        annotated = frontier_rows(campaign.rows())
         assert len(annotated) == 4
         assert any(r["pareto"] for r in annotated)
         # frontier members must not dominate each other
@@ -1054,7 +1050,7 @@ class TestQoSAxis:
 
     def test_expansion_and_cell_identity(self):
         base = tiny_grid(policies=("frfs",))
-        grid = base.with_overrides(qos=(None, self.QSPEC))
+        grid = replace(base, qos=(None, self.QSPEC))
         assert grid.size == base.size * 2
         cells = grid.expand()
         qos_free = [c for c in cells if c.qos is None]
@@ -1069,18 +1065,19 @@ class TestQoSAxis:
         assert all(c.label.endswith("/dl") for c in qos_cells)
 
     def test_grid_roundtrip_with_qos(self):
-        grid = tiny_grid().with_overrides(qos=(None, self.QSPEC))
+        grid = replace(tiny_grid(), qos=(None, self.QSPEC))
         assert SweepGrid.from_dict(grid.to_dict()) == grid
         assert "qos" not in tiny_grid().to_dict()
 
     def test_empty_qos_axis_rejected(self):
         with pytest.raises(ReproError, match="qos axis"):
-            tiny_grid().with_overrides(qos=())
+            replace(tiny_grid(), qos=())
 
     def test_campaign_reports_qos_metrics(self, tmp_path):
-        grid = tiny_grid(
-            configs=("2C+1F",), policies=("frfs",)
-        ).with_overrides(qos=(None, self.QSPEC))
+        grid = replace(
+            tiny_grid(configs=("2C+1F",), policies=("frfs",)),
+            qos=(None, self.QSPEC),
+        )
         campaign = run_campaign(grid, out_dir=tmp_path)
         assert campaign.ok
         by_qos = {r.cell.qos is not None: r for r in campaign}

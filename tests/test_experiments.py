@@ -12,7 +12,13 @@ from repro.experiments.ablations import (
     render_ablations,
     run_ablations,
 )
-from repro.experiments.case_study_1 import check_fig9_shape, render_fig9, run_fig9
+from repro.dse.grid import build_workload
+from repro.experiments.case_study_1 import (
+    check_fig9_shape,
+    fig9_grid,
+    render_fig9,
+    run_fig9,
+)
 from repro.experiments.case_study_2 import (
     Fig10Point,
     check_fig10_shape,
@@ -43,7 +49,8 @@ class TestWorkloadDefinitions:
         assert sum(counts.values()) == round(rate * 100)
 
     def test_fig9_workload_single_instances(self):
-        spec = wl.fig9_workload()
+        (descriptor,) = fig9_grid().workloads
+        spec = build_workload(descriptor)
         assert spec.counts() == {
             "pulse_doppler": 1, "range_detection": 1,
             "wifi_tx": 1, "wifi_rx": 1,

@@ -372,11 +372,25 @@ _REMOVED = {
         "pool_slack", "is_idle", "assigned_pe", "bytes_used",
         "allocation_count", "RetryBudgetExceeded", "per_type_utilization",
         "queue_delay_stats", "throughput_tasks_per_ms", "schedulability_check",
+        # toolchain, hardware and sweep-analysis settings
+        "hotness_threshold", "amplification_threshold", "strong_amplification",
+        "merge_adjacent_kernels", "hash_cache", "probe_lengths", "extra_outs",
+        "cpu_times", "complex_bytes", "x_key", "y_key", "manifest_wait_s",
+        # helpers only tests called
+        "type_names", "total_pes", "shared_cores", "pes_on_core",
+        "supported_platform_names", "has_kernel", "management_core_speed",
+        "has_shared_object", "shared_objects", "merged_with", "tail_nodes",
+        "platform_types", "total_variable_bytes", "with_overrides", "best_by",
+        "as_dict", "app_names", "fig9_workload",
     ),
     "runtime/handler.py": ("busy_time", "tasks_executed"),
     "runtime/workload_manager.py": ("snapshot",),
     "appmodel/instance.py": ("pool",),
     "appmodel/variables.py": ("slack",),
+    "toolchain/pipeline.py": ("recognize",),
+    "toolchain/recognition.py": ("rtol", "atol"),
+    "toolchain/dag_generation.py": ("app_name",),
+    "dse/runner.py": ("frontier",),
 }
 
 

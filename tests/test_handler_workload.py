@@ -306,6 +306,12 @@ class TestWorkloadSpecs:
         rng = np.random.default_rng(0)
         assert periodic_arrivals(10.0, 100.0, probability=0.0, rng=rng) == []
 
+    def test_periodic_arrivals_below_one_needs_an_rng(self):
+        # without an rng every slot used to be dropped, silently
+        with pytest.raises(ApplicationSpecError, match="rng"):
+            periodic_arrivals(10.0, 100.0, probability=0.999)
+        assert periodic_arrivals(10.0, 100.0, probability=1.0) != []
+
     def test_periodic_arrivals_probability_subsamples(self):
         rng = np.random.default_rng(0)
         arrivals = periodic_arrivals(1.0, 1000.0, probability=0.5, rng=rng)

@@ -20,7 +20,9 @@ from repro.hardware.config import AffinityPlan, parse_config
 from repro.hardware.dma import DMAModel, DmaBuffer
 from repro.hardware.pe import PE_BIG, PE_CPU, PE_FFT, PE_LITTLE, PEType, PEKind
 from repro.hardware.perfmodel import (
+    ACCEL_FFT_POINTS,
     DEFAULT_CPU_TIME_US,
+    REFERENCE_KERNEL_TIMES_US,
     PerformanceModel,
     SchedulerCostModel,
 )
@@ -49,7 +51,7 @@ class TestPlatforms:
         assert p.management_core == 0
         assert p.pool_cores == (1, 2, 3)
         assert p.max_count("cpu") == 3 and p.max_count("fft") == 2
-        assert p.management_core_speed == 1.0
+        assert p.core(p.management_core).speed == 1.0
 
     def test_odroid_layout(self):
         p = odroid_xu3()
@@ -57,7 +59,7 @@ class TestPlatforms:
         assert p.core(p.management_core).cluster == "little"
         assert p.pool_cores_for_cluster("big") == [0, 1, 2, 3]
         assert p.pool_cores_for_cluster("little") == [4, 5, 6]
-        assert p.management_core_speed == pytest.approx(PE_LITTLE.speed)
+        assert p.core(p.management_core).speed == pytest.approx(PE_LITTLE.speed)
 
     def test_zcu_accelerator_factory(self):
         dev = zcu102().make_accelerator("fft_test")
@@ -105,7 +107,6 @@ class TestConfigParsing:
 
     def test_helpers(self):
         cfg = parse_config("3C+2F")
-        assert cfg.total_pes == 5
         assert cfg.count("cpu") == 3 and cfg.count("ghost") == 0
         assert str(cfg) == "3C+2F"
 
@@ -132,9 +133,9 @@ class TestAffinityPlacement:
         placement = self.placement(zcu, "2C+2F")
         assert placement["fft0"] == placement["fft1"] == 3
         plan = AffinityPlan.build(zcu, "2C+2F")
-        shared = plan.shared_cores()
-        assert list(shared) == [3]
-        assert len(shared[3]) == 2
+        cores = [pe.host_core for pe in plan.pes]
+        assert [c for c in set(cores) if cores.count(c) > 1] == [3]
+        assert cores.count(3) == 2
 
     def test_3c2f_distributes_over_pool_cores(self, zcu):
         placement = self.placement(zcu, "3C+2F")
@@ -165,7 +166,7 @@ class TestAffinityPlacement:
 
     def test_supported_platform_names(self, zcu):
         plan = AffinityPlan.build(zcu, "1C+1F")
-        assert plan.supported_platform_names() == {"cpu", "fft"}
+        assert {pe.type_name for pe in plan.pes} == {"cpu", "fft"}
 
 
 class TestDma:
@@ -247,9 +248,12 @@ class TestAccelerator:
             dev.read_result()  # not done yet
 
     def test_max_points_enforced(self):
-        dev = FFTAcceleratorDevice("fft0", max_points=64)
-        with pytest.raises(MemoryError_):
-            dev.load(np.zeros(65, dtype=np.complex64))
+        dev = FFTAcceleratorDevice("fft0")
+        assert dev.max_points == dev.bram_bytes // 8 == 4096
+        dev.load(np.zeros(dev.max_points, dtype=np.complex64))
+        dev = FFTAcceleratorDevice("fft1")
+        with pytest.raises(MemoryError_, match="exceeds max 4096"):
+            dev.load(np.zeros(dev.max_points + 1, dtype=np.complex64))
 
     def test_timing_model_scales_nlogn(self):
         t = FFTTimingModel(setup_us=0.0, per_point_stage_us=1.0)
@@ -276,11 +280,11 @@ class TestPerformanceModel:
     def test_reference_table_covers_all_app_kernels(self):
         from repro.apps import default_applications
 
-        model = PerformanceModel()
+        known = {*REFERENCE_KERNEL_TIMES_US, *ACCEL_FFT_POINTS}
         for graph in default_applications().values():
             for node in graph.nodes.values():
                 for binding in node.platforms:
-                    assert model.has_kernel(binding.runfunc), binding.runfunc
+                    assert binding.runfunc in known, binding.runfunc
 
     def test_speed_scaling(self):
         model = PerformanceModel()
@@ -323,6 +327,11 @@ class TestPerformanceModel:
         model.set_accel_job("custom_accel", 64)
         assert model.cpu_time("custom", PE_CPU) == 12.0
         assert model.accel_points("custom_accel") == 64
+        # registration stays with its model: the reference tables are copied
+        fresh = PerformanceModel()
+        assert fresh.cpu_time("custom", PE_CPU) == DEFAULT_CPU_TIME_US
+        with pytest.raises(HardwareConfigError):
+            fresh.accel_points("custom_accel")
         with pytest.raises(HardwareConfigError):
             model.set_time("bad", 0.0)
         with pytest.raises(HardwareConfigError):

@@ -54,15 +54,7 @@ class TestKernelLibrary:
     def test_register_symbol_creates_object(self):
         lib = KernelLibrary()
         lib.register_symbol("new.so", "f", lambda ctx: None)
-        assert lib.has_shared_object("new.so")
-
-    def test_merged_with_other_wins_conflicts(self):
-        a, b = KernelLibrary(), KernelLibrary()
-        fa, fb = (lambda ctx: "a"), (lambda ctx: "b")
-        a.register_shared_object("x.so", {"f": fa})
-        b.register_shared_object("x.so", {"f": fb})
-        merged = a.merged_with(b)
-        assert merged.resolve("x.so", "f") is fb
+        assert lib.symbols("new.so") == ["f"]
 
     def test_symbols_of_unknown_object_raises(self):
         with pytest.raises(SymbolResolutionError):

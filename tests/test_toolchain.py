@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ToolchainError
-from repro.toolchain import convert
+from repro.toolchain import convert, recognition, trace_analysis
 from repro.toolchain.blocks import split_into_blocks
 from repro.toolchain.memory_analysis import observe_value
 from repro.toolchain.recognition import normalized_hash
@@ -138,18 +138,10 @@ class TestDetection:
         kernel_segments = [s for s in segments if s.is_kernel]
         assert len(kernel_segments) == 2
 
-    def test_merge_option_joins_adjacent_kernels(self):
-        trace = trace_function(scaling_app, (64,))
-        segments = detect_kernels(trace, merge_adjacent_kernels=True)
-        kernel_segments = [s for s in segments if s.is_kernel]
-        assert len(kernel_segments) == 1
-        assert len(kernel_segments[0].block_indices) == 2
-
-    def test_thresholds_control_labeling(self):
+    def test_thresholds_control_labeling(self, monkeypatch):
         trace = trace_function(tiny_dft_app, (16,))
-        none = detect_kernels(trace, amplification_threshold=1e9,
-                              strong_amplification=1e9)
-        assert all(not s.is_kernel for s in none)
+        monkeypatch.setattr(trace_analysis, "AMPLIFICATION_THRESHOLD", 1e9)
+        assert all(not s.is_kernel for s in detect_kernels(trace))
 
     def test_segment_names_assigned(self):
         trace = trace_function(tiny_dft_app, (16,))
@@ -293,10 +285,22 @@ class TestRecognitionDetails:
         result = convert(idft_app, (16,))
         assert [r.recognized_as for r in result.recognized_kernels] == ["idft"]
 
-    def test_hash_cache_records_recognition(self):
-        cache: dict[str, str] = {}
-        convert(tiny_dft_app, (16,), hash_cache=cache)
-        assert "dft" in cache.values()
+    def test_short_kernel_gets_two_distinct_probes(self, monkeypatch):
+        """A kernel shorter than 32 points used to be probed twice with the
+        same input: the probe length only seeded the RNG, clipped to the
+        kernel's length."""
+        seen: list[np.ndarray] = []
+        run_probe = recognition._run_probe
+
+        def spy(outlined, in_obs, out_obs, probe_input):
+            seen.append(probe_input.copy())
+            return run_probe(outlined, in_obs, out_obs, probe_input)
+
+        monkeypatch.setattr(recognition, "_run_probe", spy)
+        result = convert(tiny_dft_app, (16,))
+        assert [r.recognized_as for r in result.recognized_kernels] == ["dft"]
+        assert [p.size for p in seen] == [16, 16]
+        assert not np.array_equal(seen[0], seen[1])
 
 
 class TestMonolithicRangeDetection:
