@@ -24,6 +24,10 @@ EXPERIMENTS.md records paper-vs-measured for every calibrated figure.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
+from itertools import chain
+
 import numpy as np
 
 from repro.common.errors import HardwareConfigError
@@ -95,6 +99,12 @@ DEFAULT_CPU_TIME_US = 25.0
 #: lognormal sigma of the per-execution multiplicative jitter (models the
 #: cache/branch/DRAM variability that produces the Fig. 9a boxes)
 JITTER_SIGMA = 0.05
+#: jitter factors drawn per numpy call.  A block costs what three or four
+#: scalar draws cost (5.0 against 1.4 µs, Python 3.11 and numpy 2.4 on a
+#: 2-vCPU VM), so even a resource manager that runs three tasks does not
+#: lose; the values are the scalar draws' (a ``Generator`` gives the same
+#: stream drawn as a vector or one at a time)
+JITTER_BLOCK = 64
 
 
 class PerformanceModel:
@@ -109,8 +119,11 @@ class PerformanceModel:
 
     def set_time(self, runfunc: str, reference_us: float) -> None:
         """Register/override a kernel's reference-core time."""
-        if reference_us <= 0:
-            raise HardwareConfigError(f"{runfunc}: time must be positive")
+        if not 0.0 < reference_us < math.inf:  # also rejects NaN
+            raise HardwareConfigError(
+                f"{runfunc}: time must be finite and positive, "
+                f"got {reference_us!r}"
+            )
         self._cpu_times[runfunc] = float(reference_us)
 
     def set_accel_job(self, runfunc: str, n_points: int) -> None:
@@ -125,10 +138,6 @@ class PerformanceModel:
         """Service time of a kernel on a CPU-type PE (speed-scaled)."""
         base = self._cpu_times.get(runfunc, DEFAULT_CPU_TIME_US)
         return base / pe_type.speed
-
-    def accel_compute_time(self, runfunc: str, device: FFTAcceleratorDevice) -> float:
-        """Device compute time (no DMA) for an accelerator-bound kernel."""
-        return device.compute_time(self.accel_points(runfunc))
 
     def accel_transfer_bytes(self, runfunc: str) -> int:
         """One-way DMA payload for an accelerator-bound kernel."""
@@ -157,12 +166,38 @@ class PerformanceModel:
             return device.job_time(self.accel_points(runfunc))
         return self.cpu_time(runfunc, pe_type)
 
-    def jitter(self, rng: np.random.Generator) -> float:
-        """A multiplicative jitter factor (mean ≈ 1)."""
-        return float(rng.lognormal(mean=0.0, sigma=JITTER_SIGMA))
+    @staticmethod
+    def jitters(rng: np.random.Generator) -> Iterator[float]:
+        """Endless multiplicative jitter factors (mean ≈ 1), drawn from
+        ``rng`` in blocks of :data:`JITTER_BLOCK`."""
+        def block() -> list[float]:
+            return rng.lognormal(0.0, JITTER_SIGMA, JITTER_BLOCK).tolist()
+
+        # iter(f, None) calls f forever (a block is never None)
+        return chain.from_iterable(iter(block, None))
 
 
 # -- scheduling-overhead model -------------------------------------------------
+
+
+def _checked_coeffs(
+    policy: str, coeffs: tuple[float, float, int]
+) -> tuple[float, float, int]:
+    """``coeffs`` if ``c0`` and ``coeff`` are finite and >= 0 and ``power``
+    is an int >= 0; a NaN would make every pass's overhead NaN, which the
+    management core reads as nothing to charge."""
+    c0, coeff, power = coeffs
+    for field, value in (("c0", c0), ("coeff", coeff)):
+        if not 0.0 <= value < math.inf:
+            raise HardwareConfigError(
+                f"policy {policy!r}: {field} must be finite and >= 0, "
+                f"got {value!r}"
+            )
+    if isinstance(power, bool) or not isinstance(power, int) or power < 0:
+        raise HardwareConfigError(
+            f"policy {policy!r}: power must be an int >= 0, got {power!r}"
+        )
+    return coeffs
 
 
 class SchedulerCostModel:
@@ -218,9 +253,13 @@ class SchedulerCostModel:
         monitor_cost_per_completion: float = 0.25,
         dispatch_cost_per_task: float = 0.8,
     ) -> None:
-        self._coeffs = dict(
-            self.DEFAULT_POLICY_COEFFS if policy_coeffs is None else policy_coeffs
-        )
+        self._coeffs = {
+            name: _checked_coeffs(name, coeffs)
+            for name, coeffs in (
+                self.DEFAULT_POLICY_COEFFS if policy_coeffs is None
+                else policy_coeffs
+            ).items()
+        }
         self.base_cost = base_cost
         self.monitor_cost_per_completion = monitor_cost_per_completion
         self.dispatch_cost_per_task = dispatch_cost_per_task
@@ -228,7 +267,7 @@ class SchedulerCostModel:
         self._resolved: dict[str, tuple[float, float, int]] = {}
 
     def set_policy(self, name: str, c0: float, coeff: float, power: int) -> None:
-        self._coeffs[name] = (c0, coeff, power)
+        self._coeffs[name] = _checked_coeffs(name, (c0, coeff, power))
         self._resolved.clear()
 
     def policy_cost(self, policy: str, ready_len: int, n_pes: int) -> float:

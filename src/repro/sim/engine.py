@@ -8,16 +8,20 @@ Design notes
   deterministic.  The queue that keeps that order has two parts: a binary
   heap keyed ``(time, seq)`` for events later than the current instant, and
   a FIFO *lane* for events scheduled for the instant that is already
-  current (grant hops, mailbox hand-offs, ``succeed()`` — more than half of
-  all events).  The clock never goes back, so every heap entry stamped
-  ``now`` was pushed while the clock was earlier than ``now``, i.e. before
-  anything on the lane, and nothing pushed at ``now`` can land on the heap:
-  heap entries stamped ``now``, then the lane front to back, then the
-  heap's next instant *is* ``(time, seq)`` order, without a tuple, a
-  sift-up and a sift-down per same-instant event.
-* Callbacks attached to an event run when the queue pops it.  A
-  :class:`~repro.sim.process.Process` is itself driven by registering its
-  ``_resume`` bound method as a callback on whatever event it yielded.
+  current (grant hops, hand-offs to a resource manager, ``succeed()`` —
+  more than half of all events).  The clock never goes back, so every
+  heap entry stamped ``now`` was pushed while the clock was earlier than
+  ``now``, i.e. before anything on the lane, and nothing pushed at ``now``
+  can land on the heap: heap entries stamped ``now``, then the lane front
+  to back, then the heap's next instant *is* ``(time, seq)`` order,
+  without a tuple, a sift-up and a sift-down per same-instant event.
+* The queue holds bare callables: an entry is the function to call, and
+  firing it is calling it.  The virtual backend's workload and resource
+  managers are objects whose bound methods go on the queue directly.
+  :class:`Event` (and :class:`~repro.sim.process.Process`, which drives a
+  generator by registering its ``_resume`` as a callback on whatever event
+  it yielded) schedules its own ``_fire``; the generator form is kept for
+  the measurement spine's probes and the tests.
 * The engine is single-threaded by construction; the virtual backend uses it
   to model the multi-threaded C runtime without any host-thread
   nondeterminism (profiling the C runtime's behaviour, not its host).
@@ -43,8 +47,7 @@ class Event:
 
     Events are created against an :class:`Engine` and fire at most once,
     carrying an optional ``value``.  ``succeed()`` schedules the event for
-    the current instant; :class:`Timeout` and :meth:`Engine.call_at` place
-    one in the future.
+    the current instant; :class:`Timeout` places one in the future.
     """
 
     __slots__ = ("engine", "callbacks", "value", "_state")
@@ -71,7 +74,7 @@ class Event:
             raise EmulationError("event already triggered")
         self.value = value
         self._state = _SCHEDULED
-        self.engine._push_now(self)
+        self.engine._push_now(self._fire)
         return self
 
     # internal --------------------------------------------------------------
@@ -94,7 +97,7 @@ class Timeout(Event):
         super().__init__(engine)
         self.value = value
         self._state = _SCHEDULED
-        engine._push(engine.now + delay, self)
+        engine._push(engine.now + delay, self._fire)
 
 
 class Interrupt(Exception):
@@ -105,50 +108,21 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class _Callback(Event):
-    """An already-scheduled event that invokes a stored function on firing.
-
-    Backs :meth:`Engine.call_at`: one object instead of the
-    Event + closure pair, with the function invoked before any externally
-    attached callbacks — the same order the closure-based implementation
-    produced.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, engine: "Engine", fn: Callable[[], None]) -> None:
-        self.engine = engine
-        self.callbacks = []
-        self.value = None
-        self._state = _SCHEDULED
-        self.fn = fn
-
-    def _fire(self) -> None:
-        self._state = _FIRED
-        self.fn()
-        # Mostly nobody waits on a call_at: swap the list only when
-        # something is attached.
-        if self.callbacks:
-            callbacks, self.callbacks = self.callbacks, []
-            for cb in callbacks:
-                cb(self)
-
-
 class Engine:
     """The event loop: a ``(time, seq)``-ordered queue and a clock.
 
-    The queue is a heap of ``(time, seq, event)`` for later instants plus
-    the same-instant lane (module docstring).  ``_push_now(event)``
-    schedules ``event`` for the current instant: it *is* the lane's
+    The queue is a heap of ``(time, seq, fn)`` for later instants plus
+    the same-instant lane of ``fn`` (module docstring).  ``_push_now(fn)``
+    schedules ``fn`` for the current instant: it *is* the lane's
     ``append``.  This is the only engine.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         #: heap tiebreaker: schedule order among the events on the heap
         self._seq = 0
-        self._lane: deque[Event] = deque()
+        self._lane: deque[Callable[[], None]] = deque()
         self._push_now = self._lane.append
         self._running = False
         #: cumulative count of events fired by run() (perf metric)
@@ -166,12 +140,12 @@ class Engine:
 
     # scheduling ------------------------------------------------------------
 
-    def _push(self, at: float, event: Event) -> None:
+    def _push(self, at: float, fn: Callable[[], None]) -> None:
         if at == self.now:
-            self._push_now(event)
+            self._push_now(fn)
         else:
             self._seq += 1
-            heapq.heappush(self._heap, (at, self._seq, event))
+            heapq.heappush(self._heap, (at, self._seq, fn))
 
     def event(self) -> Event:
         """A fresh pending event."""
@@ -181,13 +155,11 @@ class Engine:
         """An event firing ``delay`` µs from now."""
         return Timeout(self, delay, value)
 
-    def call_at(self, at: float, fn: Callable[[], None]) -> Event:
+    def call_at(self, at: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute time ``at``."""
         if not at >= self.now:  # also rejects NaN
             raise EmulationError(f"cannot schedule at {at}: the clock is at {self.now}")
-        ev = _Callback(self, fn)
-        self._push(at, ev)
-        return ev
+        self._push(at, fn)
 
     def process(self, generator) -> "Process":
         """Start a generator as a simulation process."""
@@ -198,7 +170,7 @@ class Engine:
     # execution -------------------------------------------------------------
 
     def run(self) -> float:
-        """Fire events until the queue is empty; returns the final clock."""
+        """Call queue entries until the queue is empty; returns the final clock."""
         if self._running:
             raise EmulationError("engine is already running (re-entrant run())")
         self._running = True
@@ -215,16 +187,16 @@ class Engine:
                 # One instant: what the heap holds for it (all pushed
                 # before the clock got here), then the lane.
                 while heap and heap[0][0] == now:
-                    pop(heap)[2]._fire()
+                    pop(heap)[2]()
                     fired += 1
                 while lane:
-                    take()._fire()
+                    take()()
                     fired += 1
                 if not heap:
                     break
-                now, _seq, event = pop(heap)
+                now, _seq, fn = pop(heap)
                 self.now = now
-                event._fire()
+                fn()
                 fired += 1
         finally:
             self.events_fired += fired

@@ -1,71 +1,39 @@
 """Shared-resource models for the DES engine.
 
-Three primitives:
+Two primitives:
 
-* :class:`FifoResource` — classic counted resource with FIFO grant order.
 * :class:`HostCore` — a physical CPU core shared by emulated runtime
   threads, modeled with round-robin time slicing and a per-preemption
   context-switch cost.  This is the mechanism behind the paper's Fig. 9
   observation that two FFT-accelerator resource-manager threads sharing one
   A53 core "keep cyclically preempting each other" until preemption overhead
-  cancels the second accelerator's benefit.
-* :class:`Mailbox` — an unbounded FIFO channel between processes.
+  cancels the second accelerator's benefit.  An owner charges work through
+  a reusable per-owner state machine (:meth:`HostCore.charger`) whose
+  phases are engine callbacks; :meth:`HostCore.charge` wraps one charge in
+  an :class:`~repro.sim.engine.Event` for generator processes.
+* :class:`Mailbox` — an unbounded FIFO channel between generator processes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Callable
 from typing import Any
 
 from repro.common.errors import EmulationError
-from repro.sim.engine import _FIRED, _SCHEDULED, Engine, Event
-
-
-class FifoResource:
-    """A counted resource; ``request()`` returns an event granting a slot."""
-
-    def __init__(self, engine: Engine, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise EmulationError("resource capacity must be >= 1")
-        self.engine = engine
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: deque[Event] = deque()
-
-    def request(self) -> Event:
-        """Event that fires when a slot is granted to the caller."""
-        ev = self.engine.event()
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Return a slot; hands it to the oldest waiter if any."""
-        if self.in_use <= 0:
-            raise EmulationError("release() without matching request()")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
+from repro.sim.engine import _SCHEDULED, Engine, Event
 
 
 class HostCore:
     """A host CPU core time-shared by emulated runtime threads.
 
-    ``charge(owner, duration)`` charges ``duration`` µs of CPU work to the
-    core on behalf of ``owner`` and returns the event to yield;
-    ``consume(owner, duration)`` is the same thing as a sub-generator (use
-    ``yield from``).  When multiple owners contend, work proceeds in
+    An owner charges ``duration`` µs of CPU work to the core through its
+    :meth:`charger`.  When multiple owners contend, work proceeds in
     round-robin quanta; every switch to a different owner costs
     ``switch_cost`` µs of core time (charged to the incoming owner's wait,
-    as in OS preemption).
+    as in OS preemption).  The core is held by at most one charge at a
+    time; the others wait in FIFO order.
 
     ``speed`` scales durations: a core with speed 0.5 takes twice as long
     for the same nominal work (used for LITTLE overlay cores on Odroid).
@@ -87,28 +55,26 @@ class HostCore:
         self.quantum = quantum
         self.switch_cost = switch_cost
         self.speed = speed
-        self._token = FifoResource(engine, 1)
+        #: a charge holds the core from its grant to the end of its slice
+        self._held = False
+        #: charges waiting for the core, in grant order
+        self._waiting: deque[Charger] = deque()
         self._last_owner: object | None = None
         self.busy_time: float = 0.0
         self.switch_count: int = 0
 
-    def charge(self, owner: object, duration: float) -> Event | None:
-        """Start charging ``duration`` µs of work (pre-speed-scaling).
+    def charger(self, owner: object) -> "Charger":
+        """The reusable state machine that charges ``owner``'s work here."""
+        return Charger(self, owner)
 
-        Returns the event that fires once the work is done — the caller
-        yields it — or None when there is nothing to charge.  The nominal
-        ``duration`` is divided by the core's ``speed`` to get core time,
-        then executed in quanta with preemption modeling.  The actual
-        charging is driven by a single :class:`_Consume` event that
-        re-pushes itself through the grant/switch/slice states, so the
-        owning process suspends and resumes exactly once per charge
-        regardless of how many quanta the work spans.  A process that
-        charges once per task (the virtual backend's per-task cycle) calls
-        this and yields the event itself: no generator per charge.
-        """
-        remaining = duration / self.speed
-        if remaining > 0.0:
-            return _Consume(self, owner, remaining)
+    def charge(self, owner: object, duration: float) -> Event | None:
+        """One charge as an event a generator process yields, or None when
+        there is nothing to charge.  The event fires when the last slice
+        ends."""
+        done = Event(self.engine)
+        done._state = _SCHEDULED
+        if Charger(self, owner).start(duration, done._fire):
+            return done
         return None
 
     def consume(self, owner: object, duration: float):
@@ -122,105 +88,109 @@ class HostCore:
         return f"HostCore({self.name!r}, speed={self.speed})"
 
 
-# _Consume phases: what the next pop of the event means.
-_GRANTED = 0   # core slot acquired; decide context switch / slice length
-_SWITCHED = 1  # context-switch charge elapsed; start the slice
-_RAN = 2       # slice elapsed; release and either re-acquire or finish
+class Charger:
+    """Charges one owner's work to a :class:`HostCore`, one charge at a time.
 
+    :meth:`start` begins a charge; ``then()`` runs inline when its last
+    slice ends, so the owner can start the next charge from there.  Each
+    phase is one engine entry, pushed at the instant and in the order of
+    the straightforward request → (switch) → slice → release sequence per
+    quantum:
 
-class _Consume(Event):
-    """Single-event fast path behind :meth:`HostCore.charge`.
+    * the grant, on the same-instant lane: pushed by :meth:`start` when the
+      core is free, or by the releasing charge when this one waited;
+    * the context switch, ``switch_cost`` later, when the core last ran
+      another owner;
+    * each slice.  A slice runs the whole remainder when nobody waits for
+      the core, else at most one quantum; at its end the charge releases
+      the core (granting the oldest waiter) and queues again if work is
+      left.
 
-    The straightforward implementation charges each quantum with a
-    request-event → timeout → release sequence: two generator resumes and
-    two heap entries per quantum even when nobody contends for the core.
-    This event collapses that machinery — it stands in for its own grant
-    notification and its own timer by re-pushing itself onto the heap, and
-    fires (resuming the owning process) only when the full duration has
-    been charged.
-
-    Bit-identical by construction: every decision point (grant, switch
-    charge, slice-length choice, release) happens at the same virtual
-    instant and the same heap position as the unoptimized sequence, so
-    same-time contenders enroll in the FIFO queue in the same order and
+    Same-time contenders therefore enroll in the FIFO in the same order and
     round-robin slicing degrades identically under contention (the Fig. 9
     preemption anomaly depends on this).
     """
 
-    __slots__ = ("core", "owner", "remaining", "_phase", "_slice")
+    __slots__ = (
+        "core", "owner", "engine", "remaining", "_slice", "_then",
+        "_granted_cb", "_ran_cb",
+    )
 
-    def __init__(self, core: HostCore, owner: object, remaining: float) -> None:
-        engine = core.engine
-        self.engine = engine
-        self.callbacks = []
-        self.value = None
-        self._state = _SCHEDULED
+    def __init__(self, core: HostCore, owner: object) -> None:
         self.core = core
         self.owner = owner
-        self.remaining = remaining
+        self.engine = core.engine
+        self.remaining = 0.0
         self._slice = 0.0
+        self._then: Callable[[], None] | None = None
+        # one bound method per phase, made once (the queue holds callables)
+        self._granted_cb = self._granted
+        self._ran_cb = self._ran
+
+    def start(self, duration: float, then: Callable[[], None]) -> bool:
+        """Charge ``duration`` µs of nominal work (divided by the core's
+        speed); False, with nothing charged, when there is nothing to
+        charge."""
+        remaining = duration / self.core.speed
+        if not 0.0 < remaining < math.inf:
+            if remaining <= 0.0:
+                return False
+            raise EmulationError(
+                f"cannot charge {duration!r} µs to host core {self.core.name}"
+            )
+        self.remaining = remaining
+        self._then = then
         self._acquire()
+        return True
 
     def _acquire(self) -> None:
-        token = self.core._token
-        if token.in_use < token.capacity:
-            # Uncontended: claim the slot synchronously (exactly what
-            # request() would do) and stand in for the grant event by
-            # scheduling ourselves at the current instant — same queue
-            # position, one less Event allocation, one less resume.
-            token.in_use += 1
-            self._phase = _GRANTED
-            self.engine._push_now(self)
+        """Take the core (the grant is the next same-instant entry) or queue
+        for it."""
+        core = self.core
+        if core._held:
+            core._waiting.append(self)
         else:
-            # Contended: enqueue a real waiter event so FifoResource's
-            # FIFO grant order is preserved; its firing is our grant.
-            ev = token.request()
-            ev.callbacks.append(self._granted)
+            core._held = True
+            self.engine._push_now(self._granted_cb)
 
-    def _granted(self, _ev: Event | None) -> None:
+    def _granted(self) -> None:
         core = self.core
-        if core._last_owner is not self.owner and core._last_owner is not None:
-            # Context switch: the core spends switch_cost before the
-            # incoming thread makes progress.
-            core.switch_count += 1
-            core.busy_time += core.switch_cost
-            self._phase = _SWITCHED
-            engine = self.engine
-            engine._push(engine.now + core.switch_cost, self)
-            return
-        self._start_slice()
-
-    def _start_slice(self) -> None:
-        core = self.core
-        core._last_owner = self.owner
+        owner = self.owner
+        last = core._last_owner
+        engine = self.engine
+        if last is not owner:
+            # Nothing reads the last owner while the core is held, so it
+            # changes hands here rather than when the slice starts.
+            core._last_owner = owner
+            if last is not None:
+                # Context switch: the core spends switch_cost before the
+                # incoming thread makes progress; the grant then resumes.
+                core.switch_count += 1
+                core.busy_time += core.switch_cost
+                engine._push(engine.now + core.switch_cost, self._granted_cb)
+                return
         remaining = self.remaining
         # Nobody else wants the core — run to completion in one slice.
-        if core._token.queue_length == 0:
+        if not core._waiting:
             slice_len = remaining
         else:
             slice_len = remaining if core.quantum > remaining else core.quantum
         core.busy_time += slice_len
         self._slice = slice_len
-        self._phase = _RAN
-        engine = self.engine
-        engine._push(engine.now + slice_len, self)
+        engine._push(engine.now + slice_len, self._ran_cb)
 
-    def _fire(self) -> None:
-        phase = self._phase
-        if phase == _RAN:
-            self.remaining -= self._slice
-            self.core._token.release()
-            if self.remaining > 0.0:
-                self._acquire()
-            else:
-                self._state = _FIRED
-                callbacks, self.callbacks = self.callbacks, []
-                for cb in callbacks:
-                    cb(self)
-        elif phase == _GRANTED:
-            self._granted(None)
-        else:  # _SWITCHED
-            self._start_slice()
+    def _ran(self) -> None:
+        self.remaining -= self._slice
+        core = self.core
+        waiting = core._waiting
+        if waiting:
+            self.engine._push_now(waiting.popleft()._granted_cb)
+        else:
+            core._held = False
+        if self.remaining > 0.0:
+            self._acquire()
+        else:
+            self._then()
 
 
 class Mailbox:
@@ -247,7 +217,7 @@ class Mailbox:
             # checks — same queue position, less per-call work.
             ev.value = self._items.popleft()
             ev._state = _SCHEDULED
-            engine._push_now(ev)
+            engine._push_now(ev._fire)
         else:
             self._getters.append(ev)
         return ev

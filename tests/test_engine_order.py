@@ -180,11 +180,11 @@ class LaneFirstEngine(Engine):
         heap, lane = self._heap, self._lane
         while lane or heap:
             if lane:
-                event = lane.popleft()
+                fn = lane.popleft()
             else:
-                self.now, _seq, event = heapq.heappop(heap)
+                self.now, _seq, fn = heapq.heappop(heap)
             self.events_fired += 1
-            event._fire()
+            fn()
         return self.now
 
 
@@ -239,9 +239,9 @@ def test_the_machine_rejects_a_lane_that_overtakes_the_heap():
 
 @pytest.mark.parametrize("name", ["frfs-steady", "eft-edf-stream-flashcrowd"])
 def test_only_later_events_are_pushed_on_the_heap(monkeypatch, name):
-    """On a golden session, ``heapq.heappush`` sees exactly the events
+    """On a golden session, ``heapq.heappush`` sees exactly the entries
     scheduled for a later instant, and each same-instant one is a lane
-    append."""
+    append of the callable to fire."""
     engines: list[Engine] = []
 
     class Spied(Engine):
@@ -250,9 +250,10 @@ def test_only_later_events_are_pushed_on_the_heap(monkeypatch, name):
             self.same_instant = 0
             lane_append = self._push_now
 
-            def push_now(event):
+            def push_now(fn):
+                assert callable(fn)
                 self.same_instant += 1
-                lane_append(event)
+                lane_append(fn)
 
             self._push_now = push_now
             engines.append(self)
@@ -261,7 +262,7 @@ def test_only_later_events_are_pushed_on_the_heap(monkeypatch, name):
     real_heappush = heapq.heappush
 
     def spy_heappush(heap, entry):
-        assert entry[0] > engines[-1].now
+        assert entry[0] > engines[-1].now and callable(entry[2])
         heap_pushes.append(entry)
         real_heappush(heap, entry)
 

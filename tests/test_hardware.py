@@ -22,6 +22,8 @@ from repro.hardware.pe import PE_BIG, PE_CPU, PE_FFT, PE_LITTLE, PEType, PEKind
 from repro.hardware.perfmodel import (
     ACCEL_FFT_POINTS,
     DEFAULT_CPU_TIME_US,
+    JITTER_BLOCK,
+    JITTER_SIGMA,
     REFERENCE_KERNEL_TIMES_US,
     PerformanceModel,
     SchedulerCostModel,
@@ -337,12 +339,34 @@ class TestPerformanceModel:
         with pytest.raises(HardwareConfigError):
             model.set_accel_job("bad", 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_kernel_time_that_is_not_finite_and_positive_is_rejected(
+        self, bad
+    ):
+        """A NaN time would charge the kernel as nothing, silently."""
+        model = PerformanceModel()
+        with pytest.raises(HardwareConfigError, match=f"k.*{bad}"):
+            model.set_time("k", bad)
+        assert model.cpu_time("k", PE_CPU) == DEFAULT_CPU_TIME_US
+
     def test_jitter_statistics(self):
         model = PerformanceModel()
-        rng = np.random.default_rng(12)
-        samples = np.array([model.jitter(rng) for _ in range(4000)])
+        jitters = model.jitters(np.random.default_rng(12))
+        samples = np.array([next(jitters) for _ in range(4000)])
         assert samples.mean() == pytest.approx(1.0, abs=0.02)
         assert 0.01 < samples.std() < 0.12
+
+    @pytest.mark.parametrize("seed", [0, 1, 12, 2**40 + 7])
+    def test_block_jitter_equals_scalar_draws(self, seed):
+        """The blocks are the scalar draws: the same values, in the same
+        order, across block boundaries."""
+        assert 1000 > 10 * JITTER_BLOCK
+        jitters = PerformanceModel.jitters(np.random.default_rng(seed))
+        scalar = np.random.default_rng(seed)
+        assert [next(jitters) for _ in range(1000)] == [
+            float(scalar.lognormal(mean=0.0, sigma=JITTER_SIGMA))
+            for _ in range(1000)
+        ]
 
 
 #: what the cost model reads of a policy: its name and whether it serves
@@ -438,6 +462,26 @@ class TestSchedulerCostModel:
         model = SchedulerCostModel()
         model.set_policy("custom", 1.0, 2.0, 1)
         assert model.policy_cost("custom", 3, 2) == pytest.approx(1.0 + 2.0 * 3 * 2)
+
+    @pytest.mark.parametrize("coeffs,field", [
+        ((float("nan"), 1.0, 1), "c0"),
+        ((0.0, float("nan"), 1), "coeff"),
+        ((0.0, -1.0, 1), "coeff"),
+        ((-0.5, 1.0, 1), "c0"),
+        ((0.0, float("inf"), 1), "coeff"),
+        ((0.0, 1.0, -1), "power"),
+        ((0.0, 1.0, 1.5), "power"),
+        ((0.0, 1.0, float("nan")), "power"),
+    ])
+    def test_bad_policy_coefficients_are_rejected(self, coeffs, field):
+        """A NaN coefficient made policy_cost NaN, and that pass's overhead
+        was then skipped."""
+        model = SchedulerCostModel()
+        with pytest.raises(HardwareConfigError, match=f"frfs.*{field}"):
+            model.set_policy("frfs", *coeffs)
+        assert model.policy_cost("frfs", 10, 5) == pytest.approx(1.5)
+        with pytest.raises(HardwareConfigError, match=f"frfs.*{field}"):
+            SchedulerCostModel(policy_coeffs={"frfs": coeffs})
 
     def test_set_policy_reprices_a_variant_already_priced(self):
         """A variant's coefficients are resolved once and remembered; a

@@ -1,53 +1,13 @@
-"""Tests for FifoResource, HostCore (time slicing / preemption), Mailbox."""
+"""Tests for HostCore (time slicing / preemption, chargers) and Mailbox."""
 
 from __future__ import annotations
+
+from collections import deque
 
 import pytest
 
 from repro.common.errors import EmulationError
-from repro.sim import Engine, FifoResource, HostCore, Mailbox
-
-
-class TestFifoResource:
-    def test_grants_up_to_capacity(self):
-        engine = Engine()
-        res = FifoResource(engine, capacity=2)
-        a, b, c = res.request(), res.request(), res.request()
-        engine.run()
-        assert a.processed and b.processed and not c.processed
-        assert res.queue_length == 1
-
-    def test_release_hands_to_waiter(self):
-        engine = Engine()
-        res = FifoResource(engine, 1)
-        res.request()
-        waiter = res.request()
-        res.release()
-        engine.run()
-        assert waiter.processed
-
-    def test_release_without_request_rejected(self):
-        engine = Engine()
-        res = FifoResource(engine, 1)
-        with pytest.raises(EmulationError):
-            res.release()
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(EmulationError):
-            FifoResource(Engine(), 0)
-
-    def test_fifo_grant_order(self):
-        engine = Engine()
-        res = FifoResource(engine, 1)
-        res.request()
-        order = []
-        for tag in "abc":
-            ev = res.request()
-            ev.callbacks.append(lambda _e, t=tag: order.append(t))
-        for _ in range(3):
-            res.release()
-        engine.run()
-        assert order == ["a", "b", "c"]
+from repro.sim import Engine, HostCore, Mailbox
 
 
 class TestHostCore:
@@ -114,32 +74,65 @@ class TestHostCore:
         assert core.switch_count == 0
 
 
-def reference_consume(core, owner, duration):
-    """The unoptimized HostCore.consume: request -> timeout -> release per
-    quantum.  Kept as the behavioral oracle for the _Consume fast path."""
+class Token:
+    """A one-slot FIFO lock for the reference: ``request()`` is an event
+    granted in request order."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.held = False
+        self.waiters = deque()
+
+    def request(self):
+        ev = self.engine.event()
+        if self.held:
+            self.waiters.append(ev)
+        else:
+            self.held = True
+            ev.succeed()
+        return ev
+
+    def release(self):
+        if self.waiters:
+            self.waiters.popleft().succeed()
+        else:
+            self.held = False
+
+
+def reference_consume(core, token, owner, duration):
+    """The unoptimized HostCore charge: request -> timeout -> release per
+    quantum, on a token of its own.  Kept as the behavioral oracle for the
+    charger."""
     remaining = duration / core.speed
     engine = core.engine
     while remaining > 0.0:
-        yield core._token.request()
+        yield token.request()
         if core._last_owner is not owner and core._last_owner is not None:
             core.switch_count += 1
             core.busy_time += core.switch_cost
             yield engine.timeout(core.switch_cost)
         core._last_owner = owner
-        if core._token.queue_length == 0:
+        if not token.waiters:
             slice_len = remaining
         else:
             slice_len = min(core.quantum, remaining)
         core.busy_time += slice_len
         yield engine.timeout(slice_len)
         remaining -= slice_len
-        core._token.release()
+        token.release()
+
+
+def _core(engine, quantum, switch_cost, speed):
+    return HostCore(
+        engine, "c0", quantum=quantum, switch_cost=switch_cost, speed=speed
+    )
 
 
 class TestConsumeFastPathEquivalence:
-    """HostCore.consume's single-event fast path must reproduce the sliced
-    reference implementation's timings exactly — finish times, busy time,
-    and switch counts — under every contention pattern."""
+    """HostCore.consume, the charger behind an event, must reproduce the
+    sliced reference implementation's timings exactly — finish times, busy
+    time, and switch counts — under every contention pattern, with the
+    engine entries it has always taken."""
 
     CASES = [
         # (jobs, quantum, switch_cost, speed); job = (owner, delay, duration)
@@ -152,32 +145,136 @@ class TestConsumeFastPathEquivalence:
         ([("a", 0.0, 0.0), ("b", 0.0, 15.0)], 5.0, 2.0, 1.0),
         ([("a", 0.0, 33.0), ("b", 1.0, 33.0), ("c", 2.0, 33.0)], 100.0, 8.0, 2.0),
     ]
+    #: engine.events_fired of each fast-path case, as the single-event
+    #: ``_Consume`` implementation fired them
+    EVENTS = [4, 4, 21, 10, 42, 10, 6, 16]
 
     def drive(self, consume_fn, jobs, quantum, switch_cost, speed):
         engine = Engine()
-        core = HostCore(
-            engine, "c0", quantum=quantum, switch_cost=switch_cost, speed=speed
-        )
+        core = _core(engine, quantum, switch_cost, speed)
+        token = Token(engine)
         finishes = {}
 
         def consumer(owner, delay, duration):
             if delay:
                 yield engine.timeout(delay)
-            yield from consume_fn(core, owner, duration)
+            yield from consume_fn(core, token, owner, duration)
             finishes[owner] = engine.now
 
         for owner, delay, duration in jobs:
             engine.process(consumer(owner, delay, duration))
         engine.run()
-        return finishes, core.busy_time, core.switch_count, engine.now
+        return (finishes, core.busy_time, core.switch_count, engine.now), \
+            engine.events_fired
 
     @pytest.mark.parametrize("jobs,quantum,switch_cost,speed", CASES)
     def test_fast_path_matches_reference(self, jobs, quantum, switch_cost, speed):
-        fast = self.drive(
-            lambda c, o, d: c.consume(o, d), jobs, quantum, switch_cost, speed
-        )
-        ref = self.drive(reference_consume, jobs, quantum, switch_cost, speed)
+        case = (jobs, quantum, switch_cost, speed)
+        fast, fired = self.drive(lambda c, _t, o, d: c.consume(o, d), *case)
+        ref, _ = self.drive(reference_consume, *case)
         assert fast == ref
+        assert fired == self.EVENTS[self.CASES.index(case)]
+
+
+class TestCharger:
+    """The per-owner state machine the virtual backend drives directly."""
+
+    #: (jobs, quantum, switch_cost, speed); job = (owner, delay, steps) and
+    #: a step is ("charge", µs) or ("sleep", µs)
+    CASES = {
+        # DMA-in -> device sleep -> DMA-out, two accelerator managers
+        # contending for one core
+        "dma-in-sleep-dma-out": (
+            [("a", 0.0, [("charge", 21.0), ("sleep", 12.0), ("charge", 21.0)]),
+             ("b", 4.0, [("charge", 21.0), ("sleep", 12.0), ("charge", 21.0)])],
+            10.0, 8.0, 1.0),
+        # the next charge started from the last one's then(): a CPU manager
+        # running its next reserved task, against a contender
+        "restart-from-then": (
+            [("a", 0.0, [("charge", 30.0), ("charge", 25.0), ("charge", 5.0)]),
+             ("b", 2.0, [("charge", 40.0)])],
+            10.0, 2.0, 1.0),
+        "three-owners": (
+            [("a", 0.0, [("charge", 50.0)]), ("b", 0.0, [("charge", 35.0)]),
+             ("c", 0.0, [("charge", 20.0)])],
+            10.0, 3.0, 1.0),
+        "slow-core": (
+            [("a", 0.0, [("charge", 40.0), ("sleep", 5.0), ("charge", 10.0)]),
+             ("b", 1.0, [("charge", 30.0)])],
+            25.0, 8.0, 0.5),
+    }
+
+    def drive_reference(self, jobs, quantum, switch_cost, speed):
+        engine = Engine()
+        core = _core(engine, quantum, switch_cost, speed)
+        token = Token(engine)
+        finishes = {}
+
+        def consumer(owner, delay, steps):
+            if delay:
+                yield engine.timeout(delay)
+            for kind, us in steps:
+                if kind == "sleep":
+                    yield engine.timeout(us)
+                else:
+                    yield from reference_consume(core, token, owner, us)
+            finishes[owner] = engine.now
+
+        for owner, delay, steps in jobs:
+            engine.process(consumer(owner, delay, steps))
+        engine.run()
+        return finishes, core.busy_time, core.switch_count, engine.now
+
+    def drive_charger(self, jobs, quantum, switch_cost, speed):
+        engine = Engine()
+        core = _core(engine, quantum, switch_cost, speed)
+        finishes = {}
+
+        def owner_machine(owner, steps):
+            charger = core.charger(owner)
+            todo = deque(steps)
+
+            def step():
+                if not todo:
+                    finishes[owner] = engine.now
+                    return
+                kind, us = todo.popleft()
+                if kind == "sleep":
+                    engine.call_at(engine.now + us, step)
+                else:
+                    assert charger.start(us, step)
+
+            return step
+
+        for owner, delay, steps in jobs:
+            engine.call_at(delay, owner_machine(owner, steps))
+        engine.run()
+        return finishes, core.busy_time, core.switch_count, engine.now
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_charger_matches_reference(self, name):
+        case = self.CASES[name]
+        assert self.drive_charger(*case) == self.drive_reference(*case)
+
+    def test_zero_length_charge_charges_nothing(self):
+        engine = Engine()
+        core = HostCore(engine, "c0")
+        called = []
+        assert core.charger("a").start(0.0, lambda: called.append(1)) is False
+        assert core.charge("a", 0.0) is None
+        assert engine.events_scheduled == 0
+        engine.run()
+        assert called == [] and core.busy_time == 0.0 and engine.now == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_nan_or_infinite_charge_is_rejected(self, bad):
+        engine = Engine()
+        core = HostCore(engine, "c0")
+        with pytest.raises(EmulationError, match="c0"):
+            core.charger("a").start(bad, lambda: None)
+        with pytest.raises(EmulationError):
+            core.charge("a", bad)
+        assert engine.events_scheduled == 0
 
 
 class TestMailbox:
