@@ -2,7 +2,7 @@
 
 from repro.analysis.boxstats import BoxStats, box_stats
 from repro.analysis.figures import ascii_chart, fig10_chart, fig11_chart
-from repro.analysis.tables import format_table, render_rows
+from repro.analysis.tables import format_table
 from repro.analysis.trace_export import (
     gantt_ascii,
     records_as_dicts,
@@ -19,7 +19,6 @@ __all__ = [
     "fig10_chart",
     "fig11_chart",
     "format_table",
-    "render_rows",
     "gantt_ascii",
     "records_as_dicts",
     "to_csv",

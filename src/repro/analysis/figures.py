@@ -11,6 +11,9 @@ import math
 from collections.abc import Mapping, Sequence
 
 _MARKERS = "ox+*#@%&"
+#: plot area of every chart, in characters
+CHART_WIDTH = 64
+CHART_HEIGHT = 16
 
 
 def _fmt_tick(value: float) -> str:
@@ -25,8 +28,6 @@ def ascii_chart(
     series: Mapping[str, Sequence[tuple[float, float]]],
     *,
     title: str = "",
-    width: int = 64,
-    height: int = 16,
     log_y: bool = False,
 ) -> str:
     """Render named (x, y) series as a character plot.
@@ -50,13 +51,13 @@ def ascii_chart(
     x_span = (x_max - x_min) or 1.0
     y_span = (y_max - y_min) or 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * CHART_WIDTH for _ in range(CHART_HEIGHT)]
     for index, (name, pts) in enumerate(series.items()):
         marker = _MARKERS[index % len(_MARKERS)]
         for x, y in pts:
-            col = int(round((x - x_min) / x_span * (width - 1)))
-            row = int(round((ty(y) - y_min) / y_span * (height - 1)))
-            grid[height - 1 - row][col] = marker
+            col = int(round((x - x_min) / x_span * (CHART_WIDTH - 1)))
+            row = int(round((ty(y) - y_min) / y_span * (CHART_HEIGHT - 1)))
+            grid[CHART_HEIGHT - 1 - row][col] = marker
 
     lines: list[str] = []
     if title:
@@ -67,18 +68,18 @@ def ascii_chart(
     for i, row in enumerate(grid):
         if i == 0:
             label = top_label.rjust(label_width)
-        elif i == height - 1:
+        elif i == CHART_HEIGHT - 1:
             label = bot_label.rjust(label_width)
         else:
             label = " " * label_width
         lines.append(f"{label} |{''.join(row)}")
-    axis = " " * label_width + " +" + "-" * width
+    axis = " " * label_width + " +" + "-" * CHART_WIDTH
     lines.append(axis)
     x_axis = (
         " " * label_width
         + "  "
         + _fmt_tick(x_min)
-        + _fmt_tick(x_max).rjust(width - len(_fmt_tick(x_min)))
+        + _fmt_tick(x_max).rjust(CHART_WIDTH - len(_fmt_tick(x_min)))
     )
     lines.append(x_axis)
     legend = "  ".join(

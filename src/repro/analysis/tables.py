@@ -38,13 +38,7 @@ def format_table(
     return "\n".join(lines)
 
 
-def render_rows(rows: Sequence[dict], columns: Sequence[str], title: str = "") -> str:
-    """Table from dict rows, selecting and ordering ``columns``."""
-    body = [[row.get(col, "") for col in columns] for row in rows]
-    return format_table(columns, body, title=title)
-
-
-#: Default column order for DSE campaign rows (``CampaignResult.rows()``).
+#: Column order for DSE campaign rows (``CampaignResult.rows()``).
 CAMPAIGN_COLUMNS = (
     "label", "status", "makespan_ms", "total_energy_j",
     "avg_sched_overhead_us", "tasks", "cached",
@@ -54,9 +48,7 @@ CAMPAIGN_COLUMNS = (
 def campaign_table(
     rows: Sequence[dict],
     *,
-    columns: Sequence[str] = CAMPAIGN_COLUMNS,
     sort_by: str | None = None,
-    title: str = "Campaign results",
 ) -> str:
     """Comparison table over a DSE campaign's flattened cell rows.
 
@@ -71,8 +63,8 @@ def campaign_table(
             return (missing, value if not missing else 0.0)
 
         rows.sort(key=key)
-    body = [[_cell(row, col) for col in columns] for row in rows]
-    return format_table(list(columns), body, title=title)
+    body = [[_cell(row, col) for col in CAMPAIGN_COLUMNS] for row in rows]
+    return format_table(list(CAMPAIGN_COLUMNS), body, title="Campaign results")
 
 
 def _cell(row: dict, col: str) -> object:

@@ -58,20 +58,15 @@ def write_json(stats: EmulationStats, path) -> None:
         fh.write(to_json(stats))
 
 
-def gantt_ascii(
-    stats: EmulationStats,
-    *,
-    width: int = 72,
-    until: float | None = None,
-) -> str:
-    """One row per PE; each task paints its span with a per-app letter.
+#: character columns of the Gantt chart's time axis
+GANTT_WIDTH = 72
 
-    ``until`` truncates the horizontal axis (useful when a long tail would
-    compress the interesting startup region).
-    """
+
+def gantt_ascii(stats: EmulationStats) -> str:
+    """One row per PE; each task paints its span with a per-app letter."""
     if not stats.task_records:
         return "(no tasks executed)"
-    horizon = until if until is not None else stats.makespan
+    horizon = stats.makespan
     if horizon <= 0:
         return "(empty horizon)"
     app_letters: dict[str, str] = {}
@@ -79,14 +74,14 @@ def gantt_ascii(
         if rec.app_name not in app_letters:
             app_letters[rec.app_name] = chr(ord("A") + len(app_letters) % 26)
     rows: dict[str, list[str]] = {
-        name: [" "] * width for name in sorted(stats.pe_usage)
+        name: [" "] * GANTT_WIDTH for name in sorted(stats.pe_usage)
     }
     for rec in stats.task_records:
         if rec.start_time >= horizon:
             continue
         row = rows[rec.pe_name]
-        begin = int(rec.start_time / horizon * (width - 1))
-        end = int(min(rec.finish_time, horizon) / horizon * (width - 1))
+        begin = int(rec.start_time / horizon * (GANTT_WIDTH - 1))
+        end = int(min(rec.finish_time, horizon) / horizon * (GANTT_WIDTH - 1))
         letter = app_letters[rec.app_name]
         for col in range(begin, max(begin, end) + 1):
             row[col] = letter

@@ -84,14 +84,6 @@ class TaskNode:
     def platform_names(self) -> tuple[str, ...]:
         return self.platform_key
 
-    def binding_for(self, platform: str) -> PlatformBinding:
-        for p in self.platforms:
-            if p.name == platform:
-                return p
-        raise ApplicationSpecError(
-            f"node {self.name!r} has no binding for platform {platform!r}"
-        )
-
     def supports(self, platform: str) -> bool:
         return any(p.name == platform for p in self.platforms)
 

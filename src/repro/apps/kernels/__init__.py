@@ -1,8 +1,8 @@
 """Signal-processing kernel primitives.
 
-Pure NumPy functions (array in → array out) used by the application kernel
-shared-objects, the toolchain's recognition library, and the tests.  Each
-module covers one block family from the paper's application diagrams.
+Pure NumPy functions (array in → array out) that the application kernel
+shared-objects are built from.  Each module covers one block family from
+the paper's application diagrams.
 """
 
 from repro.apps.kernels import (
@@ -10,7 +10,6 @@ from repro.apps.kernels import (
     coding,
     correlation,
     crc,
-    doppler,
     fftops,
     interleaver,
     lfm,
@@ -25,7 +24,6 @@ __all__ = [
     "coding",
     "correlation",
     "crc",
-    "doppler",
     "fftops",
     "interleaver",
     "lfm",

@@ -25,15 +25,3 @@ def awgn(
     scale = np.sqrt(noise_power / 2.0)
     noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
     return x + noise
-
-
-def measured_snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
-    """Empirical SNR between a clean signal and its noisy observation."""
-    clean = np.asarray(clean, dtype=np.complex128)
-    noisy = np.asarray(noisy, dtype=np.complex128)
-    noise = noisy - clean
-    signal_power = float(np.mean(np.abs(clean) ** 2))
-    noise_power = float(np.mean(np.abs(noise) ** 2))
-    if noise_power == 0.0:
-        return float("inf")
-    return 10.0 * np.log10(signal_power / noise_power)

@@ -29,15 +29,6 @@ def correlate_spectra(rx_spectrum: np.ndarray, ref_spectrum: np.ndarray) -> np.n
     return vector_multiply(rx_spectrum, conjugate(ref_spectrum))
 
 
-def xcorr_fd(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Full frequency-domain circular cross-correlation (reference path)."""
-    rx = np.asarray(rx)
-    ref = np.asarray(ref)
-    if rx.shape != ref.shape:
-        raise ValueError(f"shape mismatch: {rx.shape} vs {ref.shape}")
-    return np.fft.ifft(np.fft.fft(rx) * np.conj(np.fft.fft(ref)))
-
-
 def find_peak(corr: np.ndarray, sampling_rate: float = 1.0) -> tuple[int, float, float]:
     """Peak search: returns ``(index, peak_magnitude, lag_seconds)``."""
     mag = np.abs(np.asarray(corr))

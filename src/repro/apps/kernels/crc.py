@@ -24,16 +24,3 @@ def crc32_bits(bits: np.ndarray) -> int:
         crc ^= int(bit)
         crc = (crc >> 1) ^ (_POLY if crc & 1 else 0)
     return crc ^ 0xFFFFFFFF
-
-
-def crc32_bytes(payload: bytes) -> int:
-    """CRC-32 of bytes via the bit-level routine (LSB-first per byte)."""
-    bits = np.unpackbits(
-        np.frombuffer(payload, dtype=np.uint8), bitorder="little"
-    )
-    return crc32_bits(bits)
-
-
-def check_crc32(bits: np.ndarray, expected: int) -> bool:
-    """True when the stream's CRC matches ``expected`` (mod 2³²)."""
-    return crc32_bits(bits) == (expected & 0xFFFFFFFF)

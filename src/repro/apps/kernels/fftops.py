@@ -1,16 +1,11 @@
-"""Fourier transforms: optimized wrappers and naive loop-based DFTs.
+"""Fourier transforms: thin wrappers over NumPy's FFT (the FFTW analog).
 
-The naive O(n²) implementations mirror the monolithic C range-detection
-code of the paper's Case Study 4 — "simple for-loop based DFTs" — and are
-what the toolchain's kernel recognition replaces with the optimized FFT
-(the paper's FFTW substitution, ~102× on ARM) or an accelerator invocation
-(~94×).  They are deliberately written as explicit Python loops so the
-speedup is real and measurable.
+Case Study 4's unoptimized kernels, the loop DFTs that the toolchain
+recognizes and substitutes, are not here: they are written inline in
+:mod:`repro.experiments.monolithic`.
 """
 
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 
@@ -23,46 +18,3 @@ def fft(x: np.ndarray) -> np.ndarray:
 def ifft(x: np.ndarray) -> np.ndarray:
     """Optimized inverse FFT."""
     return np.fft.ifft(np.asarray(x))
-
-
-def fft_shift(x: np.ndarray) -> np.ndarray:
-    """Swap halves so zero frequency sits at the center (Doppler display)."""
-    return np.fft.fftshift(np.asarray(x))
-
-
-def naive_dft(x: np.ndarray) -> np.ndarray:
-    """Loop-based O(n²) DFT — the unoptimized kernel of Case Study 4.
-
-    X[k] = sum_n x[n] * exp(-2πi k n / N)
-    """
-    data = list(np.asarray(x, dtype=np.complex128))
-    n = len(data)
-    out = [0j] * n
-    for k in range(n):
-        acc = 0j
-        w = -2j * cmath.pi * k / n
-        for i in range(n):
-            acc += data[i] * cmath.exp(w * i)
-        out[k] = acc
-    return np.asarray(out, dtype=np.complex128)
-
-
-def naive_idft(x: np.ndarray) -> np.ndarray:
-    """Loop-based O(n²) inverse DFT (includes the 1/N normalization)."""
-    data = list(np.asarray(x, dtype=np.complex128))
-    n = len(data)
-    out = [0j] * n
-    for k in range(n):
-        acc = 0j
-        w = 2j * cmath.pi * k / n
-        for i in range(n):
-            acc += data[i] * cmath.exp(w * i)
-        out[k] = acc / n
-    return np.asarray(out, dtype=np.complex128)
-
-
-def next_pow2(n: int) -> int:
-    """Smallest power of two >= n."""
-    if n <= 1:
-        return 1
-    return 1 << (int(n - 1).bit_length())

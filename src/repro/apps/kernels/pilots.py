@@ -37,11 +37,3 @@ def remove_pilots(frame: np.ndarray) -> np.ndarray:
     if full.shape != (SYMBOL_SIZE,):
         raise ValueError(f"expected a {SYMBOL_SIZE}-slot symbol, got {full.shape}")
     return full[DATA_INDICES].copy()
-
-
-def pilot_error(frame: np.ndarray) -> float:
-    """RMS deviation of received pilots from their known values (a cheap
-    channel-quality estimate receivers use before demodulation)."""
-    full = np.asarray(frame)
-    diff = full[PILOT_INDICES] - PILOT_VALUES
-    return float(np.sqrt(np.mean(np.abs(diff) ** 2)))

@@ -269,14 +269,11 @@ def _fft_node(cpu_func: str, accel_func: str) -> list[PlatformBinding]:
     ]
 
 
-def build_graph(
-    geometry: PulseDopplerGeometry = DEFAULT_GEOMETRY,
-    app_name: str = APP_NAME,
-) -> TaskGraph:
+def build_graph(geometry: PulseDopplerGeometry = DEFAULT_GEOMETRY) -> TaskGraph:
     """The pulse-Doppler archetype (770 tasks at the default geometry)."""
     m, n = geometry.n_pulses, geometry.n_samples
     gates, off = geometry.n_gates, geometry.gate_offset
-    b = GraphBuilder(app_name, SHARED_OBJECT)
+    b = GraphBuilder(APP_NAME, SHARED_OBJECT)
     b.scalar("n_pulses", m)
     b.scalar("n_samples", n)
     b.scalar("n_gates", gates)

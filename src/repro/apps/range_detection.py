@@ -164,12 +164,8 @@ def _fft_platforms(cpu_func: str, accel_func: str) -> list[PlatformBinding]:
     ]
 
 
-def build_graph(accelerator_platform: str = "fft") -> TaskGraph:
-    """The 6-task range-detection archetype.
-
-    ``accelerator_platform`` exists so auto-generated variants (Case Study
-    4) can retarget the FFT nodes; pass ``""`` to emit CPU-only bindings.
-    """
+def build_graph() -> TaskGraph:
+    """The 6-task range-detection archetype."""
     b = GraphBuilder(APP_NAME, SHARED_OBJECT)
     b.scalar("n_samples", N_SAMPLES)
     b.scalar("sampling_rate", SAMPLING_RATE)
@@ -184,25 +180,18 @@ def build_graph(accelerator_platform: str = "fft") -> TaskGraph:
     b.buffer("max_corr", 4, dtype="float32")
     b.setup("range_detect_setup")
 
-    with_accel = bool(accelerator_platform)
-
-    def fft_node_platforms(cpu_func: str, accel_func: str):
-        if with_accel:
-            return _fft_platforms(cpu_func, accel_func)
-        return [PlatformBinding(name="cpu", runfunc=cpu_func)]
-
     b.node("LFM", args=["n_samples", "lfm_waveform"], cpu="range_detect_LFM")
     b.node(
         "FFT_0",
         args=["n_samples", "rx", "X1"],
-        platforms=fft_node_platforms(
+        platforms=_fft_platforms(
             "range_detect_FFT_0_CPU", "range_detect_FFT_0_ACCEL"
         ),
     )
     b.node(
         "FFT_1",
         args=["n_samples", "lfm_waveform", "X2"],
-        platforms=fft_node_platforms(
+        platforms=_fft_platforms(
             "range_detect_FFT_1_CPU", "range_detect_FFT_1_ACCEL"
         ),
         after=["LFM"],
@@ -216,7 +205,7 @@ def build_graph(accelerator_platform: str = "fft") -> TaskGraph:
     b.node(
         "IFFT",
         args=["n_samples", "corr_spec", "corr"],
-        platforms=fft_node_platforms(
+        platforms=_fft_platforms(
             "range_detect_IFFT_CPU", "range_detect_IFFT_ACCEL"
         ),
         after=["MUL"],

@@ -391,10 +391,16 @@ def cmd_sweep_worker(args: argparse.Namespace) -> int:
     attach.
     """
     from repro.dse.distrib import run_worker
+    from repro.dse.runner import check_fleet_timing
 
     if not args.out and not args.server:
         print("sweep-worker needs --out DIR or --server HOST:PORT",
               file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        check_fleet_timing(args.lease_ttl, args.poll)
+    except ValueError as exc:
+        print(f"sweep-worker: {exc}", file=sys.stderr)
         return EXIT_USAGE
     controller = QoSController(None, wall_budget_s=args.wall_budget)
 
@@ -442,9 +448,15 @@ def cmd_sweep_server(args: argparse.Namespace) -> int:
     on their own).  SIGINT/SIGTERM shut down cleanly.
     """
     from repro.dse.distrib.net.server import run_server
+    from repro.dse.runner import check_fleet_timing
 
     if not args.out:
         print("sweep-server needs --out DIR", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        check_fleet_timing(args.lease_ttl)
+    except ValueError as exc:
+        print(f"sweep-server: {exc}", file=sys.stderr)
         return EXIT_USAGE
     stop = threading.Event()
     if threading.current_thread() is threading.main_thread():

@@ -14,8 +14,8 @@ class IdAllocator:
     instead of dicts on the hot path.
     """
 
-    def __init__(self, start: int = 0) -> None:
-        self._next = int(start)
+    def __init__(self) -> None:
+        self._next = 0
 
     def allocate(self) -> int:
         """Return the next id."""
@@ -26,10 +26,6 @@ class IdAllocator:
     def peek(self) -> int:
         """The id the next :meth:`allocate` call would return."""
         return self._next
-
-    def reset(self, start: int = 0) -> None:
-        """Restart the sequence (used between emulation runs)."""
-        self._next = int(start)
 
 
 def monotonic_names(prefix: str) -> Iterator[str]:

@@ -28,6 +28,7 @@ NFS-style shared filesystems:
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -72,8 +73,10 @@ class LeaseDir:
     """A directory of lease files, one per resource name."""
 
     def __init__(self, root: str | Path, *, owner: str, ttl_s: float) -> None:
-        if ttl_s <= 0:
-            raise ValueError(f"lease ttl must be positive, got {ttl_s}")
+        if not (math.isfinite(ttl_s) and ttl_s > 0):
+            raise ValueError(
+                f"lease ttl must be a finite number above 0, got {ttl_s}"
+            )
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.owner = owner
@@ -153,10 +156,10 @@ class LeaseDir:
             except OSError:
                 pass
 
-    def break_stale(self, name: str, now: float | None = None) -> bool:
+    def break_stale(self, name: str) -> bool:
         """Tear down an expired lease; True when *this* caller won the race."""
         info = self.info(name)
-        if info is None or not self.is_stale(info, now):
+        if info is None or not self.is_stale(info):
             return False
         tombstone = self._unique(f"stale.{name}")
         try:

@@ -45,6 +45,7 @@ from typing import Any, Callable
 
 from repro.dse.distrib import queue as layout
 from repro.dse.distrib.status import throughput, worker_health
+from repro.dse.runner import check_fleet_timing
 from repro.dse.distrib.store import CampaignStore
 from repro.dse.distrib.transport import (
     CLAIM_BUSY,
@@ -99,6 +100,7 @@ class SweepServer:
         lease_ttl_s: float | None = None,
         monotonic: Callable[[], float] = time.monotonic,
     ) -> None:
+        check_fleet_timing(lease_ttl_s)
         self.out_dir = Path(out_dir)
         self.host = host
         self.port = port
@@ -191,12 +193,14 @@ class SweepServer:
     def _op_publish(self, msg: dict[str, Any]) -> dict[str, Any]:
         """Coordinator publishes (or re-attaches to) the campaign."""
         resume = bool(msg.get("resume"))
+        lease_ttl_s = float(msg.get("lease_ttl_s", self.lease_ttl_s))
+        check_fleet_timing(lease_ttl_s)
         total = self.store.publish(
             msg["cells"],
             grid_id=str(msg.get("grid_id", "net")),
             max_attempts=int(msg.get("max_attempts", 1)),
             timeout_s=msg.get("timeout_s"),
-            lease_ttl_s=float(msg.get("lease_ttl_s", self.lease_ttl_s)),
+            lease_ttl_s=lease_ttl_s,
             resume=resume,
         )
         self.stop_flag = False

@@ -222,9 +222,9 @@ def lease_ttl_s(
 ) -> float:
     """The campaign's lease ttl: ``override`` when set, else the
     manifest's, else :data:`DEFAULT_LEASE_TTL_S`."""
-    return float(
-        override or (manifest or {}).get("lease_ttl_s") or DEFAULT_LEASE_TTL_S
-    )
+    if override is not None:
+        return float(override)
+    return float((manifest or {}).get("lease_ttl_s") or DEFAULT_LEASE_TTL_S)
 
 
 def max_attempts(manifest: dict[str, Any] | None) -> int:

@@ -187,7 +187,11 @@ def run_worker(
     ``oneshot`` the worker exits after the first pass that finds nothing
     to do (CI helpers); otherwise it waits on peers' claims — surviving
     workers automatically absorb a crashed peer's re-issued cells.
+    ``lease_ttl_s`` (None: the manifest's) and ``poll_s`` must be finite
+    numbers of seconds above 0, or :class:`ValueError` is raised before
+    the worker touches the campaign.
     """
+    runner_mod.check_fleet_timing(lease_ttl_s, poll_s)
     worker_id = worker_id or layout.default_worker_id()
     if transport is None:
         if out_dir is None:

@@ -26,6 +26,14 @@ from repro.runtime.workload import ArrivalSpec, ArrivalStream, WorkloadSpec
 #: Workload descriptor kinds understood by :func:`build_workload`.
 WORKLOAD_KINDS = ("validation", "rate", "table_ii", "arrivals")
 
+#: The keys a descriptor of each kind may carry.
+DESCRIPTOR_KEYS = {
+    "validation": ("kind", "apps"),
+    "rate": ("kind", "rate", "time_frame_us"),
+    "table_ii": ("kind", "rate"),
+    "arrivals": ("kind", "spec"),
+}
+
 
 def validation_sweep(apps: dict[str, int]) -> dict[str, Any]:
     """Descriptor for a validation-mode workload (all arrivals at t=0).
@@ -115,14 +123,30 @@ def describe_workload(descriptor: dict[str, Any]) -> str:
 def _check_descriptor(descriptor: dict[str, Any]) -> None:
     """Reject a workload descriptor no cell could run, once per grid.
 
-    Rates get scalar checks only (nothing is built); an ``arrivals`` spec
-    gets the fail-fast build :func:`arrivals_sweep` gives in-code grids.
+    Each kind takes only its :data:`DESCRIPTOR_KEYS`, so a misspelt key is
+    an error rather than a default.  Rates and the time frame get scalar
+    checks only (nothing is built); an ``arrivals`` spec gets the
+    fail-fast build :func:`arrivals_sweep` gives in-code grids.
     """
     kind = descriptor.get("kind")
     if kind not in WORKLOAD_KINDS:
         raise ReproError(
             f"workload descriptor kind {kind!r} not in {WORKLOAD_KINDS}"
         )
+    unknown = sorted(set(descriptor) - set(DESCRIPTOR_KEYS[kind]))
+    if unknown:
+        raise ReproError(
+            f"{kind} workload: unknown key(s) {unknown} (allowed: "
+            f"{list(DESCRIPTOR_KEYS[kind])})"
+        )
+    if "time_frame_us" in descriptor:
+        frame = descriptor["time_frame_us"]
+        if not (isinstance(frame, (int, float)) and not isinstance(frame, bool)
+                and math.isfinite(frame) and frame > 0):
+            raise ReproError(
+                f"rate workload field 'time_frame_us' must be a finite "
+                f"number of microseconds > 0, got {frame!r}"
+            )
     if kind == "validation":
         _check_apps(descriptor.get("apps"))
     elif kind in ("rate", "table_ii"):

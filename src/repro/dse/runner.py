@@ -421,7 +421,22 @@ def _run_parallel(
 # -- orchestration ---------------------------------------------------------------
 
 
-def _check_settings(*, jobs, workers, retries, timeout_s) -> None:
+def check_fleet_timing(
+    lease_ttl_s: float | None, poll_s: float | None = None
+) -> None:
+    """Reject a lease ttl (None: the manifest's) or a poll interval that
+    is not a finite number of seconds above 0, naming its flag."""
+    for value, name in ((lease_ttl_s, "lease_ttl_s (--lease-ttl)"),
+                        (poll_s, "poll_s (--poll)")):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                f"{name} must be a finite number of seconds above 0, "
+                f"got {value}"
+            )
+
+
+def _check_settings(*, jobs, workers, retries, timeout_s, lease_ttl_s,
+                    poll_s) -> None:
     """Reject a campaign setting out of range before anything runs."""
     if jobs < 1:
         raise ValueError(f"jobs (--jobs) must be at least 1, got {jobs}")
@@ -436,6 +451,7 @@ def _check_settings(*, jobs, workers, retries, timeout_s) -> None:
             "timeout_s (--timeout) must be a finite number of seconds "
             f"above 0, got {timeout_s}"
         )
+    check_fleet_timing(lease_ttl_s, poll_s)
 
 
 def run_campaign(
@@ -478,11 +494,14 @@ def run_campaign(
     snapshot every few seconds) only matter to a fleet.
 
     ``jobs`` must be at least 1, ``workers`` and ``retries`` at least 0,
-    and ``timeout_s`` None (no timeout) or a finite number of seconds
-    above 0; anything else is a :class:`ValueError` naming the setting.
+    ``timeout_s`` None (no timeout) or a finite number of seconds above 0,
+    ``lease_ttl_s`` None (the manifest's, else 30 s) or a finite number of
+    seconds above 0, and ``poll_s`` a finite number of seconds above 0;
+    anything else is a :class:`ValueError` naming the setting, raised
+    before anything is written.
     """
     _check_settings(jobs=jobs, workers=workers, retries=retries,
-                    timeout_s=timeout_s)
+                    timeout_s=timeout_s, lease_ttl_s=lease_ttl_s, poll_s=poll_s)
     fleet = workers is not None or server is not None
     if fleet and jobs > 1:
         raise ValueError(

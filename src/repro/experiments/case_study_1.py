@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 from repro.analysis.boxstats import BoxStats, box_stats
 from repro.analysis.tables import format_table
-from repro.common.errors import EmulationError
-from repro.dse import SweepGrid, run_campaign, validation_sweep
-from repro.experiments.workloads import FIG9_CONFIGS
+from repro.dse import SweepGrid, validation_sweep
+from repro.experiments.workloads import FIG9_CONFIGS, _run_grid
 
 #: Case study 1's validation workload: one instance of each application.
 FIG9_APPS = {"pulse_doppler": 1, "range_detection": 1, "wifi_tx": 1, "wifi_rx": 1}
@@ -26,19 +25,14 @@ class Fig9Row:
     pe_utilization: dict[str, float]  # per PE name
 
 
-def fig9_grid(
-    *,
-    iterations: int = 50,
-    configs: tuple[str, ...] = FIG9_CONFIGS,
-    policy: str = "frfs",
-    seed: int = 0,
-) -> SweepGrid:
-    """The Fig. 9 sweep as a campaign grid (configs x one workload)."""
+def fig9_grid(*, iterations: int = 50) -> SweepGrid:
+    """The Fig. 9 sweep as a campaign grid: the seven configs x one
+    workload, FRFS, seed 0."""
     return SweepGrid(
-        configs=tuple(configs),
-        policies=(policy,),
+        configs=FIG9_CONFIGS,
+        policies=("frfs",),
         workloads=(validation_sweep(FIG9_APPS),),
-        seeds=(seed,),
+        seeds=(0,),
         iterations=iterations,
         jitter=True,
     )
@@ -47,9 +41,6 @@ def fig9_grid(
 def run_fig9(
     *,
     iterations: int = 50,
-    configs: tuple[str, ...] = FIG9_CONFIGS,
-    policy: str = "frfs",
-    seed: int = 0,
     jobs: int = 1,
     out_dir: str | None = None,
 ) -> list[Fig9Row]:
@@ -60,14 +51,10 @@ def run_fig9(
     through the DSE campaign engine: pass ``jobs`` to parallelize across
     configurations and ``out_dir`` to cache/journal the campaign.
     """
-    grid = fig9_grid(
-        iterations=iterations, configs=configs, policy=policy, seed=seed
-    )
-    campaign = run_campaign(grid, jobs=jobs, out_dir=out_dir)
     rows: list[Fig9Row] = []
-    for res in campaign:
-        if not res.ok or res.metrics is None:
-            raise EmulationError(f"fig9 cell {res.cell.label} failed: {res.error}")
+    for res in _run_grid(
+        fig9_grid(iterations=iterations), "fig9", jobs=jobs, out_dir=out_dir
+    ):
         times_ms = [us / 1000.0 for us in res.metrics["makespan_us_runs"]]
         rows.append(
             Fig9Row(

@@ -15,11 +15,11 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.apps import default_applications
-from repro.common.errors import EmulationError
-from repro.dse import SweepGrid, run_campaign, table_ii_sweep, validation_sweep
+from repro.dse import SweepGrid, table_ii_sweep, validation_sweep
 from repro.experiments.workloads import (
     TABLE_II_COUNTS,
     TABLE_II_RATES,
+    _run_grid,
     table_ii_workload,
 )
 from repro.runtime.workload import WorkloadSpec
@@ -40,21 +40,18 @@ class TableIRow:
     task_count: int
 
 
-def run_table_i(*, config: str = "3C+2F", policy: str = "frfs") -> list[TableIRow]:
-    """Standalone application times (single instance, validation mode)."""
+def run_table_i() -> list[TableIRow]:
+    """Standalone application times (single instance, validation mode) on
+    3C+2F under FRFS."""
     grid = SweepGrid(
-        configs=(config,),
-        policies=(policy,),
+        configs=("3C+2F",),
+        policies=("frfs",),
         workloads=tuple(
             validation_sweep({app_name: 1}) for app_name in default_applications()
         ),
     )
     rows: list[TableIRow] = []
-    for res in run_campaign(grid):
-        if not res.ok or res.metrics is None:
-            raise EmulationError(
-                f"table I cell {res.cell.label} failed: {res.error}"
-            )
+    for res in _run_grid(grid, "table I"):
         (app_name,) = res.cell.workload["apps"]
         rows.append(
             TableIRow(
@@ -143,16 +140,15 @@ class Fig10Point:
     mean_ready_length: float
 
 
-def fig10_grid(
-    *,
-    rates: tuple[float, ...] = TABLE_II_RATES,
-    policies: tuple[str, ...] = ("eft", "met", "frfs"),
-    config: str = "3C+2F",
-) -> SweepGrid:
-    """The Fig. 10 sweep as a campaign grid (rates x policies)."""
+#: Fig. 10's policies, in the order the sweep runs them
+FIG10_POLICIES: tuple[str, ...] = ("eft", "met", "frfs")
+
+
+def fig10_grid(*, rates: tuple[float, ...] = TABLE_II_RATES) -> SweepGrid:
+    """The Fig. 10 sweep as a campaign grid (rates x policies) on 3C+2F."""
     return SweepGrid(
-        configs=(config,),
-        policies=tuple(policies),
+        configs=("3C+2F",),
+        policies=FIG10_POLICIES,
         workloads=tuple(table_ii_sweep(rate) for rate in rates),
     )
 
@@ -160,20 +156,11 @@ def fig10_grid(
 def run_fig10(
     *,
     rates: tuple[float, ...] = TABLE_II_RATES,
-    policies: tuple[str, ...] = ("eft", "met", "frfs"),
-    config: str = "3C+2F",
     jobs: int = 1,
-    out_dir: str | None = None,
 ) -> list[Fig10Point]:
-    """Sweep policies across the Table II injection-rate workloads."""
-    grid = fig10_grid(rates=rates, policies=policies, config=config)
-    campaign = run_campaign(grid, jobs=jobs, out_dir=out_dir)
+    """Sweep the policies across the Table II injection-rate workloads."""
     points: list[Fig10Point] = []
-    for res in campaign:
-        if not res.ok or res.metrics is None:
-            raise EmulationError(
-                f"fig10 cell {res.cell.label} failed: {res.error}"
-            )
+    for res in _run_grid(fig10_grid(rates=rates), "fig10", jobs=jobs):
         points.append(
             Fig10Point(
                 rate=res.cell.workload["rate"],

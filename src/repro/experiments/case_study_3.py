@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.common.errors import EmulationError
-from repro.dse import SweepGrid, rate_sweep, run_campaign
-from repro.experiments.workloads import FIG11_CONFIGS, FIG11_RATES
+from repro.dse import SweepGrid, rate_sweep
+from repro.experiments.workloads import FIG11_CONFIGS, FIG11_RATES, _run_grid
 
 
 @dataclass
@@ -31,17 +30,13 @@ def fig11_grid(
     *,
     configs: tuple[str, ...] = FIG11_CONFIGS,
     rates: tuple[float, ...] = FIG11_RATES,
-    policy: str = "frfs",
-    iterations: int = 1,
 ) -> SweepGrid:
-    """The Fig. 11 sweep as a campaign grid (rates x Odroid configs)."""
+    """The Fig. 11 sweep as a campaign grid (rates x Odroid configs), FRFS."""
     return SweepGrid(
         platforms=("odroid_xu3",),
         configs=tuple(configs),
-        policies=(policy,),
+        policies=("frfs",),
         workloads=tuple(rate_sweep(rate) for rate in rates),
-        iterations=iterations,
-        jitter=iterations > 1,
     )
 
 
@@ -49,39 +44,25 @@ def run_fig11(
     *,
     configs: tuple[str, ...] = FIG11_CONFIGS,
     rates: tuple[float, ...] = FIG11_RATES,
-    policy: str = "frfs",
-    iterations: int = 1,
     jobs: int = 1,
-    out_dir: str | None = None,
 ) -> list[Fig11Point]:
     """Sweep Odroid configurations against injection rates.
 
     The paper averages multiple iterations per point; with jitter disabled
-    the virtual backend is deterministic, so ``iterations=1`` reproduces
-    the mean directly (pass more to exercise the averaging path).  The
-    12-config x 8-rate product runs through the DSE campaign engine;
-    ``jobs`` parallelizes it and ``out_dir`` makes it cached/resumable.
+    the virtual backend is deterministic, so one iteration reproduces the
+    mean directly.  The 12-config x 8-rate product runs through the DSE
+    campaign engine; ``jobs`` parallelizes it.
     """
-    grid = fig11_grid(
-        configs=configs, rates=rates, policy=policy, iterations=iterations
-    )
-    campaign = run_campaign(grid, jobs=jobs, out_dir=out_dir)
     points: list[Fig11Point] = []
-    for res in campaign:
-        if not res.ok or res.metrics is None:
-            raise EmulationError(
-                f"fig11 cell {res.cell.label} failed: {res.error}"
-            )
+    for res in _run_grid(
+        fig11_grid(configs=configs, rates=rates), "fig11", jobs=jobs
+    ):
         points.append(
             Fig11Point(
                 config=res.cell.config,
                 rate=res.cell.workload["rate"],
-                execution_time_s=float(
-                    np.mean([us / 1e6 for us in res.metrics["makespan_us_runs"]])
-                ),
-                avg_sched_overhead_us=float(
-                    np.mean(res.metrics["sched_overhead_us_runs"])
-                ),
+                execution_time_s=res.metrics["makespan_us_runs"][0] / 1e6,
+                avg_sched_overhead_us=res.metrics["sched_overhead_us_runs"][0],
             )
         )
     return points

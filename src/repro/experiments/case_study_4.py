@@ -79,12 +79,7 @@ class CS4Result:
 
 
 def _run_variant(
-    conversion: ConversionResult,
-    substitute: str,
-    n_samples: int,
-    *,
-    config: str = "3C+1F",
-    policy: str = "frfs",
+    conversion: ConversionResult, substitute: str, n_samples: int
 ) -> tuple[float, float, bool]:
     """One threaded run of the ``substitute`` variant: its mean DFT and
     IDFT service times (µs) and whether its output was correct."""
@@ -97,8 +92,8 @@ def _run_variant(
     for runfunc, points in gen.accel_job_sizes.items():
         perf.set_accel_job(runfunc, points)
     emu = Emulation(
-        config=config,
-        policy=policy,
+        config="3C+1F",
+        policy="frfs",
         applications={gen.graph.app_name: gen.graph},
         library=gen.library,
         perf_model=perf,
@@ -122,22 +117,13 @@ def _run_variant(
     )
 
 
-def run_case_study_4(
-    *,
-    n_samples: int = 256,
-    workdir: str | None = None,
-    config: str = "3C+1F",
-) -> CS4Result:
-    """The full conversion + the three variants over :data:`ROUNDS`
-    interleaved rounds, the order rotated by one each round."""
-    cleanup = None
-    if workdir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="cs4_")
-        workdir = tmp.name
-        cleanup = tmp
-    try:
+def run_case_study_4(*, n_samples: int = 256) -> CS4Result:
+    """The full conversion (its data files in a temporary directory) + the
+    three variants over :data:`ROUNDS` interleaved rounds, the order
+    rotated by one each round."""
+    with tempfile.TemporaryDirectory(prefix="cs4_") as data_dir:
         conversion = convert(
-            monolithic.monolithic_range_detection, (n_samples, workdir)
+            monolithic.monolithic_range_detection, (n_samples, data_dir)
         )
         variants = {
             mode: CS4Variant(mode, dft_us=[], idft_us=[], lag_correct=True)
@@ -146,9 +132,7 @@ def run_case_study_4(
         for r in range(ROUNDS):
             k = r % len(MODES)
             for mode in MODES[k:] + MODES[:k]:
-                dft, idft, correct = _run_variant(
-                    conversion, mode, n_samples, config=config
-                )
+                dft, idft, correct = _run_variant(conversion, mode, n_samples)
                 variant = variants[mode]
                 variant.dft_us.append(dft)
                 variant.idft_us.append(idft)
@@ -170,9 +154,6 @@ def run_case_study_4(
             detection_report=conversion.detection_report(),
             variants=variants,
         )
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
 
 
 def render_case_study_4(result: CS4Result) -> str:

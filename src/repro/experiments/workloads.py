@@ -4,14 +4,17 @@
   each average injection rate; counts sum to rate × 100 ms).
 * Rate-scaled workloads for the Odroid sweep of Fig. 11 (rates 4–18
   jobs/ms, same application mix proportions as Table II).
+* The configuration axes of Figs. 9 and 11, and the one way the case
+  studies run their campaign grids.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.common.errors import ApplicationSpecError
+from repro.common.errors import ApplicationSpecError, EmulationError
 from repro.common.units import MS
+from repro.dse import CellResult, SweepGrid, run_campaign
 from repro.runtime.workload import (
     WorkloadSpec,
     workload_for_counts,
@@ -91,3 +94,15 @@ FIG11_CONFIGS: tuple[str, ...] = (
 
 #: Fig. 11's x-axis (jobs per millisecond); the paper plots 4–18.
 FIG11_RATES: tuple[float, ...] = (4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0)
+
+
+def _run_grid(
+    grid: SweepGrid, what: str, *, jobs: int = 1, out_dir: str | None = None
+) -> list[CellResult]:
+    """Every cell of ``grid`` run as one campaign, in grid order; the first
+    failed cell raises ``EmulationError`` naming ``what`` and the cell."""
+    results = list(run_campaign(grid, jobs=jobs, out_dir=out_dir))
+    for res in results:
+        if not res.ok or res.metrics is None:
+            raise EmulationError(f"{what} cell {res.cell.label} failed: {res.error}")
+    return results

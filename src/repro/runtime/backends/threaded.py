@@ -1,10 +1,10 @@
 """Threaded backend: the runtime on real host threads with real kernels.
 
 This is the faithful functional path: a workload-manager thread on behalf
-of the management core, one resource-manager thread per PE (optionally
-pinned with ``sched_setaffinity`` on Linux), tasks executing their actual
-kernel functions against the emulated shared memory, and accelerator PEs
-driving the functional FFT device through the full DMA protocol.
+of the management core, one resource-manager thread per PE, tasks
+executing their actual kernel functions against the emulated shared
+memory, and accelerator PEs driving the functional FFT device through the
+full DMA protocol.  A run that takes longer than :data:`TIMEOUT_S` raises.
 
 Wall-clock timing here is *measured*, not modeled — including the real
 scheduling overhead of each WM pass — but a Python runtime cannot hit the
@@ -26,7 +26,6 @@ retry-with-backoff, and post-kernel stall slowdowns.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -49,20 +48,8 @@ _log = get_logger("runtime.backends.threaded")
 POLL_INTERVAL_S = 0.0005
 #: how long teardown waits for each RM thread before warning it is alive
 JOIN_TIMEOUT_S = 5.0
-
-
-def _try_pin(core_index: int) -> bool:
-    """Best-effort affinity pin of the calling thread to one host core."""
-    if not hasattr(os, "sched_setaffinity"):
-        return False
-    try:
-        available = os.sched_getaffinity(0)
-        if core_index not in available:
-            return False
-        os.sched_setaffinity(threading.get_native_id(), {core_index})
-        return True
-    except OSError:  # pragma: no cover - platform dependent
-        return False
+#: how long a run may take before the workload manager gives up, in seconds
+TIMEOUT_S = 300.0
 
 
 def combine_failures(failures: list[BaseException]) -> BaseException:
@@ -90,15 +77,6 @@ def combine_failures(failures: list[BaseException]) -> BaseException:
 
 class ThreadedBackend(ExecutionBackend):
     name = "threaded"
-
-    def __init__(
-        self,
-        *,
-        pin_threads: bool = False,
-        timeout_s: float = 300.0,
-    ) -> None:
-        self.pin_threads = pin_threads
-        self.timeout_s = timeout_s
 
     def run(self, session: EmulationSession) -> EmulationStats:
         for instance in session.instances:
@@ -178,9 +156,7 @@ class ThreadedBackend(ExecutionBackend):
 
     def _wm_loop(self, session, core, clock, wm_condition,
                  completed, requeues, pe_failures, failure):
-        if self.pin_threads:
-            _try_pin(session.platform.management_core)
-        deadline = time.perf_counter() + self.timeout_s
+        deadline = time.perf_counter() + TIMEOUT_S
         qos = session.qos
         hb_timeout_us = qos.heartbeat_timeout_us if qos is not None else None
         buffers = (completed, pe_failures, requeues)
@@ -204,7 +180,7 @@ class ThreadedBackend(ExecutionBackend):
                 return
             if time.perf_counter() > deadline:
                 raise EmulationError(
-                    f"threaded emulation exceeded {self.timeout_s}s "
+                    f"threaded emulation exceeded {TIMEOUT_S}s "
                     f"({core.apps_completed}/{core.n_apps} apps complete)"
                 )
             if not draining:
@@ -293,8 +269,6 @@ class ThreadedBackend(ExecutionBackend):
 
     def _rm_loop(self, session, handler, device, clock, wm_condition,
                  completed, requeues, pe_failures, failure):
-        if self.pin_threads:
-            _try_pin(handler.pe.host_core)
         self_serve = session.scheduler.uses_reservation
         app_handler = session.app_handler
         injector = session.faults

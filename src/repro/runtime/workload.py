@@ -111,7 +111,6 @@ def periodic_arrivals(
     time_frame: float,
     probability: float = 1.0,
     rng: np.random.Generator | None = None,
-    phase: float = 0.0,
 ) -> list[float]:
     """Arrival instants for one application: every ``period`` µs within
     ``[0, time_frame)``, each kept with ``probability`` (drawn from
@@ -124,8 +123,6 @@ def periodic_arrivals(
         raise ApplicationSpecError(
             f"time_frame must be positive, got {time_frame}"
         )
-    if not np.isfinite(phase) or phase < 0:
-        raise ApplicationSpecError(f"phase must be >= 0, got {phase}")
     if not 0.0 <= probability <= 1.0:
         raise ApplicationSpecError(f"probability out of range: {probability}")
     if probability < 1.0 and rng is None:
@@ -138,7 +135,7 @@ def periodic_arrivals(
     # k*period == time_frame arrival (period is often time_frame/count).
     eps = 1e-9 * max(time_frame, 1.0)
     while True:
-        t = phase + k * period
+        t = k * period
         if t >= time_frame - eps:
             break
         if probability >= 1.0 or rng.random() < probability:
@@ -464,7 +461,6 @@ class PeriodicStream(_GeneratedStream):
         *,
         duration_ms: float | None = None,
         max_apps: int | None = None,
-        phase_us: float = 0.0,
     ) -> None:
         what = f"periodic({rate_per_ms}/ms)"
         super().__init__(what, apps, duration_ms, max_apps)
@@ -474,9 +470,6 @@ class PeriodicStream(_GeneratedStream):
         self.shares = [
             cum[i] - (cum[i - 1] if i else 0.0) for i in range(len(cum))
         ]
-        if not math.isfinite(phase_us) or phase_us < 0:
-            raise EmulationError(f"{what}: phase must be >= 0, got {phase_us}")
-        self.phase_us = phase_us
         self.description = f"openloop periodic {self.rate_per_ms:g}/ms"
 
     def arrivals(self):
@@ -492,7 +485,7 @@ class PeriodicStream(_GeneratedStream):
                 if credits[i] > credits[best]:
                     best = i
             credits[best] -= 1.0
-            yield self.phase_us + k * period, names[best]
+            yield k * period, names[best]
             k += 1
 
 

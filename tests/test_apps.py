@@ -59,7 +59,7 @@ class TestGraphStructure:
         assert g.nodes["MAX"].successors == ()
         assert g.topological_order()[-1] == "MAX"
         fft0 = g.nodes["FFT_0"]
-        accel = fft0.binding_for("fft")
+        accel = fft0.binding_for_any(("fft",))
         assert accel.shared_object == "fft_accel.so"
 
     def test_wifi_chains_are_linear(self):
@@ -106,13 +106,6 @@ class TestGraphStructure:
         assert g.nodes["P000_FFT"].supports("fft")
         assert g.nodes["G000_DFFT"].supports("fft")
         assert not g.nodes["P000_CONJ"].supports("fft")
-
-    def test_range_detection_cpu_only_variant(self):
-        g = range_detection.build_graph(accelerator_platform="")
-        assert all(
-            [p.name for p in node.platforms] == ["cpu"]
-            for node in g.nodes.values()
-        )
 
 
 @pytest.fixture

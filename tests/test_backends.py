@@ -234,10 +234,10 @@ class TestThreadedBackend:
             applications={"diamond": graph}, library=lib,
         )
         monkeypatch.setattr(threaded, "JOIN_TIMEOUT_S", 0.1)
-        backend = ThreadedBackend(timeout_s=0.3)
+        monkeypatch.setattr(threaded, "TIMEOUT_S", 0.3)
         with caplog.at_level("WARNING"):
             with pytest.raises(EmulationError, match="exceeded"):
-                emu.run(validation_workload({"diamond": 1}), backend)
+                emu.run(validation_workload({"diamond": 1}), ThreadedBackend())
         alive_warnings = [
             r.message for r in caplog.records if "still alive" in r.message
         ]

@@ -218,6 +218,33 @@ class TestServerProtocol:
         server = SweepServer(tmp_path, lease_ttl_s=10.0, monotonic=clock, **kw)
         return server, clock
 
+    @pytest.mark.parametrize("ttl", [float("nan"), 0, -5.0])
+    def test_a_lease_ttl_out_of_range_is_named_before_anything_opens(
+        self, tmp_path, ttl
+    ):
+        with pytest.raises(ValueError, match="lease_ttl_s \\(--lease-ttl\\)"):
+            SweepServer(tmp_path, lease_ttl_s=ttl)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ttl", [float("nan"), -5.0])
+    def test_a_published_lease_ttl_out_of_range_is_an_error_reply(
+        self, tmp_path, ttl
+    ):
+        """A coordinator on the wire could publish a NaN or negative ttl,
+        and the server wrote it into the manifest."""
+        server, _ = self._server(tmp_path)
+        try:
+            reply = server.handle({
+                "op": "publish", "rid": "c:1", "grid_id": "test",
+                "cells": [c.to_dict() for c in tiny_grid().expand()],
+                "lease_ttl_s": ttl,
+            })
+            assert reply["ok"] is False and "--lease-ttl" in reply["error"]
+            assert server.manifest is None
+            assert not (tmp_path / "distrib" / "manifest.json").exists()
+        finally:
+            server.close()
+
     def test_unknown_op_is_an_error_reply_with_rid(self, tmp_path):
         server, _ = self._server(tmp_path)
         try:

@@ -188,6 +188,20 @@ class TestSweep:
         assert main(["sweep-server"]) == EXIT_USAGE
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep-worker", "--lease-ttl", "nan"], "--lease-ttl"),
+        (["sweep-worker", "--poll", "-1"], "--poll"),
+        (["sweep-server", "--lease-ttl", "0"], "--lease-ttl"),
+    ])
+    def test_a_fleet_timing_out_of_range_is_a_usage_error(
+        self, tmp_path, capsys, argv, flag
+    ):
+        out = tmp_path / "campaign"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0], err
+        assert not out.exists()
+
     def test_sweep_json_output(self, tmp_path, capsys):
         out = tmp_path / "campaign"
         rc = main(["sweep", "--configs", "2C+1F", "--policies", "frfs",
@@ -278,10 +292,13 @@ _GOOD_SPEC = {
     ({**_GOOD_SPEC, "jitter": "false"}, ["'jitter'", "'false'"]),
     ({**_GOOD_SPEC, "seeds": ["a"]}, ["'seeds'", "'a'"]),
     ({**_GOOD_SPEC, "policies": ["frfs", "nope"]}, ["'policies'", "'nope'"]),
+    ({**_GOOD_SPEC, "workloads": [
+        {"kind": "rate", "rate": 4.0, "time_frme_us": 5000}]},
+     ["unknown key", "'time_frme_us'"]),
 ], ids=["missing", "not-json", "not-utf8", "a-list", "workloads-object",
         "workload-string", "configs-string", "policies-string", "fault-entry",
         "iterations-word", "iterations-fraction", "jitter-string",
-        "seed-string", "unknown-policy"])
+        "seed-string", "unknown-policy", "misspelt-descriptor-key"])
 def test_a_bad_sweep_spec_file_is_one_error_line(content, names, tmp_path,
                                                  monkeypatch, capsys):
     """Each of these ended in a traceback, or ran a grid of cells that

@@ -119,15 +119,10 @@ class TestIds:
         assert [alloc.allocate() for _ in range(4)] == [0, 1, 2, 3]
 
     def test_allocator_peek_does_not_consume(self):
-        alloc = IdAllocator(10)
-        assert alloc.peek() == 10
-        assert alloc.allocate() == 10
-
-    def test_allocator_reset(self):
         alloc = IdAllocator()
         alloc.allocate()
-        alloc.reset(5)
-        assert alloc.allocate() == 5
+        assert alloc.peek() == 1
+        assert alloc.allocate() == 1
 
     def test_monotonic_names(self):
         names = monotonic_names("pe")

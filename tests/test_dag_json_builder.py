@@ -60,10 +60,9 @@ class TestTaskNode:
                 PlatformBinding(name="fft", runfunc="f_accel"),
             ),
         )
-        assert node.binding_for("fft").runfunc == "f_accel"
+        assert node.binding_for_any(("fft",)).runfunc == "f_accel"
         assert node.supports("cpu") and not node.supports("gpu")
-        with pytest.raises(ApplicationSpecError):
-            node.binding_for("gpu")
+        assert node.binding_for_any(("gpu",)) is None
 
     def test_binding_for_any_prefers_exact_type(self):
         node = TaskNode(
@@ -296,7 +295,7 @@ class TestJsonSchema:
         }
         g = graph_from_json(data)
         assert g.variables["n_samples"].val == (0, 1, 0, 0)
-        assert g.nodes["FFT_0"].binding_for("fft").shared_object == "fft_accel.so"
+        assert g.nodes["FFT_0"].binding_for_any(("fft",)).shared_object == "fft_accel.so"
 
     def test_missing_required_key_reported(self):
         with pytest.raises(ApplicationSpecError, match="AppName"):

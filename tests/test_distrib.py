@@ -171,6 +171,13 @@ class TestLeasePrimitive:
         assert not a.release("cell")  # lost the lease: cannot unseat b
         assert b.holds("cell")
 
+    @pytest.mark.parametrize("ttl", [0, -1.0, float("nan"), float("inf")])
+    def test_a_ttl_that_is_not_a_finite_positive_number_is_rejected(
+        self, tmp_path, ttl
+    ):
+        with pytest.raises(ValueError, match="lease ttl"):
+            LeaseDir(tmp_path, owner="a", ttl_s=ttl)
+
     def test_sweep_debris(self, tmp_path):
         leases = LeaseDir(tmp_path, owner="a", ttl_s=1)
         (tmp_path / ".claim.x.a.1.1").write_text("{}")
@@ -262,6 +269,23 @@ class TestShardMerge:
 
 
 class TestWorkerLoop:
+    @pytest.mark.parametrize("setting, value, flag", [
+        ("lease_ttl_s", float("nan"), "--lease-ttl"),
+        ("lease_ttl_s", -5.0, "--lease-ttl"),
+        ("poll_s", -1.0, "--poll"),
+        ("poll_s", 0, "--poll"),
+    ])
+    def test_a_timing_out_of_range_is_named_before_any_claim(
+        self, tmp_path, setting, value, flag
+    ):
+        cells = tiny_grid(configs=("2C+1F",)).expand()
+        publish(tmp_path, cells)
+        with pytest.raises(ValueError, match=f"{setting} \\({flag}\\)"):
+            run_worker(tmp_path, worker_id="solo", oneshot=True,
+                       **{"poll_s": 0.05, setting: value})
+        assert not (tmp_path / "distrib" / "journals").exists()
+        assert not (tmp_path / "distrib" / "leases").exists()
+
     def test_single_worker_drains_queue(self, tmp_path):
         cells = tiny_grid().expand()
         publish(tmp_path, cells)

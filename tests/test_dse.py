@@ -264,6 +264,39 @@ class TestGrid:
                            match=f"sweep spec field '{field}' must be a list"):
             SweepGrid.from_dict(spec)
 
+    @pytest.mark.parametrize("workload, match", [
+        ({"kind": "rate", "rate": 4.0, "time_frme_us": 5000},
+         r"rate workload: unknown key\(s\) \['time_frme_us'\]"),
+        ({"kind": "rate", "rate": 4.0, "time_frame_us": -1},
+         "'time_frame_us' must be a finite number .* got -1"),
+        ({"kind": "rate", "rate": 4.0, "time_frame_us": "abc"},
+         "'time_frame_us' must be a finite number .* got 'abc'"),
+        ({"kind": "rate", "rate": 4.0, "time_frame_us": float("nan")},
+         "'time_frame_us' must be a finite number"),
+        ({"kind": "table_ii", "rate": 4.57, "time_frame_us": 5000},
+         r"table_ii workload: unknown key\(s\) \['time_frame_us'\]"),
+        ({"kind": "validation", "apps": {"wifi_tx": 1}, "rate": 2.0},
+         r"validation workload: unknown key\(s\) \['rate'\]"),
+        ({"kind": "arrivals", "spec": {}, "apps": {"wifi_tx": 1}},
+         r"arrivals workload: unknown key\(s\) \['apps'\]"),
+    ], ids=["misspelt-time-frame", "negative-time-frame", "word-time-frame",
+            "nan-time-frame", "time-frame-on-table-ii", "rate-on-validation",
+            "apps-on-arrivals"])
+    def test_a_descriptor_takes_only_its_kinds_keys(self, workload, match):
+        """Each of these expanded to a cell: the typo silently ran the
+        default 100 ms window, a bad time frame failed in every cell, and
+        ``table_ii`` ignored the time frame."""
+        spec = {"configs": ["2C+1F"], "policies": ["frfs"],
+                "workloads": [workload]}
+        with pytest.raises(ReproError, match=match):
+            SweepGrid.from_dict(spec)
+
+    def test_a_rate_descriptor_with_a_time_frame_is_accepted(self):
+        steady = {"kind": "rate", "rate": 4.57, "time_frame_us": 12_000.0}
+        grid = SweepGrid.from_dict({"configs": ["3C+2F"], "policies": ["frfs"],
+                                    "workloads": [steady]})
+        assert grid.workloads == (steady,)
+
     @pytest.mark.parametrize("field, value, match", [
         ("jitter", "false", "'jitter' must be true or false, got 'false'"),
         ("jitter", 1, "'jitter' must be true or false, got 1"),
@@ -851,6 +884,29 @@ class TestCampaignSettings:
             run_campaign(tiny_grid(), out_dir=out, **{setting: value})
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, value, flag", [
+        ("lease_ttl_s", float("nan"), "--lease-ttl"),
+        ("lease_ttl_s", float("inf"), "--lease-ttl"),
+        ("lease_ttl_s", -5.0, "--lease-ttl"),
+        ("lease_ttl_s", 0, "--lease-ttl"),
+        ("poll_s", -1.0, "--poll"),
+        ("poll_s", 0, "--poll"),
+        ("poll_s", float("nan"), "--poll"),
+    ])
+    def test_a_fleet_timing_out_of_range_publishes_nothing(
+        self, tmp_path, setting, value, flag
+    ):
+        """A NaN ttl was published to the manifest (as the non-JSON token
+        ``NaN``) and no lease ever went stale; a negative one was published
+        before the worker died on it; a negative poll surfaced as a bare
+        ``sleep length`` error."""
+        out = tmp_path / "campaign"
+        with pytest.raises(ValueError, match=f"{setting} \\({flag}\\)"):
+            run_campaign(tiny_grid(), out_dir=out, workers=0,
+                         **{setting: value})
+        assert not (out / "distrib" / "manifest.json").exists()
+        assert not out.exists()
+
     def test_the_edges_of_the_ranges_run(self, tmp_path):
         campaign = run_campaign(
             tiny_grid(configs=("2C+1F",), policies=("frfs",)),
@@ -861,6 +917,7 @@ class TestCampaignSettings:
     @pytest.mark.parametrize("flag, value", [
         ("--jobs", "-2"), ("--workers", "-1"), ("--retries", "-5"),
         ("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "nan"),
+        ("--lease-ttl", "nan"), ("--lease-ttl", "0"), ("--poll", "-1"),
     ])
     def test_the_cli_exits_2_with_one_line(self, tmp_path, capsys, flag,
                                            value):

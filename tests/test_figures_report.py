@@ -17,7 +17,7 @@ class TestAsciiChart:
     def test_basic_render(self):
         chart = ascii_chart(
             {"a": [(0, 1.0), (1, 2.0)], "b": [(0, 2.0), (1, 1.0)]},
-            title="T", width=20, height=6,
+            title="T",
         )
         lines = chart.splitlines()
         assert lines[0] == "T"
@@ -26,9 +26,7 @@ class TestAsciiChart:
         assert "o" in body and "x" in body
 
     def test_log_scale(self):
-        chart = ascii_chart(
-            {"s": [(1, 1.0), (2, 1000.0)]}, log_y=True, width=10, height=4
-        )
+        chart = ascii_chart({"s": [(1, 1.0), (2, 1000.0)]}, log_y=True)
         assert "1e" in chart
 
     def test_log_scale_rejects_nonpositive(self):
@@ -40,7 +38,7 @@ class TestAsciiChart:
             ascii_chart({})
 
     def test_constant_series_renders(self):
-        chart = ascii_chart({"flat": [(0, 5.0), (1, 5.0)]}, width=12, height=4)
+        chart = ascii_chart({"flat": [(0, 5.0), (1, 5.0)]})
         assert "o" in chart
 
     def test_fig10_chart_shape(self):

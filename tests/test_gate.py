@@ -382,6 +382,13 @@ _REMOVED = {
         "has_shared_object", "shared_objects", "merged_with", "tail_nodes",
         "platform_types", "total_variable_bytes", "with_overrides", "best_by",
         "as_dict", "app_names", "fig9_workload",
+        # threaded-backend, renderer and workload settings
+        "pin_threads", "_try_pin", "phase_us", "accelerator_platform",
+        # kernel-library and model helpers only tests called
+        "realign_matrix", "doppler_spectrum", "range_doppler_map",
+        "find_peak_2d", "fft_shift", "naive_dft", "naive_idft", "next_pow2",
+        "crc32_bytes", "check_crc32", "pilot_error", "measured_snr_db",
+        "xcorr_fd", "render_rows", "binding_for",
     ),
     "runtime/handler.py": ("busy_time", "tasks_executed"),
     "runtime/workload_manager.py": ("snapshot",),
@@ -391,13 +398,25 @@ _REMOVED = {
     "toolchain/recognition.py": ("rtol", "atol"),
     "toolchain/dag_generation.py": ("app_name",),
     "dse/runner.py": ("frontier",),
+    "experiments/case_study_1.py": ("policy", "seed"),
+    "experiments/case_study_2.py": ("config", "out_dir"),
+    "experiments/case_study_3.py": ("policy", "iterations", "out_dir"),
+    "experiments/case_study_4.py": ("workdir", "cleanup"),
+    "runtime/backends/threaded.py": ("timeout_s",),
+    "analysis/trace_export.py": ("width", "until"),
+    "analysis/figures.py": ("width", "height"),
+    "analysis/tables.py": ("columns",),
+    "runtime/workload.py": ("phase",),
+    "apps/pulse_doppler.py": ("app_name",),
+    "common/ids.py": ("start", "reset"),
 }
 
 
 def test_one_value_settings_and_unread_state_stay_deleted():
     """A setting no caller sets to anything but its default is a constant,
     and state nothing reads is not kept: none of the removed names comes
-    back as an identifier, and ``repro.analysis.metrics`` stays deleted."""
+    back as an identifier, and ``repro.analysis.metrics`` and
+    ``repro.apps.kernels.doppler`` stay deleted."""
     assert _identifiers(
         "RolloutScheduler(oracle, scan_limit=1)\n"
         "h.busy_time += 1.0\n",
@@ -405,6 +424,7 @@ def test_one_value_settings_and_unread_state_stay_deleted():
     ) == [(1, "scan_limit"), (2, "busy_time")]
     package = ROOT / "src" / "repro"
     assert not (package / "analysis" / "metrics.py").exists()
+    assert not (package / "apps" / "kernels" / "doppler.py").exists()
     offenders = []
     for path in sorted(package.rglob("*.py")):
         rel = path.relative_to(package).as_posix()

@@ -382,11 +382,6 @@ class TestWorkloadParamValidation:
         with pytest.raises(ApplicationSpecError, match="time_frame"):
             periodic_arrivals(10.0, time_frame)
 
-    @pytest.mark.parametrize("phase", [-1.0, float("nan"), float("inf")])
-    def test_periodic_arrivals_rejects_bad_phase(self, phase):
-        with pytest.raises(ApplicationSpecError, match="phase"):
-            periodic_arrivals(10.0, 100.0, phase=phase)
-
     @pytest.mark.parametrize("time_frame", [0.0, float("nan")])
     def test_performance_workload_rejects_bad_time_frame(self, time_frame):
         with pytest.raises(ApplicationSpecError, match="time_frame"):

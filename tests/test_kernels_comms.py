@@ -190,23 +190,16 @@ class TestPilots:
         with pytest.raises(ValueError):
             pilots.remove_pilots(np.zeros(63, dtype=complex))
 
-    def test_pilot_error_zero_for_clean_frame(self):
-        frame = pilots.insert_pilots(np.zeros(48, dtype=complex))
-        assert pilots.pilot_error(frame) == 0.0
-        frame[pilots.PILOT_INDICES[0]] += 1.0
-        assert pilots.pilot_error(frame) > 0.0
+
+def byte_bits(payload: bytes) -> np.ndarray:
+    """``payload`` as a bit stream, LSB first within each byte (802.3)."""
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
 
 
 class TestCrc:
     def test_matches_binascii_for_bytes(self):
         payload = b"hello dssoc"
-        assert crc.crc32_bytes(payload) == binascii.crc32(payload)
-
-    def test_check_crc32(self):
-        bits = np.array([1, 0, 1, 1], dtype=np.uint8)
-        value = crc.crc32_bits(bits)
-        assert crc.check_crc32(bits, value)
-        assert not crc.check_crc32(bits, value ^ 1)
+        assert crc.crc32_bits(byte_bits(payload)) == binascii.crc32(payload)
 
     def test_sensitive_to_single_bit_flip(self):
         bits = np.zeros(32, dtype=np.uint8)
@@ -221,7 +214,7 @@ class TestCrc:
     @given(st.binary(min_size=1, max_size=32))
     @settings(max_examples=30, deadline=None)
     def test_matches_binascii_property(self, payload):
-        assert crc.crc32_bytes(payload) == binascii.crc32(payload)
+        assert crc.crc32_bits(byte_bits(payload)) == binascii.crc32(payload)
 
 
 class TestChannel:
@@ -229,16 +222,13 @@ class TestChannel:
         rng = np.random.default_rng(9)
         signal = np.exp(2j * np.pi * np.arange(4096) / 32)
         noisy = channel.awgn(signal, 20.0, rng)
-        measured = channel.measured_snr_db(signal, noisy)
+        noise_power = np.mean(np.abs(noisy - signal) ** 2)
+        measured = 10.0 * np.log10(np.mean(np.abs(signal) ** 2) / noise_power)
         assert measured == pytest.approx(20.0, abs=0.6)
 
     def test_zero_signal_passthrough(self):
         out = channel.awgn(np.zeros(16), 10.0, np.random.default_rng(0))
         assert not out.any()
-
-    def test_measured_snr_infinite_for_identical(self):
-        x = np.ones(8, dtype=complex)
-        assert channel.measured_snr_db(x, x) == float("inf")
 
 
 class TestMatchedFilter:

@@ -1,4 +1,4 @@
-"""Tests for FFT ops, LFM chirps, correlation, and Doppler processing."""
+"""Tests for FFT ops, LFM chirps and correlation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.apps.kernels import correlation, doppler, fftops, lfm
+from repro.apps.kernels import correlation, fftops, lfm
+
+
+def xcorr(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Circular cross-correlation through the kept blocks: FFT both,
+    ``correlate_spectra``, inverse FFT."""
+    return fftops.ifft(
+        correlation.correlate_spectra(fftops.fft(rx), fftops.fft(ref))
+    )
 
 
 def complex_arrays(min_size=4, max_size=32):
@@ -25,32 +33,6 @@ def complex_arrays(min_size=4, max_size=32):
 
 
 class TestFftOps:
-    def test_naive_dft_matches_fft(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.allclose(fftops.naive_dft(x), np.fft.fft(x), atol=1e-9)
-
-    def test_naive_idft_matches_ifft(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.allclose(fftops.naive_idft(x), np.fft.ifft(x), atol=1e-9)
-
-    def test_naive_roundtrip(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.allclose(fftops.naive_idft(fftops.naive_dft(x)), x, atol=1e-9)
-
-    def test_fft_shift_centers_dc(self):
-        x = np.zeros(8)
-        x[0] = 1.0
-        assert fftops.fft_shift(x)[4] == 1.0
-
-    @pytest.mark.parametrize(
-        "n,expected", [(1, 1), (2, 2), (3, 4), (8, 8), (9, 16), (1000, 1024)]
-    )
-    def test_next_pow2(self, n, expected):
-        assert fftops.next_pow2(n) == expected
-
     @given(complex_arrays())
     @settings(max_examples=25, deadline=None)
     def test_fft_ifft_inverse_property(self, x):
@@ -90,8 +72,8 @@ class TestLfm:
     def test_echo_autocorrelation_peaks_at_delay(self):
         wf = lfm.lfm_chirp(256)
         echo = lfm.delayed_echo(wf, 40)
-        corr = correlation.xcorr_fd(echo, wf)
-        assert int(np.argmax(np.abs(corr))) == 40
+        idx, _mag, _lag = correlation.find_peak(xcorr(echo, wf))
+        assert idx == 40
 
 
 class TestCorrelation:
@@ -121,44 +103,5 @@ class TestCorrelation:
         # chirp samples for the correlation peak to be discriminating
         wf = lfm.lfm_chirp(32)
         echo = lfm.delayed_echo(wf, delay)
-        corr = correlation.xcorr_fd(echo, wf)
-        assert int(np.argmax(np.abs(corr))) == delay
-
-
-class TestDoppler:
-    def test_realign_is_transpose(self):
-        m, n = 3, 4
-        flat = np.arange(m * n, dtype=complex)
-        realigned = doppler.realign_matrix(flat, m, n)
-        assert np.array_equal(
-            realigned.reshape(n, m), flat.reshape(m, n).T
-        )
-
-    def test_realign_size_mismatch(self):
-        with pytest.raises(ValueError):
-            doppler.realign_matrix(np.zeros(10), 3, 4)
-
-    def test_doppler_spectrum_peak_at_rotation_rate(self):
-        m = 32
-        cycles = 5
-        slow_time = np.exp(2j * np.pi * cycles * np.arange(m) / m)
-        spectrum = doppler.doppler_spectrum(slow_time)
-        assert int(np.argmax(np.abs(spectrum))) == m // 2 + cycles
-
-    def test_range_doppler_map_localizes_target(self):
-        m, n = 16, 64
-        ref = lfm.lfm_chirp(n)
-        gate, cycles = 20, 3
-        pulses = np.stack([
-            lfm.delayed_echo(ref, gate) * np.exp(2j * np.pi * cycles * p / m)
-            for p in range(m)
-        ])
-        rd_map = doppler.range_doppler_map(pulses, ref)
-        r, d, _mag = doppler.find_peak_2d(rd_map)
-        assert r == gate
-        assert d == m // 2 + cycles
-
-    def test_range_doppler_map_validates_reference(self):
-        with pytest.raises(ValueError):
-            doppler.range_doppler_map(np.zeros((4, 8), dtype=complex),
-                                      np.zeros(7, dtype=complex))
+        idx, _mag, _lag = correlation.find_peak(xcorr(echo, wf))
+        assert idx == delay

@@ -1,5 +1,5 @@
 """Tests for remaining paths: probabilistic injection through the stack,
-thread pinning, engine introspection, and error surfaces."""
+engine introspection, and error surfaces."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.common.errors import ApplicationSpecError, EmulationError
 from repro.runtime.backends import ThreadedBackend, VirtualBackend
-from repro.runtime.backends.threaded import _try_pin
 from repro.runtime.emulation import Emulation
 from repro.runtime.workload import performance_workload
 from repro.sim import Engine
@@ -41,30 +40,6 @@ class TestProbabilisticInjection:
             performance_workload({"a": 10.0}, time_frame=0.0)
 
 
-class TestThreadPinning:
-    def test_try_pin_valid_core(self):
-        import os
-
-        available = sorted(os.sched_getaffinity(0))
-        # pinning the current thread to an allowed core must succeed...
-        assert _try_pin(available[0]) is True
-        # ...and restore the full mask afterwards for the rest of the suite
-        os.sched_setaffinity(0, available)
-
-    def test_try_pin_unavailable_core(self):
-        assert _try_pin(10_000) is False
-
-    def test_pinned_backend_still_correct(self):
-        emu = Emulation(config="2C+0F", policy="frfs")
-        from repro.runtime.workload import validation_workload
-
-        result = emu.run(
-            validation_workload({"wifi_tx": 1}),
-            ThreadedBackend(pin_threads=True),
-        )
-        assert result.all_outputs_correct()
-
-
 class TestEngineIntrospection:
     def test_reentrant_run_rejected(self):
         engine = Engine()
@@ -83,13 +58,14 @@ class TestEngineIntrospection:
 
 
 class TestThreadedTimeout:
-    def test_wm_timeout_guard(self):
+    def test_wm_timeout_guard(self, monkeypatch):
         """A workload the config can never finish in time trips the guard."""
-        emu = Emulation(config="1C+0F", policy="frfs")
+        from repro.runtime.backends import threaded
         from repro.runtime.workload import validation_workload
 
-        backend = ThreadedBackend(timeout_s=0.02)
+        emu = Emulation(config="1C+0F", policy="frfs")
+        monkeypatch.setattr(threaded, "TIMEOUT_S", 0.02)
         with pytest.raises(EmulationError, match="exceeded"):
             emu.run(
-                validation_workload({"pulse_doppler": 2}), backend
+                validation_workload({"pulse_doppler": 2}), ThreadedBackend()
             )

@@ -125,12 +125,10 @@ class TestPoissonStream:
 
 
 class TestPeriodicStream:
-    def test_fixed_spacing_and_phase(self):
-        arrivals = list(
-            PeriodicStream(1.0, {"wifi_tx": 1.0}, max_apps=5, phase_us=250.0)
-        )
+    def test_fixed_spacing(self):
+        arrivals = list(PeriodicStream(1.0, {"wifi_tx": 1.0}, max_apps=5))
         assert [t for t, _ in arrivals] == [
-            250.0, 1250.0, 2250.0, 3250.0, 4250.0
+            0.0, 1000.0, 2000.0, 3000.0, 4000.0
         ]
 
     def test_seedless_determinism(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.boxstats import box_stats
-from repro.analysis.tables import format_table, render_rows
+from repro.analysis.tables import format_table
 from repro.common.errors import EmulationError
 from repro.runtime.backends import VirtualBackend
 from repro.runtime.emulation import Emulation
@@ -106,12 +106,6 @@ class TestTables:
         text = format_table(["x"], [[1]], title="Title")
         assert text.splitlines()[0] == "Title"
         assert text.splitlines()[1] == "====="
-
-    def test_render_rows_selects_columns(self):
-        rows = [{"a": 1, "b": 2, "c": 3}]
-        text = render_rows(rows, ["c", "a"])
-        header = text.splitlines()[0].split()
-        assert header == ["c", "a"]
 
     def test_float_formatting(self):
         text = format_table(["v"], [[0.12345], [12.345], [1234.5], [0]])

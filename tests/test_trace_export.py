@@ -83,7 +83,7 @@ class TestGantt:
         assert "A=diamond" in chart
 
     def test_busy_pe_rows_are_painted(self, stats):
-        chart = gantt_ascii(stats, width=40)
+        chart = gantt_ascii(stats)
         cpu_row = next(
             line for line in chart.splitlines() if line.startswith("cpu0")
         )
@@ -92,7 +92,3 @@ class TestGantt:
     def test_empty_stats(self):
         assert gantt_ascii(EmulationStats()) == "(no tasks executed)"
 
-    def test_horizon_truncation(self, stats):
-        full = gantt_ascii(stats, width=40)
-        zoomed = gantt_ascii(stats, width=40, until=stats.makespan / 4)
-        assert full != zoomed
