@@ -79,11 +79,11 @@ class KernelContext:
         """Write an integer scalar variable."""
         self.variables[name].set_int(value)
 
-    def float32(self, name: str, count: int | None = None) -> np.ndarray:
-        return self.array(name, np.float32, count)
+    def float32(self, name: str) -> np.ndarray:
+        return self.array(name, np.float32)
 
-    def complex64(self, name: str, count: int | None = None) -> np.ndarray:
-        return self.array(name, np.complex64, count)
+    def complex64(self, name: str) -> np.ndarray:
+        return self.array(name, np.complex64)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -10,7 +10,6 @@ from repro.apps.kernels import (
     coding,
     correlation,
     crc,
-    fftops,
     interleaver,
     lfm,
     matched_filter,
@@ -24,7 +23,6 @@ __all__ = [
     "coding",
     "correlation",
     "crc",
-    "fftops",
     "interleaver",
     "lfm",
     "matched_filter",

@@ -37,16 +37,15 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 _NEXT_STATE, _OUTPUTS = _build_tables()
 
 
-def conv_encode(bits: np.ndarray, terminate: bool = True) -> np.ndarray:
-    """Encode 0/1 bits at rate 1/2; ``terminate`` appends K-1 zero tail bits
-    so the decoder can assume a final all-zeros state."""
+def conv_encode(bits: np.ndarray) -> np.ndarray:
+    """Encode 0/1 bits at rate 1/2, terminated: K-1 zero tail bits are
+    appended so the decoder can assume a final all-zeros state."""
     data = np.asarray(bits, dtype=np.uint8)
     if data.ndim != 1:
         raise ValueError("bits must be a 1-D array")
     if np.any(data > 1):
         raise ValueError("bits must be 0/1 valued")
-    if terminate:
-        data = np.concatenate([data, np.zeros(K - 1, dtype=np.uint8)])
+    data = np.concatenate([data, np.zeros(K - 1, dtype=np.uint8)])
     out = np.empty(2 * data.size, dtype=np.uint8)
     state = 0
     for i, bit in enumerate(data):

@@ -5,23 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def lfm_chirp(
-    n_samples: int,
-    bandwidth: float = 1.0e6,
-    pulse_duration: float = 1.0e-4,
-    sampling_rate: float | None = None,
-) -> np.ndarray:
+#: chirp bandwidth B (Hz) and pulse duration T (s)
+BANDWIDTH = 1.0e6
+PULSE_DURATION = 1.0e-4
+
+
+def lfm_chirp(n_samples: int, sampling_rate: float | None = None) -> np.ndarray:
     """Complex baseband LFM chirp: ``exp(j π (B/T) t²)`` for t ∈ [0, T).
 
-    ``sampling_rate`` defaults to ``n_samples / pulse_duration`` so the
+    ``sampling_rate`` defaults to ``n_samples / PULSE_DURATION`` so the
     chirp exactly fills the sample window.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if sampling_rate is None:
-        sampling_rate = n_samples / pulse_duration
+        sampling_rate = n_samples / PULSE_DURATION
     t = np.arange(n_samples) / sampling_rate
-    slope = bandwidth / pulse_duration
+    slope = BANDWIDTH / PULSE_DURATION
     return np.exp(1j * np.pi * slope * t * t)
 
 

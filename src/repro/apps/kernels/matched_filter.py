@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def preamble_sequence(length: int = 32, seed: int = 0x5EED) -> np.ndarray:
-    """The known synchronization preamble: a fixed pseudo-random QPSK burst.
+#: seed of the preamble's bits, so TX and RX agree without sharing state
+PREAMBLE_SEED = 0x5EED
 
-    Deterministic in ``seed`` so TX and RX agree without sharing state.
-    """
-    rng = np.random.default_rng(seed)
+
+def preamble_sequence(length: int) -> np.ndarray:
+    """The known synchronization preamble: a fixed pseudo-random QPSK burst."""
+    rng = np.random.default_rng(PREAMBLE_SEED)
     bits = rng.integers(0, 2, size=2 * length)
     i = 1.0 - 2.0 * bits[0::2]
     q = 1.0 - 2.0 * bits[1::2]

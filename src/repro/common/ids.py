@@ -1,9 +1,6 @@
-"""Small id/naming helpers used across the runtime."""
+"""Dense integer ids used across the runtime."""
 
 from __future__ import annotations
-
-import itertools
-from collections.abc import Iterator
 
 
 class IdAllocator:
@@ -26,13 +23,3 @@ class IdAllocator:
     def peek(self) -> int:
         """The id the next :meth:`allocate` call would return."""
         return self._next
-
-
-def monotonic_names(prefix: str) -> Iterator[str]:
-    """Yield ``prefix0, prefix1, ...`` forever.
-
-    >>> names = monotonic_names("core")
-    >>> next(names), next(names)
-    ('core0', 'core1')
-    """
-    return (f"{prefix}{i}" for i in itertools.count())

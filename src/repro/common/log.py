@@ -35,9 +35,3 @@ def get_logger(name: str) -> logging.Logger:
     if name.startswith(_ROOT_NAME):
         return logging.getLogger(name)
     return logging.getLogger(f"{_ROOT_NAME}.{name}")
-
-
-def set_level(level: int | str) -> None:
-    """Set the framework-wide log level (e.g. ``'DEBUG'`` while integrating)."""
-    _ensure_configured()
-    logging.getLogger(_ROOT_NAME).setLevel(level)

@@ -1,4 +1,4 @@
-"""Time and size units.
+"""Time units.
 
 The framework's canonical time unit is the **microsecond**, stored as a
 ``float``.  The paper reports scheduling overheads of a few microseconds and
@@ -12,33 +12,8 @@ otherwise (``*_ms``, ``*_sec``).
 from __future__ import annotations
 
 # -- canonical multipliers (value of one unit, expressed in microseconds) --
-US: float = 1.0
 MS: float = 1_000.0
 SEC: float = 1_000_000.0
-
-# -- size units (bytes) --
-KiB: int = 1024
-MiB: int = 1024 * 1024
-
-
-def usec(value: float) -> float:
-    """Microseconds → canonical time (identity; for call-site clarity)."""
-    return float(value)
-
-
-def msec(value: float) -> float:
-    """Milliseconds → canonical microseconds."""
-    return float(value) * MS
-
-
-def sec(value: float) -> float:
-    """Seconds → canonical microseconds."""
-    return float(value) * SEC
-
-
-def to_usec(value: float) -> float:
-    """Canonical time → microseconds (identity)."""
-    return float(value)
 
 
 def to_msec(value: float) -> float:
@@ -49,34 +24,3 @@ def to_msec(value: float) -> float:
 def to_sec(value: float) -> float:
     """Canonical time → seconds."""
     return float(value) / SEC
-
-
-def format_duration(value_us: float) -> str:
-    """Render a canonical duration with an auto-selected unit.
-
-    >>> format_duration(2.5)
-    '2.500 us'
-    >>> format_duration(5600.0)
-    '5.600 ms'
-    >>> format_duration(101_920_000.0)
-    '101.920 s'
-    """
-    mag = abs(value_us)
-    if mag >= SEC:
-        return f"{value_us / SEC:.3f} s"
-    if mag >= MS:
-        return f"{value_us / MS:.3f} ms"
-    return f"{value_us:.3f} us"
-
-
-def format_bytes(n: int) -> str:
-    """Render a byte count with an auto-selected binary unit.
-
-    >>> format_bytes(2048)
-    '2.0 KiB'
-    """
-    if abs(n) >= MiB:
-        return f"{n / MiB:.1f} MiB"
-    if abs(n) >= KiB:
-        return f"{n / KiB:.1f} KiB"
-    return f"{n} B"

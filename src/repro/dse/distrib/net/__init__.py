@@ -37,7 +37,7 @@ from repro.dse.distrib.net.framing import (
     recv_frame,
     send_frame,
 )
-from repro.dse.distrib.net.server import SweepServer, load_endpoint
+from repro.dse.distrib.net.server import SweepServer
 from repro.dse.distrib.net.spool import ResultSpool
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "ResultSpool",
     "SweepServer",
     "TruncatedFrame",
-    "load_endpoint",
     "parse_endpoint",
     "recv_frame",
     "send_frame",

@@ -31,7 +31,6 @@ Fault-handling contract (what the chaos harness exercises):
 from __future__ import annotations
 
 import hashlib
-import random
 import tempfile
 import threading
 import time
@@ -86,8 +85,6 @@ class NetTransport(WorkerTransport):
         spool_dir: str | Path | None = None,
         policy: RetryPolicy = NET_RETRY,
         call_timeout_s: float = DEFAULT_CALL_TIMEOUT_S,
-        rng: random.Random | None = None,
-        sleep=time.sleep,
     ) -> None:
         if isinstance(endpoint, str):
             endpoint = parse_endpoint(endpoint)
@@ -95,8 +92,6 @@ class NetTransport(WorkerTransport):
         self.worker_id = worker_id
         self.policy = policy
         self.call_timeout_s = call_timeout_s
-        self._rng = rng
-        self._sleep = sleep
         self._sock: socket_mod.socket | None = None
         self._lock = threading.RLock()
         self._rid_seq = 0
@@ -167,8 +162,6 @@ class NetTransport(WorkerTransport):
                 reply = policy.call(
                     attempt,
                     retry_on=lambda exc: isinstance(exc, OSError),
-                    rng=self._rng,
-                    sleep=self._sleep,
                     on_retry=lambda n, exc: self.stats.note(op, exc),
                 )
             except OSError as exc:
@@ -254,7 +247,7 @@ class NetTransport(WorkerTransport):
                     f"no campaign on {self.host}:{self.port} after "
                     f"{timeout_s:.0f}s: {last_error}"
                 )
-            self._sleep(min(poll_s, 0.5))
+            time.sleep(min(poll_s, 0.5))
 
     def initial_resolved(self) -> set[str]:
         completed, failed = self.resolved_snapshot()

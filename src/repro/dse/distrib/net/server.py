@@ -60,11 +60,6 @@ from repro.dse.distrib.net.framing import FrameAssembler, FrameError, encode_fra
 PROTOCOL_VERSION = 1
 
 
-def load_endpoint(out_dir: str | Path) -> dict[str, Any] | None:
-    """The running (or last) server's address record, or None."""
-    return layout.read_record(layout.endpoint_path(out_dir))
-
-
 @dataclass
 class _Lease:
     """One in-memory cell lease (volatile by design; see module doc)."""

@@ -10,8 +10,9 @@ pickle boundary.  :func:`run_campaign` orchestrates a whole sweep:
   threaded-backend cells run inline in the parent, since they spawn one
   OS thread per emulated PE and would oversubscribe cores from inside a
   process pool;
-* per-cell wall-clock timeout and bounded retry with failure isolation —
-  one diverging or crashing cell cannot take the campaign down;
+* per-cell wall-clock timeout (kept by the pool, or by a fleet's lease
+  expiry) and bounded retry with failure isolation — one diverging or
+  crashing cell cannot take the campaign down;
 * every state transition is journaled, so a killed campaign resumes by
   re-queuing only incomplete cells.
 """
@@ -436,8 +437,9 @@ def check_fleet_timing(
 
 
 def _check_settings(*, jobs, workers, retries, timeout_s, lease_ttl_s,
-                    poll_s) -> None:
-    """Reject a campaign setting out of range before anything runs."""
+                    poll_s, fleet, cells) -> None:
+    """Reject a campaign setting out of range, or one nothing would
+    enforce, before anything runs."""
     if jobs < 1:
         raise ValueError(f"jobs (--jobs) must be at least 1, got {jobs}")
     if workers is not None and workers < 0:
@@ -452,6 +454,16 @@ def _check_settings(*, jobs, workers, retries, timeout_s, lease_ttl_s,
             f"above 0, got {timeout_s}"
         )
     check_fleet_timing(lease_ttl_s, poll_s)
+    # Without a fleet only the process pool times a cell: a cell this
+    # process runs itself (jobs 1, or a threaded-backend cell) is untimed.
+    if timeout_s is not None and not fleet and (
+        jobs == 1 or any(cell.backend == "threaded" for cell in cells)
+    ):
+        raise ValueError(
+            "timeout_s (--timeout) is only enforced on a process pool "
+            "(--jobs 2 or more, virtual-backend cells) or a fleet "
+            "(--workers / --server); a cell this process runs is untimed"
+        )
 
 
 def run_campaign(
@@ -494,15 +506,23 @@ def run_campaign(
     snapshot every few seconds) only matter to a fleet.
 
     ``jobs`` must be at least 1, ``workers`` and ``retries`` at least 0,
-    ``timeout_s`` None (no timeout) or a finite number of seconds above 0,
-    ``lease_ttl_s`` None (the manifest's, else 30 s) or a finite number of
-    seconds above 0, and ``poll_s`` a finite number of seconds above 0;
+    ``timeout_s`` None (no timeout) or a finite number of seconds above 0
+    with something to keep it (``jobs > 1`` and no threaded-backend cell,
+    or a fleet), ``lease_ttl_s`` None (the manifest's, else 30 s) or a
+    finite number of seconds above 0, and ``poll_s`` a finite number of
+    seconds above 0;
     anything else is a :class:`ValueError` naming the setting, raised
     before anything is written.
     """
-    _check_settings(jobs=jobs, workers=workers, retries=retries,
-                    timeout_s=timeout_s, lease_ttl_s=lease_ttl_s, poll_s=poll_s)
+    if isinstance(grid, SweepGrid):
+        cells, grid_id = grid.expand(), grid.grid_id
+    else:
+        cells = list(grid)
+        grid_id = f"adhoc-{len(cells)}"
     fleet = workers is not None or server is not None
+    _check_settings(jobs=jobs, workers=workers, retries=retries,
+                    timeout_s=timeout_s, lease_ttl_s=lease_ttl_s, poll_s=poll_s,
+                    fleet=fleet, cells=cells)
     if fleet and jobs > 1:
         raise ValueError(
             "jobs > 1 (--jobs) runs cells on a local process pool; it "
@@ -513,11 +533,6 @@ def run_campaign(
             "a fleet (--workers / --server) needs a campaign directory "
             "(out_dir / --out)"
         )
-    if isinstance(grid, SweepGrid):
-        cells, grid_id = grid.expand(), grid.grid_id
-    else:
-        cells = list(grid)
-        grid_id = f"adhoc-{len(cells)}"
     ids = [cell.cell_id for cell in cells]
     by_id: dict[str, SweepCell] = {}
     for cell_id, cell in zip(ids, cells):
@@ -593,7 +608,9 @@ def run_campaign(
         else:
             inline = [c for c in to_run.values() if c.backend == "threaded"]
             pooled = [c for c in to_run.values() if c.backend != "threaded"]
-            if jobs > 1 and len(pooled) > 1:
+            # One cell left runs inline (no pool to start) unless it has a
+            # timeout to keep: only the pool times a cell.
+            if jobs > 1 and len(pooled) > (1 if timeout_s is None else 0):
                 _run_parallel(pooled, jobs, timeout_s, max_attempts, recorder)
             else:
                 _run_inline(pooled, max_attempts, recorder)

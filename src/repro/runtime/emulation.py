@@ -75,10 +75,6 @@ class EmulationResult:
             results[key] = results.get(key, True) and ok
         return results
 
-    def all_outputs_correct(self) -> bool:
-        checks = self.verify_outputs()
-        return bool(checks) and all(checks.values())
-
 
 class Emulation:
     """Reusable emulation configuration (each ``run`` is independent)."""

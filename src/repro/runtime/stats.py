@@ -169,27 +169,23 @@ class PEUsage:
     idle_power_w: float = 0.0
     _overrun_warned: bool = False
 
-    def utilization(self, makespan: float, *, strict: bool = False) -> float:
+    def utilization(self, makespan: float) -> float:
         """Busy fraction of the makespan, clamped to [0, 1].
 
         Busy time exceeding the makespan means double accounting somewhere
-        upstream; that is surfaced (warning, or :class:`EmulationError`
-        under ``strict``) instead of silently hidden by the clamp.
+        upstream; that is surfaced (one warning per PE) instead of silently
+        hidden by the clamp.
         """
         if makespan <= 0:
             return 0.0
         util = self.busy_time / makespan
-        if util > 1.0 + 1e-9:
-            msg = (
+        if util > 1.0 + 1e-9 and not self._overrun_warned:
+            self._overrun_warned = True
+            _log.warning(
                 f"PE {self.pe_name}: busy_time {self.busy_time:.1f}us exceeds "
                 f"makespan {makespan:.1f}us (utilization {util:.4f}) — "
                 "double-accounted service time?"
             )
-            if strict:
-                raise EmulationError(msg)
-            if not self._overrun_warned:
-                self._overrun_warned = True
-                _log.warning(msg)
         return min(1.0, util)
 
     def energy_joules(self, makespan: float) -> float:
@@ -251,8 +247,6 @@ class EmulationStats:
         self.emulation_end: float = 0.0
         self.policy_name: str = ""
         self.config_label: str = ""
-        #: raise (instead of warn) on busy-time > makespan accounting bugs
-        self.strict_accounting: bool = False
         # -- fault-tolerance accounting (see runtime.faults) ----------------
         #: applications terminally degraded (no live capable PE remained)
         self.apps_degraded: int = 0
@@ -437,7 +431,7 @@ class EmulationStats:
         """Per-PE usage-time / workload-execution-time (Fig. 9b)."""
         span = self.makespan
         return {
-            name: usage.utilization(span, strict=self.strict_accounting)
+            name: usage.utilization(span)
             for name, usage in self.pe_usage.items()
         }
 

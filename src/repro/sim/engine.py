@@ -58,16 +58,6 @@ class Event:
         self.value: Any = None
         self._state = _PENDING
 
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been scheduled or has fired."""
-        return self._state != _PENDING
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self._state == _FIRED
-
     def succeed(self, value: Any = None) -> "Event":
         """Fire the event now (at the current virtual time)."""
         if self._state != _PENDING:
@@ -98,14 +88,6 @@ class Timeout(Event):
         self.value = value
         self._state = _SCHEDULED
         engine._push(engine.now + delay, self._fire)
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Engine:

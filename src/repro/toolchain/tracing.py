@@ -45,11 +45,10 @@ class DynamicTrace:
 def trace_function(
     func: Callable,
     args: tuple = (),
-    kwargs: dict | None = None,
     *,
     blocks: FunctionBlocks | None = None,
 ) -> DynamicTrace:
-    """Execute ``func(*args, **kwargs)`` under line tracing.
+    """Execute ``func(*args)`` under line tracing.
 
     Only frames whose code object belongs to ``func`` are instrumented, so
     library calls inside a block (e.g. ``np.fft.fft``) count as a single
@@ -58,7 +57,6 @@ def trace_function(
     """
     if blocks is None:
         blocks = split_into_blocks(func)
-    kwargs = kwargs or {}
     target_code = func.__code__
     counts: dict[int, int] = {}
     sequence: list[int] = []
@@ -84,7 +82,7 @@ def trace_function(
     old = sys.gettrace()
     sys.settrace(tracer)
     try:
-        result = func(*args, **kwargs)
+        result = func(*args)
     except Exception as exc:
         raise ToolchainError(
             f"traced execution of {func.__name__!r} failed: {exc}"

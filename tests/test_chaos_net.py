@@ -1137,18 +1137,19 @@ class TestNetWorkerEndToEnd:
             thread.join(timeout=5)
 
     def test_endpoint_file_lifecycle(self, tmp_path):
-        from repro.dse.distrib.net import load_endpoint
+        from repro.dse.distrib import queue as layout
 
         srv = tmp_path / "srv"
         server, host, port, stop, thread = live_server(srv)
         try:
-            doc = load_endpoint(srv)
+            doc = layout.read_record(layout.endpoint_path(srv))
             assert doc is not None and doc["port"] == port
             assert doc["proto"] == PROTOCOL_VERSION
         finally:
             stop.set()
             thread.join(timeout=5)
-        assert load_endpoint(srv) is None  # clean exit removes it
+        # clean exit removes it
+        assert layout.read_record(layout.endpoint_path(srv)) is None
 
     def test_rid_mismatch_replies_are_discarded(self, tmp_path):
         """A duplicated/stale reply must not poison the next call."""

@@ -13,19 +13,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.common import (
-    IdAllocator,
-    SeedSequenceFactory,
-    derive_seed,
-    format_bytes,
-    format_duration,
-    monotonic_names,
-    msec,
-    sec,
-    to_msec,
-    to_sec,
-    usec,
-)
 from repro.common.errors import (
     ApplicationSpecError,
     EmulationError,
@@ -36,45 +23,28 @@ from repro.common.errors import (
     SymbolResolutionError,
     ToolchainError,
 )
+from repro.common.ids import IdAllocator
+from repro.common.rng import SeedSequenceFactory, derive_seed
+from repro.common.units import MS, SEC, to_msec, to_sec
 
 
 class TestUnits:
     def test_msec_is_thousand_usec(self):
-        assert msec(1) == 1000.0
+        assert MS == 1000.0
 
     def test_sec_is_million_usec(self):
-        assert sec(1) == 1_000_000.0
-
-    def test_usec_identity(self):
-        assert usec(42.5) == 42.5
+        assert SEC == 1_000_000.0
 
     def test_roundtrip_ms(self):
-        assert to_msec(msec(3.25)) == pytest.approx(3.25)
+        assert to_msec(3.25 * MS) == pytest.approx(3.25)
 
     def test_roundtrip_sec(self):
-        assert to_sec(sec(7.5)) == pytest.approx(7.5)
-
-    def test_format_duration_us(self):
-        assert format_duration(2.5) == "2.500 us"
-
-    def test_format_duration_ms(self):
-        assert format_duration(5600.0) == "5.600 ms"
-
-    def test_format_duration_s(self):
-        assert format_duration(101_920_000.0) == "101.920 s"
-
-    def test_format_duration_negative(self):
-        assert format_duration(-1500.0) == "-1.500 ms"
-
-    def test_format_bytes(self):
-        assert format_bytes(2048) == "2.0 KiB"
-        assert format_bytes(3 * 1024 * 1024) == "3.0 MiB"
-        assert format_bytes(12) == "12 B"
+        assert to_sec(7.5 * SEC) == pytest.approx(7.5)
 
     @given(st.floats(min_value=0, max_value=1e12, allow_nan=False))
     def test_conversions_are_inverse(self, value):
-        assert to_msec(msec(value)) == pytest.approx(value, rel=1e-12)
-        assert to_sec(sec(value)) == pytest.approx(value, rel=1e-12)
+        assert to_msec(value * MS) == pytest.approx(value, rel=1e-12)
+        assert to_sec(value * SEC) == pytest.approx(value, rel=1e-12)
 
 
 class TestRng:
@@ -123,10 +93,6 @@ class TestIds:
         alloc.allocate()
         assert alloc.peek() == 1
         assert alloc.allocate() == 1
-
-    def test_monotonic_names(self):
-        names = monotonic_names("pe")
-        assert [next(names) for _ in range(3)] == ["pe0", "pe1", "pe2"]
 
 
 class TestErrors:

@@ -932,6 +932,45 @@ class TestCampaignSettings:
         assert err[0].startswith("sweep: ") and flag in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("settings", [
+        {"jobs": 1},
+        {"jobs": 2, "grid": replace(tiny_grid(), backend="threaded")},
+    ], ids=["inline", "threaded"])
+    def test_a_timeout_nothing_keeps_is_named(self, tmp_path, settings):
+        """A cell this process runs itself was never timed: ``--timeout``
+        read as a limit and the cell reported ``ok`` however long it ran."""
+        out = tmp_path / "campaign"
+        grid = settings.pop("grid", tiny_grid())
+        with pytest.raises(ValueError,
+                           match=r"timeout_s \(--timeout\) is only enforced"):
+            run_campaign(grid, out_dir=out, timeout_s=5.0, **settings)
+        # a timeout out of range is reported as that first
+        with pytest.raises(ValueError, match="finite number of seconds"):
+            run_campaign(grid, out_dir=out, timeout_s=-1.0, **settings)
+        assert not out.exists()
+
+    def test_the_cli_names_an_untimed_timeout(self, tmp_path, capsys):
+        from repro.cli import EXIT_USAGE, main
+
+        out = tmp_path / "campaign"
+        rc = main(["sweep", "--apps", "wifi_tx=1", "--timeout", "5",
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--timeout" in err[0]
+        assert not out.exists()
+
+    def test_a_single_pooled_cell_is_timed(self):
+        """With ``jobs > 1`` the last cell left went inline and ran to
+        ``ok`` past its timeout; it goes through the pool, which times it."""
+        # ten iterations keep the cell running well past the pool's first
+        # 0.1 s wait, where a finished cell is taken as it is
+        grid = SweepGrid(configs=("3C+2F",), policies=("frfs",),
+                         workloads=(validation_sweep({"pulse_doppler": 3}),),
+                         iterations=10)
+        campaign = run_campaign(grid, jobs=2, timeout_s=0.01, retries=0)
+        assert [r.status for r in campaign] == ["timeout"]
+
 
 class _CountingWrites:
     """A journal stream that records each ``write`` it is handed."""

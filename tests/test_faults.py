@@ -368,11 +368,6 @@ class TestAccountingGuards:
         warnings = [r for r in caplog.records if "double-accounted" in r.message]
         assert len(warnings) == 1
 
-    def test_utilization_overrun_strict_raises(self):
-        usage = PEUsage(pe_name="cpu0", pe_type="cpu", busy_time=150.0)
-        with pytest.raises(EmulationError, match="exceeds"):
-            usage.utilization(100.0, strict=True)
-
     def test_normal_utilization_silent(self, caplog):
         usage = PEUsage(pe_name="cpu0", pe_type="cpu", busy_time=50.0)
         with caplog.at_level("WARNING"):

@@ -389,6 +389,13 @@ _REMOVED = {
         "find_peak_2d", "fft_shift", "naive_dft", "naive_idft", "next_pow2",
         "crc32_bytes", "check_crc32", "pilot_error", "measured_snr_db",
         "xcorr_fd", "render_rows", "binding_for",
+        # helpers only tests called, and what only they used
+        "fftops", "usec", "msec", "sec", "to_usec", "format_duration",
+        "format_bytes", "US", "KiB", "MiB", "monotonic_names", "set_level",
+        "interrupt", "Interrupt", "processed", "triggered", "_waiting_on",
+        "all_outputs_correct", "load_endpoint", "strict_accounting",
+        # kernel settings no caller passed
+        "bandwidth", "pulse_duration",
     ),
     "runtime/handler.py": ("busy_time", "tasks_executed"),
     "runtime/workload_manager.py": ("snapshot",),
@@ -409,14 +416,22 @@ _REMOVED = {
     "runtime/workload.py": ("phase",),
     "apps/pulse_doppler.py": ("app_name",),
     "common/ids.py": ("start", "reset"),
+    "apps/kernels/coding.py": ("terminate",),
+    "apps/kernels/matched_filter.py": ("seed",),
+    "toolchain/tracing.py": ("kwargs",),
+    "dse/distrib/net/client.py": ("rng", "_rng", "_sleep"),
+    "sim/process.py": ("name", "_advance", "_finish"),
+    "runtime/stats.py": ("strict",),
 }
 
 
 def test_one_value_settings_and_unread_state_stay_deleted():
     """A setting no caller sets to anything but its default is a constant,
     and state nothing reads is not kept: none of the removed names comes
-    back as an identifier, and ``repro.analysis.metrics`` and
-    ``repro.apps.kernels.doppler`` stay deleted."""
+    back as an identifier, ``repro.analysis.metrics``,
+    ``repro.apps.kernels.doppler`` and ``repro.apps.kernels.fftops`` stay
+    deleted, and ``repro.common``, ``repro.sim`` and ``repro.analysis`` are
+    a docstring each (names are imported from their defining module)."""
     assert _identifiers(
         "RolloutScheduler(oracle, scan_limit=1)\n"
         "h.busy_time += 1.0\n",
@@ -425,6 +440,11 @@ def test_one_value_settings_and_unread_state_stay_deleted():
     package = ROOT / "src" / "repro"
     assert not (package / "analysis" / "metrics.py").exists()
     assert not (package / "apps" / "kernels" / "doppler.py").exists()
+    assert not (package / "apps" / "kernels" / "fftops.py").exists()
+    # one import path per name: these packages re-export nothing
+    for sub in ("common", "sim", "analysis"):
+        body = ast.parse((package / sub / "__init__.py").read_text("utf-8")).body
+        assert [type(node) for node in body] == [ast.Expr], sub
     offenders = []
     for path in sorted(package.rglob("*.py")):
         rel = path.relative_to(package).as_posix()

@@ -9,7 +9,7 @@ from repro.common.errors import ApplicationSpecError, EmulationError
 from repro.runtime.backends import ThreadedBackend, VirtualBackend
 from repro.runtime.emulation import Emulation
 from repro.runtime.workload import performance_workload
-from repro.sim import Engine
+from repro.sim.engine import Engine
 
 
 class TestProbabilisticInjection:

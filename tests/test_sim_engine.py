@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import EmulationError
-from repro.sim import Engine, Interrupt
+from repro.sim.engine import Engine
 
 
 class TestEventBasics:
@@ -83,9 +83,11 @@ class TestProcesses:
             return "done"
 
         p = engine.process(proc())
+        finished = []
+        p.callbacks.append(finished.append)
         engine.run()
         assert log == [("start", 0.0), ("mid", 3.0), ("end", 7.0)]
-        assert p.processed and p.value == "done"
+        assert finished == [p] and p.value == "done"
 
     def test_process_receives_event_value(self):
         engine = Engine()
@@ -126,37 +128,6 @@ class TestProcesses:
         engine.process(bad())
         with pytest.raises(EmulationError, match="must yield Event"):
             engine.run()
-
-    def test_interrupt_is_delivered(self):
-        engine = Engine()
-        caught = []
-
-        def sleeper():
-            try:
-                yield engine.timeout(100.0)
-            except Interrupt as exc:
-                caught.append((engine.now, exc.cause))
-
-        p = engine.process(sleeper())
-
-        def interrupter():
-            yield engine.timeout(10.0)
-            p.interrupt("wake up")
-
-        engine.process(interrupter())
-        engine.run()
-        assert caught == [(10.0, "wake up")]
-
-    def test_interrupting_finished_process_rejected(self):
-        engine = Engine()
-
-        def quick():
-            yield engine.timeout(1.0)
-
-        p = engine.process(quick())
-        engine.run()
-        with pytest.raises(EmulationError):
-            p.interrupt()
 
     def test_waiting_on_already_fired_event(self):
         engine = Engine()

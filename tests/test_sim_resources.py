@@ -7,7 +7,8 @@ from collections import deque
 import pytest
 
 from repro.common.errors import EmulationError
-from repro.sim import Engine, HostCore, Mailbox
+from repro.sim.engine import Engine
+from repro.sim.resources import HostCore, Mailbox
 
 
 class TestHostCore:
@@ -283,8 +284,10 @@ class TestMailbox:
         box = Mailbox(engine)
         box.put("x")
         ev = box.get()
+        got = []
+        ev.callbacks.append(got.append)
         engine.run()
-        assert ev.processed and ev.value == "x"
+        assert got == [ev] and ev.value == "x"
 
     def test_get_then_put_wakes_getter(self):
         engine = Engine()

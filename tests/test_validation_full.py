@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.log import get_logger, set_level
+from repro.common.log import get_logger
 from repro.hardware.config import parse_config
 from repro.runtime.backends import ThreadedBackend
 from repro.runtime.emulation import Emulation
@@ -26,7 +26,10 @@ class TestFullValidationMode:
             ThreadedBackend(),
         )
         assert result.stats.task_count == 770 + 6 + 7 + 9
-        assert result.all_outputs_correct()
+        assert result.verify_outputs() == {
+            "pulse_doppler": True, "range_detection": True,
+            "wifi_tx": True, "wifi_rx": True,
+        }
 
     @pytest.mark.parametrize("policy", ["met", "eft", "random", "heft",
                                         "frfs_reserve"])
@@ -37,7 +40,8 @@ class TestFullValidationMode:
             validation_workload({"range_detection": 2, "wifi_tx": 1}),
             ThreadedBackend(),
         )
-        assert result.all_outputs_correct()
+        assert result.verify_outputs() == {"range_detection": True,
+                                           "wifi_tx": True}
 
     def test_single_core_configuration_correct(self):
         emu = Emulation(config="1C+0F", policy="frfs")
@@ -45,7 +49,8 @@ class TestFullValidationMode:
             validation_workload({"range_detection": 1, "wifi_rx": 1}),
             ThreadedBackend(),
         )
-        assert result.all_outputs_correct()
+        assert result.verify_outputs() == {"range_detection": True,
+                                           "wifi_rx": True}
 
     def test_accelerator_heavy_configuration_correct(self):
         """1C+2F pushes FFT work onto the functional devices."""
@@ -53,7 +58,7 @@ class TestFullValidationMode:
         result = emu.run(
             validation_workload({"range_detection": 3}), ThreadedBackend()
         )
-        assert result.all_outputs_correct()
+        assert result.verify_outputs() == {"range_detection": True}
         assert any(r.pe_type == "fft" for r in result.stats.task_records)
 
 
@@ -77,11 +82,3 @@ class TestLogging:
         assert log.name == "repro.runtime.test_component"
         already = get_logger("repro.sim")
         assert already.name == "repro.sim"
-
-    def test_set_level_applies_to_root(self):
-        import logging
-
-        set_level("DEBUG")
-        assert logging.getLogger("repro").level == logging.DEBUG
-        set_level(logging.WARNING)
-        assert logging.getLogger("repro").level == logging.WARNING
